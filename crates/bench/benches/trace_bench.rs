@@ -1,20 +1,6 @@
-//! Benchmarks of the `TraceIndex`/`TraceView` query layer against the
-//! pre-index clone-based query paths, on synthetic traces of 1e5 and 1e6
-//! records.
-//!
-//! The `legacy` module freezes the exact algorithms the repo shipped
-//! before the index existed (verbatim from the pre-index
-//! `crates/records/src/trace.rs`), expressed through the still-public
-//! clone-based `FailureTrace::filter` API:
-//!
-//! * per-node TBF extraction = one full-trace `filter` clone per node,
-//! * pooled per-node gaps = system clone + `BTreeMap` last-seen walk,
-//! * repair minutes by cause = one full-trace clone per root cause,
-//! * window = linear predicate scan, merge = extend-then-resort.
-//!
-//! Each group pits the frozen baseline against the borrowed-view path so
-//! regressions in either direction are visible. Results are recorded in
-//! `experiments/BENCH_trace.json`.
+//! Benchmarks of the `TraceIndex`/`TraceView` query layer and the
+//! `.hpct` store on synthetic traces of 1e5 and 1e6 records (the store
+//! up to 1e7). Results are recorded in `experiments/BENCH_trace.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpcfail_records::io::{read_csv, write_csv};
@@ -58,71 +44,12 @@ fn synth_trace(n: usize, seed: u64) -> FailureTrace {
     FailureTrace::from_records(records)
 }
 
-/// The clone-based query paths exactly as they existed before the index
-/// layer, kept here as frozen baselines.
-mod legacy {
-    use super::*;
-    use std::collections::BTreeMap;
-
-    /// Pre-index per-node TBF extraction: one O(n) filter clone of the
-    /// *entire* trace per node (the pattern `pernode::analyze` used).
-    pub fn per_node_gap_counts(trace: &FailureTrace, system: SystemId) -> Vec<usize> {
-        (0..NODES)
-            .map(|n| {
-                let node_trace =
-                    trace.filter(|r| r.system() == system && r.node() == NodeId::new(n));
-                node_trace.interarrival_secs().map_or(0, |g| g.len())
-            })
-            .collect()
-    }
-
-    /// Pre-index pooled per-node gaps: clone the system slice, then walk
-    /// a `BTreeMap` of last-seen timestamps (verbatim old
-    /// `per_node_interarrival_secs`).
-    pub fn pooled_per_node_gaps(trace: &FailureTrace, system: SystemId) -> Vec<f64> {
-        let sys = trace.filter(|r| r.system() == system);
-        let mut last_seen: BTreeMap<(SystemId, NodeId), Timestamp> = BTreeMap::new();
-        let mut gaps = Vec::new();
-        for r in sys.records() {
-            if let Some(prev) = last_seen.insert((r.system(), r.node()), r.start()) {
-                gaps.push((r.start() - prev) as f64);
-            }
-        }
-        gaps
-    }
-
-    /// Pre-index repair-by-cause: one full-trace filter clone per root
-    /// cause (the pattern `repair::by_cause` used).
-    pub fn repair_minutes_by_cause(trace: &FailureTrace) -> Vec<Vec<f64>> {
-        RootCause::ALL
-            .iter()
-            .map(|&c| trace.filter(|r| r.cause() == c).downtimes_minutes())
-            .collect()
-    }
-
-    /// Verbatim old `filter_window`: linear predicate scan with a clone.
-    pub fn filter_window(trace: &FailureTrace, from: Timestamp, to: Timestamp) -> FailureTrace {
-        trace.filter(|r| r.start() >= from && r.start() < to)
-    }
-
-    /// Verbatim old `merge` semantics: concatenate then re-sort the
-    /// whole combined vector.
-    pub fn merge(a: &FailureTrace, b: &FailureTrace) -> FailureTrace {
-        let mut records = a.records().to_vec();
-        records.extend_from_slice(b.records());
-        FailureTrace::from_records(records)
-    }
-}
-
 fn bench_per_node_tbf(c: &mut Criterion) {
     let mut group = c.benchmark_group("per_node_tbf");
     let sys = SystemId::new(1);
     for n in SIZES {
         let trace = synth_trace(n, 42);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("legacy_clone", n), &trace, |b, t| {
-            b.iter(|| legacy::per_node_gap_counts(black_box(t), sys));
-        });
         group.bench_with_input(BenchmarkId::new("indexed_cold", n), &trace, |b, t| {
             b.iter(|| {
                 let idx = TraceIndex::build(black_box(t));
@@ -158,9 +85,6 @@ fn bench_pooled_gaps(c: &mut Criterion) {
     for n in SIZES {
         let trace = synth_trace(n, 42);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("legacy_clone", n), &trace, |b, t| {
-            b.iter(|| legacy::pooled_per_node_gaps(black_box(t), sys));
-        });
         let idx = TraceIndex::build(&trace);
         group.bench_with_input(BenchmarkId::new("indexed", n), &idx, |b, idx| {
             b.iter(|| black_box(idx).system(sys).per_node_interarrival_secs());
@@ -174,9 +98,6 @@ fn bench_repair_by_cause(c: &mut Criterion) {
     for n in SIZES {
         let trace = synth_trace(n, 42);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("legacy_clone", n), &trace, |b, t| {
-            b.iter(|| legacy::repair_minutes_by_cause(black_box(t)));
-        });
         let idx = TraceIndex::build(&trace);
         group.bench_with_input(BenchmarkId::new("indexed", n), &idx, |b, idx| {
             b.iter(|| {
@@ -197,9 +118,6 @@ fn bench_window(c: &mut Criterion) {
     for n in SIZES {
         let trace = synth_trace(n, 42);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("legacy_scan", n), &trace, |b, t| {
-            b.iter(|| legacy::filter_window(black_box(t), from, to));
-        });
         group.bench_with_input(BenchmarkId::new("partition_point", n), &trace, |b, t| {
             b.iter(|| black_box(t).filter_window(from, to));
         });
@@ -213,13 +131,6 @@ fn bench_merge(c: &mut Criterion) {
         let a = synth_trace(n / 2, 42);
         let b_half = synth_trace(n / 2, 43);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(
-            BenchmarkId::new("legacy_resort", n),
-            &(&a, &b_half),
-            |b, (x, y)| {
-                b.iter(|| legacy::merge(black_box(x), black_box(y)));
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("sorted_merge", n),
             &(&a, &b_half),

@@ -153,7 +153,7 @@ mod tests {
         let catalog = Catalog::lanl();
         let spec = catalog.system(SystemId::new(5)).unwrap();
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(5), 42).unwrap();
-        let curve = crate::lifetime::analyze(&trace, spec).unwrap();
+        let curve = crate::lifetime::analyze_indexed(&trace.index(), spec).unwrap();
         let cp = detect(&curve.monthly_totals(), 3).unwrap();
         assert!(
             cp.month <= 15,
@@ -170,7 +170,7 @@ mod tests {
         let catalog = Catalog::lanl();
         let spec = catalog.system(SystemId::new(19)).unwrap();
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(19), 42).unwrap();
-        let curve = crate::lifetime::analyze(&trace, spec).unwrap();
+        let curve = crate::lifetime::analyze_indexed(&trace.index(), spec).unwrap();
         let cp = detect(&curve.monthly_totals(), 3).unwrap();
         assert!(cp.month >= 12, "late change; got month {}", cp.month);
     }

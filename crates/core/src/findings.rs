@@ -1,11 +1,11 @@
 //! The paper's Section-8 summary, checked programmatically.
 //!
-//! [`evaluate`] runs every analysis over a trace and reduces the results
-//! to the paper's bullet-point conclusions, each with the measured value
-//! attached — the one-call acceptance check for any trace (synthetic or
-//! a real ingested log).
+//! [`evaluate_indexed`] runs every analysis over a trace and reduces the
+//! results to the paper's bullet-point conclusions, each with the
+//! measured value attached — the one-call acceptance check for any
+//! trace (synthetic or a real ingested log).
 
-use hpcfail_records::{Catalog, FailureTrace, RootCause, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, RootCause, SystemId, TraceIndex};
 use hpcfail_stats::fit::Family;
 
 use crate::error::AnalysisError;
@@ -26,8 +26,8 @@ pub struct Finding {
 
 /// A sub-analysis that failed during evaluation.
 ///
-/// Rather than aborting the whole summary, [`evaluate`] records the
-/// failure here and marks the affected findings as not evaluable.
+/// Rather than aborting the whole summary, [`evaluate_indexed`] records
+/// the failure here and marks the affected findings as not evaluable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Degraded {
     /// Which sub-analysis failed (e.g. "rates").
@@ -85,20 +85,13 @@ fn not_evaluable(id: &'static str, claim: &'static str, cause: &str) -> Finding 
 /// reported as not evaluable and the failure is recorded in
 /// [`Findings::degraded`]. All seven findings are always present.
 ///
+/// One [`TraceIndex`] serves every sub-analysis instead of each building
+/// (or scanning) its own.
+///
 /// # Errors
 ///
 /// Reserved for future fatal conditions; sub-analysis failures degrade
 /// instead of erroring.
-pub fn evaluate(trace: &FailureTrace, catalog: &Catalog) -> Result<Findings, AnalysisError> {
-    evaluate_indexed(&trace.index(), catalog)
-}
-
-/// [`evaluate`] off a prebuilt [`TraceIndex`]: one index serves every
-/// sub-analysis instead of each building (or scanning) its own.
-///
-/// # Errors
-///
-/// Same as [`evaluate`].
 pub fn evaluate_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Result<Findings, AnalysisError> {
     let trace = index.trace();
     let mut findings = Vec::new();
@@ -257,12 +250,13 @@ pub fn evaluate_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Result<Fin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcfail_records::FailureTrace;
 
     #[test]
     fn all_findings_hold_on_calibrated_trace() {
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let findings = evaluate(&trace, &catalog).unwrap();
+        let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
         assert_eq!(findings.findings.len(), 7);
         for f in &findings.findings {
             assert!(f.holds, "{}: {}", f.id, f.evidence);
@@ -291,7 +285,7 @@ mod tests {
         )
         .unwrap();
         let trace = FailureTrace::from_records(vec![rec]);
-        let findings = evaluate(&trace, &catalog).unwrap();
+        let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
         assert_eq!(findings.findings.len(), 7);
         assert!(findings.is_degraded());
         assert!(!findings.all_hold());
@@ -340,7 +334,7 @@ mod tests {
             node += 1;
         }
         let trace = hpcfail_records::FailureTrace::from_records(records);
-        let findings = evaluate(&trace, &catalog).unwrap();
+        let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
         // The flat exponential world has no daily rhythm and (being
         // memoryless) no decreasing hazard...
         assert!(!findings.get("workload-correlation").unwrap().holds);

@@ -5,7 +5,7 @@
 //! decay (type D/G, Fig. 4(b)). This module builds the monthly,
 //! cause-stacked failure curve and classifies its shape.
 
-use hpcfail_records::{FailureTrace, RootCause, SystemSpec, TraceIndex};
+use hpcfail_records::{RootCause, SystemSpec, TraceIndex};
 
 use crate::error::AnalysisError;
 
@@ -105,22 +105,13 @@ fn moving_average(series: &[u64], half: usize) -> Vec<f64> {
 }
 
 /// Build the Fig. 4 curve for one system: bucket its failures by months
-/// since production start, stacked by cause.
+/// since production start, stacked by cause. The system's records come
+/// from its [`TraceIndex`] posting list instead of a filtered clone.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] if the system contributed fewer
 /// than 10 failures (too little to classify a shape).
-pub fn analyze(trace: &FailureTrace, spec: &SystemSpec) -> Result<LifetimeCurve, AnalysisError> {
-    analyze_indexed(&trace.index(), spec)
-}
-
-/// [`analyze`] off a prebuilt [`TraceIndex`]: the system's records come
-/// from its posting list instead of a filtered clone.
-///
-/// # Errors
-///
-/// Same as [`analyze`].
 pub fn analyze_indexed(
     index: &TraceIndex<'_>,
     spec: &SystemSpec,
@@ -151,14 +142,14 @@ pub fn analyze_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{Catalog, SystemId};
+    use hpcfail_records::{Catalog, FailureTrace, SystemId};
 
     #[test]
     fn insufficient_data_rejected() {
         let catalog = Catalog::lanl();
         let spec = catalog.system(SystemId::new(5)).unwrap();
         assert!(matches!(
-            analyze(&FailureTrace::new(), spec),
+            analyze_indexed(&FailureTrace::new().index(), spec),
             Err(AnalysisError::InsufficientData { .. })
         ));
     }
@@ -206,7 +197,7 @@ mod tests {
         let catalog = Catalog::lanl();
         let spec = catalog.system(SystemId::new(5)).unwrap();
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(5), 42).unwrap();
-        let curve = analyze(&trace, spec).unwrap();
+        let curve = analyze_indexed(&trace.index(), spec).unwrap();
         assert_eq!(
             curve.classify(),
             CurveShape::EarlyPeak,
@@ -225,7 +216,7 @@ mod tests {
         let catalog = Catalog::lanl();
         let spec = catalog.system(SystemId::new(19)).unwrap();
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(19), 42).unwrap();
-        let curve = analyze(&trace, spec).unwrap();
+        let curve = analyze_indexed(&trace.index(), spec).unwrap();
         assert_eq!(
             curve.classify(),
             CurveShape::LatePeak,
@@ -240,7 +231,7 @@ mod tests {
         let catalog = Catalog::lanl();
         let spec = catalog.system(SystemId::new(5)).unwrap();
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(5), 42).unwrap();
-        let curve = analyze(&trace, spec).unwrap();
+        let curve = analyze_indexed(&trace.index(), spec).unwrap();
         // Sum of cause series equals monthly totals equals trace length.
         let totals = curve.monthly_totals();
         let stacked: u64 = RootCause::ALL

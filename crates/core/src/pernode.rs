@@ -6,7 +6,7 @@
 //! Poisson, normal and lognormal — the Poisson loses because real
 //! per-node rates are heterogeneous (overdispersed).
 
-use hpcfail_records::{Catalog, FailureTrace, NodeId, SystemId, SystemSpec, TraceIndex, Workload};
+use hpcfail_records::{Catalog, NodeId, SystemId, SystemSpec, TraceIndex, Workload};
 use hpcfail_stats::dist::{Continuous, Discrete, LogNormal, NegativeBinomial, Normal, Poisson};
 use hpcfail_stats::ecdf::Ecdf;
 use hpcfail_stats::prepared::PreparedSample;
@@ -104,29 +104,14 @@ impl PerNodeAnalysis {
     }
 }
 
-/// Run the Fig. 3 analysis.
+/// Run the Fig. 3 analysis. Per-node counts are read from the
+/// [`TraceIndex`] node-run offsets instead of scanning the trace.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] if the system has fewer than 3
 /// compute nodes with at least one failure; propagates catalog errors for
 /// unknown systems.
-pub fn analyze(
-    trace: &FailureTrace,
-    catalog: &Catalog,
-    system: SystemId,
-) -> Result<PerNodeAnalysis, AnalysisError> {
-    let spec = catalog.system(system)?;
-    let counts = trace.failures_per_node(system, spec.nodes());
-    analyze_counts(counts, spec, system)
-}
-
-/// [`analyze`] off a prebuilt [`TraceIndex`]: per-node counts are read
-/// from the node-run offsets instead of scanning the trace.
-///
-/// # Errors
-///
-/// Same as [`analyze`].
 pub fn analyze_indexed(
     index: &TraceIndex<'_>,
     catalog: &Catalog,
@@ -182,10 +167,10 @@ pub fn fit_counts(counts: &[u64]) -> CountFits {
     let prepared = PreparedSample::from_vec(as_f).ok();
     let normal_nll = prepared
         .as_ref()
-        .and_then(|p| Normal::fit_prepared(p).ok().map(|d| d.nll_prepared(p)));
+        .and_then(|p| Normal::fit_prepared(p).ok().map(|d| d.nll(p.values())));
     let lognormal_nll = prepared
         .as_ref()
-        .and_then(|p| LogNormal::fit_prepared(p).ok().map(|d| d.nll_prepared(p)));
+        .and_then(|p| LogNormal::fit_prepared(p).ok().map(|d| d.nll(p.values())));
     let negative_binomial_nll = NegativeBinomial::fit_mle(counts)
         .ok()
         .map(|d| d.nll(counts));
@@ -201,6 +186,7 @@ pub fn fit_counts(counts: &[u64]) -> CountFits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcfail_records::FailureTrace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,7 +195,7 @@ mod tests {
         let catalog = Catalog::lanl();
         let trace = FailureTrace::new();
         assert!(matches!(
-            analyze(&trace, &catalog, SystemId::new(20)),
+            analyze_indexed(&trace.index(), &catalog, SystemId::new(20)),
             Err(AnalysisError::InsufficientData { .. })
         ));
     }
@@ -219,7 +205,7 @@ mod tests {
         let catalog = Catalog::lanl();
         let trace = FailureTrace::new();
         assert!(matches!(
-            analyze(&trace, &catalog, SystemId::new(50)),
+            analyze_indexed(&trace.index(), &catalog, SystemId::new(50)),
             Err(AnalysisError::Record(_))
         ));
     }
@@ -258,7 +244,7 @@ mod tests {
     fn fig3_shape_on_synthetic_system20() {
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(20), 42).unwrap();
-        let analysis = analyze(&trace, &catalog, SystemId::new(20)).unwrap();
+        let analysis = analyze_indexed(&trace.index(), &catalog, SystemId::new(20)).unwrap();
         // 3 of 49 nodes are graphics ≈ 6%.
         assert_eq!(analysis.graphics_nodes, vec![21, 22, 23]);
         assert!((analysis.graphics_node_share - 3.0 / 49.0).abs() < 1e-9);

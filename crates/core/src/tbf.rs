@@ -170,19 +170,6 @@ pub fn analyze_indexed(
 ///
 /// [`AnalysisError::InsufficientData`] below 30 gaps; propagates
 /// Kaplan–Meier fitting errors.
-pub fn censored_gap_survival(
-    trace: &FailureTrace,
-    view: View,
-    window: (Timestamp, Timestamp),
-) -> Result<hpcfail_stats::survival::KaplanMeier, AnalysisError> {
-    censored_gap_survival_indexed(&trace.index(), view, window)
-}
-
-/// [`censored_gap_survival`] off a prebuilt [`TraceIndex`].
-///
-/// # Errors
-///
-/// Same as [`censored_gap_survival`].
 pub fn censored_gap_survival_indexed(
     index: &TraceIndex<'_>,
     view: View,
@@ -368,7 +355,7 @@ mod tests {
         let trace = system20();
         let (_, late) = paper_era_split();
         let view = View::SystemWide(SystemId::new(20));
-        let km = censored_gap_survival(&trace, view, late).unwrap();
+        let km = censored_gap_survival_indexed(&trace.index(), view, late).unwrap();
         let a = analyze(&trace, view, Some(late)).unwrap();
         let median_gap = a.mean_secs * 0.5;
         let s = km.survival(median_gap);
@@ -388,7 +375,7 @@ mod tests {
         let t = FailureTrace::new();
         let (early, _) = paper_era_split();
         assert!(matches!(
-            censored_gap_survival(&t, View::SystemWide(SystemId::new(20)), early),
+            censored_gap_survival_indexed(&t.index(), View::SystemWide(SystemId::new(20)), early),
             Err(AnalysisError::InsufficientData { .. })
         ));
     }

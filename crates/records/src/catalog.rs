@@ -12,8 +12,6 @@
 //! detail not recoverable from the scan (see DESIGN.md §4). Node counts
 //! total exactly 4750.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RecordError;
 use crate::ids::{HardwareType, NodeId, SystemId};
 use crate::time::Timestamp;
@@ -25,7 +23,7 @@ pub fn end_of_data() -> Timestamp {
 }
 
 /// A group of identical nodes within a system (right half of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCategory {
     /// Number of nodes in this category.
     pub nodes: u32,
@@ -45,7 +43,7 @@ impl NodeCategory {
 }
 
 /// One system of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemSpec {
     id: SystemId,
     hardware: HardwareType,
@@ -117,7 +115,7 @@ impl SystemSpec {
 }
 
 /// The full 22-system LANL catalog.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Catalog {
     systems: Vec<SystemSpec>,
 }

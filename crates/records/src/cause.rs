@@ -7,14 +7,13 @@
 //! we model the low-level causes the paper actually discusses plus an
 //! `Other` catch-all carrying the category.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 use crate::error::RecordError;
 
 /// High-level root-cause category of a failure record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RootCause {
     /// Operator/administrator error.
     Human,
@@ -98,7 +97,7 @@ impl FromStr for RootCause {
 /// The variants cover every low-level cause the paper names:
 /// memory and CPU dominate hardware (Section 4); parallel file system,
 /// scheduler, and OS dominate software per system type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum DetailedCause {
     // --- Hardware ---

@@ -1,6 +1,5 @@
 //! Identifier newtypes for systems, nodes, and hardware types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -14,7 +13,7 @@ use crate::error::RecordError;
 /// assert_eq!(sys.get(), 20);
 /// assert_eq!(sys.to_string(), "20");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SystemId(u32);
 
 impl SystemId {
@@ -55,7 +54,7 @@ impl FromStr for SystemId {
 }
 
 /// A node index within one system (0-based, as in Fig. 3(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -99,7 +98,7 @@ impl FromStr for NodeId {
 ///
 /// The paper groups its per-type breakdowns (Fig. 1) by the types D–H that
 /// have multi-node systems; A–C are small single-node machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HardwareType {
     /// Single 8-processor node (system 1).
     A,

@@ -1,7 +1,5 @@
 //! The failure record — one row of the LANL "remedy" database.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cause::{DetailedCause, RootCause};
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
@@ -29,7 +27,7 @@ use crate::workload::Workload;
 /// assert_eq!(rec.downtime_secs(), 21_600); // 6 hours
 /// # Ok::<(), hpcfail_records::RecordError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FailureRecord {
     system: SystemId,
     node: NodeId,

@@ -7,7 +7,6 @@
 //! algorithm so the periodic analyses (Fig. 5) bucket exactly like real
 //! wall-clock time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -30,9 +29,7 @@ pub const YEAR: u64 = 31_557_600;
 pub const EPOCH_CIVIL: (i64, u32, u32) = (1996, 1, 1);
 
 /// A point in simulated time: whole seconds since 1996-01-01 00:00 UTC.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {

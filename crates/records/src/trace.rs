@@ -5,8 +5,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cause::RootCause;
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
@@ -18,7 +16,7 @@ use crate::workload::Workload;
 ///
 /// Construction sorts records by `(start, system, node)` so all
 /// inter-arrival computations are well-defined.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailureTrace {
     records: Vec<FailureRecord>,
 }

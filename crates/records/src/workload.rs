@@ -5,14 +5,13 @@
 //! (front-end). The paper finds markedly higher failure rates on graphics
 //! and front-end nodes (Fig. 3(a) and Section 5.1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 use crate::error::RecordError;
 
 /// The type of workload a node runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Workload {
     /// Long-running 3D scientific simulation (months of CPU, periodic
     /// checkpoint I/O).

@@ -8,12 +8,11 @@
 //! uptime.
 
 use hpcfail_records::{FailureTrace, SystemId};
-use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
 
 /// Reliability profile of one node, as estimated from history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeProfile {
     /// Node index within the simulated cluster.
     pub node: u32,

@@ -10,14 +10,13 @@ use std::collections::{BinaryHeap, VecDeque};
 use hpcfail_stats::dist::{Continuous, Exponential, Weibull};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
 use crate::policy::{Policy, PolicyContext};
 
 /// Ground truth about one simulated node (hidden from the policy, which
 /// only sees observed history).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeTruth {
     /// True failure rate, failures per year.
     pub failures_per_year: f64,
@@ -26,7 +25,7 @@ pub struct NodeTruth {
 }
 
 /// One job: `width` nodes for `work_secs` of uninterrupted computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Nodes required.
     pub width: u32,
@@ -35,7 +34,7 @@ pub struct Job {
 }
 
 /// Simulation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Mean node repair time in seconds.
     pub mean_repair_secs: f64,

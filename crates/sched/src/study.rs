@@ -5,14 +5,13 @@
 use hpcfail_exec::{derive_stream_seed, ParallelExecutor};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
 use crate::policy::{LeastFailureRate, LongestUptime, Policy, RandomPlacement};
 use crate::sim::{run_with_prior, Job, NodeTruth, SimConfig};
 
 /// Configuration of one study point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// Number of nodes in the cluster.
     pub nodes: u32,

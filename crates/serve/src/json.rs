@@ -1,10 +1,10 @@
 //! A minimal JSON document builder and renderer.
 //!
-//! The workspace's `serde` is an offline stand-in without a JSON
-//! backend, so the serve layer writes JSON by hand through this tiny
-//! value tree. Rendering is deterministic: object keys keep insertion
-//! order, floats use Rust's shortest round-trip formatting, and
-//! non-finite floats render as `null` (JSON has no NaN/Infinity) — the
+//! The workspace builds offline with no JSON library, so the serve
+//! layer writes JSON by hand through this tiny value tree. Rendering is
+//! deterministic: object keys keep insertion order, floats use Rust's
+//! shortest round-trip formatting, and non-finite floats render as
+//! `null` (JSON has no NaN/Infinity) — the
 //! property that lets the result cache serve byte-identical bodies and
 //! the integration tests compare server output to direct library calls
 //! byte for byte.

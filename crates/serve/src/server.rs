@@ -253,12 +253,44 @@ pub fn run(
     Ok(())
 }
 
-/// Answer a shed connection with `503` + `retry-after` and close. Write
-/// timeouts are short: a shed peer never gets to block the acceptor.
+/// Answer a shed connection with `503` + `retry-after` and close. The
+/// write and the close share one short budget: a shed peer never gets to
+/// block the acceptor.
 fn shed(mut stream: TcpStream, config: &ServeConfig) {
-    let _ = stream.set_write_timeout(Some(config.io_timeout.min(Duration::from_millis(250))));
+    let budget = close_budget(config);
+    let deadline = Instant::now() + budget;
+    let _ = stream.set_write_timeout(Some(budget));
     let resp = Response::overloaded(config.retry_after_secs, "server overloaded; retry");
     let _ = stream.write_all(&resp.to_bytes());
+    close_after_reply(&mut stream, deadline);
+}
+
+/// Time allowed for answering and closing a connection whose request
+/// was never (or only partly) read.
+fn close_budget(config: &ServeConfig) -> Duration {
+    config.io_timeout.min(Duration::from_millis(250))
+}
+
+/// Half-close after a reply, then discard what the peer sends until it
+/// closes. Dropping a socket with unread request bytes makes the kernel
+/// send RST, which can destroy the reply before the peer reads it;
+/// reading to the peer's EOF first keeps the close an orderly FIN.
+/// Bounded by `deadline` and 4 MiB.
+fn close_after_reply(stream: &mut TcpStream, deadline: Instant) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut sink = [0u8; 4096];
+    let mut drained = 0usize;
+    while drained < 4 * 1024 * 1024 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        let _ = stream.set_read_timeout(Some(left));
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 fn worker_loop(state: &AppState, queue: &Queue, shutdown: &AtomicBool, config: &ServeConfig) {
@@ -377,17 +409,7 @@ fn serve_connection(state: &AppState, mut stream: TcpStream, config: &ServeConfi
     let _ = stream.write_all(&response.to_bytes());
     let _ = stream.flush();
     if drain {
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        let mut sink = [0u8; 4096];
-        let mut drained = 0usize;
-        // Bounded: stop at EOF, error, read timeout, or 4 MiB.
-        let _ = stream.set_read_timeout(Some(config.io_timeout.min(Duration::from_millis(250))));
-        while drained < 4 * 1024 * 1024 {
-            match stream.read(&mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => drained += n,
-            }
-        }
+        close_after_reply(&mut stream, Instant::now() + close_budget(config));
     }
 }
 

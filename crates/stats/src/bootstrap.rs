@@ -4,7 +4,6 @@
 //! hence decreasing hazard" conclusion stable under resampling?
 
 use crate::error::StatsError;
-use crate::prepared::PreparedSample;
 use hpcfail_exec::{ParallelExecutor, SeedSequence};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -16,7 +15,6 @@ thread_local! {
     // sample size changes). Taken out of the cell while the statistic
     // runs so a statistic that itself bootstraps cannot alias it.
     static RESAMPLE_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    static PREPARED_SCRATCH: RefCell<Option<PreparedSample>> = const { RefCell::new(None) };
 }
 
 /// A two-sided percentile bootstrap confidence interval for an arbitrary
@@ -171,86 +169,6 @@ where
             stat
         })
     });
-    finish_percentile_ci(replicate_stats, replicates, point, level)
-}
-
-/// Deterministic, parallel percentile bootstrap over a
-/// [`PreparedSample`] statistic.
-///
-/// Identical resampling scheme to [`percentile_ci_parallel`] — the same
-/// seed draws the same replicate indices in the same order — but the
-/// statistic receives each resample as a `PreparedSample`, re-prepared in
-/// place in per-worker scratch ([`PreparedSample::refill_with`]), so
-/// fitting-based statistics reuse the cached sufficient statistics with
-/// zero per-replicate allocation. For statistics that compute the same
-/// quantity, the returned interval is bit-identical to the slice-based
-/// variant's.
-///
-/// # Errors
-///
-/// Same conditions as [`percentile_ci_parallel`].
-pub fn percentile_ci_parallel_prepared<F>(
-    sample: &PreparedSample,
-    statistic: F,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-    executor: &ParallelExecutor,
-) -> Result<ConfidenceInterval, StatsError>
-where
-    F: Fn(&PreparedSample) -> Option<f64> + Sync,
-{
-    if !(0.0..1.0).contains(&level) || level <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "level",
-            value: level,
-        });
-    }
-    if replicates == 0 {
-        return Err(StatsError::InvalidParameter {
-            name: "replicates",
-            value: 0.0,
-        });
-    }
-    let point = statistic(sample).ok_or(StatsError::DegenerateSample)?;
-    let data = sample.values();
-    let n = data.len();
-    let streams = SeedSequence::new(seed);
-    let replicate_stats = executor.map_range(replicates, |r| {
-        let mut rng = StdRng::seed_from_u64(streams.stream(r as u64));
-        PREPARED_SCRATCH.with(|cell| {
-            let mut slot = cell.take();
-            if let Some(scratch) = slot.as_mut() {
-                scratch
-                    .refill_with(n, |_| data[rng.random_range(0..n)])
-                    .expect("resample of a finite sample is finite");
-            } else {
-                let mut fresh = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fresh.push(data[rng.random_range(0..n)]);
-                }
-                slot = Some(
-                    PreparedSample::from_vec(fresh)
-                        .expect("resample of a finite sample is finite"),
-                );
-            }
-            let stat = statistic(slot.as_ref().expect("scratch just filled"))
-                .filter(|s| s.is_finite());
-            cell.replace(slot);
-            stat
-        })
-    });
-    finish_percentile_ci(replicate_stats, replicates, point, level)
-}
-
-/// Shared tail of the parallel bootstraps: drop failed replicates, check
-/// the failure budget, sort and take the percentile interval.
-fn finish_percentile_ci(
-    replicate_stats: Vec<Option<f64>>,
-    replicates: usize,
-    point: f64,
-    level: f64,
-) -> Result<ConfidenceInterval, StatsError> {
     let mut stats: Vec<f64> = replicate_stats.into_iter().flatten().collect();
     if stats.len() < replicates / 2 {
         return Err(StatsError::NoConvergence {
@@ -273,6 +191,7 @@ mod tests {
     use super::*;
     use crate::descriptive::mean;
     use crate::dist::{sample_n, Continuous, Weibull};
+    use crate::prepared::PreparedSample;
 
     #[test]
     fn input_validation() {
@@ -391,36 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn prepared_ci_matches_slice_ci_bitwise() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let truth = Weibull::new(0.7, 120.0).unwrap();
-        let data = sample_n(&truth, 300, &mut rng);
-        let sample = PreparedSample::new(&data).unwrap();
-        for workers in [1, 4] {
-            let pool = ParallelExecutor::with_workers(workers);
-            let slice_ci =
-                percentile_ci_parallel(&data, |d| Some(mean(d)), 400, 0.95, 7, &pool).unwrap();
-            // `PreparedSample::mean` is Σx/n accumulated in draw order —
-            // the same arithmetic as `descriptive::mean` on the slice.
-            let prepared_ci = percentile_ci_parallel_prepared(
-                &sample,
-                |s| Some(s.mean()),
-                400,
-                0.95,
-                7,
-                &pool,
-            )
-            .unwrap();
-            assert_eq!(prepared_ci, slice_ci, "workers {workers}");
-        }
-    }
-
-    #[test]
     fn prepared_ci_supports_fit_statistics() {
         let mut rng = StdRng::seed_from_u64(22);
         let truth = Weibull::new(0.7, 3600.0).unwrap();
         let data = sample_n(&truth, 800, &mut rng);
-        let sample = PreparedSample::new(&data).unwrap();
         let pool = ParallelExecutor::with_workers(2);
         let slice_ci = percentile_ci_parallel(
             &data,
@@ -431,9 +324,13 @@ mod tests {
             &pool,
         )
         .unwrap();
-        let prepared_ci = percentile_ci_parallel_prepared(
-            &sample,
-            |s| Weibull::fit_prepared(s).ok().map(|w| w.shape()),
+        // A statistic that prepares each resample fits the same shapes.
+        let prepared_ci = percentile_ci_parallel(
+            &data,
+            |d| {
+                let sample = PreparedSample::new(d).ok()?;
+                Weibull::fit_prepared(&sample).ok().map(|w| w.shape())
+            },
             200,
             0.95,
             99,

@@ -263,73 +263,9 @@ impl Continuous for Gamma {
             .sum::<f64>()
     }
 
-    // Batch kernels. The log-density hoists `ln Γ(k)` (a full Lanczos
-    // evaluation), `k ln θ`, `k − 1` and the x = 0 case out of the loop.
-    // The CDF is the regularized incomplete gamma — an iterative
-    // series/continued-fraction whose trip count is data-dependent — so
-    // its batch path reuses the scalar evaluation per element (one
-    // virtual dispatch for the slice instead of one per point) rather
-    // than trading bit-identity for a fixed-trip approximation.
     // No `sample_batch` override: Marsaglia–Tsang rejection consumes a
     // variable number of draws per sample, so only the scalar loop keeps
     // the generator stream well-defined.
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let shape = self.shape;
-        let scale = self.scale;
-        super::map_chunked(xs, out, |x| {
-            if x <= 0.0 {
-                0.0
-            } else {
-                regularized_gamma_p(shape, x / scale)
-            }
-        });
-    }
-
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let scale = self.scale;
-        let ln_gamma_shape = ln_gamma(self.shape);
-        let shape_ln_scale = self.shape * scale.ln();
-        let shape_m1 = self.shape - 1.0;
-        let at_zero = match self.shape.partial_cmp(&1.0) {
-            Some(std::cmp::Ordering::Less) => f64::INFINITY,
-            Some(std::cmp::Ordering::Equal) => -scale.ln(),
-            _ => f64::NEG_INFINITY,
-        };
-        super::map_chunked(xs, out, |x| {
-            let v = shape_m1 * x.ln() - x / scale - ln_gamma_shape - shape_ln_scale;
-            if x < 0.0 {
-                f64::NEG_INFINITY
-            } else if x == 0.0 {
-                at_zero
-            } else {
-                v
-            }
-        });
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let scale = self.scale;
-        let ln_gamma_shape = ln_gamma(self.shape);
-        let shape_ln_scale = self.shape * scale.ln();
-        let shape_m1 = self.shape - 1.0;
-        let at_zero = match self.shape.partial_cmp(&1.0) {
-            Some(std::cmp::Ordering::Less) => f64::INFINITY,
-            Some(std::cmp::Ordering::Equal) => -scale.ln(),
-            _ => f64::NEG_INFINITY,
-        };
-        super::map_chunked(xs, out, |x| {
-            let v = shape_m1 * x.ln() - x / scale - ln_gamma_shape - shape_ln_scale;
-            if x < 0.0 {
-                f64::NEG_INFINITY
-            } else if x == 0.0 {
-                at_zero
-            } else {
-                v
-            }
-            .exp()
-        });
-    }
 }
 
 #[cfg(test)]

@@ -218,59 +218,6 @@ impl Continuous for LogNormal {
             .sum::<f64>()
     }
 
-    // Batch kernels: `ln σ` and the normalising constant hoisted, support
-    // test a select. The CDF goes through the same `standard_normal_cdf`
-    // (fixed-trip Chebyshev erfc) per element, so the chunked loop keeps
-    // every lane bit-identical to the scalar kernel.
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let mu = self.mu;
-        let sigma = self.sigma;
-        super::map_chunked(xs, out, |x| {
-            let v = standard_normal_cdf((x.ln() - mu) / sigma);
-            if x <= 0.0 {
-                0.0
-            } else {
-                v
-            }
-        });
-    }
-
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let mu = self.mu;
-        let sigma = self.sigma;
-        let ln_sigma = sigma.ln();
-        let half_ln_two_pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        super::map_chunked(xs, out, |x| {
-            let lx = x.ln();
-            let z = (lx - mu) / sigma;
-            let v = -lx - ln_sigma - half_ln_two_pi - 0.5 * z * z;
-            if x <= 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                v
-            }
-        });
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let mu = self.mu;
-        let sigma = self.sigma;
-        let ln_sigma = sigma.ln();
-        let half_ln_two_pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        super::map_chunked(xs, out, |x| {
-            let lx = x.ln();
-            let z = (lx - mu) / sigma;
-            let v = -lx - ln_sigma - half_ln_two_pi - 0.5 * z * z;
-            if x <= 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                v
-            }
-            .exp()
-        });
-    }
-
     fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
         super::fill_unit_open(rng, out);
         let mu = self.mu;

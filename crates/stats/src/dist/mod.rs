@@ -96,95 +96,6 @@ pub trait Continuous: std::fmt::Debug + Send + Sync {
         -data.iter().map(|&x| self.ln_pdf(x)).sum::<f64>()
     }
 
-    /// Negative log-likelihood of a prepared sample. Iterates the
-    /// sample's original-order values, so the result is bit-identical to
-    /// `nll(sample.values())` — the prepared-sample path exists so
-    /// callers holding a [`crate::prepared::PreparedSample`] never touch
-    /// the raw slice APIs.
-    fn nll_prepared(&self, sample: &crate::prepared::PreparedSample) -> f64 {
-        self.nll(sample.values())
-    }
-
-    /// Batch CDF: writes `cdf(xs[i])` into `out[i]` for every `i`.
-    ///
-    /// The default loops the scalar kernel; the six paper families
-    /// override it with chunked loops that hoist the loop-invariant
-    /// transcendentals (`ln σ`, `ln Γ(k)`, `1/θ`, …) out of the body and
-    /// keep the body branch-free (support tests become selects), so one
-    /// virtual dispatch covers the whole slice and the compiler can
-    /// unroll / auto-vectorize the non-transcendental arithmetic.
-    ///
-    /// Contract: every override performs the *same per-element operations
-    /// in the same order* as the scalar kernel, so `out[i]` is
-    /// bit-identical to `self.cdf(xs[i])` (DESIGN.md §13 pins the wider
-    /// ≤ 1 ulp tolerance policy; the shipped kernels all achieve 0 ulp,
-    /// locked by `tests/proptests.rs`).
-    ///
-    /// # Panics
-    /// Panics if `xs.len() != out.len()`.
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "cdf_batch: slice length mismatch");
-        for (x, o) in xs.iter().zip(out.iter_mut()) {
-            *o = self.cdf(*x);
-        }
-    }
-
-    /// Batch density: writes `pdf(xs[i])` into `out[i]` for every `i`.
-    /// Same layout and bit-identity contract as [`Continuous::cdf_batch`].
-    ///
-    /// # Panics
-    /// Panics if `xs.len() != out.len()`.
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "pdf_batch: slice length mismatch");
-        for (x, o) in xs.iter().zip(out.iter_mut()) {
-            *o = self.pdf(*x);
-        }
-    }
-
-    /// Batch log-density: writes `ln_pdf(xs[i])` into `out[i]` for every
-    /// `i`. Same layout and bit-identity contract as
-    /// [`Continuous::cdf_batch`].
-    ///
-    /// # Panics
-    /// Panics if `xs.len() != out.len()`.
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "ln_pdf_batch: slice length mismatch");
-        for (x, o) in xs.iter().zip(out.iter_mut()) {
-            *o = self.ln_pdf(*x);
-        }
-    }
-
-    /// Negative log-likelihood through the batch log-density kernel:
-    /// fixed-width chunks of [`Continuous::ln_pdf_batch`] feeding one
-    /// left-to-right reduction, no intermediate allocation.
-    ///
-    /// Because every `ln_pdf_batch` element is bit-identical to
-    /// `ln_pdf` and the accumulation order matches the scalar sum, the
-    /// result is bit-identical to [`Continuous::nll`] and
-    /// [`Continuous::nll_prepared`] — which is what lets the hot entry
-    /// points select it while `experiments/repro_output.txt` stays
-    /// byte-identical.
-    fn nll_batch(&self, sample: &crate::prepared::PreparedSample) -> f64 {
-        let xs = sample.values();
-        let mut buf = [0.0f64; BATCH_LANES];
-        let mut acc = 0.0f64;
-        let mut chunks = xs.chunks_exact(BATCH_LANES);
-        for chunk in &mut chunks {
-            self.ln_pdf_batch(chunk, &mut buf);
-            for &v in &buf {
-                acc += v;
-            }
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            self.ln_pdf_batch(rem, &mut buf[..rem.len()]);
-            for &v in &buf[..rem.len()] {
-                acc += v;
-            }
-        }
-        -acc
-    }
-
     /// Fill `out` with independent draws.
     ///
     /// The default loops [`Continuous::sample`]. The single-draw
@@ -203,34 +114,17 @@ pub trait Continuous: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Chunk width of the batch kernels. Eight lanes keeps the fixed-size
+/// Chunk width of the batch samplers. Eight lanes keeps the fixed-size
 /// inner loops a multiple of every f64 SIMD width the autovectorizer
-/// targets while the scratch buffers stay comfortably on the stack.
+/// targets.
 pub(crate) const BATCH_LANES: usize = 8;
 
-/// Shared chunk driver for the batch kernels: applies `f` element-wise
+/// Chunk driver for the batch samplers: rewrites `out[i] = f(out[i])`
 /// over fixed-width [`BATCH_LANES`] chunks (bounds-check-free bodies the
 /// compiler can unroll and vectorize), then a tail loop over the
-/// non-power-of-two remainder. `f` is a pure function of one element, so
+/// remainder, turning a block of uniform draws into inverse-CDF samples
+/// without a second buffer. `f` is a pure function of one element, so
 /// chunking cannot change any result bit.
-#[inline]
-pub(crate) fn map_chunked(xs: &[f64], out: &mut [f64], f: impl Fn(f64) -> f64) {
-    assert_eq!(xs.len(), out.len(), "batch kernel: slice length mismatch");
-    let mut xc = xs.chunks_exact(BATCH_LANES);
-    let mut oc = out.chunks_exact_mut(BATCH_LANES);
-    for (x, o) in (&mut xc).zip(&mut oc) {
-        for i in 0..BATCH_LANES {
-            o[i] = f(x[i]);
-        }
-    }
-    for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
-        *o = f(*x);
-    }
-}
-
-/// In-place variant of [`map_chunked`]: rewrites `out[i] = f(out[i])`.
-/// Used by the batch samplers to turn a block of uniform draws into
-/// inverse-CDF samples without a second buffer.
 #[inline]
 pub(crate) fn map_chunked_in_place(out: &mut [f64], f: impl Fn(f64) -> f64) {
     let mut oc = out.chunks_exact_mut(BATCH_LANES);

@@ -340,71 +340,6 @@ impl Continuous for Weibull {
             .sum::<f64>()
     }
 
-    // Batch kernels: `ln k − ln λ`, `k − 1`, `1/k` and the x = 0 density
-    // case hoisted out of the loop; the support tests collapse to selects
-    // over an unconditionally computed body. Per-element operations match
-    // the scalar kernels exactly, so every lane is bit-identical.
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let shape = self.shape;
-        let scale = self.scale;
-        super::map_chunked(xs, out, |x| {
-            let v = -(-(x / scale).powf(shape)).exp_m1();
-            if x <= 0.0 {
-                0.0
-            } else {
-                v
-            }
-        });
-    }
-
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let shape = self.shape;
-        let scale = self.scale;
-        let c = shape.ln() - scale.ln();
-        let shape_m1 = shape - 1.0;
-        let at_zero = match shape.partial_cmp(&1.0) {
-            Some(std::cmp::Ordering::Less) => f64::INFINITY,
-            Some(std::cmp::Ordering::Equal) => (shape / scale).ln(),
-            _ => f64::NEG_INFINITY,
-        };
-        super::map_chunked(xs, out, |x| {
-            let z = x / scale;
-            let v = c + shape_m1 * z.ln() - z.powf(shape);
-            if x < 0.0 {
-                f64::NEG_INFINITY
-            } else if x == 0.0 {
-                at_zero
-            } else {
-                v
-            }
-        });
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let shape = self.shape;
-        let scale = self.scale;
-        let c = shape.ln() - scale.ln();
-        let shape_m1 = shape - 1.0;
-        let at_zero = match shape.partial_cmp(&1.0) {
-            Some(std::cmp::Ordering::Less) => f64::INFINITY,
-            Some(std::cmp::Ordering::Equal) => (shape / scale).ln(),
-            _ => f64::NEG_INFINITY,
-        };
-        super::map_chunked(xs, out, |x| {
-            let z = x / scale;
-            let v = c + shape_m1 * z.ln() - z.powf(shape);
-            if x < 0.0 {
-                f64::NEG_INFINITY
-            } else if x == 0.0 {
-                at_zero
-            } else {
-                v
-            }
-            .exp()
-        });
-    }
-
     fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
         super::fill_unit_open(rng, out);
         let scale = self.scale;

@@ -4,13 +4,11 @@
 
 use crate::dist::{Continuous, Exponential, Gamma, LogNormal, Normal, Pareto, Weibull};
 use crate::error::StatsError;
-use crate::gof::ks_statistic_batch;
+use crate::gof::ks_statistic_sorted;
 use crate::prepared::PreparedSample;
 
-use serde::{Deserialize, Serialize};
-
 /// The candidate families the paper fits to continuous data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Family {
     /// Memoryless baseline; the paper's strawman.
@@ -257,16 +255,14 @@ pub fn fit_candidates(
 }
 
 /// [`fit_candidates`] off a [`PreparedSample`]: every family fits from the
-/// cached sufficient statistics, NLLs reuse the cached log transform, and
-/// all KS distances share the sample's single lazily-sorted view. Callers
-/// that fit the same data repeatedly (bootstrap, multi-criterion ranking)
-/// should prepare once and call this directly.
+/// cached sufficient statistics and all KS distances share the sample's
+/// single lazily-sorted view. Callers that fit the same data repeatedly
+/// (bootstrap, multi-criterion ranking) should prepare once and call this
+/// directly.
 ///
-/// This is a batch-kernel hot entry point: NLL goes through
-/// [`Continuous::nll_batch`] and KS through
-/// [`crate::gof::ks_statistic_batch`]. Both are bit-identical to the
-/// scalar defaults (`nll_prepared` / `ks_statistic_sorted`), which stay
-/// untouched as the repro reference — DESIGN.md §13.
+/// NLL is each family's hoisted scalar [`Continuous::nll`] over the
+/// sample's original-order values; KS is the branch-and-bound
+/// [`ks_statistic_sorted`] — DESIGN.md §13.
 ///
 /// # Errors
 ///
@@ -289,11 +285,11 @@ pub fn fit_candidates_prepared(
     for &family in families {
         match family.fit_prepared(sample) {
             Ok(dist) => {
-                let nll = dist.nll_batch(sample);
+                let nll = dist.nll(sample.values());
                 let k = family.param_count() as f64;
                 let aic = 2.0 * k + 2.0 * nll;
                 let bic = k * (sample.len() as f64).ln() + 2.0 * nll;
-                let ks = ks_statistic_batch(sorted, dist.as_ref());
+                let ks = ks_statistic_sorted(sorted, dist.as_ref());
                 candidates.push(FittedCandidate {
                     family,
                     dist,

@@ -4,22 +4,17 @@
 //! CDF inspection.
 
 use crate::dist::Continuous;
-use crate::ecdf::Ecdf;
 
 /// The two-sided Kolmogorov–Smirnov statistic
-/// `D = sup_x |F̂(x) − F(x)|` between an empirical CDF and a fitted
-/// continuous distribution.
+/// `D = sup_x |F̂(x) − F(x)|` between the empirical CDF of an ascending
+/// slice of sample values and a fitted continuous distribution. Callers
+/// pass a shared sorted view such as
+/// [`crate::prepared::PreparedSample::sorted`] or
+/// [`crate::ecdf::Ecdf::sorted_values`].
 ///
 /// Evaluated exactly at the sample points (where the supremum of a step
 /// function vs a continuous CDF must occur), checking both the
 /// left-limit and right-value of each step.
-pub fn ks_statistic(ecdf: &Ecdf, dist: &dyn Continuous) -> f64 {
-    ks_statistic_sorted(ecdf.sorted_values(), dist)
-}
-
-/// [`ks_statistic`] evaluated directly on an ascending slice of sample
-/// values — lets callers with a shared sorted view (e.g.
-/// [`crate::prepared::PreparedSample::sorted`]) skip building an [`Ecdf`].
 ///
 /// The supremum is located by branch-and-bound instead of a full scan:
 /// because `F` is non-decreasing, every candidate deviation at an index
@@ -73,101 +68,6 @@ pub fn ks_statistic_sorted(sorted: &[f64], dist: &dyn Continuous) -> f64 {
         d = d.max(candidate(m, fm));
         queue.push_back((i, m, fi, fm));
         queue.push_back((m, j, fm, fj));
-    }
-    d
-}
-
-/// Below this length the batch KS skips branch-and-bound entirely: one
-/// [`Continuous::cdf_batch`] call over the whole sorted sample plus a
-/// linear candidate scan is cheaper than the queue bookkeeping. Kept
-/// deliberately small: branch-and-bound converges after a few dozen CDF
-/// evaluations even at n ≈ 1000, so a whole-sample scan only wins while
-/// the frontier machinery itself dominates.
-const KS_FULL_SCAN_MAX: usize = 64;
-
-/// [`ks_statistic_sorted`] through the batch CDF kernels — the path the
-/// hot entry points ([`crate::fit::fit_paper_set`] and everything above
-/// it) select.
-///
-/// Two regimes, composed:
-///
-/// * **small samples** (≤ `KS_FULL_SCAN_MAX`): evaluate the model CDF
-///   over the whole sorted sample in a single [`Continuous::cdf_batch`]
-///   call, then run the exhaustive candidate scan over the buffer — a
-///   branch-free arithmetic loop with no virtual dispatch inside;
-/// * **large samples**: the same branch-and-bound interval refinement as
-///   [`ks_statistic_sorted`], but breadth-first *by level*: every
-///   midpoint the current frontier needs is gathered and evaluated in
-///   one `cdf_batch` call, so the per-point virtual dispatch of the
-///   scalar search collapses to one call per refinement level (~log n
-///   calls total).
-///
-/// Level batching prunes with a running maximum that lags the scalar
-/// search by at most one level, so it may evaluate a few extra
-/// midpoints — but every candidate it folds in is a true deviation at a
-/// real sample index and the batch CDF values are bit-identical to the
-/// scalar kernel's, so the result equals [`ks_statistic_sorted`] (and
-/// the exhaustive scan) to the bit. Locked by unit tests here and
-/// proptests over all six families in `tests/proptests.rs`.
-pub fn ks_statistic_batch(sorted: &[f64], dist: &dyn Continuous) -> f64 {
-    let len = sorted.len();
-    if len == 0 {
-        return 0.0;
-    }
-    let n = len as f64;
-    let candidate = |i: usize, f: f64| {
-        let upper = (i as f64 + 1.0) / n - f;
-        let lower = f - i as f64 / n;
-        upper.abs().max(lower.abs())
-    };
-    if len <= KS_FULL_SCAN_MAX {
-        let mut cdf = vec![0.0f64; len];
-        dist.cdf_batch(sorted, &mut cdf);
-        let mut d = 0.0f64;
-        for (i, &f) in cdf.iter().enumerate() {
-            d = d.max(candidate(i, f));
-        }
-        return d;
-    }
-    let last = len - 1;
-    let mut fe = [0.0f64; 2];
-    dist.cdf_batch(&[sorted[0], sorted[last]], &mut fe);
-    let mut d = 0.0f64;
-    d = d.max(candidate(0, fe[0]));
-    d = d.max(candidate(last, fe[1]));
-    // One frontier of intervals per refinement level; `kept` carries the
-    // intervals that survived pruning alongside their midpoint index.
-    let mut frontier = vec![(0usize, last, fe[0], fe[1])];
-    let mut kept: Vec<(usize, usize, f64, f64, usize)> = Vec::new();
-    let mut mids: Vec<f64> = Vec::new();
-    let mut fm: Vec<f64> = Vec::new();
-    while !frontier.is_empty() {
-        kept.clear();
-        mids.clear();
-        for &(i, j, fi, fj) in &frontier {
-            if j - i < 2 {
-                continue;
-            }
-            let bound = (j as f64 / n - fi).max(fj - (i as f64 + 1.0) / n);
-            if bound <= d {
-                continue;
-            }
-            let m = i + (j - i) / 2;
-            kept.push((i, j, fi, fj, m));
-            mids.push(sorted[m]);
-        }
-        if kept.is_empty() {
-            break;
-        }
-        fm.clear();
-        fm.resize(mids.len(), 0.0);
-        dist.cdf_batch(&mids, &mut fm);
-        frontier.clear();
-        for (&(i, j, fi, fj, m), &f) in kept.iter().zip(fm.iter()) {
-            d = d.max(candidate(m, f));
-            frontier.push((i, m, fi, f));
-            frontier.push((m, j, f, fj));
-        }
     }
     d
 }
@@ -285,6 +185,7 @@ pub fn chi_squared_uniform(samples: &[f64], bins: usize) -> Result<ChiSquared, c
 mod tests {
     use super::*;
     use crate::dist::{sample_n, Continuous, Exponential, Weibull};
+    use crate::ecdf::Ecdf;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -298,7 +199,7 @@ mod tests {
             .map(|i| d.quantile((i as f64 + 0.5) / n as f64))
             .collect();
         let ecdf = Ecdf::new(&sample).unwrap();
-        let ks = ks_statistic(&ecdf, &d);
+        let ks = ks_statistic_sorted(ecdf.sorted_values(), &d);
         assert!(ks < 1.0 / n as f64 + 1e-9, "ks = {ks}");
     }
 
@@ -315,39 +216,12 @@ mod tests {
         d
     }
 
-    #[test]
-    fn pruned_ks_matches_exhaustive_scan_bitwise() {
-        use crate::dist::{Gamma, LogNormal};
-        let truth = Weibull::new(0.75, 86_400.0).unwrap();
-        for (seed, n) in [(1u64, 3usize), (2, 10), (7, 1_000), (42, 20_000)] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut data = sample_n(&truth, n, &mut rng);
-            data.sort_unstable_by(f64::total_cmp);
-            let models: Vec<Box<dyn Continuous>> = vec![
-                Box::new(truth),
-                Box::new(Exponential::from_mean(truth.mean()).unwrap()),
-                Box::new(Gamma::new(0.8, 100_000.0).unwrap()),
-                Box::new(LogNormal::new(10.0, 1.5).unwrap()),
-            ];
-            for model in &models {
-                let pruned = ks_statistic_sorted(&data, model.as_ref());
-                let full = ks_exhaustive(&data, model.as_ref());
-                assert_eq!(
-                    pruned.to_bits(),
-                    full.to_bits(),
-                    "seed {seed} n {n}: pruned {pruned} != exhaustive {full}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_ks_matches_exhaustive_scan_bitwise_for_all_six_families() {
+    /// Checks the branch-and-bound KS against the exhaustive scan, bit
+    /// for bit, for every `(seed, n)` case over all six families.
+    fn assert_ks_matches_exhaustive(cases: &[(u64, usize)]) {
         use crate::dist::{Gamma, LogNormal, Normal, Pareto};
         let truth = Weibull::new(0.75, 86_400.0).unwrap();
-        // Sizes straddle KS_FULL_SCAN_MAX so both the one-call full scan
-        // and the level-batched branch-and-bound paths are exercised.
-        for (seed, n) in [(1u64, 1usize), (2, 10), (7, 1_000), (11, 2_049), (42, 20_000)] {
+        for &(seed, n) in cases {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut data = sample_n(&truth, n, &mut rng);
             data.sort_unstable_by(f64::total_cmp);
@@ -360,19 +234,30 @@ mod tests {
                 Box::new(Pareto::new(60.0, 0.9).unwrap()),
             ];
             for model in &models {
-                let batch = ks_statistic_batch(&data, model.as_ref());
                 let pruned = ks_statistic_sorted(&data, model.as_ref());
                 let full = ks_exhaustive(&data, model.as_ref());
                 assert_eq!(
-                    batch.to_bits(),
+                    pruned.to_bits(),
                     full.to_bits(),
-                    "{} seed {seed} n {n}: batch {batch} != exhaustive {full}",
+                    "{} seed {seed} n {n}: pruned {pruned} != exhaustive {full}",
                     model.name()
                 );
-                assert_eq!(batch.to_bits(), pruned.to_bits());
             }
         }
-        assert_eq!(ks_statistic_batch(&[], &truth), 0.0);
+    }
+
+    #[test]
+    fn pruned_ks_matches_exhaustive_scan_bitwise() {
+        assert_ks_matches_exhaustive(&[(1, 3), (2, 10), (7, 1_000), (42, 20_000)]);
+    }
+
+    #[test]
+    fn batch_ks_matches_exhaustive_scan_bitwise_for_all_six_families() {
+        // Edge sizes: a single point, an empty sample, and a length just
+        // past a power of two so the bisection meets an uneven split.
+        assert_ks_matches_exhaustive(&[(1, 1), (11, 2_049)]);
+        let truth = Weibull::new(0.75, 86_400.0).unwrap();
+        assert_eq!(ks_statistic_sorted(&[], &truth), 0.0);
     }
 
     #[test]
@@ -381,9 +266,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let data = sample_n(&truth, 5_000, &mut rng);
         let ecdf = Ecdf::new(&data).unwrap();
-        let right = ks_statistic(&ecdf, &truth);
+        let right = ks_statistic_sorted(ecdf.sorted_values(), &truth);
         let wrong = Exponential::from_mean(truth.mean()).unwrap();
-        let wrong_ks = ks_statistic(&ecdf, &wrong);
+        let wrong_ks = ks_statistic_sorted(ecdf.sorted_values(), &wrong);
         assert!(wrong_ks > 5.0 * right, "right {right} wrong {wrong_ks}");
     }
 

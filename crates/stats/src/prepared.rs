@@ -14,25 +14,19 @@
 //! * **one sort** (lazy, cached on first use) builds the shared sorted
 //!   view that the ECDF, quantiles and KS statistics read.
 //!
-//! Everything downstream — the per-family `fit_prepared` constructors,
-//! [`crate::dist::Continuous::nll_prepared`],
-//! [`crate::fit::fit_candidates_prepared`] and the prepared bootstrap —
-//! borrows these caches instead of recomputing them.
+//! Everything downstream — the per-family `fit_prepared` constructors
+//! and [`crate::fit::fit_candidates_prepared`] — borrows these caches
+//! instead of recomputing them.
 //!
 //! **Bit-identity invariant.** All cached sums are accumulated in the
 //! original data order with the same operation sequence the slice-based
 //! fitters use, and `max(ln x)` is a running `f64::max` fold over the
 //! same `ln` values (not `ln(max x)`, since `ln` is not guaranteed
-//! monotone at the ULP level). Every fit, NLL and CI computed through a
+//! monotone at the ULP level). Every fit computed through a
 //! `PreparedSample` is therefore bit-identical to its slice-path
-//! counterpart — the property tests in `tests/proptests.rs` pin this.
-//!
-//! The invariant extends to the batch kernels (DESIGN.md §13):
-//! [`crate::dist::Continuous::nll_batch`] reads the same cached values
-//! and folds its chunked per-lane `ln_pdf` results left-to-right in data
-//! order, so `nll_batch` ≡ [`crate::dist::Continuous::nll_prepared`] ≡
-//! `nll` bitwise, and the batch-wired
-//! [`crate::fit::fit_candidates_prepared`] stays byte-reproducible.
+//! counterpart, and its NLL is the slice-path `nll` over
+//! [`PreparedSample::values`] — the property tests in
+//! `tests/proptests.rs` pin this.
 
 use crate::error::StatsError;
 use std::sync::OnceLock;
@@ -100,40 +94,13 @@ impl PreparedSample {
     ///
     /// Same conditions as [`PreparedSample::new`].
     pub fn from_vec(values: Vec<f64>) -> Result<Self, StatsError> {
-        let mut logs = Vec::new();
-        let moments = scan(&values, &mut logs)?;
+        let (moments, logs) = scan(&values)?;
         Ok(PreparedSample {
             values,
             logs,
             sorted: OnceLock::new(),
             moments,
         })
-    }
-
-    /// Re-prepare this sample in place from freshly generated values,
-    /// reusing the existing buffers — the allocation-free path the
-    /// bootstrap hot loop uses. `f(i)` produces the `i`-th observation.
-    ///
-    /// Any cached sorted view is invalidated (its buffer is dropped;
-    /// it is rebuilt lazily if needed again).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PreparedSample::new`]. On error the sample
-    /// contents are unspecified; refill again before further use.
-    pub fn refill_with(
-        &mut self,
-        n: usize,
-        mut f: impl FnMut(usize) -> f64,
-    ) -> Result<(), StatsError> {
-        self.values.clear();
-        self.values.reserve(n);
-        for i in 0..n {
-            self.values.push(f(i));
-        }
-        self.moments = scan(&self.values, &mut self.logs)?;
-        self.sorted.take();
-        Ok(())
     }
 
     /// Number of observations (always at least 1).
@@ -265,16 +232,15 @@ impl PreparedSample {
 }
 
 /// The single validation/accumulation pass. Sums are accumulated in
-/// data order (bit-identical to the slice fitters' `iter().sum()`);
-/// `logs` is refilled in place. For samples that are not strictly
-/// positive the log caches are poisoned to NaN and `logs` is cleared
+/// data order (bit-identical to the slice fitters' `iter().sum()`) and
+/// returned with the `ln x` vector. For samples that are not strictly
+/// positive the log caches are poisoned to NaN and the vector is empty
 /// (its `ln` values would be NaN/−∞ garbage).
-fn scan(values: &[f64], logs: &mut Vec<f64>) -> Result<Moments, StatsError> {
+fn scan(values: &[f64]) -> Result<(Moments, Vec<f64>), StatsError> {
     if values.is_empty() {
         return Err(StatsError::EmptySample);
     }
-    logs.clear();
-    logs.reserve(values.len());
+    let mut logs = Vec::with_capacity(values.len());
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
     let mut sum_log = 0.0;
@@ -304,7 +270,7 @@ fn scan(values: &[f64], logs: &mut Vec<f64>) -> Result<Moments, StatsError> {
         sum_log_sq = f64::NAN;
         max_log = f64::NAN;
     }
-    Ok(Moments {
+    let moments = Moments {
         sum,
         sum_sq,
         sum_log,
@@ -313,7 +279,8 @@ fn scan(values: &[f64], logs: &mut Vec<f64>) -> Result<Moments, StatsError> {
         max,
         max_log,
         positive,
-    })
+    };
+    Ok((moments, logs))
 }
 
 #[cfg(test)]
@@ -382,19 +349,6 @@ mod tests {
         assert!((ps.ecdf_eval(1.0) - 1.0 / 3.0).abs() < 1e-15);
         let ecdf = ps.to_ecdf();
         assert_eq!(ecdf.sorted_values(), ps.sorted());
-    }
-
-    #[test]
-    fn refill_reuses_buffers_and_invalidates_sort() {
-        let mut ps = PreparedSample::new(&[5.0, 6.0, 7.0, 8.0]).unwrap();
-        let _ = ps.sorted();
-        ps.refill_with(3, |i| (i + 1) as f64).unwrap();
-        assert_eq!(ps.values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(ps.sum(), 6.0);
-        assert_eq!(ps.sorted(), &[1.0, 2.0, 3.0]);
-        // A refill that injects a non-finite value errors.
-        assert!(ps.refill_with(2, |_| f64::NAN).is_err());
-        assert!(ps.refill_with(0, |_| 1.0).is_err());
     }
 
     #[test]

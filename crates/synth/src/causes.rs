@@ -7,7 +7,6 @@
 
 use hpcfail_records::{DetailedCause, HardwareType, RootCause};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Sampling weights over the six high-level root causes, in
 /// [`RootCause::ALL`] order (hardware, software, network, environment,
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// is a `partition_point` lookup instead of a linear walk; the running
 /// sums are built with the exact same left-to-right additions the old
 /// per-draw walk performed, so sampling is bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CauseMix {
     weights: [f64; 6],
     cum: [f64; 6],
@@ -159,7 +158,7 @@ impl CumTable {
 /// costs a single uniform plus a binary search. Equality is defined by
 /// the hardware type alone, exactly as before the tables were cached
 /// (the tables are a pure function of it).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetailModel {
     hw: HardwareType,
     hardware: CumTable,

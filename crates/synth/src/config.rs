@@ -2,14 +2,13 @@
 //! statistics (see DESIGN.md §4).
 
 use hpcfail_records::{HardwareType, SystemId};
-use serde::{Deserialize, Serialize};
 
 use crate::causes::CauseMix;
 use crate::diurnal::DiurnalProfile;
 use crate::lifecycle::LifecycleShape;
 
 /// Everything the generator needs to know about one system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Target average failures per year over the production lifetime
     /// (Fig. 2(a): 17 for system 2 up to 1159 for system 7).
@@ -58,7 +57,7 @@ pub struct SystemConfig {
 }
 
 /// Configuration for correlated multi-node failure bursts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstConfig {
     /// Probability that a primary failure triggers a burst.
     pub probability: f64,
@@ -86,7 +85,7 @@ impl BurstConfig {
 }
 
 /// Calibration for the whole site: one [`SystemConfig`] per system id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     configs: Vec<(SystemId, SystemConfig)>,
 }

@@ -7,11 +7,10 @@
 //! normalized to 1 so it does not bias total failure counts.
 
 use hpcfail_records::time::{Timestamp, DAY, HOUR};
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative weekly intensity profile: 24 hourly weights × 7 daily
 /// weights, normalized so the mean over a full week is 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     hourly: [f64; 24],
     daily: [f64; 7],

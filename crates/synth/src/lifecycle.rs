@@ -10,13 +10,11 @@
 //!
 //! Both are modeled as multiplicative intensity curves over system age.
 
-use serde::{Deserialize, Serialize};
-
 /// A multiplicative failure-intensity curve as a function of system age.
 ///
 /// `intensity(age_months)` returns a multiplier applied to the system's
 /// steady-state failure rate; the steady-state value is 1.0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LifecycleShape {
     /// Constant rate over the whole lifetime.
     Flat,

@@ -20,7 +20,6 @@ use hpcfail_stats::dist::{Continuous, LogNormal, Pareto};
 use hpcfail_stats::mixture::Mixture;
 use hpcfail_stats::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Table 2 calibration targets: (median minutes, mean minutes) per
 /// high-level root cause, plus the all-causes row.
@@ -65,7 +64,7 @@ pub struct RepairModel {
 /// Values chosen so type-G NUMA systems repair slowest (the paper's mean
 /// repair ranges from under an hour to more than a day across systems)
 /// while the overall per-cause statistics stay near Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairScale(f64);
 
 impl RepairScale {

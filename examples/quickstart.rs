@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Repair times (paper Table 2 / Fig. 7(a)): lognormal best.
-    let report = repair::fit_all_repairs(&trace)?;
+    let report = repair::fit_all_repairs_indexed(&trace.index())?;
     let best = report.best().expect("fits available");
     println!(
         "\nrepair-time best fit: {} (paper: lognormal)",

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = Catalog::lanl();
 
     // Failures per year per system (Fig. 2(a)).
-    let rate_analysis = rates::analyze(&trace, &catalog)?;
+    let rate_analysis = rates::analyze_indexed(&trace.index(), &catalog)?;
     let mut table = report::TextTable::new(&["system", "hw", "failures/yr", "per proc"]);
     for r in &rate_analysis.rates {
         if r.failures == 0 {
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Repair-time statistics by root cause (Table 2).
-    let table2 = repair::by_cause(&trace)?;
+    let table2 = repair::by_cause_indexed(&trace.index())?;
     let mut t2 = report::TextTable::new(&["cause", "mean (min)", "median (min)", "C^2"]);
     for row in &table2.rows {
         let cause = row.cause.map(|c| c.to_string()).unwrap_or_default();

@@ -13,6 +13,12 @@ cargo build --workspace --release
 echo "==> cargo test --workspace (release)"
 cargo test --workspace --release -q
 
+# The benchmark package lives outside the workspace and calls the
+# crates' public API; its self-tests fail to build if that API loses a
+# name the benchmark uses.
+echo "==> benchmark harness self-tests (perfbench)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> determinism suite, HPCFAIL_THREADS=1"
 HPCFAIL_THREADS=1 cargo test --release -q -p hpcfail --test parallel_determinism
 
@@ -33,7 +39,7 @@ echo "OK: repro output byte-identical across worker counts"
 echo "==> repro output vs committed experiments/repro_output.txt"
 if ! diff -u experiments/repro_output.txt "$tmpdir/repro_t1.txt"; then
     echo "FAIL: fresh repro run differs from the committed golden output." >&2
-    echo "      The batch kernels (DESIGN.md §13) and every other fit-path" >&2
+    echo "      The fit kernels (DESIGN.md §13) and every other fit-path" >&2
     echo "      change must stay bit-identical; if a drift is intentional," >&2
     echo "      re-record with: cargo run --release -p hpcfail-bench --bin repro" >&2
     exit 1

@@ -35,7 +35,7 @@ fn table1_system_overview() {
 
 #[test]
 fn fig1a_root_cause_breakdown_of_failures() {
-    let analysis = rootcause::analyze(site(), &catalog());
+    let analysis = rootcause::analyze_indexed(&site().index(), &catalog());
     // Hardware is the single largest category, 30-60%+ per type — except
     // type D, where the paper says hardware and software are "almost
     // equally frequent" (either may lead after sampling noise).
@@ -67,7 +67,7 @@ fn fig1a_root_cause_breakdown_of_failures() {
 
 #[test]
 fn fig1b_root_cause_breakdown_of_downtime() {
-    let analysis = rootcause::analyze(site(), &catalog());
+    let analysis = rootcause::analyze_indexed(&site().index(), &catalog());
     // Downtime, like counts, is dominated by hardware then software.
     let all = &analysis.all;
     let hw = all.fraction_of_downtime(RootCause::Hardware);
@@ -110,7 +110,7 @@ fn fig1_detailed_causes_memory_everywhere() {
 
 #[test]
 fn fig2a_failure_rates_span_paper_range() {
-    let analysis = rates::analyze(site(), &catalog()).unwrap();
+    let analysis = rates::analyze_indexed(&site().index(), &catalog()).unwrap();
     let (min, max) = analysis.per_year_range();
     // Paper: 17 (system 2) to 1159 (system 7) failures/year.
     assert!(min < 40.0, "min {min}");
@@ -125,7 +125,7 @@ fn fig2a_failure_rates_span_paper_range() {
 
 #[test]
 fn fig2b_normalization_removes_most_variability() {
-    let analysis = rates::analyze(site(), &catalog()).unwrap();
+    let analysis = rates::analyze_indexed(&site().index(), &catalog()).unwrap();
     assert!(analysis.normalized_variability() < 0.8 * analysis.raw_variability());
     // Within-type normalized rates are consistent (paper's type E claim).
     assert!(analysis.within_type_variability(HardwareType::E) < 0.6);
@@ -135,7 +135,7 @@ fn fig2b_normalization_removes_most_variability() {
 #[test]
 fn fig3a_graphics_nodes_take_outsized_share() {
     let trace = site().filter_system(SystemId::new(20));
-    let analysis = pernode::analyze(&trace, &catalog(), SystemId::new(20)).unwrap();
+    let analysis = pernode::analyze_indexed(&trace.index(), &catalog(), SystemId::new(20)).unwrap();
     // Paper: nodes 21-23 are 6% of nodes but ~20% of failures.
     assert!((analysis.graphics_node_share - 0.061).abs() < 0.01);
     assert!(
@@ -148,7 +148,7 @@ fn fig3a_graphics_nodes_take_outsized_share() {
 #[test]
 fn fig3b_poisson_loses_to_normal_and_lognormal() {
     let trace = site().filter_system(SystemId::new(20));
-    let analysis = pernode::analyze(&trace, &catalog(), SystemId::new(20)).unwrap();
+    let analysis = pernode::analyze_indexed(&trace.index(), &catalog(), SystemId::new(20)).unwrap();
     assert!(analysis.compute_fits.poisson_is_worst());
     assert!(analysis.compute_fits.dispersion_index > 1.5);
 }
@@ -157,7 +157,7 @@ fn fig3b_poisson_loses_to_normal_and_lognormal() {
 fn fig4a_type_e_failure_rate_drops_early() {
     let catalog = catalog();
     let spec = catalog.system(SystemId::new(5)).unwrap();
-    let curve = lifetime::analyze(site(), spec).unwrap();
+    let curve = lifetime::analyze_indexed(&site().index(), spec).unwrap();
     assert_eq!(curve.classify(), lifetime::CurveShape::EarlyPeak);
 }
 
@@ -165,7 +165,7 @@ fn fig4a_type_e_failure_rate_drops_early() {
 fn fig4b_type_g_failure_rate_ramps_twenty_months() {
     let catalog = catalog();
     let spec = catalog.system(SystemId::new(19)).unwrap();
-    let curve = lifetime::analyze(site(), spec).unwrap();
+    let curve = lifetime::analyze_indexed(&site().index(), spec).unwrap();
     assert_eq!(curve.classify(), lifetime::CurveShape::LatePeak);
     assert!(
         (10..=30).contains(&curve.peak_month()),
@@ -174,7 +174,7 @@ fn fig4b_type_g_failure_rate_ramps_twenty_months() {
     );
     // System 21 (two years later) behaves like Fig 4(a) — Section 5.2.
     let s21 = catalog.system(SystemId::new(21)).unwrap();
-    let c21 = lifetime::analyze(site(), s21).unwrap();
+    let c21 = lifetime::analyze_indexed(&site().index(), s21).unwrap();
     assert_eq!(c21.classify(), lifetime::CurveShape::EarlyPeak);
 }
 
@@ -228,7 +228,7 @@ fn fig6_time_between_failures() {
 
 #[test]
 fn table2_repair_time_statistics() {
-    let table = repair::by_cause(site()).unwrap();
+    let table = repair::by_cause_indexed(&site().index()).unwrap();
     // Environment repairs: slowest median, least variable (paper: median
     // 269 min, C² 2 — smallest of all categories).
     let env = table.row(RootCause::Environment).unwrap().summary;
@@ -255,14 +255,14 @@ fn table2_repair_time_statistics() {
 
 #[test]
 fn fig7a_lognormal_wins_repair_fit() {
-    let report = repair::fit_all_repairs(site()).unwrap();
+    let report = repair::fit_all_repairs_indexed(&site().index()).unwrap();
     assert_eq!(report.best().unwrap().family, Family::LogNormal);
     assert_eq!(report.rank_of(Family::Exponential), Some(3));
 }
 
 #[test]
 fn fig7bc_repair_time_depends_on_type_not_size() {
-    let rows = repair::by_system(site(), &catalog());
+    let rows = repair::by_system_indexed(&site().index(), &catalog());
     let effect = repair::type_effect(&rows);
     assert!(effect.across_all_spread > 2.5);
     assert!(effect.max_within_type_spread < effect.across_all_spread);
@@ -277,10 +277,14 @@ fn fig7bc_repair_time_depends_on_type_not_size() {
 #[test]
 fn derived_workload_rates() {
     // Section 5.1: graphics and front-end nodes fail more per node.
-    let a = workload::analyze(site(), &catalog()).unwrap();
+    let a = workload::analyze_indexed(&site().index(), &catalog()).unwrap();
     assert!(a.multiplier_vs_compute(Workload::Graphics) > 2.0);
     assert!(a.multiplier_vs_compute(Workload::FrontEnd) > 1.5);
-    let within = workload::within_system_multipliers(site(), &catalog(), Workload::Graphics);
+    let within = workload::within_system_multipliers_indexed(
+        &site().index(),
+        &catalog(),
+        Workload::Graphics,
+    );
     assert_eq!(within.len(), 1, "graphics only on system 20");
     assert!(
         (2.0..6.0).contains(&within[0].1),
@@ -299,9 +303,9 @@ fn derived_daily_burstiness() {
 
 #[test]
 fn derived_availability() {
-    let rows = availability::analyze(site(), &catalog()).unwrap();
+    let rows = availability::analyze_indexed(&site().index(), &catalog()).unwrap();
     assert_eq!(rows.len(), 22);
-    let site_avail = availability::site_availability(site(), &catalog()).unwrap();
+    let site_avail = availability::site_availability_indexed(&site().index(), &catalog()).unwrap();
     assert!(
         (0.99..1.0).contains(&site_avail),
         "site availability {site_avail}"
@@ -310,7 +314,7 @@ fn derived_availability() {
 
 #[test]
 fn derived_findings_all_hold() {
-    let result = findings::evaluate(site(), &catalog()).unwrap();
+    let result = findings::evaluate_indexed(&site().index(), &catalog()).unwrap();
     assert!(result.all_hold(), "{:#?}", result.findings);
 }
 

@@ -50,19 +50,20 @@ fn analyses_compose_on_one_trace() {
     let trace = site_trace();
     let catalog = Catalog::lanl();
 
-    let rc = rootcause::analyze(&trace, &catalog);
+    let rc = rootcause::analyze_indexed(&trace.index(), &catalog);
     assert_eq!(rc.by_type.len(), 8, "all hardware types present");
 
-    let rt = rates::analyze(&trace, &catalog).expect("rates");
+    let rt = rates::analyze_indexed(&trace.index(), &catalog).expect("rates");
     assert_eq!(rt.rates.len(), 22);
 
-    let pn = pernode::analyze(&trace, &catalog, SystemId::new(20)).expect("per-node");
+    let pn =
+        pernode::analyze_indexed(&trace.index(), &catalog, SystemId::new(20)).expect("per-node");
     assert_eq!(pn.counts.len(), 49);
 
     let tb = tbf::analyze(&trace, tbf::View::SystemWide(SystemId::new(20)), None).expect("tbf");
     assert!(tb.n > 1_000);
 
-    let rp = repair::by_cause(&trace).expect("repairs");
+    let rp = repair::by_cause_indexed(&trace.index()).expect("repairs");
     assert_eq!(rp.rows.len(), 6);
 }
 

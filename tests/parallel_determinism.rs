@@ -150,7 +150,7 @@ fn rendered_analysis_tables(workers: usize, seed: u64) -> String {
         .site_trace(seed)
         .unwrap();
     let mut out = String::new();
-    let analysis = rates::analyze(&trace, &catalog).unwrap();
+    let analysis = rates::analyze_indexed(&trace.index(), &catalog).unwrap();
     let mut t = TextTable::new(&["system", "failures/yr", "per proc/yr"]);
     for r in &analysis.rates {
         t.row(&[
@@ -161,7 +161,7 @@ fn rendered_analysis_tables(workers: usize, seed: u64) -> String {
     }
     out.push_str(&t.render());
     let mut t = TextTable::new(&["system", "repairs", "mean (min)", "median (min)"]);
-    for row in repair::by_system(&trace, &catalog) {
+    for row in repair::by_system_indexed(&trace.index(), &catalog) {
         t.row(&[
             &row.system.to_string(),
             &row.count.to_string(),
@@ -258,7 +258,7 @@ fn golden_weibull_tbf_shape_in_paper_band() {
 fn golden_lognormal_best_repair_fit() {
     // Paper §6 / Fig. 7(a): the lognormal is the best of the four
     // candidate families for repair times.
-    let report = repair::fit_all_repairs(site()).unwrap();
+    let report = repair::fit_all_repairs_indexed(&site().index()).unwrap();
     assert_eq!(
         report.best().expect("some family fits").family,
         Family::LogNormal,
@@ -270,7 +270,8 @@ fn golden_lognormal_best_repair_fit() {
 fn golden_per_node_counts_overdispersed_vs_poisson() {
     // Paper Fig. 3(b): per-node failure counts are far more variable
     // than Poisson; the Poisson is the worst of the candidate fits.
-    let analysis = pernode::analyze(site(), &catalog(), SystemId::new(20)).unwrap();
+    let analysis =
+        pernode::analyze_indexed(&site().index(), &catalog(), SystemId::new(20)).unwrap();
     let dispersion = analysis.compute_fits.dispersion_index;
     assert!(
         dispersion > 1.5,

@@ -305,7 +305,7 @@ proptest! {
                     prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
                     prop_assert_eq!(
                         a.nll(&data).to_bits(),
-                        b.nll_prepared(&ps).to_bits()
+                        b.nll(ps.values()).to_bits()
                     );
                 }
                 (Err(a), Err(b)) => {
@@ -349,16 +349,14 @@ proptest! {
 
     /// The scratch-buffer bootstrap rewrite must reproduce the
     /// pre-rewrite algorithm (fresh resample allocation per replicate)
-    /// bit for bit, and the prepared-statistic variant must agree.
+    /// bit for bit.
     #[test]
     fn bootstrap_scratch_rewrite_preserves_cis(
         data in prop::collection::vec(0.01f64..1e4, 5..60),
         seed in 0u64..500,
         workers in 1usize..=4,
     ) {
-        use hpcfail::stats::bootstrap::{
-            percentile_ci_parallel, percentile_ci_parallel_prepared,
-        };
+        use hpcfail::stats::bootstrap::percentile_ci_parallel;
         use hpcfail::stats::descriptive::{mean, quantile_sorted};
         use rand::{RngExt, SeedableRng};
         let replicates = 64;
@@ -384,12 +382,6 @@ proptest! {
         prop_assert_eq!(ci.point.to_bits(), mean(&data).to_bits());
         prop_assert_eq!(ci.lo.to_bits(), quantile_sorted(&stats, alpha).to_bits());
         prop_assert_eq!(ci.hi.to_bits(), quantile_sorted(&stats, 1.0 - alpha).to_bits());
-        // Prepared-statistic variant: same streams, same draws, same CI.
-        let ps = PreparedSample::new(&data).unwrap();
-        let prepared = percentile_ci_parallel_prepared(
-            &ps, |s| Some(s.mean()), replicates, level, seed, &pool,
-        ).unwrap();
-        prop_assert_eq!(prepared, ci);
     }
 
     /// The shared sorted view agrees with a freshly built ECDF.
@@ -406,7 +398,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Batch distribution kernels: bit-identity with the scalar paths
+// KS search and batch sampling: bit-identity with the scalar paths
 // ---------------------------------------------------------------------
 
 /// One instance of each of the six continuous families, parameterized
@@ -427,67 +419,16 @@ fn all_six_families(a: f64, b: f64) -> Vec<Box<dyn Continuous>> {
 }
 
 proptest! {
-    /// Every batch kernel must reproduce its scalar counterpart to the
-    /// last bit, element-wise, on arbitrary-length inputs (empty,
-    /// length 1, and non-power-of-two remainders all arise here) that
-    /// straddle the support boundaries.
+    /// The branch-and-bound KS search must agree bitwise with an
+    /// exhaustive per-point scan for every family, at sizes well past
+    /// the first few refinement levels so pruning actually skips runs.
     #[test]
-    fn batch_kernels_are_bit_identical_to_scalar(
+    fn ks_branch_and_bound_matches_exhaustive_scan_bitwise(
         a in positive_param(),
         b in positive_param(),
-        data in prop::collection::vec(-1e6f64..1e6, 0..90),
-        with_edges in prop::bool::ANY,
+        data in prop::collection::vec(0.001f64..1e6, 1..400),
     ) {
-        let mut data = data;
-        if with_edges {
-            // Support boundaries and a subnormal, to force every select.
-            data.extend_from_slice(&[0.0, -0.0, f64::MIN_POSITIVE / 8.0]);
-        }
-        let mut out = vec![0.0f64; data.len()];
-        for d in all_six_families(a, b) {
-            d.cdf_batch(&data, &mut out);
-            for (&x, &v) in data.iter().zip(&out) {
-                prop_assert!(f64_identical(v, d.cdf(x)), "{} cdf({x})", d.name());
-            }
-            d.ln_pdf_batch(&data, &mut out);
-            for (&x, &v) in data.iter().zip(&out) {
-                prop_assert!(f64_identical(v, d.ln_pdf(x)), "{} ln_pdf({x})", d.name());
-            }
-            d.pdf_batch(&data, &mut out);
-            for (&x, &v) in data.iter().zip(&out) {
-                prop_assert!(f64_identical(v, d.pdf(x)), "{} pdf({x})", d.name());
-            }
-        }
-    }
-
-    /// The chunked `nll_batch` reduction must agree with the prepared
-    /// and slice NLL paths bitwise — this is what keeps the batch-wired
-    /// `fit_candidates_prepared` byte-reproducible.
-    #[test]
-    fn nll_batch_matches_prepared_and_slice_nll_bitwise(
-        data in prop::collection::vec(0.001f64..1e6, 2..120),
-    ) {
-        let ps = PreparedSample::new(&data).unwrap();
-        for family in Family::ALL {
-            if let Ok(d) = family.fit_prepared(&ps) {
-                let batch = d.nll_batch(&ps);
-                prop_assert_eq!(batch.to_bits(), d.nll_prepared(&ps).to_bits());
-                prop_assert_eq!(batch.to_bits(), d.nll(&data).to_bits());
-            }
-        }
-    }
-
-    /// The level-batched branch-and-bound KS must agree bitwise with
-    /// both the scalar branch-and-bound and an exhaustive per-point
-    /// scan, for every family (the sizes here stay under the full-scan
-    /// threshold; `gof.rs` unit tests cover the level-batched regime).
-    #[test]
-    fn batch_ks_matches_exhaustive_scalar_ks_bitwise(
-        a in positive_param(),
-        b in positive_param(),
-        data in prop::collection::vec(0.001f64..1e6, 1..120),
-    ) {
-        use hpcfail::stats::gof::{ks_statistic_batch, ks_statistic_sorted};
+        use hpcfail::stats::gof::ks_statistic_sorted;
         let mut sorted = data;
         sorted.sort_unstable_by(f64::total_cmp);
         let n = sorted.len() as f64;
@@ -502,13 +443,8 @@ proptest! {
                     upper.abs().max(lower.abs())
                 })
                 .fold(0.0f64, f64::max);
-            let batch = ks_statistic_batch(&sorted, d.as_ref());
-            prop_assert!(batch.to_bits() == exhaustive.to_bits(), "{}", d.name());
-            prop_assert!(
-                batch.to_bits() == ks_statistic_sorted(&sorted, d.as_ref()).to_bits(),
-                "{}",
-                d.name()
-            );
+            let pruned = ks_statistic_sorted(&sorted, d.as_ref());
+            prop_assert!(pruned.to_bits() == exhaustive.to_bits(), "{}", d.name());
         }
     }
 
