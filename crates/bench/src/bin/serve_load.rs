@@ -21,13 +21,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hpcfail_exec::derive_stream_seed;
+use hpcfail_exec::{derive_stream_seed, FaultMix, FaultPlan};
 use hpcfail_records::SystemId;
 use hpcfail_serve::chaos::{
-    backoff_delay, fetch, run_chaos, ChaosPlan, ChaosTiming, ControlTarget,
+    fetch, fetch_retrying, flood_heavy, run_chaos, trickle_heavy, ChaosPlan, ChaosTiming,
+    ControlTarget,
 };
 use hpcfail_serve::load::{percentile_nearest_rank, plan_workload, PlannedRequest};
-use hpcfail_serve::{spawn, AppState, Json, NetFaultMix, ServeConfig, TenantSource};
+use hpcfail_serve::{spawn, AppState, Json, NetFault, ServeConfig, TenantSource};
 
 const SEED: u64 = 42;
 const TENANT: &str = "synth";
@@ -93,9 +94,9 @@ fn main() {
     // control requests measure first-try availability and end-to-end
     // latency (retries included, backoff honoring `retry-after`).
     for (i, (mix_name, mix, rate)) in [
-        ("uniform", NetFaultMix::uniform(), 0.3),
-        ("trickle_heavy", NetFaultMix::trickle_heavy(), 0.7),
-        ("flood_heavy", NetFaultMix::flood_heavy(), 0.7),
+        ("uniform", FaultMix::uniform(), 0.3),
+        ("trickle_heavy", trickle_heavy(), 0.7),
+        ("flood_heavy", flood_heavy(), 0.7),
     ]
     .into_iter()
     .enumerate()
@@ -244,30 +245,17 @@ fn run_client(addr: SocketAddr, client: u64, schedule: &[PlannedRequest]) -> Cli
     run
 }
 
-/// One HTTP GET with jittered exponential backoff: a 503 shed honors
-/// the server's `retry-after` hint (capped so benches stay fast), a
-/// transient socket error retries on the same budget.
+/// One HTTP GET on the chaos retry budget (`chaos::fetch_retrying`):
+/// sheds and transient socket errors back off and retry; a socket
+/// error on the final attempt fails the run.
 fn query(addr: SocketAddr, target: &str, rng: &mut u64, run: &mut ClientRun) -> u16 {
-    let timing = ChaosTiming::default();
-    for attempt in 0..timing.retry_limit {
-        match fetch(addr, &timing, target) {
-            Ok((503, retry_after, _)) => {
-                run.shed += 1;
-                run.retries += 1;
-                std::thread::sleep(backoff_delay(attempt, retry_after, timing.backoff_cap, rng));
-            }
-            Ok((status, _, _)) => return status,
-            Err(e) => {
-                assert!(
-                    attempt + 1 < timing.retry_limit,
-                    "{target}: socket error after {attempt} retries: {e}"
-                );
-                run.retries += 1;
-                std::thread::sleep(backoff_delay(attempt, None, timing.backoff_cap, rng));
-            }
-        }
+    let fetched = fetch_retrying(addr, &ChaosTiming::default(), target, rng);
+    run.retries += fetched.retries;
+    run.shed += fetched.shed;
+    match fetched.last {
+        Ok((status, _, _)) => status,
+        Err(e) => panic!("{target}: socket error on the final attempt: {e}"),
     }
-    503
 }
 
 /// Byte-stable chaos control targets: the first few distinct planned
@@ -296,16 +284,24 @@ fn chaos_controls(addr: SocketAddr, timing: &ChaosTiming) -> Vec<ControlTarget> 
 
 /// One degraded-mode phase: replay a seeded fault plan against the
 /// live server and record what the clean control requests saw.
-fn run_chaos_phase(addr: SocketAddr, index: u64, mix_name: &str, mix: NetFaultMix, rate: f64) -> Json {
+fn run_chaos_phase(
+    addr: SocketAddr,
+    index: u64,
+    mix_name: &str,
+    mix: FaultMix<NetFault>,
+    rate: f64,
+) -> Json {
     let timing = ChaosTiming::default();
     let controls = chaos_controls(addr, &timing);
     assert!(!controls.is_empty(), "no 200 control targets in the pool");
     let plan = ChaosPlan {
-        seed: derive_stream_seed(SEED, 0xC4A0_5000 + index),
-        rate,
-        mix,
+        faults: FaultPlan {
+            seed: derive_stream_seed(SEED, 0xC4A0_5000 + index),
+            rate,
+            mix,
+            shuffle: true,
+        },
         ops: 64,
-        shuffle: true,
     };
     let started = Instant::now();
     let report = run_chaos(addr, &timing, &plan, &controls, 8);

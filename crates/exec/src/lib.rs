@@ -3,7 +3,9 @@
 //! The deterministic parallel execution engine shared by the whole
 //! workspace: a std-only scoped-thread work pool ([`ParallelExecutor`])
 //! plus the SplitMix64-style seed-stream splitter ([`SeedSequence`])
-//! that makes parallel results bit-identical to serial ones.
+//! that makes parallel results bit-identical to serial ones. The
+//! [`fault`] module is the fault-plan core (weighted mix, replayable
+//! plan, seeded shuffle) that every seeded fault injector builds on.
 //!
 //! ## The determinism contract
 //!
@@ -33,8 +35,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod fault;
 mod pool;
 mod seed;
 
+pub use fault::{FaultKind, FaultMix, FaultPlan};
 pub use pool::{ExecError, ParallelExecutor, THREADS_ENV};
 pub use seed::{derive_stream_seed, splitmix64, SeedSequence, GOLDEN_GAMMA};

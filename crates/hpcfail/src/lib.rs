@@ -36,13 +36,13 @@ pub use hpcfail_synth as synth;
 pub mod prelude {
     pub use hpcfail_core::rootcause::CauseBreakdown;
     pub use hpcfail_core::AnalysisError;
-    pub use hpcfail_exec::{ParallelExecutor, SeedSequence};
+    pub use hpcfail_exec::{FaultMix, FaultPlan, ParallelExecutor, SeedSequence};
     pub use hpcfail_records::{
-        is_packed, BinaryCorruptionPlan, BinaryCorruptor, BinaryFault, BinaryFaultMix, Catalog,
-        CauseTotals, CorruptionPlan, Corruptor, DetailedCause, FailureRecord, FailureTrace,
-        FaultMix, HardwareType, IngestPolicy, LenientIngest, LoadedTrace, NodeId, QualityIssue,
-        QualityReport, RecordError, RepairOutcome, RepairPolicy, RootCause, StoreError, SystemId,
-        Timestamp, TraceIndex, TraceParts, TraceStore, TraceView, Workload,
+        is_packed, BinaryCorruptionPlan, BinaryFault, Catalog, CauseTotals, CorruptionPlan,
+        DetailedCause, FailureRecord, FailureTrace, Fault, HardwareType, IngestPolicy,
+        LenientIngest, LoadedTrace, NodeId, QualityIssue, QualityReport, RecordError,
+        RepairOutcome, RepairPolicy, RootCause, StoreError, SystemId, Timestamp, TraceIndex,
+        TraceParts, TraceStore, TraceView, Workload,
     };
     pub use hpcfail_scenario::{
         run_campaign, CampaignResult, CampaignSpec, CellOutcome, RunOptions,

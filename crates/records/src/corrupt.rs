@@ -1,21 +1,25 @@
 //! Deterministic fault injection for ingest robustness testing.
 //!
-//! A [`Corruptor`] takes a clean CSV (or a [`FailureTrace`] it first
-//! serializes) and mutates it with a configurable mix of the faults real
-//! operator-entered logs exhibit: mangled fields, duplicated rows,
-//! truncated lines, BOM/CRLF/encoding junk, inverted and skewed
-//! timestamps, shuffled row order, and mid-file truncation.
+//! A [`CorruptionPlan`] takes a clean CSV (or a [`FailureTrace`] it
+//! first serializes) and mutates it with a configurable mix of the
+//! faults real operator-entered logs exhibit: mangled fields, duplicated
+//! rows, truncated lines, BOM/CRLF/encoding junk, inverted and skewed
+//! timestamps, shuffled row order, and mid-file truncation. A
+//! [`BinaryCorruptionPlan`] does the same for packed `.hpct` bytes.
 //!
-//! Every mutation is drawn from SplitMix64 seed streams (the same
-//! [`hpcfail_exec::SeedSequence`] derivation the parallel executor
-//! uses), so a corruption is exactly replayable from its
-//! [`CorruptionPlan`] — the robustness harness prints the plan on any
-//! failure and re-running with the same plan reproduces the input
-//! byte-for-byte.
+//! Both plans are built on the shared [`hpcfail_exec::fault`] core (one
+//! weighted mix, one replay-string format, one seeded shuffle); this
+//! module keeps only the two fault vocabularies and how each fault is
+//! applied. Every mutation is drawn from SplitMix64 seed streams (the
+//! same [`SeedSequence`] derivation the parallel executor uses), so a
+//! corruption is exactly replayable from its plan — the robustness
+//! harness prints the plan on any failure and re-running with the same
+//! plan reproduces the input byte-for-byte.
 
 use std::fmt;
 
-use hpcfail_exec::SeedSequence;
+use hpcfail_exec::fault::{shuffle, unit_f64};
+use hpcfail_exec::{FaultKind, FaultMix, FaultPlan, SeedSequence};
 
 use crate::io::{is_header, write_csv};
 use crate::trace::FailureTrace;
@@ -44,73 +48,37 @@ pub enum Fault {
     SkewTimestamp,
 }
 
-/// Relative weights of the row-level faults. A weight of zero disables
-/// that fault kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultMix {
-    /// Weight of [`Fault::MangleField`].
-    pub mangle_field: u32,
-    /// Weight of [`Fault::DuplicateRow`].
-    pub duplicate_row: u32,
-    /// Weight of [`Fault::TruncateLine`].
-    pub truncate_line: u32,
-    /// Weight of [`Fault::EncodingJunk`].
-    pub encoding_junk: u32,
-    /// Weight of [`Fault::InvertTimestamps`].
-    pub invert_timestamps: u32,
-    /// Weight of [`Fault::SkewTimestamp`].
-    pub skew_timestamp: u32,
-}
+impl FaultKind for Fault {
+    const ALL: &'static [Fault] = &[
+        Fault::MangleField,
+        Fault::DuplicateRow,
+        Fault::TruncateLine,
+        Fault::EncodingJunk,
+        Fault::InvertTimestamps,
+        Fault::SkewTimestamp,
+    ];
 
-impl FaultMix {
-    /// All fault kinds equally likely.
-    pub fn uniform() -> Self {
-        FaultMix {
-            mangle_field: 1,
-            duplicate_row: 1,
-            truncate_line: 1,
-            encoding_junk: 1,
-            invert_timestamps: 1,
-            skew_timestamp: 1,
+    fn name(self) -> &'static str {
+        match self {
+            Fault::MangleField => "mangle",
+            Fault::DuplicateRow => "dup",
+            Fault::TruncateLine => "trunc",
+            Fault::EncodingJunk => "junk",
+            Fault::InvertTimestamps => "invert",
+            Fault::SkewTimestamp => "skew",
         }
     }
-
-    fn weighted(&self) -> [(Fault, u32); 6] {
-        [
-            (Fault::MangleField, self.mangle_field),
-            (Fault::DuplicateRow, self.duplicate_row),
-            (Fault::TruncateLine, self.truncate_line),
-            (Fault::EncodingJunk, self.encoding_junk),
-            (Fault::InvertTimestamps, self.invert_timestamps),
-            (Fault::SkewTimestamp, self.skew_timestamp),
-        ]
-    }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> u64 {
-        self.weighted().iter().map(|&(_, w)| w as u64).sum()
-    }
 }
 
-impl Default for FaultMix {
-    fn default() -> Self {
-        FaultMix::uniform()
-    }
-}
-
-/// A complete, replayable description of one corruption: the seed, the
-/// per-row fault probability, the fault mix, and the file-level
-/// mutations. `(seed, plan)` fully determines the corrupted output.
+/// A complete, replayable description of one CSV corruption: the
+/// row-level fault plan plus the mid-file cut. `(seed, plan)` fully
+/// determines the corrupted output, and corrupting the same input with
+/// the same plan always yields the same output.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionPlan {
-    /// Root seed for all randomness.
-    pub seed: u64,
-    /// Probability in `[0, 1]` that any given data row receives a fault.
-    pub rate: f64,
-    /// Relative weights of the row-level fault kinds.
-    pub mix: FaultMix,
-    /// Shuffle the data rows (Fisher–Yates, seeded).
-    pub shuffle_rows: bool,
+    /// Root seed, per-row fault probability, row-level fault mix, and
+    /// whether the data rows are shuffled.
+    pub faults: FaultPlan<Fault>,
     /// Cut the file mid-stream: drop a random tail of the data rows and
     /// chop the last surviving row in half.
     pub truncate_file: bool,
@@ -121,56 +89,9 @@ impl CorruptionPlan {
     /// truncation — the common starting point.
     pub fn new(seed: u64, rate: f64) -> Self {
         CorruptionPlan {
-            seed,
-            rate,
-            mix: FaultMix::uniform(),
-            shuffle_rows: false,
+            faults: FaultPlan::new(seed, rate),
             truncate_file: false,
         }
-    }
-}
-
-impl fmt::Display for CorruptionPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed={} rate={} mix=[mangle:{} dup:{} trunc:{} junk:{} invert:{} skew:{}] shuffle={} truncate_file={}",
-            self.seed,
-            self.rate,
-            self.mix.mangle_field,
-            self.mix.duplicate_row,
-            self.mix.truncate_line,
-            self.mix.encoding_junk,
-            self.mix.invert_timestamps,
-            self.mix.skew_timestamp,
-            self.shuffle_rows,
-            self.truncate_file,
-        )
-    }
-}
-
-/// Applies a [`CorruptionPlan`] to clean CSV text. Stateless between
-/// calls: corrupting the same input with the same plan always yields the
-/// same output.
-#[derive(Debug, Clone, Copy)]
-pub struct Corruptor {
-    plan: CorruptionPlan,
-}
-
-/// Map a SplitMix64 output to a uniform `f64` in `[0, 1)`.
-fn unit(v: u64) -> f64 {
-    (v >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-impl Corruptor {
-    /// A corruptor executing `plan`.
-    pub fn new(plan: CorruptionPlan) -> Self {
-        Corruptor { plan }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &CorruptionPlan {
-        &self.plan
     }
 
     /// Serialize `trace` with [`write_csv`] and corrupt the result.
@@ -183,12 +104,12 @@ impl Corruptor {
 
     /// Corrupt CSV text. Header and comment lines pass through; each
     /// data row independently receives a fault with probability
-    /// `plan.rate`; then the file-level mutations (shuffle, mid-file
+    /// `faults.rate`; then the file-level mutations (shuffle, mid-file
     /// truncation) apply.
     pub fn corrupt_csv(&self, clean: &str) -> String {
         // Child 0 seeds the per-row faults, child 1 the file-level ones,
         // so adding rows never perturbs the file-level draws.
-        let seq = SeedSequence::new(self.plan.seed);
+        let seq = SeedSequence::new(self.faults.seed);
         let row_space = seq.child(0);
         let file_space = seq.child(1);
 
@@ -205,22 +126,23 @@ impl Corruptor {
             }
             let stream = row_space.child(row_index);
             row_index += 1;
-            if unit(stream.stream(0)) < self.plan.rate {
-                self.apply_fault(line, &stream, &mut rows);
+            let fault = if unit_f64(stream.stream(0)) < self.faults.rate {
+                self.faults.mix.pick(stream.stream(1))
             } else {
-                rows.push(line.to_string());
+                None
+            };
+            match fault {
+                Some(fault) => apply_fault(fault, line, &stream, &mut rows),
+                None => rows.push(line.to_string()),
             }
         }
 
-        if self.plan.shuffle_rows {
-            // Fisher–Yates with one stream per position.
-            let shuffle = file_space.child(0);
-            for i in (1..rows.len()).rev() {
-                let j = (shuffle.stream(i as u64) % (i as u64 + 1)) as usize;
-                rows.swap(i, j);
-            }
+        if self.faults.shuffle {
+            // One stream per position.
+            let draws = file_space.child(0);
+            shuffle(&mut rows, |i| draws.stream(i));
         }
-        if self.plan.truncate_file && !rows.is_empty() {
+        if self.truncate_file && !rows.is_empty() {
             let cut = file_space.child(1);
             let keep = 1 + (cut.stream(0) % rows.len() as u64) as usize;
             rows.truncate(keep);
@@ -234,63 +156,58 @@ impl Corruptor {
         text.push('\n');
         text
     }
+}
 
-    fn apply_fault(&self, line: &str, stream: &SeedSequence, out: &mut Vec<String>) {
-        let total = self.plan.mix.total_weight();
-        if total == 0 {
+/// Renders `seed=… rate=… mix=[…] shuffle=… truncate_file=…`.
+impl fmt::Display for CorruptionPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} truncate_file={}", self.faults, self.truncate_file)
+    }
+}
+
+/// Apply one row-level `fault` to `line`, drawing its parameters from
+/// the row's `stream`, and push the resulting row(s) to `out`.
+fn apply_fault(fault: Fault, line: &str, stream: &SeedSequence, out: &mut Vec<String>) {
+    match fault {
+        Fault::MangleField => {
+            let mut fields: Vec<String> = line.split(',').map(str::to_string).collect();
+            let idx = (stream.stream(2) % fields.len() as u64) as usize;
+            let garbage = GARBAGE[(stream.stream(3) % GARBAGE.len() as u64) as usize];
+            fields[idx] = garbage.to_string();
+            out.push(fields.join(","));
+        }
+        Fault::DuplicateRow => {
             out.push(line.to_string());
-            return;
+            out.push(line.to_string());
         }
-        let mut pick = stream.stream(1) % total;
-        let mut fault = Fault::MangleField;
-        for (f, w) in self.plan.mix.weighted() {
-            if pick < w as u64 {
-                fault = f;
-                break;
-            }
-            pick -= w as u64;
+        Fault::TruncateLine => {
+            out.push(truncate_at_char(line, stream.stream(2)));
         }
-        match fault {
-            Fault::MangleField => {
-                let mut fields: Vec<String> = line.split(',').map(str::to_string).collect();
-                let idx = (stream.stream(2) % fields.len() as u64) as usize;
-                let garbage = GARBAGE[(stream.stream(3) % GARBAGE.len() as u64) as usize];
-                fields[idx] = garbage.to_string();
-                out.push(fields.join(","));
+        Fault::EncodingJunk => {
+            let junk = JUNK[(stream.stream(2) % JUNK.len() as u64) as usize];
+            if stream.stream(3) % 2 == 0 {
+                out.push(format!("{junk}{line}"));
+            } else {
+                out.push(format!("{line}{junk}"));
             }
-            Fault::DuplicateRow => {
-                out.push(line.to_string());
-                out.push(line.to_string());
+        }
+        Fault::InvertTimestamps => {
+            let mut fields: Vec<&str> = line.split(',').collect();
+            if fields.len() >= 4 {
+                fields.swap(2, 3);
             }
-            Fault::TruncateLine => {
-                out.push(truncate_at_char(line, stream.stream(2)));
-            }
-            Fault::EncodingJunk => {
-                let junk = JUNK[(stream.stream(2) % JUNK.len() as u64) as usize];
-                if stream.stream(3) % 2 == 0 {
-                    out.push(format!("{junk}{line}"));
-                } else {
-                    out.push(format!("{line}{junk}"));
+            out.push(fields.join(","));
+        }
+        Fault::SkewTimestamp => {
+            let mut fields: Vec<String> = line.split(',').map(str::to_string).collect();
+            if fields.len() >= 4 {
+                let idx = 2 + (stream.stream(2) % 2) as usize;
+                if let Ok(v) = fields[idx].trim().parse::<u64>() {
+                    let offset = (stream.stream(3) % 10_000) as i64 - 5_000;
+                    fields[idx] = v.saturating_add_signed(offset).to_string();
                 }
             }
-            Fault::InvertTimestamps => {
-                let mut fields: Vec<&str> = line.split(',').collect();
-                if fields.len() >= 4 {
-                    fields.swap(2, 3);
-                }
-                out.push(fields.join(","));
-            }
-            Fault::SkewTimestamp => {
-                let mut fields: Vec<String> = line.split(',').map(str::to_string).collect();
-                if fields.len() >= 4 {
-                    let idx = 2 + (stream.stream(2) % 2) as usize;
-                    if let Ok(v) = fields[idx].trim().parse::<u64>() {
-                        let offset = (stream.stream(3) % 10_000) as i64 - 5_000;
-                        fields[idx] = v.saturating_add_signed(offset).to_string();
-                    }
-                }
-                out.push(fields.join(","));
-            }
+            out.push(fields.join(","));
         }
     }
 }
@@ -313,61 +230,35 @@ pub enum BinaryFault {
     VersionSkew,
 }
 
-/// Relative weights of the binary fault kinds. A weight of zero
-/// disables that kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BinaryFaultMix {
-    /// Weight of [`BinaryFault::MidTruncate`].
-    pub mid_truncate: u32,
-    /// Weight of [`BinaryFault::TornHeader`].
-    pub torn_header: u32,
-    /// Weight of [`BinaryFault::BitFlips`].
-    pub bit_flips: u32,
-    /// Weight of [`BinaryFault::VersionSkew`].
-    pub version_skew: u32,
-}
+impl FaultKind for BinaryFault {
+    const ALL: &'static [BinaryFault] = &[
+        BinaryFault::MidTruncate,
+        BinaryFault::TornHeader,
+        BinaryFault::BitFlips,
+        BinaryFault::VersionSkew,
+    ];
 
-impl BinaryFaultMix {
-    /// All binary fault kinds equally likely.
-    pub fn uniform() -> Self {
-        BinaryFaultMix {
-            mid_truncate: 1,
-            torn_header: 1,
-            bit_flips: 1,
-            version_skew: 1,
+    fn name(self) -> &'static str {
+        match self {
+            BinaryFault::MidTruncate => "mid_truncate",
+            BinaryFault::TornHeader => "torn_header",
+            BinaryFault::BitFlips => "bit_flips",
+            BinaryFault::VersionSkew => "version_skew",
         }
-    }
-
-    fn weighted(&self) -> [(BinaryFault, u32); 4] {
-        [
-            (BinaryFault::MidTruncate, self.mid_truncate),
-            (BinaryFault::TornHeader, self.torn_header),
-            (BinaryFault::BitFlips, self.bit_flips),
-            (BinaryFault::VersionSkew, self.version_skew),
-        ]
-    }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> u64 {
-        self.weighted().iter().map(|&(_, w)| w as u64).sum()
-    }
-}
-
-impl Default for BinaryFaultMix {
-    fn default() -> Self {
-        BinaryFaultMix::uniform()
     }
 }
 
 /// A replayable description of one binary corruption: seed plus fault
 /// mix. `(seed, plan)` fully determines the corrupted bytes, exactly as
-/// [`CorruptionPlan`] does for CSV.
+/// [`CorruptionPlan`] does for CSV. Each plan injects exactly one fault
+/// (whose kind is drawn from the mix), so a sweep over seeds covers
+/// every kind with every cut/flip position seeded independently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinaryCorruptionPlan {
     /// Root seed for all randomness.
     pub seed: u64,
     /// Relative weights of the binary fault kinds.
-    pub mix: BinaryFaultMix,
+    pub mix: FaultMix<BinaryFault>,
 }
 
 impl BinaryCorruptionPlan {
@@ -375,61 +266,29 @@ impl BinaryCorruptionPlan {
     pub fn new(seed: u64) -> Self {
         BinaryCorruptionPlan {
             seed,
-            mix: BinaryFaultMix::uniform(),
+            mix: FaultMix::uniform(),
         }
     }
-}
 
-impl fmt::Display for BinaryCorruptionPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed={} mix=[mid_truncate:{} torn_header:{} bit_flips:{} version_skew:{}]",
-            self.seed,
-            self.mix.mid_truncate,
-            self.mix.torn_header,
-            self.mix.bit_flips,
-            self.mix.version_skew,
-        )
-    }
-}
-
-/// Applies a [`BinaryCorruptionPlan`] to a packed byte image. Each call
-/// injects exactly one fault (whose kind is drawn from the mix), so a
-/// sweep over seeds covers every kind with every cut/flip position
-/// seeded independently.
-#[derive(Debug, Clone, Copy)]
-pub struct BinaryCorruptor {
-    plan: BinaryCorruptionPlan,
-}
-
-impl BinaryCorruptor {
-    /// A corruptor executing `plan`.
-    pub fn new(plan: BinaryCorruptionPlan) -> Self {
-        BinaryCorruptor { plan }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &BinaryCorruptionPlan {
-        &self.plan
-    }
-
-    /// The fault kind this plan's seed selects.
-    pub fn fault(&self) -> BinaryFault {
-        let seq = SeedSequence::new(self.plan.seed);
-        self.pick_fault(&seq.child(0))
+    /// The fault kind this plan's seed selects; `None` when every
+    /// weight in the mix is zero.
+    pub fn fault(&self) -> Option<BinaryFault> {
+        self.mix
+            .pick(SeedSequence::new(self.seed).child(0).stream(0))
     }
 
     /// Corrupt `clean` (a packed `.hpct` image of at least 8 bytes) with
-    /// one seeded fault. The output is guaranteed to differ from the
-    /// input.
+    /// one seeded fault. The output differs from the input unless every
+    /// weight is zero, in which case the bytes come back unchanged.
     pub fn corrupt_bytes(&self, clean: &[u8]) -> Vec<u8> {
         assert!(clean.len() >= 8, "need at least a header prefix to corrupt");
         // Child 0 picks the fault kind, child 1 its parameters — adding
         // fault kinds never perturbs the parameter draws.
-        let seq = SeedSequence::new(self.plan.seed);
-        let params = seq.child(1);
-        match self.pick_fault(&seq.child(0)) {
+        let params = SeedSequence::new(self.seed).child(1);
+        let Some(fault) = self.fault() else {
+            return clean.to_vec();
+        };
+        match fault {
             BinaryFault::MidTruncate => {
                 let keep = 1 + (params.stream(0) % (clean.len() as u64 - 1)) as usize;
                 clean[..keep].to_vec()
@@ -468,20 +327,12 @@ impl BinaryCorruptor {
             }
         }
     }
+}
 
-    fn pick_fault(&self, stream: &SeedSequence) -> BinaryFault {
-        let total = self.plan.mix.total_weight();
-        if total == 0 {
-            return BinaryFault::BitFlips;
-        }
-        let mut pick = stream.stream(0) % total;
-        for (f, w) in self.plan.mix.weighted() {
-            if pick < w as u64 {
-                return f;
-            }
-            pick -= w as u64;
-        }
-        BinaryFault::BitFlips
+/// Renders `seed=… mix=[…]`.
+impl fmt::Display for BinaryCorruptionPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "seed={} mix={}", self.seed, self.mix)
     }
 }
 
@@ -526,21 +377,19 @@ mod tests {
     #[test]
     fn same_plan_same_output() {
         let trace = sample_trace(50);
-        let plan = CorruptionPlan {
-            shuffle_rows: true,
-            truncate_file: true,
-            ..CorruptionPlan::new(42, 0.7)
-        };
-        let a = Corruptor::new(plan).corrupt_trace(&trace);
-        let b = Corruptor::new(plan).corrupt_trace(&trace);
+        let mut plan = CorruptionPlan::new(42, 0.7);
+        plan.faults.shuffle = true;
+        plan.truncate_file = true;
+        let a = plan.corrupt_trace(&trace);
+        let b = plan.corrupt_trace(&trace);
         assert_eq!(a, b, "corruption must be replayable from (seed, plan)");
     }
 
     #[test]
     fn different_seeds_differ() {
         let trace = sample_trace(50);
-        let a = Corruptor::new(CorruptionPlan::new(1, 0.8)).corrupt_trace(&trace);
-        let b = Corruptor::new(CorruptionPlan::new(2, 0.8)).corrupt_trace(&trace);
+        let a = CorruptionPlan::new(1, 0.8).corrupt_trace(&trace);
+        let b = CorruptionPlan::new(2, 0.8).corrupt_trace(&trace);
         assert_ne!(a, b);
     }
 
@@ -550,7 +399,7 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&trace, &mut buf).unwrap();
         let clean = String::from_utf8(buf).unwrap();
-        let out = Corruptor::new(CorruptionPlan::new(7, 0.0)).corrupt_csv(&clean);
+        let out = CorruptionPlan::new(7, 0.0).corrupt_csv(&clean);
         assert_eq!(out, clean);
     }
 
@@ -560,7 +409,7 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&trace, &mut buf).unwrap();
         let clean = String::from_utf8(buf).unwrap();
-        let out = Corruptor::new(CorruptionPlan::new(11, 1.0)).corrupt_csv(&clean);
+        let out = CorruptionPlan::new(11, 1.0).corrupt_csv(&clean);
         assert_ne!(out, clean);
     }
 
@@ -571,7 +420,7 @@ mod tests {
             ..CorruptionPlan::new(3, 0.0)
         };
         let trace = sample_trace(40);
-        let out = Corruptor::new(plan).corrupt_trace(&trace);
+        let out = plan.corrupt_trace(&trace);
         assert!(out.lines().count() <= 41, "header + at most 40 rows");
         assert!(out.lines().count() >= 2, "keeps at least one (partial) row");
     }
@@ -591,6 +440,31 @@ mod tests {
         let text = plan.to_string();
         assert!(text.contains("seed=99"), "{text}");
         assert!(text.contains("rate=0.25"), "{text}");
+        let mut plan = plan;
+        plan.faults.shuffle = true;
+        plan.faults.mix = plan.faults.mix.with(Fault::SkewTimestamp, 3);
+        assert_eq!(
+            plan.to_string(),
+            "seed=99 rate=0.25 mix=[mangle:1 dup:1 trunc:1 junk:1 invert:1 skew:3] \
+             shuffle=true truncate_file=false"
+        );
+    }
+
+    #[test]
+    fn all_zero_mixes_inject_nothing() {
+        let clean: Vec<u8> = (0..=255u8).cycle().take(1024).collect();
+        let none = FaultMix::only(BinaryFault::BitFlips).with(BinaryFault::BitFlips, 0);
+        for seed in 0..50 {
+            let plan = BinaryCorruptionPlan { seed, mix: none };
+            assert_eq!(plan.fault(), None, "{plan}");
+            assert_eq!(plan.corrupt_bytes(&clean), clean, "{plan}");
+        }
+        let mut buf = Vec::new();
+        write_csv(&sample_trace(30), &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let mut plan = CorruptionPlan::new(5, 1.0);
+        plan.faults.mix = FaultMix::only(Fault::DuplicateRow).with(Fault::DuplicateRow, 0);
+        assert_eq!(plan.corrupt_csv(&text), text, "{plan}");
     }
 
     #[test]
@@ -598,8 +472,8 @@ mod tests {
         let clean: Vec<u8> = (0..=255u8).cycle().take(2048).collect();
         for seed in 0..32 {
             let plan = BinaryCorruptionPlan::new(seed);
-            let a = BinaryCorruptor::new(plan).corrupt_bytes(&clean);
-            let b = BinaryCorruptor::new(plan).corrupt_bytes(&clean);
+            let a = plan.corrupt_bytes(&clean);
+            let b = plan.corrupt_bytes(&clean);
             assert_eq!(a, b, "binary corruption must replay from {plan}");
         }
     }
@@ -608,7 +482,7 @@ mod tests {
     fn binary_corruption_always_changes_the_bytes() {
         let clean: Vec<u8> = (0..=255u8).cycle().take(1024).collect();
         for seed in 0..200 {
-            let c = BinaryCorruptor::new(BinaryCorruptionPlan::new(seed));
+            let c = BinaryCorruptionPlan::new(seed);
             let dirty = c.corrupt_bytes(&clean);
             assert_ne!(dirty, clean, "seed {seed} ({:?}) was a no-op", c.fault());
         }
@@ -618,8 +492,8 @@ mod tests {
     fn binary_seed_sweep_covers_every_fault_kind() {
         let mut hit = [false; 4];
         for seed in 0..64 {
-            let f = BinaryCorruptor::new(BinaryCorruptionPlan::new(seed)).fault();
-            hit[match f {
+            let f = BinaryCorruptionPlan::new(seed).fault();
+            hit[match f.expect("the uniform mix always picks") {
                 BinaryFault::MidTruncate => 0,
                 BinaryFault::TornHeader => 1,
                 BinaryFault::BitFlips => 2,
@@ -632,15 +506,10 @@ mod tests {
     #[test]
     fn binary_truncations_are_strict_prefixes() {
         let clean: Vec<u8> = (0..=255u8).cycle().take(512).collect();
-        let mix = BinaryFaultMix {
-            mid_truncate: 1,
-            torn_header: 1,
-            bit_flips: 0,
-            version_skew: 0,
-        };
+        let mix = FaultMix::only(BinaryFault::MidTruncate).with(BinaryFault::TornHeader, 1);
         for seed in 0..100 {
             let plan = BinaryCorruptionPlan { seed, mix };
-            let dirty = BinaryCorruptor::new(plan).corrupt_bytes(&clean);
+            let dirty = plan.corrupt_bytes(&clean);
             assert!(dirty.len() < clean.len(), "{plan}");
             assert_eq!(&clean[..dirty.len()], &dirty[..], "{plan}");
         }
@@ -649,15 +518,9 @@ mod tests {
     #[test]
     fn binary_version_skew_rewrites_the_version_field() {
         let clean: Vec<u8> = b"HPCT\x01\x00\x00\x00rest of header".to_vec();
-        let mix = BinaryFaultMix {
-            mid_truncate: 0,
-            torn_header: 0,
-            bit_flips: 0,
-            version_skew: 1,
-        };
+        let mix = FaultMix::only(BinaryFault::VersionSkew);
         for seed in 0..50 {
-            let dirty = BinaryCorruptor::new(BinaryCorruptionPlan { seed, mix })
-                .corrupt_bytes(&clean);
+            let dirty = BinaryCorruptionPlan { seed, mix }.corrupt_bytes(&clean);
             assert_eq!(dirty.len(), clean.len());
             assert_ne!(&dirty[4..6], &clean[4..6], "seed {seed}");
             assert_eq!(&dirty[..4], &clean[..4]);
@@ -670,5 +533,9 @@ mod tests {
         let text = BinaryCorruptionPlan::new(7).to_string();
         assert!(text.contains("seed=7"), "{text}");
         assert!(text.contains("bit_flips:1"), "{text}");
+        assert_eq!(
+            text,
+            "seed=7 mix=[mid_truncate:1 torn_header:1 bit_flips:1 version_skew:1]"
+        );
     }
 }

@@ -37,10 +37,7 @@ mod workload;
 
 pub use catalog::{Catalog, NodeCategory, SystemSpec};
 pub use cause::{DetailedCause, RootCause};
-pub use corrupt::{
-    BinaryCorruptionPlan, BinaryCorruptor, BinaryFault, BinaryFaultMix, CorruptionPlan, Corruptor,
-    FaultMix,
-};
+pub use corrupt::{BinaryCorruptionPlan, BinaryFault, CorruptionPlan, Fault};
 pub use error::RecordError;
 pub use ids::{HardwareType, NodeId, SystemId};
 pub use index::{CauseTotals, TraceIndex, TraceParts, TraceView};

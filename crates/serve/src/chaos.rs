@@ -8,10 +8,13 @@
 //! abrupt reset, mid-response aborts, oversized header floods, and
 //! corrupted request bytes.
 //!
-//! Every decision (fault vs. control, fault kind, cut points, flip
-//! positions) is drawn from SplitMix64 seed streams, so a
-//! [`ChaosPlan`] is exactly replayable: `(plan, control count)` fully
-//! determines the op sequence [`plan_ops`] emits. Execution timing is
+//! The plan is the shared [`hpcfail_exec::fault`] core (seed, rate,
+//! weighted mix, shuffle) plus an op count; this module keeps only the
+//! socket vocabulary and how each fault is thrown. Every decision
+//! (fault vs. control, fault kind, cut points, flip positions) is drawn
+//! from SplitMix64 seed streams, so a [`ChaosPlan`] is exactly
+//! replayable: `(plan, control count)` fully determines the op
+//! sequence [`plan_ops`] emits. Execution timing is
 //! real wall clock — what stays deterministic is *what* is thrown at
 //! the server and the acceptance contract checked afterwards:
 //!
@@ -24,11 +27,13 @@
 //! this harness; `serve_load` reuses it for the degraded-mode rows in
 //! `experiments/BENCH_serve.json`.
 
+use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use hpcfail_exec::{derive_stream_seed, splitmix64};
+use hpcfail_exec::fault::{shuffle, unit_f64};
+use hpcfail_exec::{derive_stream_seed, splitmix64, FaultKind, FaultMix, FaultPlan};
 
 /// One socket-level fault kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,19 +53,17 @@ pub enum NetFault {
     CorruptBytes,
 }
 
-/// All fault kinds in a stable order (report rendering, weights).
-pub const ALL_FAULTS: [NetFault; 6] = [
-    NetFault::ConnectIdle,
-    NetFault::Trickle,
-    NetFault::PartialThenReset,
-    NetFault::MidResponseAbort,
-    NetFault::Flood,
-    NetFault::CorruptBytes,
-];
+impl FaultKind for NetFault {
+    const ALL: &'static [NetFault] = &[
+        NetFault::ConnectIdle,
+        NetFault::Trickle,
+        NetFault::PartialThenReset,
+        NetFault::MidResponseAbort,
+        NetFault::Flood,
+        NetFault::CorruptBytes,
+    ];
 
-impl NetFault {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             NetFault::ConnectIdle => "connect_idle",
             NetFault::Trickle => "trickle",
@@ -70,134 +73,49 @@ impl NetFault {
             NetFault::CorruptBytes => "corrupt_bytes",
         }
     }
-
-    fn index(self) -> usize {
-        ALL_FAULTS.iter().position(|&f| f == self).expect("listed")
-    }
 }
 
-/// Relative weights of the fault kinds. A weight of zero disables that
-/// kind (mirrors `records::corrupt::FaultMix`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetFaultMix {
-    /// Weight of [`NetFault::ConnectIdle`].
-    pub connect_idle: u32,
-    /// Weight of [`NetFault::Trickle`].
-    pub trickle: u32,
-    /// Weight of [`NetFault::PartialThenReset`].
-    pub partial_reset: u32,
-    /// Weight of [`NetFault::MidResponseAbort`].
-    pub mid_response_abort: u32,
-    /// Weight of [`NetFault::Flood`].
-    pub flood: u32,
-    /// Weight of [`NetFault::CorruptBytes`].
-    pub corrupt_bytes: u32,
+/// Worker-hostage mix: idles and trickles dominate.
+pub fn trickle_heavy() -> FaultMix<NetFault> {
+    FaultMix::uniform()
+        .with(NetFault::ConnectIdle, 3)
+        .with(NetFault::Trickle, 4)
+        .with(NetFault::Flood, 0)
 }
 
-impl NetFaultMix {
-    /// All fault kinds equally likely.
-    pub fn uniform() -> NetFaultMix {
-        NetFaultMix {
-            connect_idle: 1,
-            trickle: 1,
-            partial_reset: 1,
-            mid_response_abort: 1,
-            flood: 1,
-            corrupt_bytes: 1,
-        }
-    }
-
-    /// Worker-hostage mix: idles and trickles dominate.
-    pub fn trickle_heavy() -> NetFaultMix {
-        NetFaultMix {
-            connect_idle: 3,
-            trickle: 4,
-            partial_reset: 1,
-            mid_response_abort: 1,
-            flood: 0,
-            corrupt_bytes: 1,
-        }
-    }
-
-    /// Byte-pressure mix: floods and corruption dominate.
-    pub fn flood_heavy() -> NetFaultMix {
-        NetFaultMix {
-            connect_idle: 0,
-            trickle: 1,
-            partial_reset: 1,
-            mid_response_abort: 1,
-            flood: 4,
-            corrupt_bytes: 3,
-        }
-    }
-
-    fn weighted(&self) -> [(NetFault, u32); 6] {
-        [
-            (NetFault::ConnectIdle, self.connect_idle),
-            (NetFault::Trickle, self.trickle),
-            (NetFault::PartialThenReset, self.partial_reset),
-            (NetFault::MidResponseAbort, self.mid_response_abort),
-            (NetFault::Flood, self.flood),
-            (NetFault::CorruptBytes, self.corrupt_bytes),
-        ]
-    }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> u64 {
-        self.weighted().iter().map(|&(_, w)| w as u64).sum()
-    }
-
-    /// Weighted draw from a SplitMix64 stream; `None` when every
-    /// weight is zero.
-    pub fn pick(&self, stream: &mut u64) -> Option<NetFault> {
-        let total = self.total_weight();
-        if total == 0 {
-            return None;
-        }
-        let mut roll = splitmix64(stream) % total;
-        for (fault, weight) in self.weighted() {
-            let weight = weight as u64;
-            if roll < weight {
-                return Some(fault);
-            }
-            roll -= weight;
-        }
-        None
-    }
-}
-
-impl Default for NetFaultMix {
-    fn default() -> Self {
-        NetFaultMix::uniform()
-    }
+/// Byte-pressure mix: floods and corruption dominate.
+pub fn flood_heavy() -> FaultMix<NetFault> {
+    FaultMix::uniform()
+        .with(NetFault::ConnectIdle, 0)
+        .with(NetFault::Flood, 4)
+        .with(NetFault::CorruptBytes, 3)
 }
 
 /// A complete, replayable description of one chaos run: `(plan,
 /// control-target count)` fully determines the op sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosPlan {
-    /// Root seed for all randomness.
-    pub seed: u64,
-    /// Probability in `[0, 1]` that any given op is a fault.
-    pub rate: f64,
-    /// Relative weights of the fault kinds.
-    pub mix: NetFaultMix,
+    /// Root seed, per-op fault probability, fault mix, and whether the
+    /// op order is shuffled.
+    pub faults: FaultPlan<NetFault>,
     /// Total ops (faults + clean control requests).
     pub ops: usize,
-    /// Shuffle the op order (Fisher–Yates, seeded).
-    pub shuffle: bool,
 }
 
 impl ChaosPlan {
     /// A uniform-mix, unshuffled plan of 32 ops.
     pub fn new(seed: u64, rate: f64) -> ChaosPlan {
         ChaosPlan {
-            seed,
-            rate,
-            mix: NetFaultMix::uniform(),
+            faults: FaultPlan::new(seed, rate),
             ops: 32,
-            shuffle: false,
         }
+    }
+}
+
+/// Renders `seed=… rate=… mix=[…] shuffle=… ops=…`.
+impl fmt::Display for ChaosPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ops={}", self.faults, self.ops)
     }
 }
 
@@ -222,20 +140,17 @@ pub enum ChaosOp {
 const PLAN_STREAM: u64 = 0xC4A0_57A6;
 const SHUFFLE_STREAM: u64 = 0x5EED_F1A7;
 
-/// `u64` → uniform `f64` in `[0, 1)` (53-bit mantissa trick).
-fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Expand a plan into its op sequence — a pure function of `(plan,
 /// controls)`, replayable forever.
 pub fn plan_ops(plan: &ChaosPlan, controls: usize) -> Vec<ChaosOp> {
-    let mut stream = derive_stream_seed(plan.seed, PLAN_STREAM);
+    let faults = &plan.faults;
+    let mut stream = derive_stream_seed(faults.seed, PLAN_STREAM);
     let mut ops: Vec<ChaosOp> = (0..plan.ops)
         .map(|_| {
             let roll = unit_f64(splitmix64(&mut stream));
-            let fault = if roll < plan.rate {
-                plan.mix.pick(&mut stream)
+            // An all-zero mix spends no pick draw on the stream.
+            let fault = if roll < faults.rate && faults.mix.total_weight() > 0 {
+                faults.mix.pick(splitmix64(&mut stream))
             } else {
                 None
             };
@@ -250,12 +165,9 @@ pub fn plan_ops(plan: &ChaosPlan, controls: usize) -> Vec<ChaosOp> {
             }
         })
         .collect();
-    if plan.shuffle {
-        let mut s = derive_stream_seed(plan.seed, SHUFFLE_STREAM);
-        for i in (1..ops.len()).rev() {
-            let j = splitmix64(&mut s) as usize % (i + 1);
-            ops.swap(i, j);
-        }
+    if faults.shuffle {
+        let mut s = derive_stream_seed(faults.seed, SHUFFLE_STREAM);
+        shuffle(&mut ops, |_| splitmix64(&mut s));
     }
     ops
 }
@@ -321,7 +233,7 @@ pub struct ChaosReport {
     pub failures: Vec<String>,
     /// Faults injected.
     pub faults: u64,
-    /// Injected-fault counts, indexed like [`ALL_FAULTS`].
+    /// Injected-fault counts, indexed like [`FaultKind::ALL`].
     pub fault_counts: [u64; 6],
     /// End-to-end latency (ms, including retries) of every control
     /// that eventually succeeded.
@@ -353,11 +265,12 @@ impl ChaosReport {
         self.control_latencies_ms.extend(other.control_latencies_ms);
     }
 
-    /// `(name, count)` rows in [`ALL_FAULTS`] order.
+    /// `(name, count)` rows in [`FaultKind::ALL`] order.
     pub fn fault_rows(&self) -> Vec<(&'static str, u64)> {
-        ALL_FAULTS
+        NetFault::ALL
             .iter()
-            .map(|f| (f.name(), self.fault_counts[f.index()]))
+            .zip(self.fault_counts)
+            .map(|(f, count)| (f.name(), count))
             .collect()
     }
 }
@@ -425,6 +338,50 @@ pub fn fetch(
     Ok((status, retry_after, body.to_string()))
 }
 
+/// What [`fetch_retrying`] saw for one request.
+#[derive(Debug)]
+pub struct Retried {
+    /// The last attempt: the first answer that was not a `503` shed, or
+    /// the final shed or socket error once the retry budget ran out.
+    pub last: std::io::Result<(u16, Option<u64>, String)>,
+    /// Attempts that were shed or failed at the socket; each was
+    /// followed by a backoff sleep.
+    pub retries: u64,
+    /// The `503` sheds among them.
+    pub shed: u64,
+}
+
+/// GET `target` on `timing`'s retry budget: a `503` shed backs off
+/// honoring its `retry-after` hint, a transient socket error (accept
+/// backlog churn) backs off on the same budget, and any other answer
+/// returns at once. Backoff jitter draws from `rng`.
+pub fn fetch_retrying(
+    addr: SocketAddr,
+    timing: &ChaosTiming,
+    target: &str,
+    rng: &mut u64,
+) -> Retried {
+    let mut out = Retried {
+        last: Err(std::io::Error::other("retry budget is zero")),
+        retries: 0,
+        shed: 0,
+    };
+    for attempt in 0..timing.retry_limit {
+        out.last = fetch(addr, timing, target);
+        let hint = match &out.last {
+            Ok((503, hint, _)) => {
+                out.shed += 1;
+                *hint
+            }
+            Ok(_) => break,
+            Err(_) => None,
+        };
+        out.retries += 1;
+        std::thread::sleep(backoff_delay(attempt, hint, timing.backoff_cap, rng));
+    }
+    out
+}
+
 /// Run a chaos plan against a live server with `threads` concurrent
 /// injector threads (ops are dealt round-robin, so the partition is
 /// deterministic even though wall-clock interleaving is not).
@@ -456,7 +413,7 @@ pub fn run_chaos(
                 scope.spawn(move || {
                     let mut local = ChaosReport::default();
                     for &(i, op) in share {
-                        let mut rng = derive_stream_seed(plan.seed, 0xBACC_0FF ^ i as u64);
+                        let mut rng = derive_stream_seed(plan.faults.seed, 0xBAC_C0FF ^ i as u64);
                         execute_op(addr, timing, op, controls, &mut rng, &mut local);
                     }
                     local
@@ -502,44 +459,28 @@ fn run_control(
 ) {
     report.controls += 1;
     let t0 = Instant::now();
-    for attempt in 0..timing.retry_limit {
-        match fetch(addr, timing, &control.target) {
-            Ok((200, _, body)) => {
-                if body == control.expected {
-                    if attempt == 0 {
-                        report.ok_first_try += 1;
-                    }
-                    report
-                        .control_latencies_ms
-                        .push(t0.elapsed().as_secs_f64() * 1e3);
-                } else {
-                    report.mismatches.push(format!(
-                        "{}: body diverged from the fault-free response",
-                        control.target
-                    ));
-                }
-                return;
+    let fetched = fetch_retrying(addr, timing, &control.target, rng);
+    report.retries += fetched.retries;
+    report.shed_seen += fetched.shed;
+    match fetched.last {
+        Ok((200, _, body)) if body == control.expected => {
+            if fetched.retries == 0 {
+                report.ok_first_try += 1;
             }
-            Ok((503, retry_after, _)) => {
-                report.shed_seen += 1;
-                report.retries += 1;
-                std::thread::sleep(backoff_delay(attempt, retry_after, timing.backoff_cap, rng));
-            }
-            Ok((status, _, _)) => {
-                report
-                    .mismatches
-                    .push(format!("{}: unexpected status {status}", control.target));
-                return;
-            }
-            Err(_) => {
-                // Transient socket failure (accept backlog churn):
-                // retry on the same budget as a shed.
-                report.retries += 1;
-                std::thread::sleep(backoff_delay(attempt, None, timing.backoff_cap, rng));
-            }
+            report
+                .control_latencies_ms
+                .push(t0.elapsed().as_secs_f64() * 1e3);
         }
+        Ok((200, _, _)) => report.mismatches.push(format!(
+            "{}: body diverged from the fault-free response",
+            control.target
+        )),
+        // The retry budget ran out on a shed or a socket error.
+        Ok((503, _, _)) | Err(_) => report.failures.push(control.target.clone()),
+        Ok((status, _, _)) => report
+            .mismatches
+            .push(format!("{}: unexpected status {status}", control.target)),
     }
-    report.failures.push(control.target.clone());
 }
 
 /// A structurally valid request to maul, aimed at a seeded control
@@ -639,11 +580,11 @@ mod tests {
         };
         assert_eq!(plan_ops(&plan, 4), plan_ops(&plan, 4));
         let faults = |rate: f64, shuffle: bool| {
-            let plan = ChaosPlan {
+            let mut plan = ChaosPlan {
                 ops: 200,
-                shuffle,
                 ..ChaosPlan::new(42, rate)
             };
+            plan.faults.shuffle = shuffle;
             plan_ops(&plan, 4)
                 .iter()
                 .filter(|op| matches!(op, ChaosOp::Fault { .. }))
@@ -659,30 +600,22 @@ mod tests {
 
     #[test]
     fn zero_weight_mixes_never_emit_disabled_faults() {
-        let plan = ChaosPlan {
+        let mut plan = ChaosPlan {
             ops: 300,
-            mix: NetFaultMix::flood_heavy(),
             ..ChaosPlan::new(7, 1.0)
         };
+        plan.faults.mix = flood_heavy();
         for op in plan_ops(&plan, 2) {
             if let ChaosOp::Fault { fault, .. } = op {
                 assert_ne!(fault, NetFault::ConnectIdle, "weight 0 kind injected");
             }
         }
         // An all-zero mix degenerates to pure controls even at rate 1.
-        let none = NetFaultMix {
-            connect_idle: 0,
-            trickle: 0,
-            partial_reset: 0,
-            mid_response_abort: 0,
-            flood: 0,
-            corrupt_bytes: 0,
-        };
-        let plan = ChaosPlan {
+        let mut plan = ChaosPlan {
             ops: 50,
-            mix: none,
             ..ChaosPlan::new(7, 1.0)
         };
+        plan.faults.mix = FaultMix::only(NetFault::Flood).with(NetFault::Flood, 0);
         assert!(plan_ops(&plan, 2)
             .iter()
             .all(|op| matches!(op, ChaosOp::Control { .. })));

@@ -42,7 +42,7 @@ pub mod server;
 pub mod tenant;
 
 pub use cache::{CacheKey, ResultCache};
-pub use chaos::{ChaosPlan, ChaosReport, NetFault, NetFaultMix};
+pub use chaos::{ChaosPlan, ChaosReport, NetFault};
 pub use http::{parse_request, HttpError, Method, Request, Response};
 pub use json::Json;
 pub use metrics::{DrainSignal, ServeMetrics};

@@ -56,6 +56,19 @@ if ! diff -u experiments/repro_output.txt "$tmpdir/repro_packed.txt"; then
 fi
 echo "OK: repro --packed (pack -> checked load) byte-identical to the golden"
 
+echo "==> examples vs committed experiments/example_*.txt goldens"
+for src in examples/*.rs; do
+    example="$(basename "$src" .rs)"
+    cargo run --release -q -p hpcfail --example "$example" > "$tmpdir/example_$example.txt"
+    if ! diff -u "experiments/example_$example.txt" "$tmpdir/example_$example.txt"; then
+        echo "FAIL: example $example differs from experiments/example_$example.txt." >&2
+        echo "      If the drift is intentional, re-record with:" >&2
+        echo "      cargo run --release -p hpcfail --example $example > experiments/example_$example.txt" >&2
+        exit 1
+    fi
+done
+echo "OK: every example's output byte-identical to its golden"
+
 echo "==> ingest robustness suite (corruptor sweep, conservation, repair idempotence)"
 cargo test --release -q -p hpcfail --test ingest_robustness
 

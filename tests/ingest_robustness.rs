@@ -1,5 +1,5 @@
 //! The never-panic harness for the hardened ingest path: drive the
-//! deterministic [`Corruptor`] over synthetic traces at sweep corruption
+//! deterministic [`CorruptionPlan`] over synthetic traces at sweep corruption
 //! rates and assert that lenient ingestion survives anything the fault
 //! injector produces, that row conservation holds, that repair is
 //! idempotent, and that the lenient readers agree with the strict ones
@@ -8,6 +8,7 @@
 //! Every assertion message carries the corruption plan, so any failure
 //! is replayable from `(seed, plan)` alone.
 
+use hpcfail::exec::FaultKind;
 use hpcfail::prelude::*;
 use hpcfail::records::io::{read_csv, read_csv_lenient, write_csv};
 use hpcfail::records::quality::{audit, repair};
@@ -59,9 +60,9 @@ proptest! {
     ) {
         let trace = FailureTrace::from_records(records);
         let mut plan = CorruptionPlan::new(seed, rate_millis as f64 / 1_000.0);
-        plan.shuffle_rows = shuffle;
+        plan.faults.shuffle = shuffle;
         plan.truncate_file = truncate;
-        let dirty = Corruptor::new(plan).corrupt_trace(&trace);
+        let dirty = plan.corrupt_trace(&trace);
         let catalog = Catalog::lanl();
         for policy in [IngestPolicy::Quarantine, IngestPolicy::Repair] {
             let ingest = read_csv_lenient(dirty.as_bytes(), policy)
@@ -94,8 +95,8 @@ proptest! {
     ) {
         let trace = FailureTrace::from_records(records);
         let plan = CorruptionPlan::new(seed, rate_millis as f64 / 1_000.0);
-        let a = Corruptor::new(plan).corrupt_trace(&trace);
-        let b = Corruptor::new(plan).corrupt_trace(&trace);
+        let a = plan.corrupt_trace(&trace);
+        let b = plan.corrupt_trace(&trace);
         prop_assert!(a == b, "same plan must replay identically: {}", plan);
     }
 
@@ -149,9 +150,9 @@ fn corruption_rate_sweep_on_synthetic_trace() {
     for &rate in &[0.0, 0.05, 0.25, 0.5, 0.75, 1.0] {
         for seed in 0..3u64 {
             let mut plan = CorruptionPlan::new(seed, rate);
-            plan.shuffle_rows = seed % 2 == 0;
+            plan.faults.shuffle = seed % 2 == 0;
             plan.truncate_file = seed % 3 == 0;
-            let dirty = Corruptor::new(plan).corrupt_trace(&trace);
+            let dirty = plan.corrupt_trace(&trace);
             for policy in [IngestPolicy::Quarantine, IngestPolicy::Repair] {
                 let ingest = read_csv_lenient(dirty.as_bytes(), policy)
                     .unwrap_or_else(|e| panic!("ingest errored under {plan}: {e}"));
@@ -179,7 +180,7 @@ fn zero_rate_corruption_round_trips() {
     let trace =
         hpcfail::synth::scenario::system_trace(SystemId::new(12), 11).expect("synthetic trace");
     let plan = CorruptionPlan::new(3, 0.0);
-    let dirty = Corruptor::new(plan).corrupt_trace(&trace);
+    let dirty = plan.corrupt_trace(&trace);
     let ingest =
         read_csv_lenient(dirty.as_bytes(), IngestPolicy::Quarantine).expect("clean read");
     assert_eq!(ingest.trace.records(), trace.records());
@@ -204,19 +205,19 @@ proptest! {
     ) {
         let trace = FailureTrace::from_records(records);
         let clean = TraceStore::to_bytes(&trace.index());
-        let corruptor = BinaryCorruptor::new(BinaryCorruptionPlan::new(seed));
-        let dirty = corruptor.corrupt_bytes(&clean);
-        prop_assert!(dirty != clean, "fault injection was a no-op under {}", corruptor.plan());
+        let plan = BinaryCorruptionPlan::new(seed);
+        let dirty = plan.corrupt_bytes(&clean);
+        prop_assert!(dirty != clean, "fault injection was a no-op under {}", plan);
         match TraceStore::from_bytes(&dirty) {
             Err(e) => {
                 // Every error renders (typed, displayable, replayable).
-                prop_assert!(!e.to_string().is_empty(), "{}", corruptor.plan());
+                prop_assert!(!e.to_string().is_empty(), "{}", plan);
             }
             Ok(loaded) => prop_assert!(
                 false,
                 "corruption loaded undetected under {} ({:?}, {} records)",
-                corruptor.plan(),
-                corruptor.fault(),
+                plan,
+                plan.fault(),
                 loaded.len()
             ),
         }
@@ -230,23 +231,23 @@ fn binary_fault_kinds_map_to_their_error_families() {
     let trace =
         hpcfail::synth::scenario::system_trace(SystemId::new(12), 5).expect("synthetic trace");
     let clean = TraceStore::to_bytes(&trace.index());
-    let only = |mid: u32, torn: u32, flip: u32, skew: u32| BinaryFaultMix {
-        mid_truncate: mid,
-        torn_header: torn,
-        bit_flips: flip,
-        version_skew: skew,
-    };
     for seed in 0..150u64 {
-        let torn = BinaryCorruptor::new(BinaryCorruptionPlan { seed, mix: only(0, 1, 0, 0) });
+        let torn = BinaryCorruptionPlan {
+            seed,
+            mix: FaultMix::only(BinaryFault::TornHeader),
+        };
         let err = TraceStore::from_bytes(&torn.corrupt_bytes(&clean))
             .expect_err("torn header must never load");
         assert!(
             matches!(err, StoreError::Truncated { .. } | StoreError::BadMagic { .. }),
             "torn header under {}: {err}",
-            torn.plan()
+            torn
         );
 
-        let cut = BinaryCorruptor::new(BinaryCorruptionPlan { seed, mix: only(1, 0, 0, 0) });
+        let cut = BinaryCorruptionPlan {
+            seed,
+            mix: FaultMix::only(BinaryFault::MidTruncate),
+        };
         let err = TraceStore::from_bytes(&cut.corrupt_bytes(&clean))
             .expect_err("mid-file truncation must never load");
         assert!(
@@ -255,19 +256,25 @@ fn binary_fault_kinds_map_to_their_error_families() {
                 StoreError::Truncated { .. } | StoreError::ChecksumMismatch { .. }
             ),
             "mid truncation under {}: {err}",
-            cut.plan()
+            cut
         );
 
-        let skew = BinaryCorruptor::new(BinaryCorruptionPlan { seed, mix: only(0, 0, 0, 1) });
+        let skew = BinaryCorruptionPlan {
+            seed,
+            mix: FaultMix::only(BinaryFault::VersionSkew),
+        };
         let err = TraceStore::from_bytes(&skew.corrupt_bytes(&clean))
             .expect_err("version skew must never load");
         assert!(
             matches!(err, StoreError::UnsupportedVersion { .. }),
             "version skew under {}: {err}",
-            skew.plan()
+            skew
         );
 
-        let flips = BinaryCorruptor::new(BinaryCorruptionPlan { seed, mix: only(0, 0, 1, 0) });
+        let flips = BinaryCorruptionPlan {
+            seed,
+            mix: FaultMix::only(BinaryFault::BitFlips),
+        };
         TraceStore::from_bytes(&flips.corrupt_bytes(&clean))
             .expect_err("bit flips must never load");
     }
@@ -282,4 +289,92 @@ fn clean_packed_store_loads_after_the_sweep() {
     let clean = TraceStore::to_bytes(&trace.index());
     let loaded = TraceStore::from_bytes(&clean).expect("clean store loads");
     assert_eq!(loaded.trace(), &trace);
+}
+
+// ---------------------------------------------------------------------
+// Replay pins: 64-bit digests of what the injectors emit over fixed
+// plan grids. A fault plan is only replayable if its expansion never
+// moves, so any change to these numbers is a change to every recorded
+// replay string's meaning.
+// ---------------------------------------------------------------------
+
+/// A fixed 48-record trace built by hand, so the pins never move with
+/// the synthetic generator.
+fn pin_trace() -> FailureTrace {
+    FailureTrace::from_records(
+        (0..48u64)
+            .map(|i| {
+                let start = 1_000_000 + i * 7_919;
+                FailureRecord::new(
+                    SystemId::new(1 + (i % 22) as u32),
+                    NodeId::new((i * 5 % 64) as u32),
+                    Timestamp::from_secs(start),
+                    Timestamp::from_secs(start + 60 + i * 311),
+                    Workload::ALL[i as usize % Workload::ALL.len()],
+                    DetailedCause::ALL[i as usize % DetailedCause::ALL.len()],
+                )
+                .expect("end >= start by construction")
+            })
+            .collect(),
+    )
+}
+
+/// Fold a sequence of 64-bit values into one digest.
+fn digest(parts: &[u64]) -> u64 {
+    let bytes: Vec<u8> = parts.iter().flat_map(|p| p.to_le_bytes()).collect();
+    hpcfail::records::checksum(&bytes)
+}
+
+#[test]
+fn corrupt_csv_replay_pin() {
+    let clean = String::from_utf8(to_csv(&pin_trace())).expect("utf-8");
+    let mixes =
+        std::iter::once(FaultMix::uniform()).chain(Fault::ALL.iter().map(|&f| FaultMix::only(f)));
+    let mut parts = Vec::new();
+    for seed in 0..4u64 {
+        for rate in [0.0, 0.3, 1.0] {
+            for shuffle in [false, true] {
+                for truncate_file in [false, true] {
+                    for mix in mixes.clone() {
+                        let plan = CorruptionPlan {
+                            faults: FaultPlan {
+                                seed,
+                                rate,
+                                mix,
+                                shuffle,
+                            },
+                            truncate_file,
+                        };
+                        let dirty = plan.corrupt_csv(&clean);
+                        parts.push(hpcfail::records::checksum(dirty.as_bytes()));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(parts.len(), 336);
+    let digest = digest(&parts);
+    assert_eq!(
+        digest, 0xf40f_b8e3_517d_fae0,
+        "corrupt_csv output moved: {digest:#x}"
+    );
+}
+
+#[test]
+fn corrupt_bytes_replay_pin() {
+    let clean: Vec<u8> = (0..=255u8).cycle().take(1024).collect();
+    let mixes = std::iter::once(FaultMix::uniform())
+        .chain(BinaryFault::ALL.iter().map(|&f| FaultMix::only(f)));
+    let mut parts = Vec::new();
+    for mix in mixes {
+        for seed in 0..64u64 {
+            let dirty = BinaryCorruptionPlan { seed, mix }.corrupt_bytes(&clean);
+            parts.push(hpcfail::records::checksum(&dirty));
+        }
+    }
+    let digest = digest(&parts);
+    assert_eq!(
+        digest, 0x595a_064f_6618_8cfb,
+        "corrupt_bytes output moved: {digest:#x}"
+    );
 }

@@ -23,10 +23,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use hpcfail::exec::{FaultKind, FaultMix, FaultPlan};
+use hpcfail::records::io_lanl::read_lanl_csv;
+use hpcfail::records::{BinaryCorruptionPlan, BinaryFault, TraceStore};
 use hpcfail::serve::chaos::{
-    fetch, plan_ops, run_chaos, ChaosOp, ChaosPlan, ChaosTiming, ControlTarget, NetFaultMix,
+    fetch, flood_heavy, plan_ops, run_chaos, trickle_heavy, ChaosOp, ChaosPlan, ChaosTiming,
+    ControlTarget, NetFault,
 };
-use hpcfail::serve::{spawn, AppState, ServeConfig, ServerHandle, TenantSource};
+use hpcfail::serve::{spawn, AppState, Json, ServeConfig, ServerHandle, TenantSource};
 
 const SEED: u64 = 0xD5E_C0DE;
 
@@ -101,10 +105,10 @@ fn chaos_sweep_never_panics_and_never_bends_an_answer() {
         retry_limit: 12,
         ..ChaosTiming::default()
     };
-    let mixes: [(&str, NetFaultMix); 3] = [
-        ("uniform", NetFaultMix::uniform()),
-        ("trickle_heavy", NetFaultMix::trickle_heavy()),
-        ("flood_heavy", NetFaultMix::flood_heavy()),
+    let mixes: [(&str, FaultMix<NetFault>); 3] = [
+        ("uniform", FaultMix::uniform()),
+        ("trickle_heavy", trickle_heavy()),
+        ("flood_heavy", flood_heavy()),
     ];
     for (cell_index, (rate, (mix_name, mix))) in [0.0, 0.5, 1.0]
         .into_iter()
@@ -112,11 +116,13 @@ fn chaos_sweep_never_panics_and_never_bends_an_answer() {
         .enumerate()
     {
         let plan = ChaosPlan {
-            seed: SEED ^ cell_index as u64,
-            rate,
-            mix,
+            faults: FaultPlan {
+                seed: SEED ^ cell_index as u64,
+                rate,
+                mix,
+                shuffle: cell_index % 2 == 1,
+            },
             ops: 32,
-            shuffle: cell_index % 2 == 1,
         };
         let cell = format!("cell {cell_index} (rate {rate}, mix {mix_name})");
         let (state, mut handle) = boot();
@@ -161,18 +167,143 @@ fn chaos_sweep_never_panics_and_never_bends_an_answer() {
     }
 }
 
+/// POST `target` and return `(status, body)`, retrying past overload
+/// sheds and socket errors: under chaos the cramped server may turn a
+/// request away before the router sees it.
+fn post_past_sheds(addr: SocketAddr, target: &str, context: &str) -> (u16, String) {
+    for _ in 0..50 {
+        let response =
+            TcpStream::connect_timeout(&addr, Duration::from_millis(500)).and_then(|mut conn| {
+                conn.set_read_timeout(Some(Duration::from_secs(2)))?;
+                conn.write_all(format!("POST {target} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes())?;
+                let mut raw = String::new();
+                conn.read_to_string(&mut raw)?;
+                Ok(raw)
+            });
+        let parsed = response.ok().and_then(|raw| {
+            let (head, body) = raw.split_once("\r\n\r\n")?;
+            let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
+            Some((status, body.to_string()))
+        });
+        match parsed {
+            Some((_, body)) if body.contains("\"kind\":\"overloaded\"") => {}
+            Some(answer) => return answer,
+            None => {}
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("{context}: POST {target} never got past the overload shed")
+}
+
+/// Cross-layer: a bit-flipped `.hpct` arrives on `POST /v1/reload`
+/// while a uniform socket-chaos plan runs against the same server.
+/// Every reload fails typed (`503 reload_failed` carrying the store's
+/// own `StoreError`), the generation never moves, every control body
+/// stays byte-identical, and the server ends with no panic and no leak.
+#[test]
+fn damaged_packed_reload_during_socket_chaos_keeps_the_old_generation() {
+    let timing = ChaosTiming {
+        io_timeout: Duration::from_millis(500),
+        retry_limit: 12,
+        ..ChaosTiming::default()
+    };
+    let dir = std::env::temp_dir().join(format!("hpcfail-chaos-reload-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("lanl.hpct");
+    let fixture = std::fs::read(fixture_path()).expect("fixture");
+    let trace = read_lanl_csv(fixture.as_slice())
+        .expect("fixture parses")
+        .trace;
+    TraceStore::write(&trace.index(), &path).expect("pack fixture");
+    let pristine = std::fs::read(&path).expect("packed bytes");
+
+    let state = AppState::new();
+    state
+        .registry
+        .insert("lanl", TenantSource::File(path.clone()))
+        .expect("packed tenant");
+    let state = Arc::new(state);
+    let mut handle = spawn(state.clone(), &chaos_config()).expect("bind ephemeral");
+    let addr = handle.addr();
+    let controls = control_targets(addr, &timing);
+
+    let chaos = ChaosPlan {
+        ops: 48,
+        ..ChaosPlan::new(SEED ^ 0xB17, 0.5)
+    };
+    let damage = BinaryCorruptionPlan {
+        seed: SEED,
+        mix: FaultMix::only(BinaryFault::BitFlips),
+    };
+    let plans = format!("chaos [{chaos}], damage [{damage}]");
+    let dirty = damage.corrupt_bytes(&pristine);
+    let store_error = TraceStore::from_bytes(&dirty).expect_err("bit flips never load");
+    let rendered = Json::str(store_error.to_string()).render();
+    let store_message = rendered.trim_matches('"');
+    std::fs::write(&path, &dirty).expect("damage the packed file");
+
+    let (report, reloads) = std::thread::scope(|scope| {
+        let storm = scope.spawn(|| run_chaos(addr, &timing, &chaos, &controls, 4));
+        let mut reloads = Vec::new();
+        loop {
+            reloads.push(post_past_sheds(addr, "/v1/reload?trace=lanl", &plans));
+            if storm.is_finished() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        (storm.join().expect("chaos injector"), reloads)
+    });
+
+    for (status, body) in &reloads {
+        assert_eq!(*status, 503, "{plans}: {body}");
+        assert!(
+            body.contains("\"kind\":\"reload_failed\""),
+            "{plans}: {body}"
+        );
+        assert!(
+            body.contains(store_message),
+            "{plans}: reload error lost the typed {store_error:?}: {body}"
+        );
+    }
+    let generation = state.registry.get("lanl").expect("tenant").generation;
+    assert_eq!(
+        generation, 1,
+        "{plans}: a failed reload moved the generation"
+    );
+    assert!(
+        report.mismatches.is_empty(),
+        "{plans}: 200 bodies bent: {:?}",
+        report.mismatches
+    );
+    assert!(
+        report.failures.is_empty(),
+        "{plans}: controls starved out: {:?}",
+        report.failures
+    );
+    for control in &controls {
+        let (status, _, body) = fetch(addr, &timing, &control.target).expect("post-chaos fetch");
+        assert_eq!(status, 200, "{plans}: {} after chaos", control.target);
+        assert_eq!(
+            body, control.expected,
+            "{plans}: {} drifted",
+            control.target
+        );
+    }
+
+    handle.stop();
+    assert_quiescent(&state, &handle, &plans);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Same plan, same ops — the sweep is replayable from its parameters.
 #[test]
 fn chaos_plans_replay_deterministically() {
-    let plan = ChaosPlan {
-        shuffle: true,
-        ..ChaosPlan::new(SEED, 0.6)
-    };
+    let mut plan = ChaosPlan::new(SEED, 0.6);
+    plan.faults.shuffle = true;
     assert_eq!(plan_ops(&plan, 4), plan_ops(&plan, 4));
-    let unshuffled = ChaosPlan {
-        shuffle: false,
-        ..plan
-    };
+    let mut unshuffled = plan;
+    unshuffled.faults.shuffle = false;
     assert_ne!(
         plan_ops(&plan, 4),
         plan_ops(&unshuffled, 4),
@@ -257,4 +388,47 @@ fn drain_never_truncates_a_response_mid_body() {
     assert!(total > 0, "clients never completed a request before drain");
     assert_quiescent(&state, &handle, "drain test");
     assert_eq!(state.metrics.drain_state(), "draining");
+}
+
+/// Replay pin: a 64-bit digest of `plan_ops` over seeds × the three
+/// mixes × rates × shuffle. The op sequence is what a printed plan
+/// replays, so it must never move.
+#[test]
+fn plan_ops_replay_pin() {
+    let mut bytes = Vec::new();
+    for mix in [FaultMix::uniform(), trickle_heavy(), flood_heavy()] {
+        for seed in 0..8u64 {
+            for rate in [0.3, 1.0] {
+                for shuffle in [false, true] {
+                    let plan = ChaosPlan {
+                        faults: FaultPlan {
+                            seed,
+                            rate,
+                            mix,
+                            shuffle,
+                        },
+                        ops: 64,
+                    };
+                    for op in plan_ops(&plan, 4) {
+                        match op {
+                            ChaosOp::Control { pick } => {
+                                bytes.push(0);
+                                bytes.extend((pick as u64).to_le_bytes());
+                            }
+                            ChaosOp::Fault { fault, seed } => {
+                                bytes.push(1);
+                                bytes.extend(fault.name().as_bytes());
+                                bytes.extend(seed.to_le_bytes());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let digest = hpcfail::records::checksum(&bytes);
+    assert_eq!(
+        digest, 0x3b4a_a5e7_1ae4_9a44,
+        "plan_ops output moved: {digest:#x}"
+    );
 }
