@@ -330,7 +330,7 @@ fn median_repair_minutes(trace: &FailureTrace) -> f64 {
         .iter()
         .map(|r| r.downtime_minutes())
         .collect();
-    minutes.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    minutes.sort_by(f64::total_cmp);
     let n = minutes.len();
     if n == 0 {
         return f64::NAN;

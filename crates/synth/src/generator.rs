@@ -48,6 +48,11 @@ use crate::repair::RepairModel;
 /// jumps when lifecycle × diurnal bottoms out.
 const MIN_MODULATION: f64 = 0.05;
 
+/// Fine (diurnal-resolving) and coarse (whole-week) steps of the
+/// operational-time integrator, in seconds.
+const HOUR_F: f64 = 3_600.0;
+const WEEK_F: f64 = 7.0 * 86_400.0;
+
 /// Generates calibrated synthetic failure traces.
 ///
 /// Node event streams are generated in parallel across the executor's
@@ -142,6 +147,8 @@ impl<'a> TraceGenerator<'a> {
         let streams = SeedSequence::new(root);
         let start = spec.production_start();
         let end = spec.production_end();
+        let start_secs = start.as_secs() as f64;
+        let end_secs = end.as_secs() as f64;
         let lifetime_secs = (end - start) as f64;
         let years = spec.production_years();
         // Aftershocks add ~q extra failures per primary; shrink the
@@ -256,23 +263,22 @@ impl<'a> TraceGenerator<'a> {
                 let scale = mean_gap_secs / gamma_factor;
                 let gap_dist = Weibull::new(config.tbf_shape, scale)?;
                 // Same mean gap, burstier shape for the immature era.
-                let early_gamma = ln_gamma(1.0 + 1.0 / config.early_tbf_shape).exp();
                 let early_gap_dist =
-                    Weibull::new(config.early_tbf_shape, mean_gap_secs / early_gamma)?;
+                    Weibull::new(config.early_tbf_shape, mean_gap_secs / early_g1)?;
 
                 // Ordinary renewal: the first failure arrives after a full
                 // gap from production start (the system is new: early shape).
                 let mut t = advance_by_operational_gap(
-                    start.as_secs() as f64,
+                    start_secs,
                     early_gap_dist.sample(rng),
-                    start.as_secs() as f64,
+                    start_secs,
+                    end_secs,
                     lifecycle_mean,
                     config,
                 );
-                while t < end.as_secs() as f64 {
+                while t < end_secs {
                     let at = Timestamp::from_secs(t as u64);
-                    let age_months =
-                        (t - start.as_secs() as f64) / hpcfail_records::time::MONTH as f64;
+                    let age_months = (t - start_secs) / hpcfail_records::time::MONTH as f64;
                     // Emit the failure at the current (already modulated) time.
                     let record = self.make_record(spec, config, &detail_model, node, at, rng)?;
                     let age_ok = config
@@ -292,7 +298,7 @@ impl<'a> TraceGenerator<'a> {
                         let delay_secs =
                             -crate::open_unit(rng).ln() * config.aftershock_mean_hours * 3_600.0;
                         let shock_t = t + delay_secs.max(60.0);
-                        if shock_t < end.as_secs() as f64 {
+                        if shock_t < end_secs {
                             node_records.push(self.make_record(
                                 spec,
                                 config,
@@ -339,7 +345,8 @@ impl<'a> TraceGenerator<'a> {
                     t = advance_by_operational_gap(
                         t,
                         gap,
-                        start.as_secs() as f64,
+                        start_secs,
+                        end_secs,
                         lifecycle_mean,
                         config,
                     );
@@ -391,19 +398,26 @@ impl<'a> TraceGenerator<'a> {
 /// stretches take a fast weekly path, valid because the diurnal profile
 /// integrates to exactly 1 over whole weeks, leaving only the lifecycle
 /// term.
+///
+/// The walk stops as soon as `t >= horizon` (the production end) and
+/// returns that `t`: the caller discards any event at or past the
+/// horizon, so integrating the rest of a terminal gap is wasted work.
+/// The walk draws no randomness and `t` never decreases, so a gap that
+/// ends before the horizon never trips the check and runs exactly the
+/// same float operations as an unbounded walk; a gap that crosses it
+/// returns a value in `[horizon, horizon + one week]`.
 fn advance_by_operational_gap(
     t_wall: f64,
     gap_operational: f64,
     production_start: f64,
+    horizon: f64,
     lifecycle_mean: f64,
     config: &SystemConfig,
 ) -> f64 {
-    const HOUR_F: f64 = 3_600.0;
-    const WEEK_F: f64 = 7.0 * 86_400.0;
     let month_f = hpcfail_records::time::MONTH as f64;
     let mut t = t_wall;
     let mut remaining = gap_operational;
-    loop {
+    while t < horizon {
         let age_months = (t - production_start).max(0.0) / month_f;
         let life = (config.lifecycle.intensity(age_months) / lifecycle_mean).max(MIN_MODULATION);
         // Coarse phase: consume whole weeks while far from the event.
@@ -422,6 +436,7 @@ fn advance_by_operational_gap(
             return t;
         }
     }
+    t
 }
 
 #[cfg(test)]
@@ -538,6 +553,85 @@ mod tests {
             "early zero-gap fraction {zf_early} (paper: >30%)"
         );
         assert!(zf_late < 0.1, "late zero-gap fraction {zf_late}");
+    }
+
+    /// A seeded sweep of `(t_wall, gap)` walks over every lifecycle shape
+    /// and both diurnal profiles, each walk run unbounded and bounded at
+    /// `horizon`. Calls `check(unbounded, bounded, horizon)` per walk.
+    fn sweep_integrator(mut check: impl FnMut(f64, f64, f64)) {
+        use crate::diurnal::DiurnalProfile;
+        use crate::lifecycle::LifecycleShape;
+        use hpcfail_records::time::{MONTH, YEAR};
+
+        let (catalog, cal) = generator_fixture();
+        let spec = catalog.system(SystemId::new(20)).unwrap();
+        let production_start = spec.production_start().as_secs() as f64;
+        let horizon = production_start + (6 * YEAR) as f64;
+        let mut rng = StdRng::seed_from_u64(2006);
+        for lifecycle in [
+            LifecycleShape::early_drop_default(),
+            LifecycleShape::ramp_default(),
+            LifecycleShape::Flat,
+        ] {
+            for diurnal in [DiurnalProfile::lanl_default(), DiurnalProfile::flat()] {
+                let mut config = cal.system(SystemId::new(20)).unwrap().clone();
+                config.lifecycle = lifecycle;
+                config.diurnal = diurnal;
+                let lifecycle_mean = (0..72)
+                    .map(|m| lifecycle.intensity(m as f64 + 0.5))
+                    .sum::<f64>()
+                    / 72.0;
+                for _ in 0..200 {
+                    let t_wall =
+                        production_start + rng.random::<f64>() * (horizon - production_start);
+                    // Log-uniform operational gaps from a minute to ten
+                    // years: short gaps land well inside the horizon, long
+                    // ones cross it.
+                    let gap = (60f64.ln()
+                        + rng.random::<f64>() * (120.0 * MONTH as f64 / 60.0).ln())
+                    .exp();
+                    let walk = |h: f64| {
+                        advance_by_operational_gap(
+                            t_wall,
+                            gap,
+                            production_start,
+                            h,
+                            lifecycle_mean,
+                            &config,
+                        )
+                    };
+                    check(walk(f64::INFINITY), walk(horizon), horizon);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_walk_is_bit_identical_before_the_horizon() {
+        let mut inside = 0;
+        sweep_integrator(|unbounded, bounded, horizon| {
+            if unbounded < horizon {
+                inside += 1;
+                assert_eq!(bounded.to_bits(), unbounded.to_bits());
+            }
+        });
+        assert!(inside > 100, "sweep too thin: {inside} walks end inside");
+    }
+
+    #[test]
+    fn bounded_walk_stops_within_a_week_of_the_horizon() {
+        let mut crossing = 0;
+        sweep_integrator(|unbounded, bounded, horizon| {
+            if unbounded >= horizon {
+                crossing += 1;
+                assert!(
+                    bounded >= horizon && bounded <= horizon + WEEK_F,
+                    "bounded walk returned {bounded}, horizon {horizon}"
+                );
+                assert!(bounded <= unbounded);
+            }
+        });
+        assert!(crossing > 100, "sweep too thin: {crossing} walks cross");
     }
 
     #[test]

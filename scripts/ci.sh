@@ -289,14 +289,34 @@ grep -q "degraded \[invalid-composition\]" "$tmpdir/campaign_t1.txt" || {
 }
 echo "OK: 1296-cell campaign byte-identical across worker counts, exit code 3 as designed"
 
+# The committed golden of the bundled campaign: a re-record command for
+# when a drift is intentional (the run leaves a journal beside the output).
+campaign_golden="experiments/scenario_lanl_whatif.txt"
+diff_campaign_golden() { # out-file, what
+    if ! diff -u "$campaign_golden" "$1"; then
+        echo "FAIL: $2 differs from the committed $campaign_golden." >&2
+        echo "      If the drift is intentional, re-record with:" >&2
+        echo "      cargo run --release -p hpcfail-cli --bin hpcfail -- scenario run $spec \\" >&2
+        echo "          --out $campaign_golden && rm $campaign_golden.journal" >&2
+        exit 1
+    fi
+}
+echo "==> scenario run vs committed $campaign_golden"
+diff_campaign_golden "$tmpdir/campaign_t1.txt" "the 1-worker campaign run"
+echo "OK: bundled campaign byte-identical to its committed golden"
+
 echo "==> scenario kill-mid-run + --resume byte-identical check"
 rm -f "$tmpdir/resumed.txt" "$tmpdir/resumed.txt.journal"
 HPCFAIL_THREADS=8 cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
     scenario run "$spec" --out "$tmpdir/resumed.txt" > /dev/null 2>&1 &
 campaign_pid=$!
-sleep 1.5
+# The whole campaign takes ~2 s on a 2-core host; kill it about a third of the way in.
+sleep 0.5
 kill -9 "$campaign_pid" 2>/dev/null || true
 wait "$campaign_pid" 2>/dev/null || true
+if [ -f "$tmpdir/resumed.txt" ]; then
+    echo "WARN: the campaign finished before the kill; --resume replays a complete journal" >&2
+fi
 test -f "$tmpdir/resumed.txt.journal" || {
     echo "FAIL: killed campaign left no journal to resume from" >&2
     exit 1
@@ -314,6 +334,7 @@ if ! diff -u "$tmpdir/campaign_t1.txt" "$tmpdir/resumed.txt"; then
     echo "FAIL: killed-and-resumed campaign differs from an uninterrupted run" >&2
     exit 1
 fi
+diff_campaign_golden "$tmpdir/resumed.txt" "the killed-and-resumed campaign"
 echo "OK: SIGKILL mid-campaign + --resume reproduces the uninterrupted output byte-identically"
 
 echo "==> scenario poisoned-spec smoke (chaos cells degrade, campaign survives)"

@@ -1,7 +1,7 @@
 //! The determinism contract of the parallel execution engine, plus the
 //! golden statistical regressions it must never disturb.
 //!
-//! Three families of checks:
+//! Four families of checks:
 //!
 //! 1. **Worker-count independence** — synthetic traces, bootstrap
 //!    confidence intervals, and rendered analysis tables are
@@ -14,7 +14,12 @@
 //!    the default seeded site trace, so a stream-layout regression that
 //!    shifts the statistics is caught here even if every equality test
 //!    still passes.
-//! 3. **Seed-stream hygiene** — the SplitMix64 stream splitter produces
+//! 3. **Output checksum pins** — `records::store::checksum` of the full
+//!    CSV bytes of seeded site traces and of a perturbed system trace,
+//!    and of the rendered bundled campaign. A cost optimisation in the
+//!    generator or the scenario engine must leave every one of them
+//!    bit-for-bit unchanged.
+//! 4. **Seed-stream hygiene** — the SplitMix64 stream splitter produces
 //!    collision-free, uniform-looking seeds.
 
 use std::collections::HashSet;
@@ -25,10 +30,13 @@ use hpcfail::analysis::{pernode, rates, repair, tbf};
 use hpcfail::exec::derive_stream_seed;
 use hpcfail::prelude::*;
 use hpcfail::records::io::write_csv;
+use hpcfail::records::store::checksum;
 use hpcfail::stats::bootstrap::percentile_ci_parallel;
 use hpcfail::stats::descriptive::mean;
 use hpcfail::stats::dist::sample_n;
 use hpcfail::stats::gof::chi_squared_uniform;
+use hpcfail::synth::builder::ScenarioBuilder;
+use hpcfail::synth::config::BurstConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -285,7 +293,75 @@ fn golden_per_node_counts_overdispersed_vs_poisson() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Seed-stream hygiene
+// 3. Output checksum pins
+// ---------------------------------------------------------------------
+
+fn assert_checksum(what: &str, bytes: &[u8], want: u64) {
+    let got = checksum(bytes);
+    assert_eq!(
+        got, want,
+        "{what}: checksum {got:#018x}, pinned {want:#018x} — the output changed"
+    );
+}
+
+#[test]
+fn site_trace_csv_checksums_pinned() {
+    for (seed, want) in [
+        (1, 0xf9b3_6fb2_5477_67da),
+        (42, 0x33bc_0f40_f4ca_72d1),
+        (2006, 0x8314_a7c0_70eb_74f0),
+    ] {
+        let trace = hpcfail::synth::scenario::site_trace(seed).unwrap();
+        assert_checksum(
+            &format!("site trace seed {seed}"),
+            &trace_bytes(&trace),
+            want,
+        );
+    }
+}
+
+#[test]
+fn storm_burst_scaled_trace_checksum_pinned() {
+    // The bundled campaign's `burst = "storm"`, `rate_scale = 2.0` cell
+    // shape on system 14: bursts on every system and doubled rates
+    // stress the clustering paths and the horizon-crossing gaps.
+    let storm = BurstConfig {
+        probability: 0.5,
+        min_extra: 2,
+        max_extra: 6,
+        until_month: 600.0,
+    };
+    let trace = ScenarioBuilder::lanl()
+        .seed(2006)
+        .scale_rates(2.0)
+        .with_bursts_everywhere(storm)
+        .build_system(SystemId::new(14))
+        .unwrap();
+    assert_checksum(
+        "storm sys14 rate x2",
+        &trace_bytes(&trace),
+        0x44eb_3ecf_c206_72b6,
+    );
+}
+
+#[test]
+fn bundled_campaign_render_checksum_pinned() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../experiments/scenarios/lanl_whatif.toml"
+    );
+    let spec = CampaignSpec::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let result = hpcfail::scenario::run_campaign(&spec, &Default::default()).unwrap();
+    let text = hpcfail::scenario::render_results(&spec, &result);
+    assert_checksum(
+        "bundled campaign render",
+        text.as_bytes(),
+        0x8b26_4c7e_728c_e28b,
+    );
+}
+
+// ---------------------------------------------------------------------
+// 4. Seed-stream hygiene
 // ---------------------------------------------------------------------
 
 #[test]
