@@ -29,7 +29,7 @@ fn bench_fig2_rates(c: &mut Criterion) {
 
 fn bench_fig3_pernode(c: &mut Criterion) {
     let (catalog, trace) = fixtures();
-    let sys20 = trace.filter_system(SystemId::new(20));
+    let sys20 = trace.index().system(SystemId::new(20)).to_trace();
     c.bench_function("fig3_per_node_fits", |b| {
         b.iter(|| {
             pernode::analyze_indexed(&black_box(&sys20).index(), &catalog, SystemId::new(20))
@@ -41,13 +41,13 @@ fn bench_fig3_pernode(c: &mut Criterion) {
 fn bench_fig5_periodic(c: &mut Criterion) {
     let (_, trace) = fixtures();
     c.bench_function("fig5_periodic_pattern", |b| {
-        b.iter(|| periodic::analyze(black_box(&trace)).unwrap());
+        b.iter(|| periodic::analyze_indexed(&black_box(&trace).index()).unwrap());
     });
 }
 
 fn bench_fig6_tbf(c: &mut Criterion) {
     let (_, trace) = fixtures();
-    let sys20 = trace.filter_system(SystemId::new(20));
+    let sys20 = trace.index().system(SystemId::new(20)).to_trace();
     let mut group = c.benchmark_group("fig6_tbf");
     group.sample_size(20);
     group.bench_function("system_wide_full_fit", |b| {

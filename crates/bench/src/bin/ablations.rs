@@ -27,16 +27,17 @@ use rand::SeedableRng;
 
 fn main() {
     let trace = scenario::site_trace(scenario::DEFAULT_SEED).expect("site trace");
-    let sys20 = trace.filter_system(SystemId::new(20));
+    let index = trace.index();
     let (_, late) = tbf::paper_era_split();
-    let late_sys20 = sys20.filter_window(late.0, late.1);
-    let gaps: Vec<f64> = late_sys20
+    let gaps: Vec<f64> = index
+        .system(SystemId::new(20))
+        .window(late.0, late.1)
         .interarrival_secs()
         .expect("gaps")
         .into_iter()
         .filter(|&g| g > 0.0)
         .collect();
-    let repairs = trace.downtimes_minutes();
+    let repairs = index.all().downtimes_minutes();
 
     criterion_ablation(&gaps, &repairs);
     bootstrap_shape_ci(&gaps);

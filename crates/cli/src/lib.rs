@@ -685,15 +685,16 @@ fn generate(seed: u64, system: Option<u32>, out: &PathBuf) -> Result<String, Cli
 }
 
 fn summary(trace: &FailureTrace) -> Result<String, CliError> {
+    let index = trace.index();
+    let all = index.all();
     let mut out = String::new();
     let _ = writeln!(out, "records: {}", trace.len());
-    if let (Some(first), Some(last)) = (trace.first_start(), trace.last_start()) {
+    if let (Some(first), Some(last)) = (all.first_start(), all.last_start()) {
         let _ = writeln!(out, "span:    {first} .. {last}");
     }
-    let by_system = trace.count_by_system();
-    let _ = writeln!(out, "systems: {}", by_system.len());
+    let _ = writeln!(out, "systems: {}", index.systems().count());
     let mut t = TextTable::new(&["cause", "records", "share", "downtime share"]);
-    let breakdown = rootcause::CauseBreakdown::from_trace(trace);
+    let breakdown = rootcause::CauseBreakdown::from_view(&all);
     for cause in RootCause::ALL {
         t.row(&[
             cause.name(),

@@ -7,7 +7,7 @@
 //! justify Poisson workload models; the LANL-like data is neither.
 
 use hpcfail_records::time::DAY;
-use hpcfail_records::{FailureTrace, Timestamp};
+use hpcfail_records::{Timestamp, TraceIndex};
 use hpcfail_stats::correlation::autocorrelation;
 use hpcfail_stats::dist::{Discrete, NegativeBinomial, Poisson};
 
@@ -51,14 +51,16 @@ impl DailyAnalysis {
     }
 }
 
-/// Bucket a trace into daily failure counts and fit the count models.
+/// Bucket an indexed trace into daily failure counts and fit the count
+/// models.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] for traces spanning fewer than
 /// 30 days.
-pub fn analyze(trace: &FailureTrace) -> Result<DailyAnalysis, AnalysisError> {
-    let (Some(first), Some(last)) = (trace.first_start(), trace.last_start()) else {
+pub fn analyze_indexed(index: &TraceIndex<'_>) -> Result<DailyAnalysis, AnalysisError> {
+    let all = index.all();
+    let (Some(first), Some(last)) = (all.first_start(), all.last_start()) else {
         return Err(AnalysisError::InsufficientData {
             what: "daily counts",
             needed: 30,
@@ -75,7 +77,7 @@ pub fn analyze(trace: &FailureTrace) -> Result<DailyAnalysis, AnalysisError> {
         });
     }
     let mut counts = vec![0u64; days];
-    for r in trace.iter() {
+    for r in all.iter() {
         let idx = ((r.start().as_secs() - first_day.as_secs()) / DAY) as usize;
         if let Some(c) = counts.get_mut(idx) {
             *c += 1;
@@ -101,12 +103,16 @@ pub fn analyze(trace: &FailureTrace) -> Result<DailyAnalysis, AnalysisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{DetailedCause, FailureRecord, NodeId, SystemId, Workload};
+    use hpcfail_records::{DetailedCause, FailureRecord, FailureTrace, NodeId, SystemId, Workload};
+
+    fn analyze_trace(trace: &FailureTrace) -> Result<DailyAnalysis, AnalysisError> {
+        analyze_indexed(&trace.index())
+    }
 
     #[test]
     fn insufficient_data_rejected() {
         assert!(matches!(
-            analyze(&FailureTrace::new()),
+            analyze_trace(&FailureTrace::new()),
             Err(AnalysisError::InsufficientData { .. })
         ));
         // A trace spanning a single day is also rejected.
@@ -119,7 +125,7 @@ mod tests {
             DetailedCause::Memory,
         )
         .unwrap();
-        assert!(analyze(&FailureTrace::from_records(vec![rec])).is_err());
+        assert!(analyze_trace(&FailureTrace::from_records(vec![rec])).is_err());
     }
 
     #[test]
@@ -151,7 +157,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let a = analyze(&FailureTrace::from_records(records)).unwrap();
+        let a = analyze_trace(&FailureTrace::from_records(records)).unwrap();
         assert_eq!(a.counts.len(), 51);
         assert_eq!(a.counts.iter().sum::<u64>(), 41);
         assert_eq!(&a.counts[40..50], &[0; 10]);
@@ -161,7 +167,7 @@ mod tests {
     #[test]
     fn synthetic_site_is_overdispersed_and_correlated() {
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let a = analyze(&trace).unwrap();
+        let a = analyze_trace(&trace).unwrap();
         // Bursts + lifecycle + weekends make daily counts overdispersed…
         assert!(
             a.dispersion_index > 1.5,
@@ -207,7 +213,7 @@ mod tests {
                 .unwrap(),
             );
         }
-        let a = analyze(&FailureTrace::from_records(records)).unwrap();
+        let a = analyze_trace(&FailureTrace::from_records(records)).unwrap();
         assert!(
             (a.dispersion_index - 1.0).abs() < 0.25,
             "{}",

@@ -93,7 +93,6 @@ fn not_evaluable(id: &'static str, claim: &'static str, cause: &str) -> Finding 
 /// Reserved for future fatal conditions; sub-analysis failures degrade
 /// instead of erroring.
 pub fn evaluate_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Result<Findings, AnalysisError> {
-    let trace = index.trace();
     let mut findings = Vec::new();
     let mut degraded = Vec::new();
 
@@ -134,7 +133,7 @@ pub fn evaluate_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Result<Fin
     // "Correlation between failure rate and workload type/intensity."
     const WORKLOAD_CLAIM: &str =
         "failure rate correlates with workload intensity (daily/weekly rhythm)";
-    match periodic::analyze(trace) {
+    match periodic::analyze_indexed(index) {
         Ok(pattern) => {
             let hour = pattern.hourly_peak_to_trough();
             let week = pattern.weekday_to_weekend();

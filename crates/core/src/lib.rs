@@ -27,7 +27,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let trace = hpcfail_synth::scenario::system_trace(
 //!     hpcfail_records::SystemId::new(12), 42)?;
-//! let breakdown = rootcause::CauseBreakdown::from_trace(&trace);
+//! let breakdown = rootcause::CauseBreakdown::from_view(&trace.index().all());
 //! assert_eq!(breakdown.largest_by_failures(), Some(RootCause::Hardware));
 //! let _ = Catalog::lanl();
 //! # Ok(())

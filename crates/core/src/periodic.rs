@@ -5,7 +5,7 @@
 //! detection (no Monday spike) because failures are detected by an
 //! automated monitor.
 
-use hpcfail_records::FailureTrace;
+use hpcfail_records::TraceIndex;
 
 use crate::error::AnalysisError;
 
@@ -65,24 +65,25 @@ impl PeriodicPattern {
     }
 }
 
-/// Bucket all failures by hour of day and day of week (Fig. 5).
+/// Bucket all failures of an indexed trace by hour of day and day of
+/// week (Fig. 5).
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] for traces with fewer than 24·7
 /// records (too sparse for a meaningful weekly profile).
-pub fn analyze(trace: &FailureTrace) -> Result<PeriodicPattern, AnalysisError> {
+pub fn analyze_indexed(index: &TraceIndex<'_>) -> Result<PeriodicPattern, AnalysisError> {
     const MIN_RECORDS: usize = 24 * 7;
-    if trace.len() < MIN_RECORDS {
+    if index.len() < MIN_RECORDS {
         return Err(AnalysisError::InsufficientData {
             what: "periodic pattern",
             needed: MIN_RECORDS,
-            got: trace.len(),
+            got: index.len(),
         });
     }
     let mut hourly = [0u64; 24];
     let mut daily = [0u64; 7];
-    for r in trace.iter() {
+    for r in index.all().iter() {
         hourly[r.start().hour_of_day() as usize] += 1;
         daily[r.start().day_of_week() as usize] += 1;
     }
@@ -96,7 +97,7 @@ mod tests {
     #[test]
     fn too_small_trace_rejected() {
         assert!(matches!(
-            analyze(&FailureTrace::new()),
+            analyze_indexed(&hpcfail_records::FailureTrace::new().index()),
             Err(AnalysisError::InsufficientData { .. })
         ));
     }
@@ -129,7 +130,7 @@ mod tests {
     #[test]
     fn fig5_shape_on_synthetic_site() {
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let p = analyze(&trace).unwrap();
+        let p = analyze_indexed(&trace.index()).unwrap();
         assert_eq!(p.total(), trace.len() as u64);
         let h = p.hourly_peak_to_trough();
         assert!(

@@ -5,8 +5,7 @@
 use std::collections::BTreeMap;
 
 use hpcfail_records::{
-    Catalog, CauseTotals, DetailedCause, FailureTrace, HardwareType, RootCause, TraceIndex,
-    TraceView,
+    Catalog, CauseTotals, DetailedCause, HardwareType, RootCause, TraceIndex, TraceView,
 };
 
 /// Counts and downtime per high-level root cause for one slice of the
@@ -18,20 +17,8 @@ pub struct CauseBreakdown {
 }
 
 impl CauseBreakdown {
-    /// Accumulate a breakdown over a trace.
-    pub fn from_trace(trace: &FailureTrace) -> Self {
-        let mut b = CauseBreakdown::default();
-        for r in trace.iter() {
-            let i = r.cause().index();
-            b.counts[i] += 1;
-            b.downtime_secs[i] += r.downtime_secs();
-        }
-        b
-    }
-
-    /// Accumulate a breakdown over a borrowed [`TraceView`] — same
-    /// result as [`CauseBreakdown::from_trace`] on the equivalent owned
-    /// filtered trace, without materializing it.
+    /// Accumulate a breakdown over a borrowed [`TraceView`] (the whole
+    /// trace, one system, one era, ...) in one pass over its columns.
     pub fn from_view(view: &TraceView<'_>) -> Self {
         let mut b = CauseBreakdown::default();
         for totals in view.counts_by_cause_per_system().values() {
@@ -131,29 +118,34 @@ pub fn analyze_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> RootCauseAn
     RootCauseAnalysis { by_type, all }
 }
 
-/// Section 4's detailed-cause statistic: the fraction of *all* failures
-/// attributed to each detailed cause, sorted descending.
-pub fn detailed_fractions(trace: &FailureTrace) -> Vec<(DetailedCause, f64)> {
-    let total = trace.len() as f64;
+/// Section 4's detailed-cause statistic: the fraction of the view's
+/// failures attributed to each detailed cause, sorted descending (ties
+/// keep detailed-cause order).
+pub fn detailed_fractions(view: &TraceView<'_>) -> Vec<(DetailedCause, f64)> {
+    let total = view.len() as f64;
     if total == 0.0 {
         return Vec::new();
     }
     let mut counts: BTreeMap<DetailedCause, u64> = BTreeMap::new();
-    for r in trace.iter() {
+    for r in view.iter() {
         *counts.entry(r.detail()).or_insert(0) += 1;
     }
     let mut out: Vec<(DetailedCause, f64)> = counts
         .into_iter()
         .map(|(c, n)| (c, n as f64 / total))
         .collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    out.sort_by(|a, b| b.1.total_cmp(&a.1));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{FailureRecord, NodeId, SystemId, Timestamp, Workload};
+    use hpcfail_records::{FailureRecord, FailureTrace, NodeId, SystemId, Timestamp, Workload};
+
+    fn breakdown(trace: &FailureTrace) -> CauseBreakdown {
+        CauseBreakdown::from_view(&trace.index().all())
+    }
 
     fn rec(system: u32, start: u64, dur: u64, detail: DetailedCause) -> FailureRecord {
         FailureRecord::new(
@@ -179,7 +171,7 @@ mod tests {
 
     #[test]
     fn breakdown_counts_and_downtime() {
-        let b = CauseBreakdown::from_trace(&mixed_trace());
+        let b = breakdown(&mixed_trace());
         assert_eq!(b.total_failures(), 5);
         assert_eq!(b.count(RootCause::Hardware), 3);
         assert_eq!(b.count(RootCause::Software), 1);
@@ -192,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_breakdown_is_nan() {
-        let b = CauseBreakdown::from_trace(&FailureTrace::new());
+        let b = breakdown(&FailureTrace::new());
         assert!(b.fraction_of_failures(RootCause::Hardware).is_nan());
         assert!(b.fraction_of_downtime(RootCause::Hardware).is_nan());
         assert_eq!(b.largest_by_failures(), None);
@@ -222,7 +214,8 @@ mod tests {
 
     #[test]
     fn detailed_fraction_ordering() {
-        let fr = detailed_fractions(&mixed_trace());
+        let trace = mixed_trace();
+        let fr = detailed_fractions(&trace.index().all());
         assert_eq!(fr[0].0, DetailedCause::Memory);
         assert!((fr[0].1 - 0.4).abs() < 1e-12);
         // Sorted descending.
@@ -232,14 +225,24 @@ mod tests {
         // Fractions sum to 1.
         let total: f64 = fr.iter().map(|(_, f)| f).sum();
         assert!((total - 1.0).abs() < 1e-12);
-        assert!(detailed_fractions(&FailureTrace::new()).is_empty());
+        assert!(detailed_fractions(&FailureTrace::new().index().all()).is_empty());
+        // On a system view the fractions are of that system's failures.
+        let index = trace.index();
+        let sys20 = detailed_fractions(&index.system(SystemId::new(20)));
+        assert_eq!(
+            sys20,
+            vec![
+                (DetailedCause::Memory, 0.5),
+                (DetailedCause::Undetermined, 0.5)
+            ]
+        );
     }
 
     #[test]
     fn paper_shape_on_synthetic_system() {
         // A type-E system trace must satisfy Fig 1's qualitative claims.
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(7), 42).unwrap();
-        let b = CauseBreakdown::from_trace(&trace);
+        let b = breakdown(&trace);
         assert_eq!(b.largest_by_failures(), Some(RootCause::Hardware));
         let hw = b.fraction_of_failures(RootCause::Hardware);
         assert!((0.30..=0.70).contains(&hw), "hardware fraction {hw}");

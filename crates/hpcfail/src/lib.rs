@@ -14,7 +14,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let trace = hpcfail::synth::scenario::system_trace(SystemId::new(12), 42)?;
-//! let breakdown = CauseBreakdown::from_trace(&trace);
+//! let breakdown = CauseBreakdown::from_view(&trace.index().all());
 //! assert_eq!(breakdown.largest_by_failures(), Some(RootCause::Hardware));
 //! # Ok(())
 //! # }

@@ -18,10 +18,11 @@
 //!   the same `(system, node)`), which turns pooled per-node gap
 //!   extraction into a single pass over the row set.
 //!
-//! [`TraceView`] is the borrowed replacement for owned filtered traces: a
-//! row set (contiguous range, borrowed posting slice, or a small owned
-//! row vector for composed filters) over the index, exposing the same
-//! query surface as [`FailureTrace`].
+//! [`TraceView`] is the one query surface over a trace: a row set
+//! (contiguous range, borrowed posting slice, or a small owned row vector
+//! for composed filters) over the index, answering every question the
+//! analyses ask of a slice — counts, downtime, group-bys and gaps.
+//! [`FailureTrace`] itself only stores the records.
 //!
 //! # Identity guarantees
 //!
@@ -30,10 +31,11 @@
 //! along any posting list the `start` column is non-decreasing, which is
 //! what lets [`TraceView::window`] slice any row set with
 //! `partition_point`. Every view query visits rows in ascending row
-//! order, i.e. exactly the record order the owned `filter_*` path
-//! iterates, and accumulates in the same sequence — results are
-//! *element-identical*, bit for bit, not merely statistically equal
-//! (proptests in `tests/proptests.rs` pin this on arbitrary traces).
+//! order, i.e. exactly the record order of a naive fold over the
+//! selected records, and accumulates in the same sequence — results are
+//! *element-identical* to that fold, bit for bit, not merely
+//! statistically equal (proptests in `tests/proptests.rs` pin this on
+//! arbitrary traces).
 //!
 //! ```
 //! use hpcfail_records::{FailureTrace, SystemId};
@@ -433,7 +435,8 @@ impl<'t> TraceIndex<'t> {
     }
 
     /// Failure count per node of one system, indexed by node id, zeros
-    /// included — [`FailureTrace::failures_per_node`] off the node runs.
+    /// included (ids past `node_count` are ignored) — read off the node
+    /// runs.
     pub fn failures_per_node(&self, system: SystemId, node_count: u32) -> Vec<u64> {
         let mut counts = vec![0u64; node_count as usize];
         let lo = self
@@ -510,9 +513,8 @@ enum RowSet<'a> {
     Owned { rows: Vec<u32>, node_closed: bool },
 }
 
-/// A borrowed, zero-copy replacement for an owned filtered
-/// [`FailureTrace`]: the same query surface, backed by a row set over a
-/// [`TraceIndex`].
+/// A borrowed, zero-copy slice of a trace — per system, node, cause,
+/// workload or time window — backed by a row set over a [`TraceIndex`].
 #[derive(Debug, Clone)]
 pub struct TraceView<'a> {
     index: &'a TraceIndex<'a>,
@@ -604,8 +606,8 @@ impl<'a> TraceView<'a> {
             .map(move |r| &records[r])
     }
 
-    /// Materialize the view as an owned [`FailureTrace`] (compatibility
-    /// escape hatch; rows ascend so the sort invariant carries over).
+    /// Materialize the view as an owned [`FailureTrace`] (rows ascend so
+    /// the sort invariant carries over).
     pub fn to_trace(&self) -> FailureTrace {
         let records = self.index.trace.records();
         let mut out = Vec::with_capacity(self.len());
@@ -637,9 +639,7 @@ impl<'a> TraceView<'a> {
         }
     }
 
-    /// Downtimes in minutes, in time order — element-identical to
-    /// [`FailureTrace::downtimes_minutes`] on the equivalent owned
-    /// filtered trace.
+    /// Downtimes in minutes (the paper's repair-time unit), in time order.
     pub fn downtimes_minutes(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len());
         self.for_each_row(|r| out.push(self.index.downtime[r] as f64 / 60.0));
@@ -704,7 +704,9 @@ impl<'a> TraceView<'a> {
         map
     }
 
-    /// Failure count per node of one system, zeros included.
+    /// Failure count per node of one system, indexed by node id, zeros
+    /// included — the Fig. 3(a) bar data. Ids past `node_count` are
+    /// ignored.
     pub fn failures_per_node(&self, system: SystemId, node_count: u32) -> Vec<u64> {
         if let RowSet::Range { lo, hi } = self.rows {
             if lo == 0 && hi as usize == self.index.len() {
@@ -743,12 +745,16 @@ impl<'a> TraceView<'a> {
         }
     }
 
-    /// System-wide inter-arrival gaps in seconds, in time order.
+    /// System-wide inter-arrival gaps in seconds: gaps between
+    /// consecutive failure *starts* in the view, in time order (the
+    /// paper's "view as seen by the whole system", Fig. 6(c)(d)).
+    ///
+    /// Zero gaps — simultaneous failures of two or more nodes — are
+    /// retained; the paper's Fig. 6(c) hinges on >30% of them being zero.
     ///
     /// # Errors
     ///
-    /// [`RecordError::EmptyTrace`] when the view has fewer than 2 records
-    /// (matching [`FailureTrace::interarrival_secs`]).
+    /// [`RecordError::EmptyTrace`] when the view has fewer than 2 records.
     pub fn interarrival_secs(&self) -> Result<Vec<f64>, RecordError> {
         if self.len() < 2 {
             return Err(RecordError::EmptyTrace);
@@ -775,10 +781,10 @@ impl<'a> TraceView<'a> {
         Ok(gaps)
     }
 
-    /// Per-node inter-arrival gaps pooled across all nodes in the view,
-    /// in time order — element-identical to
-    /// [`FailureTrace::per_node_interarrival_secs`] on the equivalent
-    /// owned filtered trace.
+    /// Per-node inter-arrival gaps — between consecutive records of the
+    /// same `(system, node)` retained by the view (the paper's "view as
+    /// seen by an individual node", Fig. 6(a)(b)) — pooled across all
+    /// nodes in the view, in time order.
     ///
     /// On node-closed row sets (system/node/window restrictions) this is
     /// a single sweep following the precomputed `prev_in_node` links; the
@@ -927,8 +933,8 @@ impl<'a> TraceView<'a> {
     /// Narrow the view to one root cause's records.
     ///
     /// The result is not node-closed: per-node gap extraction on it falls
-    /// back to the last-seen map (matching the owned-filter semantics,
-    /// where gaps are measured between *retained* records).
+    /// back to the last-seen map, so gaps are measured between *retained*
+    /// records.
     pub fn filter_cause(&self, cause: RootCause) -> TraceView<'a> {
         if let RowSet::Range { lo, hi } = self.rows {
             return TraceView {
@@ -1018,23 +1024,32 @@ mod tests {
         ])
     }
 
-    /// Every view query must match the owned filter_* original exactly.
+    /// The records of `trace` that `keep` selects, as their own trace.
+    fn select(trace: &FailureTrace, keep: impl Fn(&FailureRecord) -> bool) -> FailureTrace {
+        trace.iter().copied().filter(|r| keep(r)).collect()
+    }
+
+    /// Every query on a narrowed view must match the whole-trace view of
+    /// a trace holding only the selected records exactly: the posting,
+    /// node-run and owned-row paths against the contiguous-range path.
     fn assert_view_matches(view: &TraceView<'_>, owned: &FailureTrace) {
-        assert_eq!(view.len(), owned.len());
-        assert_eq!(view.first_start(), owned.first_start());
-        assert_eq!(view.last_start(), owned.last_start());
-        assert_eq!(view.total_downtime_secs(), owned.total_downtime_secs());
-        assert_eq!(view.downtimes_minutes(), owned.downtimes_minutes());
-        assert_eq!(view.count_by_cause(), owned.count_by_cause());
-        assert_eq!(view.downtime_by_cause(), owned.downtime_by_cause());
-        assert_eq!(view.count_by_system(), owned.count_by_system());
+        let index = owned.index();
+        let expected = index.all();
+        assert_eq!(view.len(), expected.len());
+        assert_eq!(view.first_start(), expected.first_start());
+        assert_eq!(view.last_start(), expected.last_start());
+        assert_eq!(view.total_downtime_secs(), expected.total_downtime_secs());
+        assert_eq!(view.downtimes_minutes(), expected.downtimes_minutes());
+        assert_eq!(view.count_by_cause(), expected.count_by_cause());
+        assert_eq!(view.downtime_by_cause(), expected.downtime_by_cause());
+        assert_eq!(view.count_by_system(), expected.count_by_system());
         assert_eq!(
             view.interarrival_secs().ok(),
-            owned.interarrival_secs().ok()
+            expected.interarrival_secs().ok()
         );
         assert_eq!(
             view.per_node_interarrival_secs(),
-            owned.per_node_interarrival_secs()
+            expected.per_node_interarrival_secs()
         );
         assert_eq!(&view.to_trace(), owned);
         let viewed: Vec<FailureRecord> = view.iter().copied().collect();
@@ -1047,6 +1062,19 @@ mod tests {
         let index = trace.index();
         assert_eq!(index.len(), trace.len());
         assert_view_matches(&index.all(), &trace);
+        // Hand-checked: starts 500, 1000, 1500, 2000, 2000, 3000.
+        let all = index.all();
+        assert_eq!(all.first_start(), Some(Timestamp::from_secs(500)));
+        assert_eq!(all.last_start(), Some(Timestamp::from_secs(3_000)));
+        assert_eq!(all.total_downtime_secs(), 120 + 60 + 600 + 30 + 90 + 15);
+        assert_eq!(
+            all.interarrival_secs().unwrap(),
+            vec![500.0, 500.0, 500.0, 0.0, 1_000.0]
+        );
+        assert_eq!(
+            all.per_node_interarrival_secs(),
+            vec![1_000.0, 1_500.0, 1_000.0]
+        );
     }
 
     #[test]
@@ -1055,18 +1083,22 @@ mod tests {
         let index = trace.index();
         for sys in [5u32, 20, 7] {
             let id = SystemId::new(sys);
-            assert_view_matches(&index.system(id), &trace.filter_system(id));
+            assert_view_matches(&index.system(id), &select(&trace, |r| r.system() == id));
             for node in 0..4u32 {
                 let n = NodeId::new(node);
-                assert_view_matches(&index.node(id, n), &trace.filter_node(id, n));
+                assert_view_matches(
+                    &index.node(id, n),
+                    &select(&trace, |r| r.system() == id && r.node() == n),
+                );
             }
         }
         for cause in RootCause::ALL {
-            assert_view_matches(&index.cause(cause), &trace.filter_cause(cause));
+            assert_view_matches(&index.cause(cause), &select(&trace, |r| r.cause() == cause));
         }
         for w in Workload::ALL {
-            assert_view_matches(&index.workload(w), &trace.filter_workload(w));
-            assert_eq!(index.all().count_workload(w), trace.filter_workload(w).len());
+            let of_workload = select(&trace, |r| r.workload() == w);
+            assert_view_matches(&index.workload(w), &of_workload);
+            assert_eq!(index.all().count_workload(w), of_workload.len());
         }
     }
 
@@ -1088,24 +1120,20 @@ mod tests {
             assert_view_matches(&view, &owned);
             // window ∘ system and system ∘ window both match.
             let id = SystemId::new(20);
-            assert_view_matches(&view.filter_system(id), &owned.filter_system(id));
-            assert_view_matches(
-                &index.system(id).window(f, t),
-                &trace.filter_system(id).filter_window(f, t),
-            );
+            let of_system = select(&owned, |r| r.system() == id);
+            assert_view_matches(&view.filter_system(id), &of_system);
+            assert_view_matches(&index.system(id).window(f, t), &of_system);
             // cause restriction after a window.
-            assert_view_matches(
-                &view.filter_cause(RootCause::Hardware),
-                &owned.filter_cause(RootCause::Hardware),
-            );
+            let hardware = select(&owned, |r| r.cause() == RootCause::Hardware);
+            assert_view_matches(&view.filter_cause(RootCause::Hardware), &hardware);
             // node restriction of a cause view (owned-rows path).
             assert_view_matches(
                 &view
                     .filter_cause(RootCause::Hardware)
                     .filter_node(SystemId::new(20), NodeId::new(0)),
-                &owned
-                    .filter_cause(RootCause::Hardware)
-                    .filter_node(SystemId::new(20), NodeId::new(0)),
+                &select(&hardware, |r| {
+                    r.system() == id && r.node() == NodeId::new(0)
+                }),
             );
         }
     }
@@ -1117,9 +1145,10 @@ mod tests {
         let view = index.all();
         let totals = view.counts_by_cause_per_system();
         for (&sys, t) in &totals {
-            let sub = trace.filter_system(sys);
-            let counts = sub.count_by_cause();
-            let downtime = sub.downtime_by_cause();
+            let sub = select(&trace, |r| r.system() == sys);
+            let sub_index = sub.index();
+            let counts = sub_index.all().count_by_cause();
+            let downtime = sub_index.all().downtime_by_cause();
             for cause in RootCause::ALL {
                 assert_eq!(
                     t.count[cause.index()],
@@ -1131,23 +1160,29 @@ mod tests {
                 );
             }
             assert_eq!(t.total_count(), sub.len() as u64);
-            assert_eq!(t.total_downtime_secs(), sub.total_downtime_secs());
+            assert_eq!(
+                t.total_downtime_secs(),
+                sub_index.all().total_downtime_secs()
+            );
         }
         assert_eq!(
             totals.keys().copied().collect::<Vec<_>>(),
             index.systems().collect::<Vec<_>>()
         );
         assert_eq!(view.downtime_by_system().len(), totals.len());
+        // Hand-checked: node 0 fails at 1000, 2000, 3000; node 1 at 500, 2000.
         assert_eq!(
             index.failures_per_node(SystemId::new(20), 4),
-            trace.failures_per_node(SystemId::new(20), 4)
+            vec![3, 2, 0, 0]
+        );
+        assert_eq!(
+            view.failures_per_node(SystemId::new(20), 4),
+            vec![3, 2, 0, 0]
         );
         assert_eq!(
             view.window(Timestamp::from_secs(500), Timestamp::from_secs(2_000))
                 .failures_per_node(SystemId::new(20), 4),
-            trace
-                .filter_window(Timestamp::from_secs(500), Timestamp::from_secs(2_000))
-                .failures_per_node(SystemId::new(20), 4)
+            vec![1, 1, 0, 0]
         );
         assert_eq!(
             index.nodes_of(SystemId::new(20)).collect::<Vec<_>>(),
@@ -1219,8 +1254,9 @@ mod tests {
     fn zero_gap_fraction_matches() {
         let trace = sample_trace();
         let index = trace.index();
-        let a = index.all().zero_gap_fraction();
-        let b = trace.zero_gap_fraction();
-        assert!((a - b).abs() < 1e-15 || (a.is_nan() && b.is_nan()));
+        // One zero gap (the two failures at t=2000) among five.
+        assert_eq!(index.all().zero_gap_fraction(), 0.2);
+        // Same via the posting-list path: system 20 has the same tie.
+        assert_eq!(index.system(SystemId::new(20)).zero_gap_fraction(), 0.25);
     }
 }

@@ -505,7 +505,7 @@ mod tests {
         let (catalog, cal) = generator_fixture();
         let g = TraceGenerator::new(&catalog, &cal).unwrap();
         let trace = g.system_trace(SystemId::new(7), 5).unwrap(); // type E, big
-        let counts = trace.count_by_cause();
+        let counts = trace.index().all().count_by_cause();
         let total = trace.len() as f64;
         let hw = *counts.get(&RootCause::Hardware).unwrap_or(&0) as f64 / total;
         assert!((hw - 0.62).abs() < 0.05, "hardware fraction {hw}");
@@ -524,7 +524,9 @@ mod tests {
         let mut compute = 0u64;
         for seed in 0..5u64 {
             let trace = g.system_trace(SystemId::new(5), seed).unwrap();
-            let counts = trace.failures_per_node(SystemId::new(5), spec.nodes());
+            let counts = trace
+                .index()
+                .failures_per_node(SystemId::new(5), spec.nodes());
             fe += counts[0];
             compute += counts[1..].iter().sum::<u64>();
         }
@@ -544,10 +546,15 @@ mod tests {
         let spec = catalog.system(SystemId::new(20)).unwrap();
         // Early window: first 3 years.
         let early_end = spec.production_start() + 3 * hpcfail_records::time::YEAR;
-        let early = trace.filter_window(spec.production_start(), early_end);
-        let late = trace.filter_window(early_end, spec.production_end());
-        let zf_early = early.zero_gap_fraction();
-        let zf_late = late.zero_gap_fraction();
+        let index = trace.index();
+        let zf_early = index
+            .all()
+            .window(spec.production_start(), early_end)
+            .zero_gap_fraction();
+        let zf_late = index
+            .all()
+            .window(early_end, spec.production_end())
+            .zero_gap_fraction();
         assert!(
             zf_early > 0.25,
             "early zero-gap fraction {zf_early} (paper: >30%)"
@@ -639,7 +646,7 @@ mod tests {
         let (catalog, cal) = generator_fixture();
         let g = TraceGenerator::new(&catalog, &cal).unwrap();
         let site = g.site_trace(1).unwrap();
-        let by_system = site.count_by_system();
+        let by_system = site.index().all().count_by_system();
         assert_eq!(by_system.len(), 22, "every system contributes records");
         // Total magnitude: Σ annual × years is in the paper's ~23000 zone.
         assert!(

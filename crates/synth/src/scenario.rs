@@ -41,8 +41,9 @@ mod tests {
     fn single_system_scenario() {
         let t = system_trace(SystemId::new(12), DEFAULT_SEED).unwrap();
         assert!(!t.is_empty());
-        assert!(t.count_by_system().contains_key(&SystemId::new(12)));
-        assert_eq!(t.count_by_system().len(), 1);
+        let by_system = t.index().all().count_by_system();
+        assert!(by_system.contains_key(&SystemId::new(12)));
+        assert_eq!(by_system.len(), 1);
     }
 
     #[test]

@@ -20,6 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = SystemId::new(20);
     let trace = hpcfail::synth::scenario::system_trace(system, 42)?;
     let gaps: Vec<f64> = trace
+        .index()
+        .all()
         .per_node_interarrival_secs()
         .into_iter()
         .filter(|&g| g > 0.0)

@@ -45,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Basic composition.
-    let by_cause = import.trace.count_by_cause();
+    let index = import.trace.index();
+    let by_cause = index.all().count_by_cause();
     println!("\nrecords by root cause:");
     for cause in RootCause::ALL {
         if let Some(n) = by_cause.get(&cause) {
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // conclusions; the tiny bundled sample will fail most of them, which
     // is itself the demonstration.
     let catalog = Catalog::lanl();
-    match findings::evaluate_indexed(&import.trace.index(), &catalog) {
+    match findings::evaluate_indexed(&index, &catalog) {
         Ok(result) => {
             println!("\nSection-8 conclusions on this trace:");
             for f in &result.findings {

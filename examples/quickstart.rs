@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Root causes (paper Fig. 1): hardware dominates.
-    let breakdown = rootcause::CauseBreakdown::from_trace(&trace);
+    let breakdown = rootcause::CauseBreakdown::from_view(&trace.index().all());
     println!("\nroot causes (fraction of failures):");
     for cause in RootCause::ALL {
         println!(

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", table.render());
 
     // Hour-of-day / day-of-week pattern (Fig. 5).
-    let pattern = periodic::analyze(&trace)?;
+    let pattern = periodic::analyze_indexed(&trace.index())?;
     println!(
         "peak-to-trough by hour: {:.2} (paper ~2); weekday/weekend: {:.2} (paper ~2)",
         pattern.hourly_peak_to_trough(),

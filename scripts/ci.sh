@@ -140,6 +140,23 @@ cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
     summary "$tmpdir/fixed.hpct" > /dev/null
 echo "OK: pack round-trips through every sniffed reader and rejects corruption typed"
 
+echo "==> CLI summary and validate vs committed experiments/cli_*.txt goldens"
+diff_cli_golden() { # golden, fresh-output, re-record command
+    if ! diff -u "$1" "$2"; then
+        echo "FAIL: $2 differs from $1." >&2
+        echo "      If the drift is intentional, re-record with:" >&2
+        echo "      $3 > $1" >&2
+        exit 1
+    fi
+}
+diff_cli_golden experiments/cli_summary_sys20.txt "$tmpdir/summary_csv.txt" \
+    "cargo run --release -p hpcfail-cli --bin hpcfail -- generate --seed 42 --system 20 --out sys20.csv && cargo run --release -p hpcfail-cli --bin hpcfail -- summary sys20.csv"
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    validate --seed 42 > "$tmpdir/validate.txt"
+diff_cli_golden experiments/cli_validate_seed42.txt "$tmpdir/validate.txt" \
+    "cargo run --release -p hpcfail-cli --bin hpcfail -- validate --seed 42"
+echo "OK: summary and validate byte-identical to their goldens"
+
 echo "==> serve test battery (integration, cache, http proptests, determinism)"
 cargo test --release -q -p hpcfail --test serve_integration
 cargo test --release -q -p hpcfail --test serve_cache

@@ -82,12 +82,11 @@ fn fig1b_root_cause_breakdown_of_downtime() {
 fn fig1_detailed_causes_memory_everywhere() {
     // Section 4: memory >10% of all failures in every system type; >25%
     // for F and H; type E is CPU-dominated.
-    let trace = site();
+    let index = site().index();
     let catalog = catalog();
     for hw in HardwareType::FIGURE1_SET {
         let ids: Vec<SystemId> = catalog.systems_of_type(hw).iter().map(|s| s.id()).collect();
-        let sub = trace.filter(|r| ids.contains(&r.system()));
-        let fractions = rootcause::detailed_fractions(&sub);
+        let fractions = rootcause::detailed_fractions(&index.all().filter_systems(&ids));
         let memory = fractions
             .iter()
             .find(|(c, _)| *c == DetailedCause::Memory)
@@ -134,8 +133,8 @@ fn fig2b_normalization_removes_most_variability() {
 
 #[test]
 fn fig3a_graphics_nodes_take_outsized_share() {
-    let trace = site().filter_system(SystemId::new(20));
-    let analysis = pernode::analyze_indexed(&trace.index(), &catalog(), SystemId::new(20)).unwrap();
+    let analysis =
+        pernode::analyze_indexed(&site().index(), &catalog(), SystemId::new(20)).unwrap();
     // Paper: nodes 21-23 are 6% of nodes but ~20% of failures.
     assert!((analysis.graphics_node_share - 0.061).abs() < 0.01);
     assert!(
@@ -147,8 +146,8 @@ fn fig3a_graphics_nodes_take_outsized_share() {
 
 #[test]
 fn fig3b_poisson_loses_to_normal_and_lognormal() {
-    let trace = site().filter_system(SystemId::new(20));
-    let analysis = pernode::analyze_indexed(&trace.index(), &catalog(), SystemId::new(20)).unwrap();
+    let analysis =
+        pernode::analyze_indexed(&site().index(), &catalog(), SystemId::new(20)).unwrap();
     assert!(analysis.compute_fits.poisson_is_worst());
     assert!(analysis.compute_fits.dispersion_index > 1.5);
 }
@@ -180,7 +179,7 @@ fn fig4b_type_g_failure_rate_ramps_twenty_months() {
 
 #[test]
 fn fig5_daily_and_weekly_patterns() {
-    let pattern = periodic::analyze(site()).unwrap();
+    let pattern = periodic::analyze_indexed(&site().index()).unwrap();
     let hour_ratio = pattern.hourly_peak_to_trough();
     assert!(
         (1.5..2.8).contains(&hour_ratio),
@@ -197,17 +196,17 @@ fn fig5_daily_and_weekly_patterns() {
 
 #[test]
 fn fig6_time_between_failures() {
-    let trace = site().filter_system(SystemId::new(20));
+    let index = site().index();
     let (early, late) = tbf::paper_era_split();
     let sys = SystemId::new(20);
 
     // (c): early system-wide view dominated by simultaneous failures.
-    let c = tbf::analyze(&trace, tbf::View::SystemWide(sys), Some(early)).unwrap();
+    let c = tbf::analyze_indexed(&index, tbf::View::SystemWide(sys), Some(early)).unwrap();
     assert!(c.zero_fraction > 0.3, "zero fraction {}", c.zero_fraction);
 
     // (d): late system-wide view — Weibull/gamma win, shape ~0.78,
     // decreasing hazard.
-    let d = tbf::analyze(&trace, tbf::View::SystemWide(sys), Some(late)).unwrap();
+    let d = tbf::analyze_indexed(&index, tbf::View::SystemWide(sys), Some(late)).unwrap();
     let best = d.fits.best().unwrap().family;
     assert!(
         best == Family::Weibull || best == Family::Gamma,
@@ -219,8 +218,10 @@ fn fig6_time_between_failures() {
 
     // (a)/(b): node 22 — early era much more variable than late era
     // (paper C² 3.9 vs 1.9), exponential always worst.
-    let a = tbf::analyze(&trace, tbf::View::Node(sys, NodeId::new(22)), Some(early)).unwrap();
-    let b = tbf::analyze(&trace, tbf::View::Node(sys, NodeId::new(22)), Some(late)).unwrap();
+    let a =
+        tbf::analyze_indexed(&index, tbf::View::Node(sys, NodeId::new(22)), Some(early)).unwrap();
+    let b =
+        tbf::analyze_indexed(&index, tbf::View::Node(sys, NodeId::new(22)), Some(late)).unwrap();
     assert!(a.c2 > b.c2, "early C² {} vs late C² {}", a.c2, b.c2);
     assert_eq!(a.fits.rank_of(Family::Exponential), Some(3));
     assert_eq!(b.fits.rank_of(Family::Exponential), Some(3));
@@ -295,7 +296,7 @@ fn derived_workload_rates() {
 
 #[test]
 fn derived_daily_burstiness() {
-    let a = daily::analyze(site()).unwrap();
+    let a = daily::analyze_indexed(&site().index()).unwrap();
     assert!(a.dispersion_index > 1.5);
     assert!(a.lag1_autocorrelation > 0.1);
     assert!(a.negative_binomial_wins());

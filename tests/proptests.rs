@@ -167,8 +167,10 @@ proptest! {
     #[test]
     fn interarrivals_sum_to_span(records in prop::collection::vec(arbitrary_record(), 2..100)) {
         let trace = FailureTrace::from_records(records);
-        let gaps = trace.interarrival_secs().unwrap();
-        let span = (trace.last_start().unwrap() - trace.first_start().unwrap()) as f64;
+        let idx = trace.index();
+        let all = idx.all();
+        let gaps = all.interarrival_secs().unwrap();
+        let span = (all.last_start().unwrap() - all.first_start().unwrap()) as f64;
         let total: f64 = gaps.iter().sum();
         prop_assert!((total - span).abs() < 1e-6);
         prop_assert!(gaps.iter().all(|&g| g >= 0.0));
@@ -177,7 +179,8 @@ proptest! {
     #[test]
     fn cause_filters_partition(records in prop::collection::vec(arbitrary_record(), 0..100)) {
         let trace = FailureTrace::from_records(records);
-        let total: usize = RootCause::ALL.iter().map(|&c| trace.filter_cause(c).len()).sum();
+        let idx = trace.index();
+        let total: usize = RootCause::ALL.iter().map(|&c| idx.cause(c).len()).sum();
         prop_assert_eq!(total, trace.len());
     }
 
@@ -518,7 +521,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Trace query index: borrowed views vs owned filtered traces
+// Trace query index: borrowed views vs the naive record fold
 // ---------------------------------------------------------------------
 
 /// Exact float equality that also matches NaN with NaN (the empty-slice
@@ -527,34 +530,108 @@ fn f64_identical(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-/// Assert that a borrowed view answers every query exactly as the owned
-/// filtered trace it mirrors — same records, same element order, same
-/// float sequences, same group-by maps.
-fn assert_view_matches_owned(view: &TraceView<'_>, owned: &FailureTrace) {
-    assert_eq!(view.len(), owned.len());
-    assert_eq!(view.is_empty(), owned.is_empty());
-    let viewed: Vec<&FailureRecord> = view.iter().collect();
-    let records: Vec<&FailureRecord> = owned.iter().collect();
+/// The records of `trace` that `keep` selects, in trace order — the
+/// naive reference every view is checked against.
+fn naive(trace: &FailureTrace, keep: impl Fn(&FailureRecord) -> bool) -> Vec<FailureRecord> {
+    trace.iter().filter(|r| keep(r)).copied().collect()
+}
+
+/// Group-by fold over records: `value` summed per `key`.
+fn naive_group<K: Ord>(
+    records: &[FailureRecord],
+    key: impl Fn(&FailureRecord) -> K,
+    value: impl Fn(&FailureRecord) -> u64,
+) -> std::collections::BTreeMap<K, u64> {
+    let mut map = std::collections::BTreeMap::new();
+    for r in records {
+        *map.entry(key(r)).or_insert(0) += value(r);
+    }
+    map
+}
+
+/// Gaps between consecutive starts; `None` below 2 records.
+fn naive_interarrival_secs(records: &[FailureRecord]) -> Option<Vec<f64>> {
+    (records.len() >= 2).then(|| {
+        records
+            .windows(2)
+            .map(|w| (w[1].start() - w[0].start()) as f64)
+            .collect()
+    })
+}
+
+/// Gaps between consecutive records of the same `(system, node)`,
+/// pooled in record order.
+fn naive_per_node_interarrival_secs(records: &[FailureRecord]) -> Vec<f64> {
+    let mut last_seen = std::collections::BTreeMap::new();
+    let mut gaps = Vec::new();
+    for r in records {
+        if let Some(prev) = last_seen.insert((r.system(), r.node()), r.start()) {
+            gaps.push((r.start() - prev) as f64);
+        }
+    }
+    gaps
+}
+
+/// Failure count per node id of one system, zeros included, ids past
+/// `node_count` ignored.
+fn naive_failures_per_node(
+    records: &[FailureRecord],
+    system: SystemId,
+    node_count: u32,
+) -> Vec<u64> {
+    let mut counts = vec![0u64; node_count as usize];
+    for r in records.iter().filter(|r| r.system() == system) {
+        if let Some(c) = counts.get_mut(r.node().get() as usize) {
+            *c += 1;
+        }
+    }
+    counts
+}
+
+/// Assert that a borrowed view answers every query exactly as a naive
+/// fold over the records it selects — same records, same element order,
+/// same float sequences (bitwise), same group-by maps.
+fn assert_view_matches_naive(view: &TraceView<'_>, records: &[FailureRecord]) {
+    assert_eq!(view.len(), records.len());
+    assert_eq!(view.is_empty(), records.is_empty());
+    let viewed: Vec<FailureRecord> = view.iter().copied().collect();
     assert_eq!(viewed, records, "record sequence");
-    assert_eq!(view.to_trace().records(), owned.records());
-    assert_eq!(view.first_start(), owned.first_start());
-    assert_eq!(view.last_start(), owned.last_start());
-    assert_eq!(view.total_downtime_secs(), owned.total_downtime_secs());
-    assert_eq!(view.downtimes_minutes(), owned.downtimes_minutes());
-    assert_eq!(view.count_by_cause(), owned.count_by_cause());
-    assert_eq!(view.downtime_by_cause(), owned.downtime_by_cause());
-    assert_eq!(view.count_by_system(), owned.count_by_system());
-    match (view.interarrival_secs(), owned.interarrival_secs()) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "interarrival sequence"),
-        (Err(_), Err(_)) => {}
-        (a, b) => panic!("interarrival mismatch: view {a:?} vs owned {b:?}"),
+    assert_eq!(view.to_trace().records(), records);
+    assert_eq!(view.first_start(), records.first().map(|r| r.start()));
+    assert_eq!(view.last_start(), records.last().map(|r| r.start()));
+    assert_eq!(
+        view.total_downtime_secs(),
+        records.iter().map(|r| r.downtime_secs()).sum::<u64>()
+    );
+    let minutes: Vec<f64> = records.iter().map(|r| r.downtime_minutes()).collect();
+    assert_eq!(view.downtimes_minutes(), minutes);
+    assert_eq!(
+        view.count_by_cause(),
+        naive_group(records, |r| r.cause(), |_| 1)
+    );
+    assert_eq!(
+        view.downtime_by_cause(),
+        naive_group(records, |r| r.cause(), |r| r.downtime_secs())
+    );
+    assert_eq!(
+        view.count_by_system(),
+        naive_group(records, |r| r.system(), |_| 1)
+    );
+    let gaps = naive_interarrival_secs(records);
+    match (view.interarrival_secs(), &gaps) {
+        (Ok(a), Some(b)) => assert_eq!(&a, b, "interarrival sequence"),
+        (Err(_), None) => {}
+        (a, b) => panic!("interarrival mismatch: view {a:?} vs naive {b:?}"),
     }
     assert_eq!(
         view.per_node_interarrival_secs(),
-        owned.per_node_interarrival_secs(),
+        naive_per_node_interarrival_secs(records),
         "pooled per-node gap sequence"
     );
-    assert!(f64_identical(view.zero_gap_fraction(), owned.zero_gap_fraction()));
+    let zero_fraction = gaps.map_or(f64::NAN, |g| {
+        g.iter().filter(|&&g| g == 0.0).count() as f64 / g.len() as f64
+    });
+    assert!(f64_identical(view.zero_gap_fraction(), zero_fraction));
 }
 
 fn index_systems(trace: &FailureTrace) -> Vec<SystemId> {
@@ -565,47 +642,68 @@ fn index_systems(trace: &FailureTrace) -> Vec<SystemId> {
     ids
 }
 
+/// A record whose start falls on one of four instants, so that traces
+/// built from it tie on start time across systems and nodes.
+fn tied_record() -> impl Strategy<Value = FailureRecord> {
+    (1u32..=22, 0u32..4, 0u64..4, 0u64..1_000).prop_map(|(sys, node, slot, dur)| {
+        let start = 100_000_000 + slot * 3_600;
+        FailureRecord::new(
+            SystemId::new(sys),
+            NodeId::new(node),
+            Timestamp::from_secs(start),
+            Timestamp::from_secs(start + dur),
+            hpcfail::records::Workload::Compute,
+            hpcfail::records::DetailedCause::Memory,
+        )
+        .expect("end >= start by construction")
+    })
+}
+
+/// An arbitrary or a tied record, half and half.
+fn mixed_record() -> impl Strategy<Value = FailureRecord> {
+    (0u8..2, arbitrary_record(), tied_record())
+        .prop_map(|(pick, any, tied)| if pick == 0 { any } else { tied })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every single-axis view answers queries exactly like the owned
-    /// `filter_*` trace it replaces, on arbitrary traces.
+    /// Every single-axis view answers queries exactly like the naive
+    /// fold over the owned records it selects, on arbitrary traces.
     #[test]
     fn views_match_owned_filters(
         records in prop::collection::vec(arbitrary_record(), 0..120),
     ) {
         let trace = FailureTrace::from_records(records);
         let idx = trace.index();
-        assert_view_matches_owned(&idx.all(), &trace);
+        assert_view_matches_naive(&idx.all(), trace.records());
         for sys in index_systems(&trace) {
-            assert_view_matches_owned(&idx.system(sys), &trace.filter_system(sys));
-            assert_view_matches_owned(
-                &idx.all().filter_system(sys),
-                &trace.filter_system(sys),
-            );
+            let of_system = naive(&trace, |r| r.system() == sys);
+            assert_view_matches_naive(&idx.system(sys), &of_system);
+            assert_view_matches_naive(&idx.all().filter_system(sys), &of_system);
             for node in 0..3u32 {
                 let node = NodeId::new(node);
-                assert_view_matches_owned(
+                assert_view_matches_naive(
                     &idx.node(sys, node),
-                    &trace.filter_node(sys, node),
+                    &naive(&trace, |r| r.system() == sys && r.node() == node),
                 );
             }
         }
         for cause in RootCause::ALL {
-            assert_view_matches_owned(&idx.cause(cause), &trace.filter_cause(cause));
-            assert_view_matches_owned(
-                &idx.all().filter_cause(cause),
-                &trace.filter_cause(cause),
-            );
+            let of_cause = naive(&trace, |r| r.cause() == cause);
+            assert_view_matches_naive(&idx.cause(cause), &of_cause);
+            assert_view_matches_naive(&idx.all().filter_cause(cause), &of_cause);
         }
         for w in Workload::ALL {
-            assert_view_matches_owned(&idx.workload(w), &trace.filter_workload(w));
-            prop_assert_eq!(idx.all().count_workload(w), trace.filter_workload(w).len());
+            let of_workload = naive(&trace, |r| r.workload() == w);
+            assert_view_matches_naive(&idx.workload(w), &of_workload);
+            prop_assert_eq!(idx.all().count_workload(w), of_workload.len());
         }
     }
 
-    /// Window slicing and stacked filter compositions agree with chains
-    /// of owned filters, in every order.
+    /// Window slicing and stacked filter compositions agree with the
+    /// naive fold over the conjunction of their predicates, in every
+    /// order.
     #[test]
     fn view_windows_and_compositions_match_owned(
         records in prop::collection::vec(arbitrary_record(), 0..120),
@@ -615,37 +713,30 @@ proptest! {
         let trace = FailureTrace::from_records(records);
         let idx = trace.index();
         let (from, to) = (Timestamp::from_secs(a.min(b)), Timestamp::from_secs(a.max(b)));
-        assert_view_matches_owned(&idx.all().window(from, to), &trace.filter_window(from, to));
+        let in_window = |r: &FailureRecord| r.start() >= from && r.start() < to;
+        assert_view_matches_naive(&idx.all().window(from, to), &naive(&trace, in_window));
         for sys in index_systems(&trace) {
-            let owned = trace.filter_system(sys).filter_window(from, to);
-            assert_view_matches_owned(&idx.system(sys).window(from, to), &owned);
+            let expected = naive(&trace, |r| r.system() == sys && in_window(r));
+            assert_view_matches_naive(&idx.system(sys).window(from, to), &expected);
             // Window first, system second — same rows either way.
-            assert_view_matches_owned(
-                &idx.all().window(from, to).filter_system(sys),
-                &owned,
-            );
+            assert_view_matches_naive(&idx.all().window(from, to).filter_system(sys), &expected);
             for node in 0..2u32 {
                 let node = NodeId::new(node);
-                assert_view_matches_owned(
+                assert_view_matches_naive(
                     &idx.node(sys, node).window(from, to),
-                    &trace.filter_node(sys, node).filter_window(from, to),
+                    &naive(&trace, |r| r.system() == sys && r.node() == node && in_window(r)),
                 );
             }
         }
         for cause in RootCause::ALL {
-            assert_view_matches_owned(
-                &idx.cause(cause).window(from, to),
-                &trace.filter_cause(cause).filter_window(from, to),
-            );
-            assert_view_matches_owned(
-                &idx.all().window(from, to).filter_cause(cause),
-                &trace.filter_window(from, to).filter_cause(cause),
-            );
+            let expected = naive(&trace, |r| r.cause() == cause && in_window(r));
+            assert_view_matches_naive(&idx.cause(cause).window(from, to), &expected);
+            assert_view_matches_naive(&idx.all().window(from, to).filter_cause(cause), &expected);
         }
     }
 
     /// The single-pass group-by kernels agree with per-record folds over
-    /// the owned trace.
+    /// the trace.
     #[test]
     fn view_group_kernels_match_owned_folds(
         records in prop::collection::vec(arbitrary_record(), 0..120),
@@ -671,23 +762,20 @@ proptest! {
             prop_assert_eq!(&totals.downtime_secs, downtime);
         }
         for sys in index_systems(&trace) {
-            prop_assert_eq!(
-                idx.failures_per_node(sys, 8),
-                trace.failures_per_node(sys, 8)
-            );
-            prop_assert_eq!(
-                idx.all().failures_per_node(sys, 8),
-                trace.failures_per_node(sys, 8)
-            );
+            let expected = naive_failures_per_node(trace.records(), sys, 8);
+            prop_assert_eq!(idx.failures_per_node(sys, 8), expected.clone());
+            prop_assert_eq!(idx.all().failures_per_node(sys, 8), expected);
         }
     }
 
-    /// The sorted-merge fast path must equal rebuilding from the record
-    /// concatenation (the pre-rewrite extend-then-resort semantics).
+    /// The sorted merge must equal rebuilding from the record
+    /// concatenation, including on start times tied across systems and
+    /// nodes, and the merged trace must keep the full `(start, system,
+    /// node)` order that the packed store checks on reopen.
     #[test]
     fn merge_equals_from_records_of_concat(
-        a in prop::collection::vec(arbitrary_record(), 0..80),
-        b in prop::collection::vec(arbitrary_record(), 0..80),
+        a in prop::collection::vec(mixed_record(), 0..80),
+        b in prop::collection::vec(mixed_record(), 0..80),
     ) {
         let mut merged = FailureTrace::from_records(a.clone());
         merged.merge(FailureTrace::from_records(b.clone()));
@@ -695,6 +783,9 @@ proptest! {
         concat.extend(b);
         let rebuilt = FailureTrace::from_records(concat);
         prop_assert_eq!(merged.records(), rebuilt.records());
+        let reopened = TraceStore::from_bytes(&TraceStore::to_bytes(&merged.index()))
+            .expect("a merged trace must reopen through the packed store");
+        prop_assert_eq!(reopened.trace(), &merged);
     }
 
     /// `filter_window`'s partition_point slicing equals the predicate
@@ -708,8 +799,8 @@ proptest! {
         let trace = FailureTrace::from_records(records);
         let (from, to) = (Timestamp::from_secs(a.min(b)), Timestamp::from_secs(a.max(b)));
         let sliced = trace.filter_window(from, to);
-        let scanned = trace.filter(|r| r.start() >= from && r.start() < to);
-        prop_assert_eq!(sliced.records(), scanned.records());
+        let scanned = naive(&trace, |r| r.start() >= from && r.start() < to);
+        prop_assert_eq!(sliced.records(), &scanned[..]);
         // Degenerate empty window.
         let empty = trace.filter_window(to, from);
         prop_assert!(empty.is_empty() || from == to);
