@@ -3,10 +3,10 @@
 //! up to 1e7). Results are recorded in `experiments/BENCH_trace.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hpcfail_records::io::{read_csv, write_csv};
+use hpcfail_records::io::{read_trace, write_csv, Dialect};
 use hpcfail_records::{
-    DetailedCause, FailureRecord, FailureTrace, NodeId, RootCause, SystemId, Timestamp, TraceIndex,
-    TraceStore, Workload,
+    DetailedCause, FailureRecord, FailureTrace, IngestPolicy, NodeId, RootCause, SystemId,
+    Timestamp, TraceIndex, TraceStore, Workload,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -173,7 +173,9 @@ fn bench_store_load(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("csv_parse_build", n), &csv, |b, csv| {
             b.iter(|| {
-                let t = read_csv(black_box(&csv[..])).expect("clean csv");
+                let t = read_trace(black_box(&csv[..]), Dialect::Native, IngestPolicy::FailFast)
+                    .expect("clean csv")
+                    .trace;
                 TraceIndex::build(&t).all().len()
             });
         });

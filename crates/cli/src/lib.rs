@@ -1,8 +1,10 @@
 //! # hpcfail-cli
 //!
 //! The `hpcfail` command-line tool: generate calibrated synthetic traces,
-//! summarize and analyze failure logs (native or LANL-style CSV), convert
-//! formats, and self-validate the generator.
+//! summarize and analyze failure logs (native or LANL-style CSV, or a
+//! packed `.hpct` store), convert formats, and self-validate the
+//! generator. Every command reads its input through the one loader,
+//! [`hpcfail_records::io::read_trace`].
 //!
 //! ```text
 //! hpcfail generate [--seed N] [--system ID] [--out FILE]
@@ -24,16 +26,14 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hpcfail_core::report::{fmt_num, fmt_pct, TextTable};
 use hpcfail_core::{findings, rates, repair, rootcause, tbf};
-use hpcfail_records::io::{read_csv, read_csv_lenient, write_csv};
-use hpcfail_records::io_lanl::{read_lanl_csv, read_lanl_csv_lenient};
+use hpcfail_records::io::{read_trace, write_csv, Dialect};
 use hpcfail_records::quality::{audit_with_catalog, repair as repair_trace, RepairPolicy};
 use hpcfail_records::{
-    Catalog, FailureTrace, IngestPolicy, LenientIngest, RootCause, SystemId, TraceStore,
+    Catalog, IngestPolicy, LenientIngest, QualityIssue, RootCause, SystemId, TraceIndex, TraceStore,
 };
 
 /// A CLI failure: message plus suggested exit code.
@@ -76,7 +76,7 @@ USAGE:
       Generate a calibrated synthetic trace (whole site, or one system)
       and write it as CSV to --out (default: stdout path 'trace.csv').
   hpcfail summary FILE
-      Print the composition of a native-CSV trace.
+      Print the composition of a trace (native CSV or packed .hpct).
   hpcfail analyze FILE [--system ID]
       Failure rates, repair statistics, and TBF fits for a trace.
   hpcfail findings FILE
@@ -86,14 +86,17 @@ USAGE:
       records for duplicates/overlaps/window violations, and with
       --repair apply the standard repair passes (writing the repaired
       trace to --out when given). --lanl reads the LANL export format;
-      --pack writes --out as a packed .hpct binary store instead of CSV.
+      a packed .hpct FILE is accepted whole. --pack writes --out as a
+      packed .hpct binary store instead of CSV.
   hpcfail pack FILE [--lanl] [--out FILE.hpct]
       Build the trace index once and write it as a versioned, checksummed
       .hpct binary columnar store (default out: FILE with an .hpct
-      extension). Packed traces open in O(1) per record — analyze,
-      serve --trace, and /v1/reload all accept them transparently.
+      extension). FILE may itself be a .hpct store (it is repacked).
+      Packed traces open in O(1) per record — every FILE-taking command,
+      serve --trace, and /v1/reload accept them transparently.
   hpcfail import-lanl FILE [--out FILE]
-      Convert a LANL-style export to the native CSV format.
+      Convert a LANL-style export (or a packed .hpct store) to the
+      native CSV format.
   hpcfail validate [--seed N]
       Regenerate the site and check every calibration target.
   hpcfail serve [--trace FILE]... [--lanl] [--synth SEED] [--system ID]
@@ -146,7 +149,7 @@ pub enum Command {
     Findings(PathBuf),
     /// `quality FILE [--lanl] [--repair] [--out FILE] [--pack]`
     Quality {
-        /// Input trace (native CSV, or LANL export with `--lanl`).
+        /// Input trace (native CSV, LANL export with `--lanl`, or `.hpct`).
         file: PathBuf,
         /// Read the LANL export format instead of native CSV.
         lanl: bool,
@@ -159,7 +162,7 @@ pub enum Command {
     },
     /// `pack FILE [--lanl] [--out FILE.hpct]`
     Pack {
-        /// Input trace (native CSV, or LANL export with `--lanl`).
+        /// Input trace (native CSV, LANL export with `--lanl`, or `.hpct`).
         file: PathBuf,
         /// Read the LANL export format instead of native CSV.
         lanl: bool,
@@ -472,9 +475,9 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
     match command {
         Command::Help => Ok(USAGE.to_string()),
         Command::Generate { seed, system, out } => generate(*seed, *system, out),
-        Command::Summary(file) => summary(&load(file)?),
-        Command::Analyze { file, system } => analyze(&load(file)?, *system),
-        Command::Findings(file) => check_findings(&load(file)?),
+        Command::Summary(file) => with_index(file, summary),
+        Command::Analyze { file, system } => with_index(file, |index| analyze(index, *system)),
+        Command::Findings(file) => with_index(file, check_findings),
         Command::Quality {
             file,
             lanl,
@@ -624,10 +627,15 @@ fn serve(
     };
     hpcfail_serve::run(state, &config, |addr| {
         // The smoke test greps this exact line for the bound port, so
-        // flush it before blocking in the accept loop.
-        println!("hpcfail serve listening on http://{addr} (tenants: {names})");
+        // flush it before blocking in the accept loop. A closed stdout
+        // must not take the server down.
         use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        let mut out = std::io::stdout().lock();
+        let _ = writeln!(
+            out,
+            "hpcfail serve listening on http://{addr} (tenants: {names})"
+        )
+        .and_then(|()| out.flush());
     })
     .map_err(|e| run_err(format!("cannot serve: {e}")))?;
     // `run` only returns after `POST /v1/shutdown` triggers a graceful
@@ -636,34 +644,37 @@ fn serve(
     Ok("hpcfail serve drained and stopped".to_string())
 }
 
-fn load(path: &PathBuf) -> Result<FailureTrace, CliError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| run_err(format!("cannot open {}: {e}", path.display())))?;
-    if hpcfail_records::is_packed(&bytes) {
-        return TraceStore::from_bytes(&bytes)
-            .map(|loaded| loaded.into_parts().0)
-            .map_err(|e| run_err(format!("cannot open {}: {e}", path.display())));
-    }
-    read_csv(&bytes[..]).map_err(|e| run_err(format!("cannot parse {}: {e}", path.display())))
+/// Read a trace file through the one loader: a packed `.hpct` store by
+/// its magic, otherwise CSV in the `--lanl`-selected dialect.
+fn read_input(path: &Path, lanl: bool, policy: IngestPolicy) -> Result<LenientIngest, CliError> {
+    let bytes =
+        std::fs::read(path).map_err(|e| run_err(format!("cannot open {}: {e}", path.display())))?;
+    let dialect = if lanl { Dialect::Lanl } else { Dialect::Native };
+    read_trace(&bytes, dialect, policy)
+        .map_err(|e| run_err(format!("cannot parse {}: {e}", path.display())))
 }
 
-fn pack(file: &PathBuf, lanl: bool, out: &PathBuf) -> Result<String, CliError> {
-    let input = std::fs::File::open(file)
-        .map_err(|e| run_err(format!("cannot open {}: {e}", file.display())))?;
-    let trace = if lanl {
-        read_lanl_csv(BufReader::new(input))
-            .map(|import| import.trace)
-            .map_err(|e| run_err(format!("cannot parse {}: {e}", file.display())))?
-    } else {
-        read_csv(BufReader::new(input))
-            .map_err(|e| run_err(format!("cannot parse {}: {e}", file.display())))?
-    };
-    let index = trace.index();
+/// Load a native-CSV or packed trace strictly and run `f` on its index;
+/// a packed store's index is reused, not rebuilt.
+fn with_index(
+    path: &Path,
+    f: impl FnOnce(&TraceIndex<'_>) -> Result<String, CliError>,
+) -> Result<String, CliError> {
+    let ingest = read_input(path, false, IngestPolicy::FailFast)?;
+    f(&TraceIndex::from_parts_or_build(
+        &ingest.trace,
+        ingest.parts,
+    ))
+}
+
+fn pack(file: &Path, lanl: bool, out: &Path) -> Result<String, CliError> {
+    let ingest = read_input(file, lanl, IngestPolicy::FailFast)?;
+    let index = TraceIndex::from_parts_or_build(&ingest.trace, ingest.parts);
     let bytes = TraceStore::write(&index, out)
         .map_err(|e| run_err(format!("cannot write {}: {e}", out.display())))?;
     Ok(format!(
         "packed {} records into {} ({bytes} bytes, checksummed columnar store)",
-        trace.len(),
+        index.len(),
         out.display()
     ))
 }
@@ -684,11 +695,10 @@ fn generate(seed: u64, system: Option<u32>, out: &PathBuf) -> Result<String, Cli
     ))
 }
 
-fn summary(trace: &FailureTrace) -> Result<String, CliError> {
-    let index = trace.index();
+fn summary(index: &TraceIndex<'_>) -> Result<String, CliError> {
     let all = index.all();
     let mut out = String::new();
-    let _ = writeln!(out, "records: {}", trace.len());
+    let _ = writeln!(out, "records: {}", index.len());
     if let (Some(first), Some(last)) = (all.first_start(), all.last_start()) {
         let _ = writeln!(out, "span:    {first} .. {last}");
     }
@@ -707,12 +717,11 @@ fn summary(trace: &FailureTrace) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
+fn analyze(index: &TraceIndex<'_>, system: u32) -> Result<String, CliError> {
     let catalog = Catalog::lanl();
-    let index = trace.index();
     let mut out = String::new();
 
-    let rate_analysis = rates::analyze_indexed(&index, &catalog)
+    let rate_analysis = rates::analyze_indexed(index, &catalog)
         .map_err(|e| run_err(format!("rate analysis failed: {e}")))?;
     let mut t = TextTable::new(&["system", "failures/yr", "per proc/yr"]);
     for r in rate_analysis.rates.iter().filter(|r| r.failures > 0) {
@@ -724,7 +733,7 @@ fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "failure rates (fig 2):\n{}", t.render());
 
-    let table = repair::by_cause_indexed(&index)
+    let table = repair::by_cause_indexed(index)
         .map_err(|e| run_err(format!("repair analysis failed: {e}")))?;
     let mut t = TextTable::new(&["cause", "mean (min)", "median (min)", "C^2"]);
     for row in &table.rows {
@@ -738,7 +747,7 @@ fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "repair times (table 2):\n{}", t.render());
 
-    match tbf::analyze_indexed(&index, tbf::View::SystemWide(SystemId::new(system)), None) {
+    match tbf::analyze_indexed(index, tbf::View::SystemWide(SystemId::new(system)), None) {
         Ok(a) => {
             let _ = writeln!(
                 out,
@@ -767,9 +776,9 @@ fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn check_findings(trace: &FailureTrace) -> Result<String, CliError> {
+fn check_findings(index: &TraceIndex<'_>) -> Result<String, CliError> {
     let catalog = Catalog::lanl();
-    let result = findings::evaluate_indexed(&trace.index(), &catalog)
+    let result = findings::evaluate_indexed(index, &catalog)
         .map_err(|e| run_err(format!("findings evaluation failed: {e}")))?;
     let mut out = String::new();
     for f in &result.findings {
@@ -781,25 +790,18 @@ fn check_findings(trace: &FailureTrace) -> Result<String, CliError> {
 }
 
 fn quality(
-    file: &PathBuf,
+    file: &Path,
     lanl: bool,
     apply_repair: bool,
     out: Option<&PathBuf>,
     pack: bool,
 ) -> Result<String, CliError> {
-    let input = std::fs::File::open(file)
-        .map_err(|e| run_err(format!("cannot open {}: {e}", file.display())))?;
     let policy = if apply_repair {
         IngestPolicy::Repair
     } else {
         IngestPolicy::Quarantine
     };
-    let ingest: LenientIngest = if lanl {
-        read_lanl_csv_lenient(BufReader::new(input), policy)
-    } else {
-        read_csv_lenient(BufReader::new(input), policy)
-    }
-    .map_err(|e| run_err(format!("cannot parse {}: {e}", file.display())))?;
+    let ingest = read_input(file, lanl, policy)?;
 
     let mut text = String::new();
     let _ = writeln!(
@@ -857,18 +859,19 @@ fn quality(
     Ok(text)
 }
 
-fn import_lanl(file: &PathBuf, out: &PathBuf) -> Result<String, CliError> {
-    let input = std::fs::File::open(file)
-        .map_err(|e| run_err(format!("cannot open {}: {e}", file.display())))?;
-    let import = read_lanl_csv(BufReader::new(input))
-        .map_err(|e| run_err(format!("cannot parse {}: {e}", file.display())))?;
+fn import_lanl(file: &Path, out: &Path) -> Result<String, CliError> {
+    let ingest = read_input(file, true, IngestPolicy::FailFast)?;
     let output = std::fs::File::create(out)
         .map_err(|e| run_err(format!("cannot create {}: {e}", out.display())))?;
-    write_csv(&import.trace, output).map_err(|e| run_err(format!("write failed: {e}")))?;
+    write_csv(&ingest.trace, output).map_err(|e| run_err(format!("write failed: {e}")))?;
+    let skipped = ingest
+        .quarantine
+        .iter()
+        .filter(|q| q.issue == QualityIssue::InvertedInterval)
+        .count();
     Ok(format!(
-        "imported {} records ({} glitched rows skipped) -> {}",
-        import.trace.len(),
-        import.skipped_inverted,
+        "imported {} records ({skipped} glitched rows skipped) -> {}",
+        ingest.trace.len(),
         out.display()
     ))
 }
@@ -1115,6 +1118,48 @@ mod tests {
             let from_hpct = execute(&cmd(hpct.clone())).unwrap();
             assert_eq!(from_csv, from_hpct);
         }
+        // So do the converters: quality reports and repairs the store
+        // like its CSV, ...
+        let quality = |file: &PathBuf, out: &PathBuf| {
+            let text = execute(&Command::Quality {
+                file: file.clone(),
+                lanl: false,
+                repair: true,
+                out: Some(out.clone()),
+                pack: false,
+            })
+            .unwrap();
+            text.replace(&out.display().to_string(), "OUT")
+        };
+        let (fixed_csv, fixed_hpct) = (dir.join("fixed_csv.csv"), dir.join("fixed_hpct.csv"));
+        assert_eq!(quality(&csv, &fixed_csv), quality(&hpct, &fixed_hpct));
+        assert_eq!(
+            std::fs::read(&fixed_csv).unwrap(),
+            std::fs::read(&fixed_hpct).unwrap()
+        );
+        // ... repacking a store reproduces it byte for byte, ...
+        let repacked = dir.join("repacked.hpct");
+        execute(&Command::Pack {
+            file: hpct.clone(),
+            lanl: false,
+            out: repacked.clone(),
+        })
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&hpct).unwrap(),
+            std::fs::read(&repacked).unwrap()
+        );
+        // ... and import-lanl unpacks it to the generated CSV.
+        let unpacked = dir.join("unpacked.csv");
+        execute(&Command::ImportLanl {
+            file: hpct,
+            out: unpacked.clone(),
+        })
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&csv).unwrap(),
+            std::fs::read(&unpacked).unwrap()
+        );
     }
 
     #[test]

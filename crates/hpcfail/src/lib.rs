@@ -38,11 +38,10 @@ pub mod prelude {
     pub use hpcfail_core::AnalysisError;
     pub use hpcfail_exec::{FaultMix, FaultPlan, ParallelExecutor, SeedSequence};
     pub use hpcfail_records::{
-        is_packed, BinaryCorruptionPlan, BinaryFault, Catalog, CauseTotals, CorruptionPlan,
-        DetailedCause, FailureRecord, FailureTrace, Fault, HardwareType, IngestPolicy,
-        LenientIngest, LoadedTrace, NodeId, QualityIssue, QualityReport, RecordError,
-        RepairOutcome, RepairPolicy, RootCause, StoreError, SystemId, Timestamp, TraceIndex,
-        TraceParts, TraceStore, TraceView, Workload,
+        BinaryCorruptionPlan, BinaryFault, Catalog, CauseTotals, CorruptionPlan, DetailedCause,
+        FailureRecord, FailureTrace, Fault, HardwareType, IngestPolicy, LenientIngest, LoadedTrace,
+        NodeId, QualityIssue, QualityReport, RecordError, RepairOutcome, RepairPolicy, RootCause,
+        StoreError, SystemId, Timestamp, TraceIndex, TraceParts, TraceStore, TraceView, Workload,
     };
     pub use hpcfail_scenario::{
         run_campaign, CampaignResult, CampaignSpec, CellOutcome, RunOptions,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::store::StoreError;
+
 /// Errors produced when building or parsing failure records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -47,6 +49,9 @@ pub enum RecordError {
     },
     /// An operation that needs records got an empty trace.
     EmptyTrace,
+    /// The input carried the `.hpct` magic but is not a valid packed
+    /// store.
+    Store(StoreError),
 }
 
 impl fmt::Display for RecordError {
@@ -82,6 +87,7 @@ impl fmt::Display for RecordError {
                 )
             }
             RecordError::EmptyTrace => write!(f, "trace contains no records"),
+            RecordError::Store(e) => write!(f, "{e}"),
         }
     }
 }

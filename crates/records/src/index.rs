@@ -82,7 +82,7 @@ pub(crate) struct NodeRun {
 /// trace.
 ///
 /// This is the unit the binary store (`records::store`) serializes and
-/// deserializes: [`crate::store::TraceStore::read`] reconstructs a
+/// deserializes: [`crate::store::TraceStore::from_bytes`] reconstructs a
 /// `TraceParts` straight from the validated file sections and
 /// [`TraceIndex::from_parts`] wraps it around the accompanying trace
 /// without re-sorting or rebuilding anything. The fields are
@@ -285,6 +285,15 @@ impl<'t> TraceIndex<'t> {
             system_spans: parts.system_spans,
             cause_rows: parts.cause_rows,
             workload_rows: parts.workload_rows,
+        }
+    }
+
+    /// Wrap the parts [`crate::io::read_trace`] returned for a packed
+    /// input, or build the index when there are none (text input).
+    pub fn from_parts_or_build(trace: &'t FailureTrace, parts: Option<TraceParts>) -> Self {
+        match parts {
+            Some(parts) => Self::from_parts(trace, parts),
+            None => Self::build(trace),
         }
     }
 

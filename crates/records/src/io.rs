@@ -1,7 +1,12 @@
-//! Plain-text (CSV) ingestion and export of failure traces.
+//! Trace ingestion and CSV export.
 //!
-//! The format mirrors the fields of the published LANL data that this
-//! toolkit consumes — one record per line:
+//! [`read_trace`] is the one loader: it decides whether a file is a
+//! packed `.hpct` store or CSV text, and for text which [`Dialect`] and
+//! which [`IngestPolicy`] apply. Both dialects share one line loop and
+//! differ only in their row parser.
+//!
+//! The native format mirrors the fields of the published LANL data that
+//! this toolkit consumes — one record per line:
 //!
 //! ```text
 //! system,node,start_secs,end_secs,workload,detailed_cause
@@ -13,15 +18,18 @@
 //! lines are skipped; a header line (starting with `system,`) is
 //! optional.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
+use std::str::Utf8Error;
 
 use crate::cause::DetailedCause;
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
+use crate::io_lanl::Header;
 use crate::quality::{
     IngestPolicy, LenientIngest, QualityIssue, QuarantinedRow, RepairedRow,
 };
 use crate::record::FailureRecord;
+use crate::store::{is_packed, TraceStore};
 use crate::time::Timestamp;
 use crate::trace::FailureTrace;
 use crate::workload::Workload;
@@ -31,10 +39,71 @@ pub const CSV_HEADER: &str = "system,node,start_secs,end_secs,workload,detailed_
 
 const FIELDS: usize = 6;
 
-/// Strip a leading UTF-8 byte-order mark (exported spreadsheets often
-/// carry one).
-pub(crate) fn strip_bom(line: &str) -> &str {
-    line.strip_prefix('\u{feff}').unwrap_or(line)
+/// The text dialect of a trace file that is not a packed store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dialect {
+    /// This crate's own CSV, as [`write_csv`] writes it (see the module
+    /// docs).
+    Native,
+    /// A LANL-style export (LA-UR-05-7318, the data behind the paper):
+    /// a header line names the columns, which may come in any order;
+    /// extra columns are ignored. Required, case-insensitive: `system`,
+    /// `node`/`nodenum`, `started`/`failure start`,
+    /// `fixed`/`failure end`/`problem fixed`, and `cause`/`root cause`
+    /// (LANL's categories — `facilities`, `hardware`, `human error`,
+    /// `network`, `undetermined`, `software` — or a detailed cause
+    /// name). Optional: `workload`/`node purpose`, default `compute`.
+    /// Timestamps are `MM/DD/YYYY HH:MM` or `YYYY-MM-DD HH:MM[:SS]`.
+    Lanl,
+}
+
+/// One input line: its 1-based number and its text, or the decoding
+/// error when it is not UTF-8.
+pub(crate) type Line<'a> = (usize, Result<&'a str, Utf8Error>);
+
+/// One data row as a dialect's row parser accepted or set it aside.
+pub(crate) enum Row {
+    /// The row parsed cleanly.
+    Clean(FailureRecord),
+    /// The row was accepted after an explicit repair.
+    Repaired(FailureRecord, QualityIssue),
+    /// The row was set aside without being an error (LANL inverted
+    /// intervals outside [`IngestPolicy::Repair`]).
+    Skipped(QualityIssue),
+}
+
+/// A row its parser refused: the [`IngestPolicy::FailFast`] error and
+/// the quarantine class.
+pub(crate) type RowError = (RecordError, QualityIssue);
+
+/// The message `BufRead::lines` gives an undecodable line; kept so
+/// error values do not depend on how the bytes were read.
+const NOT_UTF8: &str = "stream did not contain valid UTF-8";
+
+/// The error for an undecodable line under a policy that cannot skip it.
+pub(crate) fn unreadable(line: usize) -> RecordError {
+    RecordError::MalformedLine {
+        line,
+        reason: format!("io error: {NOT_UTF8}"),
+    }
+}
+
+/// Split `bytes` into 1-based numbered lines, each decoded on its own
+/// (as `BufRead::lines` does), so one undecodable line never hides the
+/// next.
+fn lines(bytes: &[u8]) -> impl Iterator<Item = Line<'_>> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .enumerate()
+        .map(|(i, line)| (i + 1, std::str::from_utf8(line)))
+}
+
+/// A line's content without a leading byte-order mark (exported
+/// spreadsheets often carry one) and surrounding whitespace; `None` for
+/// blank and `#` comment lines.
+pub(crate) fn content(line: &str) -> Option<&str> {
+    let trimmed = line.strip_prefix('\u{feff}').unwrap_or(line).trim();
+    (!trimmed.is_empty() && !trimmed.starts_with('#')).then_some(trimmed)
 }
 
 /// Whether a line is the CSV header: either the legacy `system,` prefix
@@ -115,20 +184,14 @@ pub fn format_line(record: &FailureRecord) -> String {
     )
 }
 
-/// Read a whole trace from a CSV reader, aborting on the first bad row.
+/// Read a trace file's bytes. This is the only place that decides the
+/// input format.
 ///
-/// A thin wrapper over [`read_csv_lenient`] with
-/// [`IngestPolicy::FailFast`].
-///
-/// # Errors
-///
-/// Propagates the first malformed line; I/O failures are surfaced as
-/// [`RecordError::MalformedLine`] with the I/O message.
-pub fn read_csv<R: BufRead>(reader: R) -> Result<FailureTrace, RecordError> {
-    read_csv_lenient(reader, IngestPolicy::FailFast).map(|ingest| ingest.trace)
-}
-
-/// Read a trace under an [`IngestPolicy`].
+/// A packed `.hpct` store is recognised by its magic, whatever
+/// `dialect` says, and opens through the checked
+/// [`TraceStore::from_bytes`]: every record is accepted and the stored
+/// index rides along in [`LenientIngest::parts`], so no caller rebuilds
+/// it. Anything else is CSV text in `dialect`, read under `policy`.
 ///
 /// With [`IngestPolicy::Quarantine`] and [`IngestPolicy::Repair`] bad
 /// rows never abort the read: they land in the returned quarantine with
@@ -141,92 +204,107 @@ pub fn read_csv<R: BufRead>(reader: R) -> Result<FailureTrace, RecordError> {
 ///
 /// # Errors
 ///
-/// Only under [`IngestPolicy::FailFast`], with exactly the errors
-/// [`read_csv`] historically produced.
-pub fn read_csv_lenient<R: BufRead>(
-    reader: R,
+/// [`RecordError::Store`] for a damaged packed store. A LANL file
+/// without a valid header line (or with an undecodable line before it)
+/// fails under every policy. Row errors fail only under
+/// [`IngestPolicy::FailFast`], as [`RecordError::WrongFieldCount`] or
+/// [`RecordError::MalformedLine`] with the row's line number.
+pub fn read_trace(
+    bytes: &[u8],
+    dialect: Dialect,
     policy: IngestPolicy,
 ) -> Result<LenientIngest, RecordError> {
+    if is_packed(bytes) {
+        let (trace, parts) = TraceStore::from_bytes(bytes)
+            .map_err(RecordError::Store)?
+            .into_parts();
+        return Ok(LenientIngest {
+            total_rows: trace.len(),
+            zero_width: parts.downtime.iter().filter(|&&d| d == 0).count(),
+            quarantine: Vec::new(),
+            repaired: Vec::new(),
+            parts: Some(parts),
+            trace,
+        });
+    }
+    let mut lines = lines(bytes);
+    let header = match dialect {
+        Dialect::Native => None,
+        Dialect::Lanl => Some(Header::read(&mut lines)?),
+    };
     let mut records = Vec::new();
     let mut quarantine = Vec::new();
     let mut repaired = Vec::new();
     let mut total_rows = 0usize;
-    let mut zero_width = 0usize;
-    for (i, line) in reader.lines().enumerate() {
-        let line_no = i + 1;
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                if policy == IngestPolicy::FailFast {
-                    return Err(RecordError::MalformedLine {
-                        line: line_no,
-                        reason: format!("io error: {e}"),
-                    });
-                }
-                total_rows += 1;
-                let issue = QualityIssue::Unreadable {
-                    reason: e.to_string(),
-                };
-                quarantine.push(QuarantinedRow {
+    for (line_no, line) in lines {
+        let Ok(line) = line else {
+            if policy == IngestPolicy::FailFast {
+                return Err(unreadable(line_no));
+            }
+            total_rows += 1;
+            let issue = QualityIssue::Unreadable {
+                reason: NOT_UTF8.to_string(),
+            };
+            quarantine.push(quarantined(line_no, "", issue));
+            continue;
+        };
+        let Some(line) = content(line) else {
+            continue;
+        };
+        let row = match &header {
+            None if is_header(line) => continue,
+            None => parse_native_row(line, line_no, policy),
+            Some(header) => header.parse_row(line, line_no, policy),
+        };
+        total_rows += 1;
+        match row {
+            Ok(Row::Clean(record)) => records.push(record),
+            Ok(Row::Repaired(record, issue)) => {
+                records.push(record);
+                repaired.push(RepairedRow {
                     line: line_no,
-                    raw: String::new(),
-                    severity: issue.severity(),
                     issue,
                 });
-                continue;
             }
-        };
-        let trimmed = strip_bom(&line).trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || is_header(trimmed) {
-            continue;
-        }
-        total_rows += 1;
-        match parse_line(trimmed, line_no) {
-            Ok(record) => {
-                if record.downtime_secs() == 0 {
-                    zero_width += 1;
-                }
-                records.push(record);
-            }
-            Err(err) => {
-                let issue = classify_failure(trimmed, &err);
-                match policy {
-                    IngestPolicy::FailFast => return Err(err),
-                    IngestPolicy::Quarantine => quarantine.push(QuarantinedRow {
-                        line: line_no,
-                        raw: trimmed.to_string(),
-                        severity: issue.severity(),
-                        issue,
-                    }),
-                    IngestPolicy::Repair => match attempt_repair(trimmed, line_no) {
-                        Some((record, issue)) => {
-                            if record.downtime_secs() == 0 {
-                                zero_width += 1;
-                            }
-                            records.push(record);
-                            repaired.push(RepairedRow {
-                                line: line_no,
-                                issue,
-                            });
-                        }
-                        None => quarantine.push(QuarantinedRow {
-                            line: line_no,
-                            raw: trimmed.to_string(),
-                            severity: issue.severity(),
-                            issue,
-                        }),
-                    },
-                }
-            }
+            Ok(Row::Skipped(issue)) => quarantine.push(quarantined(line_no, line, issue)),
+            Err((err, _)) if policy == IngestPolicy::FailFast => return Err(err),
+            Err((_, issue)) => quarantine.push(quarantined(line_no, line, issue)),
         }
     }
     Ok(LenientIngest {
+        zero_width: records.iter().filter(|r| r.downtime_secs() == 0).count(),
         trace: FailureTrace::from_records(records),
         quarantine,
         repaired,
         total_rows,
-        zero_width,
+        parts: None,
     })
+}
+
+fn quarantined(line: usize, raw: &str, issue: QualityIssue) -> QuarantinedRow {
+    QuarantinedRow {
+        line,
+        raw: raw.to_string(),
+        severity: issue.severity(),
+        issue,
+    }
+}
+
+/// The native dialect's row parser: [`parse_line`], then under
+/// [`IngestPolicy::Repair`] the unambiguous line repairs, else the
+/// failure's quarantine class.
+fn parse_native_row(line: &str, line_no: usize, policy: IngestPolicy) -> Result<Row, RowError> {
+    let err = match parse_line(line, line_no) {
+        Ok(record) => return Ok(Row::Clean(record)),
+        Err(err) => err,
+    };
+    if policy == IngestPolicy::Repair {
+        if let Some((record, issue)) = attempt_repair(line, line_no) {
+            return Ok(Row::Repaired(record, issue));
+        }
+    }
+    let issue = classify_failure(line, &err);
+    Err((err, issue))
 }
 
 /// Classify why `parse_line` rejected a line, mirroring its field order
@@ -324,6 +402,11 @@ mod tests {
     use super::*;
     use crate::cause::RootCause;
 
+    /// The strict native read: [`IngestPolicy::FailFast`].
+    fn strict(bytes: &[u8]) -> Result<FailureTrace, RecordError> {
+        read_trace(bytes, Dialect::Native, IngestPolicy::FailFast).map(|ingest| ingest.trace)
+    }
+
     fn sample() -> FailureTrace {
         let rec = |sys: u32, node: u32, start: u64, end: u64, d: DetailedCause| {
             FailureRecord::new(
@@ -347,7 +430,7 @@ mod tests {
         let t = sample();
         let mut buf = Vec::new();
         write_csv(&t, &mut buf).unwrap();
-        let parsed = read_csv(buf.as_slice()).unwrap();
+        let parsed = strict(buf.as_slice()).unwrap();
         assert_eq!(parsed, t);
     }
 
@@ -359,7 +442,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
 
 20,22,1000,22600,compute,memory
 ";
-        let t = read_csv(text.as_bytes()).unwrap();
+        let t = strict(text.as_bytes()).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.records()[0].cause(), RootCause::Hardware);
     }
@@ -367,7 +450,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
     #[test]
     fn malformed_lines_report_position() {
         let missing = "20,22,1000,22600,compute";
-        match read_csv(missing.as_bytes()) {
+        match strict(missing.as_bytes()) {
             Err(RecordError::WrongFieldCount {
                 line: 1,
                 expected: 6,
@@ -377,17 +460,17 @@ system,node,start_secs,end_secs,workload,detailed_cause
         }
         let bad_num = "20,22,notanumber,22600,compute,memory\n";
         assert!(matches!(
-            read_csv(bad_num.as_bytes()),
+            strict(bad_num.as_bytes()),
             Err(RecordError::MalformedLine { line: 1, .. })
         ));
         let bad_cause = "20,22,1000,22600,compute,gremlins\n";
         assert!(matches!(
-            read_csv(bad_cause.as_bytes()),
+            strict(bad_cause.as_bytes()),
             Err(RecordError::MalformedLine { line: 1, .. })
         ));
         let end_before_start = "20,22,5000,4000,compute,memory\n";
         assert!(matches!(
-            read_csv(end_before_start.as_bytes()),
+            strict(end_before_start.as_bytes()),
             Err(RecordError::MalformedLine { line: 1, .. })
         ));
     }
@@ -395,7 +478,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
     #[test]
     fn error_line_numbers_count_all_lines() {
         let text = "# comment\n20,22,1000,22600,compute,memory\nbadline\n";
-        match read_csv(text.as_bytes()) {
+        match strict(text.as_bytes()) {
             Err(RecordError::WrongFieldCount { line: 3, .. }) => {}
             other => panic!("unexpected: {other:?}"),
         }
@@ -404,13 +487,13 @@ system,node,start_secs,end_secs,workload,detailed_cause
     #[test]
     fn whitespace_tolerated() {
         let text = " 20 , 22 , 1000 , 22600 , compute , memory \n";
-        let t = read_csv(text.as_bytes()).unwrap();
+        let t = strict(text.as_bytes()).unwrap();
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn empty_input_gives_empty_trace() {
-        let t = read_csv("".as_bytes()).unwrap();
+        let t = strict("".as_bytes()).unwrap();
         assert!(t.is_empty());
     }
 
@@ -429,12 +512,12 @@ system,node,start_secs,end_secs,workload,detailed_cause
         let text = "\u{feff}system,node,start_secs,end_secs,workload,detailed_cause\r\n\
                     20,22,1000,22600,compute,memory\r\n\
                     5,0,2000,3000,compute,scheduler\r\n";
-        let t = read_csv(text.as_bytes()).unwrap();
+        let t = strict(text.as_bytes()).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t, sample());
         // A BOM directly on a data line is also stripped.
         let data_bom = "\u{feff}20,22,1000,22600,compute,memory\n";
-        assert_eq!(read_csv(data_bom.as_bytes()).unwrap().len(), 1);
+        assert_eq!(strict(data_bom.as_bytes()).unwrap().len(), 1);
     }
 
     #[test]
@@ -446,7 +529,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
         assert!(!is_header("system node start"));
         let text = "System, Node, Start_secs, End_secs, Workload, Detailed_cause\n\
                     20,22,1000,22600,compute,memory\n";
-        assert_eq!(read_csv(text.as_bytes()).unwrap().len(), 1);
+        assert_eq!(strict(text.as_bytes()).unwrap().len(), 1);
     }
 
     #[test]
@@ -460,7 +543,8 @@ system,node,start_secs,end_secs,workload,detailed_cause
 20,22,1000,22600,compute,gremlins
 5,0,2000,3000,compute,scheduler
 ";
-        let ingest = read_csv_lenient(text.as_bytes(), IngestPolicy::Quarantine).unwrap();
+        let ingest =
+            read_trace(text.as_bytes(), Dialect::Native, IngestPolicy::Quarantine).unwrap();
         assert_eq!(ingest.total_rows, 6);
         assert_eq!(ingest.accepted(), 2);
         assert_eq!(ingest.quarantine.len(), 4);
@@ -492,7 +576,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
 20,22,1000,22600,compute,memory,,
 20,22,##,22600,compute,memory
 ";
-        let ingest = read_csv_lenient(text.as_bytes(), IngestPolicy::Repair).unwrap();
+        let ingest = read_trace(text.as_bytes(), Dialect::Native, IngestPolicy::Repair).unwrap();
         assert_eq!(ingest.total_rows, 4);
         assert_eq!(ingest.accepted(), 3);
         assert_eq!(ingest.quarantine.len(), 1);
@@ -526,7 +610,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
     #[test]
     fn failfast_matches_strict_errors() {
         let missing = "20,22,1000,22600,compute";
-        match read_csv_lenient(missing.as_bytes(), IngestPolicy::FailFast) {
+        match read_trace(missing.as_bytes(), Dialect::Native, IngestPolicy::FailFast) {
             Err(RecordError::WrongFieldCount {
                 line: 1,
                 expected: 6,
@@ -539,9 +623,39 @@ system,node,start_secs,end_secs,workload,detailed_cause
     #[test]
     fn lenient_counts_zero_width_rows() {
         let text = "20,22,1000,1000,compute,memory\n20,22,2000,3000,compute,memory\n";
-        let ingest = read_csv_lenient(text.as_bytes(), IngestPolicy::Quarantine).unwrap();
+        let ingest =
+            read_trace(text.as_bytes(), Dialect::Native, IngestPolicy::Quarantine).unwrap();
         assert_eq!(ingest.zero_width, 1);
         assert_eq!(ingest.accepted(), 2);
+    }
+
+    #[test]
+    fn packed_input_is_sniffed_whatever_the_dialect() {
+        let mut records = sample().records().to_vec();
+        records.push(parse_line("20,22,9000,9000,compute,memory", 1).unwrap());
+        let trace = FailureTrace::from_records(records);
+        let packed = TraceStore::to_bytes(&trace.index());
+        let mut damaged = packed.clone();
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x10;
+        for dialect in [Dialect::Native, Dialect::Lanl] {
+            for policy in [
+                IngestPolicy::FailFast,
+                IngestPolicy::Quarantine,
+                IngestPolicy::Repair,
+            ] {
+                let ingest = read_trace(&packed, dialect, policy).unwrap();
+                assert_eq!(ingest.trace, trace);
+                assert_eq!(ingest.parts, Some(trace.index().to_parts()));
+                assert_eq!((ingest.total_rows, ingest.zero_width), (3, 1));
+                assert!(ingest.quarantine.is_empty() && ingest.repaired.is_empty());
+                // A damaged store stays a typed store error, never rows.
+                assert!(matches!(
+                    read_trace(&damaged, dialect, policy),
+                    Err(RecordError::Store(_))
+                ));
+            }
+        }
     }
 
     #[test]
@@ -549,13 +663,13 @@ system,node,start_secs,end_secs,workload,detailed_cause
         let t = sample();
         let mut buf = Vec::new();
         write_csv(&t, &mut buf).unwrap();
-        let strict = read_csv(buf.as_slice()).unwrap();
+        let strict = strict(buf.as_slice()).unwrap();
         for policy in [
             IngestPolicy::FailFast,
             IngestPolicy::Quarantine,
             IngestPolicy::Repair,
         ] {
-            let lenient = read_csv_lenient(buf.as_slice(), policy).unwrap();
+            let lenient = read_trace(buf.as_slice(), Dialect::Native, policy).unwrap();
             assert_eq!(lenient.trace, strict);
             assert!(lenient.quarantine.is_empty());
             assert!(lenient.repaired.is_empty());

@@ -1,227 +1,26 @@
-//! Ingestion of LANL-style failure logs.
+//! The LANL dialect's row parser (see [`crate::io::Dialect::Lanl`]).
 //!
 //! The raw LANL release (LA-UR-05-7318, the data behind the paper) is a
 //! spreadsheet-style CSV with named columns and `MM/DD/YYYY HH:MM`
-//! timestamps. This adapter reads that style of file: it is
-//! **header-driven** (columns may appear in any order, extra columns are
-//! ignored) and maps LANL's root-cause vocabulary onto this crate's
-//! taxonomy.
-//!
-//! Required columns (case-insensitive):
-//!
-//! | column | content |
-//! |---|---|
-//! | `system` | system number (1–22 in the release) |
-//! | `node` / `nodenum` | node index within the system |
-//! | `started` / `failure start` | failure start, `MM/DD/YYYY HH:MM` or `YYYY-MM-DD HH:MM[:SS]` |
-//! | `fixed` / `failure end` / `problem fixed` | repair completion, same formats |
-//! | `cause` / `root cause` | one of LANL's categories (`facilities`, `hardware`, `human error`, `network`, `undetermined`, `software`) or any detailed cause name from this crate |
-//!
-//! Optional: `workload` / `node purpose` (`compute` / `graphics` / `fe`,
-//! defaults to `compute`).
+//! timestamps. The parser is **header-driven** (columns may appear in
+//! any order, extra columns are ignored) and maps LANL's root-cause
+//! vocabulary onto this crate's taxonomy. The line loop around it is
+//! [`crate::io::read_trace`], shared with the native dialect.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::io::BufRead;
 
 use crate::cause::DetailedCause;
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
-use crate::io::strip_bom;
-use crate::quality::{
-    IngestPolicy, LenientIngest, QualityIssue, QuarantinedRow, RepairedRow,
-};
+use crate::io::{content, unreadable, Line, Row, RowError};
+use crate::quality::{IngestPolicy, QualityIssue};
 use crate::record::FailureRecord;
 use crate::time::Timestamp;
-use crate::trace::FailureTrace;
 use crate::workload::Workload;
 
-/// Read a LANL-style CSV with a header line, aborting on the first
-/// unparseable row. A thin wrapper over [`read_lanl_csv_lenient`] with
-/// [`IngestPolicy::FailFast`].
-///
-/// Rows whose repair time precedes the failure start — present in the raw
-/// release due to clock and data-entry glitches — are skipped and counted
-/// in the returned report rather than failing the whole file, as are
-/// zero-width (instantaneous) outages, which are kept but counted.
-///
-/// # Errors
-///
-/// [`RecordError::MalformedLine`] for a missing/invalid header or an
-/// unparseable row.
-pub fn read_lanl_csv<R: BufRead>(reader: R) -> Result<LanlImport, RecordError> {
-    let ingest = read_lanl_csv_lenient(reader, IngestPolicy::FailFast)?;
-    let skipped_inverted = ingest
-        .quarantine
-        .iter()
-        .filter(|q| q.issue == QualityIssue::InvertedInterval)
-        .count();
-    Ok(LanlImport {
-        trace: ingest.trace,
-        skipped_inverted,
-        zero_width: ingest.zero_width,
-    })
-}
-
-/// Read a LANL-style CSV under an [`IngestPolicy`].
-///
-/// Inverted rows are quarantined (never fatal) under `FailFast` and
-/// `Quarantine`, matching the strict reader's skip-and-count behavior;
-/// under [`IngestPolicy::Repair`] their endpoints are swapped and the
-/// row is kept. Other defects follow the policy: `FailFast` aborts with
-/// the strict reader's exact error, `Quarantine` stores the row, and
-/// `Repair` additionally maps unknown cause words to `undetermined`.
-/// `accepted + quarantined == total_rows` always holds.
-///
-/// # Errors
-///
-/// A missing or invalid header is fatal under every policy (the file
-/// cannot be interpreted without one); row errors are fatal only under
-/// [`IngestPolicy::FailFast`].
-pub fn read_lanl_csv_lenient<R: BufRead>(
-    reader: R,
-    policy: IngestPolicy,
-) -> Result<LenientIngest, RecordError> {
-    let mut lines = reader.lines().enumerate();
-    let header = loop {
-        match lines.next() {
-            Some((i, line)) => {
-                let line = line.map_err(|e| io_err(i + 1, &e))?;
-                let trimmed = strip_bom(&line).trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                break Header::parse(trimmed, i + 1)?;
-            }
-            None => {
-                return Err(RecordError::MalformedLine {
-                    line: 0,
-                    reason: "file has no header line".to_string(),
-                })
-            }
-        }
-    };
-
-    let mut records = Vec::new();
-    let mut quarantine = Vec::new();
-    let mut repaired = Vec::new();
-    let mut total_rows = 0usize;
-    let mut zero_width = 0usize;
-    for (i, line) in lines {
-        let line_no = i + 1;
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                if policy == IngestPolicy::FailFast {
-                    return Err(io_err(line_no, &e));
-                }
-                total_rows += 1;
-                let issue = QualityIssue::Unreadable {
-                    reason: e.to_string(),
-                };
-                quarantine.push(QuarantinedRow {
-                    line: line_no,
-                    raw: String::new(),
-                    severity: issue.severity(),
-                    issue,
-                });
-                continue;
-            }
-        };
-        let trimmed = strip_bom(&line).trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        total_rows += 1;
-        match header.parse_row(trimmed, line_no, policy) {
-            Ok(LanlRow::Clean(record)) => {
-                if record.downtime_secs() == 0 {
-                    zero_width += 1;
-                }
-                records.push(record);
-            }
-            Ok(LanlRow::Repaired(record, issue)) => {
-                if record.downtime_secs() == 0 {
-                    zero_width += 1;
-                }
-                records.push(record);
-                repaired.push(RepairedRow {
-                    line: line_no,
-                    issue,
-                });
-            }
-            Ok(LanlRow::Skipped(issue)) => quarantine.push(QuarantinedRow {
-                line: line_no,
-                raw: trimmed.to_string(),
-                severity: issue.severity(),
-                issue,
-            }),
-            Err((err, issue)) => match policy {
-                IngestPolicy::FailFast => return Err(err),
-                IngestPolicy::Quarantine | IngestPolicy::Repair => {
-                    quarantine.push(QuarantinedRow {
-                        line: line_no,
-                        raw: trimmed.to_string(),
-                        severity: issue.severity(),
-                        issue,
-                    })
-                }
-            },
-        }
-    }
-    Ok(LenientIngest {
-        trace: FailureTrace::from_records(records),
-        quarantine,
-        repaired,
-        total_rows,
-        zero_width,
-    })
-}
-
-/// The result of a LANL import.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LanlImport {
-    /// The parsed trace.
-    pub trace: FailureTrace,
-    /// Rows skipped because repair preceded failure (raw-data glitches).
-    pub skipped_inverted: usize,
-    /// Rows kept whose failure start equals the repair time (node
-    /// bounced) — counted, not dropped.
-    pub zero_width: usize,
-}
-
-impl fmt::Display for LanlImport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} records imported ({} skipped: inverted interval; {} kept: zero-width interval)",
-            self.trace.len(),
-            self.skipped_inverted,
-            self.zero_width
-        )
-    }
-}
-
-/// Outcome of parsing one LANL row under a policy.
-enum LanlRow {
-    /// The row parsed cleanly.
-    Clean(FailureRecord),
-    /// The row was accepted after an explicit repair (Repair policy).
-    Repaired(FailureRecord, QualityIssue),
-    /// The row was set aside (inverted interval under non-repair
-    /// policies — the strict reader's historical skip class).
-    Skipped(QualityIssue),
-}
-
-fn io_err(line: usize, e: &std::io::Error) -> RecordError {
-    RecordError::MalformedLine {
-        line,
-        reason: format!("io error: {e}"),
-    }
-}
-
+/// Where each column sits, from the file's header line.
 #[derive(Debug)]
-struct Header {
+pub(crate) struct Header {
     system: usize,
     node: usize,
     start: usize,
@@ -231,6 +30,24 @@ struct Header {
 }
 
 impl Header {
+    /// Read the header: the first line that is neither blank nor a
+    /// comment. A missing, undecodable or invalid header fails under
+    /// every policy, since no row can be interpreted without it.
+    pub(crate) fn read<'a>(
+        lines: &mut impl Iterator<Item = Line<'a>>,
+    ) -> Result<Header, RecordError> {
+        for (line_no, line) in lines {
+            let line = line.map_err(|_| unreadable(line_no))?;
+            if let Some(line) = content(line) {
+                return Header::parse(line, line_no);
+            }
+        }
+        Err(RecordError::MalformedLine {
+            line: 0,
+            reason: "file has no header line".to_string(),
+        })
+    }
+
     fn parse(line: &str, line_no: usize) -> Result<Header, RecordError> {
         let mut index: HashMap<String, usize> = HashMap::new();
         for (i, name) in line.split(',').enumerate() {
@@ -257,13 +74,15 @@ impl Header {
 
     /// Parse one row. Field order and error values match the historical
     /// strict reader exactly; the policy only decides what happens to
-    /// inverted intervals and unknown cause words.
-    fn parse_row(
+    /// inverted intervals and unknown cause words. Inverted rows are set
+    /// aside (never fatal) outside [`IngestPolicy::Repair`], which swaps
+    /// their endpoints instead.
+    pub(crate) fn parse_row(
         &self,
         line: &str,
         line_no: usize,
         policy: IngestPolicy,
-    ) -> Result<LanlRow, (RecordError, QualityIssue)> {
+    ) -> Result<Row, RowError> {
         let malformed = |e: RecordError| {
             let issue = QualityIssue::MalformedField {
                 reason: e.to_string(),
@@ -271,7 +90,7 @@ impl Header {
             (e, issue)
         };
         let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let get = |i: usize, what: &str| -> Result<&str, (RecordError, QualityIssue)> {
+        let get = |i: usize, what: &str| -> Result<&str, RowError> {
             fields.get(i).copied().ok_or_else(|| {
                 malformed(RecordError::MalformedLine {
                     line: line_no,
@@ -295,7 +114,7 @@ impl Header {
             // class), before the cause is even inspected — historically
             // an inverted row with a garbage cause was still skipped,
             // not an error.
-            return Ok(LanlRow::Skipped(QualityIssue::InvertedInterval));
+            return Ok(Row::Skipped(QualityIssue::InvertedInterval));
         }
         let raw_cause = get(self.cause, "cause")?;
         let (detail, drift) = match parse_lanl_cause(raw_cause, line_no) {
@@ -329,11 +148,11 @@ impl Header {
             .map_err(wrap(line_no))
             .map_err(malformed)?;
         if inverted {
-            Ok(LanlRow::Repaired(record, QualityIssue::InvertedInterval))
+            Ok(Row::Repaired(record, QualityIssue::InvertedInterval))
         } else if let Some(issue) = drift {
-            Ok(LanlRow::Repaired(record, issue))
+            Ok(Row::Repaired(record, issue))
         } else {
-            Ok(LanlRow::Clean(record))
+            Ok(Row::Clean(record))
         }
     }
 }
@@ -430,6 +249,22 @@ fn parse_lanl_cause(text: &str, line_no: usize) -> Result<DetailedCause, RecordE
 mod tests {
     use super::*;
     use crate::cause::RootCause;
+    use crate::io::{read_trace, Dialect};
+    use crate::quality::LenientIngest;
+
+    /// The strict LANL read: [`IngestPolicy::FailFast`].
+    fn strict(bytes: &[u8]) -> Result<LenientIngest, RecordError> {
+        read_trace(bytes, Dialect::Lanl, IngestPolicy::FailFast)
+    }
+
+    /// Rows set aside because repair preceded failure.
+    fn skipped_inverted(ingest: &LenientIngest) -> usize {
+        ingest
+            .quarantine
+            .iter()
+            .filter(|q| q.issue == QualityIssue::InvertedInterval)
+            .count()
+    }
 
     const SAMPLE: &str = "\
 system,nodenum,node purpose,started,fixed,cause
@@ -441,9 +276,9 @@ system,nodenum,node purpose,started,fixed,cause
 
     #[test]
     fn parses_lanl_style_file() {
-        let import = read_lanl_csv(SAMPLE.as_bytes()).unwrap();
+        let import = strict(SAMPLE.as_bytes()).unwrap();
         assert_eq!(import.trace.len(), 4);
-        assert_eq!(import.skipped_inverted, 0);
+        assert_eq!(skipped_inverted(&import), 0);
         let records = import.trace.records();
         // Sorted by time: 1997 record first.
         assert_eq!(records[0].system(), SystemId::new(20));
@@ -477,7 +312,7 @@ system,nodenum,node purpose,started,fixed,cause
 cause,fixed,system,started,node
 hardware,06/28/1999 20:45,20,06/28/1999 14:30,22
 ";
-        let import = read_lanl_csv(text.as_bytes()).unwrap();
+        let import = strict(text.as_bytes()).unwrap();
         assert_eq!(import.trace.len(), 1);
         // Missing workload column defaults to compute.
         assert_eq!(import.trace.records()[0].workload(), Workload::Compute);
@@ -489,7 +324,7 @@ hardware,06/28/1999 20:45,20,06/28/1999 14:30,22
 system,machine type,nodenum,nodenumz,started,fixed,down time,cause
 20,G,22,020-022,06/28/1999 14:30,06/28/1999 20:45,375,network
 ";
-        let import = read_lanl_csv(text.as_bytes()).unwrap();
+        let import = strict(text.as_bytes()).unwrap();
         assert_eq!(import.trace.records()[0].cause(), RootCause::Network);
     }
 
@@ -500,21 +335,21 @@ system,node,started,fixed,cause
 20,1,06/28/1999 14:30,06/28/1999 20:45,hardware
 20,2,06/28/1999 14:30,06/27/1999 20:45,hardware
 ";
-        let import = read_lanl_csv(text.as_bytes()).unwrap();
+        let import = strict(text.as_bytes()).unwrap();
         assert_eq!(import.trace.len(), 1);
-        assert_eq!(import.skipped_inverted, 1);
+        assert_eq!(skipped_inverted(&import), 1);
     }
 
     #[test]
     fn missing_header_columns_rejected() {
         let text = "system,node,started,cause\n20,1,06/28/1999 14:30,hardware\n";
-        match read_lanl_csv(text.as_bytes()) {
+        match strict(text.as_bytes()) {
             Err(RecordError::MalformedLine { reason, .. }) => {
                 assert!(reason.contains("failure-end"), "{reason}");
             }
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(read_lanl_csv("".as_bytes()).is_err());
+        assert!(strict("".as_bytes()).is_err());
     }
 
     #[test]
@@ -523,7 +358,7 @@ system,node,started,fixed,cause
 system,node,started,fixed,cause
 20,1,06/28/1999 14:30,06/28/1999 20:45,gremlins
 ";
-        match read_lanl_csv(text.as_bytes()) {
+        match strict(text.as_bytes()) {
             Err(RecordError::MalformedLine { line: 2, reason }) => {
                 assert!(reason.contains("gremlins"));
             }
@@ -534,7 +369,7 @@ system,node,started,fixed,cause
 20,1,13/45/1999 14:30,06/28/1999 20:45,hardware
 ";
         assert!(matches!(
-            read_lanl_csv(bad_date.as_bytes()),
+            strict(bad_date.as_bytes()),
             Err(RecordError::MalformedLine { line: 2, .. })
         ));
     }
@@ -562,10 +397,10 @@ system,node,started,fixed,cause
 20,1,06/28/1999 14:30,06/28/1999 14:30,hardware
 20,2,06/28/1999 14:30,06/28/1999 20:45,hardware
 ";
-        let import = read_lanl_csv(text.as_bytes()).unwrap();
+        let import = strict(text.as_bytes()).unwrap();
         assert_eq!(import.trace.len(), 2, "zero-width rows are kept");
         assert_eq!(import.zero_width, 1);
-        assert_eq!(import.skipped_inverted, 0);
+        assert_eq!(skipped_inverted(&import), 0);
     }
 
     #[test]
@@ -576,14 +411,10 @@ system,node,started,fixed,cause
 20,2,06/28/1999 14:30,06/27/1999 20:45,hardware
 20,3,06/28/1999 14:30,06/28/1999 20:45,hardware
 ";
-        let import = read_lanl_csv(text.as_bytes()).unwrap();
-        let text = import.to_string();
-        assert!(
-            text.contains("2 records imported"),
-            "{text}"
-        );
-        assert!(text.contains("1 skipped: inverted interval"), "{text}");
-        assert!(text.contains("1 kept: zero-width interval"), "{text}");
+        let import = strict(text.as_bytes()).unwrap();
+        assert_eq!(import.trace.len(), 2, "records imported");
+        assert_eq!(skipped_inverted(&import), 1, "skipped: inverted interval");
+        assert_eq!(import.zero_width, 1, "kept: zero-width interval");
     }
 
     #[test]
@@ -595,7 +426,7 @@ system,node,started,fixed,cause
 20,3,13/45/1999 14:30,06/28/1999 20:45,hardware
 20,4,06/28/1999 14:30,06/28/1999 20:45,gremlins
 ";
-        let ingest = read_lanl_csv_lenient(text.as_bytes(), IngestPolicy::Quarantine).unwrap();
+        let ingest = read_trace(text.as_bytes(), Dialect::Lanl, IngestPolicy::Quarantine).unwrap();
         assert_eq!(ingest.total_rows, 4);
         assert_eq!(ingest.accepted(), 1);
         assert_eq!(ingest.quarantine.len(), 3);
@@ -614,7 +445,7 @@ system,node,started,fixed,cause
 20,2,06/28/1999 14:30,06/27/1999 20:45,hardware
 20,4,06/28/1999 14:30,06/28/1999 20:45,gremlins
 ";
-        let ingest = read_lanl_csv_lenient(text.as_bytes(), IngestPolicy::Repair).unwrap();
+        let ingest = read_trace(text.as_bytes(), Dialect::Lanl, IngestPolicy::Repair).unwrap();
         assert_eq!(ingest.accepted(), 2);
         assert!(ingest.quarantine.is_empty());
         assert!(ingest.is_conserved());
@@ -645,7 +476,7 @@ system,node,started,fixed,cause
     #[test]
     fn lanl_bom_tolerated() {
         let text = "\u{feff}system,node,started,fixed,cause\r\n20,1,06/28/1999 14:30,06/28/1999 20:45,hardware\r\n";
-        let import = read_lanl_csv(text.as_bytes()).unwrap();
+        let import = strict(text.as_bytes()).unwrap();
         assert_eq!(import.trace.len(), 1);
     }
 
@@ -657,7 +488,7 @@ system,node,started,fixed,cause
 
 20,1,06/28/1999 14:30,06/28/1999 20:45,undetermined
 ";
-        let import = read_lanl_csv(text.as_bytes()).unwrap();
+        let import = strict(text.as_bytes()).unwrap();
         assert_eq!(import.trace.len(), 1);
         assert_eq!(import.trace.records()[0].cause(), RootCause::Unknown);
     }

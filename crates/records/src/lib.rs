@@ -4,7 +4,8 @@
 //! (DSN 2006): typed failure records, the 22-system catalog of Table 1,
 //! the root-cause taxonomy, workload classes, a simulated wall clock with
 //! real calendar semantics, trace containers with the query operations the
-//! paper's analyses need, and CSV ingestion/export.
+//! paper's analyses need, one trace loader for CSV and packed input, and
+//! CSV export.
 //!
 //! ```
 //! use hpcfail_records::{Catalog, SystemId};
@@ -27,7 +28,7 @@ mod ids;
 pub mod index;
 pub mod intervals;
 pub mod io;
-pub mod io_lanl;
+mod io_lanl;
 pub mod quality;
 mod record;
 pub mod store;
@@ -47,7 +48,7 @@ pub use quality::{
 };
 pub use record::FailureRecord;
 pub use store::{
-    checksum, is_packed, LoadedTrace, StoreError, TraceStore, FORMAT_VERSION, HPCT_MAGIC,
+    checksum, LoadedTrace, StoreError, TraceStore, FORMAT_VERSION, HPCT_MAGIC,
 };
 pub use time::Timestamp;
 pub use trace::FailureTrace;

@@ -7,10 +7,9 @@
 //! with the cleaning decisions made here, so those decisions are
 //! explicit, counted, and idempotent:
 //!
-//! * an [`IngestPolicy`] decides what the lenient readers
-//!   ([`crate::io::read_csv_lenient`],
-//!   [`crate::io_lanl::read_lanl_csv_lenient`]) do with a bad row —
-//!   fail the file, quarantine the row, or repair it in place;
+//! * an [`IngestPolicy`] decides what the trace loader
+//!   ([`crate::io::read_trace`], in either CSV dialect) does with a bad
+//!   row — fail the file, quarantine the row, or repair it in place;
 //! * [`audit`] / [`audit_with_catalog`] scan a parsed trace and count
 //!   every issue class without modifying anything;
 //! * [`repair`] applies a per-class [`RepairPolicy`] (dedup,
@@ -24,16 +23,18 @@ use std::fmt;
 use crate::catalog::Catalog;
 use crate::cause::DetailedCause;
 use crate::ids::{NodeId, SystemId};
+use crate::index::TraceParts;
 use crate::record::FailureRecord;
 use crate::time::Timestamp;
 use crate::trace::FailureTrace;
 
-/// What a lenient reader does when it meets a row it cannot accept
+/// What the trace loader does when it meets a row it cannot accept
 /// as-is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestPolicy {
-    /// Abort on the first bad row with the same error the strict readers
-    /// produce. The strict entry points are thin wrappers over this.
+    /// Abort on the first bad row with its typed error (the strict
+    /// read). In the LANL dialect inverted rows are still quarantined,
+    /// not fatal: the raw release carries them.
     FailFast,
     /// Keep going: bad rows land in a structured quarantine, good rows in
     /// the trace. `accepted + quarantined == total rows`, always.
@@ -129,7 +130,7 @@ impl fmt::Display for QualityIssue {
     }
 }
 
-/// One row the lenient readers refused, with enough context to replay
+/// One row the loader refused, with enough context to replay
 /// the decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedRow {
@@ -143,7 +144,7 @@ pub struct QuarantinedRow {
     pub severity: Severity,
 }
 
-/// One row a lenient reader accepted only after an explicit repair.
+/// One row the loader accepted only after an explicit repair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairedRow {
     /// 1-based line number in the source file.
@@ -152,8 +153,11 @@ pub struct RepairedRow {
     pub issue: QualityIssue,
 }
 
-/// The outcome of a lenient ingest: the accepted trace, the structured
+/// The outcome of a trace load: the accepted trace, the structured
 /// quarantine, and the conservation bookkeeping.
+///
+/// A packed `.hpct` input accepts every record (`total_rows == len`,
+/// no quarantine, no repairs) and carries its stored index in `parts`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LenientIngest {
     /// Records that were accepted (possibly after repair).
@@ -168,6 +172,9 @@ pub struct LenientIngest {
     /// Accepted records with `start == end` — counted, not dropped
     /// (instantaneous node bounces exist in operator data).
     pub zero_width: usize,
+    /// The validated index parts of a packed input, ready for
+    /// [`crate::TraceIndex::from_parts`]; `None` for text input.
+    pub parts: Option<TraceParts>,
 }
 
 impl LenientIngest {

@@ -98,13 +98,11 @@ const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "workload_rows",
 ];
 
-/// Errors surfaced by the store reader and writer. Every malformed
-/// input maps to one of these — the loader has no panic path.
-#[derive(Debug)]
+/// Errors surfaced by the store reader. Every malformed input maps to
+/// one of these — the loader has no panic path.
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// Reading or writing the file failed at the OS level.
-    Io(std::io::Error),
     /// The file does not begin with the `HPCT` magic.
     BadMagic {
         /// The first bytes actually found.
@@ -147,7 +145,6 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io(e) => write!(f, "trace store I/O error: {e}"),
             StoreError::BadMagic { found } => {
                 write!(f, "not an .hpct trace store (magic {found:02x?})")
             }
@@ -172,14 +169,7 @@ impl fmt::Display for StoreError {
     }
 }
 
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for StoreError {}
 
 fn malformed(reason: impl Into<String>) -> StoreError {
     StoreError::Malformed {
@@ -255,10 +245,10 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Whether `bytes` begin with the `.hpct` magic — the sniff the serve
-/// layer uses to route a tenant file to the store loader instead of the
-/// CSV parser.
-pub fn is_packed(bytes: &[u8]) -> bool {
+/// Whether `bytes` begin with the `.hpct` magic — the sniff
+/// [`crate::io::read_trace`] uses to route input to the store loader
+/// instead of a CSV parser.
+pub(crate) fn is_packed(bytes: &[u8]) -> bool {
     bytes.len() >= HPCT_MAGIC.len() && bytes[..HPCT_MAGIC.len()] == HPCT_MAGIC
 }
 
@@ -304,10 +294,10 @@ impl TraceStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the file cannot be written.
-    pub fn write(index: &TraceIndex<'_>, path: impl AsRef<Path>) -> Result<u64, StoreError> {
+    /// The I/O error when the file cannot be written.
+    pub fn write(index: &TraceIndex<'_>, path: impl AsRef<Path>) -> std::io::Result<u64> {
         let bytes = Self::to_bytes(index);
-        std::fs::write(path, &bytes).map_err(StoreError::Io)?;
+        std::fs::write(path, &bytes)?;
         Ok(bytes.len() as u64)
     }
 
@@ -375,17 +365,6 @@ impl TraceStore {
         out.extend_from_slice(&footer.to_le_bytes());
         debug_assert_eq!(out.len(), total);
         out
-    }
-
-    /// Load and validate a `.hpct` file.
-    ///
-    /// # Errors
-    ///
-    /// Any [`StoreError`] variant; on error nothing is returned and no
-    /// partial state escapes.
-    pub fn read(path: impl AsRef<Path>) -> Result<LoadedTrace, StoreError> {
-        let bytes = std::fs::read(path).map_err(StoreError::Io)?;
-        Self::from_bytes(&bytes)
     }
 
     /// Validate and decode an in-memory `.hpct` image.
@@ -1102,8 +1081,9 @@ mod tests {
         let index = trace.index();
         let size = TraceStore::write(&index, &path).unwrap();
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
-        let loaded = TraceStore::read(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let loaded = TraceStore::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.trace(), &trace);
-        assert!(is_packed(&std::fs::read(&path).unwrap()));
+        assert!(is_packed(&bytes));
     }
 }

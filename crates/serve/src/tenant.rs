@@ -10,13 +10,11 @@
 //! finish — reload never blocks them and never mutates shared state.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
-use hpcfail_records::io::read_csv;
-use hpcfail_records::io_lanl::read_lanl_csv;
-use hpcfail_records::store::{is_packed, LoadedTrace, TraceStore};
-use hpcfail_records::{FailureTrace, TraceIndex};
+use hpcfail_records::io::{read_trace, Dialect};
+use hpcfail_records::{FailureTrace, IngestPolicy, TraceIndex, TraceParts};
 
 /// A [`FailureTrace`] bundled with the [`TraceIndex`] built over it.
 ///
@@ -41,28 +39,15 @@ pub struct OwnedIndex {
 }
 
 impl OwnedIndex {
-    /// Build the index over `trace` and take ownership of both.
-    pub fn new(trace: FailureTrace) -> OwnedIndex {
+    /// Take ownership of `trace` and index it: wrap `parts` when the
+    /// trace came from a packed store (no rebuild — the O(1)-per-record
+    /// open path), else build the index.
+    pub fn new(trace: FailureTrace, parts: Option<TraceParts>) -> OwnedIndex {
         let trace = Box::new(trace);
-        let borrowed: TraceIndex<'_> = trace.index();
+        let borrowed: TraceIndex<'_> = TraceIndex::from_parts_or_build(&trace, parts);
         // SAFETY: the borrow target is the boxed heap allocation, which
         // outlives `index` by construction (field order) and never
         // moves; see the type-level invariants above.
-        let index: TraceIndex<'static> =
-            unsafe { std::mem::transmute::<TraceIndex<'_>, TraceIndex<'static>>(borrowed) };
-        OwnedIndex { index, trace }
-    }
-
-    /// Wrap a trace loaded from a packed `.hpct` store: the index parts
-    /// come pre-validated off disk, so no rebuild runs — this is the
-    /// O(1)-per-record open path.
-    pub fn from_loaded(loaded: LoadedTrace) -> OwnedIndex {
-        let (trace, parts) = loaded.into_parts();
-        let trace = Box::new(trace);
-        let borrowed: TraceIndex<'_> = TraceIndex::from_parts(&trace, parts);
-        // SAFETY: same invariants as `new` — the borrow target is the
-        // boxed heap allocation, which outlives `index` (field order)
-        // and never moves.
         let index: TraceIndex<'static> =
             unsafe { std::mem::transmute::<TraceIndex<'_>, TraceIndex<'static>>(borrowed) };
         OwnedIndex { index, trace }
@@ -157,60 +142,22 @@ impl std::fmt::Display for TenantError {
 
 impl std::error::Error for TenantError {}
 
-/// A source's records, either parsed from CSV (index still to build) or
-/// opened from a packed `.hpct` store (index parts already validated).
-enum LoadedSource {
-    Parsed(FailureTrace),
-    Packed(LoadedTrace),
-}
-
-impl LoadedSource {
-    fn is_empty(&self) -> bool {
-        match self {
-            LoadedSource::Parsed(trace) => trace.is_empty(),
-            LoadedSource::Packed(loaded) => loaded.is_empty(),
+/// Read a tenant's source through the one trace loader and index it.
+/// A file may be a packed `.hpct` store (its stored index is reused) or
+/// CSV in the source's dialect.
+fn load_source(source: &TenantSource) -> Result<OwnedIndex, TenantError> {
+    let (path, dialect) = match source {
+        TenantSource::File(path) => (path, Dialect::Native),
+        TenantSource::LanlFile(path) => (path, Dialect::Lanl),
+        TenantSource::Static(trace) => {
+            return Ok(OwnedIndex::new(FailureTrace::clone(trace), None))
         }
-    }
-
-    /// Build (CSV) or directly wrap (packed) the owned index.
-    fn into_owned(self) -> OwnedIndex {
-        match self {
-            LoadedSource::Parsed(trace) => OwnedIndex::new(trace),
-            LoadedSource::Packed(loaded) => OwnedIndex::from_loaded(loaded),
-        }
-    }
-}
-
-/// Read one trace file, sniffing the format by magic bytes: a `.hpct`
-/// store opens through the checked binary loader (no rebuild), anything
-/// else parses as CSV in the arm-specific dialect.
-fn read_trace_file(
-    path: &Path,
-    parse: impl FnOnce(&[u8]) -> Result<FailureTrace, TenantError>,
-) -> Result<LoadedSource, TenantError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| TenantError::Load(format!("{}: {e}", path.display())))?;
-    if is_packed(&bytes) {
-        TraceStore::from_bytes(&bytes)
-            .map(LoadedSource::Packed)
-            .map_err(|e| TenantError::Load(format!("{}: {e}", path.display())))
-    } else {
-        parse(&bytes).map(LoadedSource::Parsed)
-    }
-}
-
-fn load_source(source: &TenantSource) -> Result<LoadedSource, TenantError> {
-    match source {
-        TenantSource::File(path) => read_trace_file(path, |bytes| {
-            read_csv(bytes).map_err(|e| TenantError::Load(format!("{}: {e}", path.display())))
-        }),
-        TenantSource::LanlFile(path) => read_trace_file(path, |bytes| {
-            read_lanl_csv(bytes)
-                .map(|import| import.trace)
-                .map_err(|e| TenantError::Load(format!("{}: {e}", path.display())))
-        }),
-        TenantSource::Static(trace) => Ok(LoadedSource::Parsed(FailureTrace::clone(trace))),
-    }
+    };
+    let load_err =
+        |e: &dyn std::fmt::Display| TenantError::Load(format!("{}: {e}", path.display()));
+    let bytes = std::fs::read(path).map_err(|e| load_err(&e))?;
+    let ingest = read_trace(&bytes, dialect, IngestPolicy::FailFast).map_err(|e| load_err(&e))?;
+    Ok(OwnedIndex::new(ingest.trace, ingest.parts))
 }
 
 /// The named-tenant registry.
@@ -232,12 +179,12 @@ impl TenantRegistry {
     /// [`TenantError::DuplicateTenant`] on a name collision;
     /// [`TenantError::Load`] when the source cannot be read.
     pub fn insert(&self, name: &str, source: TenantSource) -> Result<Arc<Tenant>, TenantError> {
-        let loaded = load_source(&source)?;
+        let owned = load_source(&source)?;
         let tenant = Arc::new(Tenant {
             name: name.to_string(),
             generation: 1,
             source,
-            owned: loaded.into_owned(),
+            owned,
         });
         let mut map = self.tenants.write().expect("tenant registry");
         if map.contains_key(name) {
@@ -286,8 +233,8 @@ impl TenantRegistry {
         let current = self
             .get(name)
             .ok_or_else(|| TenantError::UnknownTenant(name.to_string()))?;
-        let loaded = load_source(&current.source)?;
-        if loaded.is_empty() && !current.is_empty() {
+        let owned = load_source(&current.source)?;
+        if owned.trace().is_empty() && !current.is_empty() {
             return Err(TenantError::EmptyReload {
                 name: name.to_string(),
                 live_records: current.len(),
@@ -297,7 +244,7 @@ impl TenantRegistry {
             name: current.name.clone(),
             generation: current.generation + 1,
             source: current.source.clone(),
-            owned: loaded.into_owned(),
+            owned,
         });
         let mut map = self.tenants.write().expect("tenant registry");
         map.insert(name.to_string(), rebuilt.clone());
@@ -308,7 +255,9 @@ impl TenantRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{DetailedCause, FailureRecord, NodeId, SystemId, Timestamp, Workload};
+    use hpcfail_records::{
+        DetailedCause, FailureRecord, NodeId, SystemId, Timestamp, TraceStore, Workload,
+    };
 
     fn tiny_trace(n: u64) -> FailureTrace {
         let records = (0..n)
@@ -330,7 +279,7 @@ mod tests {
 
     #[test]
     fn owned_index_survives_moves() {
-        let owned = OwnedIndex::new(tiny_trace(50));
+        let owned = OwnedIndex::new(tiny_trace(50), None);
         let count_before = owned.index().all().len();
         // Move it around (into a Vec, out again, into an Arc).
         let mut v = vec![owned];

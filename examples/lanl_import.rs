@@ -10,8 +10,7 @@
 
 use hpcfail::analysis::findings;
 use hpcfail::prelude::*;
-use hpcfail::records::io_lanl::read_lanl_csv;
-use std::io::BufReader;
+use hpcfail::records::io::{read_trace, Dialect};
 
 /// A small LANL-style sample (header-driven, MM/DD/YYYY timestamps,
 /// LANL's cause vocabulary) used when no file is given.
@@ -27,21 +26,27 @@ system,nodenum,node purpose,started,fixed,cause
 ";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let import = match std::env::args().nth(1) {
+    let bytes = match std::env::args().nth(1) {
         Some(path) => {
-            let file = std::fs::File::open(&path)?;
             println!("importing {path}…");
-            read_lanl_csv(BufReader::new(file))?
+            std::fs::read(&path)?
         }
         None => {
             println!("no file given; using the bundled sample\n");
-            read_lanl_csv(SAMPLE.as_bytes())?
+            SAMPLE.as_bytes().to_vec()
         }
     };
+    // Rows whose repair precedes the failure start (clock or data-entry
+    // glitches in the raw release) are set aside, not fatal.
+    let import = read_trace(&bytes, Dialect::Lanl, IngestPolicy::FailFast)?;
+    let skipped = import
+        .quarantine
+        .iter()
+        .filter(|q| q.issue == QualityIssue::InvertedInterval)
+        .count();
     println!(
-        "imported {} records ({} glitched rows skipped)",
-        import.trace.len(),
-        import.skipped_inverted
+        "imported {} records ({skipped} glitched rows skipped)",
+        import.trace.len()
     );
 
     // Basic composition.

@@ -12,9 +12,8 @@
 
 use hpcfail::analysis::{periodic, rates, repair, report};
 use hpcfail::prelude::*;
-use hpcfail::records::io::{read_csv, write_csv};
+use hpcfail::records::io::{read_trace, write_csv, Dialect};
 use std::fs::File;
-use std::io::BufReader;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = match std::env::args().nth(1) {
@@ -30,7 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
-    let trace = read_csv(BufReader::new(File::open(&path)?))?;
+    let bytes = std::fs::read(&path)?;
+    let trace = read_trace(&bytes, Dialect::Native, IngestPolicy::FailFast)?.trace;
     println!("read {} records from {}\n", trace.len(), path.display());
 
     let catalog = Catalog::lanl();

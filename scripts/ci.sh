@@ -138,7 +138,50 @@ grep -q "packed" "$tmpdir/quality_pack.txt" || {
 }
 cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
     summary "$tmpdir/fixed.hpct" > /dev/null
-echo "OK: pack round-trips through every sniffed reader and rejects corruption typed"
+# The converters sniff a packed input too: quality reports and repairs
+# the store exactly like its CSV, pack reproduces it byte for byte, and
+# import-lanl unpacks it to the generated CSV.
+for input in csv hpct; do
+    cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+        quality "$tmpdir/sys20.$input" --repair --out "$tmpdir/repaired_$input.csv" \
+        | sed "s|$tmpdir/repaired_$input.csv|OUT|" > "$tmpdir/quality_$input.txt"
+done
+if ! diff -u "$tmpdir/quality_csv.txt" "$tmpdir/quality_hpct.txt"; then
+    echo "FAIL: quality reports a packed store differently from its CSV" >&2
+    exit 1
+fi
+cmp "$tmpdir/repaired_csv.csv" "$tmpdir/repaired_hpct.csv" || {
+    echo "FAIL: quality --repair wrote different traces for a store and its CSV" >&2
+    exit 1
+}
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    pack "$tmpdir/sys20.hpct" --out "$tmpdir/repacked.hpct" > /dev/null
+cmp "$tmpdir/sys20.hpct" "$tmpdir/repacked.hpct" || {
+    echo "FAIL: repacking a .hpct store changed its bytes" >&2
+    exit 1
+}
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    import-lanl "$tmpdir/sys20.hpct" --out "$tmpdir/unpacked.csv" > /dev/null
+cmp "$tmpdir/sys20.csv" "$tmpdir/unpacked.csv" || {
+    echo "FAIL: import-lanl of a .hpct store differs from the generated CSV" >&2
+    exit 1
+}
+echo "OK: pack round-trips through every sniffed reader and converter and rejects corruption typed"
+
+echo "==> CLI output into a closed pipe"
+# A reader that stops early ends the output; it must not panic the CLI.
+# The second reader exits before the command writes, so the write
+# always meets a closed pipe.
+for reader in "head -1" "true"; do
+    cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+        validate --seed 42 2> "$tmpdir/pipe.err" | $reader > /dev/null
+    if [ -s "$tmpdir/pipe.err" ]; then
+        echo "FAIL: hpcfail validate | $reader wrote to stderr" >&2
+        cat "$tmpdir/pipe.err" >&2
+        exit 1
+    fi
+done
+echo "OK: a closed stdout ends the output quietly"
 
 echo "==> CLI summary and validate vs committed experiments/cli_*.txt goldens"
 diff_cli_golden() { # golden, fresh-output, re-record command

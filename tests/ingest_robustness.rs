@@ -10,7 +10,9 @@
 
 use hpcfail::exec::FaultKind;
 use hpcfail::prelude::*;
-use hpcfail::records::io::{read_csv, read_csv_lenient, write_csv};
+use std::fmt::Write as _;
+
+use hpcfail::records::io::{read_trace, write_csv, Dialect};
 use hpcfail::records::quality::{audit, repair};
 use proptest::prelude::*;
 
@@ -43,13 +45,37 @@ fn to_csv(trace: &FailureTrace) -> Vec<u8> {
     out
 }
 
+/// Render a trace as a LANL export with `started`/`fixed` in columns
+/// 2–3, the columns the corruptor's timestamp faults aim at.
+fn to_lanl_csv(trace: &FailureTrace) -> String {
+    let mut out = String::from("system,node,started,fixed,node purpose,cause\n");
+    for r in trace.records() {
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{},{}",
+            r.system(),
+            r.node(),
+            r.start(),
+            r.end(),
+            r.workload(),
+            r.detail()
+        );
+    }
+    out
+}
+
+/// The strict native read: [`IngestPolicy::FailFast`].
+fn strict(bytes: &[u8]) -> Result<FailureTrace, RecordError> {
+    read_trace(bytes, Dialect::Native, IngestPolicy::FailFast).map(|ingest| ingest.trace)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Lenient ingestion must survive ANY corruption rate in [0, 1] —
     /// no panic, no error, and `accepted + quarantined == data rows` —
-    /// and the accepted trace must be auditable and repairable without
-    /// panicking either.
+    /// in both CSV dialects, and the accepted trace must be auditable and
+    /// repairable without panicking either.
     #[test]
     fn lenient_ingest_survives_any_corruption(
         records in prop::collection::vec(arbitrary_record(), 0..60),
@@ -57,24 +83,39 @@ proptest! {
         rate_millis in 0u64..=1_000,
         shuffle in prop::bool::ANY,
         truncate in prop::bool::ANY,
+        dialect in prop::bool::ANY
+            .prop_map(|lanl| if lanl { Dialect::Lanl } else { Dialect::Native }),
     ) {
         let trace = FailureTrace::from_records(records);
         let mut plan = CorruptionPlan::new(seed, rate_millis as f64 / 1_000.0);
         plan.faults.shuffle = shuffle;
         plan.truncate_file = truncate;
-        let dirty = plan.corrupt_trace(&trace);
+        let dirty = match dialect {
+            Dialect::Native => plan.corrupt_trace(&trace),
+            Dialect::Lanl => plan.corrupt_csv(&to_lanl_csv(&trace)),
+        };
         let catalog = Catalog::lanl();
         for policy in [IngestPolicy::Quarantine, IngestPolicy::Repair] {
-            let ingest = read_csv_lenient(dirty.as_bytes(), policy)
-                .unwrap_or_else(|e| panic!("lenient ingest errored under {plan}: {e}"));
+            let ingest = read_trace(dirty.as_bytes(), dialect, policy).unwrap_or_else(|e| {
+                panic!("lenient {dialect:?} ingest errored under {plan}: {e}")
+            });
             prop_assert!(
                 ingest.is_conserved(),
-                "conservation violated under {}: {} accepted + {} quarantined != {} rows",
+                "{:?} conservation violated under {}: {} accepted + {} quarantined != {} rows",
+                dialect,
                 plan,
                 ingest.accepted(),
                 ingest.quarantine.len(),
                 ingest.total_rows
             );
+            if rate_millis == 0 && !truncate {
+                prop_assert!(
+                    ingest.accepted() == trace.len(),
+                    "{:?} rate 0 must accept everything under {}",
+                    dialect,
+                    plan
+                );
+            }
             // The accepted records must be clean enough for the quality
             // layer to process without panicking.
             let report = audit(&ingest.trace);
@@ -124,13 +165,13 @@ proptest! {
     ) {
         let trace = FailureTrace::from_records(records);
         let csv = to_csv(&trace);
-        let strict = read_csv(csv.as_slice()).expect("clean csv parses strictly");
+        let strict = strict(&csv).expect("clean csv parses strictly");
         for policy in [
             IngestPolicy::FailFast,
             IngestPolicy::Quarantine,
             IngestPolicy::Repair,
         ] {
-            let ingest = read_csv_lenient(csv.as_slice(), policy).expect("clean csv");
+            let ingest = read_trace(&csv, Dialect::Native, policy).expect("clean csv");
             prop_assert_eq!(ingest.trace.records(), strict.records());
             prop_assert!(ingest.quarantine.is_empty());
             prop_assert!(ingest.repaired.is_empty());
@@ -154,7 +195,7 @@ fn corruption_rate_sweep_on_synthetic_trace() {
             plan.truncate_file = seed % 3 == 0;
             let dirty = plan.corrupt_trace(&trace);
             for policy in [IngestPolicy::Quarantine, IngestPolicy::Repair] {
-                let ingest = read_csv_lenient(dirty.as_bytes(), policy)
+                let ingest = read_trace(dirty.as_bytes(), Dialect::Native, policy)
                     .unwrap_or_else(|e| panic!("ingest errored under {plan}: {e}"));
                 assert!(ingest.is_conserved(), "conservation violated under {plan}");
                 if rate == 0.0 && !plan.truncate_file {
@@ -174,17 +215,25 @@ fn corruption_rate_sweep_on_synthetic_trace() {
 }
 
 /// Zero corruption round-trips bit-for-bit through the lenient reader:
-/// write → corrupt(rate 0) → lenient read → write is a fixed point.
+/// write → corrupt(rate 0) → lenient read → write is a fixed point, and
+/// the LANL rendering of the same trace reads back record for record.
 #[test]
 fn zero_rate_corruption_round_trips() {
     let trace =
         hpcfail::synth::scenario::system_trace(SystemId::new(12), 11).expect("synthetic trace");
     let plan = CorruptionPlan::new(3, 0.0);
     let dirty = plan.corrupt_trace(&trace);
-    let ingest =
-        read_csv_lenient(dirty.as_bytes(), IngestPolicy::Quarantine).expect("clean read");
+    let ingest = read_trace(dirty.as_bytes(), Dialect::Native, IngestPolicy::Quarantine)
+        .expect("clean read");
     assert_eq!(ingest.trace.records(), trace.records());
     assert_eq!(to_csv(&ingest.trace), to_csv(&trace));
+    // The LANL rendering the corruption proptest sweeps reads back
+    // exactly too, so its faults start from a fully accepted file.
+    let dirty = plan.corrupt_csv(&to_lanl_csv(&trace));
+    let ingest =
+        read_trace(dirty.as_bytes(), Dialect::Lanl, IngestPolicy::FailFast).expect("clean read");
+    assert!(ingest.quarantine.is_empty());
+    assert_eq!(ingest.trace.records(), trace.records());
 }
 
 // ---------------------------------------------------------------------

@@ -24,8 +24,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hpcfail::exec::{FaultKind, FaultMix, FaultPlan};
-use hpcfail::records::io_lanl::read_lanl_csv;
-use hpcfail::records::{BinaryCorruptionPlan, BinaryFault, TraceStore};
+use hpcfail::records::io::{read_trace, Dialect};
+use hpcfail::records::{BinaryCorruptionPlan, BinaryFault, IngestPolicy, TraceStore};
 use hpcfail::serve::chaos::{
     fetch, flood_heavy, plan_ops, run_chaos, trickle_heavy, ChaosOp, ChaosPlan, ChaosTiming,
     ControlTarget, NetFault,
@@ -211,7 +211,7 @@ fn damaged_packed_reload_during_socket_chaos_keeps_the_old_generation() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("lanl.hpct");
     let fixture = std::fs::read(fixture_path()).expect("fixture");
-    let trace = read_lanl_csv(fixture.as_slice())
+    let trace = read_trace(&fixture, Dialect::Lanl, IngestPolicy::FailFast)
         .expect("fixture parses")
         .trace;
     TraceStore::write(&trace.index(), &path).expect("pack fixture");

@@ -5,15 +5,31 @@
 //! The server can cache, shard, and reload however it likes — it must
 //! never change an answer.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use hpcfail::analysis::{availability, findings, pernode, rates, repair, tbf};
 use hpcfail::prelude::*;
-use hpcfail::records::io_lanl::read_lanl_csv;
-use hpcfail::serve::{render, respond, spawn, AppState, ServeConfig, TenantSource};
+use hpcfail::records::io::{read_trace, write_csv, Dialect};
+use hpcfail::records::quality::repair as repair_trace;
+use hpcfail::serve::{parse_request, render, respond, spawn, AppState, ServeConfig, TenantSource};
+
+/// Every analysis route, relative to `/v1/<trace>/`.
+const ANALYSIS_ROUTES: [&str; 11] = [
+    "tbf",
+    "tbf?view=pooled",
+    "tbf?era=early",
+    "tbf?era=late",
+    "repair",
+    "repair?cause=hardware",
+    "rates",
+    "rates?system=20",
+    "availability",
+    "pernode",
+    "findings",
+];
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/lanl_fixture.csv")
@@ -22,8 +38,10 @@ fn fixture_path() -> PathBuf {
 fn fixture_trace() -> &'static FailureTrace {
     static TRACE: OnceLock<FailureTrace> = OnceLock::new();
     TRACE.get_or_init(|| {
-        let file = std::fs::File::open(fixture_path()).expect("fixture exists");
-        read_lanl_csv(BufReader::new(file)).expect("fixture parses").trace
+        let bytes = std::fs::read(fixture_path()).expect("fixture exists");
+        read_trace(&bytes, Dialect::Lanl, IngestPolicy::FailFast)
+            .expect("fixture parses")
+            .trace
     })
 }
 
@@ -359,19 +377,8 @@ fn packed_fixture_boot_serves_byte_identical_bodies() {
     let mut handle = spawn(state.clone(), &ServeConfig::default()).expect("bind");
     let addr = handle.addr();
 
-    for target in [
-        "/v1/lanl/tbf",
-        "/v1/lanl/tbf?view=pooled",
-        "/v1/lanl/tbf?era=early",
-        "/v1/lanl/tbf?era=late",
-        "/v1/lanl/repair",
-        "/v1/lanl/repair?cause=hardware",
-        "/v1/lanl/rates",
-        "/v1/lanl/rates?system=20",
-        "/v1/lanl/availability",
-        "/v1/lanl/pernode",
-        "/v1/lanl/findings",
-    ] {
+    for route in ANALYSIS_ROUTES {
+        let target = &format!("/v1/lanl/{route}");
         let (csv_status, csv_body) = get(csv_addr, target);
         let (hpct_status, hpct_body) = get(addr, target);
         assert_eq!(csv_status, 200, "{target}: {csv_body}");
@@ -456,5 +463,60 @@ fn reload_against_a_damaged_packed_store_keeps_the_old_generation_serving() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"generation\":2"), "{body}");
     handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Across the ingest → quality → store → serve boundaries: a damaged
+/// CSV goes through Repair ingest, `quality::repair` and pack (what
+/// `hpcfail quality --repair --pack` does), and the packed store served
+/// as a tenant must answer every analysis route byte-identically to a
+/// tenant loaded from the CSV of the same repaired trace.
+#[test]
+fn damaged_csv_repaired_and_packed_serves_like_its_csv() {
+    let trace =
+        hpcfail::synth::scenario::system_trace(SystemId::new(20), 42).expect("synthetic trace");
+    let catalog = Catalog::lanl();
+    let dir = std::env::temp_dir().join(format!("hpcfail-repair-pack-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (hpct, csv) = (dir.join("repaired.hpct"), dir.join("repaired.csv"));
+    for (seed, rate, truncate_file) in [(1, 0.0, false), (2, 0.05, false), (3, 0.3, true)] {
+        let mut plan = CorruptionPlan::new(seed, rate);
+        plan.faults.shuffle = true;
+        plan.truncate_file = truncate_file;
+        let dirty = plan.corrupt_trace(&trace);
+        let ingest = read_trace(dirty.as_bytes(), Dialect::Native, IngestPolicy::Repair)
+            .unwrap_or_else(|e| panic!("repair ingest failed under {plan}: {e}"));
+        let repaired = repair_trace(&ingest.trace, Some(&catalog), &RepairPolicy::default()).trace;
+        TraceStore::write(&repaired.index(), &hpct).expect("pack");
+        write_csv(&repaired, std::fs::File::create(&csv).expect("csv")).expect("write csv");
+
+        let tenant = |source: TenantSource| {
+            let state = AppState::new();
+            state
+                .registry
+                .insert("t", source)
+                .unwrap_or_else(|e| panic!("tenant load failed under {plan}: {e}"));
+            state
+        };
+        let packed = tenant(TenantSource::File(hpct.clone()));
+        let text = tenant(TenantSource::File(csv.clone()));
+        assert_eq!(
+            packed.registry.get("t").unwrap().len(),
+            repaired.len(),
+            "{plan}"
+        );
+        for route in ANALYSIS_ROUTES {
+            let target = format!("/v1/t/{route}");
+            let raw = format!("GET {target} HTTP/1.1\r\nhost: test\r\n\r\n");
+            let request = parse_request(raw.as_bytes()).expect("request parses");
+            let (a, b) = (respond(&packed, &request), respond(&text, &request));
+            assert_eq!(a.status, 200, "{target} under {plan}: {}", a.body);
+            assert_eq!(
+                (a.status, &*a.body),
+                (b.status, &*b.body),
+                "{target}: packed tenant differs from its CSV under {plan}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
