@@ -10,8 +10,6 @@
 //! * [`strategies`] — periodic and hazard-aware checkpoint policies;
 //! * [`sim`] — an event-driven job simulator with a conservation-law
 //!   accounting of where the wall-clock time goes;
-//! * [`replay`] — trace-driven what-if: run the same job against a real
-//!   node's historical failure timeline;
 //! * [`study`] — the sweep quantifying what the paper's Weibull-with-
 //!   decreasing-hazard finding costs an exponential-assuming scheduler;
 //! * [`twolevel`] — Vaidya-style two-level recovery (the paper's
@@ -30,7 +28,6 @@
 
 pub mod daly;
 mod error;
-pub mod replay;
 pub mod sim;
 pub mod strategies;
 pub mod study;

@@ -216,41 +216,96 @@ pub enum Command {
     Help,
 }
 
+/// One command's arguments, split against the flags it declares.
+struct Args<'a> {
+    /// The command as named in messages (`analyze`, `scenario run`).
+    cmd: &'a str,
+    /// `(flag, value)` for every declared value flag, in order.
+    values: Vec<(&'a str, &'a String)>,
+    /// The declared switches that were given.
+    switches: Vec<&'a str>,
+    positional: Vec<&'a String>,
+}
+
+impl<'a> Args<'a> {
+    /// Split `args` for `cmd`. A value flag takes the next argument; an
+    /// undeclared `--flag` is a usage error that names it.
+    fn split(
+        cmd: &'a str,
+        args: &'a [String],
+        value_flags: &[&'a str],
+        switches: &[&'a str],
+    ) -> Result<Self, CliError> {
+        let mut out = Args {
+            cmd,
+            values: Vec::new(),
+            switches: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if let Some(&name) = value_flags.iter().find(|&&f| f == a) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| usage_err(format!("{name} requires a value")))?;
+                out.values.push((name, value));
+            } else if let Some(&name) = switches.iter().find(|&&f| f == a) {
+                out.switches.push(name);
+            } else if a.starts_with("--") {
+                return Err(usage_err(format!("unknown flag {a:?} for {cmd}")));
+            } else {
+                out.positional.push(a);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The first value given for `name`.
+    fn value(&self, name: &str) -> Option<&'a String> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == name)
+            .map(|&(_, v)| v)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+
+    /// The command's one operand (`what` names it in the message).
+    fn operand(&self, what: &str) -> Result<PathBuf, CliError> {
+        match self.positional.as_slice() {
+            [one] => Ok(PathBuf::from(one.as_str())),
+            [] => Err(usage_err(format!(
+                "{} requires exactly one {what}",
+                self.cmd
+            ))),
+            [_, extra, ..] => Err(self.unexpected(extra)),
+        }
+    }
+
+    /// Fails on any operand, for commands that take none.
+    fn no_operand(&self) -> Result<(), CliError> {
+        match self.positional.first() {
+            Some(extra) => Err(self.unexpected(extra)),
+            None => Ok(()),
+        }
+    }
+
+    fn unexpected(&self, arg: &str) -> CliError {
+        usage_err(format!("unexpected argument {arg:?} for {}", self.cmd))
+    }
+}
+
 /// Parse a command line (excluding argv\[0\]).
 ///
 /// # Errors
 ///
-/// [`CliError`] with code 2 and a usage-style message.
+/// [`CliError`] with code 2 and a usage-style message, including for an
+/// undeclared flag or a stray argument.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Err(usage_err(USAGE));
-    };
-    let rest: Vec<&String> = it.collect();
-    let flag_value = |name: &str| -> Result<Option<&String>, CliError> {
-        match rest.iter().position(|a| a.as_str() == name) {
-            Some(i) => match rest.get(i + 1) {
-                Some(v) => Ok(Some(v)),
-                None => Err(usage_err(format!("{name} requires a value"))),
-            },
-            None => Ok(None),
-        }
-    };
-    let positional = |skip_flags: &[&str]| -> Vec<&String> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let a = rest[i].as_str();
-            if skip_flags.contains(&a) {
-                i += 2;
-            } else if a.starts_with("--") {
-                i += 1;
-            } else {
-                out.push(rest[i]);
-                i += 1;
-            }
-        }
-        out
     };
     let parse_seed = |v: Option<&String>| -> Result<u64, CliError> {
         match v {
@@ -268,116 +323,107 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
 
     match cmd.as_str() {
         "generate" => {
-            let seed = parse_seed(flag_value("--seed")?)?;
-            let system = parse_system(flag_value("--system")?)?;
-            let out = flag_value("--out")?
+            let a = Args::split(cmd, rest, &["--seed", "--system", "--out"], &[])?;
+            a.no_operand()?;
+            let seed = parse_seed(a.value("--seed"))?;
+            let system = parse_system(a.value("--system"))?;
+            let out = a
+                .value("--out")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| PathBuf::from("trace.csv"));
             Ok(Command::Generate { seed, system, out })
         }
-        "summary" => {
-            let pos = positional(&[]);
-            match pos.as_slice() {
-                [file] => Ok(Command::Summary(PathBuf::from(file.as_str()))),
-                _ => Err(usage_err("summary requires exactly one FILE")),
-            }
-        }
+        "summary" => Ok(Command::Summary(
+            Args::split(cmd, rest, &[], &[])?.operand("FILE")?,
+        )),
         "analyze" => {
-            let system = parse_system(flag_value("--system")?)?.unwrap_or(20);
-            let pos = positional(&["--system"]);
-            match pos.as_slice() {
-                [file] => Ok(Command::Analyze {
-                    file: PathBuf::from(file.as_str()),
-                    system,
-                }),
-                _ => Err(usage_err("analyze requires exactly one FILE")),
-            }
+            let a = Args::split(cmd, rest, &["--system"], &[])?;
+            let system = parse_system(a.value("--system"))?.unwrap_or(20);
+            Ok(Command::Analyze {
+                file: a.operand("FILE")?,
+                system,
+            })
         }
-        "findings" => {
-            let pos = positional(&[]);
-            match pos.as_slice() {
-                [file] => Ok(Command::Findings(PathBuf::from(file.as_str()))),
-                _ => Err(usage_err("findings requires exactly one FILE")),
-            }
-        }
+        "findings" => Ok(Command::Findings(
+            Args::split(cmd, rest, &[], &[])?.operand("FILE")?,
+        )),
         "quality" => {
-            let lanl = rest.iter().any(|a| a.as_str() == "--lanl");
-            let repair = rest.iter().any(|a| a.as_str() == "--repair");
-            let pack = rest.iter().any(|a| a.as_str() == "--pack");
-            let out = flag_value("--out")?.map(PathBuf::from);
+            let a = Args::split(cmd, rest, &["--out"], &["--lanl", "--repair", "--pack"])?;
+            let repair = a.switch("--repair");
+            let pack = a.switch("--pack");
+            let out = a.value("--out").map(PathBuf::from);
             if out.is_some() && !repair {
                 return Err(usage_err("quality --out requires --repair"));
             }
             if pack && out.is_none() {
                 return Err(usage_err("quality --pack requires --repair --out"));
             }
-            let pos = positional(&["--out"]);
-            match pos.as_slice() {
-                [file] => Ok(Command::Quality {
-                    file: PathBuf::from(file.as_str()),
-                    lanl,
-                    repair,
-                    out,
-                    pack,
-                }),
-                _ => Err(usage_err("quality requires exactly one FILE")),
-            }
+            Ok(Command::Quality {
+                file: a.operand("FILE")?,
+                lanl: a.switch("--lanl"),
+                repair,
+                out,
+                pack,
+            })
         }
         "pack" => {
-            let lanl = rest.iter().any(|a| a.as_str() == "--lanl");
-            let out = flag_value("--out")?.map(PathBuf::from);
-            let pos = positional(&["--out"]);
-            match pos.as_slice() {
-                [file] => {
-                    let file = PathBuf::from(file.as_str());
-                    let out = out.unwrap_or_else(|| file.with_extension("hpct"));
-                    Ok(Command::Pack { file, lanl, out })
-                }
-                _ => Err(usage_err("pack requires exactly one FILE")),
-            }
+            let a = Args::split(cmd, rest, &["--out"], &["--lanl"])?;
+            let file = a.operand("FILE")?;
+            let out = a
+                .value("--out")
+                .map(PathBuf::from)
+                .unwrap_or_else(|| file.with_extension("hpct"));
+            Ok(Command::Pack {
+                file,
+                lanl: a.switch("--lanl"),
+                out,
+            })
         }
         "import-lanl" => {
-            let out = flag_value("--out")?
+            let a = Args::split(cmd, rest, &["--out"], &[])?;
+            let out = a
+                .value("--out")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| PathBuf::from("imported.csv"));
-            let pos = positional(&["--out"]);
-            match pos.as_slice() {
-                [file] => Ok(Command::ImportLanl {
-                    file: PathBuf::from(file.as_str()),
-                    out,
-                }),
-                _ => Err(usage_err("import-lanl requires exactly one FILE")),
-            }
+            Ok(Command::ImportLanl {
+                file: a.operand("FILE")?,
+                out,
+            })
         }
-        "validate" => Ok(Command::Validate {
-            seed: parse_seed(flag_value("--seed")?)?,
-        }),
+        "validate" => {
+            let a = Args::split(cmd, rest, &["--seed"], &[])?;
+            a.no_operand()?;
+            Ok(Command::Validate {
+                seed: parse_seed(a.value("--seed"))?,
+            })
+        }
         "serve" => {
-            let mut traces = Vec::new();
-            let mut i = 0;
-            while i < rest.len() {
-                if rest[i].as_str() == "--trace" {
-                    match rest.get(i + 1) {
-                        Some(v) => traces.push(PathBuf::from(v.as_str())),
-                        None => return Err(usage_err("--trace requires a value")),
-                    }
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            let lanl = rest.iter().any(|a| a.as_str() == "--lanl");
-            let synth = flag_value("--synth")?
+            let a = Args::split(
+                cmd,
+                rest,
+                &["--trace", "--synth", "--system", "--host", "--port"],
+                &["--lanl"],
+            )?;
+            a.no_operand()?;
+            let traces: Vec<PathBuf> = a
+                .values
+                .iter()
+                .filter(|(f, _)| *f == "--trace")
+                .map(|&(_, v)| PathBuf::from(v))
+                .collect();
+            let synth = a
+                .value("--synth")
                 .map(|s| {
                     s.parse::<u64>()
                         .map_err(|_| usage_err(format!("bad seed {s:?}")))
                 })
                 .transpose()?;
-            let system = parse_system(flag_value("--system")?)?;
-            let host = flag_value("--host")?
+            let system = parse_system(a.value("--system"))?;
+            let host = a
+                .value("--host")
                 .cloned()
                 .unwrap_or_else(|| "127.0.0.1".to_string());
-            let port = match flag_value("--port")? {
+            let port = match a.value("--port") {
                 Some(s) => s
                     .parse::<u16>()
                     .map_err(|_| usage_err(format!("bad port {s:?}")))?,
@@ -393,74 +439,37 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Serve {
                 traces,
-                lanl,
+                lanl: a.switch("--lanl"),
                 synth,
                 system,
                 host,
                 port,
             })
         }
-        "scenario" => {
-            let sub = rest.first().map(|s| s.as_str());
-            // The subcommand is itself positional; everything after it
-            // parses with the shared flag helpers.
-            let tail: Vec<&String> = rest.iter().skip(1).copied().collect();
-            let tail_flag = |name: &str| -> Result<Option<&String>, CliError> {
-                match tail.iter().position(|a| a.as_str() == name) {
-                    Some(i) => match tail.get(i + 1) {
-                        Some(v) => Ok(Some(v)),
-                        None => Err(usage_err(format!("{name} requires a value"))),
-                    },
-                    None => Ok(None),
-                }
-            };
-            let tail_positional = |skip_flags: &[&str]| -> Vec<&String> {
-                let mut out = Vec::new();
-                let mut i = 0;
-                while i < tail.len() {
-                    let a = tail[i].as_str();
-                    if skip_flags.contains(&a) {
-                        i += 2;
-                    } else if a.starts_with("--") {
-                        i += 1;
-                    } else {
-                        out.push(tail[i]);
-                        i += 1;
-                    }
-                }
-                out
-            };
-            match sub {
-                Some("plan") => match tail_positional(&[]).as_slice() {
-                    [spec] => Ok(Command::ScenarioPlan {
-                        spec: PathBuf::from(spec.as_str()),
-                    }),
-                    _ => Err(usage_err("scenario plan requires exactly one SPEC")),
-                },
-                Some("run") => {
-                    let out = tail_flag("--out")?.map(PathBuf::from);
-                    let resume = tail.iter().any(|a| a.as_str() == "--resume");
-                    let workers = tail_flag("--workers")?
-                        .map(|s| {
-                            s.parse::<usize>()
-                                .ok()
-                                .filter(|&w| w > 0)
-                                .ok_or_else(|| usage_err(format!("bad worker count {s:?}")))
-                        })
-                        .transpose()?;
-                    match tail_positional(&["--out", "--workers"]).as_slice() {
-                        [spec] => Ok(Command::ScenarioRun {
-                            spec: PathBuf::from(spec.as_str()),
-                            out,
-                            resume,
-                            workers,
-                        }),
-                        _ => Err(usage_err("scenario run requires exactly one SPEC")),
-                    }
-                }
-                _ => Err(usage_err("scenario requires a subcommand: plan or run")),
+        "scenario" => match rest.split_first() {
+            Some((sub, tail)) if sub == "plan" => Ok(Command::ScenarioPlan {
+                spec: Args::split("scenario plan", tail, &[], &[])?.operand("SPEC")?,
+            }),
+            Some((sub, tail)) if sub == "run" => {
+                let a = Args::split("scenario run", tail, &["--out", "--workers"], &["--resume"])?;
+                let workers = a
+                    .value("--workers")
+                    .map(|s| {
+                        s.parse::<usize>()
+                            .ok()
+                            .filter(|&w| w > 0)
+                            .ok_or_else(|| usage_err(format!("bad worker count {s:?}")))
+                    })
+                    .transpose()?;
+                Ok(Command::ScenarioRun {
+                    spec: a.operand("SPEC")?,
+                    out: a.value("--out").map(PathBuf::from),
+                    resume: a.switch("--resume"),
+                    workers,
+                })
             }
-        }
+            _ => Err(usage_err("scenario requires a subcommand: plan or run")),
+        },
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(usage_err(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
@@ -955,6 +964,27 @@ mod tests {
                 .code,
             2
         );
+        // An undeclared flag or a stray argument is a usage error that
+        // names the argument.
+        for (line, culprit) in [
+            (&["validate", "--sed", "5"][..], "--sed"),
+            (&["validate", "5"][..], "5"),
+            (&["summary", "s20.csv", "--lanl"][..], "--lanl"),
+            (&["analyze", "f.csv", "--sytem", "7"][..], "--sytem"),
+            (&["generate", "extra"][..], "extra"),
+            (&["serve", "--synth", "1", "stray"][..], "stray"),
+            (&["pack", "a.csv", "--repair"][..], "--repair"),
+            (&["scenario", "plan", "a.toml", "b.toml"][..], "b.toml"),
+            (&["scenario", "run", "a.toml", "--resum"][..], "--resum"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert_eq!(err.code, 2, "{line:?}");
+            assert!(
+                err.message.contains(&format!("{culprit:?}")),
+                "{line:?}: {}",
+                err.message
+            );
+        }
     }
 
     #[test]

@@ -38,10 +38,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod availability;
-pub mod changepoint;
 pub mod daily;
 mod error;
-pub mod exec;
 pub mod findings;
 pub mod lifetime;
 pub mod periodic;

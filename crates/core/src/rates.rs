@@ -4,6 +4,7 @@
 //! cross-system variability, i.e. failure rates grow roughly linearly
 //! with system size.
 
+use hpcfail_exec::ParallelExecutor;
 use hpcfail_records::{Catalog, HardwareType, SystemId, TraceIndex};
 use hpcfail_stats::descriptive;
 
@@ -108,7 +109,7 @@ pub fn analyze_indexed(
     let counts = index.all().count_by_system();
     // Fan out over systems; results come back in catalog order for any
     // worker count.
-    let rates = crate::exec::par_system_map(catalog, |spec| {
+    let rates = ParallelExecutor::from_env().map_indexed(catalog.systems(), |_, spec| {
         let failures = counts.get(&spec.id()).copied().unwrap_or(0);
         let years = spec.production_years();
         let per_year = failures as f64 / years;

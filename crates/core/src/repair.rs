@@ -6,6 +6,7 @@
 //! system, showing a strong hardware-type effect and insensitivity to
 //! system size.
 
+use hpcfail_exec::ParallelExecutor;
 use hpcfail_records::{Catalog, HardwareType, RootCause, SystemId, TraceIndex};
 use hpcfail_stats::descriptive::{self, Summary};
 use hpcfail_stats::fit::{fit_paper_set_prepared, FitReport};
@@ -115,22 +116,23 @@ pub fn by_system_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Vec<Syste
     // Each system's summary is independent of the others; fan out and
     // keep catalog order (the fan-out returns results at their input
     // index, so this is deterministic for any worker count).
-    crate::exec::par_system_map(catalog, |spec| {
-        let minutes = index.system(spec.id()).downtimes_minutes();
-        if minutes.is_empty() {
-            return None;
-        }
-        Some(SystemRepair {
-            system: spec.id(),
-            hardware: spec.hardware(),
-            count: minutes.len(),
-            mean_minutes: descriptive::mean(&minutes),
-            median_minutes: descriptive::median(&minutes),
+    ParallelExecutor::from_env()
+        .map_indexed(catalog.systems(), |_, spec| {
+            let minutes = index.system(spec.id()).downtimes_minutes();
+            if minutes.is_empty() {
+                return None;
+            }
+            Some(SystemRepair {
+                system: spec.id(),
+                hardware: spec.hardware(),
+                count: minutes.len(),
+                mean_minutes: descriptive::mean(&minutes),
+                median_minutes: descriptive::median(&minutes),
+            })
         })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// The paper's type-effect check: the spread (max/min) of mean repair

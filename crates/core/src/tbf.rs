@@ -161,53 +161,6 @@ pub fn analyze_indexed(
     })
 }
 
-/// Kaplan–Meier estimate of the gap survival function for a windowed
-/// view, treating the gap in progress when the window closes as
-/// right-censored instead of dropping it — the statistically correct
-/// handling of the paper's era splits.
-///
-/// # Errors
-///
-/// [`AnalysisError::InsufficientData`] below 30 gaps; propagates
-/// Kaplan–Meier fitting errors.
-pub fn censored_gap_survival_indexed(
-    index: &TraceIndex<'_>,
-    view: View,
-    window: (Timestamp, Timestamp),
-) -> Result<hpcfail_stats::survival::KaplanMeier, AnalysisError> {
-    use hpcfail_stats::survival::{KaplanMeier, Observation};
-    let windowed = index.all().window(window.0, window.1);
-    let sub = match view {
-        View::Node(system, node) => windowed.filter_node(system, node),
-        View::SystemWide(system) | View::PooledNodes(system) => windowed.filter_system(system),
-    };
-    let gaps: Vec<f64> = match view {
-        View::PooledNodes(_) => sub.per_node_interarrival_secs(),
-        _ => sub.interarrival_secs().unwrap_or_default(),
-    };
-    const MIN_GAPS: usize = 30;
-    if gaps.len() < MIN_GAPS {
-        return Err(AnalysisError::InsufficientData {
-            what: "censored gap survival",
-            needed: MIN_GAPS,
-            got: gaps.len(),
-        });
-    }
-    let mut obs: Vec<Observation> = gaps
-        .into_iter()
-        .filter(|&g| g > 0.0)
-        .map(Observation::event)
-        .collect();
-    // The open gap at the window edge: last failure start to window end.
-    if let Some(last) = sub.last_start() {
-        let open = (window.1 - last) as f64;
-        if open > 0.0 {
-            obs.push(Observation::censored(open));
-        }
-    }
-    Ok(KaplanMeier::fit(&obs)?)
-}
-
 /// The paper's era split for system 20: early production 1996–1999 and
 /// the remaining life 2000–2005.
 pub fn paper_era_split() -> ((Timestamp, Timestamp), (Timestamp, Timestamp)) {
@@ -346,38 +299,6 @@ mod tests {
         let single = analyze(&trace, View::Node(SystemId::new(20), NodeId::new(22)), None).unwrap();
         let pooled = analyze(&trace, View::PooledNodes(SystemId::new(20)), None).unwrap();
         assert!(pooled.n > single.n);
-    }
-
-    #[test]
-    fn censored_survival_tracks_the_ecdf() {
-        // With thousands of gaps, one censored tail observation barely
-        // moves the curve: KM survival ≈ 1 − ECDF at interior points.
-        let trace = system20();
-        let (_, late) = paper_era_split();
-        let view = View::SystemWide(SystemId::new(20));
-        let km = censored_gap_survival_indexed(&trace.index(), view, late).unwrap();
-        let a = analyze(&trace, view, Some(late)).unwrap();
-        let median_gap = a.mean_secs * 0.5;
-        let s = km.survival(median_gap);
-        assert!((0.0..=1.0).contains(&s));
-        // The KM median exists and is positive.
-        let med = km.median().expect("median reached");
-        assert!(med > 0.0);
-        // Against the Weibull fit: survival at the fitted median ≈ 0.5.
-        if let Some(shape) = a.weibull_shape {
-            let _ = shape; // fitted on the same data; sanity only
-            assert!((km.survival(med) - 0.5).abs() < 0.05);
-        }
-    }
-
-    #[test]
-    fn censored_survival_requires_data() {
-        let t = FailureTrace::new();
-        let (early, _) = paper_era_split();
-        assert!(matches!(
-            censored_gap_survival_indexed(&t.index(), View::SystemWide(SystemId::new(20)), early),
-            Err(AnalysisError::InsufficientData { .. })
-        ));
     }
 
     #[test]

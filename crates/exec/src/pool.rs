@@ -130,16 +130,6 @@ impl ParallelExecutor {
         self.map_range(items.len(), |i| task(i, &items[i]))
     }
 
-    /// Fallible form of [`ParallelExecutor::map_indexed`].
-    pub fn try_map_indexed<T, O, F>(&self, items: &[T], task: F) -> Result<Vec<O>, ExecError>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(usize, &T) -> O + Sync,
-    {
-        self.try_map_range(items.len(), |i| task(i, &items[i]))
-    }
-
     /// Apply `task` to every index in `0..n`, isolating each task behind
     /// its own `catch_unwind`: a panicking task settles to
     /// `Err(panic message)` in its slot while every sibling still runs to

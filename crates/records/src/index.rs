@@ -144,7 +144,7 @@ impl CauseTotals {
 ///
 /// Build once per trace (`trace.index()` or [`TraceIndex::build`]), then
 /// fan analyses off borrowed [`TraceView`]s. The index is `Sync`: views
-/// can be taken from worker threads (`par_system_map`) concurrently.
+/// can be taken from worker threads concurrently.
 #[derive(Debug)]
 pub struct TraceIndex<'t> {
     trace: &'t FailureTrace,

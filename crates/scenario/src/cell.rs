@@ -22,6 +22,7 @@ use hpcfail_records::time::{DAY, HOUR, MINUTE, MONTH, YEAR};
 use hpcfail_records::{Catalog, FailureRecord, FailureTrace, RootCause, SystemId, Timestamp};
 use hpcfail_sched::policy;
 use hpcfail_sched::sim::{Job, NodeTruth, SimConfig};
+use hpcfail_stats::descriptive;
 use hpcfail_stats::dist::{Exponential, Weibull};
 use hpcfail_synth::builder::ScenarioBuilder;
 use hpcfail_synth::causes::CauseMix;
@@ -268,7 +269,12 @@ fn evaluate_system(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<Cel
     let node_year_rate = failures as f64 / (nodes * window_years);
     let downtime_secs: u64 = windowed.records().iter().map(|r| r.downtime_secs()).sum();
     let availability = (1.0 - downtime_secs as f64 / (nodes * window_secs)).clamp(0.0, 1.0);
-    let repair_median_min = median_repair_minutes(&windowed);
+    let repair_minutes: Vec<f64> = windowed
+        .records()
+        .iter()
+        .map(|r| r.downtime_minutes())
+        .collect();
+    let repair_median_min = descriptive::median(&repair_minutes);
     let mean_repair_secs = (downtime_secs as f64 / failures as f64).max(1.0);
 
     let analysis = tbf::analyze(&windowed, View::SystemWide(id), None)
@@ -322,24 +328,6 @@ fn inflate_repairs(trace: &FailureTrace, scale: f64) -> Result<FailureTrace, Cel
         records.push(rebuilt);
     }
     Ok(FailureTrace::from_records(records))
-}
-
-fn median_repair_minutes(trace: &FailureTrace) -> f64 {
-    let mut minutes: Vec<f64> = trace
-        .records()
-        .iter()
-        .map(|r| r.downtime_minutes())
-        .collect();
-    minutes.sort_by(f64::total_cmp);
-    let n = minutes.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        minutes[n / 2]
-    } else {
-        0.5 * (minutes[n / 2 - 1] + minutes[n / 2])
-    }
 }
 
 fn run_checkpoint_app(

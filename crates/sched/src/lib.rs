@@ -40,6 +40,5 @@ pub mod cluster;
 mod error;
 pub mod policy;
 pub mod sim;
-pub mod study;
 
 pub use error::SchedError;

@@ -1,85 +1,9 @@
-//! Correlation measures.
+//! Serial correlation.
 //!
-//! Section 7 of the paper discusses correlations between workload and
-//! failure rate (refs \[2\], \[6\], \[18\]) and the paper itself "finds
-//! evidence for both correlations". These estimators quantify that:
-//! Pearson's r for linear association, Spearman's ρ for monotone
-//! association (robust to the heavy tails everywhere in failure data).
+//! The lag-k sample autocorrelation of a series, which the time-between-
+//! failure analysis uses to probe whether failures cluster in time.
 
 use crate::error::StatsError;
-
-/// Pearson product-moment correlation of two equal-length samples.
-///
-/// # Errors
-///
-/// [`StatsError::SampleTooSmall`] for n < 2 or mismatched lengths
-/// (reported as the shorter length); [`StatsError::NonFinite`] for
-/// NaN/∞; [`StatsError::DegenerateSample`] when either side has zero
-/// variance.
-pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
-    validate(x, y)?;
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (&a, &b) in x.iter().zip(y) {
-        sxy += (a - mx) * (b - my);
-        sxx += (a - mx) * (a - mx);
-        syy += (b - my) * (b - my);
-    }
-    if sxx <= 0.0 || syy <= 0.0 {
-        return Err(StatsError::DegenerateSample);
-    }
-    Ok(sxy / (sxx * syy).sqrt())
-}
-
-/// Spearman rank correlation: Pearson on mid-ranks (ties averaged).
-///
-/// # Errors
-///
-/// As [`pearson`].
-pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
-    validate(x, y)?;
-    let rx = midranks(x);
-    let ry = midranks(y);
-    pearson(&rx, &ry)
-}
-
-fn validate(x: &[f64], y: &[f64]) -> Result<(), StatsError> {
-    if x.len() != y.len() || x.len() < 2 {
-        return Err(StatsError::SampleTooSmall {
-            needed: 2,
-            got: x.len().min(y.len()),
-        });
-    }
-    if x.iter().chain(y.iter()).any(|v| !v.is_finite()) {
-        return Err(StatsError::NonFinite);
-    }
-    Ok(())
-}
-
-/// Mid-ranks (1-based; ties get the average of their rank block).
-fn midranks(data: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    idx.sort_by(|&a, &b| data[a].total_cmp(&data[b]));
-    let mut ranks = vec![0.0; data.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && data[idx[j + 1]] == data[idx[i]] {
-            j += 1;
-        }
-        // Average rank of the tie block [i, j].
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
 
 /// Sample autocorrelation of a series at the given lag:
 /// `r(k) = Σ (x_t − x̄)(x_{t+k} − x̄) / Σ (x_t − x̄)²`.
@@ -116,69 +40,9 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> Result<f64, StatsError> {
     Ok(numer / denom)
 }
 
-/// The autocorrelation function at lags `1..=max_lag`.
-///
-/// # Errors
-///
-/// As [`autocorrelation`], evaluated at `max_lag`.
-pub fn acf(series: &[f64], max_lag: usize) -> Result<Vec<f64>, StatsError> {
-    (1..=max_lag).map(|k| autocorrelation(series, k)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validation() {
-        assert!(pearson(&[1.0], &[1.0]).is_err());
-        assert!(pearson(&[1.0, 2.0], &[1.0]).is_err());
-        assert!(pearson(&[1.0, f64::NAN], &[1.0, 2.0]).is_err());
-        assert!(matches!(
-            pearson(&[1.0, 1.0], &[1.0, 2.0]),
-            Err(StatsError::DegenerateSample)
-        ));
-    }
-
-    #[test]
-    fn perfect_linear_correlation() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [10.0, 20.0, 30.0, 40.0];
-        assert!((pearson(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = y.iter().map(|v| -v).collect();
-        assert!((pearson(&x, &neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_detects_monotone_nonlinear() {
-        // Exponential relationship: Pearson < 1, Spearman = 1.
-        let x: Vec<f64> = (1..=20).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| v.exp()).collect();
-        let p = pearson(&x, &y).unwrap();
-        let s = spearman(&x, &y).unwrap();
-        assert!((s - 1.0).abs() < 1e-12, "spearman {s}");
-        assert!(p < 0.95, "pearson {p}");
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [1.0, 2.0, 2.0, 3.0];
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let ranks = midranks(&x);
-        assert_eq!(ranks, vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn near_zero_for_independent_patterns() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let y = [2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0, 7.0]; // swapped pairs
-        let r = pearson(&x, &y).unwrap();
-        assert!(r > 0.8, "still strongly increasing overall: {r}");
-        let z = [5.0, 1.0, 6.0, 2.0, 8.0, 3.0, 7.0, 4.0];
-        let r2 = spearman(&x, &z).unwrap();
-        assert!(r2.abs() < 0.6, "mixed pattern: {r2}");
-    }
 
     #[test]
     fn autocorrelation_of_iid_is_near_zero() {
@@ -211,9 +75,8 @@ mod tests {
         let r2 = autocorrelation(&series, 2).unwrap();
         assert!((r1 - 0.8).abs() < 0.05, "r1 = {r1}");
         assert!((r2 - 0.64).abs() < 0.07, "r2 = {r2}");
-        let f = acf(&series, 3).unwrap();
-        assert_eq!(f.len(), 3);
-        assert!(f[0] > f[1] && f[1] > f[2], "acf decays");
+        let r3 = autocorrelation(&series, 3).unwrap();
+        assert!(r1 > r2 && r2 > r3, "autocorrelation decays with lag");
     }
 
     #[test]
@@ -224,23 +87,5 @@ mod tests {
             autocorrelation(&[3.0, 3.0, 3.0], 1),
             Err(StatsError::DegenerateSample)
         ));
-    }
-
-    #[test]
-    fn workload_failure_correlation_on_synthetic_profile() {
-        // The Fig. 5 mechanism: hourly failure counts should correlate
-        // with the diurnal intensity profile that generated them.
-        let intensity = [
-            0.7, 0.65, 0.62, 0.6, 0.58, 0.6, 0.65, 0.72, 0.85, 0.95, 1.05, 1.15, 1.25, 1.32, 1.38,
-            1.4, 1.38, 1.33, 1.28, 1.2, 1.1, 1.0, 0.9, 0.8,
-        ];
-        // Counts = intensity × 1000 with mild noise.
-        let counts: Vec<f64> = intensity
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| w * 1_000.0 + ((i * 37) % 11) as f64 - 5.0)
-            .collect();
-        let r = pearson(&intensity, &counts).unwrap();
-        assert!(r > 0.99, "r = {r}");
     }
 }

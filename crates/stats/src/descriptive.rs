@@ -154,35 +154,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Sample skewness (Fisher–Pearson, adjusted): `g1·√(n(n−1))/(n−2)`.
-///
-/// Returns NaN for n < 3 or zero variance. Used to characterize the heavy
-/// right tails of repair-time data.
-pub fn skewness(data: &[f64]) -> f64 {
-    let n = data.len();
-    if n < 3 {
-        return f64::NAN;
-    }
-    let m = mean(data);
-    let nf = n as f64;
-    let m2: f64 = data.iter().map(|x| (x - m).powi(2)).sum::<f64>() / nf;
-    let m3: f64 = data.iter().map(|x| (x - m).powi(3)).sum::<f64>() / nf;
-    if m2 <= 0.0 {
-        return f64::NAN;
-    }
-    let g1 = m3 / m2.powf(1.5);
-    g1 * (nf * (nf - 1.0)).sqrt() / (nf - 2.0)
-}
-
-/// Geometric mean of strictly positive data; NaN if any value ≤ 0 or the
-/// slice is empty.
-pub fn geometric_mean(data: &[f64]) -> f64 {
-    if data.is_empty() || data.iter().any(|&x| x <= 0.0) {
-        return f64::NAN;
-    }
-    (data.iter().map(|x| x.ln()).sum::<f64>() / data.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,22 +253,5 @@ mod tests {
             Summary::from_sample(&[f64::INFINITY]),
             Err(StatsError::NonFinite)
         ));
-    }
-
-    #[test]
-    fn skewness_symmetric_is_zero() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert!(skewness(&data).abs() < 1e-12);
-        // Right-skewed data has positive skewness.
-        let skewed = [1.0, 1.0, 1.0, 2.0, 50.0];
-        assert!(skewness(&skewed) > 1.0);
-        assert!(skewness(&[1.0, 2.0]).is_nan());
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert!(geometric_mean(&[1.0, -1.0]).is_nan());
-        assert!(geometric_mean(&[]).is_nan());
     }
 }

@@ -14,7 +14,6 @@ mod negative_binomial;
 mod normal;
 mod pareto;
 mod poisson;
-mod uniform;
 mod weibull;
 
 pub use exponential::Exponential;
@@ -24,7 +23,6 @@ pub use negative_binomial::NegativeBinomial;
 pub use normal::Normal;
 pub use pareto::Pareto;
 pub use poisson::Poisson;
-pub use uniform::Uniform;
 pub use weibull::Weibull;
 
 use rand::{Rng, RngExt};

@@ -107,12 +107,6 @@ pub fn ks_p_value(d: f64, n: usize) -> f64 {
     (2.0 * sum).clamp(0.0, 1.0)
 }
 
-/// Log-likelihood ratio between two fitted models on the same data:
-/// positive means `a` explains the data better than `b`.
-pub fn log_likelihood_ratio(a: &dyn Continuous, b: &dyn Continuous, data: &[f64]) -> f64 {
-    b.nll(data) - a.nll(data)
-}
-
 /// Result of a chi-squared test (see [`chi_squared_uniform`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChiSquared {
@@ -305,15 +299,5 @@ mod tests {
         assert!(chi_squared_uniform(&uniform, 1).is_err());
         assert!(chi_squared_uniform(&[0.1; 6], 2).is_err()); // < 5 per bin
         assert!(chi_squared_uniform(&[2.0; 100], 4).is_err()); // support
-    }
-
-    #[test]
-    fn llr_sign() {
-        let truth = Weibull::new(0.7, 10.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let data = sample_n(&truth, 2_000, &mut rng);
-        let exp = Exponential::from_mean(truth.mean()).unwrap();
-        assert!(log_likelihood_ratio(&truth, &exp, &data) > 0.0);
-        assert!(log_likelihood_ratio(&exp, &truth, &data) < 0.0);
     }
 }

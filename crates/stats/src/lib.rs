@@ -4,18 +4,18 @@
 //! Schroeder & Gibson's DSN 2006 LANL failure study needs, implemented
 //! from scratch:
 //!
-//! * [`special`] — Lanczos `ln Γ`, digamma/trigamma, `erf`/`erf⁻¹`,
+//! * [`special`] — Lanczos `ln Γ`, digamma/trigamma, `erf`/`erfc`,
 //!   regularized incomplete gamma;
-//! * [`dist`] — exponential, Weibull, gamma, lognormal, normal, Pareto,
-//!   Poisson and uniform distributions, each with density, CDF, quantile,
+//! * [`dist`] — exponential, Weibull, gamma, lognormal, normal, Pareto
+//!   and Poisson distributions, each with density, CDF, quantile,
 //!   hazard rate, sampling and maximum-likelihood fitting;
 //! * [`fit`] — candidate fitting & ranking by negative log-likelihood /
 //!   AIC / Kolmogorov–Smirnov (the paper's Section-3 methodology);
 //! * [`prepared`] — one-pass sufficient-statistics kernels
 //!   ([`prepared::PreparedSample`]) that the fitting stack, GoF and
 //!   bootstrap share, so repeated fits never re-scan or re-sort;
-//! * [`ecdf`], [`histogram`], [`descriptive`] — empirical CDFs, binning,
-//!   and the mean / median / C² summaries the paper reports;
+//! * [`ecdf`], [`descriptive`] — empirical CDFs and the mean / median /
+//!   C² summaries the paper reports;
 //! * [`hazard`] — empirical hazard estimation and trend detection;
 //! * [`bootstrap`] — percentile bootstrap confidence intervals;
 //! * [`mixture`] — heavy-tailed mixtures used by the synthetic generator.
@@ -49,10 +49,8 @@ mod error;
 pub mod fit;
 pub mod gof;
 pub mod hazard;
-pub mod histogram;
 pub mod mixture;
 pub mod prepared;
 pub mod special;
-pub mod survival;
 
 pub use error::StatsError;

@@ -239,34 +239,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Inverse of the error function: `erf_inv(erf(x)) = x`.
-///
-/// Initial guess from a rational approximation to the inverse normal CDF,
-/// refined by two Newton iterations on `erf`.
-pub fn erf_inv(p: f64) -> f64 {
-    if !(-1.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    if p == -1.0 {
-        return f64::NEG_INFINITY;
-    }
-    // erf_inv(p) = Φ⁻¹((p+1)/2) / √2
-    let mut x = inverse_standard_normal_cdf((p + 1.0) / 2.0) / std::f64::consts::SQRT_2;
-    // Newton refinement: f(x) = erf(x) - p, f'(x) = 2/√π e^{-x²}
-    for _ in 0..2 {
-        let err = erf(x) - p;
-        let deriv = 2.0 / std::f64::consts::PI.sqrt() * (-x * x).exp();
-        if deriv.abs() < 1e-300 {
-            break;
-        }
-        x -= err / deriv;
-    }
-    x
-}
-
 /// Inverse CDF (quantile) of the standard normal distribution.
 ///
 /// Acklam's rational approximation (~1.15e-9 relative error), refined with
@@ -351,11 +323,6 @@ pub fn inverse_standard_normal_cdf_slice(ps: &mut [f64]) {
 /// Standard normal CDF `Φ(x)`.
 pub fn standard_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Standard normal PDF `φ(x)`.
-pub fn standard_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
 /// Regularized lower incomplete gamma function `P(a, x) = γ(a,x)/Γ(a)`.
@@ -585,13 +552,6 @@ mod tests {
     fn erfc_symmetry() {
         for &x in &[0.1, 0.5, 1.0, 2.5] {
             assert_close(erfc(-x), 2.0 - erfc(x), 1e-12);
-        }
-    }
-
-    #[test]
-    fn erf_inv_round_trip() {
-        for &p in &[-0.999, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.999] {
-            assert_close(erf(erf_inv(p)), p, 1e-9);
         }
     }
 

@@ -111,22 +111,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Apply a custom tweak to one system's configuration.
-    pub fn tweak_system<F>(mut self, system: SystemId, f: F) -> Self
-    where
-        F: FnOnce(&mut crate::config::SystemConfig),
-    {
-        if let Some(c) = self.calibration.system_mut(system) {
-            f(c);
-        }
-        self
-    }
-
-    /// The perturbed calibration (for inspection or validation).
-    pub fn calibration(&self) -> &Calibration {
-        &self.calibration
-    }
-
     /// Generate the full site trace.
     ///
     /// # Errors
@@ -198,28 +182,6 @@ mod tests {
         let share = graphics as f64 / counts.iter().sum::<u64>() as f64;
         // 3/49 ≈ 6% of nodes now take ≈6% of failures.
         assert!((0.03..0.10).contains(&share), "graphics share {share}");
-    }
-
-    #[test]
-    fn tweak_system_applies() {
-        let b = ScenarioBuilder::lanl().tweak_system(SystemId::new(5), |c| {
-            c.annual_failures = 1.0;
-        });
-        assert_eq!(
-            b.calibration()
-                .system(SystemId::new(5))
-                .unwrap()
-                .annual_failures,
-            1.0
-        );
-        // Other systems untouched.
-        assert_eq!(
-            b.calibration()
-                .system(SystemId::new(7))
-                .unwrap()
-                .annual_failures,
-            1159.0
-        );
     }
 
     #[test]

@@ -10,6 +10,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+# Every target, tests included, must compile without a warning, so a
+# helper whose last caller goes away fails the gate instead of lingering.
+# Its own target dir keeps the release cache above warm.
+echo "==> cargo check --workspace --all-targets, warnings denied"
+RUSTFLAGS="-D warnings" CARGO_TARGET_DIR=target/deny-warnings \
+    cargo check --offline --workspace --all-targets
+
 echo "==> cargo test --workspace (release)"
 cargo test --workspace --release -q
 

@@ -197,34 +197,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Survival analysis and count models
+// Count models
 // ---------------------------------------------------------------------
 
 proptest! {
-    #[test]
-    fn kaplan_meier_is_a_survival_function(
-        events in prop::collection::vec((0.01f64..1e5, prop::bool::ANY), 2..100),
-    ) {
-        use hpcfail::stats::survival::{KaplanMeier, Observation};
-        let obs: Vec<Observation> = events
-            .iter()
-            .map(|&(d, observed)| Observation { duration: d, observed })
-            .collect();
-        // Need at least one event; force the first to be observed.
-        let mut obs = obs;
-        obs[0].observed = true;
-        let km = KaplanMeier::fit(&obs).unwrap();
-        // Monotone non-increasing, within [0, 1].
-        let mut last = 1.0;
-        for (t, s) in km.steps() {
-            prop_assert!((0.0..=1.0).contains(&s));
-            prop_assert!(s <= last + 1e-12);
-            prop_assert!(t >= 0.0);
-            last = s;
-        }
-        prop_assert_eq!(km.survival(-1.0), 1.0);
-    }
-
     #[test]
     fn negative_binomial_pmf_is_a_distribution(
         r in 0.2f64..20.0,
@@ -243,48 +219,6 @@ proptest! {
             k += 1;
         }
         prop_assert!((total - 1.0).abs() < 1e-6, "mass {total}");
-    }
-
-    #[test]
-    fn interval_union_conserves_coverage(
-        raw in prop::collection::vec((0u64..10_000, 0u64..500), 0..60),
-    ) {
-        use hpcfail::records::intervals::{union, Interval};
-        let intervals: Vec<Interval> = raw
-            .iter()
-            .map(|&(s, len)| Interval { start: s, end: s + len })
-            .collect();
-        let merged = union(intervals.clone());
-        // Disjoint and sorted.
-        for w in merged.windows(2) {
-            prop_assert!(w[0].end < w[1].start);
-        }
-        // Union length is at most the raw sum and covers every point.
-        let raw_sum: u64 = intervals.iter().map(Interval::secs).sum();
-        let merged_sum: u64 = merged.iter().map(Interval::secs).sum();
-        prop_assert!(merged_sum <= raw_sum);
-        for iv in &intervals {
-            if iv.secs() == 0 {
-                continue;
-            }
-            prop_assert!(
-                merged.iter().any(|m| m.start <= iv.start && iv.end <= m.end),
-                "interval {iv:?} not covered"
-            );
-        }
-    }
-
-    #[test]
-    fn spearman_is_bounded_and_symmetric(
-        pairs in prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 3..50),
-    ) {
-        use hpcfail::stats::correlation::spearman;
-        let x: Vec<f64> = pairs.iter().map(|&(a, _)| a).collect();
-        let y: Vec<f64> = pairs.iter().map(|&(_, b)| b).collect();
-        if let (Ok(xy), Ok(yx)) = (spearman(&x, &y), spearman(&y, &x)) {
-            prop_assert!((-1.0..=1.0).contains(&xy));
-            prop_assert!((xy - yx).abs() < 1e-9);
-        }
     }
 }
 
