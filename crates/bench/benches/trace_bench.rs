@@ -3,7 +3,7 @@
 //! up to 1e7). Results are recorded in `experiments/BENCH_trace.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hpcfail_records::io::{read_trace, write_csv, Dialect};
+use hpcfail_records::io::{read_trace, write_csv};
 use hpcfail_records::{
     DetailedCause, FailureRecord, FailureTrace, IngestPolicy, NodeId, RootCause, SystemId,
     Timestamp, TraceIndex, TraceStore, Workload,
@@ -173,7 +173,7 @@ fn bench_store_load(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("csv_parse_build", n), &csv, |b, csv| {
             b.iter(|| {
-                let t = read_trace(black_box(&csv[..]), Dialect::Native, IngestPolicy::FailFast)
+                let t = read_trace(black_box(&csv[..]), IngestPolicy::FailFast)
                     .expect("clean csv")
                     .trace;
                 TraceIndex::build(&t).all().len()

@@ -1,21 +1,21 @@
 //! # hpcfail-cli
 //!
 //! The `hpcfail` command-line tool: generate calibrated synthetic traces,
-//! summarize and analyze failure logs (native or LANL-style CSV, or a
-//! packed `.hpct` store), convert formats, and self-validate the
-//! generator. Every command reads its input through the one loader,
-//! [`hpcfail_records::io::read_trace`].
+//! summarize and analyze failure logs, convert formats, and self-validate
+//! the generator. Every command reads its input through the one loader,
+//! [`hpcfail_records::io::read_trace`], so every FILE may be native CSV,
+//! a LANL export or a packed `.hpct` store.
 //!
 //! ```text
 //! hpcfail generate [--seed N] [--system ID] [--out FILE]
 //! hpcfail summary FILE
 //! hpcfail analyze FILE [--system ID]
 //! hpcfail findings FILE
-//! hpcfail quality FILE [--lanl] [--repair] [--out FILE] [--pack]
-//! hpcfail pack FILE [--lanl] [--out FILE.hpct]
+//! hpcfail quality FILE [--repair] [--out FILE] [--pack]
+//! hpcfail pack FILE [--out FILE.hpct]
 //! hpcfail import-lanl FILE [--out FILE]
 //! hpcfail validate [--seed N]
-//! hpcfail serve [--trace FILE]... [--lanl] [--synth SEED] [--system ID] [--host H] [--port N]
+//! hpcfail serve [--trace FILE]... [--synth SEED] [--system ID] [--host H] [--port N]
 //! hpcfail scenario plan SPEC
 //! hpcfail scenario run SPEC [--out FILE] [--resume] [--workers N]
 //! ```
@@ -30,8 +30,8 @@ use std::path::{Path, PathBuf};
 
 use hpcfail_core::report::{fmt_num, fmt_pct, TextTable};
 use hpcfail_core::{findings, rates, repair, rootcause, tbf};
-use hpcfail_records::io::{read_trace, write_csv, Dialect};
-use hpcfail_records::quality::{audit_with_catalog, repair as repair_trace, RepairPolicy};
+use hpcfail_records::io::{read_trace, write_csv};
+use hpcfail_records::quality::{audit, repair as repair_trace};
 use hpcfail_records::{
     Catalog, IngestPolicy, LenientIngest, QualityIssue, RootCause, SystemId, TraceIndex, TraceStore,
 };
@@ -71,39 +71,41 @@ fn run_err(message: impl Into<String>) -> CliError {
 pub const USAGE: &str = "\
 hpcfail — toolkit for Schroeder & Gibson's DSN 2006 HPC failure study
 
+Every FILE may be native CSV, a LANL export or a packed .hpct store;
+the format is told from the file's contents.
+
 USAGE:
   hpcfail generate [--seed N] [--system ID] [--out FILE]
       Generate a calibrated synthetic trace (whole site, or one system)
       and write it as CSV to --out (default: stdout path 'trace.csv').
   hpcfail summary FILE
-      Print the composition of a trace (native CSV or packed .hpct).
+      Print the composition of a trace.
   hpcfail analyze FILE [--system ID]
       Failure rates, repair statistics, and TBF fits for a trace.
   hpcfail findings FILE
       Check the paper's Section-8 conclusions against a trace.
-  hpcfail quality FILE [--lanl] [--repair] [--out FILE] [--pack]
+  hpcfail quality FILE [--repair] [--out FILE] [--pack]
       Ingest FILE leniently (quarantining bad rows), audit the accepted
       records for duplicates/overlaps/window violations, and with
       --repair apply the standard repair passes (writing the repaired
-      trace to --out when given). --lanl reads the LANL export format;
-      a packed .hpct FILE is accepted whole. --pack writes --out as a
-      packed .hpct binary store instead of CSV.
-  hpcfail pack FILE [--lanl] [--out FILE.hpct]
+      trace to --out when given). A packed .hpct FILE is accepted
+      whole. --pack writes --out as a packed .hpct binary store instead
+      of CSV.
+  hpcfail pack FILE [--out FILE.hpct]
       Build the trace index once and write it as a versioned, checksummed
       .hpct binary columnar store (default out: FILE with an .hpct
       extension). FILE may itself be a .hpct store (it is repacked).
       Packed traces open in O(1) per record — every FILE-taking command,
       serve --trace, and /v1/reload accept them transparently.
   hpcfail import-lanl FILE [--out FILE]
-      Convert a LANL-style export (or a packed .hpct store) to the
-      native CSV format.
+      Convert a trace (typically a LANL export) to the native CSV
+      format.
   hpcfail validate [--seed N]
       Regenerate the site and check every calibration target.
-  hpcfail serve [--trace FILE]... [--lanl] [--synth SEED] [--system ID]
+  hpcfail serve [--trace FILE]... [--synth SEED] [--system ID]
                 [--host H] [--port N]
       Serve the analyses over HTTP/JSON. Each --trace FILE becomes a
-      tenant named after the file stem (--lanl reads them as LANL
-      exports; packed .hpct stores are detected by magic bytes and open
+      tenant named after the file stem (packed .hpct stores open
       without a rebuild); --synth SEED adds a generated tenant named \"synth\"
       (whole site, or one system with --system). Port 0 picks an
       ephemeral port; the bound address is printed on startup. The
@@ -147,12 +149,10 @@ pub enum Command {
     },
     /// `findings FILE`
     Findings(PathBuf),
-    /// `quality FILE [--lanl] [--repair] [--out FILE] [--pack]`
+    /// `quality FILE [--repair] [--out FILE] [--pack]`
     Quality {
-        /// Input trace (native CSV, LANL export with `--lanl`, or `.hpct`).
+        /// Input trace.
         file: PathBuf,
-        /// Read the LANL export format instead of native CSV.
-        lanl: bool,
         /// Apply the repair passes after the audit.
         repair: bool,
         /// Where to write the repaired trace (with `--repair`).
@@ -160,18 +160,16 @@ pub enum Command {
         /// Write `--out` as a packed `.hpct` store instead of CSV.
         pack: bool,
     },
-    /// `pack FILE [--lanl] [--out FILE.hpct]`
+    /// `pack FILE [--out FILE.hpct]`
     Pack {
-        /// Input trace (native CSV, LANL export with `--lanl`, or `.hpct`).
+        /// Input trace.
         file: PathBuf,
-        /// Read the LANL export format instead of native CSV.
-        lanl: bool,
         /// Output `.hpct` path (default: FILE with an `.hpct` extension).
         out: PathBuf,
     },
     /// `import-lanl FILE [--out FILE]`
     ImportLanl {
-        /// LANL-style input.
+        /// Input trace.
         file: PathBuf,
         /// Native-CSV output path.
         out: PathBuf,
@@ -181,12 +179,10 @@ pub enum Command {
         /// RNG seed.
         seed: u64,
     },
-    /// `serve [--trace FILE]... [--lanl] [--synth SEED] [--system ID] [--host H] [--port N]`
+    /// `serve [--trace FILE]... [--synth SEED] [--system ID] [--host H] [--port N]`
     Serve {
         /// Trace files to load as tenants (named by file stem).
         traces: Vec<PathBuf>,
-        /// Read the trace files as LANL exports instead of native CSV.
-        lanl: bool,
         /// Add a synthetic tenant named "synth", generated from this seed.
         synth: Option<u64>,
         /// Restrict the synthetic tenant to one system.
@@ -348,7 +344,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Args::split(cmd, rest, &[], &[])?.operand("FILE")?,
         )),
         "quality" => {
-            let a = Args::split(cmd, rest, &["--out"], &["--lanl", "--repair", "--pack"])?;
+            let a = Args::split(cmd, rest, &["--out"], &["--repair", "--pack"])?;
             let repair = a.switch("--repair");
             let pack = a.switch("--pack");
             let out = a.value("--out").map(PathBuf::from);
@@ -360,24 +356,19 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Quality {
                 file: a.operand("FILE")?,
-                lanl: a.switch("--lanl"),
                 repair,
                 out,
                 pack,
             })
         }
         "pack" => {
-            let a = Args::split(cmd, rest, &["--out"], &["--lanl"])?;
+            let a = Args::split(cmd, rest, &["--out"], &[])?;
             let file = a.operand("FILE")?;
             let out = a
                 .value("--out")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| file.with_extension("hpct"));
-            Ok(Command::Pack {
-                file,
-                lanl: a.switch("--lanl"),
-                out,
-            })
+            Ok(Command::Pack { file, out })
         }
         "import-lanl" => {
             let a = Args::split(cmd, rest, &["--out"], &[])?;
@@ -402,7 +393,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 cmd,
                 rest,
                 &["--trace", "--synth", "--system", "--host", "--port"],
-                &["--lanl"],
+                &[],
             )?;
             a.no_operand()?;
             let traces: Vec<PathBuf> = a
@@ -439,7 +430,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Serve {
                 traces,
-                lanl: a.switch("--lanl"),
                 synth,
                 system,
                 host,
@@ -489,22 +479,20 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Findings(file) => with_index(file, check_findings),
         Command::Quality {
             file,
-            lanl,
             repair,
             out,
             pack,
-        } => quality(file, *lanl, *repair, out.as_ref(), *pack),
-        Command::Pack { file, lanl, out } => pack(file, *lanl, out),
+        } => quality(file, *repair, out.as_ref(), *pack),
+        Command::Pack { file, out } => pack(file, out),
         Command::ImportLanl { file, out } => import_lanl(file, out),
         Command::Validate { seed } => validate(*seed),
         Command::Serve {
             traces,
-            lanl,
             synth,
             system,
             host,
             port,
-        } => serve(traces, *lanl, *synth, *system, host, *port),
+        } => serve(traces, *synth, *system, host, *port),
         Command::ScenarioPlan { spec } => scenario_plan(spec),
         Command::ScenarioRun {
             spec,
@@ -582,7 +570,6 @@ fn scenario_run(
 /// failed synthesis.
 pub fn build_serve_state(
     traces: &[PathBuf],
-    lanl: bool,
     synth: Option<u64>,
     system: Option<u32>,
 ) -> Result<std::sync::Arc<hpcfail_serve::AppState>, CliError> {
@@ -593,14 +580,9 @@ pub fn build_serve_state(
             .map(|s| s.to_string_lossy().into_owned())
             .filter(|s| !s.is_empty())
             .ok_or_else(|| usage_err(format!("cannot name a tenant after {}", path.display())))?;
-        let source = if lanl {
-            hpcfail_serve::TenantSource::LanlFile(path.clone())
-        } else {
-            hpcfail_serve::TenantSource::File(path.clone())
-        };
         state
             .registry
-            .insert(&name, source)
+            .insert(&name, hpcfail_serve::TenantSource::File(path.clone()))
             .map_err(|e| run_err(e.to_string()))?;
     }
     if let Some(seed) = synth {
@@ -622,13 +604,12 @@ pub fn build_serve_state(
 
 fn serve(
     traces: &[PathBuf],
-    lanl: bool,
     synth: Option<u64>,
     system: Option<u32>,
     host: &str,
     port: u16,
 ) -> Result<String, CliError> {
-    let state = build_serve_state(traces, lanl, synth, system)?;
+    let state = build_serve_state(traces, synth, system)?;
     let names = state.registry.names().join(", ");
     let config = hpcfail_serve::ServeConfig {
         addr: format!("{host}:{port}"),
@@ -653,31 +634,29 @@ fn serve(
     Ok("hpcfail serve drained and stopped".to_string())
 }
 
-/// Read a trace file through the one loader: a packed `.hpct` store by
-/// its magic, otherwise CSV in the `--lanl`-selected dialect.
-fn read_input(path: &Path, lanl: bool, policy: IngestPolicy) -> Result<LenientIngest, CliError> {
+/// Read a trace file through the one loader, which tells a packed
+/// `.hpct` store, a LANL export and native CSV apart by their contents.
+fn read_input(path: &Path, policy: IngestPolicy) -> Result<LenientIngest, CliError> {
     let bytes =
         std::fs::read(path).map_err(|e| run_err(format!("cannot open {}: {e}", path.display())))?;
-    let dialect = if lanl { Dialect::Lanl } else { Dialect::Native };
-    read_trace(&bytes, dialect, policy)
-        .map_err(|e| run_err(format!("cannot parse {}: {e}", path.display())))
+    read_trace(&bytes, policy).map_err(|e| run_err(format!("cannot parse {}: {e}", path.display())))
 }
 
-/// Load a native-CSV or packed trace strictly and run `f` on its index;
-/// a packed store's index is reused, not rebuilt.
+/// Load a trace strictly and run `f` on its index; a packed store's
+/// index is reused, not rebuilt.
 fn with_index(
     path: &Path,
     f: impl FnOnce(&TraceIndex<'_>) -> Result<String, CliError>,
 ) -> Result<String, CliError> {
-    let ingest = read_input(path, false, IngestPolicy::FailFast)?;
+    let ingest = read_input(path, IngestPolicy::FailFast)?;
     f(&TraceIndex::from_parts_or_build(
         &ingest.trace,
         ingest.parts,
     ))
 }
 
-fn pack(file: &Path, lanl: bool, out: &Path) -> Result<String, CliError> {
-    let ingest = read_input(file, lanl, IngestPolicy::FailFast)?;
+fn pack(file: &Path, out: &Path) -> Result<String, CliError> {
+    let ingest = read_input(file, IngestPolicy::FailFast)?;
     let index = TraceIndex::from_parts_or_build(&ingest.trace, ingest.parts);
     let bytes = TraceStore::write(&index, out)
         .map_err(|e| run_err(format!("cannot write {}: {e}", out.display())))?;
@@ -800,7 +779,6 @@ fn check_findings(index: &TraceIndex<'_>) -> Result<String, CliError> {
 
 fn quality(
     file: &Path,
-    lanl: bool,
     apply_repair: bool,
     out: Option<&PathBuf>,
     pack: bool,
@@ -810,7 +788,7 @@ fn quality(
     } else {
         IngestPolicy::Quarantine
     };
-    let ingest = read_input(file, lanl, policy)?;
+    let ingest = read_input(file, policy)?;
 
     let mut text = String::new();
     let _ = writeln!(
@@ -834,11 +812,11 @@ fn quality(
     }
 
     let catalog = Catalog::lanl();
-    let report = audit_with_catalog(&ingest.trace, &catalog);
+    let report = audit(&ingest.trace, &catalog);
     let _ = writeln!(text, "audit:\n{report}");
 
     if apply_repair {
-        let outcome = repair_trace(&ingest.trace, Some(&catalog), &RepairPolicy::default());
+        let outcome = repair_trace(&ingest.trace, &catalog);
         let _ = writeln!(text, "repair:\n{outcome}");
         if let Some(path) = out {
             if pack {
@@ -869,7 +847,7 @@ fn quality(
 }
 
 fn import_lanl(file: &Path, out: &Path) -> Result<String, CliError> {
-    let ingest = read_input(file, true, IngestPolicy::FailFast)?;
+    let ingest = read_input(file, IngestPolicy::FailFast)?;
     let output = std::fs::File::create(out)
         .map_err(|e| run_err(format!("cannot create {}: {e}", out.display())))?;
     write_csv(&ingest.trace, output).map_err(|e| run_err(format!("write failed: {e}")))?;
@@ -970,6 +948,9 @@ mod tests {
             (&["validate", "--sed", "5"][..], "--sed"),
             (&["validate", "5"][..], "5"),
             (&["summary", "s20.csv", "--lanl"][..], "--lanl"),
+            (&["quality", "f.csv", "--lanl"][..], "--lanl"),
+            (&["pack", "f.csv", "--lanl"][..], "--lanl"),
+            (&["serve", "--trace", "f.csv", "--lanl"][..], "--lanl"),
             (&["analyze", "f.csv", "--sytem", "7"][..], "--sytem"),
             (&["generate", "extra"][..], "extra"),
             (&["serve", "--synth", "1", "stray"][..], "stray"),
@@ -1059,7 +1040,6 @@ mod tests {
             parse(&args(&["quality", "t.csv"])).unwrap(),
             Command::Quality {
                 file: PathBuf::from("t.csv"),
-                lanl: false,
                 repair: false,
                 out: None,
                 pack: false,
@@ -1067,12 +1047,16 @@ mod tests {
         );
         assert_eq!(
             parse(&args(&[
-                "quality", "--lanl", "--repair", "--out", "fixed.hpct", "--pack", "t.csv"
+                "quality",
+                "--repair",
+                "--out",
+                "fixed.hpct",
+                "--pack",
+                "t.csv"
             ]))
             .unwrap(),
             Command::Quality {
                 file: PathBuf::from("t.csv"),
-                lanl: true,
                 repair: true,
                 out: Some(PathBuf::from("fixed.hpct")),
                 pack: true,
@@ -1101,15 +1085,13 @@ mod tests {
             parse(&args(&["pack", "t.csv"])).unwrap(),
             Command::Pack {
                 file: PathBuf::from("t.csv"),
-                lanl: false,
                 out: PathBuf::from("t.hpct"),
             }
         );
         assert_eq!(
-            parse(&args(&["pack", "--lanl", "raw.csv", "--out", "raw.packed"])).unwrap(),
+            parse(&args(&["pack", "raw.csv", "--out", "raw.packed"])).unwrap(),
             Command::Pack {
                 file: PathBuf::from("raw.csv"),
-                lanl: true,
                 out: PathBuf::from("raw.packed"),
             }
         );
@@ -1131,7 +1113,6 @@ mod tests {
         let hpct = dir.join("sys12.hpct");
         let msg = execute(&Command::Pack {
             file: csv.clone(),
-            lanl: false,
             out: hpct.clone(),
         })
         .unwrap();
@@ -1153,7 +1134,6 @@ mod tests {
         let quality = |file: &PathBuf, out: &PathBuf| {
             let text = execute(&Command::Quality {
                 file: file.clone(),
-                lanl: false,
                 repair: true,
                 out: Some(out.clone()),
                 pack: false,
@@ -1171,7 +1151,6 @@ mod tests {
         let repacked = dir.join("repacked.hpct");
         execute(&Command::Pack {
             file: hpct.clone(),
-            lanl: false,
             out: repacked.clone(),
         })
         .unwrap();
@@ -1202,7 +1181,6 @@ mod tests {
         let packed = dir.join("fixed.hpct");
         let text = execute(&Command::Quality {
             file: path,
-            lanl: false,
             repair: true,
             out: Some(packed.clone()),
             pack: true,
@@ -1229,7 +1207,6 @@ mod tests {
 
         let text = execute(&Command::Quality {
             file: path.clone(),
-            lanl: false,
             repair: false,
             out: None,
             pack: false,
@@ -1243,7 +1220,6 @@ mod tests {
         let fixed = dir.join("fixed.csv");
         let text = execute(&Command::Quality {
             file: path,
-            lanl: false,
             repair: true,
             out: Some(fixed.clone()),
             pack: false,
@@ -1290,7 +1266,6 @@ mod tests {
             cmd,
             Command::Serve {
                 traces: vec![],
-                lanl: false,
                 synth: Some(42),
                 system: Some(20),
                 host: "127.0.0.1".to_string(),
@@ -1298,15 +1273,13 @@ mod tests {
             }
         );
         let cmd = parse(&args(&[
-            "serve", "--trace", "a.csv", "--trace", "b.csv", "--lanl", "--host", "0.0.0.0",
-            "--port", "0",
+            "serve", "--trace", "a.csv", "--trace", "b.csv", "--host", "0.0.0.0", "--port", "0",
         ]))
         .unwrap();
         assert_eq!(
             cmd,
             Command::Serve {
                 traces: vec![PathBuf::from("a.csv"), PathBuf::from("b.csv")],
-                lanl: true,
                 synth: None,
                 system: None,
                 host: "0.0.0.0".to_string(),
@@ -1459,7 +1432,7 @@ mod tests {
             out: path.clone(),
         })
         .unwrap();
-        let state = build_serve_state(&[path], false, Some(5), Some(20)).unwrap();
+        let state = build_serve_state(&[path], Some(5), Some(20)).unwrap();
         assert_eq!(
             state.registry.names(),
             vec!["mytrace".to_string(), "synth".to_string()]

@@ -45,15 +45,7 @@ impl LifetimeCurve {
     /// maximum falls at month 10 or later, otherwise
     /// [`CurveShape::EarlyPeak`].
     pub fn classify(&self) -> CurveShape {
-        let totals = self.monthly_totals();
-        let smoothed = moving_average(&totals, 2);
-        let argmax = smoothed
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        if argmax >= 10 {
+        if self.peak_month() >= 10 {
             CurveShape::LatePeak
         } else {
             CurveShape::EarlyPeak
@@ -67,7 +59,7 @@ impl LifetimeCurve {
         smoothed
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .unwrap_or(0)
     }

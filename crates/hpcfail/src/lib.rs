@@ -40,8 +40,8 @@ pub mod prelude {
     pub use hpcfail_records::{
         BinaryCorruptionPlan, BinaryFault, Catalog, CauseTotals, CorruptionPlan, DetailedCause,
         FailureRecord, FailureTrace, Fault, HardwareType, IngestPolicy, LenientIngest, LoadedTrace,
-        NodeId, QualityIssue, QualityReport, RecordError, RepairOutcome, RepairPolicy, RootCause,
-        StoreError, SystemId, Timestamp, TraceIndex, TraceParts, TraceStore, TraceView, Workload,
+        NodeId, QualityIssue, QualityReport, RecordError, RepairOutcome, RootCause, StoreError,
+        SystemId, Timestamp, TraceIndex, TraceParts, TraceStore, TraceView, Workload,
     };
     pub use hpcfail_scenario::{
         run_campaign, CampaignResult, CampaignSpec, CellOutcome, RunOptions,

@@ -1,9 +1,9 @@
 //! Trace ingestion and CSV export.
 //!
-//! [`read_trace`] is the one loader: it decides whether a file is a
-//! packed `.hpct` store or CSV text, and for text which [`Dialect`] and
-//! which [`IngestPolicy`] apply. Both dialects share one line loop and
-//! differ only in their row parser.
+//! [`read_trace`] is the one loader: it decides from the bytes whether
+//! a file is a packed `.hpct` store, a LANL export or this crate's
+//! native CSV, and reads text under an [`IngestPolicy`]. Both CSV
+//! dialects share one line loop and differ only in their row parser.
 //!
 //! The native format mirrors the fields of the published LANL data that
 //! this toolkit consumes — one record per line:
@@ -17,6 +17,16 @@
 //! (see [`crate::time::Timestamp`]). Lines starting with `#` and blank
 //! lines are skipped; a header line (starting with `system,`) is
 //! optional.
+//!
+//! A LANL-style export (LA-UR-05-7318, the data behind the paper) has a
+//! header line naming its columns, which may come in any order; extra
+//! columns are ignored. Required, case-insensitive: `system`,
+//! `node`/`nodenum`, `started`/`failure start`,
+//! `fixed`/`failure end`/`problem fixed`, and `cause`/`root cause`
+//! (LANL's categories — `facilities`, `hardware`, `human error`,
+//! `network`, `undetermined`, `software` — or a detailed cause name).
+//! Optional: `workload`/`node purpose`, default `compute`. Timestamps
+//! are `MM/DD/YYYY HH:MM` or `YYYY-MM-DD HH:MM[:SS]`.
 
 use std::io::Write;
 use std::str::Utf8Error;
@@ -38,24 +48,6 @@ use crate::workload::Workload;
 pub const CSV_HEADER: &str = "system,node,start_secs,end_secs,workload,detailed_cause";
 
 const FIELDS: usize = 6;
-
-/// The text dialect of a trace file that is not a packed store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dialect {
-    /// This crate's own CSV, as [`write_csv`] writes it (see the module
-    /// docs).
-    Native,
-    /// A LANL-style export (LA-UR-05-7318, the data behind the paper):
-    /// a header line names the columns, which may come in any order;
-    /// extra columns are ignored. Required, case-insensitive: `system`,
-    /// `node`/`nodenum`, `started`/`failure start`,
-    /// `fixed`/`failure end`/`problem fixed`, and `cause`/`root cause`
-    /// (LANL's categories — `facilities`, `hardware`, `human error`,
-    /// `network`, `undetermined`, `software` — or a detailed cause
-    /// name). Optional: `workload`/`node purpose`, default `compute`.
-    /// Timestamps are `MM/DD/YYYY HH:MM` or `YYYY-MM-DD HH:MM[:SS]`.
-    Lanl,
-}
 
 /// One input line: its 1-based number and its text, or the decoding
 /// error when it is not UTF-8.
@@ -80,18 +72,10 @@ pub(crate) type RowError = (RecordError, QualityIssue);
 /// error values do not depend on how the bytes were read.
 const NOT_UTF8: &str = "stream did not contain valid UTF-8";
 
-/// The error for an undecodable line under a policy that cannot skip it.
-pub(crate) fn unreadable(line: usize) -> RecordError {
-    RecordError::MalformedLine {
-        line,
-        reason: format!("io error: {NOT_UTF8}"),
-    }
-}
-
 /// Split `bytes` into 1-based numbered lines, each decoded on its own
 /// (as `BufRead::lines` does), so one undecodable line never hides the
 /// next.
-fn lines(bytes: &[u8]) -> impl Iterator<Item = Line<'_>> {
+fn lines(bytes: &[u8]) -> impl Iterator<Item = Line<'_>> + Clone {
     bytes
         .split_inclusive(|&b| b == b'\n')
         .enumerate()
@@ -187,11 +171,13 @@ pub fn format_line(record: &FailureRecord) -> String {
 /// Read a trace file's bytes. This is the only place that decides the
 /// input format.
 ///
-/// A packed `.hpct` store is recognised by its magic, whatever
-/// `dialect` says, and opens through the checked
-/// [`TraceStore::from_bytes`]: every record is accepted and the stored
-/// index rides along in [`LenientIngest::parts`], so no caller rebuilds
-/// it. Anything else is CSV text in `dialect`, read under `policy`.
+/// A packed `.hpct` store is recognised by its magic first and opens
+/// through the checked [`TraceStore::from_bytes`]: every record is
+/// accepted and the stored index rides along in
+/// [`LenientIngest::parts`], so no caller rebuilds it. Anything else is
+/// CSV text, read under `policy`: a LANL export when the first line that
+/// is neither blank nor a comment is a LANL header (one naming a
+/// failure-start, failure-end or cause column), native CSV otherwise.
 ///
 /// With [`IngestPolicy::Quarantine`] and [`IngestPolicy::Repair`] bad
 /// rows never abort the read: they land in the returned quarantine with
@@ -204,16 +190,12 @@ pub fn format_line(record: &FailureRecord) -> String {
 ///
 /// # Errors
 ///
-/// [`RecordError::Store`] for a damaged packed store. A LANL file
-/// without a valid header line (or with an undecodable line before it)
-/// fails under every policy. Row errors fail only under
-/// [`IngestPolicy::FailFast`], as [`RecordError::WrongFieldCount`] or
-/// [`RecordError::MalformedLine`] with the row's line number.
-pub fn read_trace(
-    bytes: &[u8],
-    dialect: Dialect,
-    policy: IngestPolicy,
-) -> Result<LenientIngest, RecordError> {
+/// [`RecordError::Store`] for a damaged packed store. A LANL header
+/// missing a required column fails under every policy. Row errors fail
+/// only under [`IngestPolicy::FailFast`], as
+/// [`RecordError::WrongFieldCount`] or [`RecordError::MalformedLine`]
+/// with the row's line number.
+pub fn read_trace(bytes: &[u8], policy: IngestPolicy) -> Result<LenientIngest, RecordError> {
     if is_packed(bytes) {
         let (trace, parts) = TraceStore::from_bytes(bytes)
             .map_err(RecordError::Store)?
@@ -228,10 +210,11 @@ pub fn read_trace(
         });
     }
     let mut lines = lines(bytes);
-    let header = match dialect {
-        Dialect::Native => None,
-        Dialect::Lanl => Some(Header::read(&mut lines)?),
-    };
+    let mut past_header = lines.clone();
+    let header = Header::sniff(&mut past_header)?;
+    if header.is_some() {
+        lines = past_header;
+    }
     let mut records = Vec::new();
     let mut quarantine = Vec::new();
     let mut repaired = Vec::new();
@@ -239,7 +222,10 @@ pub fn read_trace(
     for (line_no, line) in lines {
         let Ok(line) = line else {
             if policy == IngestPolicy::FailFast {
-                return Err(unreadable(line_no));
+                return Err(RecordError::MalformedLine {
+                    line: line_no,
+                    reason: format!("io error: {NOT_UTF8}"),
+                });
             }
             total_rows += 1;
             let issue = QualityIssue::Unreadable {
@@ -402,9 +388,9 @@ mod tests {
     use super::*;
     use crate::cause::RootCause;
 
-    /// The strict native read: [`IngestPolicy::FailFast`].
+    /// The strict read: [`IngestPolicy::FailFast`].
     fn strict(bytes: &[u8]) -> Result<FailureTrace, RecordError> {
-        read_trace(bytes, Dialect::Native, IngestPolicy::FailFast).map(|ingest| ingest.trace)
+        read_trace(bytes, IngestPolicy::FailFast).map(|ingest| ingest.trace)
     }
 
     fn sample() -> FailureTrace {
@@ -543,8 +529,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
 20,22,1000,22600,compute,gremlins
 5,0,2000,3000,compute,scheduler
 ";
-        let ingest =
-            read_trace(text.as_bytes(), Dialect::Native, IngestPolicy::Quarantine).unwrap();
+        let ingest = read_trace(text.as_bytes(), IngestPolicy::Quarantine).unwrap();
         assert_eq!(ingest.total_rows, 6);
         assert_eq!(ingest.accepted(), 2);
         assert_eq!(ingest.quarantine.len(), 4);
@@ -566,6 +551,12 @@ system,node,start_secs,end_secs,workload,detailed_cause
         let counts = ingest.quarantine_counts();
         assert_eq!(counts.len(), 4);
         assert!(counts.iter().all(|&(_, n)| n == 1));
+        // A headerless file whose first row is junk is still native: the
+        // row is quarantined, not taken for a LANL header.
+        let headerless = "not,a,row\n20,22,1000,22600,compute,memory\n";
+        let ingest = read_trace(headerless.as_bytes(), IngestPolicy::Quarantine).unwrap();
+        assert_eq!((ingest.accepted(), ingest.quarantine.len()), (1, 1));
+        assert_eq!(ingest.quarantine[0].issue.class(), "wrong-field-count");
     }
 
     #[test]
@@ -576,7 +567,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
 20,22,1000,22600,compute,memory,,
 20,22,##,22600,compute,memory
 ";
-        let ingest = read_trace(text.as_bytes(), Dialect::Native, IngestPolicy::Repair).unwrap();
+        let ingest = read_trace(text.as_bytes(), IngestPolicy::Repair).unwrap();
         assert_eq!(ingest.total_rows, 4);
         assert_eq!(ingest.accepted(), 3);
         assert_eq!(ingest.quarantine.len(), 1);
@@ -610,7 +601,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
     #[test]
     fn failfast_matches_strict_errors() {
         let missing = "20,22,1000,22600,compute";
-        match read_trace(missing.as_bytes(), Dialect::Native, IngestPolicy::FailFast) {
+        match read_trace(missing.as_bytes(), IngestPolicy::FailFast) {
             Err(RecordError::WrongFieldCount {
                 line: 1,
                 expected: 6,
@@ -623,8 +614,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
     #[test]
     fn lenient_counts_zero_width_rows() {
         let text = "20,22,1000,1000,compute,memory\n20,22,2000,3000,compute,memory\n";
-        let ingest =
-            read_trace(text.as_bytes(), Dialect::Native, IngestPolicy::Quarantine).unwrap();
+        let ingest = read_trace(text.as_bytes(), IngestPolicy::Quarantine).unwrap();
         assert_eq!(ingest.zero_width, 1);
         assert_eq!(ingest.accepted(), 2);
     }
@@ -638,23 +628,21 @@ system,node,start_secs,end_secs,workload,detailed_cause
         let mut damaged = packed.clone();
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0x10;
-        for dialect in [Dialect::Native, Dialect::Lanl] {
-            for policy in [
-                IngestPolicy::FailFast,
-                IngestPolicy::Quarantine,
-                IngestPolicy::Repair,
-            ] {
-                let ingest = read_trace(&packed, dialect, policy).unwrap();
-                assert_eq!(ingest.trace, trace);
-                assert_eq!(ingest.parts, Some(trace.index().to_parts()));
-                assert_eq!((ingest.total_rows, ingest.zero_width), (3, 1));
-                assert!(ingest.quarantine.is_empty() && ingest.repaired.is_empty());
-                // A damaged store stays a typed store error, never rows.
-                assert!(matches!(
-                    read_trace(&damaged, dialect, policy),
-                    Err(RecordError::Store(_))
-                ));
-            }
+        for policy in [
+            IngestPolicy::FailFast,
+            IngestPolicy::Quarantine,
+            IngestPolicy::Repair,
+        ] {
+            let ingest = read_trace(&packed, policy).unwrap();
+            assert_eq!(ingest.trace, trace);
+            assert_eq!(ingest.parts, Some(trace.index().to_parts()));
+            assert_eq!((ingest.total_rows, ingest.zero_width), (3, 1));
+            assert!(ingest.quarantine.is_empty() && ingest.repaired.is_empty());
+            // A damaged store stays a typed store error, never rows.
+            assert!(matches!(
+                read_trace(&damaged, policy),
+                Err(RecordError::Store(_))
+            ));
         }
     }
 
@@ -669,7 +657,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
             IngestPolicy::Quarantine,
             IngestPolicy::Repair,
         ] {
-            let lenient = read_trace(buf.as_slice(), Dialect::Native, policy).unwrap();
+            let lenient = read_trace(buf.as_slice(), policy).unwrap();
             assert_eq!(lenient.trace, strict);
             assert!(lenient.quarantine.is_empty());
             assert!(lenient.repaired.is_empty());

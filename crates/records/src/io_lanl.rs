@@ -1,4 +1,5 @@
-//! The LANL dialect's row parser (see [`crate::io::Dialect::Lanl`]).
+//! The LANL dialect's header sniff and row parser (the format is
+//! described in [`crate::io`]).
 //!
 //! The raw LANL release (LA-UR-05-7318, the data behind the paper) is a
 //! spreadsheet-style CSV with named columns and `MM/DD/YYYY HH:MM`
@@ -12,7 +13,7 @@ use std::collections::HashMap;
 use crate::cause::DetailedCause;
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
-use crate::io::{content, unreadable, Line, Row, RowError};
+use crate::io::{content, Line, Row, RowError};
 use crate::quality::{IngestPolicy, QualityIssue};
 use crate::record::FailureRecord;
 use crate::time::Timestamp;
@@ -29,23 +30,44 @@ pub(crate) struct Header {
     workload: Option<usize>,
 }
 
+/// Header names accepted for the failure-start column.
+const START_COLUMNS: &[&str] = &["started", "failure start", "start", "prob started"];
+/// Header names accepted for the failure-end column.
+const END_COLUMNS: &[&str] = &["fixed", "failure end", "end", "problem fixed", "prob fixed"];
+/// Header names accepted for the cause column.
+const CAUSE_COLUMNS: &[&str] = &["cause", "root cause", "down reason", "failure type"];
+
 impl Header {
-    /// Read the header: the first line that is neither blank nor a
-    /// comment. A missing, undecodable or invalid header fails under
-    /// every policy, since no row can be interpreted without it.
-    pub(crate) fn read<'a>(
+    /// Decide the dialect from the first line that is neither blank nor
+    /// a comment: it is a LANL header when one of its fields names a
+    /// failure-start, failure-end or cause column. No native header or
+    /// data row holds one of those names, so every other input, one with
+    /// no content line or an undecodable first line included, is native
+    /// (`None`).
+    ///
+    /// # Errors
+    ///
+    /// A LANL header that lacks a required column fails under every
+    /// policy, since no row can be interpreted without it.
+    pub(crate) fn sniff<'a>(
         lines: &mut impl Iterator<Item = Line<'a>>,
-    ) -> Result<Header, RecordError> {
+    ) -> Result<Option<Header>, RecordError> {
         for (line_no, line) in lines {
-            let line = line.map_err(|_| unreadable(line_no))?;
-            if let Some(line) = content(line) {
-                return Header::parse(line, line_no);
-            }
+            let Ok(line) = line else { break };
+            let Some(line) = content(line) else { continue };
+            let lanl = line.split(',').any(|field| {
+                let field = field.trim().to_ascii_lowercase();
+                [START_COLUMNS, END_COLUMNS, CAUSE_COLUMNS]
+                    .iter()
+                    .any(|names| names.contains(&field.as_str()))
+            });
+            return if lanl {
+                Header::parse(line, line_no).map(Some)
+            } else {
+                Ok(None)
+            };
         }
-        Err(RecordError::MalformedLine {
-            line: 0,
-            reason: "file has no header line".to_string(),
-        })
+        Ok(None)
     }
 
     fn parse(line: &str, line_no: usize) -> Result<Header, RecordError> {
@@ -62,12 +84,9 @@ impl Header {
         Ok(Header {
             system: find(&["system", "system number"]).ok_or_else(|| missing("system"))?,
             node: find(&["node", "nodenum", "node number"]).ok_or_else(|| missing("node"))?,
-            start: find(&["started", "failure start", "start", "prob started"])
-                .ok_or_else(|| missing("failure-start"))?,
-            end: find(&["fixed", "failure end", "end", "problem fixed", "prob fixed"])
-                .ok_or_else(|| missing("failure-end"))?,
-            cause: find(&["cause", "root cause", "down reason", "failure type"])
-                .ok_or_else(|| missing("cause"))?,
+            start: find(START_COLUMNS).ok_or_else(|| missing("failure-start"))?,
+            end: find(END_COLUMNS).ok_or_else(|| missing("failure-end"))?,
+            cause: find(CAUSE_COLUMNS).ok_or_else(|| missing("cause"))?,
             workload: find(&["workload", "node purpose", "nodepurpose"]),
         })
     }
@@ -249,12 +268,12 @@ fn parse_lanl_cause(text: &str, line_no: usize) -> Result<DetailedCause, RecordE
 mod tests {
     use super::*;
     use crate::cause::RootCause;
-    use crate::io::{read_trace, Dialect};
+    use crate::io::{read_trace, write_csv};
     use crate::quality::LenientIngest;
 
-    /// The strict LANL read: [`IngestPolicy::FailFast`].
+    /// The strict read: [`IngestPolicy::FailFast`].
     fn strict(bytes: &[u8]) -> Result<LenientIngest, RecordError> {
-        read_trace(bytes, Dialect::Lanl, IngestPolicy::FailFast)
+        read_trace(bytes, IngestPolicy::FailFast)
     }
 
     /// Rows set aside because repair preceded failure.
@@ -265,6 +284,11 @@ mod tests {
             .filter(|q| q.issue == QualityIssue::InvertedInterval)
             .count()
     }
+
+    /// Records in `tests/data/lanl_fixture.csv`, and the checksum of
+    /// their native rendering.
+    const FIXTURE_RECORDS: usize = 363;
+    const FIXTURE_CSV_CHECKSUM: u64 = 0x8ad3_bb25_e3cd_045b;
 
     const SAMPLE: &str = "\
 system,nodenum,node purpose,started,fixed,cause
@@ -304,6 +328,16 @@ system,nodenum,node purpose,started,fixed,cause
             .unwrap();
         assert_eq!(env.cause(), RootCause::Environment);
         assert_eq!(env.downtime_secs(), 80 * 60);
+        // The native rendering of the import reads back to the same trace.
+        let mut native = Vec::new();
+        write_csv(&import.trace, &mut native).unwrap();
+        assert_eq!(strict(&native).unwrap().trace, import.trace);
+        // The bundled LANL fixture reads to the trace it always has.
+        let fixture = strict(include_bytes!("../../../tests/data/lanl_fixture.csv")).unwrap();
+        let mut native = Vec::new();
+        write_csv(&fixture.trace, &mut native).unwrap();
+        assert_eq!(fixture.trace.len(), FIXTURE_RECORDS);
+        assert_eq!(crate::checksum(&native), FIXTURE_CSV_CHECKSUM);
     }
 
     #[test]
@@ -349,7 +383,7 @@ system,node,started,fixed,cause
             }
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(strict("".as_bytes()).is_err());
+        assert!(strict("".as_bytes()).unwrap().trace.is_empty());
     }
 
     #[test]
@@ -426,7 +460,7 @@ system,node,started,fixed,cause
 20,3,13/45/1999 14:30,06/28/1999 20:45,hardware
 20,4,06/28/1999 14:30,06/28/1999 20:45,gremlins
 ";
-        let ingest = read_trace(text.as_bytes(), Dialect::Lanl, IngestPolicy::Quarantine).unwrap();
+        let ingest = read_trace(text.as_bytes(), IngestPolicy::Quarantine).unwrap();
         assert_eq!(ingest.total_rows, 4);
         assert_eq!(ingest.accepted(), 1);
         assert_eq!(ingest.quarantine.len(), 3);
@@ -445,7 +479,7 @@ system,node,started,fixed,cause
 20,2,06/28/1999 14:30,06/27/1999 20:45,hardware
 20,4,06/28/1999 14:30,06/28/1999 20:45,gremlins
 ";
-        let ingest = read_trace(text.as_bytes(), Dialect::Lanl, IngestPolicy::Repair).unwrap();
+        let ingest = read_trace(text.as_bytes(), IngestPolicy::Repair).unwrap();
         assert_eq!(ingest.accepted(), 2);
         assert!(ingest.quarantine.is_empty());
         assert!(ingest.is_conserved());

@@ -43,8 +43,8 @@ pub use error::RecordError;
 pub use ids::{HardwareType, NodeId, SystemId};
 pub use index::{CauseTotals, TraceIndex, TraceParts, TraceView};
 pub use quality::{
-    audit, audit_with_catalog, repair, IngestPolicy, LenientIngest, QualityIssue, QualityReport,
-    QuarantinedRow, RepairOutcome, RepairPolicy, Severity,
+    audit, repair, IngestPolicy, LenientIngest, QualityIssue, QualityReport, QuarantinedRow,
+    RepairOutcome, Severity,
 };
 pub use record::FailureRecord;
 pub use store::{

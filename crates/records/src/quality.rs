@@ -10,12 +10,12 @@
 //! * an [`IngestPolicy`] decides what the trace loader
 //!   ([`crate::io::read_trace`], in either CSV dialect) does with a bad
 //!   row — fail the file, quarantine the row, or repair it in place;
-//! * [`audit`] / [`audit_with_catalog`] scan a parsed trace and count
+//! * [`audit`] scans a parsed trace against the catalog and counts
 //!   every issue class without modifying anything;
-//! * [`repair`] applies a per-class [`RepairPolicy`] (dedup,
-//!   clip-to-window, merge-overlaps, drop) and reports what it did.
-//!   `repair` is idempotent: repairing an already-repaired trace is a
-//!   no-op, a property pinned by `tests/ingest_robustness.rs`.
+//! * [`repair`] applies every per-class fix (catalog drops,
+//!   clip-to-window, zero-width drop, dedup, merge-overlaps) and reports
+//!   what it did. `repair` is idempotent: repairing an already-repaired
+//!   trace is a no-op, a property pinned by `tests/ingest_robustness.rs`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -216,7 +216,7 @@ const CATCHALL_CAUSES: [DetailedCause; 5] = [
 pub const DRIFT_THRESHOLD: f64 = 0.5;
 
 /// Start gap (seconds) under which two same-node same-cause records are
-/// near-duplicates by default.
+/// near-duplicates.
 pub const NEAR_DUPLICATE_WINDOW_SECS: u64 = 120;
 
 /// Per-class issue counts over one parsed trace. Produced by [`audit`];
@@ -236,14 +236,11 @@ pub struct QualityReport {
     pub overlapping_outages: usize,
     /// Records with `start == end`.
     pub zero_width: usize,
-    /// Records naming a system the catalog does not know (only counted
-    /// when a catalog is supplied).
+    /// Records naming a system the catalog does not know.
     pub unknown_system: usize,
-    /// Records whose node index exceeds the system's node count (only
-    /// counted when a catalog is supplied).
+    /// Records whose node index exceeds the system's node count.
     pub node_out_of_range: usize,
-    /// Records starting outside the system's production window (only
-    /// counted when a catalog is supplied).
+    /// Records starting outside the system's production window.
     pub outside_production_window: usize,
     /// Records whose detailed cause is a catch-all bucket.
     pub catchall_causes: usize,
@@ -323,21 +320,10 @@ impl fmt::Display for QualityReport {
     }
 }
 
-/// Audit a trace without catalog context: duplicates, overlaps,
-/// zero-width intervals, and the cause-vocabulary indicator. Catalog
-/// checks (node range, production window) report zero; use
-/// [`audit_with_catalog`] to enable them.
-pub fn audit(trace: &FailureTrace) -> QualityReport {
-    audit_inner(trace, None)
-}
-
-/// [`audit`] plus the catalog checks: unknown systems, out-of-range
-/// node indices, and records outside the production window.
-pub fn audit_with_catalog(trace: &FailureTrace, catalog: &Catalog) -> QualityReport {
-    audit_inner(trace, Some(catalog))
-}
-
-fn audit_inner(trace: &FailureTrace, catalog: Option<&Catalog>) -> QualityReport {
+/// Audit a trace: duplicates, overlaps, zero-width intervals, the
+/// cause-vocabulary indicator, and the catalog checks (unknown systems,
+/// out-of-range node indices, records outside the production window).
+pub fn audit(trace: &FailureTrace, catalog: &Catalog) -> QualityReport {
     let mut report = QualityReport {
         total_records: trace.len(),
         ..QualityReport::default()
@@ -379,62 +365,22 @@ fn audit_inner(trace: &FailureTrace, catalog: Option<&Catalog>) -> QualityReport
         if r.downtime_secs() == 0 {
             report.zero_width += 1;
         }
-        if let Some(catalog) = catalog {
-            match catalog.system(r.system()) {
-                Ok(spec) => {
-                    if !spec.contains_node(r.node()) {
-                        report.node_out_of_range += 1;
-                    }
-                    if r.start() < spec.production_start() || r.start() > spec.production_end() {
-                        report.outside_production_window += 1;
-                    }
+        match catalog.system(r.system()) {
+            Ok(spec) => {
+                if !spec.contains_node(r.node()) {
+                    report.node_out_of_range += 1;
                 }
-                Err(_) => report.unknown_system += 1,
+                if r.start() < spec.production_start() || r.start() > spec.production_end() {
+                    report.outside_production_window += 1;
+                }
             }
+            Err(_) => report.unknown_system += 1,
         }
         if CATCHALL_CAUSES.contains(&r.detail()) {
             report.catchall_causes += 1;
         }
     }
     report
-}
-
-/// The explicit per-class repair decisions [`repair`] applies. Every
-/// action is idempotent; the defaults enable all of them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairPolicy {
-    /// Remove extra occurrences of byte-identical records.
-    pub dedup_exact: bool,
-    /// Remove same-node same-cause records starting within
-    /// `near_window_secs` of the last kept one.
-    pub dedup_near: bool,
-    /// Start gap (seconds) defining a near-duplicate.
-    pub near_window_secs: u64,
-    /// Merge overlapping outages of the same node into one record
-    /// spanning both (keeps the earlier record's cause and workload).
-    pub merge_overlaps: bool,
-    /// Clip records to the system's production window; drop records
-    /// entirely outside it. Requires a catalog.
-    pub clip_to_window: bool,
-    /// Drop records whose system is unknown or whose node index is out
-    /// of range. Requires a catalog.
-    pub drop_out_of_range: bool,
-    /// Drop zero-width records (including any produced by clipping).
-    pub drop_zero_width: bool,
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy {
-            dedup_exact: true,
-            dedup_near: true,
-            near_window_secs: NEAR_DUPLICATE_WINDOW_SECS,
-            merge_overlaps: true,
-            clip_to_window: true,
-            drop_out_of_range: true,
-            drop_zero_width: true,
-        }
-    }
 }
 
 /// What [`repair`] did, with the repaired trace and per-class counts.
@@ -493,20 +439,21 @@ impl fmt::Display for RepairOutcome {
     }
 }
 
-/// Apply `policy` to `trace` and return the repaired trace plus what
-/// was done. Passing `None` for the catalog disables the catalog-scoped
-/// actions (clip-to-window, out-of-range drops) regardless of policy.
+/// Repair `trace` against `catalog` and return the repaired trace plus
+/// what was done: drop records of unknown systems or out-of-range nodes,
+/// clip records to the production window (dropping those entirely
+/// outside it), drop zero-width records (clipped ones included), remove
+/// exact duplicates and same-node same-cause records starting
+/// within [`NEAR_DUPLICATE_WINDOW_SECS`] of the last kept one, and merge
+/// overlapping outages of a node into one record spanning both (keeping
+/// the earlier record's cause and workload).
 ///
 /// Idempotent: `repair(&repair(t).trace, ..) == repair(t)` up to the
 /// counts (the second pass reports zero changes). The fixed pass order
 /// is: catalog drops → window clip → zero-width drop → exact dedup →
 /// near dedup → overlap merge; each pass leaves nothing for itself or
 /// any earlier pass to redo.
-pub fn repair(
-    trace: &FailureTrace,
-    catalog: Option<&Catalog>,
-    policy: &RepairPolicy,
-) -> RepairOutcome {
+pub fn repair(trace: &FailureTrace, catalog: &Catalog) -> RepairOutcome {
     let mut outcome = RepairOutcome {
         trace: FailureTrace::new(),
         removed_exact_duplicates: 0,
@@ -521,45 +468,27 @@ pub fn repair(
     // Pass 1: catalog-scoped drops and clips, then zero-width drops.
     let mut kept: Vec<FailureRecord> = Vec::with_capacity(trace.len());
     for r in trace.iter() {
-        let mut record = *r;
-        if let Some(catalog) = catalog {
-            match catalog.system(record.system()) {
-                Ok(spec) => {
-                    if policy.drop_out_of_range && !spec.contains_node(record.node()) {
-                        outcome.dropped_out_of_range += 1;
-                        continue;
-                    }
-                    if policy.clip_to_window {
-                        let (lo, hi) = (spec.production_start(), spec.production_end());
-                        if record.start() > hi || record.end() < lo {
-                            outcome.dropped_outside_window += 1;
-                            continue;
-                        }
-                        let start = record.start().max(lo);
-                        let end = record.end().min(hi).max(start);
-                        if start != record.start() || end != record.end() {
-                            record = FailureRecord::new(
-                                record.system(),
-                                record.node(),
-                                start,
-                                end,
-                                record.workload(),
-                                record.detail(),
-                            )
-                            .expect("clipped interval keeps end >= start");
-                            outcome.clipped_to_window += 1;
-                        }
-                    }
-                }
-                Err(_) => {
-                    if policy.drop_out_of_range {
-                        outcome.dropped_out_of_range += 1;
-                        continue;
-                    }
-                }
+        let spec = match catalog.system(r.system()) {
+            Ok(spec) if spec.contains_node(r.node()) => spec,
+            _ => {
+                outcome.dropped_out_of_range += 1;
+                continue;
             }
+        };
+        let (lo, hi) = (spec.production_start(), spec.production_end());
+        if r.start() > hi || r.end() < lo {
+            outcome.dropped_outside_window += 1;
+            continue;
         }
-        if policy.drop_zero_width && record.downtime_secs() == 0 {
+        let start = r.start().max(lo);
+        let end = r.end().min(hi).max(start);
+        let mut record = *r;
+        if start != r.start() || end != r.end() {
+            record = FailureRecord::new(r.system(), r.node(), start, end, r.workload(), r.detail())
+                .expect("clipped interval keeps end >= start");
+            outcome.clipped_to_window += 1;
+        }
+        if record.downtime_secs() == 0 {
             outcome.dropped_zero_width += 1;
             continue;
         }
@@ -576,40 +505,36 @@ pub fn repair(
     let mut open: HashMap<(SystemId, NodeId), usize> = HashMap::new();
     let mut out: Vec<FailureRecord> = Vec::with_capacity(sorted.len());
     for r in sorted.iter() {
-        if policy.dedup_exact && seen.insert(*r, ()).is_some() {
+        if seen.insert(*r, ()).is_some() {
             outcome.removed_exact_duplicates += 1;
             continue;
         }
-        if policy.dedup_near {
-            let key = (r.system(), r.node(), r.detail());
-            match last_kept_start.get(&key) {
-                Some(&prev) if r.start() - prev <= policy.near_window_secs => {
-                    outcome.removed_near_duplicates += 1;
-                    continue;
-                }
-                _ => {
-                    last_kept_start.insert(key, r.start());
-                }
+        let key = (r.system(), r.node(), r.detail());
+        match last_kept_start.get(&key) {
+            Some(&prev) if r.start() - prev <= NEAR_DUPLICATE_WINDOW_SECS => {
+                outcome.removed_near_duplicates += 1;
+                continue;
+            }
+            _ => {
+                last_kept_start.insert(key, r.start());
             }
         }
         let node_key = (r.system(), r.node());
-        if policy.merge_overlaps {
-            if let Some(&idx) = open.get(&node_key) {
-                let prev = out[idx];
-                if r.start() < prev.end() {
-                    let end = prev.end().max(r.end());
-                    out[idx] = FailureRecord::new(
-                        prev.system(),
-                        prev.node(),
-                        prev.start(),
-                        end,
-                        prev.workload(),
-                        prev.detail(),
-                    )
-                    .expect("merged interval keeps end >= start");
-                    outcome.merged_overlaps += 1;
-                    continue;
-                }
+        if let Some(&idx) = open.get(&node_key) {
+            let prev = out[idx];
+            if r.start() < prev.end() {
+                let end = prev.end().max(r.end());
+                out[idx] = FailureRecord::new(
+                    prev.system(),
+                    prev.node(),
+                    prev.start(),
+                    end,
+                    prev.workload(),
+                    prev.detail(),
+                )
+                .expect("merged interval keeps end >= start");
+                outcome.merged_overlaps += 1;
+                continue;
             }
         }
         open.insert(node_key, out.len());
@@ -646,7 +571,7 @@ mod tests {
             rec(20, 1, 10_000, 10_000, DetailedCause::Cpu), // zero width
             rec(20, 2, 5_000, 6_000, DetailedCause::Undetermined), // catch-all
         ]);
-        let report = audit(&trace);
+        let report = audit(&trace, &Catalog::lanl());
         assert_eq!(report.total_records, 5);
         assert_eq!(report.exact_duplicates, 1);
         assert_eq!(report.near_duplicates, 1);
@@ -671,7 +596,7 @@ mod tests {
             rec(20, 2, 10, 20, DetailedCause::Memory), // before production
             rec(99, 0, inside, inside + 60, DetailedCause::Memory), // unknown system
         ]);
-        let report = audit_with_catalog(&trace, &catalog);
+        let report = audit(&trace, &catalog);
         assert_eq!(report.node_out_of_range, 1);
         assert_eq!(report.outside_production_window, 1);
         assert_eq!(report.unknown_system, 1);
@@ -692,8 +617,7 @@ mod tests {
             rec(20, 4_999, inside, inside + 60, DetailedCause::Disk),    // out of range
             rec(20, 2, 10, 20, DetailedCause::Disk),                     // outside window
         ]);
-        let policy = RepairPolicy::default();
-        let once = repair(&trace, Some(&catalog), &policy);
+        let once = repair(&trace, &catalog);
         assert_eq!(once.removed_exact_duplicates, 1);
         assert_eq!(once.removed_near_duplicates, 1);
         assert_eq!(once.merged_overlaps, 1);
@@ -711,10 +635,10 @@ mod tests {
         assert_eq!(merged.detail(), DetailedCause::Memory);
 
         // A second repair is a no-op, and the repaired trace audits clean.
-        let twice = repair(&once.trace, Some(&catalog), &policy);
+        let twice = repair(&once.trace, &catalog);
         assert!(!twice.changed(), "{twice}");
         assert_eq!(twice.trace, once.trace);
-        let report = audit_with_catalog(&once.trace, &catalog);
+        let report = audit(&once.trace, &catalog);
         assert!(report.is_clean(), "{report}");
     }
 
@@ -730,28 +654,10 @@ mod tests {
             lo + 600,
             DetailedCause::Memory,
         )]);
-        let out = repair(&trace, Some(&catalog), &RepairPolicy::default());
+        let out = repair(&trace, &catalog);
         assert_eq!(out.clipped_to_window, 1);
         assert_eq!(out.trace.len(), 1);
         assert_eq!(out.trace.records()[0].start(), spec.production_start());
-    }
-
-    #[test]
-    fn disabled_policies_leave_the_trace_alone() {
-        let base = rec(20, 1, 1_000, 2_000, DetailedCause::Memory);
-        let trace = FailureTrace::from_records(vec![base, base]);
-        let policy = RepairPolicy {
-            dedup_exact: false,
-            dedup_near: false,
-            merge_overlaps: false,
-            clip_to_window: false,
-            drop_out_of_range: false,
-            drop_zero_width: false,
-            ..RepairPolicy::default()
-        };
-        let out = repair(&trace, None, &policy);
-        assert!(!out.changed());
-        assert_eq!(out.trace, trace);
     }
 
     #[test]

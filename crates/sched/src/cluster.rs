@@ -77,8 +77,7 @@ pub fn reliability_ranking(profiles: &[NodeProfile]) -> Vec<u32> {
     let mut order: Vec<&NodeProfile> = profiles.iter().collect();
     order.sort_by(|a, b| {
         a.failures_per_year
-            .partial_cmp(&b.failures_per_year)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&b.failures_per_year)
             .then(a.node.cmp(&b.node))
     });
     order.iter().map(|p| p.node).collect()

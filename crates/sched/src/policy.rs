@@ -80,8 +80,7 @@ impl Policy for LeastFailureRate {
         let mut pool = free.to_vec();
         pool.sort_by(|&a, &b| {
             ctx.observed_rate[a as usize]
-                .partial_cmp(&ctx.observed_rate[b as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&ctx.observed_rate[b as usize])
                 .then(a.cmp(&b))
         });
         pool.truncate(width);
@@ -110,8 +109,7 @@ impl Policy for LongestUptime {
         let mut pool = free.to_vec();
         pool.sort_by(|&a, &b| {
             ctx.uptime_secs[b as usize]
-                .partial_cmp(&ctx.uptime_secs[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&ctx.uptime_secs[a as usize])
                 .then(a.cmp(&b))
         });
         pool.truncate(width);

@@ -92,9 +92,7 @@ impl PartialOrd for At {
 }
 impl Ord for At {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("event times are finite")
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -132,7 +130,8 @@ pub fn run(
 /// # Errors
 ///
 /// [`SchedError::InvalidParameter`] for bad config, node truths, or a
-/// prior of the wrong length; [`SchedError::JobTooWide`] if any job
+/// prior of the wrong length or with a rate that is not finite and
+/// non-negative; [`SchedError::JobTooWide`] if any job
 /// exceeds the cluster size.
 pub fn run_with_prior(
     nodes: &[NodeTruth],
@@ -164,6 +163,12 @@ pub fn run_with_prior(
             return Err(SchedError::InvalidParameter {
                 name: "prior_rates_len",
                 value: prior.len() as f64,
+            });
+        }
+        if let Some(&value) = prior.iter().find(|r| !r.is_finite() || **r < 0.0) {
+            return Err(SchedError::InvalidParameter {
+                name: "prior_rates",
+                value,
             });
         }
     }
@@ -528,6 +533,29 @@ mod tests {
             Some(&bad_prior)
         )
         .is_err());
+        // Every rate must be finite and non-negative: a NaN used to reach
+        // the policy's sort, which is not a total order on NaN.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let prior = vec![1.0, bad, 1.0, 1.0];
+            let err = run_with_prior(
+                &nodes,
+                &LeastFailureRate,
+                &jobs(1, 1, 1.0),
+                &c,
+                Some(&prior),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SchedError::InvalidParameter {
+                        name: "prior_rates",
+                        ..
+                    }
+                ),
+                "{bad}: {err:?}"
+            );
+        }
     }
 
     #[test]

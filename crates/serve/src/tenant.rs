@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
-use hpcfail_records::io::{read_trace, Dialect};
+use hpcfail_records::io::read_trace;
 use hpcfail_records::{FailureTrace, IngestPolicy, TraceIndex, TraceParts};
 
 /// A [`FailureTrace`] bundled with the [`TraceIndex`] built over it.
@@ -67,10 +67,9 @@ impl OwnedIndex {
 /// Where a tenant's records come from — consulted again on reload.
 #[derive(Debug, Clone)]
 pub enum TenantSource {
-    /// A native-CSV trace file (re-read on reload).
+    /// A trace file — native CSV, LANL export or packed `.hpct`, told
+    /// apart by the one trace loader (re-read on reload).
     File(PathBuf),
-    /// A LANL-export trace file (re-read on reload).
-    LanlFile(PathBuf),
     /// An in-memory trace (re-indexed from the shared copy on reload);
     /// used by tests and the load harness.
     Static(Arc<FailureTrace>),
@@ -143,12 +142,10 @@ impl std::fmt::Display for TenantError {
 impl std::error::Error for TenantError {}
 
 /// Read a tenant's source through the one trace loader and index it.
-/// A file may be a packed `.hpct` store (its stored index is reused) or
-/// CSV in the source's dialect.
+/// A packed `.hpct` store's stored index is reused.
 fn load_source(source: &TenantSource) -> Result<OwnedIndex, TenantError> {
-    let (path, dialect) = match source {
-        TenantSource::File(path) => (path, Dialect::Native),
-        TenantSource::LanlFile(path) => (path, Dialect::Lanl),
+    let path = match source {
+        TenantSource::File(path) => path,
         TenantSource::Static(trace) => {
             return Ok(OwnedIndex::new(FailureTrace::clone(trace), None))
         }
@@ -156,7 +153,7 @@ fn load_source(source: &TenantSource) -> Result<OwnedIndex, TenantError> {
     let load_err =
         |e: &dyn std::fmt::Display| TenantError::Load(format!("{}: {e}", path.display()));
     let bytes = std::fs::read(path).map_err(|e| load_err(&e))?;
-    let ingest = read_trace(&bytes, dialect, IngestPolicy::FailFast).map_err(|e| load_err(&e))?;
+    let ingest = read_trace(&bytes, IngestPolicy::FailFast).map_err(|e| load_err(&e))?;
     Ok(OwnedIndex::new(ingest.trace, ingest.parts))
 }
 

@@ -2,7 +2,9 @@
 //! against it.
 //!
 //! Run with a path to your own export of the public LANL release, or with
-//! no arguments to demonstrate on a bundled-in-memory sample.
+//! no arguments to demonstrate on a bundled-in-memory sample. The loader
+//! tells a LANL export from native CSV or a packed `.hpct` store by its
+//! contents, so any of the three works.
 //!
 //! ```sh
 //! cargo run -p hpcfail --example lanl_import [failures.csv]
@@ -10,7 +12,7 @@
 
 use hpcfail::analysis::findings;
 use hpcfail::prelude::*;
-use hpcfail::records::io::{read_trace, Dialect};
+use hpcfail::records::io::read_trace;
 
 /// A small LANL-style sample (header-driven, MM/DD/YYYY timestamps,
 /// LANL's cause vocabulary) used when no file is given.
@@ -38,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     // Rows whose repair precedes the failure start (clock or data-entry
     // glitches in the raw release) are set aside, not fatal.
-    let import = read_trace(&bytes, Dialect::Lanl, IngestPolicy::FailFast)?;
+    let import = read_trace(&bytes, IngestPolicy::FailFast)?;
     let skipped = import
         .quarantine
         .iter()

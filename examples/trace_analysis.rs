@@ -12,7 +12,7 @@
 
 use hpcfail::analysis::{periodic, rates, repair, report};
 use hpcfail::prelude::*;
-use hpcfail::records::io::{read_trace, write_csv, Dialect};
+use hpcfail::records::io::{read_trace, write_csv};
 use std::fs::File;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let bytes = std::fs::read(&path)?;
-    let trace = read_trace(&bytes, Dialect::Native, IngestPolicy::FailFast)?.trace;
+    let trace = read_trace(&bytes, IngestPolicy::FailFast)?.trace;
     println!("read {} records from {}\n", trace.len(), path.display());
 
     let catalog = Catalog::lanl();

@@ -175,6 +175,28 @@ cmp "$tmpdir/sys20.csv" "$tmpdir/unpacked.csv" || {
 }
 echo "OK: pack round-trips through every sniffed reader and converter and rejects corruption typed"
 
+echo "==> CLI LANL export through summary, import-lanl and pack, no dialect flag"
+# The loader tells a LANL export from native CSV by its header, so the
+# export, its native conversion and its packed store summarize alike.
+lanl_fixture="tests/data/lanl_fixture.csv"
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    summary "$lanl_fixture" > "$tmpdir/summary_lanl.txt"
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    import-lanl "$lanl_fixture" --out "$tmpdir/lanl_native.csv" > /dev/null
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    summary "$tmpdir/lanl_native.csv" > "$tmpdir/summary_lanl_native.txt"
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    pack "$lanl_fixture" --out "$tmpdir/lanl.hpct" > /dev/null
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    summary "$tmpdir/lanl.hpct" > "$tmpdir/summary_lanl_hpct.txt"
+for converted in native hpct; do
+    if ! diff -u "$tmpdir/summary_lanl.txt" "$tmpdir/summary_lanl_$converted.txt"; then
+        echo "FAIL: summary of the LANL export differs from its $converted conversion" >&2
+        exit 1
+    fi
+done
+echo "OK: a LANL export summarizes like its native CSV and its packed store"
+
 echo "==> CLI output into a closed pipe"
 # A reader that stops early ends the output; it must not panic the CLI.
 # The second reader exits before the command writes, so the write

@@ -12,7 +12,7 @@ use hpcfail::exec::FaultKind;
 use hpcfail::prelude::*;
 use std::fmt::Write as _;
 
-use hpcfail::records::io::{read_trace, write_csv, Dialect};
+use hpcfail::records::io::{read_trace, write_csv};
 use hpcfail::records::quality::{audit, repair};
 use proptest::prelude::*;
 
@@ -64,9 +64,9 @@ fn to_lanl_csv(trace: &FailureTrace) -> String {
     out
 }
 
-/// The strict native read: [`IngestPolicy::FailFast`].
+/// The strict read: [`IngestPolicy::FailFast`].
 fn strict(bytes: &[u8]) -> Result<FailureTrace, RecordError> {
-    read_trace(bytes, Dialect::Native, IngestPolicy::FailFast).map(|ingest| ingest.trace)
+    read_trace(bytes, IngestPolicy::FailFast).map(|ingest| ingest.trace)
 }
 
 proptest! {
@@ -74,8 +74,9 @@ proptest! {
 
     /// Lenient ingestion must survive ANY corruption rate in [0, 1] —
     /// no panic, no error, and `accepted + quarantined == data rows` —
-    /// in both CSV dialects, and the accepted trace must be auditable and
-    /// repairable without panicking either.
+    /// for both CSV renderings (native and LANL, told apart by the
+    /// loader), and the accepted trace must be auditable and repairable
+    /// without panicking either.
     #[test]
     fn lenient_ingest_survives_any_corruption(
         records in prop::collection::vec(arbitrary_record(), 0..60),
@@ -83,25 +84,25 @@ proptest! {
         rate_millis in 0u64..=1_000,
         shuffle in prop::bool::ANY,
         truncate in prop::bool::ANY,
-        dialect in prop::bool::ANY
-            .prop_map(|lanl| if lanl { Dialect::Lanl } else { Dialect::Native }),
+        lanl in prop::bool::ANY,
     ) {
         let trace = FailureTrace::from_records(records);
         let mut plan = CorruptionPlan::new(seed, rate_millis as f64 / 1_000.0);
         plan.faults.shuffle = shuffle;
         plan.truncate_file = truncate;
-        let dirty = match dialect {
-            Dialect::Native => plan.corrupt_trace(&trace),
-            Dialect::Lanl => plan.corrupt_csv(&to_lanl_csv(&trace)),
+        let (dialect, dirty) = if lanl {
+            ("LANL", plan.corrupt_csv(&to_lanl_csv(&trace)))
+        } else {
+            ("native", plan.corrupt_trace(&trace))
         };
         let catalog = Catalog::lanl();
         for policy in [IngestPolicy::Quarantine, IngestPolicy::Repair] {
-            let ingest = read_trace(dirty.as_bytes(), dialect, policy).unwrap_or_else(|e| {
-                panic!("lenient {dialect:?} ingest errored under {plan}: {e}")
+            let ingest = read_trace(dirty.as_bytes(), policy).unwrap_or_else(|e| {
+                panic!("lenient {dialect} ingest errored under {plan}: {e}")
             });
             prop_assert!(
                 ingest.is_conserved(),
-                "{:?} conservation violated under {}: {} accepted + {} quarantined != {} rows",
+                "{} conservation violated under {}: {} accepted + {} quarantined != {} rows",
                 dialect,
                 plan,
                 ingest.accepted(),
@@ -111,16 +112,16 @@ proptest! {
             if rate_millis == 0 && !truncate {
                 prop_assert!(
                     ingest.accepted() == trace.len(),
-                    "{:?} rate 0 must accept everything under {}",
+                    "{} rate 0 must accept everything under {}",
                     dialect,
                     plan
                 );
             }
             // The accepted records must be clean enough for the quality
             // layer to process without panicking.
-            let report = audit(&ingest.trace);
+            let report = audit(&ingest.trace, &catalog);
             prop_assert_eq!(report.total_records, ingest.trace.len());
-            let outcome = repair(&ingest.trace, Some(&catalog), &RepairPolicy::default());
+            let outcome = repair(&ingest.trace, &catalog);
             prop_assert!(outcome.trace.len() <= ingest.trace.len());
         }
     }
@@ -149,9 +150,8 @@ proptest! {
     ) {
         let trace = FailureTrace::from_records(records);
         let catalog = Catalog::lanl();
-        let policy = RepairPolicy::default();
-        let first = repair(&trace, Some(&catalog), &policy);
-        let second = repair(&first.trace, Some(&catalog), &policy);
+        let first = repair(&trace, &catalog);
+        let second = repair(&first.trace, &catalog);
         prop_assert!(!second.changed(), "second repair still changed:\n{}", second);
         prop_assert_eq!(second.trace.records(), first.trace.records());
     }
@@ -171,7 +171,7 @@ proptest! {
             IngestPolicy::Quarantine,
             IngestPolicy::Repair,
         ] {
-            let ingest = read_trace(&csv, Dialect::Native, policy).expect("clean csv");
+            let ingest = read_trace(&csv, policy).expect("clean csv");
             prop_assert_eq!(ingest.trace.records(), strict.records());
             prop_assert!(ingest.quarantine.is_empty());
             prop_assert!(ingest.repaired.is_empty());
@@ -195,7 +195,7 @@ fn corruption_rate_sweep_on_synthetic_trace() {
             plan.truncate_file = seed % 3 == 0;
             let dirty = plan.corrupt_trace(&trace);
             for policy in [IngestPolicy::Quarantine, IngestPolicy::Repair] {
-                let ingest = read_trace(dirty.as_bytes(), Dialect::Native, policy)
+                let ingest = read_trace(dirty.as_bytes(), policy)
                     .unwrap_or_else(|e| panic!("ingest errored under {plan}: {e}"));
                 assert!(ingest.is_conserved(), "conservation violated under {plan}");
                 if rate == 0.0 && !plan.truncate_file {
@@ -206,8 +206,8 @@ fn corruption_rate_sweep_on_synthetic_trace() {
                     );
                     assert!(ingest.quarantine.is_empty(), "{plan}");
                 }
-                let outcome = repair(&ingest.trace, Some(&catalog), &RepairPolicy::default());
-                let again = repair(&outcome.trace, Some(&catalog), &RepairPolicy::default());
+                let outcome = repair(&ingest.trace, &catalog);
+                let again = repair(&outcome.trace, &catalog);
                 assert!(!again.changed(), "repair not idempotent under {plan}");
             }
         }
@@ -223,15 +223,13 @@ fn zero_rate_corruption_round_trips() {
         hpcfail::synth::scenario::system_trace(SystemId::new(12), 11).expect("synthetic trace");
     let plan = CorruptionPlan::new(3, 0.0);
     let dirty = plan.corrupt_trace(&trace);
-    let ingest = read_trace(dirty.as_bytes(), Dialect::Native, IngestPolicy::Quarantine)
-        .expect("clean read");
+    let ingest = read_trace(dirty.as_bytes(), IngestPolicy::Quarantine).expect("clean read");
     assert_eq!(ingest.trace.records(), trace.records());
     assert_eq!(to_csv(&ingest.trace), to_csv(&trace));
     // The LANL rendering the corruption proptest sweeps reads back
     // exactly too, so its faults start from a fully accepted file.
     let dirty = plan.corrupt_csv(&to_lanl_csv(&trace));
-    let ingest =
-        read_trace(dirty.as_bytes(), Dialect::Lanl, IngestPolicy::FailFast).expect("clean read");
+    let ingest = read_trace(dirty.as_bytes(), IngestPolicy::FailFast).expect("clean read");
     assert!(ingest.quarantine.is_empty());
     assert_eq!(ingest.trace.records(), trace.records());
 }

@@ -6,7 +6,7 @@ use hpcfail::analysis::{pernode, rates, repair, rootcause, tbf};
 use hpcfail::checkpoint::sim::{simulate, JobConfig};
 use hpcfail::checkpoint::strategies::Periodic;
 use hpcfail::prelude::*;
-use hpcfail::records::io::{read_trace, write_csv, Dialect};
+use hpcfail::records::io::{read_trace, write_csv};
 use hpcfail::sched::cluster::profiles_from_index;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ fn csv_round_trip_preserves_full_site_trace() {
     let trace = site_trace();
     let mut buf: Vec<u8> = Vec::new();
     write_csv(&trace, &mut buf).expect("write succeeds");
-    let parsed = read_trace(&buf, Dialect::Native, IngestPolicy::FailFast)
+    let parsed = read_trace(&buf, IngestPolicy::FailFast)
         .expect("parse succeeds")
         .trace;
     assert_eq!(parsed, trace);

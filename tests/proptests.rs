@@ -937,11 +937,11 @@ proptest! {
     fn csv_to_packed_pipeline_matches_direct_build(
         records in prop::collection::vec(arbitrary_record(), 0..60),
     ) {
-        use hpcfail::records::io::{read_trace, write_csv, Dialect};
+        use hpcfail::records::io::{read_trace, write_csv};
         let trace = FailureTrace::from_records(records);
         let mut csv = Vec::new();
         write_csv(&trace, &mut csv).expect("in-memory write");
-        let reread = read_trace(&csv, Dialect::Native, IngestPolicy::FailFast)
+        let reread = read_trace(&csv, IngestPolicy::FailFast)
             .expect("strict read of own output")
             .trace;
         let built = reread.index();

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hpcfail::exec::{FaultKind, FaultMix, FaultPlan};
-use hpcfail::records::io::{read_trace, Dialect};
+use hpcfail::records::io::read_trace;
 use hpcfail::records::{BinaryCorruptionPlan, BinaryFault, IngestPolicy, TraceStore};
 use hpcfail::serve::chaos::{
     fetch, flood_heavy, plan_ops, run_chaos, trickle_heavy, ChaosOp, ChaosPlan, ChaosTiming,
@@ -58,7 +58,7 @@ fn boot() -> (Arc<AppState>, ServerHandle) {
     let state = AppState::new();
     state
         .registry
-        .insert("lanl", TenantSource::LanlFile(fixture_path()))
+        .insert("lanl", TenantSource::File(fixture_path()))
         .expect("fixture tenant");
     let state = Arc::new(state);
     let handle = spawn(state.clone(), &chaos_config()).expect("bind ephemeral");
@@ -211,7 +211,7 @@ fn damaged_packed_reload_during_socket_chaos_keeps_the_old_generation() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("lanl.hpct");
     let fixture = std::fs::read(fixture_path()).expect("fixture");
-    let trace = read_trace(&fixture, Dialect::Lanl, IngestPolicy::FailFast)
+    let trace = read_trace(&fixture, IngestPolicy::FailFast)
         .expect("fixture parses")
         .trace;
     TraceStore::write(&trace.index(), &path).expect("pack fixture");

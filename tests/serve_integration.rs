@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use hpcfail::analysis::{availability, findings, pernode, rates, repair, tbf};
 use hpcfail::prelude::*;
-use hpcfail::records::io::{read_trace, write_csv, Dialect};
+use hpcfail::records::io::{read_trace, write_csv};
 use hpcfail::records::quality::repair as repair_trace;
 use hpcfail::serve::{parse_request, render, respond, spawn, AppState, ServeConfig, TenantSource};
 
@@ -39,7 +39,7 @@ fn fixture_trace() -> &'static FailureTrace {
     static TRACE: OnceLock<FailureTrace> = OnceLock::new();
     TRACE.get_or_init(|| {
         let bytes = std::fs::read(fixture_path()).expect("fixture exists");
-        read_trace(&bytes, Dialect::Lanl, IngestPolicy::FailFast)
+        read_trace(&bytes, IngestPolicy::FailFast)
             .expect("fixture parses")
             .trace
     })
@@ -51,7 +51,7 @@ fn booted() -> (&'static AppState, SocketAddr) {
         let state = AppState::new();
         state
             .registry
-            .insert("lanl", TenantSource::LanlFile(fixture_path()))
+            .insert("lanl", TenantSource::File(fixture_path()))
             .expect("fixture tenant");
         let state = Arc::new(state);
         let handle = spawn(state.clone(), &ServeConfig::default()).expect("bind ephemeral");
@@ -219,7 +219,7 @@ fn reload_over_the_wire_bumps_generation_and_keeps_answers_identical() {
     let state = AppState::new();
     state
         .registry
-        .insert("lanl", TenantSource::LanlFile(fixture_path()))
+        .insert("lanl", TenantSource::File(fixture_path()))
         .expect("fixture tenant");
     let state = Arc::new(state);
     let mut handle = spawn(state.clone(), &ServeConfig::default()).expect("bind");
@@ -255,7 +255,7 @@ fn reload_against_a_damaged_file_keeps_the_old_generation_serving() {
     let state = AppState::new();
     state
         .registry
-        .insert("flaky", TenantSource::LanlFile(path.clone()))
+        .insert("flaky", TenantSource::File(path.clone()))
         .expect("tenant");
     let state = Arc::new(state);
     let mut handle = spawn(state.clone(), &ServeConfig::default()).expect("bind");
@@ -484,9 +484,9 @@ fn damaged_csv_repaired_and_packed_serves_like_its_csv() {
         plan.faults.shuffle = true;
         plan.truncate_file = truncate_file;
         let dirty = plan.corrupt_trace(&trace);
-        let ingest = read_trace(dirty.as_bytes(), Dialect::Native, IngestPolicy::Repair)
+        let ingest = read_trace(dirty.as_bytes(), IngestPolicy::Repair)
             .unwrap_or_else(|e| panic!("repair ingest failed under {plan}: {e}"));
-        let repaired = repair_trace(&ingest.trace, Some(&catalog), &RepairPolicy::default()).trace;
+        let repaired = repair_trace(&ingest.trace, &catalog).trace;
         TraceStore::write(&repaired.index(), &hpct).expect("pack");
         write_csv(&repaired, std::fs::File::create(&csv).expect("csv")).expect("write csv");
 
