@@ -2,5 +2,6 @@
 //!
 //! The experiment harness: `cargo run -p hpcfail-bench --bin repro`
 //! regenerates every table and figure of the paper (see EXPERIMENTS.md),
-//! and the Criterion benches measure the toolkit itself (fitting,
-//! generation, analysis, application simulators).
+//! and `--bin ablations` reruns the generator's ablation study. The
+//! toolkit's own speed is measured by the separate `perfbench` package
+//! (see `BENCHMARK.json`).

@@ -11,7 +11,7 @@
 //! hpcfail summary FILE
 //! hpcfail analyze FILE [--system ID]
 //! hpcfail findings FILE
-//! hpcfail quality FILE [--repair] [--out FILE] [--pack]
+//! hpcfail quality FILE [--repair] [--out FILE]
 //! hpcfail pack FILE [--out FILE.hpct]
 //! hpcfail import-lanl FILE [--out FILE]
 //! hpcfail validate [--seed N]
@@ -84,13 +84,13 @@ USAGE:
       Failure rates, repair statistics, and TBF fits for a trace.
   hpcfail findings FILE
       Check the paper's Section-8 conclusions against a trace.
-  hpcfail quality FILE [--repair] [--out FILE] [--pack]
+  hpcfail quality FILE [--repair] [--out FILE]
       Ingest FILE leniently (quarantining bad rows), audit the accepted
       records for duplicates/overlaps/window violations, and with
       --repair apply the standard repair passes (writing the repaired
       trace to --out when given). A packed .hpct FILE is accepted
-      whole. --pack writes --out as a packed .hpct binary store instead
-      of CSV.
+      whole. An --out ending in .hpct is written as a packed binary
+      store, any other --out as CSV.
   hpcfail pack FILE [--out FILE.hpct]
       Build the trace index once and write it as a versioned, checksummed
       .hpct binary columnar store (default out: FILE with an .hpct
@@ -149,16 +149,15 @@ pub enum Command {
     },
     /// `findings FILE`
     Findings(PathBuf),
-    /// `quality FILE [--repair] [--out FILE] [--pack]`
+    /// `quality FILE [--repair] [--out FILE]`
     Quality {
         /// Input trace.
         file: PathBuf,
         /// Apply the repair passes after the audit.
         repair: bool,
-        /// Where to write the repaired trace (with `--repair`).
+        /// Where to write the repaired trace (with `--repair`): a packed
+        /// store when it ends in `.hpct`, CSV otherwise.
         out: Option<PathBuf>,
-        /// Write `--out` as a packed `.hpct` store instead of CSV.
-        pack: bool,
     },
     /// `pack FILE [--out FILE.hpct]`
     Pack {
@@ -344,21 +343,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Args::split(cmd, rest, &[], &[])?.operand("FILE")?,
         )),
         "quality" => {
-            let a = Args::split(cmd, rest, &["--out"], &["--repair", "--pack"])?;
+            let a = Args::split(cmd, rest, &["--out"], &["--repair"])?;
             let repair = a.switch("--repair");
-            let pack = a.switch("--pack");
             let out = a.value("--out").map(PathBuf::from);
             if out.is_some() && !repair {
                 return Err(usage_err("quality --out requires --repair"));
-            }
-            if pack && out.is_none() {
-                return Err(usage_err("quality --pack requires --repair --out"));
             }
             Ok(Command::Quality {
                 file: a.operand("FILE")?,
                 repair,
                 out,
-                pack,
             })
         }
         "pack" => {
@@ -477,12 +471,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Summary(file) => with_index(file, summary),
         Command::Analyze { file, system } => with_index(file, |index| analyze(index, *system)),
         Command::Findings(file) => with_index(file, check_findings),
-        Command::Quality {
-            file,
-            repair,
-            out,
-            pack,
-        } => quality(file, *repair, out.as_ref(), *pack),
+        Command::Quality { file, repair, out } => quality(file, *repair, out.as_ref()),
         Command::Pack { file, out } => pack(file, out),
         Command::ImportLanl { file, out } => import_lanl(file, out),
         Command::Validate { seed } => validate(*seed),
@@ -777,12 +766,7 @@ fn check_findings(index: &TraceIndex<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn quality(
-    file: &Path,
-    apply_repair: bool,
-    out: Option<&PathBuf>,
-    pack: bool,
-) -> Result<String, CliError> {
+fn quality(file: &Path, apply_repair: bool, out: Option<&PathBuf>) -> Result<String, CliError> {
     let policy = if apply_repair {
         IngestPolicy::Repair
     } else {
@@ -819,7 +803,7 @@ fn quality(
         let outcome = repair_trace(&ingest.trace, &catalog);
         let _ = writeln!(text, "repair:\n{outcome}");
         if let Some(path) = out {
-            if pack {
+            if path.extension().is_some_and(|ext| ext == "hpct") {
                 let index = outcome.trace.index();
                 TraceStore::write(&index, path)
                     .map_err(|e| run_err(format!("cannot write {}: {e}", path.display())))?;
@@ -955,6 +939,7 @@ mod tests {
             (&["generate", "extra"][..], "extra"),
             (&["serve", "--synth", "1", "stray"][..], "stray"),
             (&["pack", "a.csv", "--repair"][..], "--repair"),
+            (&["quality", "f.csv", "--repair", "--pack"][..], "--pack"),
             (&["scenario", "plan", "a.toml", "b.toml"][..], "b.toml"),
             (&["scenario", "run", "a.toml", "--resum"][..], "--resum"),
         ] {
@@ -1042,7 +1027,6 @@ mod tests {
                 file: PathBuf::from("t.csv"),
                 repair: false,
                 out: None,
-                pack: false,
             }
         );
         assert_eq!(
@@ -1051,7 +1035,6 @@ mod tests {
                 "--repair",
                 "--out",
                 "fixed.hpct",
-                "--pack",
                 "t.csv"
             ]))
             .unwrap(),
@@ -1059,19 +1042,11 @@ mod tests {
                 file: PathBuf::from("t.csv"),
                 repair: true,
                 out: Some(PathBuf::from("fixed.hpct")),
-                pack: true,
             }
         );
-        // --out without --repair is a usage error, as are --pack without
-        // --out and a missing FILE.
+        // --out without --repair is a usage error, as is a missing FILE.
         assert_eq!(
             parse(&args(&["quality", "--out", "x.csv", "t.csv"]))
-                .unwrap_err()
-                .code,
-            2
-        );
-        assert_eq!(
-            parse(&args(&["quality", "--repair", "--pack", "t.csv"]))
                 .unwrap_err()
                 .code,
             2
@@ -1136,7 +1111,6 @@ mod tests {
                 file: file.clone(),
                 repair: true,
                 out: Some(out.clone()),
-                pack: false,
             })
             .unwrap();
             text.replace(&out.display().to_string(), "OUT")
@@ -1183,7 +1157,6 @@ mod tests {
             file: path,
             repair: true,
             out: Some(packed.clone()),
-            pack: true,
         })
         .unwrap();
         assert!(text.contains("packed 1 repaired records"), "{text}");
@@ -1209,7 +1182,6 @@ mod tests {
             file: path.clone(),
             repair: false,
             out: None,
-            pack: false,
         })
         .unwrap();
         assert!(text.contains("4 data rows"), "{text}");
@@ -1222,7 +1194,6 @@ mod tests {
             file: path,
             repair: true,
             out: Some(fixed.clone()),
-            pack: false,
         })
         .unwrap();
         assert!(text.contains("repair:"), "{text}");

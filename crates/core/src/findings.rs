@@ -189,19 +189,36 @@ pub fn evaluate_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Result<Fin
     findings.push(tbf_finding);
 
     // "Mean repair times vary widely across systems, driven by type."
+    const TYPE_EFFECT_CLAIM: &str = "mean repair time varies widely across systems and \
+                                     depends on hardware type, not size";
     let per_system = repair::by_system_indexed(index, catalog);
     let effect = repair::type_effect(&per_system);
-    findings.push(Finding {
-        id: "repair-type-effect",
-        claim: "mean repair time varies widely across systems and depends on \
-                hardware type, not size",
-        holds: effect.across_all_spread > 2.0
-            && effect.max_within_type_spread < effect.across_all_spread,
-        evidence: format!(
-            "{:.1}x across systems, ≤{:.1}x within a type",
-            effect.across_all_spread, effect.max_within_type_spread
-        ),
-    });
+    let starved = if effect.across_all_spread.is_nan() {
+        Some("fewer than 2 systems with at least 30 repairs")
+    } else if effect.max_within_type_spread.is_nan() {
+        Some("no hardware type with 2 systems of at least 30 repairs")
+    } else {
+        None
+    };
+    match starved {
+        None => findings.push(Finding {
+            id: "repair-type-effect",
+            claim: TYPE_EFFECT_CLAIM,
+            holds: effect.across_all_spread > 2.0
+                && effect.max_within_type_spread < effect.across_all_spread,
+            evidence: format!(
+                "{:.1}x across systems, ≤{:.1}x within a type",
+                effect.across_all_spread, effect.max_within_type_spread
+            ),
+        }),
+        Some(cause) => {
+            findings.push(not_evaluable("repair-type-effect", TYPE_EFFECT_CLAIM, cause));
+            degraded.push(Degraded {
+                experiment: "repair-type-effect",
+                cause: cause.to_string(),
+            });
+        }
+    }
 
     // "Repair times lognormal, extremely variable."
     const LOGNORMAL_CLAIM: &str = "repair times are better modeled by a lognormal than an \
@@ -233,15 +250,26 @@ pub fn evaluate_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Result<Fin
     }
 
     // "Hardware and software are the largest contributors."
-    let breakdown = rootcause::CauseBreakdown::from_view(&index.all());
-    let hw = breakdown.fraction_of_failures(RootCause::Hardware);
-    let sw = breakdown.fraction_of_failures(RootCause::Software);
-    findings.push(Finding {
-        id: "hardware-software-lead",
-        claim: "hardware and software are among the largest contributors to failures",
-        holds: hw > 0.25 && hw + sw > 0.4,
-        evidence: format!("hardware {:.0}%, software {:.0}%", hw * 100.0, sw * 100.0),
-    });
+    const CAUSE_LEAD_CLAIM: &str =
+        "hardware and software are among the largest contributors to failures";
+    if index.is_empty() {
+        let cause = "no failure records";
+        findings.push(not_evaluable("hardware-software-lead", CAUSE_LEAD_CLAIM, cause));
+        degraded.push(Degraded {
+            experiment: "rootcause",
+            cause: cause.to_string(),
+        });
+    } else {
+        let breakdown = rootcause::CauseBreakdown::from_view(&index.all());
+        let hw = breakdown.fraction_of_failures(RootCause::Hardware);
+        let sw = breakdown.fraction_of_failures(RootCause::Software);
+        findings.push(Finding {
+            id: "hardware-software-lead",
+            claim: CAUSE_LEAD_CLAIM,
+            holds: hw > 0.25 && hw + sw > 0.4,
+            evidence: format!("hardware {:.0}%, software {:.0}%", hw * 100.0, sw * 100.0),
+        });
+    }
 
     Ok(Findings { findings, degraded })
 }
@@ -283,15 +311,20 @@ mod tests {
             DetailedCause::Memory,
         )
         .unwrap();
-        let trace = FailureTrace::from_records(vec![rec]);
-        let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
-        assert_eq!(findings.findings.len(), 7);
-        assert!(findings.is_degraded());
-        assert!(!findings.all_hold());
-        let tbf = findings.get("weibull-tbf").unwrap();
-        assert!(tbf.evidence.contains("not evaluable"), "{}", tbf.evidence);
-        for d in &findings.degraded {
-            assert!(!d.cause.is_empty(), "{}: empty cause", d.experiment);
+        // The one-record trace and the empty trace.
+        for trace in [FailureTrace::from_records(vec![rec]), FailureTrace::default()] {
+            let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
+            assert_eq!(findings.findings.len(), 7);
+            assert!(findings.is_degraded());
+            assert!(!findings.all_hold());
+            let tbf = findings.get("weibull-tbf").unwrap();
+            assert!(tbf.evidence.contains("not evaluable"), "{}", tbf.evidence);
+            for f in &findings.findings {
+                assert!(!f.evidence.contains("NaN"), "{}: {}", f.id, f.evidence);
+            }
+            for d in &findings.degraded {
+                assert!(!d.cause.is_empty(), "{}: empty cause", d.experiment);
+            }
         }
     }
 

@@ -45,6 +45,7 @@
 //! assert_eq!(view.len(), 0);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::cause::RootCause;
@@ -378,7 +379,7 @@ impl<'t> TraceIndex<'t> {
         TraceView {
             index: self,
             rows: RowSet::Rows {
-                rows,
+                rows: Cow::Borrowed(rows),
                 node_closed: true,
             },
         }
@@ -399,7 +400,7 @@ impl<'t> TraceIndex<'t> {
         TraceView {
             index: self,
             rows: RowSet::Rows {
-                rows,
+                rows: Cow::Borrowed(rows),
                 node_closed: true,
             },
         }
@@ -410,7 +411,7 @@ impl<'t> TraceIndex<'t> {
         TraceView {
             index: self,
             rows: RowSet::Rows {
-                rows: &self.cause_rows[cause.index()],
+                rows: Cow::Borrowed(&self.cause_rows[cause.index()]),
                 node_closed: false,
             },
         }
@@ -421,7 +422,7 @@ impl<'t> TraceIndex<'t> {
         TraceView {
             index: self,
             rows: RowSet::Rows {
-                rows: &self.workload_rows[workload_slot(workload)],
+                rows: Cow::Borrowed(&self.workload_rows[workload_slot(workload)]),
                 node_closed: false,
             },
         }
@@ -510,16 +511,20 @@ impl PartialEq for TraceIndex<'_> {
 enum RowSet<'a> {
     /// All rows in `[lo, hi)` — the whole trace or a time window of it.
     Range { lo: u32, hi: u32 },
-    /// A borrowed posting-list (sub)slice; rows ascend.
+    /// Listed rows, ascending.
     ///
     /// `node_closed` records whether the set is closed under the
     /// `prev_in_node` link: for every row `r` in the set, the previous
     /// row of `r`'s node is in the set exactly when it is ≥ the set's
     /// first row. System, node, and window restrictions preserve this;
     /// cause/workload restrictions do not.
-    Rows { rows: &'a [u32], node_closed: bool },
-    /// An owned row vector from composed filters; rows ascend.
-    Owned { rows: Vec<u32>, node_closed: bool },
+    ///
+    /// Borrowed for a posting-list (sub)slice, owned for the row vector
+    /// of a composed filter.
+    Rows {
+        rows: Cow<'a, [u32]>,
+        node_closed: bool,
+    },
 }
 
 /// A borrowed, zero-copy slice of a trace — per system, node, cause,
@@ -536,7 +541,6 @@ impl<'a> TraceView<'a> {
         match &self.rows {
             RowSet::Range { lo, hi } => (hi - lo) as usize,
             RowSet::Rows { rows, .. } => rows.len(),
-            RowSet::Owned { rows, .. } => rows.len(),
         }
     }
 
@@ -548,7 +552,7 @@ impl<'a> TraceView<'a> {
     fn node_closed(&self) -> bool {
         match &self.rows {
             RowSet::Range { .. } => true,
-            RowSet::Rows { node_closed, .. } | RowSet::Owned { node_closed, .. } => *node_closed,
+            RowSet::Rows { node_closed, .. } => *node_closed,
         }
     }
 
@@ -556,7 +560,6 @@ impl<'a> TraceView<'a> {
         match &self.rows {
             RowSet::Range { lo, hi } => (lo < hi).then_some(*lo),
             RowSet::Rows { rows, .. } => rows.first().copied(),
-            RowSet::Owned { rows, .. } => rows.first().copied(),
         }
     }
 
@@ -564,7 +567,6 @@ impl<'a> TraceView<'a> {
         match &self.rows {
             RowSet::Range { lo, hi } => (lo < hi).then(|| hi - 1),
             RowSet::Rows { rows, .. } => rows.last().copied(),
-            RowSet::Owned { rows, .. } => rows.last().copied(),
         }
     }
 
@@ -577,12 +579,7 @@ impl<'a> TraceView<'a> {
                 }
             }
             RowSet::Rows { rows, .. } => {
-                for &r in *rows {
-                    f(r as usize);
-                }
-            }
-            RowSet::Owned { rows, .. } => {
-                for &r in rows {
+                for &r in rows.iter() {
                     f(r as usize);
                 }
             }
@@ -592,22 +589,10 @@ impl<'a> TraceView<'a> {
     /// Iterate the view's records in time order.
     pub fn iter(&self) -> impl Iterator<Item = &'a FailureRecord> + '_ {
         let records = self.index.trace.records();
-        let range;
-        let slice: &[u32];
-        match &self.rows {
-            RowSet::Range { lo, hi } => {
-                range = Some(*lo as usize..*hi as usize);
-                slice = &[];
-            }
-            RowSet::Rows { rows, .. } => {
-                range = None;
-                slice = rows;
-            }
-            RowSet::Owned { rows, .. } => {
-                range = None;
-                slice = rows;
-            }
-        }
+        let (range, slice): (_, &[u32]) = match &self.rows {
+            RowSet::Range { lo, hi } => (Some(*lo as usize..*hi as usize), &[]),
+            RowSet::Rows { rows, .. } => (None, rows),
+        };
         range
             .into_iter()
             .flatten()
@@ -781,11 +766,6 @@ impl<'a> TraceView<'a> {
                     gaps.push((start[w[1] as usize] - start[w[0] as usize]) as f64);
                 }
             }
-            RowSet::Owned { rows, .. } => {
-                for w in rows.windows(2) {
-                    gaps.push((start[w[1] as usize] - start[w[0] as usize]) as f64);
-                }
-            }
         }
         Ok(gaps)
     }
@@ -849,16 +829,12 @@ impl<'a> TraceView<'a> {
             RowSet::Rows { rows, node_closed } => {
                 let a = rows.partition_point(|&r| start[r as usize] < from);
                 let b = rows.partition_point(|&r| start[r as usize] < to);
+                let rows = match rows {
+                    Cow::Borrowed(rows) => Cow::Borrowed(&rows[a..b.max(a)]),
+                    Cow::Owned(rows) => Cow::Owned(rows[a..b.max(a)].to_vec()),
+                };
                 RowSet::Rows {
-                    rows: &rows[a..b.max(a)],
-                    node_closed: *node_closed,
-                }
-            }
-            RowSet::Owned { rows, node_closed } => {
-                let a = rows.partition_point(|&r| start[r as usize] < from);
-                let b = rows.partition_point(|&r| start[r as usize] < to);
-                RowSet::Owned {
-                    rows: rows[a..b.max(a)].to_vec(),
+                    rows,
                     node_closed: *node_closed,
                 }
             }
@@ -885,7 +861,10 @@ impl<'a> TraceView<'a> {
         });
         TraceView {
             index: self.index,
-            rows: RowSet::Owned { rows, node_closed },
+            rows: RowSet::Rows {
+                rows: Cow::Owned(rows),
+                node_closed,
+            },
         }
     }
 
@@ -893,13 +872,17 @@ impl<'a> TraceView<'a> {
     pub fn filter_system(&self, system: SystemId) -> TraceView<'a> {
         if let RowSet::Range { lo, hi } = self.rows {
             let full = self.index.system(system);
-            let RowSet::Rows { rows, .. } = full.rows else {
+            let RowSet::Rows {
+                rows: Cow::Borrowed(rows),
+                ..
+            } = full.rows
+            else {
                 unreachable!("system views are posting-backed")
             };
             return TraceView {
                 index: self.index,
                 rows: RowSet::Rows {
-                    rows: Self::posting_in_range(rows, lo, hi),
+                    rows: Cow::Borrowed(Self::posting_in_range(rows, lo, hi)),
                     node_closed: true,
                 },
             };
@@ -922,13 +905,17 @@ impl<'a> TraceView<'a> {
     pub fn filter_node(&self, system: SystemId, node: NodeId) -> TraceView<'a> {
         if let RowSet::Range { lo, hi } = self.rows {
             let full = self.index.node(system, node);
-            let RowSet::Rows { rows, .. } = full.rows else {
+            let RowSet::Rows {
+                rows: Cow::Borrowed(rows),
+                ..
+            } = full.rows
+            else {
                 unreachable!("node views are posting-backed")
             };
             return TraceView {
                 index: self.index,
                 rows: RowSet::Rows {
-                    rows: Self::posting_in_range(rows, lo, hi),
+                    rows: Cow::Borrowed(Self::posting_in_range(rows, lo, hi)),
                     node_closed: true,
                 },
             };
@@ -949,7 +936,11 @@ impl<'a> TraceView<'a> {
             return TraceView {
                 index: self.index,
                 rows: RowSet::Rows {
-                    rows: Self::posting_in_range(&self.index.cause_rows[cause.index()], lo, hi),
+                    rows: Cow::Borrowed(Self::posting_in_range(
+                        &self.index.cause_rows[cause.index()],
+                        lo,
+                        hi,
+                    )),
                     node_closed: false,
                 },
             };
@@ -964,11 +955,11 @@ impl<'a> TraceView<'a> {
             return TraceView {
                 index: self.index,
                 rows: RowSet::Rows {
-                    rows: Self::posting_in_range(
+                    rows: Cow::Borrowed(Self::posting_in_range(
                         &self.index.workload_rows[workload_slot(workload)],
                         lo,
                         hi,
-                    ),
+                    )),
                     node_closed: false,
                 },
             };

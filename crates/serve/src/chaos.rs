@@ -24,8 +24,7 @@
 //!   byte-identical to the fault-free responses, throughout.
 //!
 //! `tests/serve_chaos.rs` sweeps fault rates × mixes × shuffle over
-//! this harness; `serve_load` reuses it for the degraded-mode rows in
-//! `experiments/BENCH_serve.json`.
+//! this harness.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -188,7 +187,7 @@ pub struct ChaosTiming {
     pub trickle_max_bytes: usize,
     /// Control-request retry budget (shed/error → backoff → retry).
     pub retry_limit: u32,
-    /// Cap on one backoff sleep (keeps tests and benches fast while
+    /// Cap on one backoff sleep (keeps tests fast while
     /// still honoring `retry-after` as the base).
     pub backoff_cap: Duration,
 }
@@ -264,21 +263,12 @@ impl ChaosReport {
         }
         self.control_latencies_ms.extend(other.control_latencies_ms);
     }
-
-    /// `(name, count)` rows in [`FaultKind::ALL`] order.
-    pub fn fault_rows(&self) -> Vec<(&'static str, u64)> {
-        NetFault::ALL
-            .iter()
-            .zip(self.fault_counts)
-            .map(|(f, count)| (f.name(), count))
-            .collect()
-    }
 }
 
 /// Jittered exponential backoff honoring a server `retry-after` hint.
 ///
 /// The delay doubles with `attempt`, never undercuts the hint (both
-/// clamped to `cap` — benches and tests cap at tens of milliseconds,
+/// clamped to `cap` — tests cap at tens of milliseconds,
 /// production clients can pass seconds), and jitters uniformly in
 /// `[half, full]` off a SplitMix64 stream so replayed schedules are
 /// deterministic and synchronized clients don't stampede in phase.
@@ -656,7 +646,7 @@ mod tests {
         a.merge(b);
         assert_eq!(a.controls, 20);
         assert!((a.availability() - 0.95).abs() < 1e-12);
-        assert_eq!(a.fault_rows()[4], ("flood", 3));
+        assert_eq!(a.fault_counts[NetFault::Flood.index()], 3);
         assert_eq!(ChaosReport::default().availability(), 1.0);
     }
 }

@@ -19,9 +19,10 @@
 //! canonicalization + result cache), [`server`] (bounded accept queue
 //! and worker pool sized like the batch engine, with overload
 //! shedding, header/request deadlines, and graceful drain — counters
-//! in [`metrics`]), [`load`] (the deterministic load-harness planner
-//! used by `crates/bench`), and [`chaos`] (a seeded socket-level
-//! fault injector, the network sibling of the ingest corruptor).
+//! in [`metrics`]), [`load`] (the stratum pool and nearest-rank
+//! percentile the serve tests and the benchmark share), and [`chaos`]
+//! (a seeded socket-level fault injector, the network sibling of the
+//! ingest corruptor).
 //!
 //! `POST /v1/reload` rebuilds a tenant *off to the side* and swaps an
 //! `Arc`, so reload never blocks in-flight readers; the generation

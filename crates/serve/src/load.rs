@@ -1,32 +1,11 @@
-//! Deterministic load-harness planning.
+//! Load-generation helpers shared by the serve tests and the benchmark.
 //!
-//! The serve benchmark (`crates/bench`, bin `serve_load`) must produce
-//! the same request schedule no matter how many worker threads run it —
-//! the same contract the batch engine pins in
-//! `tests/parallel_determinism.rs`. The fix that buys this: every
-//! client's schedule (request paths *and* think times) is a pure
-//! function of `(root seed, client index)` through the exec crate's
-//! [`derive_stream_seed`] SplitMix64 streams, planned *before* any
-//! thread runs. Threads only replay their plan; wall-clock jitter never
-//! feeds back into what gets requested.
-//!
-//! Percentiles use the deterministic nearest-rank definition (sorted by
-//! `total_cmp`), so a latency report over the same sample set is
-//! byte-stable.
-
-use hpcfail_exec::{derive_stream_seed, splitmix64};
-
-/// One scheduled request: what to fetch and how long to idle first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedRequest {
-    /// Request target (path + query).
-    pub path: String,
-    /// Think time before issuing, in microseconds (0..[`MAX_THINK_MICROS`]).
-    pub think_micros: u64,
-}
-
-/// Upper bound (exclusive) on planned think time.
-pub const MAX_THINK_MICROS: u64 = 2_000;
+//! [`stratum_pool`] is the fixed set of analysis paths a load client
+//! draws from; `tests/serve_cache.rs` replays it against the cache and
+//! `perfbench`'s `serve_mixed` workload sends it as its hot class.
+//! [`percentile_nearest_rank`] is the deterministic nearest-rank
+//! percentile (sorted by `total_cmp`), so a latency report over the same
+//! sample set is byte-stable whatever order the samples arrived in.
 
 /// The fixed stratum pool clients draw from. Small by design: repeated
 /// draws from a pool of this size are what drives the cache hit rate
@@ -49,53 +28,6 @@ pub fn stratum_pool(tenant: &str) -> Vec<String> {
     .collect()
 }
 
-/// Plan one client's schedule: a pure function of `(root_seed, client)`.
-pub fn plan_client(
-    root_seed: u64,
-    client: u64,
-    requests: usize,
-    tenant: &str,
-) -> Vec<PlannedRequest> {
-    let pool = stratum_pool(tenant);
-    let mut stream = derive_stream_seed(root_seed, client);
-    (0..requests)
-        .map(|_| {
-            let pick = splitmix64(&mut stream) as usize % pool.len();
-            let think_micros = splitmix64(&mut stream) % MAX_THINK_MICROS;
-            PlannedRequest {
-                path: pool[pick].clone(),
-                think_micros,
-            }
-        })
-        .collect()
-}
-
-/// Plan every client's schedule.
-pub fn plan_workload(
-    root_seed: u64,
-    clients: u64,
-    requests: usize,
-    tenant: &str,
-) -> Vec<Vec<PlannedRequest>> {
-    (0..clients)
-        .map(|c| plan_client(root_seed, c, requests, tenant))
-        .collect()
-}
-
-/// Deterministic byte serialization of a workload plan, for the
-/// seeds×workers identity tests.
-pub fn plan_bytes(plan: &[Vec<PlannedRequest>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (client, schedule) in plan.iter().enumerate() {
-        for (i, req) in schedule.iter().enumerate() {
-            out.extend_from_slice(
-                format!("{client}\t{i}\t{}\t{}\n", req.path, req.think_micros).as_bytes(),
-            );
-        }
-    }
-    out
-}
-
 /// Nearest-rank percentile of `samples` (need not be pre-sorted);
 /// `q` in (0, 1]. NaN when empty.
 pub fn percentile_nearest_rank(samples: &[f64], q: f64) -> f64 {
@@ -111,28 +43,6 @@ pub fn percentile_nearest_rank(samples: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plans_are_seed_deterministic_and_client_independent() {
-        let a = plan_workload(42, 8, 50, "synth");
-        let b = plan_workload(42, 8, 50, "synth");
-        assert_eq!(plan_bytes(&a), plan_bytes(&b));
-        // A client's schedule does not depend on how many other clients
-        // are planned — the per-thread replay can't perturb it.
-        let solo = plan_client(42, 3, 50, "synth");
-        assert_eq!(a[3], solo);
-        // Different seeds genuinely differ.
-        let c = plan_workload(43, 8, 50, "synth");
-        assert_ne!(plan_bytes(&a), plan_bytes(&c));
-    }
-
-    #[test]
-    fn think_times_are_bounded() {
-        for req in plan_client(7, 0, 200, "t") {
-            assert!(req.think_micros < MAX_THINK_MICROS);
-            assert!(req.path.starts_with("/v1/t/"));
-        }
-    }
 
     #[test]
     fn nearest_rank_percentiles() {

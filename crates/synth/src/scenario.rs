@@ -7,7 +7,7 @@ use crate::config::Calibration;
 use crate::error::SynthError;
 use crate::generator::TraceGenerator;
 
-/// The seed used by the benchmark harness for all reported numbers.
+/// The seed the experiment harness (`repro`) uses for all reported numbers.
 pub const DEFAULT_SEED: u64 = 42;
 
 /// Generate the full 22-system LANL-like site trace.

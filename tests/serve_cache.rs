@@ -10,15 +10,16 @@
 //!   up across a concurrent hammer;
 //! * **tenant-scoped invalidation** — reloading one tenant purges only
 //!   its keys, and the generation bump keeps racing readers safe;
-//! * **hit-rate floor** — replaying the deterministic load plan meets
-//!   the ≥95% hit-rate acceptance bar.
+//! * **hit-rate floor** — 8 clients drawing seeded paths from the
+//!   fixed stratum pool meet the ≥95% hit-rate acceptance bar.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
+use hpcfail::exec::{derive_stream_seed, splitmix64};
 use hpcfail::prelude::*;
 use hpcfail::serve::cache::CacheKey;
-use hpcfail::serve::load::{plan_workload, stratum_pool};
+use hpcfail::serve::load::stratum_pool;
 use hpcfail::serve::{parse_request, respond, AppState, Response, ResultCache, TenantSource};
 
 const HAMMER_THREADS: usize = 16;
@@ -180,18 +181,20 @@ fn stale_generation_entries_cannot_poison_a_reload() {
 fn replayed_load_plan_meets_the_hit_rate_floor() {
     let state = synth_state();
     // The acceptance workload: 8 clients × 100 requests drawn from the
-    // fixed stratum pool, exactly what the bench harness replays.
-    let plan = plan_workload(42, 8, 100, "synth");
+    // fixed stratum pool, each client on its own SplitMix64 stream.
+    let pool = stratum_pool("synth");
     std::thread::scope(|scope| {
-        for schedule in &plan {
+        for client in 0..8 {
             let state = state.clone();
+            let pool = &pool;
             scope.spawn(move || {
-                for req in schedule {
-                    let resp = do_get(&state, &req.path);
+                let mut stream = derive_stream_seed(42, client);
+                for _ in 0..100 {
+                    let path = &pool[splitmix64(&mut stream) as usize % pool.len()];
+                    let resp = do_get(&state, path);
                     assert!(
                         resp.status == 200 || resp.status == 422,
-                        "{}: {}",
-                        req.path,
+                        "{path}: {}",
                         resp.body
                     );
                 }

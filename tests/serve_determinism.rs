@@ -1,71 +1,9 @@
-//! Determinism contract of the serve load harness, mirroring
-//! `tests/parallel_determinism.rs`: the benchmark's request schedule
-//! and its percentile arithmetic are pure functions of the seed —
-//! `HPCFAIL_THREADS` (worker count) is a performance knob that can
-//! never change what the harness requests or reports.
-//!
-//! This pins the fix for the old harness bug where per-thread RNG state
-//! (think times drawn *while running*) made the request mix — and with
-//! it the p95/p99 latencies — depend on thread scheduling. Planning now
-//! happens up front through the exec crate's SplitMix64 seed streams,
-//! so replaying under any worker count issues the identical workload.
+//! Determinism contract of the serve latency percentiles: nearest-rank
+//! reporting is a pure function of the sample set, so the completion
+//! order a worker pool produces — and with it `HPCFAIL_THREADS` — can
+//! never change a reported p50/p95/p99.
 
-use hpcfail::exec::ParallelExecutor;
-use hpcfail::serve::load::{
-    percentile_nearest_rank, plan_bytes, plan_client, plan_workload, PlannedRequest,
-};
-
-const SEEDS: [u64; 3] = [1, 42, 2026];
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-const CLIENTS: u64 = 64;
-const REQUESTS: usize = 50;
-
-/// Plan the workload *through the executor* with `workers` threads —
-/// the same shape the bench harness uses — and serialize it.
-fn planned_bytes_with_workers(seed: u64, workers: usize) -> Vec<u8> {
-    let exec = ParallelExecutor::with_workers(workers);
-    let plans: Vec<Vec<PlannedRequest>> = exec.map_range(CLIENTS as usize, |client| {
-        plan_client(seed, client as u64, REQUESTS, "synth")
-    });
-    plan_bytes(&plans)
-}
-
-#[test]
-fn load_plans_byte_identical_across_seeds_and_worker_counts() {
-    for seed in SEEDS {
-        let reference = planned_bytes_with_workers(seed, WORKER_COUNTS[0]);
-        assert!(!reference.is_empty());
-        for workers in &WORKER_COUNTS[1..] {
-            assert_eq!(
-                reference,
-                planned_bytes_with_workers(seed, *workers),
-                "seed {seed}: plan changed between 1 and {workers} workers"
-            );
-        }
-        // And the executor path agrees with the serial library path.
-        assert_eq!(
-            reference,
-            plan_bytes(&plan_workload(seed, CLIENTS, REQUESTS, "synth")),
-            "seed {seed}: executor plan diverged from serial plan"
-        );
-    }
-}
-
-#[test]
-fn distinct_seeds_give_distinct_plans() {
-    let a = planned_bytes_with_workers(SEEDS[0], 2);
-    let b = planned_bytes_with_workers(SEEDS[1], 2);
-    assert_ne!(a, b);
-}
-
-#[test]
-fn client_schedules_are_independent_of_fleet_size() {
-    // Client 7's schedule is the same whether 8 or 64 clients fly —
-    // the property that lets the bench reuse one plan across phases.
-    let small = plan_workload(42, 8, REQUESTS, "synth");
-    let large = plan_workload(42, CLIENTS, REQUESTS, "synth");
-    assert_eq!(small[7], large[7]);
-}
+use hpcfail::serve::load::percentile_nearest_rank;
 
 #[test]
 fn percentiles_are_order_and_thread_invariant() {

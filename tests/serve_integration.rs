@@ -468,7 +468,7 @@ fn reload_against_a_damaged_packed_store_keeps_the_old_generation_serving() {
 
 /// Across the ingest → quality → store → serve boundaries: a damaged
 /// CSV goes through Repair ingest, `quality::repair` and pack (what
-/// `hpcfail quality --repair --pack` does), and the packed store served
+/// `hpcfail quality --repair --out FILE.hpct` does), and the packed store served
 /// as a tenant must answer every analysis route byte-identically to a
 /// tenant loaded from the CSV of the same repaired trace.
 #[test]
