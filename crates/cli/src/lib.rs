@@ -10,7 +10,8 @@
 //! hpcfail generate [--seed N] [--system ID] [--out FILE]
 //! hpcfail summary FILE
 //! hpcfail analyze FILE [--system ID]
-//! hpcfail findings FILE
+//! hpcfail repro [--trace FILE] [SECTION...]
+//! hpcfail ablations
 //! hpcfail quality FILE [--repair] [--out FILE]
 //! hpcfail pack FILE [--out FILE.hpct]
 //! hpcfail import-lanl FILE [--out FILE]
@@ -20,20 +21,28 @@
 //! hpcfail scenario run SPEC [--out FILE] [--resume] [--workers N]
 //! ```
 //!
+//! `repro` regenerates the paper's tables and figures and `ablations`
+//! checks the generator's design choices; their committed outputs are
+//! `experiments/repro_output.txt` and `experiments/ablations_output.txt`.
+//!
 //! The library surface exists so the command logic is unit-testable;
 //! `main.rs` is a thin wrapper.
 
 #![warn(missing_docs)]
 
+mod ablations;
+mod repro;
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use hpcfail_core::report::{fmt_num, fmt_pct, TextTable};
-use hpcfail_core::{findings, rates, repair, rootcause, tbf};
+use hpcfail_core::{rates, repair, rootcause, tbf};
 use hpcfail_records::io::{read_trace, write_csv};
 use hpcfail_records::quality::{audit, repair as repair_trace};
 use hpcfail_records::{
-    Catalog, IngestPolicy, LenientIngest, QualityIssue, RootCause, SystemId, TraceIndex, TraceStore,
+    Catalog, FailureTrace, IngestPolicy, LenientIngest, QualityIssue, RootCause, SystemId,
+    TraceIndex, TraceStore,
 };
 
 /// A CLI failure: message plus suggested exit code.
@@ -82,8 +91,17 @@ USAGE:
       Print the composition of a trace.
   hpcfail analyze FILE [--system ID]
       Failure rates, repair statistics, and TBF fits for a trace.
-  hpcfail findings FILE
-      Check the paper's Section-8 conclusions against a trace.
+  hpcfail repro [--trace FILE] [SECTION...]
+      Regenerate the paper's tables and figures as text: every section,
+      or only the named ones (table1, fig1 .. fig7, findings, ...; an
+      unknown name lists them all). The trace is FILE, or else the
+      seeded site trace. A section whose analysis cannot run on the
+      trace prints a 'degraded:' line; 'findings' checks the paper's
+      Section-8 conclusions.
+  hpcfail ablations
+      Rerun the generator's ablation study on the seeded site trace:
+      fit-selection criterion, bootstrap shape CI, Pareto rejection,
+      and the generator without failure clustering.
   hpcfail quality FILE [--repair] [--out FILE]
       Ingest FILE leniently (quarantining bad rows), audit the accepted
       records for duplicates/overlaps/window violations, and with
@@ -147,8 +165,15 @@ pub enum Command {
         /// Focus the TBF analysis on one system (default 20).
         system: u32,
     },
-    /// `findings FILE`
-    Findings(PathBuf),
+    /// `repro [--trace FILE] [SECTION...]`
+    Repro {
+        /// Input trace (default: the seeded site trace).
+        trace: Option<PathBuf>,
+        /// The sections to render, in report order (empty: all).
+        sections: Vec<String>,
+    },
+    /// `ablations`
+    Ablations,
     /// `quality FILE [--repair] [--out FILE]`
     Quality {
         /// Input trace.
@@ -339,9 +364,28 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 system,
             })
         }
-        "findings" => Ok(Command::Findings(
-            Args::split(cmd, rest, &[], &[])?.operand("FILE")?,
-        )),
+        "repro" => {
+            let a = Args::split(cmd, rest, &["--trace"], &[])?;
+            let sections: Vec<String> = a.positional.iter().map(|s| s.to_string()).collect();
+            if let Some(unknown) = sections
+                .iter()
+                .find(|s| !repro::SECTIONS.iter().any(|(name, _)| name == s))
+            {
+                let valid: Vec<&str> = repro::SECTIONS.iter().map(|(name, _)| *name).collect();
+                return Err(usage_err(format!(
+                    "unknown repro section {unknown:?}; sections: {}",
+                    valid.join(" ")
+                )));
+            }
+            Ok(Command::Repro {
+                trace: a.value("--trace").map(PathBuf::from),
+                sections,
+            })
+        }
+        "ablations" => {
+            Args::split(cmd, rest, &[], &[])?.no_operand()?;
+            Ok(Command::Ablations)
+        }
         "quality" => {
             let a = Args::split(cmd, rest, &["--out"], &["--repair"])?;
             let repair = a.switch("--repair");
@@ -470,7 +514,11 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Generate { seed, system, out } => generate(*seed, *system, out),
         Command::Summary(file) => with_index(file, summary),
         Command::Analyze { file, system } => with_index(file, |index| analyze(index, *system)),
-        Command::Findings(file) => with_index(file, check_findings),
+        Command::Repro { trace, sections } => match trace {
+            Some(file) => with_index(file, |index| Ok(repro::render(index, sections))),
+            None => Ok(repro::render(&seeded_site()?.index(), sections)),
+        },
+        Command::Ablations => ablations::render(&seeded_site()?).map_err(run_err),
         Command::Quality { file, repair, out } => quality(file, *repair, out.as_ref()),
         Command::Pack { file, out } => pack(file, out),
         Command::ImportLanl { file, out } => import_lanl(file, out),
@@ -644,6 +692,15 @@ fn with_index(
     ))
 }
 
+/// The seeded synthetic site trace that `repro` and `ablations` read
+/// when no trace is given.
+fn seeded_site() -> Result<FailureTrace, CliError> {
+    let seed = hpcfail_synth::scenario::DEFAULT_SEED;
+    eprintln!("generating seeded site trace (seed {seed})…");
+    hpcfail_synth::scenario::site_trace(seed)
+        .map_err(|e| run_err(format!("generation failed: {e}")))
+}
+
 fn pack(file: &Path, out: &Path) -> Result<String, CliError> {
     let ingest = read_input(file, IngestPolicy::FailFast)?;
     let index = TraceIndex::from_parts_or_build(&ingest.trace, ingest.parts);
@@ -750,19 +807,6 @@ fn analyze(index: &TraceIndex<'_>, system: u32) -> Result<String, CliError> {
             let _ = writeln!(out, "time between failures, system {system}: {e}");
         }
     }
-    Ok(out)
-}
-
-fn check_findings(index: &TraceIndex<'_>) -> Result<String, CliError> {
-    let catalog = Catalog::lanl();
-    let result = findings::evaluate_indexed(index, &catalog)
-        .map_err(|e| run_err(format!("findings evaluation failed: {e}")))?;
-    let mut out = String::new();
-    for f in &result.findings {
-        let _ = writeln!(out, "[{}] {}", if f.holds { "ok" } else { "--" }, f.claim);
-        let _ = writeln!(out, "     {}", f.evidence);
-    }
-    let _ = writeln!(out, "all conclusions hold: {}", result.all_hold());
     Ok(out)
 }
 
@@ -942,6 +986,9 @@ mod tests {
             (&["quality", "f.csv", "--repair", "--pack"][..], "--pack"),
             (&["scenario", "plan", "a.toml", "b.toml"][..], "b.toml"),
             (&["scenario", "run", "a.toml", "--resum"][..], "--resum"),
+            (&["repro", "--trace", "s.csv", "--seed"][..], "--seed"),
+            (&["repro", "fig6", "list"][..], "list"),
+            (&["ablations", "fig6"][..], "fig6"),
         ] {
             let err = parse(&args(line)).unwrap_err();
             assert_eq!(err.code, 2, "{line:?}");
@@ -982,6 +1029,96 @@ mod tests {
         );
         assert_eq!(parse(&args(&["help"])).unwrap(), Command::Help);
         assert_eq!(parse(&args(&["--help"])).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn parse_repro_and_ablations() {
+        assert_eq!(
+            parse(&args(&["repro"])).unwrap(),
+            Command::Repro {
+                trace: None,
+                sections: vec![],
+            }
+        );
+        assert_eq!(
+            parse(&args(&["repro", "fig6", "--trace", "s.hpct", "findings"])).unwrap(),
+            Command::Repro {
+                trace: Some(PathBuf::from("s.hpct")),
+                sections: args(&["fig6", "findings"]),
+            }
+        );
+        assert_eq!(parse(&args(&["ablations"])).unwrap(), Command::Ablations);
+        // An unknown section names every valid one.
+        let err = parse(&args(&["repro", "fig8"])).unwrap_err();
+        assert_eq!(err.code, 2);
+        for (name, _) in repro::SECTIONS {
+            assert!(err.message.contains(name), "{}", err.message);
+        }
+        assert_eq!(parse(&args(&["repro", "--trace"])).unwrap_err().code, 2);
+    }
+
+    /// The committed paper reproduction, as `main` prints it: the text
+    /// plus one trailing newline.
+    fn printed(command: &Command) -> String {
+        format!("{}\n", execute(command).unwrap())
+    }
+
+    #[test]
+    fn repro_matches_the_committed_golden() {
+        let golden = include_str!("../../../experiments/repro_output.txt");
+        let repro = Command::Repro {
+            trace: None,
+            sections: vec![],
+        };
+        assert!(
+            printed(&repro) == golden,
+            "repro drifted from experiments/repro_output.txt"
+        );
+    }
+
+    #[test]
+    fn ablations_match_the_committed_golden() {
+        let golden = include_str!("../../../experiments/ablations_output.txt");
+        assert!(
+            printed(&Command::Ablations) == golden,
+            "ablations drifted from experiments/ablations_output.txt"
+        );
+    }
+
+    #[test]
+    fn repro_degrades_section_by_section_on_thin_traces() {
+        let dir = std::env::temp_dir().join("hpcfail_cli_repro_thin");
+        std::fs::create_dir_all(&dir).unwrap();
+        let header_only = dir.join("header_only.csv");
+        std::fs::write(
+            &header_only,
+            format!("{}\n", hpcfail_records::io::CSV_HEADER),
+        )
+        .unwrap();
+        let sys12 = dir.join("sys12.csv");
+        execute(&Command::Generate {
+            seed: 42,
+            system: Some(12),
+            out: sys12.clone(),
+        })
+        .unwrap();
+        for file in [header_only, sys12] {
+            let text = execute(&Command::Repro {
+                trace: Some(file.clone()),
+                sections: vec![],
+            })
+            .unwrap();
+            // Every section opens with its banner and then either renders
+            // or says why it could not.
+            for (name, _) in repro::SECTIONS {
+                assert!(
+                    text.contains(&format!("================= {name} =================")),
+                    "{}: no {name} section",
+                    file.display()
+                );
+            }
+            assert!(text.contains("degraded:"), "{}: {text}", file.display());
+        }
     }
 
     #[test]
@@ -1098,7 +1235,10 @@ mod tests {
         for cmd in [
             |p: PathBuf| Command::Summary(p),
             |p: PathBuf| Command::Analyze { file: p, system: 12 },
-            |p: PathBuf| Command::Findings(p),
+            |p: PathBuf| Command::Repro {
+                trace: Some(p),
+                sections: vec![],
+            },
         ] {
             let from_csv = execute(&cmd(csv.clone())).unwrap();
             let from_hpct = execute(&cmd(hpct.clone())).unwrap();

@@ -5,7 +5,7 @@
 //! decay (type D/G, Fig. 4(b)). This module builds the monthly,
 //! cause-stacked failure curve and classifies its shape.
 
-use hpcfail_records::{RootCause, SystemSpec, TraceIndex};
+use hpcfail_records::{SystemSpec, TraceIndex};
 
 use crate::error::AnalysisError;
 
@@ -14,7 +14,7 @@ use crate::error::AnalysisError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LifetimeCurve {
     /// `by_cause[m][c]` = failures in month `m` with cause index `c`
-    /// (see [`RootCause::ALL`] for the ordering).
+    /// (see [`hpcfail_records::RootCause::ALL`] for the ordering).
     pub by_cause: Vec<[u64; 6]>,
 }
 
@@ -30,12 +30,6 @@ impl LifetimeCurve {
     /// Number of months covered.
     pub fn months(&self) -> usize {
         self.by_cause.len()
-    }
-
-    /// Counts for one cause across all months.
-    pub fn cause_series(&self, cause: RootCause) -> Vec<u64> {
-        let i = cause.index();
-        self.by_cause.iter().map(|m| m[i]).collect()
     }
 
     /// Classify the curve shape (the Fig. 4(a) vs Fig. 4(b) distinction).
@@ -134,7 +128,7 @@ pub fn analyze_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{Catalog, FailureTrace, SystemId};
+    use hpcfail_records::{Catalog, FailureTrace, RootCause, SystemId};
 
     #[test]
     fn insufficient_data_rejected() {
@@ -228,7 +222,7 @@ mod tests {
         let totals = curve.monthly_totals();
         let stacked: u64 = RootCause::ALL
             .iter()
-            .map(|&c| curve.cause_series(c).iter().sum::<u64>())
+            .map(|c| curve.by_cause.iter().map(|m| m[c.index()]).sum::<u64>())
             .sum();
         assert_eq!(stacked, totals.iter().sum::<u64>());
         assert_eq!(stacked, trace.len() as u64);

@@ -8,7 +8,6 @@
 
 use hpcfail_records::{Catalog, NodeId, SystemId, SystemSpec, TraceIndex, Workload};
 use hpcfail_stats::dist::{Continuous, Discrete, LogNormal, NegativeBinomial, Normal, Poisson};
-use hpcfail_stats::ecdf::Ecdf;
 use hpcfail_stats::prepared::PreparedSample;
 
 use crate::error::AnalysisError;
@@ -93,15 +92,6 @@ pub struct PerNodeAnalysis {
 }
 
 impl PerNodeAnalysis {
-    /// Empirical CDF of the compute-only counts (the Fig. 3(b) x-axis).
-    ///
-    /// # Errors
-    ///
-    /// Propagates ECDF construction errors for empty samples.
-    pub fn compute_ecdf(&self) -> Result<Ecdf, AnalysisError> {
-        let as_f: Vec<f64> = self.compute_counts.iter().map(|&c| c as f64).collect();
-        Ok(Ecdf::new(&as_f)?)
-    }
 }
 
 /// Run the Fig. 3 analysis. Per-node counts are read from the
@@ -260,8 +250,6 @@ mod tests {
         assert!(analysis.compute_fits.dispersion_index > 1.5);
         // Counts vector covers all 49 nodes.
         assert_eq!(analysis.counts.len(), 49);
-        let ecdf = analysis.compute_ecdf().unwrap();
-        assert_eq!(ecdf.len(), analysis.compute_counts.len());
     }
 
     #[test]

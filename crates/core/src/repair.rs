@@ -171,30 +171,6 @@ pub fn type_effect(rows: &[SystemRepair]) -> TypeEffect {
     }
 }
 
-/// Fit the four standard distributions to the repair times of one
-/// hardware type only — Section 6's omitted-graph claim (footnote 5):
-/// "the CDF of repair times from systems of the same type is less
-/// variable than that across all systems, which results in an improved
-/// (albeit still sub-optimal) exponential fit".
-///
-/// The type's systems interleave in time, and the fit's accumulation
-/// order is the trace order, so the [`TraceIndex`] view is a row scan
-/// over the system column — not a concatenation of per-system posting
-/// lists, which would reorder the sample.
-///
-/// # Errors
-///
-/// Propagates fitting errors (e.g. no records of that type).
-pub fn fit_type_repairs_indexed(
-    index: &TraceIndex<'_>,
-    catalog: &Catalog,
-    hw: HardwareType,
-) -> Result<FitReport, AnalysisError> {
-    let ids: Vec<SystemId> = catalog.systems_of_type(hw).iter().map(|s| s.id()).collect();
-    let minutes = index.all().filter_systems(&ids).downtimes_minutes();
-    Ok(fit_paper_set_prepared(&PreparedSample::from_vec(minutes)?)?)
-}
-
 /// Result of [`type_effect`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TypeEffect {
@@ -306,7 +282,10 @@ mod tests {
         let mut improved = 0;
         let mut compared = 0;
         for hw in [HardwareType::E, HardwareType::F, HardwareType::G] {
-            let within = fit_type_repairs_indexed(&trace.index(), &catalog, hw).unwrap();
+            let ids: Vec<SystemId> = catalog.systems_of_type(hw).iter().map(|s| s.id()).collect();
+            let minutes = trace.index().all().filter_systems(&ids).downtimes_minutes();
+            let within =
+                fit_paper_set_prepared(&PreparedSample::from_vec(minutes).unwrap()).unwrap();
             let exp_ks = within.candidate(Family::Exponential).unwrap().ks;
             compared += 1;
             if exp_ks < all_exp_ks {

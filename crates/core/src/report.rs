@@ -124,36 +124,6 @@ pub fn fmt_pct(fraction: f64) -> String {
     }
 }
 
-/// Write labeled numeric series as CSV for external plotting: one header
-/// row, then one row per point. All series must have equal length.
-///
-/// # Errors
-///
-/// Propagates writer errors; returns `InvalidInput` for ragged series.
-pub fn write_series_csv<W: std::io::Write>(
-    mut writer: W,
-    headers: &[&str],
-    columns: &[Vec<f64>],
-) -> std::io::Result<()> {
-    use std::io::{Error, ErrorKind};
-    if headers.len() != columns.len() {
-        return Err(Error::new(
-            ErrorKind::InvalidInput,
-            "headers/columns mismatch",
-        ));
-    }
-    let len = columns.first().map(|c| c.len()).unwrap_or(0);
-    if columns.iter().any(|c| c.len() != len) {
-        return Err(Error::new(ErrorKind::InvalidInput, "ragged columns"));
-    }
-    writeln!(writer, "{}", headers.join(","))?;
-    for i in 0..len {
-        let row: Vec<String> = columns.iter().map(|c| format!("{}", c[i])).collect();
-        writeln!(writer, "{}", row.join(","))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,31 +166,6 @@ mod tests {
         assert_eq!(bar(0.01, 10.0, 10), "#");
         // Values above max are clamped.
         assert_eq!(bar(100.0, 10.0, 10), "##########");
-    }
-
-    #[test]
-    fn csv_series_round_trip() {
-        let mut buf = Vec::new();
-        write_series_csv(
-            &mut buf,
-            &["month", "failures"],
-            &[vec![0.0, 1.0, 2.0], vec![120.0, 90.0, 60.0]],
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "month,failures");
-        assert_eq!(lines[2], "1,90");
-        assert_eq!(lines.len(), 4);
-    }
-
-    #[test]
-    fn csv_series_validation() {
-        let mut buf = Vec::new();
-        assert!(write_series_csv(&mut buf, &["a"], &[vec![1.0], vec![2.0]]).is_err());
-        assert!(write_series_csv(&mut buf, &["a", "b"], &[vec![1.0], vec![2.0, 3.0]]).is_err());
-        // Zero columns is fine (header only).
-        write_series_csv(&mut buf, &[], &[]).unwrap();
     }
 
     #[test]

@@ -130,11 +130,6 @@ pub struct CauseTotals {
 }
 
 impl CauseTotals {
-    /// Total failures across all causes.
-    pub fn total_count(&self) -> u64 {
-        self.count.iter().sum()
-    }
-
     /// Total downtime seconds across all causes.
     pub fn total_downtime_secs(&self) -> u64 {
         self.downtime_secs.iter().sum()
@@ -431,17 +426,6 @@ impl<'t> TraceIndex<'t> {
     /// Systems present in the trace, ascending.
     pub fn systems(&self) -> impl Iterator<Item = SystemId> + '_ {
         self.system_spans.iter().map(|&(s, _, _)| s)
-    }
-
-    /// Nodes (with at least one record) of one system, ascending.
-    pub fn nodes_of(&self, system: SystemId) -> impl Iterator<Item = NodeId> + '_ {
-        let lo = self
-            .node_runs
-            .partition_point(|r| r.system < system);
-        self.node_runs[lo..]
-            .iter()
-            .take_while(move |r| r.system == system)
-            .map(|r| r.node)
     }
 
     /// Failure count per node of one system, indexed by node id, zeros
@@ -947,25 +931,6 @@ impl<'a> TraceView<'a> {
         }
         self.scan_filter(|r| self.index.cause[r] == cause, false)
     }
-
-    /// Narrow the view to one workload class's records. Not node-closed
-    /// (see [`TraceView::filter_cause`]).
-    pub fn filter_workload(&self, workload: Workload) -> TraceView<'a> {
-        if let RowSet::Range { lo, hi } = self.rows {
-            return TraceView {
-                index: self.index,
-                rows: RowSet::Rows {
-                    rows: Cow::Borrowed(Self::posting_in_range(
-                        &self.index.workload_rows[workload_slot(workload)],
-                        lo,
-                        hi,
-                    )),
-                    node_closed: false,
-                },
-            };
-        }
-        self.scan_filter(|r| self.index.workload[r] == workload, false)
-    }
 }
 
 #[cfg(test)]
@@ -1159,7 +1124,6 @@ mod tests {
                     downtime.get(&cause).copied().unwrap_or(0)
                 );
             }
-            assert_eq!(t.total_count(), sub.len() as u64);
             assert_eq!(
                 t.total_downtime_secs(),
                 sub_index.all().total_downtime_secs()
@@ -1183,10 +1147,6 @@ mod tests {
             view.window(Timestamp::from_secs(500), Timestamp::from_secs(2_000))
                 .failures_per_node(SystemId::new(20), 4),
             vec![1, 1, 0, 0]
-        );
-        assert_eq!(
-            index.nodes_of(SystemId::new(20)).collect::<Vec<_>>(),
-            vec![NodeId::new(0), NodeId::new(1)]
         );
     }
 

@@ -53,28 +53,6 @@ impl NegativeBinomial {
         Ok(NegativeBinomial { r, p })
     }
 
-    /// Construct from a target mean and variance (`variance > mean`):
-    /// `p = mean/variance`, `r = mean²/(variance − mean)`.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidParameter`] unless `0 < mean < variance`.
-    pub fn from_mean_variance(mean: f64, variance: f64) -> Result<Self, StatsError> {
-        if !mean.is_finite() || mean <= 0.0 {
-            return Err(StatsError::InvalidParameter {
-                name: "mean",
-                value: mean,
-            });
-        }
-        if !variance.is_finite() || variance <= mean {
-            return Err(StatsError::InvalidParameter {
-                name: "variance",
-                value: variance,
-            });
-        }
-        NegativeBinomial::new(mean * mean / (variance - mean), mean / variance)
-    }
-
     /// The size (dispersion) parameter `r`.
     pub fn r(&self) -> f64 {
         self.r
@@ -202,15 +180,6 @@ mod tests {
         assert!(NegativeBinomial::new(1.0, 0.0).is_err());
         assert!(NegativeBinomial::new(1.0, 1.0).is_err());
         assert!(NegativeBinomial::new(f64::NAN, 0.5).is_err());
-        assert!(NegativeBinomial::from_mean_variance(5.0, 5.0).is_err());
-        assert!(NegativeBinomial::from_mean_variance(0.0, 5.0).is_err());
-    }
-
-    #[test]
-    fn from_mean_variance_round_trip() {
-        let d = NegativeBinomial::from_mean_variance(120.0, 1_500.0).unwrap();
-        assert!((d.mean() - 120.0).abs() < 1e-9);
-        assert!((d.variance() - 1_500.0).abs() < 1e-6);
     }
 
     #[test]
@@ -245,7 +214,8 @@ mod tests {
 
     #[test]
     fn sampler_matches_moments() {
-        let d = NegativeBinomial::from_mean_variance(50.0, 400.0).unwrap();
+        // Mean 50, variance 400: r = mean²/(variance − mean), p = mean/variance.
+        let d = NegativeBinomial::new(50.0 * 50.0 / 350.0, 50.0 / 400.0).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let sample: Vec<u64> = (0..20_000).map(|_| d.sample(&mut rng)).collect();
         let as_f: Vec<f64> = sample.iter().map(|&k| k as f64).collect();

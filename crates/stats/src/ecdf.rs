@@ -41,33 +41,6 @@ impl Ecdf {
         Ok(Ecdf { sorted })
     }
 
-    /// Build an empirical CDF from data that is already sorted ascending,
-    /// skipping the `O(n log n)` sort — the entry point for callers that
-    /// hold a shared sorted view (e.g.
-    /// [`crate::prepared::PreparedSample::to_ecdf`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::EmptySample`] if `sorted` is empty,
-    /// [`StatsError::NonFinite`] if it contains NaN/∞, and
-    /// [`StatsError::InvalidParameter`] (name `"sorted"`, value = the
-    /// first out-of-order element) if it is not ascending.
-    pub fn from_sorted(sorted: Vec<f64>) -> Result<Self, StatsError> {
-        if sorted.is_empty() {
-            return Err(StatsError::EmptySample);
-        }
-        if sorted.iter().any(|x| !x.is_finite()) {
-            return Err(StatsError::NonFinite);
-        }
-        if let Some(w) = sorted.windows(2).find(|w| w[0] > w[1]) {
-            return Err(StatsError::InvalidParameter {
-                name: "sorted",
-                value: w[1],
-            });
-        }
-        Ok(Ecdf { sorted })
-    }
-
     /// Internal constructor for callers that guarantee `sorted` is a
     /// non-empty ascending sequence of finite values.
     pub(crate) fn from_sorted_unchecked(sorted: Vec<f64>) -> Self {
@@ -134,25 +107,6 @@ impl Ecdf {
         }
         out
     }
-
-    /// Evaluate the ECDF at `k` log-spaced points between min and max —
-    /// matching the paper's log-x-axis CDF plots (Figs. 6, 7(a)).
-    ///
-    /// Returns an empty vector when the sample minimum is not positive
-    /// (log axis undefined) or `k < 2`.
-    pub fn log_spaced_points(&self, k: usize) -> Vec<(f64, f64)> {
-        if k < 2 || self.min() <= 0.0 {
-            return Vec::new();
-        }
-        let lo = self.min().ln();
-        let hi = self.max().ln();
-        (0..k)
-            .map(|i| {
-                let x = (lo + (hi - lo) * i as f64 / (k - 1) as f64).exp();
-                (x, self.eval(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -165,24 +119,6 @@ mod tests {
         assert!(matches!(
             Ecdf::new(&[1.0, f64::NAN]),
             Err(StatsError::NonFinite)
-        ));
-    }
-
-    #[test]
-    fn from_sorted_matches_new_and_validates() {
-        let e = Ecdf::from_sorted(vec![1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(e, Ecdf::new(&[3.0, 1.0, 2.0]).unwrap());
-        assert!(matches!(
-            Ecdf::from_sorted(vec![]),
-            Err(StatsError::EmptySample)
-        ));
-        assert!(matches!(
-            Ecdf::from_sorted(vec![1.0, f64::NAN]),
-            Err(StatsError::NonFinite)
-        ));
-        assert!(matches!(
-            Ecdf::from_sorted(vec![2.0, 1.0]),
-            Err(StatsError::InvalidParameter { name: "sorted", .. })
         ));
     }
 
@@ -221,28 +157,5 @@ mod tests {
         assert_eq!(e.max(), 9.0);
         assert_eq!(e.len(), 3);
         assert!(!e.is_empty());
-    }
-
-    #[test]
-    fn log_spaced_points_cover_range() {
-        let data: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        let e = Ecdf::new(&data).unwrap();
-        let pts = e.log_spaced_points(50);
-        assert_eq!(pts.len(), 50);
-        assert!((pts[0].0 - 1.0).abs() < 1e-9);
-        assert!((pts[49].0 - 1000.0).abs() < 1e-6);
-        // Monotone non-decreasing in both coordinates.
-        for w in pts.windows(2) {
-            assert!(w[1].0 > w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-    }
-
-    #[test]
-    fn log_spaced_points_empty_for_nonpositive_min() {
-        let e = Ecdf::new(&[0.0, 1.0, 2.0]).unwrap();
-        assert!(e.log_spaced_points(10).is_empty());
-        let e2 = Ecdf::new(&[1.0, 2.0]).unwrap();
-        assert!(e2.log_spaced_points(1).is_empty());
     }
 }

@@ -35,16 +35,6 @@ impl<A: Continuous, B: Continuous> Mixture<A, B> {
         Ok(Mixture { a, b, weight_a })
     }
 
-    /// The first component.
-    pub fn component_a(&self) -> &A {
-        &self.a
-    }
-
-    /// The second component.
-    pub fn component_b(&self) -> &B {
-        &self.b
-    }
-
     /// Mixing weight of the first component.
     pub fn weight_a(&self) -> f64 {
         self.weight_a
@@ -154,7 +144,7 @@ mod tests {
     fn cdf_is_convex_combination() {
         let m = repair_like();
         for &x in &[10.0, 60.0, 500.0, 5_000.0] {
-            let expected = 0.97 * m.component_a().cdf(x) + 0.03 * m.component_b().cdf(x);
+            let expected = 0.97 * m.a.cdf(x) + 0.03 * m.b.cdf(x);
             assert!((m.cdf(x) - expected).abs() < 1e-12);
         }
     }
@@ -173,7 +163,7 @@ mod tests {
         // The point of the construction: the mixture's variability is far
         // above the lognormal body alone (compare Table 2's C² values).
         let m = repair_like();
-        let body_c2 = m.component_a().c2();
+        let body_c2 = m.a.c2();
         // Pareto α=1.3 has infinite variance → mixture variance infinite.
         assert!(m.c2() > body_c2 || m.c2().is_infinite());
 

@@ -174,13 +174,6 @@ impl PreparedSample {
         self.moments.max
     }
 
-    /// Whether every observation is strictly positive — the support
-    /// precondition of the Weibull/gamma/lognormal/exponential/Pareto
-    /// fitters.
-    pub fn is_positive(&self) -> bool {
-        self.moments.positive
-    }
-
     /// Whether all observations are equal (`min == max`) — the samples
     /// on which scale/shape fits are undefined.
     pub fn is_degenerate(&self) -> bool {
@@ -211,12 +204,6 @@ impl PreparedSample {
             sorted.sort_unstable_by(f64::total_cmp);
             sorted
         })
-    }
-
-    /// Empirical CDF `F̂(x)` evaluated on the shared sorted view.
-    pub fn ecdf_eval(&self, x: f64) -> f64 {
-        let sorted = self.sorted();
-        sorted.partition_point(|&v| v <= x) as f64 / sorted.len() as f64
     }
 
     /// Empirical quantile (type-7) on the shared sorted view.
@@ -320,14 +307,13 @@ mod tests {
         assert_eq!(ps.logs().unwrap(), logs.as_slice());
         assert_eq!(ps.min(), 0.5);
         assert_eq!(ps.max(), 9.0);
-        assert!(ps.is_positive());
+        assert!(ps.check_positive("weibull").is_ok());
         assert!(!ps.is_degenerate());
     }
 
     #[test]
     fn nonpositive_sample_hides_log_caches() {
         let ps = PreparedSample::new(&[1.0, 0.0, 2.0]).unwrap();
-        assert!(!ps.is_positive());
         assert!(ps.logs().is_none());
         assert!(ps.sum_log().is_none());
         assert!(ps.mean_log().is_none());
@@ -346,8 +332,8 @@ mod tests {
         assert_eq!(a, b, "sorted view must be cached, not rebuilt");
         assert_eq!(ps.sorted(), &[1.0, 2.0, 3.0]);
         assert_eq!(ps.quantile(0.5), 2.0);
-        assert!((ps.ecdf_eval(1.0) - 1.0 / 3.0).abs() < 1e-15);
         let ecdf = ps.to_ecdf();
+        assert!((ecdf.eval(1.0) - 1.0 / 3.0).abs() < 1e-15);
         assert_eq!(ecdf.sorted_values(), ps.sorted());
     }
 
@@ -355,6 +341,6 @@ mod tests {
     fn degenerate_detection_matches_all_equal() {
         let ps = PreparedSample::new(&[2.0, 2.0, 2.0]).unwrap();
         assert!(ps.is_degenerate());
-        assert!(ps.is_positive());
+        assert!(ps.check_positive("weibull").is_ok());
     }
 }

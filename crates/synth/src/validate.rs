@@ -46,11 +46,6 @@ impl ValidationReport {
     pub fn failures(&self) -> Vec<&TargetCheck> {
         self.checks.iter().filter(|c| !c.passes()).collect()
     }
-
-    /// Whether every target passed.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.passes())
-    }
 }
 
 /// Validate a generated site trace against its calibration.
@@ -163,7 +158,6 @@ mod tests {
                 ))
                 .collect::<Vec<_>>()
         );
-        assert!(report.all_pass());
     }
 
     #[test]
@@ -201,7 +195,6 @@ mod tests {
             .unwrap()
             .annual_failures = 11_590.0;
         let report = validate_site(&trace, &catalog, &calibration).unwrap();
-        assert!(!report.all_pass());
         assert!(report
             .failures()
             .iter()

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: build, full test suite, then prove the determinism contract
-# end-to-end by diffing repro output between a serial (HPCFAIL_THREADS=1)
-# and a parallel (HPCFAIL_THREADS=8) run, diff every committed golden
-# output, and smoke-run the CLI, serve and scenario surfaces. Speed is
+# end-to-end by diffing `hpcfail repro` output between a serial
+# (HPCFAIL_THREADS=1) and a parallel (HPCFAIL_THREADS=8) run, diff every
+# committed golden output, and smoke-run the CLI, serve and scenario
+# surfaces. Speed is
 # measured by perfbench (BENCHMARK.json), not here.
 set -euo pipefail
 
@@ -76,8 +77,8 @@ HPCFAIL_THREADS=8 cargo test --release -q -p hpcfail --test parallel_determinism
 echo "==> repro harness serial-vs-parallel diff"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-HPCFAIL_THREADS=1 cargo run --release -q -p hpcfail-bench --bin repro > "$tmpdir/repro_t1.txt"
-HPCFAIL_THREADS=8 cargo run --release -q -p hpcfail-bench --bin repro > "$tmpdir/repro_t8.txt"
+HPCFAIL_THREADS=1 cargo run --release -q -p hpcfail-cli --bin hpcfail -- repro > "$tmpdir/repro_t1.txt"
+HPCFAIL_THREADS=8 cargo run --release -q -p hpcfail-cli --bin hpcfail -- repro > "$tmpdir/repro_t8.txt"
 if ! diff -u "$tmpdir/repro_t1.txt" "$tmpdir/repro_t8.txt"; then
     echo "FAIL: repro output differs between 1 and 8 workers" >&2
     exit 1
@@ -89,20 +90,40 @@ if ! diff -u experiments/repro_output.txt "$tmpdir/repro_t1.txt"; then
     echo "FAIL: fresh repro run differs from the committed golden output." >&2
     echo "      The fit kernels (DESIGN.md §13) and every other fit-path" >&2
     echo "      change must stay bit-identical; if a drift is intentional," >&2
-    echo "      re-record with: cargo run --release -p hpcfail-bench --bin repro" >&2
+    echo "      re-record with:" >&2
+    echo "      cargo run --release -p hpcfail-cli --bin hpcfail -- repro > experiments/repro_output.txt" >&2
     exit 1
 fi
 echo "OK: fresh repro output byte-identical to the committed golden"
 
-echo "==> repro via packed .hpct round trip vs committed golden"
-cargo run --release -q -p hpcfail-bench --bin repro -- --packed > "$tmpdir/repro_packed.txt"
-if ! diff -u experiments/repro_output.txt "$tmpdir/repro_packed.txt"; then
-    echo "FAIL: repro run off a packed trace store differs from the golden." >&2
-    echo "      The binary store (DESIGN.md §14) must reproduce the index" >&2
-    echo "      element-identically; a drift here means pack/load is lossy." >&2
+echo "==> repro off the generated site CSV and its packed .hpct vs committed golden"
+# The seeded site written out by generate, and its packed store, must
+# reproduce the golden through the one trace loader.
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    generate --seed 42 --out "$tmpdir/site.csv" > /dev/null
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+    pack "$tmpdir/site.csv" --out "$tmpdir/site.hpct" > /dev/null
+for input in csv hpct; do
+    cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+        repro --trace "$tmpdir/site.$input" > "$tmpdir/repro_$input.txt"
+    if ! diff -u experiments/repro_output.txt "$tmpdir/repro_$input.txt"; then
+        echo "FAIL: repro --trace site.$input differs from the golden." >&2
+        echo "      The loader and the binary store (DESIGN.md §14) must" >&2
+        echo "      reproduce the generated index element-identically." >&2
+        exit 1
+    fi
+done
+echo "OK: repro --trace on the site CSV and on its .hpct byte-identical to the golden"
+
+echo "==> ablations output vs committed experiments/ablations_output.txt"
+cargo run --release -q -p hpcfail-cli --bin hpcfail -- ablations > "$tmpdir/ablations.txt"
+if ! diff -u experiments/ablations_output.txt "$tmpdir/ablations.txt"; then
+    echo "FAIL: fresh ablations run differs from the committed golden." >&2
+    echo "      If the drift is intentional, re-record with:" >&2
+    echo "      cargo run --release -p hpcfail-cli --bin hpcfail -- ablations > experiments/ablations_output.txt" >&2
     exit 1
 fi
-echo "OK: repro --packed (pack -> checked load) byte-identical to the golden"
+echo "OK: fresh ablations output byte-identical to the committed golden"
 
 echo "==> examples vs committed experiments/example_*.txt goldens"
 for src in examples/*.rs; do

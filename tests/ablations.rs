@@ -1,5 +1,5 @@
 //! Acceptance tests for the ablation studies (the claims EXPERIMENTS.md
-//! makes about `cargo run --bin ablations`).
+//! makes about `hpcfail ablations`).
 
 use hpcfail::analysis::tbf;
 use hpcfail::prelude::*;
