@@ -23,6 +23,7 @@
 //! # Ok::<(), hpcfail_checkpoint::CheckpointError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

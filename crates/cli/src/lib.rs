@@ -28,6 +28,7 @@
 //! The library surface exists so the command logic is unit-testable;
 //! `main.rs` is a thin wrapper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ablations;
@@ -679,17 +680,13 @@ fn read_input(path: &Path, policy: IngestPolicy) -> Result<LenientIngest, CliErr
     read_trace(&bytes, policy).map_err(|e| run_err(format!("cannot parse {}: {e}", path.display())))
 }
 
-/// Load a trace strictly and run `f` on its index; a packed store's
-/// index is reused, not rebuilt.
+/// Load a trace strictly and run `f` on its index; a packed store opens
+/// straight into it.
 fn with_index(
     path: &Path,
-    f: impl FnOnce(&TraceIndex<'_>) -> Result<String, CliError>,
+    f: impl FnOnce(&TraceIndex) -> Result<String, CliError>,
 ) -> Result<String, CliError> {
-    let ingest = read_input(path, IngestPolicy::FailFast)?;
-    f(&TraceIndex::from_parts_or_build(
-        &ingest.trace,
-        ingest.parts,
-    ))
+    f(&read_input(path, IngestPolicy::FailFast)?.index)
 }
 
 /// The seeded synthetic site trace that `repro` and `ablations` read
@@ -702,8 +699,7 @@ fn seeded_site() -> Result<FailureTrace, CliError> {
 }
 
 fn pack(file: &Path, out: &Path) -> Result<String, CliError> {
-    let ingest = read_input(file, IngestPolicy::FailFast)?;
-    let index = TraceIndex::from_parts_or_build(&ingest.trace, ingest.parts);
+    let index = read_input(file, IngestPolicy::FailFast)?.index;
     let bytes = TraceStore::write(&index, out)
         .map_err(|e| run_err(format!("cannot write {}: {e}", out.display())))?;
     Ok(format!(
@@ -729,7 +725,7 @@ fn generate(seed: u64, system: Option<u32>, out: &PathBuf) -> Result<String, Cli
     ))
 }
 
-fn summary(index: &TraceIndex<'_>) -> Result<String, CliError> {
+fn summary(index: &TraceIndex) -> Result<String, CliError> {
     let all = index.all();
     let mut out = String::new();
     let _ = writeln!(out, "records: {}", index.len());
@@ -751,7 +747,7 @@ fn summary(index: &TraceIndex<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn analyze(index: &TraceIndex<'_>, system: u32) -> Result<String, CliError> {
+fn analyze(index: &TraceIndex, system: u32) -> Result<String, CliError> {
     let catalog = Catalog::lanl();
     let mut out = String::new();
 
@@ -840,11 +836,12 @@ fn quality(file: &Path, apply_repair: bool, out: Option<&PathBuf>) -> Result<Str
     }
 
     let catalog = Catalog::lanl();
-    let report = audit(&ingest.trace, &catalog);
+    let trace = ingest.index.all().to_trace();
+    let report = audit(&trace, &catalog);
     let _ = writeln!(text, "audit:\n{report}");
 
     if apply_repair {
-        let outcome = repair_trace(&ingest.trace, &catalog);
+        let outcome = repair_trace(&trace, &catalog);
         let _ = writeln!(text, "repair:\n{outcome}");
         if let Some(path) = out {
             if path.extension().is_some_and(|ext| ext == "hpct") {
@@ -878,7 +875,8 @@ fn import_lanl(file: &Path, out: &Path) -> Result<String, CliError> {
     let ingest = read_input(file, IngestPolicy::FailFast)?;
     let output = std::fs::File::create(out)
         .map_err(|e| run_err(format!("cannot create {}: {e}", out.display())))?;
-    write_csv(&ingest.trace, output).map_err(|e| run_err(format!("write failed: {e}")))?;
+    write_csv(&ingest.index.all().to_trace(), output)
+        .map_err(|e| run_err(format!("write failed: {e}")))?;
     let skipped = ingest
         .quarantine
         .iter()
@@ -886,7 +884,7 @@ fn import_lanl(file: &Path, out: &Path) -> Result<String, CliError> {
         .count();
     Ok(format!(
         "imported {} records ({skipped} glitched rows skipped) -> {}",
-        ingest.trace.len(),
+        ingest.accepted(),
         out.display()
     ))
 }

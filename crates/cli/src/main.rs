@@ -1,5 +1,7 @@
 //! The `hpcfail` binary: thin wrapper over [`hpcfail_cli`].
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 
 fn main() {

@@ -17,7 +17,7 @@ use hpcfail_records::{Catalog, HardwareType, NodeId, RootCause, SystemId, TraceI
 
 /// A section renders its table or figure into `out`, or names why the
 /// analysis behind it cannot run on this trace.
-type Section = fn(&mut String, &Catalog, &TraceIndex<'_>) -> Result<(), String>;
+type Section = fn(&mut String, &Catalog, &TraceIndex) -> Result<(), String>;
 
 /// Every section, in report order.
 pub const SECTIONS: &[(&str, Section)] = &[
@@ -41,7 +41,7 @@ pub const SECTIONS: &[(&str, Section)] = &[
 
 /// Render the named sections (all of them when `wanted` is empty) off
 /// one trace index. The text carries no trailing newline.
-pub fn render(index: &TraceIndex<'_>, wanted: &[String]) -> String {
+pub fn render(index: &TraceIndex, wanted: &[String]) -> String {
     let catalog = Catalog::lanl();
     let mut out = String::new();
     for (name, section) in SECTIONS {
@@ -58,7 +58,7 @@ pub fn render(index: &TraceIndex<'_>, wanted: &[String]) -> String {
 
 /// Table 1: overview of the 22 systems, with node-category detail
 /// (procs/node, memory, NICs) as in the right half of the paper's table.
-fn table1(out: &mut String, catalog: &Catalog, _idx: &TraceIndex<'_>) -> Result<(), String> {
+fn table1(out: &mut String, catalog: &Catalog, _idx: &TraceIndex) -> Result<(), String> {
     let mut t = TextTable::new(&[
         "id",
         "hw",
@@ -118,7 +118,7 @@ fn table1(out: &mut String, catalog: &Catalog, _idx: &TraceIndex<'_>) -> Result<
 }
 
 /// Fig 1(a)(b): root-cause breakdown of failures and downtime.
-fn fig1(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn fig1(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let analysis = rootcause::analyze_indexed(idx, catalog);
     for (label, by_downtime) in [("(a) % of failures", false), ("(b) % of downtime", true)] {
         let _ = writeln!(out, "--- Fig 1{label} ---");
@@ -161,7 +161,7 @@ fn fig1(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(),
 }
 
 /// Fig 2(a)(b): failure rates per system, raw and per processor.
-fn fig2(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn fig2(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let analysis =
         rates::analyze_indexed(idx, catalog).map_err(|e| format!("rate analysis: {e}"))?;
     let max_rate = analysis.per_year_range().1;
@@ -189,7 +189,7 @@ fn fig2(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(),
 }
 
 /// Fig 3(a)(b): failures per node of system 20 and the count CDF fits.
-fn fig3(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn fig3(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let sys = SystemId::new(20);
     let analysis =
         pernode::analyze_indexed(idx, catalog, sys).map_err(|e| format!("per-node: {e}"))?;
@@ -238,7 +238,7 @@ fn fig3(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(),
 }
 
 /// Fig 4(a)(b): failures per month over system lifetime.
-fn fig4(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn fig4(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     for (label, sys) in [
         ("(a) system 5, type E", 5u32),
         ("(b) system 19, type G", 19),
@@ -267,7 +267,7 @@ fn fig4(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(),
 }
 
 /// Fig 5: failures by hour of day and day of week.
-fn fig5(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn fig5(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let p = periodic::analyze_indexed(idx).map_err(|e| format!("periodic pattern: {e}"))?;
     let _ = writeln!(out, "--- failures by hour of day ---");
     let max = *p.hourly.iter().max().expect("24 hour buckets") as f64;
@@ -295,7 +295,7 @@ fn fig5(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<()
 }
 
 /// Fig 6: time between failures, node and system views, early and late.
-fn fig6(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn fig6(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let sys = SystemId::new(20);
     let (early, late) = tbf::paper_era_split();
     let node = tbf::View::Node(sys, NodeId::new(22));
@@ -357,7 +357,7 @@ fn fig6(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<()
 }
 
 /// Table 2: repair-time statistics by root cause (minutes).
-fn table2(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn table2(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     type Stat = fn(&hpcfail_stats::descriptive::Summary) -> f64;
     let table = repair::by_cause_indexed(idx).map_err(|e| format!("repair by cause: {e}"))?;
     let mut t = TextTable::new(&["", "Unkn.", "Hum.", "Env.", "Netw.", "SW", "HW", "All"]);
@@ -402,7 +402,7 @@ fn table2(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<
 }
 
 /// Fig 7: repair-time distribution and per-system means/medians.
-fn fig7(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn fig7(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let _ = writeln!(out, "--- Fig 7(a): repair-time fits (all records) ---");
     let report = repair::fit_all_repairs_indexed(idx).map_err(|e| format!("repair fits: {e}"))?;
     for c in &report.candidates {
@@ -448,7 +448,7 @@ fn fig7(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(),
 }
 
 /// Table 3: related studies.
-fn table3(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex<'_>) -> Result<(), String> {
+fn table3(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex) -> Result<(), String> {
     let mut t = TextTable::new(&["study", "date", "length", "environment", "#failures"]);
     for s in related::table3() {
         t.row(&[
@@ -474,7 +474,7 @@ fn table3(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex<'_>) -> Result
 fn availability_report(
     out: &mut String,
     catalog: &Catalog,
-    idx: &TraceIndex<'_>,
+    idx: &TraceIndex,
 ) -> Result<(), String> {
     let rows =
         availability::analyze_indexed(idx, catalog).map_err(|e| format!("availability: {e}"))?;
@@ -496,11 +496,7 @@ fn availability_report(
 }
 
 /// Section 5.1: failure rates by workload class.
-fn workload_report(
-    out: &mut String,
-    catalog: &Catalog,
-    idx: &TraceIndex<'_>,
-) -> Result<(), String> {
+fn workload_report(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let a = workload::analyze_indexed(idx, catalog).map_err(|e| format!("workload rates: {e}"))?;
     let mut t = TextTable::new(&[
         "workload",
@@ -539,7 +535,7 @@ fn workload_report(
 }
 
 /// Derived: burstiness of daily failure counts.
-fn daily_report(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn daily_report(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let a = daily::analyze_indexed(idx).map_err(|e| format!("daily counts: {e}"))?;
     let _ = writeln!(
         out,
@@ -563,11 +559,7 @@ fn daily_report(out: &mut String, _catalog: &Catalog, idx: &TraceIndex<'_>) -> R
 }
 
 /// The Section-8 conclusions, checked programmatically.
-fn findings_report(
-    out: &mut String,
-    catalog: &Catalog,
-    idx: &TraceIndex<'_>,
-) -> Result<(), String> {
+fn findings_report(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     let result = findings::evaluate_indexed(idx, catalog).map_err(|e| format!("findings: {e}"))?;
     let mut t = TextTable::new(&["holds", "finding", "evidence"]);
     for f in &result.findings {
@@ -586,11 +578,7 @@ fn findings_report(
 }
 
 /// Extension: the checkpoint-strategy study (see hpcfail-checkpoint).
-fn checkpoint_study(
-    out: &mut String,
-    _catalog: &Catalog,
-    _idx: &TraceIndex<'_>,
-) -> Result<(), String> {
+fn checkpoint_study(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex) -> Result<(), String> {
     use hpcfail_checkpoint::study::{run_study, StudyConfig};
     use hpcfail_checkpoint::twolevel::{simulate_two_level, TwoLevelConfig};
     use hpcfail_stats::dist::{Exponential, Weibull};
@@ -659,7 +647,7 @@ fn checkpoint_study(
 }
 
 /// Extension: the reliability-aware scheduling study (see hpcfail-sched).
-fn sched_study(out: &mut String, catalog: &Catalog, idx: &TraceIndex<'_>) -> Result<(), String> {
+fn sched_study(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
     use hpcfail_sched::cluster::profiles_from_index;
     use hpcfail_sched::policy::{LeastFailureRate, LongestUptime, Policy, RandomPlacement};
     use hpcfail_sched::sim::{run_with_prior, Job, NodeTruth, SimConfig};

@@ -27,14 +27,13 @@ pub struct SystemAvailability {
 /// Compute per-system availability. Systems absent from the trace are
 /// reported with availability 1. Per-system downtime comes from the
 /// single-pass `downtime_by_system` kernel over the [`TraceIndex`]
-/// columnar shadow arrays (u64 sums, so accumulation order is
-/// immaterial).
+/// columns (u64 sums, so accumulation order is immaterial).
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] for an empty trace.
 pub fn analyze_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     catalog: &Catalog,
 ) -> Result<Vec<SystemAvailability>, AnalysisError> {
     if index.is_empty() {
@@ -76,7 +75,7 @@ pub fn analyze_indexed(
 ///
 /// See [`analyze_indexed`].
 pub fn site_availability_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     catalog: &Catalog,
 ) -> Result<f64, AnalysisError> {
     let rows = analyze_indexed(index, catalog)?;

@@ -58,7 +58,7 @@ impl DailyAnalysis {
 ///
 /// [`AnalysisError::InsufficientData`] for traces spanning fewer than
 /// 30 days.
-pub fn analyze_indexed(index: &TraceIndex<'_>) -> Result<DailyAnalysis, AnalysisError> {
+pub fn analyze_indexed(index: &TraceIndex) -> Result<DailyAnalysis, AnalysisError> {
     let all = index.all();
     let (Some(first), Some(last)) = (all.first_start(), all.last_start()) else {
         return Err(AnalysisError::InsufficientData {

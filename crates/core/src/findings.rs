@@ -92,7 +92,7 @@ fn not_evaluable(id: &'static str, claim: &'static str, cause: &str) -> Finding 
 ///
 /// Reserved for future fatal conditions; sub-analysis failures degrade
 /// instead of erroring.
-pub fn evaluate_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Result<Findings, AnalysisError> {
+pub fn evaluate_indexed(index: &TraceIndex, catalog: &Catalog) -> Result<Findings, AnalysisError> {
     let mut findings = Vec::new();
     let mut degraded = Vec::new();
 

@@ -99,7 +99,7 @@ fn moving_average(series: &[u64], half: usize) -> Vec<f64> {
 /// [`AnalysisError::InsufficientData`] if the system contributed fewer
 /// than 10 failures (too little to classify a shape).
 pub fn analyze_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     spec: &SystemSpec,
 ) -> Result<LifetimeCurve, AnalysisError> {
     let system_trace = index.system(spec.id());

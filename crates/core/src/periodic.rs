@@ -72,7 +72,7 @@ impl PeriodicPattern {
 ///
 /// [`AnalysisError::InsufficientData`] for traces with fewer than 24·7
 /// records (too sparse for a meaningful weekly profile).
-pub fn analyze_indexed(index: &TraceIndex<'_>) -> Result<PeriodicPattern, AnalysisError> {
+pub fn analyze_indexed(index: &TraceIndex) -> Result<PeriodicPattern, AnalysisError> {
     const MIN_RECORDS: usize = 24 * 7;
     if index.len() < MIN_RECORDS {
         return Err(AnalysisError::InsufficientData {

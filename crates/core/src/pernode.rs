@@ -91,9 +91,6 @@ pub struct PerNodeAnalysis {
     pub compute_counts: Vec<u64>,
 }
 
-impl PerNodeAnalysis {
-}
-
 /// Run the Fig. 3 analysis. Per-node counts are read from the
 /// [`TraceIndex`] node-run offsets instead of scanning the trace.
 ///
@@ -103,7 +100,7 @@ impl PerNodeAnalysis {
 /// compute nodes with at least one failure; propagates catalog errors for
 /// unknown systems.
 pub fn analyze_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     catalog: &Catalog,
     system: SystemId,
 ) -> Result<PerNodeAnalysis, AnalysisError> {

@@ -96,7 +96,7 @@ impl RateAnalysis {
 ///
 /// [`AnalysisError::InsufficientData`] for an empty trace.
 pub fn analyze_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     catalog: &Catalog,
 ) -> Result<RateAnalysis, AnalysisError> {
     if index.is_empty() {

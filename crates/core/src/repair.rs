@@ -48,7 +48,7 @@ impl RepairByCause {
 ///
 /// [`AnalysisError::InsufficientData`] for an empty trace; propagates
 /// summary errors.
-pub fn by_cause_indexed(index: &TraceIndex<'_>) -> Result<RepairByCause, AnalysisError> {
+pub fn by_cause_indexed(index: &TraceIndex) -> Result<RepairByCause, AnalysisError> {
     if index.is_empty() {
         return Err(AnalysisError::InsufficientData {
             what: "repair times",
@@ -88,7 +88,7 @@ pub fn by_cause_indexed(index: &TraceIndex<'_>) -> Result<RepairByCause, Analysi
 /// # Errors
 ///
 /// Propagates fitting errors (empty/degenerate samples).
-pub fn fit_all_repairs_indexed(index: &TraceIndex<'_>) -> Result<FitReport, AnalysisError> {
+pub fn fit_all_repairs_indexed(index: &TraceIndex) -> Result<FitReport, AnalysisError> {
     let minutes = index.all().downtimes_minutes();
     Ok(fit_paper_set_prepared(&PreparedSample::from_vec(minutes)?)?)
 }
@@ -112,7 +112,7 @@ pub struct SystemRepair {
 /// with no records in the trace are omitted. Workers take borrowed
 /// per-system views of the shared [`TraceIndex`] (it is `Sync`) instead
 /// of cloning a sub-trace each.
-pub fn by_system_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Vec<SystemRepair> {
+pub fn by_system_indexed(index: &TraceIndex, catalog: &Catalog) -> Vec<SystemRepair> {
     // Each system's summary is independent of the others; fan out and
     // keep catalog order (the fan-out returns results at their input
     // index, so this is deterministic for any worker count).

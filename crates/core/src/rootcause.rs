@@ -105,7 +105,7 @@ pub struct RootCauseAnalysis {
 /// totals, which fold into hardware types with a single catalog lookup
 /// per system instead of one per record. All accumulation is integer, so the fold order
 /// cannot change the result.
-pub fn analyze_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> RootCauseAnalysis {
+pub fn analyze_indexed(index: &TraceIndex, catalog: &Catalog) -> RootCauseAnalysis {
     let totals = index.all().counts_by_cause_per_system();
     let mut by_type: BTreeMap<HardwareType, CauseBreakdown> = BTreeMap::new();
     let mut all = CauseBreakdown::default();

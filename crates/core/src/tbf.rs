@@ -101,7 +101,7 @@ pub fn analyze(
 ///
 /// Same as [`analyze`].
 pub fn analyze_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     view: View,
     window: Option<(Timestamp, Timestamp)>,
 ) -> Result<TbfAnalysis, AnalysisError> {

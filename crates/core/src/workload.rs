@@ -56,7 +56,7 @@ impl WorkloadAnalysis {
 ///
 /// [`AnalysisError::InsufficientData`] for an empty trace.
 pub fn analyze_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     catalog: &Catalog,
 ) -> Result<WorkloadAnalysis, AnalysisError> {
     if index.is_empty() {
@@ -116,7 +116,7 @@ pub fn analyze_indexed(
 /// come from counting over its borrowed [`TraceIndex`] view instead of
 /// two filtered clones per system.
 pub fn within_system_multipliers_indexed(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     catalog: &Catalog,
     workload: Workload,
 ) -> Vec<(hpcfail_records::SystemId, f64)> {

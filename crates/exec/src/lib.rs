@@ -32,6 +32,7 @@
 //! otherwise autodetects via `std::thread::available_parallelism`. One
 //! worker selects a no-thread serial fallback with identical results.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -20,6 +20,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use hpcfail_checkpoint as checkpoint;
@@ -39,9 +40,9 @@ pub mod prelude {
     pub use hpcfail_exec::{FaultMix, FaultPlan, ParallelExecutor, SeedSequence};
     pub use hpcfail_records::{
         BinaryCorruptionPlan, BinaryFault, Catalog, CauseTotals, CorruptionPlan, DetailedCause,
-        FailureRecord, FailureTrace, Fault, HardwareType, IngestPolicy, LenientIngest, LoadedTrace,
-        NodeId, QualityIssue, QualityReport, RecordError, RepairOutcome, RootCause, StoreError,
-        SystemId, Timestamp, TraceIndex, TraceParts, TraceStore, TraceView, Workload,
+        FailureRecord, FailureTrace, Fault, HardwareType, IngestPolicy, LenientIngest, NodeId,
+        QualityIssue, QualityReport, RecordError, RepairOutcome, RootCause, StoreError, SystemId,
+        Timestamp, TraceIndex, TraceStore, TraceView, Workload,
     };
     pub use hpcfail_scenario::{
         run_campaign, CampaignResult, CampaignSpec, CellOutcome, RunOptions,

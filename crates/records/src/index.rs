@@ -1,4 +1,5 @@
-//! Zero-copy indexed queries over a [`FailureTrace`].
+//! The columnar trace: [`TraceIndex`] owns every field of every record
+//! as a column, together with the groupings the analyses query.
 //!
 //! Every analysis in the paper groups the trace — by system, by node, by
 //! root cause, by workload, by time window — and the naive implementation
@@ -6,9 +7,10 @@
 //! for every group, O(n × nodes) for the per-node views of Fig. 6 alone.
 //! [`TraceIndex`] replaces that with one O(n log n) build producing
 //!
-//! - **columnar shadow arrays** of the hot fields (`start`, `downtime`,
-//!   `system`, `node`, `cause`, `workload`) so kernels stream compact
-//!   columns instead of striding over full 48-byte records;
+//! - **columns** of the record fields (`start`, `downtime`, `system`,
+//!   `node`, `cause`, `detail`, `workload`), so kernels stream compact
+//!   columns instead of striding over whole records, and rows are
+//!   rebuilt only for the few callers that ask for a [`FailureRecord`];
 //! - **contiguous per-`(system, node)` runs**: a permutation of row
 //!   indices grouped by node, with run offsets, giving each node's rows as
 //!   one slice;
@@ -18,11 +20,14 @@
 //!   the same `(system, node)`), which turns pooled per-node gap
 //!   extraction into a single pass over the row set.
 //!
+//! The index borrows nothing: the `.hpct` store (`records::store`)
+//! decodes straight into it, and a server keeps one per tenant.
+//!
 //! [`TraceView`] is the one query surface over a trace: a row set
 //! (contiguous range, borrowed posting slice, or a small owned row vector
 //! for composed filters) over the index, answering every question the
 //! analyses ask of a slice — counts, downtime, group-bys and gaps.
-//! [`FailureTrace`] itself only stores the records.
+//! [`FailureTrace`] is the row builder the index is built from.
 //!
 //! # Identity guarantees
 //!
@@ -48,7 +53,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use crate::cause::RootCause;
+use crate::cause::{DetailedCause, RootCause};
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
 use crate::record::FailureRecord;
@@ -78,47 +83,6 @@ pub(crate) struct NodeRun {
     pub(crate) hi: u32,
 }
 
-/// The raw materialized contents of a [`TraceIndex`] — every shadow
-/// column, posting list, and link array, detached from any borrowed
-/// trace.
-///
-/// This is the unit the binary store (`records::store`) serializes and
-/// deserializes: [`crate::store::TraceStore::from_bytes`] reconstructs a
-/// `TraceParts` straight from the validated file sections and
-/// [`TraceIndex::from_parts`] wraps it around the accompanying trace
-/// without re-sorting or rebuilding anything. The fields are
-/// crate-private, so a `TraceParts` can only be produced by code that
-/// upholds the index invariants (the in-memory builder or the checked
-/// loader) — external callers cannot forge one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceParts {
-    pub(crate) start: Vec<Timestamp>,
-    pub(crate) downtime: Vec<u64>,
-    pub(crate) system: Vec<SystemId>,
-    pub(crate) node: Vec<NodeId>,
-    pub(crate) cause: Vec<RootCause>,
-    pub(crate) workload: Vec<Workload>,
-    pub(crate) prev_in_node: Vec<u32>,
-    pub(crate) node_rows: Vec<u32>,
-    pub(crate) node_runs: Vec<NodeRun>,
-    pub(crate) system_rows: Vec<u32>,
-    pub(crate) system_spans: Vec<(SystemId, u32, u32)>,
-    pub(crate) cause_rows: [Vec<u32>; 6],
-    pub(crate) workload_rows: [Vec<u32>; 3],
-}
-
-impl TraceParts {
-    /// Number of rows the parts describe.
-    pub fn len(&self) -> usize {
-        self.start.len()
-    }
-
-    /// Whether the parts describe an empty trace.
-    pub fn is_empty(&self) -> bool {
-        self.start.is_empty()
-    }
-}
-
 /// Per-system counts and downtime split by root cause — the payload of
 /// the single-pass [`TraceView::counts_by_cause_per_system`] kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -136,45 +100,53 @@ impl CauseTotals {
     }
 }
 
-/// A query index over a borrowed, sorted [`FailureTrace`].
+/// The columnar form of a sorted failure trace, with its query index.
 ///
-/// Build once per trace (`trace.index()` or [`TraceIndex::build`]), then
-/// fan analyses off borrowed [`TraceView`]s. The index is `Sync`: views
-/// can be taken from worker threads concurrently.
-#[derive(Debug)]
-pub struct TraceIndex<'t> {
-    trace: &'t FailureTrace,
-    // Columnar shadows, indexed by row (= position in the sorted trace).
-    start: Vec<Timestamp>,
-    downtime: Vec<u64>,
-    system: Vec<SystemId>,
-    node: Vec<NodeId>,
-    cause: Vec<RootCause>,
-    workload: Vec<Workload>,
+/// The index owns one column per record field plus the run, posting and
+/// link arrays; it borrows nothing, so it can be kept, moved and shared
+/// on its own. Build it once per trace (`trace.index()` or
+/// [`TraceIndex::build`]) or open it from a `.hpct` store
+/// ([`crate::store::TraceStore::from_bytes`]), then fan analyses off
+/// borrowed [`TraceView`]s. The index is `Sync`: views can be taken from
+/// worker threads concurrently. Its fields are crate-private, so only
+/// the builder and the checked store loader, which both establish every
+/// invariant below, can make one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceIndex {
+    // Columns, indexed by row (= position in the sorted trace).
+    pub(crate) start: Vec<Timestamp>,
+    pub(crate) downtime: Vec<u64>,
+    pub(crate) system: Vec<SystemId>,
+    pub(crate) node: Vec<NodeId>,
+    /// The category of `detail`, kept as its own column for the
+    /// cause kernels.
+    pub(crate) cause: Vec<RootCause>,
+    pub(crate) detail: Vec<DetailedCause>,
+    pub(crate) workload: Vec<Workload>,
     /// Previous row of the same `(system, node)`, or `NO_PREV`.
-    prev_in_node: Vec<u32>,
+    pub(crate) prev_in_node: Vec<u32>,
     /// Permutation of rows grouped into contiguous per-node runs; rows
     /// ascend within each run. Runs are ordered by `(system, node)`.
-    node_rows: Vec<u32>,
-    node_runs: Vec<NodeRun>,
+    pub(crate) node_rows: Vec<u32>,
+    pub(crate) node_runs: Vec<NodeRun>,
     /// Concatenated per-system posting lists; rows ascend within each
     /// span. Spans are ordered by system id.
-    system_rows: Vec<u32>,
-    system_spans: Vec<(SystemId, u32, u32)>,
+    pub(crate) system_rows: Vec<u32>,
+    pub(crate) system_spans: Vec<(SystemId, u32, u32)>,
     /// Posting list per root cause, indexed by [`RootCause::index`].
-    cause_rows: [Vec<u32>; 6],
+    pub(crate) cause_rows: [Vec<u32>; 6],
     /// Posting list per workload class.
-    workload_rows: [Vec<u32>; 3],
+    pub(crate) workload_rows: [Vec<u32>; 3],
 }
 
-impl<'t> TraceIndex<'t> {
+impl TraceIndex {
     /// Build the index: one pass over the trace plus O(n log n) grouping.
     ///
     /// # Panics
     ///
     /// If the trace holds more than `u32::MAX` records (row indices are
     /// `u32` to halve posting-list memory).
-    pub fn build(trace: &'t FailureTrace) -> Self {
+    pub fn build(trace: &FailureTrace) -> Self {
         let records = trace.records();
         let n = records.len();
         assert!(u32::try_from(n).is_ok(), "trace too large for u32 rows");
@@ -184,6 +156,7 @@ impl<'t> TraceIndex<'t> {
         let mut system = Vec::with_capacity(n);
         let mut node = Vec::with_capacity(n);
         let mut cause = Vec::with_capacity(n);
+        let mut detail = Vec::with_capacity(n);
         let mut workload = Vec::with_capacity(n);
         let mut prev_in_node = vec![NO_PREV; n];
 
@@ -199,6 +172,7 @@ impl<'t> TraceIndex<'t> {
             system.push(r.system());
             node.push(r.node());
             cause.push(r.cause());
+            detail.push(r.detail());
             workload.push(r.workload());
 
             let run = node_map.entry((r.system(), r.node())).or_default();
@@ -233,12 +207,12 @@ impl<'t> TraceIndex<'t> {
         }
 
         TraceIndex {
-            trace,
             start,
             downtime,
             system,
             node,
             cause,
+            detail,
             workload,
             prev_in_node,
             node_rows,
@@ -250,92 +224,23 @@ impl<'t> TraceIndex<'t> {
         }
     }
 
-    /// Assemble an index from pre-materialized [`TraceParts`] without
-    /// rebuilding anything — the O(1)-per-record open path of the binary
-    /// store. The parts must describe exactly `trace` (the checked
-    /// loader guarantees this; so does `build` followed by
-    /// [`TraceIndex::to_parts`]).
+    /// Split into the rows rebuilt from the columns and the index
+    /// itself. Kept only for the `perfbench` store-open timing, which
+    /// pairs it with [`TraceIndex::from_parts`]; the product reads the
+    /// index directly.
+    pub fn into_parts(self) -> (FailureTrace, TraceIndex) {
+        (self.all().to_trace(), self)
+    }
+
+    /// Hand back an index split by [`TraceIndex::into_parts`]. Kept only
+    /// for `perfbench`, like `into_parts`.
     ///
     /// # Panics
     ///
-    /// If `parts.len() != trace.len()` — the one cheap cross-check that
-    /// catches pairing a parts bundle with the wrong trace.
-    pub fn from_parts(trace: &'t FailureTrace, parts: TraceParts) -> Self {
-        assert_eq!(
-            parts.start.len(),
-            trace.len(),
-            "TraceParts row count must match the trace"
-        );
-        TraceIndex {
-            trace,
-            start: parts.start,
-            downtime: parts.downtime,
-            system: parts.system,
-            node: parts.node,
-            cause: parts.cause,
-            workload: parts.workload,
-            prev_in_node: parts.prev_in_node,
-            node_rows: parts.node_rows,
-            node_runs: parts.node_runs,
-            system_rows: parts.system_rows,
-            system_spans: parts.system_spans,
-            cause_rows: parts.cause_rows,
-            workload_rows: parts.workload_rows,
-        }
-    }
-
-    /// Wrap the parts [`crate::io::read_trace`] returned for a packed
-    /// input, or build the index when there are none (text input).
-    pub fn from_parts_or_build(trace: &'t FailureTrace, parts: Option<TraceParts>) -> Self {
-        match parts {
-            Some(parts) => Self::from_parts(trace, parts),
-            None => Self::build(trace),
-        }
-    }
-
-    /// Clone the index's materialized contents into a detached
-    /// [`TraceParts`] bundle (used by tests and the store writer's
-    /// round-trip checks; the writer itself serializes from borrows).
-    pub fn to_parts(&self) -> TraceParts {
-        TraceParts {
-            start: self.start.clone(),
-            downtime: self.downtime.clone(),
-            system: self.system.clone(),
-            node: self.node.clone(),
-            cause: self.cause.clone(),
-            workload: self.workload.clone(),
-            prev_in_node: self.prev_in_node.clone(),
-            node_rows: self.node_rows.clone(),
-            node_runs: self.node_runs.clone(),
-            system_rows: self.system_rows.clone(),
-            system_spans: self.system_spans.clone(),
-            cause_rows: self.cause_rows.clone(),
-            workload_rows: self.workload_rows.clone(),
-        }
-    }
-
-    /// Borrowed view of every materialized array, for the store writer.
-    pub(crate) fn parts_ref(&self) -> PartsRef<'_> {
-        PartsRef {
-            start: &self.start,
-            downtime: &self.downtime,
-            system: &self.system,
-            node: &self.node,
-            workload: &self.workload,
-            detail_of: self.trace.records(),
-            prev_in_node: &self.prev_in_node,
-            node_rows: &self.node_rows,
-            node_runs: &self.node_runs,
-            system_rows: &self.system_rows,
-            system_spans: &self.system_spans,
-            cause_rows: &self.cause_rows,
-            workload_rows: &self.workload_rows,
-        }
-    }
-
-    /// The underlying trace.
-    pub fn trace(&self) -> &'t FailureTrace {
-        self.trace
+    /// If `trace` and `index` hold different numbers of rows.
+    pub fn from_parts(trace: &FailureTrace, index: TraceIndex) -> TraceIndex {
+        assert_eq!(index.len(), trace.len(), "rows must match the index");
+        index
     }
 
     /// Number of indexed records.
@@ -346,6 +251,19 @@ impl<'t> TraceIndex<'t> {
     /// Whether the trace has no records.
     pub fn is_empty(&self) -> bool {
         self.start.is_empty()
+    }
+
+    /// The record at `row`, rebuilt from the columns.
+    fn record(&self, row: usize) -> FailureRecord {
+        FailureRecord::new(
+            self.system[row],
+            self.node[row],
+            self.start[row],
+            self.start[row] + self.downtime[row],
+            self.workload[row],
+            self.detail[row],
+        )
+        .expect("index columns hold valid records")
     }
 
     /// A view over the whole trace.
@@ -448,48 +366,6 @@ impl<'t> TraceIndex<'t> {
     }
 }
 
-/// Borrowed view of a [`TraceIndex`]'s arrays for the store writer —
-/// the detail column rides along from the records so the store can
-/// serialize the full cause resolution, not just the 6-way category.
-pub(crate) struct PartsRef<'a> {
-    pub(crate) start: &'a [Timestamp],
-    pub(crate) downtime: &'a [u64],
-    pub(crate) system: &'a [SystemId],
-    pub(crate) node: &'a [NodeId],
-    pub(crate) workload: &'a [Workload],
-    pub(crate) detail_of: &'a [FailureRecord],
-    pub(crate) prev_in_node: &'a [u32],
-    pub(crate) node_rows: &'a [u32],
-    pub(crate) node_runs: &'a [NodeRun],
-    pub(crate) system_rows: &'a [u32],
-    pub(crate) system_spans: &'a [(SystemId, u32, u32)],
-    pub(crate) cause_rows: &'a [Vec<u32>; 6],
-    pub(crate) workload_rows: &'a [Vec<u32>; 3],
-}
-
-/// Element-by-element equality of two indexes: same trace contents and
-/// identical columns, posting lists, runs, and links. This is the
-/// identity the store round-trip proptests pin — a loaded index must be
-/// indistinguishable from a freshly built one.
-impl PartialEq for TraceIndex<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.trace == other.trace
-            && self.start == other.start
-            && self.downtime == other.downtime
-            && self.system == other.system
-            && self.node == other.node
-            && self.cause == other.cause
-            && self.workload == other.workload
-            && self.prev_in_node == other.prev_in_node
-            && self.node_rows == other.node_rows
-            && self.node_runs == other.node_runs
-            && self.system_rows == other.system_rows
-            && self.system_spans == other.system_spans
-            && self.cause_rows == other.cause_rows
-            && self.workload_rows == other.workload_rows
-    }
-}
-
 /// Row membership of a [`TraceView`].
 #[derive(Debug, Clone)]
 enum RowSet<'a> {
@@ -515,7 +391,7 @@ enum RowSet<'a> {
 /// workload or time window — backed by a row set over a [`TraceIndex`].
 #[derive(Debug, Clone)]
 pub struct TraceView<'a> {
-    index: &'a TraceIndex<'a>,
+    index: &'a TraceIndex,
     rows: RowSet<'a>,
 }
 
@@ -570,9 +446,9 @@ impl<'a> TraceView<'a> {
         }
     }
 
-    /// Iterate the view's records in time order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a FailureRecord> + '_ {
-        let records = self.index.trace.records();
+    /// Iterate the view's records in time order, each rebuilt from the
+    /// index columns.
+    pub fn iter(&self) -> impl Iterator<Item = FailureRecord> + '_ {
         let (range, slice): (_, &[u32]) = match &self.rows {
             RowSet::Range { lo, hi } => (Some(*lo as usize..*hi as usize), &[]),
             RowSet::Rows { rows, .. } => (None, rows),
@@ -581,15 +457,14 @@ impl<'a> TraceView<'a> {
             .into_iter()
             .flatten()
             .chain(slice.iter().map(|&r| r as usize))
-            .map(move |r| &records[r])
+            .map(|r| self.index.record(r))
     }
 
     /// Materialize the view as an owned [`FailureTrace`] (rows ascend so
     /// the sort invariant carries over).
     pub fn to_trace(&self) -> FailureTrace {
-        let records = self.index.trace.records();
         let mut out = Vec::with_capacity(self.len());
-        self.for_each_row(|r| out.push(records[r]));
+        self.for_each_row(|r| out.push(self.index.record(r)));
         FailureTrace::from_sorted_records(out)
     }
 
@@ -936,7 +811,6 @@ impl<'a> TraceView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cause::DetailedCause;
 
     fn rec(
         system: u32,
@@ -1017,7 +891,7 @@ mod tests {
             expected.per_node_interarrival_secs()
         );
         assert_eq!(&view.to_trace(), owned);
-        let viewed: Vec<FailureRecord> = view.iter().copied().collect();
+        let viewed: Vec<FailureRecord> = view.iter().collect();
         assert_eq!(viewed, owned.records().to_vec());
     }
 
@@ -1189,8 +1063,8 @@ mod tests {
                 ib.all().counts_by_cause_per_system()
             );
             for sys in ia.systems() {
-                let va: Vec<FailureRecord> = ia.system(sys).iter().copied().collect();
-                let vb: Vec<FailureRecord> = ib.system(sys).iter().copied().collect();
+                let va: Vec<FailureRecord> = ia.system(sys).iter().collect();
+                let vb: Vec<FailureRecord> = ib.system(sys).iter().collect();
                 assert_eq!(va, vb);
             }
         }

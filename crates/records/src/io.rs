@@ -172,9 +172,9 @@ pub fn format_line(record: &FailureRecord) -> String {
 /// input format.
 ///
 /// A packed `.hpct` store is recognised by its magic first and opens
-/// through the checked [`TraceStore::from_bytes`]: every record is
-/// accepted and the stored index rides along in
-/// [`LenientIngest::parts`], so no caller rebuilds it. Anything else is
+/// through the checked [`TraceStore::from_bytes`] straight into the
+/// returned [`LenientIngest::index`]: every record is accepted, and
+/// neither rows nor the index are rebuilt. Anything else is
 /// CSV text, read under `policy`: a LANL export when the first line that
 /// is neither blank nor a comment is a LANL header (one naming a
 /// failure-start, failure-end or cause column), native CSV otherwise.
@@ -197,16 +197,13 @@ pub fn format_line(record: &FailureRecord) -> String {
 /// with the row's line number.
 pub fn read_trace(bytes: &[u8], policy: IngestPolicy) -> Result<LenientIngest, RecordError> {
     if is_packed(bytes) {
-        let (trace, parts) = TraceStore::from_bytes(bytes)
-            .map_err(RecordError::Store)?
-            .into_parts();
+        let index = TraceStore::from_bytes(bytes).map_err(RecordError::Store)?;
         return Ok(LenientIngest {
-            total_rows: trace.len(),
-            zero_width: parts.downtime.iter().filter(|&&d| d == 0).count(),
+            total_rows: index.len(),
+            zero_width: index.downtime.iter().filter(|&&d| d == 0).count(),
             quarantine: Vec::new(),
             repaired: Vec::new(),
-            parts: Some(parts),
-            trace,
+            index,
         });
     }
     let mut lines = lines(bytes);
@@ -259,11 +256,10 @@ pub fn read_trace(bytes: &[u8], policy: IngestPolicy) -> Result<LenientIngest, R
     }
     Ok(LenientIngest {
         zero_width: records.iter().filter(|r| r.downtime_secs() == 0).count(),
-        trace: FailureTrace::from_records(records),
+        index: FailureTrace::from_records(records).index(),
         quarantine,
         repaired,
         total_rows,
-        parts: None,
     })
 }
 
@@ -390,7 +386,7 @@ mod tests {
 
     /// The strict read: [`IngestPolicy::FailFast`].
     fn strict(bytes: &[u8]) -> Result<FailureTrace, RecordError> {
-        read_trace(bytes, IngestPolicy::FailFast).map(|ingest| ingest.trace)
+        read_trace(bytes, IngestPolicy::FailFast).map(|ingest| ingest.index.all().to_trace())
     }
 
     fn sample() -> FailureTrace {
@@ -584,14 +580,16 @@ system,node,start_secs,end_secs,workload,detailed_cause
         ));
         // The inverted row came back with its endpoints swapped.
         let fixed = ingest
-            .trace
+            .index
+            .all()
             .iter()
             .find(|r| r.start().as_secs() == 4000)
             .unwrap();
         assert_eq!(fixed.end().as_secs(), 5000);
         // The drift row maps to undetermined.
         assert!(ingest
-            .trace
+            .index
+            .all()
             .iter()
             .any(|r| r.detail() == DetailedCause::Undetermined));
         // The truly malformed row stays quarantined.
@@ -634,8 +632,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
             IngestPolicy::Repair,
         ] {
             let ingest = read_trace(&packed, policy).unwrap();
-            assert_eq!(ingest.trace, trace);
-            assert_eq!(ingest.parts, Some(trace.index().to_parts()));
+            assert_eq!(ingest.index, trace.index());
             assert_eq!((ingest.total_rows, ingest.zero_width), (3, 1));
             assert!(ingest.quarantine.is_empty() && ingest.repaired.is_empty());
             // A damaged store stays a typed store error, never rows.
@@ -658,7 +655,7 @@ system,node,start_secs,end_secs,workload,detailed_cause
             IngestPolicy::Repair,
         ] {
             let lenient = read_trace(buf.as_slice(), policy).unwrap();
-            assert_eq!(lenient.trace, strict);
+            assert_eq!(lenient.index, strict.index());
             assert!(lenient.quarantine.is_empty());
             assert!(lenient.repaired.is_empty());
             assert!(lenient.is_conserved());

@@ -301,9 +301,10 @@ system,nodenum,node purpose,started,fixed,cause
     #[test]
     fn parses_lanl_style_file() {
         let import = strict(SAMPLE.as_bytes()).unwrap();
-        assert_eq!(import.trace.len(), 4);
+        assert_eq!(import.index.len(), 4);
         assert_eq!(skipped_inverted(&import), 0);
-        let records = import.trace.records();
+        let trace = import.index.all().to_trace();
+        let records = trace.records();
         // Sorted by time: 1997 record first.
         assert_eq!(records[0].system(), SystemId::new(20));
         assert_eq!(records[0].cause(), RootCause::Software);
@@ -330,13 +331,13 @@ system,nodenum,node purpose,started,fixed,cause
         assert_eq!(env.downtime_secs(), 80 * 60);
         // The native rendering of the import reads back to the same trace.
         let mut native = Vec::new();
-        write_csv(&import.trace, &mut native).unwrap();
-        assert_eq!(strict(&native).unwrap().trace, import.trace);
+        write_csv(&import.index.all().to_trace(), &mut native).unwrap();
+        assert_eq!(strict(&native).unwrap().index, import.index);
         // The bundled LANL fixture reads to the trace it always has.
         let fixture = strict(include_bytes!("../../../tests/data/lanl_fixture.csv")).unwrap();
         let mut native = Vec::new();
-        write_csv(&fixture.trace, &mut native).unwrap();
-        assert_eq!(fixture.trace.len(), FIXTURE_RECORDS);
+        write_csv(&fixture.index.all().to_trace(), &mut native).unwrap();
+        assert_eq!(fixture.index.len(), FIXTURE_RECORDS);
         assert_eq!(crate::checksum(&native), FIXTURE_CSV_CHECKSUM);
     }
 
@@ -347,9 +348,12 @@ cause,fixed,system,started,node
 hardware,06/28/1999 20:45,20,06/28/1999 14:30,22
 ";
         let import = strict(text.as_bytes()).unwrap();
-        assert_eq!(import.trace.len(), 1);
+        assert_eq!(import.index.len(), 1);
         // Missing workload column defaults to compute.
-        assert_eq!(import.trace.records()[0].workload(), Workload::Compute);
+        assert_eq!(
+            import.index.all().to_trace().records()[0].workload(),
+            Workload::Compute
+        );
     }
 
     #[test]
@@ -359,7 +363,10 @@ system,machine type,nodenum,nodenumz,started,fixed,down time,cause
 20,G,22,020-022,06/28/1999 14:30,06/28/1999 20:45,375,network
 ";
         let import = strict(text.as_bytes()).unwrap();
-        assert_eq!(import.trace.records()[0].cause(), RootCause::Network);
+        assert_eq!(
+            import.index.all().to_trace().records()[0].cause(),
+            RootCause::Network
+        );
     }
 
     #[test]
@@ -370,7 +377,7 @@ system,node,started,fixed,cause
 20,2,06/28/1999 14:30,06/27/1999 20:45,hardware
 ";
         let import = strict(text.as_bytes()).unwrap();
-        assert_eq!(import.trace.len(), 1);
+        assert_eq!(import.index.len(), 1);
         assert_eq!(skipped_inverted(&import), 1);
     }
 
@@ -383,7 +390,7 @@ system,node,started,fixed,cause
             }
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(strict("".as_bytes()).unwrap().trace.is_empty());
+        assert!(strict("".as_bytes()).unwrap().index.is_empty());
     }
 
     #[test]
@@ -432,7 +439,7 @@ system,node,started,fixed,cause
 20,2,06/28/1999 14:30,06/28/1999 20:45,hardware
 ";
         let import = strict(text.as_bytes()).unwrap();
-        assert_eq!(import.trace.len(), 2, "zero-width rows are kept");
+        assert_eq!(import.index.len(), 2, "zero-width rows are kept");
         assert_eq!(import.zero_width, 1);
         assert_eq!(skipped_inverted(&import), 0);
     }
@@ -446,7 +453,7 @@ system,node,started,fixed,cause
 20,3,06/28/1999 14:30,06/28/1999 20:45,hardware
 ";
         let import = strict(text.as_bytes()).unwrap();
-        assert_eq!(import.trace.len(), 2, "records imported");
+        assert_eq!(import.index.len(), 2, "records imported");
         assert_eq!(skipped_inverted(&import), 1, "skipped: inverted interval");
         assert_eq!(import.zero_width, 1, "kept: zero-width interval");
     }
@@ -491,7 +498,8 @@ system,node,started,fixed,cause
         ));
         // Swapped endpoints: start is the earlier instant.
         let swapped = ingest
-            .trace
+            .index
+            .all()
             .iter()
             .find(|r| r.node() == NodeId::new(2))
             .unwrap();
@@ -500,7 +508,8 @@ system,node,started,fixed,cause
             Timestamp::from_civil(1999, 6, 27, 20, 45, 0).unwrap()
         );
         let drift = ingest
-            .trace
+            .index
+            .all()
             .iter()
             .find(|r| r.node() == NodeId::new(4))
             .unwrap();
@@ -511,7 +520,7 @@ system,node,started,fixed,cause
     fn lanl_bom_tolerated() {
         let text = "\u{feff}system,node,started,fixed,cause\r\n20,1,06/28/1999 14:30,06/28/1999 20:45,hardware\r\n";
         let import = strict(text.as_bytes()).unwrap();
-        assert_eq!(import.trace.len(), 1);
+        assert_eq!(import.index.len(), 1);
     }
 
     #[test]
@@ -523,7 +532,10 @@ system,node,started,fixed,cause
 20,1,06/28/1999 14:30,06/28/1999 20:45,undetermined
 ";
         let import = strict(text.as_bytes()).unwrap();
-        assert_eq!(import.trace.len(), 1);
-        assert_eq!(import.trace.records()[0].cause(), RootCause::Unknown);
+        assert_eq!(import.index.len(), 1);
+        assert_eq!(
+            import.index.all().to_trace().records()[0].cause(),
+            RootCause::Unknown
+        );
     }
 }

@@ -17,6 +17,7 @@
 //! # Ok::<(), hpcfail_records::RecordError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -41,15 +42,13 @@ pub use cause::{DetailedCause, RootCause};
 pub use corrupt::{BinaryCorruptionPlan, BinaryFault, CorruptionPlan, Fault};
 pub use error::RecordError;
 pub use ids::{HardwareType, NodeId, SystemId};
-pub use index::{CauseTotals, TraceIndex, TraceParts, TraceView};
+pub use index::{CauseTotals, TraceIndex, TraceView};
 pub use quality::{
     audit, repair, IngestPolicy, LenientIngest, QualityIssue, QualityReport, QuarantinedRow,
     RepairOutcome, Severity,
 };
 pub use record::FailureRecord;
-pub use store::{
-    checksum, LoadedTrace, StoreError, TraceStore, FORMAT_VERSION, HPCT_MAGIC,
-};
+pub use store::{checksum, StoreError, TraceStore, FORMAT_VERSION, HPCT_MAGIC};
 pub use time::Timestamp;
 pub use trace::FailureTrace;
 pub use workload::Workload;

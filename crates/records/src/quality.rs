@@ -23,7 +23,7 @@ use std::fmt;
 use crate::catalog::Catalog;
 use crate::cause::DetailedCause;
 use crate::ids::{NodeId, SystemId};
-use crate::index::TraceParts;
+use crate::index::TraceIndex;
 use crate::record::FailureRecord;
 use crate::time::Timestamp;
 use crate::trace::FailureTrace;
@@ -153,15 +153,15 @@ pub struct RepairedRow {
     pub issue: QualityIssue,
 }
 
-/// The outcome of a trace load: the accepted trace, the structured
-/// quarantine, and the conservation bookkeeping.
+/// The outcome of a trace load: the index of the accepted records, the
+/// structured quarantine, and the conservation bookkeeping.
 ///
 /// A packed `.hpct` input accepts every record (`total_rows == len`,
-/// no quarantine, no repairs) and carries its stored index in `parts`.
+/// no quarantine, no repairs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LenientIngest {
-    /// Records that were accepted (possibly after repair).
-    pub trace: FailureTrace,
+    /// The records that were accepted (possibly after repair).
+    pub index: TraceIndex,
     /// Rows that were refused, with reasons.
     pub quarantine: Vec<QuarantinedRow>,
     /// Rows accepted only after an explicit repair (policy
@@ -172,15 +172,12 @@ pub struct LenientIngest {
     /// Accepted records with `start == end` — counted, not dropped
     /// (instantaneous node bounces exist in operator data).
     pub zero_width: usize,
-    /// The validated index parts of a packed input, ready for
-    /// [`crate::TraceIndex::from_parts`]; `None` for text input.
-    pub parts: Option<TraceParts>,
 }
 
 impl LenientIngest {
     /// Number of accepted records.
     pub fn accepted(&self) -> usize {
-        self.trace.len()
+        self.index.len()
     }
 
     /// The conservation invariant every lenient read must satisfy:

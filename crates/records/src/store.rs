@@ -9,8 +9,9 @@
 //! per-system/per-cause/per-workload posting lists, and the
 //! `prev_in_node` links, each as one contiguous little-endian section.
 //! Opening a packed trace is then O(1) per record — read the section
-//! table, verify checksums, and copy each section straight into its
-//! final `Vec` — no re-sort, no grouping, no `BTreeMap`.
+//! table, verify checksums, and decode each section straight into its
+//! column of the [`TraceIndex`] — no re-sort, no grouping, no
+//! `BTreeMap`, and no [`crate::FailureRecord`] rows.
 //!
 //! # File layout (format version 1)
 //!
@@ -50,11 +51,10 @@
 //! typed [`StoreError`] — never a panic, never a silently wrong index.
 //! The loader therefore validates in layers: structure (magic, version,
 //! bounds, contiguous layout, zero padding), integrity (footer +
-//! per-section checksums), and semantics (sort invariant, run/span/
-//! posting consistency — every invariant [`TraceIndex::build`]
-//! establishes is either re-checked in O(n) or derived by construction)
-//! before a single [`TraceParts`] is handed to
-//! [`TraceIndex::from_parts`].
+//! per-section checksums), and semantics (sort invariant, record ends
+//! that do not overflow, run/span/posting consistency — every invariant
+//! [`TraceIndex::build`] establishes is either re-checked in O(n) or
+//! derived by construction) before the index is handed out.
 
 use std::fmt;
 use std::path::Path;
@@ -62,11 +62,10 @@ use std::path::Path;
 use hpcfail_exec::{splitmix64, GOLDEN_GAMMA};
 
 use crate::cause::{DetailedCause, RootCause};
+use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
-use crate::index::{workload_slot, NodeRun, TraceIndex, TraceParts, NO_PREV};
-use crate::record::FailureRecord;
+use crate::index::{workload_slot, NodeRun, TraceIndex, NO_PREV};
 use crate::time::Timestamp;
-use crate::trace::FailureTrace;
 use crate::workload::Workload;
 
 /// The 4-byte magic prefix of every `.hpct` file.
@@ -252,39 +251,6 @@ pub(crate) fn is_packed(bytes: &[u8]) -> bool {
     bytes.len() >= HPCT_MAGIC.len() && bytes[..HPCT_MAGIC.len()] == HPCT_MAGIC
 }
 
-/// A trace loaded from a `.hpct` file: the reconstructed records plus
-/// the validated, ready-to-wrap index parts.
-///
-/// Call [`LoadedTrace::into_parts`] and feed both halves to
-/// [`TraceIndex::from_parts`] to get a query index without any rebuild.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadedTrace {
-    trace: FailureTrace,
-    parts: TraceParts,
-}
-
-impl LoadedTrace {
-    /// The reconstructed trace.
-    pub fn trace(&self) -> &FailureTrace {
-        &self.trace
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
-    /// Split into the owned trace and the index parts describing it.
-    pub fn into_parts(self) -> (FailureTrace, TraceParts) {
-        (self.trace, self.parts)
-    }
-}
-
 /// Writer/reader for the `.hpct` binary columnar trace format.
 #[derive(Debug)]
 pub struct TraceStore;
@@ -295,41 +261,48 @@ impl TraceStore {
     /// # Errors
     ///
     /// The I/O error when the file cannot be written.
-    pub fn write(index: &TraceIndex<'_>, path: impl AsRef<Path>) -> std::io::Result<u64> {
+    pub fn write(index: &TraceIndex, path: impl AsRef<Path>) -> std::io::Result<u64> {
         let bytes = Self::to_bytes(index);
         std::fs::write(path, &bytes)?;
         Ok(bytes.len() as u64)
     }
 
     /// Serialize `index` into an in-memory `.hpct` image.
-    pub fn to_bytes(index: &TraceIndex<'_>) -> Vec<u8> {
-        let p = index.parts_ref();
-        let n = p.start.len();
+    pub fn to_bytes(index: &TraceIndex) -> Vec<u8> {
+        let n = index.len();
 
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(SECTION_COUNT);
-        payloads.push(encode_u64s(p.start.iter().map(|t| t.as_secs()), n));
-        payloads.push(encode_u64s(p.downtime.iter().copied(), n));
-        payloads.push(encode_u32s(p.system.iter().map(|s| s.get()), n));
-        payloads.push(encode_u32s(p.node.iter().map(|nd| nd.get()), n));
-        payloads.push(p.workload.iter().map(|&w| workload_slot(w) as u8).collect());
-        payloads.push(p.detail_of.iter().map(|r| detail_code(r.detail())).collect());
-        payloads.push(encode_u32s(p.prev_in_node.iter().copied(), n));
-        payloads.push(encode_u32s(p.node_rows.iter().copied(), n));
+        payloads.push(encode_u64s(index.start.iter().map(|t| t.as_secs()), n));
+        payloads.push(encode_u64s(index.downtime.iter().copied(), n));
+        payloads.push(encode_u32s(index.system.iter().map(|s| s.get()), n));
+        payloads.push(encode_u32s(index.node.iter().map(|nd| nd.get()), n));
+        payloads.push(
+            index
+                .workload
+                .iter()
+                .map(|&w| workload_slot(w) as u8)
+                .collect(),
+        );
+        payloads.push(index.detail.iter().map(|&d| detail_code(d)).collect());
+        payloads.push(encode_u32s(index.prev_in_node.iter().copied(), n));
+        payloads.push(encode_u32s(index.node_rows.iter().copied(), n));
         payloads.push(encode_u32s(
-            p.node_runs.iter().flat_map(|r| {
-                [r.system.get(), r.node.get(), r.lo, r.hi]
-            }),
-            p.node_runs.len() * 4,
+            index
+                .node_runs
+                .iter()
+                .flat_map(|r| [r.system.get(), r.node.get(), r.lo, r.hi]),
+            index.node_runs.len() * 4,
         ));
-        payloads.push(encode_u32s(p.system_rows.iter().copied(), n));
+        payloads.push(encode_u32s(index.system_rows.iter().copied(), n));
         payloads.push(encode_u32s(
-            p.system_spans
+            index
+                .system_spans
                 .iter()
                 .flat_map(|&(s, lo, hi)| [s.get(), lo, hi]),
-            p.system_spans.len() * 3,
+            index.system_spans.len() * 3,
         ));
-        payloads.push(encode_posting_lists(p.cause_rows.as_slice()));
-        payloads.push(encode_posting_lists(p.workload_rows.as_slice()));
+        payloads.push(encode_posting_lists(index.cause_rows.as_slice()));
+        payloads.push(encode_posting_lists(index.workload_rows.as_slice()));
 
         let table_end = HEADER_LEN + SECTION_COUNT * ENTRY_LEN;
         let payload_start = align8(table_end);
@@ -376,7 +349,7 @@ impl TraceStore {
     /// torn files, [`StoreError::ChecksumMismatch`] on corrupted bytes,
     /// and [`StoreError::Malformed`] when the decoded sections do not
     /// describe a consistent index.
-    pub fn from_bytes(bytes: &[u8]) -> Result<LoadedTrace, StoreError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<TraceIndex, StoreError> {
         let min = HEADER_LEN + FOOTER_LEN;
         if bytes.len() < min {
             return Err(StoreError::Truncated {
@@ -500,8 +473,7 @@ impl TraceStore {
             });
         }
 
-        let r = decode_sections(&sections, n);
-        r
+        decode_sections(&sections, n)
     }
 }
 
@@ -613,17 +585,6 @@ fn decode_u32s(payload: &[u8], name: &str) -> Result<Vec<u32>, StoreError> {
         .collect())
 }
 
-fn decode_u32s_exact(payload: &[u8], count: usize, name: &str) -> Result<Vec<u32>, StoreError> {
-    if payload.len() != count * 4 {
-        return Err(malformed(format!(
-            "section {name}: {} bytes, expected {}",
-            payload.len(),
-            count * 4
-        )));
-    }
-    decode_u32s(payload, name)
-}
-
 /// Decode the fixed-arity posting-list family written by
 /// [`encode_posting_lists`], checking that the lengths sum to `n`.
 fn decode_posting_lists<const K: usize>(
@@ -699,9 +660,9 @@ fn check_posting(
 }
 
 /// Decode all verified section payloads into a consistent
-/// `(FailureTrace, TraceParts)` pair, re-checking every invariant the
-/// in-memory builder establishes.
-fn decode_sections(sections: &[&[u8]], n: usize) -> Result<LoadedTrace, StoreError> {
+/// [`TraceIndex`], re-checking every invariant the in-memory builder
+/// establishes.
+fn decode_sections(sections: &[&[u8]], n: usize) -> Result<TraceIndex, StoreError> {
     let n32 = n as u32;
     let start: Vec<Timestamp> = decode_u64s_map(sections[0], n, "start", Timestamp::from_secs)?;
     let downtime: Vec<u64> = decode_u64s_map(sections[1], n, "downtime", |v| v)?;
@@ -721,13 +682,13 @@ fn decode_sections(sections: &[&[u8]], n: usize) -> Result<LoadedTrace, StoreErr
             detail_raw.len()
         )));
     }
-    let prev_in_node = decode_u32s_exact(sections[6], n, "prev_in_node")?;
-    let node_rows = decode_u32s_exact(sections[7], n, "node_rows")?;
+    let prev_in_node = decode_u32s_map(sections[6], n, "prev_in_node", |v| v)?;
+    let node_rows = decode_u32s_map(sections[7], n, "node_rows", |v| v)?;
     let node_runs_raw = decode_u32s(sections[8], "node_runs")?;
     if node_runs_raw.len() % 4 != 0 {
         return Err(malformed("section node_runs: not a whole number of runs"));
     }
-    let system_rows = decode_u32s_exact(sections[9], n, "system_rows")?;
+    let system_rows = decode_u32s_map(sections[9], n, "system_rows", |v| v)?;
     let system_spans_raw = decode_u32s(sections[10], "system_spans")?;
     if system_spans_raw.len() % 3 != 0 {
         return Err(malformed(
@@ -738,8 +699,8 @@ fn decode_sections(sections: &[&[u8]], n: usize) -> Result<LoadedTrace, StoreErr
     let workload_rows: [Vec<u32>; 3] = decode_posting_lists(sections[12], n, "workload_rows")?;
 
     // Columns: validate the enum codes with tight passes over the
-    // one-byte columns, then rebuild records in one pass that also
-    // checks the sort invariant.
+    // one-byte columns, then check the sort invariant and the record
+    // intervals in one pass.
     if let Some(i) = workload_raw
         .iter()
         .position(|&b| (b as usize) >= Workload::ALL.len())
@@ -759,24 +720,14 @@ fn decode_sections(sections: &[&[u8]], n: usize) -> Result<LoadedTrace, StoreErr
         .iter()
         .map(|&w| Workload::ALL[w as usize])
         .collect();
-    let cause: Vec<RootCause> = detail_raw
+    let detail: Vec<DetailedCause> = detail_raw
         .iter()
-        .map(|&d| DetailedCause::ALL[d as usize].category())
+        .map(|&d| DetailedCause::ALL[d as usize])
         .collect();
-    // `end` is a wrapping add: a wrapped sum is always < start (the
-    // true sum would need downtime >= 2^64), so `FailureRecord::new`
-    // rejects overflow through its end-before-start check.
-    let mut records = Vec::with_capacity(n);
+    let cause: Vec<RootCause> = detail.iter().map(|d| d.category()).collect();
     // Length equalities are already guaranteed by the decoders; restated
     // here so the loop below compiles without per-row bounds checks.
-    assert!(
-        start.len() == n
-            && downtime.len() == n
-            && system.len() == n
-            && node.len() == n
-            && workload.len() == n
-            && detail_raw.len() == n
-    );
+    assert!(start.len() == n && downtime.len() == n && system.len() == n && node.len() == n);
     // The (start, system, node) sort key packs losslessly into one
     // u128, turning the per-row invariant check into a single compare;
     // seeding with the minimum key accepts any first row.
@@ -794,17 +745,14 @@ fn decode_sections(sections: &[&[u8]], n: usize) -> Result<LoadedTrace, StoreErr
             )));
         }
         prev_key = key;
-        let end = Timestamp::from_secs(s_secs.wrapping_add(downtime[i]));
-        let record = FailureRecord::new(
-            system[i],
-            node[i],
-            start[i],
-            end,
-            workload[i],
-            DetailedCause::ALL[detail_raw[i] as usize],
-        )
-        .map_err(|e| malformed(format!("row {i}: {e}")))?;
-        records.push(record);
+        // A record ends at `start + downtime`; a sum past `u64::MAX`
+        // would wrap to an end before the start.
+        if s_secs.checked_add(downtime[i]).is_none() {
+            return Err(malformed(format!(
+                "row {i}: {}",
+                RecordError::EndBeforeStart
+            )));
+        }
     }
 
     // Node runs: a contiguous, key-ascending partition of `node_rows`
@@ -937,13 +885,13 @@ fn decode_sections(sections: &[&[u8]], n: usize) -> Result<LoadedTrace, StoreErr
         })?;
     }
 
-    let trace = FailureTrace::from_sorted_records(records);
-    let parts = TraceParts {
+    Ok(TraceIndex {
         start,
         downtime,
         system,
         node,
         cause,
+        detail,
         workload,
         prev_in_node,
         node_rows,
@@ -952,13 +900,14 @@ fn decode_sections(sections: &[&[u8]], n: usize) -> Result<LoadedTrace, StoreErr
         system_spans,
         cause_rows,
         workload_rows,
-    };
-    Ok(LoadedTrace { trace, parts })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::FailureRecord;
+    use crate::trace::FailureTrace;
 
     fn rec(system: u32, node: u32, start: u64, dur: u64, w: usize, d: usize) -> FailureRecord {
         FailureRecord::new(
@@ -996,10 +945,13 @@ mod tests {
             let index = trace.index();
             let bytes = TraceStore::to_bytes(&index);
             let loaded = TraceStore::from_bytes(&bytes).unwrap();
-            assert_eq!(loaded.trace(), &trace, "n={n}");
-            let (t2, parts) = loaded.into_parts();
-            let reopened = TraceIndex::from_parts(&t2, parts);
-            assert_eq!(reopened, index, "n={n}");
+            assert_eq!(loaded, index, "n={n}");
+            assert_eq!(loaded.all().to_trace(), trace, "n={n}");
+            // The benchmark's adapter pair hands back the real rows and
+            // the same index.
+            let (rows, parts) = loaded.into_parts();
+            assert_eq!(rows, trace, "n={n}");
+            assert_eq!(TraceIndex::from_parts(&rows, parts), index, "n={n}");
         }
     }
 
@@ -1072,6 +1024,153 @@ mod tests {
         assert_eq!(checksum(b"hpct"), checksum(b"hpct"));
     }
 
+    /// Offset and length of section `name`'s payload in a clean image.
+    fn section_span(bytes: &[u8], name: &str) -> (usize, usize) {
+        let i = SECTION_NAMES.iter().position(|&s| s == name).unwrap();
+        let base = HEADER_LEN + i * ENTRY_LEN;
+        (
+            read_u64(bytes, base + 4) as usize,
+            read_u64(bytes, base + 12) as usize,
+        )
+    }
+
+    /// A section's payload as u32 words.
+    fn section_u32s(bytes: &[u8], name: &str) -> Vec<u32> {
+        let (off, len) = section_span(bytes, name);
+        decode_u32s(&bytes[off..off + len], name).unwrap()
+    }
+
+    /// Rewrite section `name` of a clean image in place with `edit`, then
+    /// re-seal that section's table checksum and the footer: a forged
+    /// file that passes every integrity check, so only the semantic
+    /// checks of the decoder stand between it and a loaded index.
+    fn forge(bytes: &[u8], name: &str, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let (off, len) = section_span(&out, name);
+        edit(&mut out[off..off + len]);
+        let sum = checksum(&out[off..off + len]);
+        let i = SECTION_NAMES.iter().position(|&s| s == name).unwrap();
+        let base = HEADER_LEN + i * ENTRY_LEN;
+        out[base + 20..base + 28].copy_from_slice(&sum.to_le_bytes());
+        let table_end = HEADER_LEN + SECTION_COUNT * ENTRY_LEN;
+        let footer = checksum(&out[..table_end]);
+        let at = out.len() - FOOTER_LEN;
+        out[at..].copy_from_slice(&footer.to_le_bytes());
+        out
+    }
+
+    fn set_u32(payload: &mut [u8], word: usize, v: u32) {
+        payload[word * 4..word * 4 + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn set_u64(payload: &mut [u8], word: usize, v: u64) {
+        payload[word * 8..word * 8 + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn assert_malformed(bytes: &[u8], reason: &str) {
+        match TraceStore::from_bytes(bytes) {
+            Err(StoreError::Malformed { reason: got }) => {
+                assert!(got.contains(reason), "{got:?} lacks {reason:?}")
+            }
+            other => panic!("expected Malformed({reason:?}), got {other:?}"),
+        }
+    }
+
+    /// Replace one entry of a strictly ascending posting list with a row
+    /// that keeps it ascending but fails `belongs`; returns the word
+    /// index and the replacement.
+    fn foreign_row(list: &[u32], n: u32, belongs: impl Fn(u32) -> bool) -> (usize, u32) {
+        for (k, _) in list.iter().enumerate() {
+            let lo = if k == 0 { 0 } else { list[k - 1] + 1 };
+            let hi = list.get(k + 1).copied().unwrap_or(n);
+            if let Some(r) = (lo..hi).find(|&r| !belongs(r)) {
+                return (k, r);
+            }
+        }
+        panic!("no foreign row fits the list");
+    }
+
+    #[test]
+    fn forged_stores_fail_every_semantic_check() {
+        let trace = sample_trace(60);
+        let clean = TraceStore::to_bytes(&trace.index());
+        assert!(TraceStore::from_bytes(&clean).is_ok());
+        let records = trace.records();
+        let n = records.len() as u32;
+
+        // Row 5 starts before row 4.
+        let early = records[4].start().as_secs() - 1;
+        assert_malformed(
+            &forge(&clean, "start", |p| set_u64(p, 5, early)),
+            "rows 4..5 violate the (start, system, node) sort invariant",
+        );
+        // `start + downtime` wraps, so the end falls before the start.
+        let wrap = u64::MAX - records[3].start().as_secs() + 1;
+        assert_malformed(
+            &forge(&clean, "downtime", |p| set_u64(p, 3, wrap)),
+            "row 3: failure end time precedes its start time",
+        );
+        assert_malformed(
+            &forge(&clean, "workload", |p| p[7] = 3),
+            "row 7: workload code 3",
+        );
+        assert_malformed(
+            &forge(&clean, "detail", |p| p[9] = 200),
+            "row 9: detail code 200",
+        );
+        // Run 1 claims to start one entry late.
+        assert_malformed(
+            &forge(&clean, "node_runs", |p| {
+                let lo = read_u32(p, 4 * 4 + 8);
+                set_u32(p, 4 + 2, lo + 1);
+            }),
+            "node run 1: bad bounds",
+        );
+        // Row 0 is listed again as the first row of a run that does not
+        // hold it (still ascending there, since nothing precedes row 0).
+        let runs = section_u32s(&clean, "node_runs");
+        let node_rows = section_u32s(&clean, "node_rows");
+        let lo = runs
+            .chunks_exact(4)
+            .map(|c| c[2] as usize)
+            .find(|&lo| node_rows[lo] != 0)
+            .unwrap();
+        assert_malformed(
+            &forge(&clean, "node_rows", |p| set_u32(p, lo, 0)),
+            "row 0 appears twice in node_rows",
+        );
+        // Row 10's predecessor link points somewhere else.
+        let prev = section_u32s(&clean, "prev_in_node");
+        let wrong = if prev[10] == 0 { 1 } else { 0 };
+        assert_malformed(
+            &forge(&clean, "prev_in_node", |p| set_u32(p, 10, wrong)),
+            "row 10: prev_in_node",
+        );
+        // System span 0 lists a row of another system.
+        let spans = section_u32s(&clean, "system_spans");
+        let system_rows = section_u32s(&clean, "system_rows");
+        let (sys, hi) = (SystemId::new(spans[0]), spans[2] as usize);
+        let (k, r) = foreign_row(&system_rows[..hi], n, |r| {
+            records[r as usize].system() == sys
+        });
+        assert_malformed(
+            &forge(&clean, "system_rows", |p| set_u32(p, k, r)),
+            &format!("section system_rows: list 0 row {r} does not belong"),
+        );
+        // Cause list 0 lists a row of another cause; its rows follow the
+        // six u64 length words.
+        let (off, len) = section_span(&clean, "cause_rows");
+        let first_len = read_u64(&clean, off) as usize;
+        let words = decode_u32s(&clean[off + 48..off + len], "cause_rows").unwrap();
+        let (k, r) = foreign_row(&words[..first_len], n, |r| {
+            records[r as usize].cause().index() == 0
+        });
+        assert_malformed(
+            &forge(&clean, "cause_rows", |p| set_u32(p, 12 + k, r)),
+            &format!("section cause_rows: list 0 row {r} does not belong"),
+        );
+    }
+
     #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("hpcfail_store_test");
@@ -1083,7 +1182,7 @@ mod tests {
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
         let bytes = std::fs::read(&path).unwrap();
         let loaded = TraceStore::from_bytes(&bytes).unwrap();
-        assert_eq!(loaded.trace(), &trace);
+        assert_eq!(loaded.all().to_trace(), trace);
         assert!(is_packed(&bytes));
     }
 }

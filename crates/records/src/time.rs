@@ -89,12 +89,6 @@ impl Timestamp {
         (((self.0 / DAY) + 1) % 7) as u32
     }
 
-    /// Whether this instant falls on Saturday or Sunday.
-    pub fn is_weekend(&self) -> bool {
-        let d = self.day_of_week();
-        d == 0 || d == 6
-    }
-
     /// The civil `(year, month, day)` of this instant.
     pub fn civil_date(&self) -> (i64, u32, u32) {
         civil_from_days(
@@ -214,7 +208,6 @@ mod tests {
     #[test]
     fn epoch_is_monday() {
         assert_eq!(Timestamp::EPOCH.day_of_week(), 1, "1996-01-01 was a Monday");
-        assert!(!Timestamp::EPOCH.is_weekend());
     }
 
     #[test]
@@ -271,10 +264,8 @@ mod tests {
         // Saturday Jan 6, 1996.
         let sat = Timestamp::from_civil(1996, 1, 6, 12, 0, 0).unwrap();
         assert_eq!(sat.day_of_week(), 6);
-        assert!(sat.is_weekend());
         let sun = Timestamp::from_civil(1996, 1, 7, 12, 0, 0).unwrap();
         assert_eq!(sun.day_of_week(), 0);
-        assert!(sun.is_weekend());
     }
 
     #[test]

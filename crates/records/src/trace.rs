@@ -1,11 +1,13 @@
-//! The failure trace — the owned store of [`FailureRecord`]s, kept in
+//! The failure trace — the row builder of [`FailureRecord`]s, kept in
 //! `(start, system, node)` order.
 //!
-//! A trace only stores records: construction sorts them, [`FailureTrace::merge`]
-//! joins two sorted traces, and [`FailureTrace::filter_window`] copies out
-//! one time slice. Every question about the records — per system, node,
-//! cause, workload or era — is asked of a [`crate::index::TraceView`]
-//! over [`FailureTrace::index`].
+//! The generator and the CSV parsers fill a trace row by row:
+//! construction sorts the records, [`FailureTrace::merge`] joins two
+//! sorted traces, and [`FailureTrace::filter_window`] copies out one time
+//! slice. [`FailureTrace::index`] turns the rows into the columnar
+//! [`crate::index::TraceIndex`], and every question about the records —
+//! per system, node, cause, workload or era — is asked of a
+//! [`crate::index::TraceView`] over it.
 
 use crate::ids::{NodeId, SystemId};
 use crate::record::FailureRecord;
@@ -116,8 +118,8 @@ impl FailureTrace {
         self.records = merged;
     }
 
-    /// A zero-copy query index over this trace. See [`crate::index`].
-    pub fn index(&self) -> crate::index::TraceIndex<'_> {
+    /// The columnar index of this trace. See [`crate::index`].
+    pub fn index(&self) -> crate::index::TraceIndex {
         crate::index::TraceIndex::build(self)
     }
 }

@@ -44,7 +44,7 @@ impl NodeProfile {
 /// [`SchedError::InvalidParameter`] if `node_count` is zero or the trace
 /// observation span is empty.
 pub fn profiles_from_index(
-    index: &TraceIndex<'_>,
+    index: &TraceIndex,
     system: SystemId,
     node_count: u32,
     observation_years: f64,

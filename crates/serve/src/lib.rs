@@ -28,7 +28,7 @@
 //! `Arc`, so reload never blocks in-flight readers; the generation
 //! number in every cache key makes the swap race-free.
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -49,4 +49,4 @@ pub use json::Json;
 pub use metrics::{DrainSignal, ServeMetrics};
 pub use router::{respond, AppState};
 pub use server::{run, spawn, ServeConfig, ServerHandle};
-pub use tenant::{OwnedIndex, Tenant, TenantError, TenantRegistry, TenantSource};
+pub use tenant::{Tenant, TenantError, TenantRegistry, TenantSource};

@@ -1,8 +1,9 @@
 //! Tenants: named, immutable, `Arc`-shared trace indexes.
 //!
-//! A tenant owns one loaded [`FailureTrace`] together with its prebuilt
-//! [`TraceIndex`] — the same one-build-many-queries layout the batch
-//! harness uses, kept resident for the lifetime of a server process.
+//! A tenant owns one loaded [`TraceIndex`] — the columnar trace the
+//! batch harness queries, kept resident for the lifetime of a server
+//! process. A packed `.hpct` source opens straight into it; no rows are
+//! kept beside it.
 //! Request handlers clone an `Arc<Tenant>` out of the registry and
 //! answer from the shared index; reload builds a *new* tenant (next
 //! generation) off to the side and swaps the `Arc` under a brief write
@@ -14,55 +15,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
 use hpcfail_records::io::read_trace;
-use hpcfail_records::{FailureTrace, IngestPolicy, TraceIndex, TraceParts};
-
-/// A [`FailureTrace`] bundled with the [`TraceIndex`] built over it.
-///
-/// `TraceIndex<'t>` borrows the trace it indexes; this wrapper owns the
-/// trace behind a stable heap allocation (`Box`) and keeps an index
-/// borrowing from that allocation in the same struct. The lifetime is
-/// erased internally and re-shrunk to `&self` on access, which is sound
-/// because:
-///
-/// * the trace lives on the heap and its allocation never moves while
-///   the wrapper exists (moving the wrapper moves only the `Box`
-///   pointer);
-/// * no `&mut FailureTrace` is ever handed out, so the borrow the index
-///   holds stays valid;
-/// * `index` is declared before `trace`, so it drops first;
-/// * [`OwnedIndex::index`] returns the index at lifetime `&self`, never
-///   `'static`, so views cannot outlive the wrapper.
-#[derive(Debug)]
-pub struct OwnedIndex {
-    index: TraceIndex<'static>,
-    trace: Box<FailureTrace>,
-}
-
-impl OwnedIndex {
-    /// Take ownership of `trace` and index it: wrap `parts` when the
-    /// trace came from a packed store (no rebuild — the O(1)-per-record
-    /// open path), else build the index.
-    pub fn new(trace: FailureTrace, parts: Option<TraceParts>) -> OwnedIndex {
-        let trace = Box::new(trace);
-        let borrowed: TraceIndex<'_> = TraceIndex::from_parts_or_build(&trace, parts);
-        // SAFETY: the borrow target is the boxed heap allocation, which
-        // outlives `index` by construction (field order) and never
-        // moves; see the type-level invariants above.
-        let index: TraceIndex<'static> =
-            unsafe { std::mem::transmute::<TraceIndex<'_>, TraceIndex<'static>>(borrowed) };
-        OwnedIndex { index, trace }
-    }
-
-    /// The index, at a lifetime tied to this wrapper.
-    pub fn index(&self) -> &TraceIndex<'_> {
-        &self.index
-    }
-
-    /// The owned trace.
-    pub fn trace(&self) -> &FailureTrace {
-        &self.trace
-    }
-}
+use hpcfail_records::{FailureTrace, IngestPolicy, TraceIndex};
 
 /// Where a tenant's records come from — consulted again on reload.
 #[derive(Debug, Clone)]
@@ -84,23 +37,23 @@ pub struct Tenant {
     pub generation: u64,
     /// Where the records came from.
     pub source: TenantSource,
-    owned: OwnedIndex,
+    index: TraceIndex,
 }
 
 impl Tenant {
     /// The shared, immutable index of this generation.
-    pub fn index(&self) -> &TraceIndex<'_> {
-        self.owned.index()
+    pub fn index(&self) -> &TraceIndex {
+        &self.index
     }
 
     /// Record count.
     pub fn len(&self) -> usize {
-        self.owned.trace().len()
+        self.index.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.owned.trace().is_empty()
+        self.index.is_empty()
     }
 }
 
@@ -142,19 +95,17 @@ impl std::fmt::Display for TenantError {
 impl std::error::Error for TenantError {}
 
 /// Read a tenant's source through the one trace loader and index it.
-/// A packed `.hpct` store's stored index is reused.
-fn load_source(source: &TenantSource) -> Result<OwnedIndex, TenantError> {
+/// A packed `.hpct` store opens straight into its stored index.
+fn load_source(source: &TenantSource) -> Result<TraceIndex, TenantError> {
     let path = match source {
         TenantSource::File(path) => path,
-        TenantSource::Static(trace) => {
-            return Ok(OwnedIndex::new(FailureTrace::clone(trace), None))
-        }
+        TenantSource::Static(trace) => return Ok(trace.index()),
     };
     let load_err =
         |e: &dyn std::fmt::Display| TenantError::Load(format!("{}: {e}", path.display()));
     let bytes = std::fs::read(path).map_err(|e| load_err(&e))?;
     let ingest = read_trace(&bytes, IngestPolicy::FailFast).map_err(|e| load_err(&e))?;
-    Ok(OwnedIndex::new(ingest.trace, ingest.parts))
+    Ok(ingest.index)
 }
 
 /// The named-tenant registry.
@@ -176,12 +127,12 @@ impl TenantRegistry {
     /// [`TenantError::DuplicateTenant`] on a name collision;
     /// [`TenantError::Load`] when the source cannot be read.
     pub fn insert(&self, name: &str, source: TenantSource) -> Result<Arc<Tenant>, TenantError> {
-        let owned = load_source(&source)?;
+        let index = load_source(&source)?;
         let tenant = Arc::new(Tenant {
             name: name.to_string(),
             generation: 1,
             source,
-            owned,
+            index,
         });
         let mut map = self.tenants.write().expect("tenant registry");
         if map.contains_key(name) {
@@ -230,8 +181,8 @@ impl TenantRegistry {
         let current = self
             .get(name)
             .ok_or_else(|| TenantError::UnknownTenant(name.to_string()))?;
-        let owned = load_source(&current.source)?;
-        if owned.trace().is_empty() && !current.is_empty() {
+        let index = load_source(&current.source)?;
+        if index.is_empty() && !current.is_empty() {
             return Err(TenantError::EmptyReload {
                 name: name.to_string(),
                 live_records: current.len(),
@@ -241,7 +192,7 @@ impl TenantRegistry {
             name: current.name.clone(),
             generation: current.generation + 1,
             source: current.source.clone(),
-            owned,
+            index,
         });
         let mut map = self.tenants.write().expect("tenant registry");
         map.insert(name.to_string(), rebuilt.clone());
@@ -272,22 +223,6 @@ mod tests {
             })
             .collect();
         FailureTrace::from_records(records)
-    }
-
-    #[test]
-    fn owned_index_survives_moves() {
-        let owned = OwnedIndex::new(tiny_trace(50), None);
-        let count_before = owned.index().all().len();
-        // Move it around (into a Vec, out again, into an Arc).
-        let mut v = vec![owned];
-        let owned = v.pop().unwrap();
-        let owned = Arc::new(owned);
-        assert_eq!(owned.index().all().len(), count_before);
-        assert_eq!(owned.trace().len(), 50);
-        assert_eq!(
-            owned.index().system(SystemId::new(20)).len(),
-            owned.trace().len()
-        );
     }
 
     #[test]

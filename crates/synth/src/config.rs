@@ -188,6 +188,7 @@ impl Default for Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::tests::peaks_late;
 
     #[test]
     fn all_22_systems_configured() {
@@ -220,20 +221,14 @@ mod tests {
         // D and the early G systems ramp…
         for id in [4u32, 19, 20] {
             assert!(
-                cal.system(SystemId::new(id))
-                    .unwrap()
-                    .lifecycle
-                    .peaks_late(),
+                peaks_late(&cal.system(SystemId::new(id)).unwrap().lifecycle),
                 "system {id} should ramp"
             );
         }
         // …E/F and the late-arriving system 21 drop early.
         for id in [5u32, 7, 13, 18, 21] {
             assert!(
-                !cal.system(SystemId::new(id))
-                    .unwrap()
-                    .lifecycle
-                    .peaks_late(),
+                !peaks_late(&cal.system(SystemId::new(id)).unwrap().lifecycle),
                 "system {id} should drop early"
             );
         }

@@ -6,7 +6,7 @@
 //! this with a multiplicative intensity profile whose weekly mean is
 //! normalized to 1 so it does not bias total failure counts.
 
-use hpcfail_records::time::{Timestamp, DAY, HOUR};
+use hpcfail_records::time::Timestamp;
 
 /// Multiplicative weekly intensity profile: 24 hourly weights × 7 daily
 /// weights, normalized so the mean over a full week is 1.
@@ -42,23 +42,6 @@ impl DiurnalProfile {
         p
     }
 
-    /// Build from raw weights.
-    ///
-    /// Weights must be positive and finite; they are normalized so the
-    /// weekly mean multiplier is 1. Returns `None` otherwise.
-    pub fn from_weights(hourly: [f64; 24], daily: [f64; 7]) -> Option<Self> {
-        if hourly
-            .iter()
-            .chain(daily.iter())
-            .any(|w| !w.is_finite() || *w <= 0.0)
-        {
-            return None;
-        }
-        let mut p = DiurnalProfile { hourly, daily };
-        p.normalize();
-        Some(p)
-    }
-
     fn normalize(&mut self) {
         let hm = self.hourly.iter().sum::<f64>() / 24.0;
         for w in &mut self.hourly {
@@ -85,14 +68,6 @@ impl DiurnalProfile {
         &self.daily
     }
 
-    /// Maximum intensity over the week — the thinning bound used by the
-    /// event sampler.
-    pub fn max_intensity(&self) -> f64 {
-        let hmax = self.hourly.iter().cloned().fold(0.0, f64::max);
-        let dmax = self.daily.iter().cloned().fold(0.0, f64::max);
-        hmax * dmax
-    }
-
     /// Hour-of-day peak-to-trough ratio (the paper reports ≈2).
     pub fn hourly_peak_to_trough(&self) -> f64 {
         let max = self.hourly.iter().cloned().fold(f64::MIN, f64::max);
@@ -114,29 +89,29 @@ impl Default for DiurnalProfile {
     }
 }
 
-/// Convenience: the mean intensity of a profile sampled every hour across
-/// one week (should be ≈1 after normalization).
-pub fn weekly_mean(profile: &DiurnalProfile) -> f64 {
-    let mut total = 0.0;
-    let mut n = 0.0;
-    for d in 0..7u64 {
-        for h in 0..24u64 {
-            total += profile.intensity(Timestamp::from_secs(d * DAY + h * HOUR));
-            n += 1.0;
-        }
-    }
-    total / n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcfail_records::time::{DAY, HOUR};
+
+    /// The mean intensity of a profile sampled every hour across one
+    /// week (≈1 after normalization).
+    fn weekly_mean(profile: &DiurnalProfile) -> f64 {
+        let mut total = 0.0;
+        let mut n = 0.0;
+        for d in 0..7u64 {
+            for h in 0..24u64 {
+                total += profile.intensity(Timestamp::from_secs(d * DAY + h * HOUR));
+                n += 1.0;
+            }
+        }
+        total / n
+    }
 
     #[test]
     fn flat_profile_is_unity() {
         let p = DiurnalProfile::flat();
         assert_eq!(p.intensity(Timestamp::from_secs(12345)), 1.0);
-        assert_eq!(p.max_intensity(), 1.0);
         assert!((weekly_mean(&p) - 1.0).abs() < 1e-12);
     }
 
@@ -170,28 +145,5 @@ mod tests {
         // Saturday afternoon below Tuesday afternoon.
         let saturday = Timestamp::from_secs(5 * DAY + 16 * HOUR);
         assert!(p.intensity(saturday) < p.intensity(peak));
-    }
-
-    #[test]
-    fn from_weights_validation() {
-        assert!(DiurnalProfile::from_weights([1.0; 24], [1.0; 7]).is_some());
-        let mut bad = [1.0; 24];
-        bad[3] = 0.0;
-        assert!(DiurnalProfile::from_weights(bad, [1.0; 7]).is_none());
-        let mut nan = [1.0; 24];
-        nan[0] = f64::NAN;
-        assert!(DiurnalProfile::from_weights(nan, [1.0; 7]).is_none());
-    }
-
-    #[test]
-    fn max_intensity_bounds_profile() {
-        let p = DiurnalProfile::lanl_default();
-        let bound = p.max_intensity();
-        for d in 0..7u64 {
-            for h in 0..24u64 {
-                let i = p.intensity(Timestamp::from_secs(d * DAY + h * HOUR));
-                assert!(i <= bound + 1e-12);
-            }
-        }
     }
 }

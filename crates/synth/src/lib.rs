@@ -18,6 +18,7 @@
 //! # Ok::<(), hpcfail_synth::SynthError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

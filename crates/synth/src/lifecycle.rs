@@ -88,17 +88,17 @@ impl LifecycleShape {
             }
         }
     }
-
-    /// Whether the curve's maximum occurs after deployment (the paper's
-    /// classifier distinguishing Fig. 4(b) from Fig. 4(a)).
-    pub fn peaks_late(&self) -> bool {
-        matches!(self, LifecycleShape::RampThenDrop { .. })
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Whether the curve's maximum occurs after deployment (the paper's
+    /// classifier distinguishing Fig. 4(b) from Fig. 4(a)).
+    pub(crate) fn peaks_late(shape: &LifecycleShape) -> bool {
+        matches!(shape, LifecycleShape::RampThenDrop { .. })
+    }
 
     #[test]
     fn flat_is_one_everywhere() {
@@ -106,7 +106,7 @@ mod tests {
         for m in [0.0, 5.0, 50.0, 500.0] {
             assert_eq!(s.intensity(m), 1.0);
         }
-        assert!(!s.peaks_late());
+        assert!(!peaks_late(&s));
     }
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
             last = v;
         }
         assert!((s.intensity(100.0) - 1.0).abs() < 0.01);
-        assert!(!s.peaks_late());
+        assert!(!peaks_late(&s));
     }
 
     #[test]
@@ -135,7 +135,7 @@ mod tests {
         // …falling after it.
         assert!(s.intensity(30.0) < s.intensity(20.0));
         assert!(s.intensity(60.0) < s.intensity(30.0));
-        assert!(s.peaks_late());
+        assert!(peaks_late(&s));
         // Month 20 is the argmax over a fine grid — the Fig 4(b) signature.
         let argmax = (0..600)
             .map(|i| i as f64 / 10.0)

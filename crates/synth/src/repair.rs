@@ -225,15 +225,6 @@ impl RepairModel {
             *x *= factor;
         }
     }
-
-    /// The model's analytic mean (minutes) for a cause before the
-    /// hardware-type scaling — should be close to the Table 2 mean.
-    pub fn analytic_mean_minutes(&self, cause: RootCause) -> f64 {
-        match &self.samplers[cause.index()] {
-            CauseSampler::Pure(d) => d.mean(),
-            CauseSampler::HeavyTail(d) => d.mean(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,11 +234,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The model's analytic mean (minutes) for a cause before the
+    /// hardware-type scaling — should be close to the Table 2 mean.
+    fn analytic_mean_minutes(model: &RepairModel, cause: RootCause) -> f64 {
+        match &model.samplers[cause.index()] {
+            CauseSampler::Pure(d) => d.mean(),
+            CauseSampler::HeavyTail(d) => d.mean(),
+        }
+    }
+
     #[test]
     fn analytic_means_match_table2() {
         let model = RepairModel::table2().unwrap();
         for (cause, _, mean) in TABLE2_TARGETS {
-            let m = model.analytic_mean_minutes(cause);
+            let m = analytic_mean_minutes(&model, cause);
             assert!(
                 (m - mean).abs() / mean < 0.10,
                 "{cause}: analytic mean {m} vs Table 2 {mean}"

@@ -48,11 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .count();
     println!(
         "imported {} records ({skipped} glitched rows skipped)",
-        import.trace.len()
+        import.accepted()
     );
 
     // Basic composition.
-    let index = import.trace.index();
+    let index = import.index;
     let by_cause = index.all().count_by_cause();
     println!("\nrecords by root cause:");
     for cause in RootCause::ALL {

@@ -30,13 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let bytes = std::fs::read(&path)?;
-    let trace = read_trace(&bytes, IngestPolicy::FailFast)?.trace;
-    println!("read {} records from {}\n", trace.len(), path.display());
+    let index = read_trace(&bytes, IngestPolicy::FailFast)?.index;
+    println!("read {} records from {}\n", index.len(), path.display());
 
     let catalog = Catalog::lanl();
 
     // Failures per year per system (Fig. 2(a)).
-    let rate_analysis = rates::analyze_indexed(&trace.index(), &catalog)?;
+    let rate_analysis = rates::analyze_indexed(&index, &catalog)?;
     let mut table = report::TextTable::new(&["system", "hw", "failures/yr", "per proc"]);
     for r in &rate_analysis.rates {
         if r.failures == 0 {
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", table.render());
 
     // Hour-of-day / day-of-week pattern (Fig. 5).
-    let pattern = periodic::analyze_indexed(&trace.index())?;
+    let pattern = periodic::analyze_indexed(&index)?;
     println!(
         "peak-to-trough by hour: {:.2} (paper ~2); weekday/weekend: {:.2} (paper ~2)",
         pattern.hourly_peak_to_trough(),
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Repair-time statistics by root cause (Table 2).
-    let table2 = repair::by_cause_indexed(&trace.index())?;
+    let table2 = repair::by_cause_indexed(&index)?;
     let mut t2 = report::TextTable::new(&["cause", "mean (min)", "median (min)", "C^2"]);
     for row in &table2.rows {
         let cause = row.cause.map(|c| c.to_string()).unwrap_or_default();

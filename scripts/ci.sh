@@ -59,6 +59,38 @@ else
     echo "OK: dependency check skipped (python3 unavailable)"
 fi
 
+# A public function nothing calls is surface to read, test and keep
+# compiling. Every `pub fn` in crates/*/src must be named outside its own
+# definition: by library code ahead of the file's #[cfg(test)] module
+# (the last item of a file, as clippy's items_after_test_module wants),
+# or by tests/, examples/ or perfbench/. As above, a name in a comment
+# still passes. Names kept for a planned caller carry their ROADMAP item.
+echo "==> every pub fn is named outside #[cfg(test)] code"
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF'
+import glob, re, sys
+RESERVED = {
+    "without_diurnal": "ROADMAP item 3",
+    "uniform_gap_shape": "ROADMAP item 3",
+    "homogeneous_nodes": "ROADMAP item 3",
+    "ks_p_value": "ROADMAP item 4",
+    "akaike_weights": "ROADMAP item 4",
+}
+lib = [open(f).read() for f in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True))]
+text = "".join(src.split("#[cfg(test)]")[0] for src in lib)
+text += "".join(open(f).read() for d in ("tests", "examples", "perfbench")
+                for f in sorted(glob.glob(f"{d}/**/*.rs", recursive=True)))
+unreached = [name for name in sorted(set(re.findall(r"\bpub fn (\w+)", "".join(lib))))
+             if name not in RESERVED
+             and len(re.findall(rf"\b{name}\b", text)) <= len(re.findall(rf"\bfn {name}\b", text))]
+if unreached:
+    sys.exit("FAIL: pub fns nothing outside #[cfg(test)] names:\n  " + "\n  ".join(unreached))
+print(f"OK: every pub fn is named outside its definition ({len(RESERVED)} reserved)")
+EOF
+else
+    echo "OK: reachability check skipped (python3 unavailable)"
+fi
+
 echo "==> cargo test --workspace (release)"
 cargo test --workspace --release -q
 

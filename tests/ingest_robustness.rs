@@ -66,7 +66,7 @@ fn to_lanl_csv(trace: &FailureTrace) -> String {
 
 /// The strict read: [`IngestPolicy::FailFast`].
 fn strict(bytes: &[u8]) -> Result<FailureTrace, RecordError> {
-    read_trace(bytes, IngestPolicy::FailFast).map(|ingest| ingest.trace)
+    read_trace(bytes, IngestPolicy::FailFast).map(|ingest| ingest.index.all().to_trace())
 }
 
 proptest! {
@@ -119,10 +119,11 @@ proptest! {
             }
             // The accepted records must be clean enough for the quality
             // layer to process without panicking.
-            let report = audit(&ingest.trace, &catalog);
-            prop_assert_eq!(report.total_records, ingest.trace.len());
-            let outcome = repair(&ingest.trace, &catalog);
-            prop_assert!(outcome.trace.len() <= ingest.trace.len());
+            let accepted = ingest.index.all().to_trace();
+            let report = audit(&accepted, &catalog);
+            prop_assert_eq!(report.total_records, accepted.len());
+            let outcome = repair(&accepted, &catalog);
+            prop_assert!(outcome.trace.len() <= accepted.len());
         }
     }
 
@@ -172,7 +173,7 @@ proptest! {
             IngestPolicy::Repair,
         ] {
             let ingest = read_trace(&csv, policy).expect("clean csv");
-            prop_assert_eq!(ingest.trace.records(), strict.records());
+            prop_assert_eq!(&ingest.index.all().to_trace(), &strict);
             prop_assert!(ingest.quarantine.is_empty());
             prop_assert!(ingest.repaired.is_empty());
             prop_assert!(ingest.is_conserved());
@@ -206,7 +207,7 @@ fn corruption_rate_sweep_on_synthetic_trace() {
                     );
                     assert!(ingest.quarantine.is_empty(), "{plan}");
                 }
-                let outcome = repair(&ingest.trace, &catalog);
+                let outcome = repair(&ingest.index.all().to_trace(), &catalog);
                 let again = repair(&outcome.trace, &catalog);
                 assert!(!again.changed(), "repair not idempotent under {plan}");
             }
@@ -224,14 +225,15 @@ fn zero_rate_corruption_round_trips() {
     let plan = CorruptionPlan::new(3, 0.0);
     let dirty = plan.corrupt_trace(&trace);
     let ingest = read_trace(dirty.as_bytes(), IngestPolicy::Quarantine).expect("clean read");
-    assert_eq!(ingest.trace.records(), trace.records());
-    assert_eq!(to_csv(&ingest.trace), to_csv(&trace));
+    let accepted = ingest.index.all().to_trace();
+    assert_eq!(accepted.records(), trace.records());
+    assert_eq!(to_csv(&accepted), to_csv(&trace));
     // The LANL rendering the corruption proptest sweeps reads back
     // exactly too, so its faults start from a fully accepted file.
     let dirty = plan.corrupt_csv(&to_lanl_csv(&trace));
     let ingest = read_trace(dirty.as_bytes(), IngestPolicy::FailFast).expect("clean read");
     assert!(ingest.quarantine.is_empty());
-    assert_eq!(ingest.trace.records(), trace.records());
+    assert_eq!(ingest.index.all().to_trace().records(), trace.records());
 }
 
 // ---------------------------------------------------------------------
@@ -335,7 +337,7 @@ fn clean_packed_store_loads_after_the_sweep() {
         hpcfail::synth::scenario::system_trace(SystemId::new(12), 5).expect("synthetic trace");
     let clean = TraceStore::to_bytes(&trace.index());
     let loaded = TraceStore::from_bytes(&clean).expect("clean store loads");
-    assert_eq!(loaded.trace(), &trace);
+    assert_eq!(loaded, trace.index());
 }
 
 // ---------------------------------------------------------------------

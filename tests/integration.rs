@@ -41,7 +41,9 @@ fn csv_round_trip_preserves_full_site_trace() {
     write_csv(&trace, &mut buf).expect("write succeeds");
     let parsed = read_trace(&buf, IngestPolicy::FailFast)
         .expect("parse succeeds")
-        .trace;
+        .index
+        .all()
+        .to_trace();
     assert_eq!(parsed, trace);
 }
 

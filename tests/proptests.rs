@@ -528,7 +528,7 @@ fn naive_failures_per_node(
 fn assert_view_matches_naive(view: &TraceView<'_>, records: &[FailureRecord]) {
     assert_eq!(view.len(), records.len());
     assert_eq!(view.is_empty(), records.is_empty());
-    let viewed: Vec<FailureRecord> = view.iter().copied().collect();
+    let viewed: Vec<FailureRecord> = view.iter().collect();
     assert_eq!(viewed, records, "record sequence");
     assert_eq!(view.to_trace().records(), records);
     assert_eq!(view.first_start(), records.first().map(|r| r.start()));
@@ -719,7 +719,7 @@ proptest! {
         prop_assert_eq!(merged.records(), rebuilt.records());
         let reopened = TraceStore::from_bytes(&TraceStore::to_bytes(&merged.index()))
             .expect("a merged trace must reopen through the packed store");
-        prop_assert_eq!(reopened.trace(), &merged);
+        prop_assert_eq!(&reopened.all().to_trace(), &merged);
     }
 
     /// `filter_window`'s partition_point slicing equals the predicate
@@ -924,10 +924,8 @@ proptest! {
         let built = trace.index();
         let bytes = TraceStore::to_bytes(&built);
         let loaded = TraceStore::from_bytes(&bytes).expect("clean pack must load");
-        prop_assert_eq!(loaded.trace(), &trace);
-        let (owned, parts) = loaded.into_parts();
-        let reopened = TraceIndex::from_parts(&owned, parts);
-        prop_assert_eq!(&reopened, &built);
+        prop_assert_eq!(&loaded.all().to_trace(), &trace);
+        prop_assert_eq!(&loaded, &built);
     }
 
     /// The full pipeline the CLI wires together — CSV text → strict read
@@ -943,14 +941,11 @@ proptest! {
         write_csv(&trace, &mut csv).expect("in-memory write");
         let reread = read_trace(&csv, IngestPolicy::FailFast)
             .expect("strict read of own output")
-            .trace;
-        let built = reread.index();
-        let bytes = TraceStore::to_bytes(&built);
-        prop_assert_eq!(&bytes, &TraceStore::to_bytes(&built));
+            .index;
+        let bytes = TraceStore::to_bytes(&reread);
+        prop_assert_eq!(&bytes, &TraceStore::to_bytes(&reread));
         let loaded = TraceStore::from_bytes(&bytes).expect("clean pack must load");
-        let (owned, parts) = loaded.into_parts();
-        let reopened = TraceIndex::from_parts(&owned, parts);
-        prop_assert_eq!(&reopened, &trace.index());
-        prop_assert_eq!(&owned, &reread);
+        prop_assert_eq!(&loaded, &trace.index());
+        prop_assert_eq!(&loaded, &reread);
     }
 }

@@ -48,14 +48,17 @@ fn bundled_spec_text() -> &'static str {
 /// generation, era filtering (the late era degrades on sys12's short
 /// window), and both RNG-consuming applications.
 fn compact_spec(seed: u64) -> CampaignSpec {
-    CampaignSpec::parse(&format!(
+    CampaignSpec::parse(&compact_spec_text(seed)).expect("compact spec")
+}
+
+fn compact_spec_text(seed: u64) -> String {
+    format!(
         "[campaign]\nname = \"robustness\"\nseed = {seed}\n\
          [fleet]\nsystems = [12]\n\
          [grid]\nera = [\"full\", \"late\"]\nrate_scale = [1.0, 2.0]\n\
          checkpoint = [\"none\", \"young\"]\nsched = [\"none\", \"random\"]\n\
          [runner]\ncheckpoint_every = 5\n"
-    ))
-    .expect("compact spec")
+    )
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -164,32 +167,70 @@ proptest! {
     }
 }
 
-/// The completed journal of the compact campaign, plus its true
-/// outcomes — the fixture for the corruption sweeps.
-fn journal_fixture() -> &'static (Vec<u8>, Vec<CellOutcome>, JournalHeader) {
-    static FIXTURE: OnceLock<(Vec<u8>, Vec<CellOutcome>, JournalHeader)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let spec = compact_spec(99);
-        let path = tmp("fixture.journal");
-        std::fs::remove_file(&path).ok();
-        let result = run_campaign(
-            &spec,
-            &RunOptions {
-                workers: Some(2),
-                journal: Some(&path),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let header = JournalHeader {
+/// The compact campaign with two cells poisoned by `[chaos]`, in
+/// different waves.
+fn panicking_spec(seed: u64) -> CampaignSpec {
+    CampaignSpec::parse(&format!(
+        "{}[chaos]\npanic_cells = [3, 11]\n",
+        compact_spec_text(seed)
+    ))
+    .expect("panicking spec")
+}
+
+/// A completed campaign journal with what the uninterrupted run
+/// returned — the fixture for the corruption sweeps.
+struct JournalFixture {
+    bytes: Vec<u8>,
+    header: JournalHeader,
+    outcomes: Vec<CellOutcome>,
+    rendered: String,
+}
+
+fn completed_journal(spec: &CampaignSpec, name: &str) -> JournalFixture {
+    let path = tmp(name);
+    std::fs::remove_file(&path).ok();
+    let result = run_campaign(
+        spec,
+        &RunOptions {
+            workers: Some(2),
+            journal: Some(&path),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    JournalFixture {
+        bytes,
+        header: JournalHeader {
             spec_digest: spec.digest,
             seed: spec.seed,
             n_cells: result.total_cells,
-        };
-        (bytes, result.outcomes, header)
-    })
+        },
+        rendered: render_results(spec, &result),
+        outcomes: result.outcomes,
+    }
+}
+
+fn journal_fixture() -> &'static JournalFixture {
+    static FIXTURE: OnceLock<JournalFixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| completed_journal(&compact_spec(99), "fixture.journal"))
+}
+
+fn panicking_fixture() -> &'static JournalFixture {
+    static FIXTURE: OnceLock<JournalFixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| completed_journal(&panicking_spec(99), "panicking.journal"))
+}
+
+/// The corruption sweep's damage: keep a prefix of `bytes`, then flip
+/// the bits of `flip_mask` in one of its bytes.
+fn mangle(bytes: &[u8], cut: usize, flip_at: usize, flip_mask: u8) -> Vec<u8> {
+    let mut mangled = bytes[..cut % (bytes.len() + 1)].to_vec();
+    if !mangled.is_empty() && flip_mask != 0 {
+        let i = flip_at % mangled.len();
+        mangled[i] ^= flip_mask;
+    }
+    mangled
 }
 
 proptest! {
@@ -205,25 +246,62 @@ proptest! {
         flip_at in 0usize..usize::MAX,
         flip_mask in 0u8..=255,
     ) {
-        let (bytes, truth, header) = journal_fixture();
-        let mut mangled = bytes[..cut % (bytes.len() + 1)].to_vec();
-        if !mangled.is_empty() && flip_mask != 0 {
-            let i = flip_at % mangled.len();
-            mangled[i] ^= flip_mask;
-        }
+        let fixture = journal_fixture();
         let path = tmp(&format!("mangled_{case}.journal"));
-        std::fs::write(&path, &mangled).unwrap();
-        let opened = Journal::open_resume(&path, *header);
+        std::fs::write(&path, mangle(&fixture.bytes, cut, flip_at, flip_mask)).unwrap();
+        let opened = Journal::open_resume(&path, fixture.header);
         std::fs::remove_file(&path).ok();
         match opened {
             Ok((_, loaded)) => {
-                prop_assert!(loaded.len() <= truth.len());
+                prop_assert!(loaded.len() <= fixture.outcomes.len());
                 for (i, o) in loaded.iter().enumerate() {
                     prop_assert!(o.cell() == i as u64, "not an ordered prefix at {}", i);
-                    prop_assert!(o == &truth[i], "loaded outcome {} differs", i);
+                    prop_assert!(o == &fixture.outcomes[i], "loaded outcome {} differs", i);
                 }
             }
             Err(JournalError::Mismatch { .. }) | Err(JournalError::Io { .. }) => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Journal damage while cells panic: resuming a poisoned campaign
+    /// from a mangled journal ends in a typed error or in the
+    /// uninterrupted run's outcomes and rendered bytes — never in an
+    /// escaped panic or a different answer.
+    #[test]
+    fn damaged_journal_resume_with_panicking_cells_is_typed_or_identical(
+        case in 0u64..u64::MAX,
+        cut in 0usize..usize::MAX,
+        flip_at in 0usize..usize::MAX,
+        flip_mask in 0u8..=255,
+    ) {
+        let spec = panicking_spec(99);
+        let fixture = panicking_fixture();
+        let path = tmp(&format!("panicking_{case}.journal"));
+        std::fs::write(&path, mangle(&fixture.bytes, cut, flip_at, flip_mask)).unwrap();
+        let resumed = std::panic::catch_unwind(|| {
+            run_campaign(
+                &spec,
+                &RunOptions {
+                    workers: Some(2),
+                    journal: Some(&path),
+                    resume: true,
+                    ..Default::default()
+                },
+            )
+        });
+        std::fs::remove_file(&path).ok();
+        match resumed {
+            Err(_) => prop_assert!(false, "a panic escaped the resume"),
+            Ok(Err(e)) => prop_assert!(!e.to_string().is_empty(), "error must render"),
+            Ok(Ok(result)) => {
+                prop_assert!(!result.interrupted);
+                prop_assert_eq!(&result.outcomes, &fixture.outcomes);
+                prop_assert_eq!(&render_results(&spec, &result), &fixture.rendered);
+            }
         }
     }
 }

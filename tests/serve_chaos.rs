@@ -211,10 +211,10 @@ fn damaged_packed_reload_during_socket_chaos_keeps_the_old_generation() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("lanl.hpct");
     let fixture = std::fs::read(fixture_path()).expect("fixture");
-    let trace = read_trace(&fixture, IngestPolicy::FailFast)
+    let index = read_trace(&fixture, IngestPolicy::FailFast)
         .expect("fixture parses")
-        .trace;
-    TraceStore::write(&trace.index(), &path).expect("pack fixture");
+        .index;
+    TraceStore::write(&index, &path).expect("pack fixture");
     let pristine = std::fs::read(&path).expect("packed bytes");
 
     let state = AppState::new();

@@ -41,7 +41,9 @@ fn fixture_trace() -> &'static FailureTrace {
         let bytes = std::fs::read(fixture_path()).expect("fixture exists");
         read_trace(&bytes, IngestPolicy::FailFast)
             .expect("fixture parses")
-            .trace
+            .index
+            .all()
+            .to_trace()
     })
 }
 
@@ -486,7 +488,7 @@ fn damaged_csv_repaired_and_packed_serves_like_its_csv() {
         let dirty = plan.corrupt_trace(&trace);
         let ingest = read_trace(dirty.as_bytes(), IngestPolicy::Repair)
             .unwrap_or_else(|e| panic!("repair ingest failed under {plan}: {e}"));
-        let repaired = repair_trace(&ingest.trace, &catalog).trace;
+        let repaired = repair_trace(&ingest.index.all().to_trace(), &catalog).trace;
         TraceStore::write(&repaired.index(), &hpct).expect("pack");
         write_csv(&repaired, std::fs::File::create(&csv).expect("csv")).expect("write csv");
 
