@@ -492,6 +492,13 @@ impl<'a> TraceView<'a> {
         }
     }
 
+    /// Downtimes in seconds, in time order.
+    pub fn downtimes_secs(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_row(|r| out.push(self.index.downtime[r]));
+        out
+    }
+
     /// Downtimes in minutes (the paper's repair-time unit), in time order.
     pub fn downtimes_minutes(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len());
@@ -878,6 +885,7 @@ mod tests {
         assert_eq!(view.first_start(), expected.first_start());
         assert_eq!(view.last_start(), expected.last_start());
         assert_eq!(view.total_downtime_secs(), expected.total_downtime_secs());
+        assert_eq!(view.downtimes_secs(), expected.downtimes_secs());
         assert_eq!(view.downtimes_minutes(), expected.downtimes_minutes());
         assert_eq!(view.count_by_cause(), expected.count_by_cause());
         assert_eq!(view.downtime_by_cause(), expected.downtime_by_cause());

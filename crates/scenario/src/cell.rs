@@ -1,17 +1,29 @@
 //! Evaluation of one campaign cell.
 //!
-//! A **system** cell synthesizes the perturbed trace for its LANL system
-//! (seeded from the cell's own stream), windows it to the cell's era,
-//! and measures the paper's headline statistics plus the configured
-//! application models. A **projection** cell (hypothetical scaled
-//! fleet) is evaluated analytically from the base system's calibration —
-//! the paper's Section 7 petascale extrapolation at spec-chosen scale.
+//! A **system** cell reads the synthesized trace of its *generation
+//! key* — the inputs synthesis reads: fleet entry, rate scale, cause mix
+//! and burst mode — windows it to the cell's era, scales the window's
+//! repair times, and measures the paper's headline statistics plus the
+//! configured application models. Every cell of a key sees the same
+//! trace, so cells that differ in era, repair scale or an application
+//! axis are paired comparisons. A **projection** cell (hypothetical
+//! scaled fleet) is evaluated analytically from the base system's
+//! calibration — the paper's Section 7 petascale extrapolation at
+//! spec-chosen scale.
+//!
+//! Seeds are named by values, not grid positions: a key's trace seed is
+//! the campaign-seed stream named by the key's values, and each
+//! application's seed is the trace-seed stream named by the era, the
+//! repair scale and that application's own axis. Growing the grid moves
+//! no existing key's trace, and an axis an application does not read
+//! cannot move its result.
 //!
 //! Every failure mode is a typed [`CellError`]; evaluation itself never
 //! panics. The campaign runner turns both errors and (caught) panics
 //! into degraded rows.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use hpcfail_checkpoint::daly::{expected_waste_fraction, young_interval};
 use hpcfail_checkpoint::sim::JobConfig;
@@ -19,7 +31,7 @@ use hpcfail_checkpoint::strategies::{HazardAware, Periodic, Strategy};
 use hpcfail_core::tbf::{self, View};
 use hpcfail_exec::SeedSequence;
 use hpcfail_records::time::{DAY, HOUR, MINUTE, MONTH, YEAR};
-use hpcfail_records::{Catalog, FailureRecord, FailureTrace, RootCause, SystemId, Timestamp};
+use hpcfail_records::{checksum, Catalog, RootCause, SystemId, Timestamp, TraceIndex};
 use hpcfail_sched::policy;
 use hpcfail_sched::sim::{Job, NodeTruth, SimConfig};
 use hpcfail_stats::descriptive;
@@ -160,22 +172,92 @@ impl fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
-/// The seed stream of one cell: results are a pure function of
-/// `(spec digest axes, campaign seed, cell index)` — never of worker
-/// count or scheduling.
+/// The seed stream of one grid position. Campaigns do not seed from it
+/// (a cell's trace and applications are seeded from their inputs'
+/// values); it is kept for `perfbench`, which replays cell-seeded
+/// synthesis for its per-layer timings.
 pub fn cell_seed(campaign_seed: u64, cell_index: u64) -> u64 {
     SeedSequence::new(campaign_seed).stream(cell_index)
 }
 
-/// Evaluate one cell.
+/// What trace synthesis reads from a cell: the fleet entry, the rate
+/// scale, the cause mix and the burst mode. Every cell with the same
+/// key evaluates the same trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct GenerationKey {
+    fleet: usize,
+    rate_bits: u64,
+    cause_mix: CauseMixName,
+    burst: BurstMode,
+}
+
+impl GenerationKey {
+    pub(crate) fn of(cell: &Cell) -> GenerationKey {
+        GenerationKey {
+            fleet: cell.fleet,
+            rate_bits: cell.rate_scale.to_bits(),
+            cause_mix: cell.cause_mix,
+            burst: cell.burst,
+        }
+    }
+}
+
+/// A key's slot: its indexed trace once the first cell that needs it
+/// has built it, or the error synthesis failed with.
+pub(crate) type TraceSlot = OnceLock<Result<TraceIndex, CellError>>;
+
+/// The seed of a cell's generation-key trace: the stream of the campaign
+/// seed named by a hash of the key's values.
+fn trace_seed(spec: &CampaignSpec, cell: &Cell) -> u64 {
+    let name = format!(
+        "{}|{:016x}|{}|{}",
+        cell.fleet_entry(spec).label(),
+        cell.rate_scale.to_bits(),
+        cell.cause_mix,
+        cell.burst
+    );
+    SeedSequence::new(spec.seed).stream(checksum(name.as_bytes()))
+}
+
+/// The seed of one application run: the stream of the trace seed named
+/// by the application, the era, the repair scale and the application's
+/// own axis value — the inputs its result may depend on, and no others.
+fn app_seed(trace_seed: u64, app: &str, cell: &Cell, choice: &str) -> u64 {
+    let name = format!(
+        "{app}|{}|{:016x}|{choice}",
+        cell.era,
+        cell.repair_scale.to_bits()
+    );
+    SeedSequence::new(trace_seed).stream(checksum(name.as_bytes()))
+}
+
+/// Evaluate one cell on its own: a system cell synthesizes its key's
+/// trace, exactly as the campaign runner builds it once for every cell
+/// of the key, so both agree bit for bit.
 ///
 /// # Errors
 ///
 /// A typed [`CellError`] for every failure mode; never panics (the
 /// runner's `catch_unwind` is a second, outer line of defense).
 pub fn evaluate(spec: &CampaignSpec, cell: &Cell) -> Result<CellMetrics, CellError> {
+    evaluate_shared(spec, cell, &TraceSlot::new())
+}
+
+/// [`evaluate`], with a system cell's trace taken from `slot` — built
+/// into it by whichever cell of the key gets there first.
+pub(crate) fn evaluate_shared(
+    spec: &CampaignSpec,
+    cell: &Cell,
+    slot: &TraceSlot,
+) -> Result<CellMetrics, CellError> {
     match cell.fleet_entry(spec) {
-        FleetEntry::System(id) => evaluate_system(spec, cell, *id),
+        FleetEntry::System(id) => {
+            let index = slot
+                .get_or_init(|| synthesize(spec, cell, *id))
+                .as_ref()
+                .map_err(Clone::clone)?;
+            evaluate_system(spec, cell, *id, index)
+        }
         FleetEntry::Projection(_) => evaluate_projection(spec, cell),
     }
 }
@@ -221,12 +303,10 @@ fn era_window(
     Ok((from, to))
 }
 
-fn evaluate_system(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<CellMetrics, CellError> {
-    let seeds = SeedSequence::new(cell_seed(spec.seed, cell.index));
-
-    // Perturbed synthesis, seeded from the cell's own stream.
+/// Synthesize and index the trace of `cell`'s generation key.
+fn synthesize(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<TraceIndex, CellError> {
     let mut builder = ScenarioBuilder::lanl()
-        .seed(seeds.stream(0))
+        .seed(trace_seed(spec, cell))
         .scale_rates(cell.rate_scale);
     if let Some(mix) = preset_mix(cell.cause_mix) {
         builder = builder.with_cause_mix(mix);
@@ -239,45 +319,48 @@ fn evaluate_system(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<Cel
     let trace = builder
         .build_system(id)
         .map_err(|e| CellError::Generation(e.to_string()))?;
+    Ok(trace.index())
+}
 
-    // Repair-time inflation: scale every record's downtime.
-    let trace = if (cell.repair_scale - 1.0).abs() > f64::EPSILON {
-        inflate_repairs(&trace, cell.repair_scale)?
-    } else {
-        trace
-    };
-
-    // Era stratification.
+fn evaluate_system(
+    spec: &CampaignSpec,
+    cell: &Cell,
+    id: SystemId,
+    index: &TraceIndex,
+) -> Result<CellMetrics, CellError> {
+    // Era stratification: a zero-copy window on the key's trace.
     let catalog = Catalog::lanl();
     let sys = catalog
         .system(id)
         .map_err(|e| CellError::Generation(e.to_string()))?;
     let (from, to) = era_window(cell.era, sys.production_start(), sys.production_end())?;
-    let windowed = trace.filter_window(from, to);
-    if windowed.is_empty() {
+    let view = index.all().window(from, to);
+    if view.is_empty() {
         return Err(CellError::EmptyStratum(format!(
             "no failures in the {} era window",
             cell.era
         )));
     }
 
+    // Repair-time inflation: scale every downtime in the window.
+    let mut downtimes = view.downtimes_secs();
+    for d in &mut downtimes {
+        *d = (*d as f64 * cell.repair_scale).round() as u64;
+    }
+
     // Headline statistics.
     let nodes = sys.nodes() as f64;
     let window_secs = from.seconds_until(to).max(0) as f64;
     let window_years = window_secs / YEAR as f64;
-    let failures = windowed.len() as u64;
+    let failures = view.len() as u64;
     let node_year_rate = failures as f64 / (nodes * window_years);
-    let downtime_secs: u64 = windowed.records().iter().map(|r| r.downtime_secs()).sum();
+    let downtime_secs: u64 = downtimes.iter().sum();
     let availability = (1.0 - downtime_secs as f64 / (nodes * window_secs)).clamp(0.0, 1.0);
-    let repair_minutes: Vec<f64> = windowed
-        .records()
-        .iter()
-        .map(|r| r.downtime_minutes())
-        .collect();
+    let repair_minutes: Vec<f64> = downtimes.iter().map(|&d| d as f64 / 60.0).collect();
     let repair_median_min = descriptive::median(&repair_minutes);
     let mean_repair_secs = (downtime_secs as f64 / failures as f64).max(1.0);
 
-    let analysis = tbf::analyze(&windowed, View::SystemWide(id), None)
+    let analysis = tbf::analyze_indexed(index, View::SystemWide(id), Some((from, to)))
         .map_err(|e| CellError::DegenerateFit(e.to_string()))?;
     let tbf_shape = analysis.weibull_shape.ok_or_else(|| {
         CellError::DegenerateFit("system-wide Weibull fit did not converge".into())
@@ -289,13 +372,14 @@ fn evaluate_system(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<Cel
         )));
     }
 
+    let seed = trace_seed(spec, cell);
     let checkpoint_waste = run_checkpoint_app(
         spec,
         cell.checkpoint,
         tbf_shape,
         mtbf_secs,
         mean_repair_secs,
-        seeds.stream(1),
+        app_seed(seed, "checkpoint", cell, cell.checkpoint.label()),
     )?;
     let sched_efficiency = run_sched_app(
         spec,
@@ -303,7 +387,7 @@ fn evaluate_system(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<Cel
         tbf_shape,
         node_year_rate,
         mean_repair_secs,
-        seeds.stream(2),
+        app_seed(seed, "sched", cell, cell.sched.label()),
     )?;
 
     Ok(CellMetrics {
@@ -315,19 +399,6 @@ fn evaluate_system(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<Cel
         checkpoint_waste,
         sched_efficiency,
     })
-}
-
-/// Rebuild a trace with every record's downtime multiplied by `scale`.
-fn inflate_repairs(trace: &FailureTrace, scale: f64) -> Result<FailureTrace, CellError> {
-    let mut records = Vec::with_capacity(trace.len());
-    for r in trace.records() {
-        let downtime = (r.downtime_secs() as f64 * scale).round() as u64;
-        let end = r.start().saturating_add_secs(downtime);
-        let rebuilt = FailureRecord::new(r.system(), r.node(), r.start(), end, r.workload(), r.detail())
-            .map_err(|e| CellError::Generation(format!("repair inflation: {e}")))?;
-        records.push(rebuilt);
-    }
-    Ok(FailureTrace::from_records(records))
 }
 
 fn run_checkpoint_app(
@@ -567,8 +638,15 @@ mod tests {
         let hot = evaluate(&s, sys[2]).unwrap(); // rate 2, repair 1
         let ratio = hot.failures as f64 / base.failures as f64;
         assert!((1.5..2.6).contains(&ratio), "rate-doubling ratio {ratio}");
+        // Repair inflation is paired: the same trace, every downtime
+        // scaled, so only rounding separates the median ratio from 3.
+        assert_eq!(slow_repair.failures, base.failures);
+        assert_eq!(slow_repair.tbf_shape.to_bits(), base.tbf_shape.to_bits());
         let med_ratio = slow_repair.repair_median_min / base.repair_median_min;
-        assert!((2.5..3.5).contains(&med_ratio), "repair ratio {med_ratio}");
+        assert!(
+            (2.99..3.01).contains(&med_ratio),
+            "repair ratio {med_ratio}"
+        );
         assert!(slow_repair.availability < base.availability);
     }
 

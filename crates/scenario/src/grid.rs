@@ -2,9 +2,10 @@
 //!
 //! Cells are the row-major cross product of the axes, fleet outermost
 //! and scheduling policy innermost. The ordering is part of the format
-//! contract: cell indices name rows in resume journals and seed the
-//! per-cell RNG streams, so it must never depend on hash order, worker
-//! count, or insertion accidents — only on the spec.
+//! contract: cell indices name rows in resume journals, so it must
+//! never depend on hash order, worker count, or insertion accidents —
+//! only on the spec. (Seeds do not depend on it: they are named by axis
+//! values, see the `cell` module.)
 
 use crate::spec::{
     BurstMode, CampaignSpec, CauseMixName, CheckpointApp, Era, FleetEntry, SchedApp,
@@ -14,7 +15,7 @@ use crate::spec::{
 /// combination of perturbations and applications.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// Position in the campaign's row-major grid (also the seed stream).
+    /// Position in the campaign's row-major grid (the journal row).
     pub index: u64,
     /// Index into [`CampaignSpec::fleet`].
     pub fleet: usize,

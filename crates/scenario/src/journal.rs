@@ -14,8 +14,9 @@
 //!
 //! Invariants that make resume safe:
 //!
-//! * **Binding** — the header carries the spec digest, campaign seed and
-//!   cell count; a journal from any other spec is refused with a typed
+//! * **Binding** — the header carries the format version, spec digest,
+//!   campaign seed and cell count; a journal from any other spec, or
+//!   written under another version's seeding, is refused with a typed
 //!   error, so `--resume` can never continue the wrong campaign.
 //! * **Ordered prefix** — the runner appends frames in cell order
 //!   (batched waves, worker-count independent), so frame *i* must carry
@@ -40,8 +41,10 @@ use crate::runner::CellOutcome;
 /// Journal magic bytes.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"HPCJ";
 
-/// Journal format version.
-pub const JOURNAL_VERSION: u16 = 1;
+/// Journal format version. Version 2 marks the value-named seeds
+/// (`cell` module docs): a version-1 journal holds rows seeded from
+/// their grid positions, which the current engine would not reproduce.
+pub const JOURNAL_VERSION: u16 = 2;
 
 const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8 + 8 + 8;
 /// Cap on one frame's payload — far above any real row, low enough to
@@ -53,7 +56,8 @@ const KIND_DEGRADED: u8 = 0x02;
 
 /// Journal errors. Corruption inside the frame stream is *not* an
 /// error — it truncates the resumable prefix — but a journal that
-/// provably belongs to a different campaign is.
+/// provably belongs to a different campaign, or to another journal
+/// version, is.
 #[derive(Debug)]
 pub enum JournalError {
     /// Filesystem failure.
@@ -63,10 +67,11 @@ pub enum JournalError {
         /// The underlying error.
         message: String,
     },
-    /// The journal belongs to a different spec/seed/grid — resuming it
-    /// would compute wrong cells.
+    /// The journal belongs to a different spec/seed/grid, or was
+    /// written by another journal version — resuming it would splice
+    /// in cells this campaign would not compute.
     Mismatch {
-        /// What differed (digest, seed, or cell count).
+        /// What differed (journal version, digest, seed, or cell count).
         what: &'static str,
         /// Value in the journal.
         found: u64,
@@ -87,7 +92,7 @@ impl std::fmt::Display for JournalError {
                 expected,
             } => write!(
                 f,
-                "journal belongs to a different campaign ({what}: journal has {found:#x}, spec wants {expected:#x}); delete it or run without --resume"
+                "journal does not belong to this campaign ({what}: journal has {found:#x}, the campaign wants {expected:#x}); delete it or run without --resume"
             ),
         }
     }
@@ -126,27 +131,28 @@ impl JournalHeader {
         buf
     }
 
-    /// Decode and verify a header block. `None` means "not a valid
-    /// journal header" (torn write or foreign file) — callers start
-    /// fresh. A *valid* header for a different campaign is reported via
+    /// Decode and verify a header block: its version and the campaign
+    /// it binds. `None` means "not a valid journal header" (torn write
+    /// or foreign file) — callers start fresh. A *valid* header of
+    /// another version or for a different campaign is reported via
     /// [`JournalError::Mismatch`] by [`Journal::open_resume`].
-    fn decode(buf: &[u8]) -> Option<JournalHeader> {
+    fn decode(buf: &[u8]) -> Option<(u16, JournalHeader)> {
         if buf.len() < HEADER_LEN || buf[0..4] != JOURNAL_MAGIC {
-            return None;
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != JOURNAL_VERSION {
             return None;
         }
         let sum = u64::from_le_bytes(buf[32..40].try_into().ok()?);
         if checksum(&buf[..32]) != sum {
             return None;
         }
-        Some(JournalHeader {
-            spec_digest: u64::from_le_bytes(buf[8..16].try_into().ok()?),
-            seed: u64::from_le_bytes(buf[16..24].try_into().ok()?),
-            n_cells: u64::from_le_bytes(buf[24..32].try_into().ok()?),
-        })
+        let version = u16::from_le_bytes([buf[4], buf[5]]);
+        Some((
+            version,
+            JournalHeader {
+                spec_digest: u64::from_le_bytes(buf[8..16].try_into().ok()?),
+                seed: u64::from_le_bytes(buf[16..24].try_into().ok()?),
+                n_cells: u64::from_le_bytes(buf[24..32].try_into().ok()?),
+            },
+        ))
     }
 }
 
@@ -258,9 +264,9 @@ impl Journal {
     ///
     /// A missing file, or a file whose header doesn't decode (torn or
     /// foreign), yields a fresh journal with zero outcomes. A file whose
-    /// header decodes but names a *different* campaign is a
-    /// [`JournalError::Mismatch`] — never silently resumed, never
-    /// silently clobbered.
+    /// header decodes but carries another journal version or names a
+    /// *different* campaign is a [`JournalError::Mismatch`] — never
+    /// silently resumed, never silently clobbered.
     ///
     /// # Errors
     ///
@@ -274,11 +280,18 @@ impl Journal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_err(path, e)),
         };
-        let Some(found) = JournalHeader::decode(&bytes) else {
+        let Some((version, found)) = JournalHeader::decode(&bytes) else {
             // Unreadable header: nothing trustworthy to resume.
             let journal = Journal::create(path, header)?;
             return Ok((journal, Vec::new()));
         };
+        if version != JOURNAL_VERSION {
+            return Err(JournalError::Mismatch {
+                what: "journal version",
+                found: u64::from(version),
+                expected: u64::from(JOURNAL_VERSION),
+            });
+        }
         if found.spec_digest != header.spec_digest {
             return Err(JournalError::Mismatch {
                 what: "spec digest",
@@ -555,6 +568,36 @@ mod tests {
                 other => panic!("expected mismatch, got {other:?}"),
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn journal_of_another_version_is_refused() {
+        // A checksum-valid version-1 header for this very campaign: its
+        // rows were seeded by grid position, so resuming would splice
+        // them into a campaign that seeds by value.
+        let path = tmp("version");
+        let mut j = Journal::create(&path, header()).unwrap();
+        j.append(&[sample(0)]).unwrap();
+        drop(j);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let sum = checksum(&bytes[..32]);
+        bytes[32..40].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match Journal::open_resume(&path, header()) {
+            Err(JournalError::Mismatch {
+                what,
+                found,
+                expected,
+            }) => {
+                assert_eq!(what, "journal version");
+                assert_eq!((found, expected), (1, u64::from(JOURNAL_VERSION)));
+            }
+            other => panic!("expected a version mismatch, got {other:?}"),
+        }
+        // Refused, not clobbered: the file is left as it was.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
     }
 

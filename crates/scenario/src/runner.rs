@@ -9,15 +9,23 @@
 //! a function of the worker count, so the journal (and therefore every
 //! derived report) is byte-identical across pool sizes, and a kill at
 //! any moment loses at most one wave of work.
+//!
+//! System cells that share a generation key share one indexed trace.
+//! The runner keeps one slot per key that still has cells to run; the
+//! first cell of the key to reach it synthesizes the trace, and the
+//! slot is dropped after the wave holding the key's last cell. The
+//! trace is a function of the key alone, so which worker builds it, and
+//! where a resume starts, cannot change any result.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use hpcfail_exec::ParallelExecutor;
 
-use crate::cell::{evaluate, CellError, CellMetrics};
+use crate::cell::{evaluate_shared, CellError, CellMetrics, GenerationKey, TraceSlot};
 use crate::grid::{expand, Cell};
 use crate::journal::{Journal, JournalError, JournalHeader};
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, FleetEntry};
 
 /// The settled result of one cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,12 +135,74 @@ impl CampaignResult {
     }
 }
 
+/// The generation-key traces of the cells a run has left: one slot per
+/// key, dropped once its last cell has settled.
+struct TraceCache {
+    /// Per cell index: its key's slot number, or `None` for cells that
+    /// synthesize nothing (projections) or were settled before the run.
+    key_of: Vec<Option<usize>>,
+    slots: Vec<Option<TraceSlot>>,
+    /// Cells still to settle, per slot.
+    left: Vec<usize>,
+}
+
+impl TraceCache {
+    fn new(spec: &CampaignSpec, cells: &[Cell], settled: usize) -> TraceCache {
+        let mut ordinal: HashMap<GenerationKey, usize> = HashMap::new();
+        let mut key_of = vec![None; cells.len()];
+        let mut left = Vec::new();
+        for cell in &cells[settled..] {
+            if let FleetEntry::System(_) = cell.fleet_entry(spec) {
+                let slot = *ordinal.entry(GenerationKey::of(cell)).or_insert_with(|| {
+                    left.push(0);
+                    left.len() - 1
+                });
+                left[slot] += 1;
+                key_of[cell.index as usize] = Some(slot);
+            }
+        }
+        TraceCache {
+            key_of,
+            slots: (0..left.len()).map(|_| Some(TraceSlot::new())).collect(),
+            left,
+        }
+    }
+
+    /// The slot `cell` reads its trace from; `None` for a cell that
+    /// synthesizes nothing.
+    fn slot(&self, cell: &Cell) -> Option<&TraceSlot> {
+        self.key_of[cell.index as usize].and_then(|k| self.slots[k].as_ref())
+    }
+
+    /// Count `wave` as settled and drop every trace no cell still needs.
+    fn settle(&mut self, wave: &[Cell]) {
+        for cell in wave {
+            if let Some(k) = self.key_of[cell.index as usize] {
+                self.left[k] -= 1;
+                if self.left[k] == 0 {
+                    self.slots[k] = None;
+                }
+            }
+        }
+    }
+
+    /// Traces currently held.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|slot| slot.get().is_some())
+            .count()
+    }
+}
+
 /// Run a campaign to completion (or to `max_cells`).
 ///
-/// Results are a pure function of `(spec, seed)`: per-cell seed streams
-/// and ordered waves make the outcome vector — and the journal bytes —
-/// independent of the worker count. Every cell runs behind its own
-/// `catch_unwind`; cells listed in `[chaos] panic_cells` panic
+/// Results are a pure function of `(spec, seed)`: value-named seed
+/// streams and ordered waves make the outcome vector — and the journal
+/// bytes — independent of the worker count. Every cell runs behind its
+/// own `catch_unwind`; cells listed in `[chaos] panic_cells` panic
 /// deliberately inside that boundary, exercising the isolation path on
 /// demand.
 ///
@@ -144,6 +214,15 @@ pub fn run_campaign(
     spec: &CampaignSpec,
     options: &RunOptions<'_>,
 ) -> Result<CampaignResult, CampaignError> {
+    run_cached(spec, options).map(|(result, _)| result)
+}
+
+/// [`run_campaign`], also handing back the trace cache as the run left
+/// it.
+fn run_cached(
+    spec: &CampaignSpec,
+    options: &RunOptions<'_>,
+) -> Result<(CampaignResult, TraceCache), CampaignError> {
     let cells = expand(spec);
     let total_cells = cells.len() as u64;
     let header = JournalHeader {
@@ -161,6 +240,7 @@ pub fn run_campaign(
         (None, _) => (None, Vec::new()),
     };
     let resumed_cells = outcomes.len() as u64;
+    let mut cache = TraceCache::new(spec, &cells, outcomes.len());
 
     let pool = match options.workers {
         Some(n) => ParallelExecutor::with_workers(n),
@@ -182,8 +262,10 @@ pub fn run_campaign(
             if spec.panic_cells.binary_search(&cell.index).is_ok() {
                 panic!("chaos: deliberate panic in cell {}", cell.index);
             }
-            evaluate(spec, cell)
+            let unshared = TraceSlot::new();
+            evaluate_shared(spec, cell, cache.slot(cell).unwrap_or(&unshared))
         });
+        cache.settle(wave);
         let wave_outcomes: Vec<CellOutcome> = settled
             .into_iter()
             .zip(wave)
@@ -209,14 +291,15 @@ pub fn run_campaign(
     }
 
     let interrupted = (outcomes.len() as u64) < total_cells;
-    Ok(CampaignResult {
+    let result = CampaignResult {
         name: spec.name.clone(),
         seed: spec.seed,
         outcomes,
         total_cells,
         interrupted,
         resumed_cells,
-    })
+    };
+    Ok((result, cache))
 }
 
 #[cfg(test)]
@@ -322,6 +405,71 @@ checkpoint_every = 3
         assert_eq!(resumed.resumed_cells, 3);
         assert_eq!(resumed.outcomes, baseline.outcomes);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn traces_are_released_after_their_last_cell() {
+        // Keys are the two rate scales; cells 0 and 2 share rate 1,
+        // cells 1 and 3 rate 2. The first wave (cells 0-2) settles every
+        // rate-1 cell, so only the rate-2 trace may outlive it.
+        let spec = CampaignSpec::parse(SMALL).unwrap();
+        for workers in [1, 8] {
+            let (done, cache) = run_cached(
+                &spec,
+                &RunOptions {
+                    workers: Some(workers),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert!(!done.interrupted);
+            assert_eq!(
+                cache.held(),
+                0,
+                "workers {workers}: traces outlived the campaign"
+            );
+
+            let path = tmp(&format!("release_{workers}"));
+            std::fs::remove_file(&path).ok();
+            let (partial, cache) = run_cached(
+                &spec,
+                &RunOptions {
+                    workers: Some(workers),
+                    journal: Some(&path),
+                    max_cells: Some(3),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert!(partial.interrupted);
+            assert_eq!(
+                cache.held(),
+                1,
+                "workers {workers}: only cell 3's trace is still needed"
+            );
+
+            // A resume that starts mid-grid keeps slots only for the
+            // cells it has left, and releases those too.
+            let (resumed, cache) = run_cached(
+                &spec,
+                &RunOptions {
+                    workers: Some(workers),
+                    journal: Some(&path),
+                    resume: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(resumed.resumed_cells, 3);
+            assert_eq!(
+                cache.slots.len(),
+                1,
+                "workers {workers}: one key left to run"
+            );
+            assert_eq!(cache.held(), 0, "workers {workers}");
+            assert_eq!(resumed.outcomes, done.outcomes);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

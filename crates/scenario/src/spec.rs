@@ -307,7 +307,7 @@ impl Default for RunnerParams {
 pub struct CampaignSpec {
     /// Campaign name (identifier characters only).
     pub name: String,
-    /// Root seed; per-cell streams are derived from it.
+    /// Root seed; every trace and application seed is derived from it.
     pub seed: u64,
     /// Fleet axis (outermost).
     pub fleet: Vec<FleetEntry>,

@@ -54,11 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         render_summary(&result)
     );
     println!(
-        "reading: halving the hardware failure rate buys back more machine \
-         availability than tripling repair speed loses, the checkpoint waste \
-         column prices each what-if for an application, and the 100k-node \
-         projection rows show the paper's exascale extrapolation under the \
-         same knobs."
+        "reading: tripling repair times costs the machine several times the \
+         availability that halving the hardware failure rate buys back; rows \
+         that differ only in the checkpoint column share one synthesized \
+         trace, so the waste column prices each what-if for an application \
+         on the same failures; and the 100k-node projection rows show the \
+         paper's exascale extrapolation under the same knobs."
     );
     Ok(())
 }

@@ -448,12 +448,21 @@ rm -f "$tmpdir/resumed.txt" "$tmpdir/resumed.txt.journal"
 HPCFAIL_THREADS=8 cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
     scenario run "$spec" --out "$tmpdir/resumed.txt" > /dev/null 2>&1 &
 campaign_pid=$!
-# The whole campaign takes ~2 s on a 2-core host; kill it about a third of the way in.
-sleep 0.5
+# The whole campaign takes ~0.2 s on a 2-core host, too short for a fixed
+# sleep: poll until the first wave is journaled (the file has grown past its
+# 40-byte header), then kill. On that host the kill lands after 1-3 of the
+# 41 waves, so a campaign that outruns it is a failure, not noise.
+for _ in $(seq 2000); do
+    if [ -f "$tmpdir/resumed.txt.journal" ] && [ "$(wc -c < "$tmpdir/resumed.txt.journal")" -gt 40 ]; then
+        break
+    fi
+    sleep 0.005
+done
 kill -9 "$campaign_pid" 2>/dev/null || true
 wait "$campaign_pid" 2>/dev/null || true
 if [ -f "$tmpdir/resumed.txt" ]; then
-    echo "WARN: the campaign finished before the kill; --resume replays a complete journal" >&2
+    echo "FAIL: the campaign finished before the kill; --resume would only replay a complete journal" >&2
+    exit 1
 fi
 test -f "$tmpdir/resumed.txt.journal" || {
     echo "FAIL: killed campaign left no journal to resume from" >&2

@@ -356,7 +356,7 @@ fn bundled_campaign_render_checksum_pinned() {
     assert_checksum(
         "bundled campaign render",
         text.as_bytes(),
-        0x8b26_4c7e_728c_e28b,
+        0xfc4f_dffd_eef3_0518,
     );
 }
 

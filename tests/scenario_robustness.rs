@@ -4,7 +4,7 @@
 //! and deterministic (results are a pure function of `(spec, seed)` —
 //! independent of worker count, and invariant under kill-and-resume).
 //!
-//! Four families of checks:
+//! Five families of checks:
 //!
 //! 1. **Panic isolation** — a `[chaos] panic_cells` spec degrades
 //!    exactly the poisoned cells while every sibling completes, and the
@@ -22,13 +22,18 @@
 //!    `experiments/scenarios/lanl_whatif.toml` runs end to end with its
 //!    designed organic degradations, byte-identical journals across
 //!    pool sizes, and resume-equals-uninterrupted output.
+//! 5. **Shared traces** — cells of one generation key share one trace:
+//!    cells that differ only in an application axis report identical
+//!    trace statistics, each application ignores the other's axis, and
+//!    sharing survives waves and resumes that split a key's cells.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use hpcfail::scenario::{
     evaluate, expand, render_results, run_campaign, CampaignError, CampaignSpec, CellError,
-    CellOutcome, Journal, JournalError, JournalHeader, RunOptions,
+    CellMetrics, CellOutcome, Journal, JournalError, JournalHeader, RunOptions,
 };
 use proptest::prelude::*;
 
@@ -548,5 +553,199 @@ fn bundled_campaign_is_invariant_under_workers_and_resume() {
 
     for p in [&ref_journal, &small_journal, &resume_journal] {
         std::fs::remove_file(p).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// 5. Shared traces
+// ---------------------------------------------------------------------
+
+/// A campaign whose waves (4 cells) split every generation key's
+/// contiguous 6-cell run (3 checkpoint apps x 2 sched policies).
+fn sharing_spec(seed: u64) -> CampaignSpec {
+    CampaignSpec::parse(&format!(
+        "[campaign]\nname = \"sharing\"\nseed = {seed}\n\
+         [fleet]\nsystems = [12]\n\
+         [grid]\nera = [\"full\", \"early\"]\nrate_scale = [1.0, 2.0]\n\
+         checkpoint = [\"none\", \"young\", \"hazard\"]\nsched = [\"none\", \"random\"]\n\
+         [runner]\ncheckpoint_every = 4\n"
+    ))
+    .expect("sharing spec")
+}
+
+/// The bits of a cell's trace statistics.
+fn trace_columns(m: &CellMetrics) -> (u64, [u64; 4]) {
+    (
+        m.failures,
+        [
+            m.node_year_rate.to_bits(),
+            m.availability.to_bits(),
+            m.tbf_shape.to_bits(),
+            m.repair_median_min.to_bits(),
+        ],
+    )
+}
+
+/// `(cell, value)` rows keyed by the axes the value may depend on.
+type Groups<T> = BTreeMap<String, Vec<(u64, T)>>;
+
+/// Every group's values must be identical.
+fn assert_uniform<T: PartialEq + std::fmt::Debug>(what: &str, groups: &Groups<T>) {
+    for (key, rows) in groups {
+        let (first_cell, first) = &rows[0];
+        for (cell, value) in rows {
+            assert_eq!(
+                value, first,
+                "{what}: cell {cell} vs cell {first_cell} ({key})"
+            );
+        }
+    }
+}
+
+#[test]
+fn app_axes_move_neither_the_trace_nor_the_other_app() {
+    let spec = CampaignSpec::parse(bundled_spec_text()).unwrap();
+    let result = run_campaign(
+        &spec,
+        &RunOptions {
+            workers: Some(2),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut trace: Groups<(u64, [u64; 4])> = BTreeMap::new();
+    let mut waste: Groups<u64> = BTreeMap::new();
+    let mut efficiency: Groups<u64> = BTreeMap::new();
+    for (cell, outcome) in expand(&spec).iter().zip(&result.outcomes) {
+        let CellOutcome::Completed { metrics, .. } = outcome else {
+            continue;
+        };
+        let base = format!(
+            "{}|{}|{}|{}|{}|{}",
+            cell.fleet, cell.era, cell.rate_scale, cell.repair_scale, cell.cause_mix, cell.burst
+        );
+        trace
+            .entry(base.clone())
+            .or_default()
+            .push((cell.index, trace_columns(metrics)));
+        waste
+            .entry(format!("{base}|{}", cell.checkpoint))
+            .or_default()
+            .push((cell.index, metrics.checkpoint_waste.to_bits()));
+        efficiency
+            .entry(format!("{base}|{}", cell.sched))
+            .or_default()
+            .push((cell.index, metrics.sched_efficiency.to_bits()));
+    }
+    // 36 generation keys x 2 eras x 2 repair scales of the two systems,
+    // each swept over 3 x 2 app cells, plus the projection's 36
+    // calibrated-burst groups (3 checkpoint cells each).
+    assert_eq!(trace.len(), 36 * 2 * 2 + 36);
+    assert!(trace.values().all(|rows| rows.len() >= 3));
+    assert_uniform("trace statistics moved with an app axis", &trace);
+    assert_uniform("checkpoint waste moved with sched", &waste);
+    assert_uniform("sched efficiency moved with checkpoint", &efficiency);
+}
+
+#[test]
+fn split_keys_resume_to_identical_outcomes_and_journal_bytes() {
+    let spec = sharing_spec(7);
+    for workers in [1, 8] {
+        let reference_path = tmp(&format!("sharing_ref_{workers}.journal"));
+        std::fs::remove_file(&reference_path).ok();
+        let reference = run_campaign(
+            &spec,
+            &RunOptions {
+                workers: Some(workers),
+                journal: Some(&reference_path),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(
+            reference.completed() >= 20,
+            "workers {workers}: {}",
+            reference.completed()
+        );
+        let reference_bytes = std::fs::read(&reference_path).unwrap();
+        std::fs::remove_file(&reference_path).ok();
+        // Interrupts inside and on the edges of 6-cell key runs; each
+        // stops at the next 4-cell wave boundary.
+        for max_cells in [1u64, 6, 10, 14, 18] {
+            let path = tmp(&format!("sharing_{workers}_{max_cells}.journal"));
+            std::fs::remove_file(&path).ok();
+            let partial = run_campaign(
+                &spec,
+                &RunOptions {
+                    workers: Some(workers),
+                    journal: Some(&path),
+                    max_cells: Some(max_cells),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert!(
+                partial.interrupted,
+                "workers {workers} max_cells {max_cells}"
+            );
+            assert_eq!(partial.outcomes.len() as u64, max_cells.div_ceil(4) * 4);
+            let resumed = run_campaign(
+                &spec,
+                &RunOptions {
+                    workers: Some(workers),
+                    journal: Some(&path),
+                    resume: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let what = format!("workers {workers} max_cells {max_cells}");
+            assert_eq!(
+                resumed.resumed_cells,
+                partial.outcomes.len() as u64,
+                "{what}"
+            );
+            assert_eq!(resumed.outcomes, reference.outcomes, "{what}");
+            assert_eq!(
+                render_results(&spec, &resumed),
+                render_results(&spec, &reference),
+                "{what}: rendered bytes differ"
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                reference_bytes,
+                "{what}: journal bytes differ"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
+#[test]
+fn standalone_evaluate_agrees_with_the_shared_campaign() {
+    let spec = sharing_spec(7);
+    let cells = expand(&spec);
+    for workers in [1, 8] {
+        let result = run_campaign(
+            &spec,
+            &RunOptions {
+                workers: Some(workers),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for (cell, outcome) in cells.iter().zip(&result.outcomes) {
+            let alone = match evaluate(&spec, cell) {
+                Ok(metrics) => CellOutcome::Completed {
+                    cell: cell.index,
+                    metrics,
+                },
+                Err(cause) => CellOutcome::Degraded {
+                    cell: cell.index,
+                    cause,
+                },
+            };
+            assert_eq!(&alone, outcome, "workers {workers} cell {}", cell.index);
+        }
     }
 }
