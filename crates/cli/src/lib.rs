@@ -542,8 +542,8 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
 }
 
 fn load_spec(path: &PathBuf) -> Result<hpcfail_scenario::CampaignSpec, CliError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| run_err(format!("cannot open {}: {e}", path.display())))?;
+    let bytes =
+        std::fs::read(path).map_err(|e| run_err(format!("cannot open {}: {e}", path.display())))?;
     hpcfail_scenario::CampaignSpec::parse_bytes(&bytes)
         .map_err(|e| run_err(format!("invalid spec {}: {e}", path.display())))
 }
@@ -1206,7 +1206,10 @@ mod tests {
             }
         );
         assert_eq!(parse(&args(&["pack"])).unwrap_err().code, 2);
-        assert_eq!(parse(&args(&["pack", "a.csv", "b.csv"])).unwrap_err().code, 2);
+        assert_eq!(
+            parse(&args(&["pack", "a.csv", "b.csv"])).unwrap_err().code,
+            2
+        );
     }
 
     #[test]
@@ -1232,7 +1235,10 @@ mod tests {
         // and its output is identical to the CSV path's.
         for cmd in [
             |p: PathBuf| Command::Summary(p),
-            |p: PathBuf| Command::Analyze { file: p, system: 12 },
+            |p: PathBuf| Command::Analyze {
+                file: p,
+                system: 12,
+            },
             |p: PathBuf| Command::Repro {
                 trace: Some(p),
                 sections: vec![],
@@ -1430,7 +1436,14 @@ mod tests {
         );
         assert_eq!(
             parse(&args(&[
-                "scenario", "run", "--out", "res.txt", "--resume", "--workers", "4", "camp.toml"
+                "scenario",
+                "run",
+                "--out",
+                "res.txt",
+                "--resume",
+                "--workers",
+                "4",
+                "camp.toml"
             ]))
             .unwrap(),
             Command::ScenarioRun {

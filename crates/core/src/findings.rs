@@ -122,7 +122,11 @@ pub fn evaluate_indexed(index: &TraceIndex, catalog: &Catalog) -> Result<Finding
         Err(e) => {
             let cause = e.to_string();
             findings.push(not_evaluable("rate-range", RATE_RANGE_CLAIM, &cause));
-            findings.push(not_evaluable("rate-linear-in-size", RATE_LINEAR_CLAIM, &cause));
+            findings.push(not_evaluable(
+                "rate-linear-in-size",
+                RATE_LINEAR_CLAIM,
+                &cause,
+            ));
             degraded.push(Degraded {
                 experiment: "rates",
                 cause,
@@ -146,7 +150,11 @@ pub fn evaluate_indexed(index: &TraceIndex, catalog: &Catalog) -> Result<Finding
         }
         Err(e) => {
             let cause = e.to_string();
-            findings.push(not_evaluable("workload-correlation", WORKLOAD_CLAIM, &cause));
+            findings.push(not_evaluable(
+                "workload-correlation",
+                WORKLOAD_CLAIM,
+                &cause,
+            ));
             degraded.push(Degraded {
                 experiment: "periodic",
                 cause,
@@ -212,7 +220,11 @@ pub fn evaluate_indexed(index: &TraceIndex, catalog: &Catalog) -> Result<Finding
             ),
         }),
         Some(cause) => {
-            findings.push(not_evaluable("repair-type-effect", TYPE_EFFECT_CLAIM, cause));
+            findings.push(not_evaluable(
+                "repair-type-effect",
+                TYPE_EFFECT_CLAIM,
+                cause,
+            ));
             degraded.push(Degraded {
                 experiment: "repair-type-effect",
                 cause: cause.to_string(),
@@ -254,7 +266,11 @@ pub fn evaluate_indexed(index: &TraceIndex, catalog: &Catalog) -> Result<Finding
         "hardware and software are among the largest contributors to failures";
     if index.is_empty() {
         let cause = "no failure records";
-        findings.push(not_evaluable("hardware-software-lead", CAUSE_LEAD_CLAIM, cause));
+        findings.push(not_evaluable(
+            "hardware-software-lead",
+            CAUSE_LEAD_CLAIM,
+            cause,
+        ));
         degraded.push(Degraded {
             experiment: "rootcause",
             cause: cause.to_string(),
@@ -312,7 +328,10 @@ mod tests {
         )
         .unwrap();
         // The one-record trace and the empty trace.
-        for trace in [FailureTrace::from_records(vec![rec]), FailureTrace::default()] {
+        for trace in [
+            FailureTrace::from_records(vec![rec]),
+            FailureTrace::default(),
+        ] {
             let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
             assert_eq!(findings.findings.len(), 7);
             assert!(findings.is_degraded());

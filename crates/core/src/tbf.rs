@@ -16,8 +16,8 @@
 use hpcfail_records::{FailureTrace, NodeId, SystemId, Timestamp, TraceIndex};
 use hpcfail_stats::descriptive;
 use hpcfail_stats::fit::{fit_paper_set_prepared, FitReport};
-use hpcfail_stats::prepared::PreparedSample;
 use hpcfail_stats::hazard::{EmpiricalHazard, HazardTrend};
+use hpcfail_stats::prepared::PreparedSample;
 
 use crate::error::AnalysisError;
 

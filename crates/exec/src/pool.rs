@@ -81,7 +81,9 @@ impl ParallelExecutor {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0);
         let workers = from_env.unwrap_or_else(|| {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         });
         ParallelExecutor::with_workers(workers)
     }
@@ -241,14 +243,20 @@ mod tests {
         let pool = ParallelExecutor::with_workers(8);
         assert_eq!(pool.map_range(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.map_range(1, |i| i + 7), vec![7]);
-        assert_eq!(pool.map_indexed::<u8, _, _>(&[], |_, _| 0u8), Vec::<u8>::new());
+        assert_eq!(
+            pool.map_indexed::<u8, _, _>(&[], |_, _| 0u8),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]
     fn map_indexed_passes_elements() {
         let items = ["a", "bb", "ccc"];
         let pool = ParallelExecutor::with_workers(2);
-        assert_eq!(pool.map_indexed(&items, |i, s| (i, s.len())), vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(
+            pool.map_indexed(&items, |i, s| (i, s.len())),
+            vec![(0, 1), (1, 2), (2, 3)]
+        );
     }
 
     #[test]

@@ -80,7 +80,10 @@ mod tests {
         let seq = SeedSequence::new(2026);
         assert_eq!(seq.stream(3), seq.stream(3));
         assert_ne!(seq.stream(3), seq.stream(4));
-        assert_ne!(SeedSequence::new(1).stream(0), SeedSequence::new(2).stream(0));
+        assert_ne!(
+            SeedSequence::new(1).stream(0),
+            SeedSequence::new(2).stream(0)
+        );
     }
 
     #[test]

@@ -26,7 +26,15 @@ use crate::trace::FailureTrace;
 
 /// Garbage substituted into mangled fields — the kinds of junk that show
 /// up in hand-edited spreadsheets.
-const GARBAGE: [&str; 7] = ["", "???", "-1", "NaN", "18446744073709551617", "gremlins", "0x1f"];
+const GARBAGE: [&str; 7] = [
+    "",
+    "???",
+    "-1",
+    "NaN",
+    "18446744073709551617",
+    "gremlins",
+    "0x1f",
+];
 
 /// Valid-UTF-8 encoding junk inserted by the `EncodingJunk` fault.
 const JUNK: [&str; 4] = ["\u{feff}", "\r", "\u{fffd}", "caf\u{e9}"];

@@ -351,9 +351,7 @@ impl TraceIndex {
     /// runs.
     pub fn failures_per_node(&self, system: SystemId, node_count: u32) -> Vec<u64> {
         let mut counts = vec![0u64; node_count as usize];
-        let lo = self
-            .node_runs
-            .partition_point(|r| r.system < system);
+        let lo = self.node_runs.partition_point(|r| r.system < system);
         for run in self.node_runs[lo..]
             .iter()
             .take_while(|r| r.system == system)
@@ -481,9 +479,9 @@ impl<'a> TraceView<'a> {
     /// Total downtime across the view, in seconds.
     pub fn total_downtime_secs(&self) -> u64 {
         match &self.rows {
-            RowSet::Range { lo, hi } => self.index.downtime[*lo as usize..*hi as usize]
-                .iter()
-                .sum(),
+            RowSet::Range { lo, hi } => {
+                self.index.downtime[*lo as usize..*hi as usize].iter().sum()
+            }
             _ => {
                 let mut total = 0;
                 self.for_each_row(|r| total += self.index.downtime[r]);
@@ -690,7 +688,10 @@ impl<'a> TraceView<'a> {
                 let col = &start[*lo as usize..*hi as usize];
                 let a = lo + col.partition_point(|&s| s < from) as u32;
                 let b = lo + col.partition_point(|&s| s < to) as u32;
-                RowSet::Range { lo: a, hi: b.max(a) }
+                RowSet::Range {
+                    lo: a,
+                    hi: b.max(a),
+                }
             }
             RowSet::Rows { rows, node_closed } => {
                 let a = rows.partition_point(|&r| start[r as usize] < from);

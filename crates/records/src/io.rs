@@ -35,9 +35,7 @@ use crate::cause::DetailedCause;
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
 use crate::io_lanl::Header;
-use crate::quality::{
-    IngestPolicy, LenientIngest, QualityIssue, QuarantinedRow, RepairedRow,
-};
+use crate::quality::{IngestPolicy, LenientIngest, QualityIssue, QuarantinedRow, RepairedRow};
 use crate::record::FailureRecord;
 use crate::store::{is_packed, TraceStore};
 use crate::time::Timestamp;
@@ -504,8 +502,12 @@ system,node,start_secs,end_secs,workload,detailed_cause
 
     #[test]
     fn header_detected_case_insensitively_with_spacing() {
-        assert!(is_header("system,node,start_secs,end_secs,workload,detailed_cause"));
-        assert!(is_header("SYSTEM, Node, Start_Secs, End_Secs, WORKLOAD, Detailed_Cause"));
+        assert!(is_header(
+            "system,node,start_secs,end_secs,workload,detailed_cause"
+        ));
+        assert!(is_header(
+            "SYSTEM, Node, Start_Secs, End_Secs, WORKLOAD, Detailed_Cause"
+        ));
         assert!(is_header("system,anything")); // legacy prefix rule
         assert!(!is_header("20,22,1000,22600,compute,memory"));
         assert!(!is_header("system node start"));
@@ -576,7 +578,10 @@ system,node,start_secs,end_secs,workload,detailed_cause
         ));
         assert!(matches!(
             ingest.repaired[2].issue,
-            QualityIssue::WrongFieldCount { expected: 6, got: 8 }
+            QualityIssue::WrongFieldCount {
+                expected: 6,
+                got: 8
+            }
         ));
         // The inverted row came back with its endpoints swapped.
         let fixed = ingest

@@ -125,7 +125,8 @@ impl Header {
             .parse()
             .map_err(wrap(line_no))
             .map_err(malformed)?;
-        let start = parse_datetime(get(self.start, "failure start")?, line_no).map_err(malformed)?;
+        let start =
+            parse_datetime(get(self.start, "failure start")?, line_no).map_err(malformed)?;
         let end = parse_datetime(get(self.end, "failure end")?, line_no).map_err(malformed)?;
         let inverted = end < start;
         if inverted && policy != IngestPolicy::Repair {

@@ -558,9 +558,9 @@ mod tests {
         let base = rec(20, 1, 1_000, 2_000, DetailedCause::Memory);
         let trace = FailureTrace::from_records(vec![
             base,
-            base, // exact duplicate
-            rec(20, 1, 1_060, 3_000, DetailedCause::Memory), // near dup + overlap
-            rec(20, 1, 10_000, 10_000, DetailedCause::Cpu), // zero width
+            base,                                                  // exact duplicate
+            rec(20, 1, 1_060, 3_000, DetailedCause::Memory),       // near dup + overlap
+            rec(20, 1, 10_000, 10_000, DetailedCause::Cpu),        // zero width
             rec(20, 2, 5_000, 6_000, DetailedCause::Undetermined), // catch-all
         ]);
         let report = audit(&trace, &Catalog::lanl());
@@ -585,8 +585,8 @@ mod tests {
         let trace = FailureTrace::from_records(vec![
             rec(20, 1, inside, inside + 60, DetailedCause::Memory),
             rec(20, 4_999, inside, inside + 60, DetailedCause::Memory), // node out of range
-            rec(20, 2, 10, 20, DetailedCause::Memory), // before production
-            rec(99, 0, inside, inside + 60, DetailedCause::Memory), // unknown system
+            rec(20, 2, 10, 20, DetailedCause::Memory),                  // before production
+            rec(99, 0, inside, inside + 60, DetailedCause::Memory),     // unknown system
         ]);
         let report = audit(&trace, &catalog);
         assert_eq!(report.node_out_of_range, 1);
@@ -602,12 +602,12 @@ mod tests {
         let base = rec(20, 1, inside, inside + 600, DetailedCause::Memory);
         let trace = FailureTrace::from_records(vec![
             base,
-            base,                                                        // exact dup
-            rec(20, 1, inside + 60, inside + 900, DetailedCause::Memory), // near dup
-            rec(20, 1, inside + 500, inside + 2_000, DetailedCause::Cpu), // overlap
+            base,                                                           // exact dup
+            rec(20, 1, inside + 60, inside + 900, DetailedCause::Memory),   // near dup
+            rec(20, 1, inside + 500, inside + 2_000, DetailedCause::Cpu),   // overlap
             rec(20, 1, inside + 5_000, inside + 5_000, DetailedCause::Cpu), // zero width
-            rec(20, 4_999, inside, inside + 60, DetailedCause::Disk),    // out of range
-            rec(20, 2, 10, 20, DetailedCause::Disk),                     // outside window
+            rec(20, 4_999, inside, inside + 60, DetailedCause::Disk),       // out of range
+            rec(20, 2, 10, 20, DetailedCause::Disk),                        // outside window
         ]);
         let once = repair(&trace, &catalog);
         assert_eq!(once.removed_exact_duplicates, 1);

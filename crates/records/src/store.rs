@@ -151,10 +151,9 @@ impl fmt::Display for StoreError {
                 f,
                 "unsupported .hpct format version {found} (this build reads <= {supported})"
             ),
-            StoreError::Truncated { expected, got } => write!(
-                f,
-                "truncated .hpct file: need {expected} bytes, have {got}"
-            ),
+            StoreError::Truncated { expected, got } => {
+                write!(f, "truncated .hpct file: need {expected} bytes, have {got}")
+            }
             StoreError::ChecksumMismatch {
                 section,
                 stored,
@@ -599,10 +598,9 @@ fn decode_posting_lists<const K: usize>(
     let mut total: usize = 0;
     for (i, len) in lens.iter_mut().enumerate() {
         let l = read_u64(payload, i * 8);
-        *len = usize::try_from(l)
-            .ok()
-            .filter(|&l| l <= n)
-            .ok_or_else(|| malformed(format!("section {name}: list {i} length {l} out of range")))?;
+        *len = usize::try_from(l).ok().filter(|&l| l <= n).ok_or_else(|| {
+            malformed(format!("section {name}: list {i} length {l} out of range"))
+        })?;
         total += *len;
     }
     if total != n {
@@ -786,7 +784,9 @@ fn decode_sections(sections: &[&[u8]], n: usize) -> Result<TraceIndex, StoreErro
         let mut prev_row = NO_PREV;
         for &r in rows {
             if r >= n32 {
-                return Err(malformed(format!("node run {run_idx}: row {r} out of bounds")));
+                return Err(malformed(format!(
+                    "node run {run_idx}: row {r} out of bounds"
+                )));
             }
             if prev_row != NO_PREV && r <= prev_row {
                 return Err(malformed(format!(

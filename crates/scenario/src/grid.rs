@@ -61,8 +61,7 @@ impl Cell {
 /// Expand the spec into its full, ordered cell grid.
 pub fn expand(spec: &CampaignSpec) -> Vec<Cell> {
     let g = &spec.grid;
-    let mut cells =
-        Vec::with_capacity(usize::try_from(spec.cell_count()).unwrap_or(0));
+    let mut cells = Vec::with_capacity(usize::try_from(spec.cell_count()).unwrap_or(0));
     let mut index = 0u64;
     for fleet in 0..spec.fleet.len() {
         for &era in &g.era {
@@ -134,9 +133,15 @@ sched = ["none", "random"]
     fn labels_encode_every_axis() {
         let spec = CampaignSpec::parse(SPEC).unwrap();
         let cells = expand(&spec);
-        assert_eq!(cells[0].label(&spec), "sys12|full|rate=1|repair=1|lanl|calibrated|none|none");
+        assert_eq!(
+            cells[0].label(&spec),
+            "sys12|full|rate=1|repair=1|lanl|calibrated|none|none"
+        );
         let last = cells.last().unwrap();
-        assert_eq!(last.label(&spec), "sys14|early|rate=2|repair=1|lanl|calibrated|none|random");
+        assert_eq!(
+            last.label(&spec),
+            "sys14|early|rate=2|repair=1|lanl|calibrated|none|random"
+        );
         // Labels are unique across the grid.
         let mut labels: Vec<String> = cells.iter().map(|c| c.label(&spec)).collect();
         labels.sort();

@@ -248,7 +248,8 @@ impl Journal {
     /// [`JournalError::Io`] on filesystem failure.
     pub fn create(path: &Path, header: JournalHeader) -> Result<Journal, JournalError> {
         let mut file = File::create(path).map_err(|e| io_err(path, e))?;
-        file.write_all(&header.encode()).map_err(|e| io_err(path, e))?;
+        file.write_all(&header.encode())
+            .map_err(|e| io_err(path, e))?;
         file.sync_data().map_err(|e| io_err(path, e))?;
         Ok(Journal {
             file,
@@ -351,7 +352,8 @@ impl Journal {
             .write(true)
             .open(path)
             .map_err(|e| io_err(path, e))?;
-        file.set_len(valid_end as u64).map_err(|e| io_err(path, e))?;
+        file.set_len(valid_end as u64)
+            .map_err(|e| io_err(path, e))?;
         file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, e))?;
         Ok((
             Journal {
@@ -462,8 +464,14 @@ mod tests {
         for (a, b) in loaded.iter().zip(&outcomes) {
             match (a, b) {
                 (
-                    CellOutcome::Completed { cell: c1, metrics: m1 },
-                    CellOutcome::Completed { cell: c2, metrics: m2 },
+                    CellOutcome::Completed {
+                        cell: c1,
+                        metrics: m1,
+                    },
+                    CellOutcome::Completed {
+                        cell: c2,
+                        metrics: m2,
+                    },
                 ) => {
                     assert_eq!(c1, c2);
                     assert_eq!(m1.failures, m2.failures);
@@ -471,8 +479,14 @@ mod tests {
                     assert_eq!(m1.checkpoint_waste.to_bits(), m2.checkpoint_waste.to_bits());
                 }
                 (
-                    CellOutcome::Degraded { cell: c1, cause: e1 },
-                    CellOutcome::Degraded { cell: c2, cause: e2 },
+                    CellOutcome::Degraded {
+                        cell: c1,
+                        cause: e1,
+                    },
+                    CellOutcome::Degraded {
+                        cell: c2,
+                        cause: e2,
+                    },
                 ) => {
                     assert_eq!(c1, c2);
                     assert_eq!(e1, e2);
@@ -500,7 +514,9 @@ mod tests {
             assert_eq!(j.next_cell(), loaded.len() as u64);
             for (i, o) in loaded.iter().enumerate() {
                 let cell = match o {
-                    CellOutcome::Completed { cell, .. } | CellOutcome::Degraded { cell, .. } => *cell,
+                    CellOutcome::Completed { cell, .. } | CellOutcome::Degraded { cell, .. } => {
+                        *cell
+                    }
                 };
                 assert_eq!(cell, i as u64);
             }
@@ -554,7 +570,13 @@ mod tests {
                 },
                 "spec digest",
             ),
-            (JournalHeader { seed: 7, ..header() }, "seed"),
+            (
+                JournalHeader {
+                    seed: 7,
+                    ..header()
+                },
+                "seed",
+            ),
             (
                 JournalHeader {
                     n_cells: 99,

@@ -228,7 +228,10 @@ checkpoint = ["none", "young"]
         let result = run_campaign(&spec, &RunOptions::default()).unwrap();
         let text = render_results(&spec, &result);
         assert!(text.contains("fail/ny"), "header present");
-        assert!(text.contains("degraded ["), "degraded rows rendered: {text}");
+        assert!(
+            text.contains("degraded ["),
+            "degraded rows rendered: {text}"
+        );
         assert!(text.contains("cells ("), "summary present");
         // Deterministic rendering.
         assert_eq!(text, render_results(&spec, &result));

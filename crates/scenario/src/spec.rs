@@ -484,7 +484,10 @@ fn axis_values<T: Copy + PartialEq>(
     for item in items {
         let s = want_str(item, &field)?;
         let Some(parsed) = parse(&s) else {
-            return invalid(&field, format!("unknown value `{s}` (one of: {})", labels()));
+            return invalid(
+                &field,
+                format!("unknown value `{s}` (one of: {})", labels()),
+            );
         };
         if out.contains(&parsed) {
             return invalid(&field, format!("duplicate value `{s}`"));
@@ -566,7 +569,15 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
     check_known(
         root,
         "",
-        &["campaign", "fleet", "projection", "grid", "apps", "runner", "chaos"],
+        &[
+            "campaign",
+            "fleet",
+            "projection",
+            "grid",
+            "apps",
+            "runner",
+            "chaos",
+        ],
     )?;
 
     // [campaign]
@@ -616,7 +627,10 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
             let t = want_table(item, &path)?;
             check_known(t, &path, &["name", "nodes", "base_system"])?;
             let name = match t.iter().find(|(k, _)| k == "name") {
-                Some((_, v)) => ident(&format!("{path}.name"), &want_str(v, &format!("{path}.name"))?)?,
+                Some((_, v)) => ident(
+                    &format!("{path}.name"),
+                    &want_str(v, &format!("{path}.name"))?,
+                )?,
                 None => return missing(&format!("{path}.name")),
             };
             if fleet.iter().any(|f| f.label() == name) {
@@ -660,13 +674,26 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
     check_known(
         grid_entries,
         "grid",
-        &["era", "rate_scale", "repair_scale", "cause_mix", "burst", "checkpoint", "sched"],
+        &[
+            "era",
+            "rate_scale",
+            "repair_scale",
+            "cause_mix",
+            "burst",
+            "checkpoint",
+            "sched",
+        ],
     )?;
     let join = |labels: &[&str]| labels.join(", ");
     let grid = GridAxes {
-        era: axis_values(grid_entries, "grid", "era", Era::Full, Era::from_label, || {
-            join(&Era::ALL.iter().map(|e| e.label()).collect::<Vec<_>>())
-        })?,
+        era: axis_values(
+            grid_entries,
+            "grid",
+            "era",
+            Era::Full,
+            Era::from_label,
+            || join(&Era::ALL.iter().map(|e| e.label()).collect::<Vec<_>>()),
+        )?,
         rate_scale: scale_axis(grid_entries, "grid", "rate_scale", (0.01, 100.0))?,
         repair_scale: scale_axis(grid_entries, "grid", "repair_scale", (0.01, 100.0))?,
         cause_mix: axis_values(
@@ -675,7 +702,14 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
             "cause_mix",
             CauseMixName::Lanl,
             CauseMixName::from_label,
-            || join(&CauseMixName::ALL.iter().map(|e| e.label()).collect::<Vec<_>>()),
+            || {
+                join(
+                    &CauseMixName::ALL
+                        .iter()
+                        .map(|e| e.label())
+                        .collect::<Vec<_>>(),
+                )
+            },
         )?,
         burst: axis_values(
             grid_entries,
@@ -691,7 +725,14 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
             "checkpoint",
             CheckpointApp::None,
             CheckpointApp::from_label,
-            || join(&CheckpointApp::ALL.iter().map(|e| e.label()).collect::<Vec<_>>()),
+            || {
+                join(
+                    &CheckpointApp::ALL
+                        .iter()
+                        .map(|e| e.label())
+                        .collect::<Vec<_>>(),
+                )
+            },
         )?,
         sched: axis_values(
             grid_entries,
@@ -736,11 +777,27 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
             d.restart_cost_secs,
             86_400.0,
         )?,
-        job_work_days: positive_param(app_entries, "apps", "job_work_days", d.job_work_days, 3650.0)?,
-        sched_nodes: int_param(app_entries, "apps", "sched_nodes", d.sched_nodes as i64, (1, 4096))?
-            as u32,
-        sched_jobs: int_param(app_entries, "apps", "sched_jobs", d.sched_jobs as i64, (1, 10_000))?
-            as u32,
+        job_work_days: positive_param(
+            app_entries,
+            "apps",
+            "job_work_days",
+            d.job_work_days,
+            3650.0,
+        )?,
+        sched_nodes: int_param(
+            app_entries,
+            "apps",
+            "sched_nodes",
+            d.sched_nodes as i64,
+            (1, 4096),
+        )? as u32,
+        sched_jobs: int_param(
+            app_entries,
+            "apps",
+            "sched_jobs",
+            d.sched_jobs as i64,
+            (1, 10_000),
+        )? as u32,
         sched_job_hours: positive_param(
             app_entries,
             "apps",
@@ -865,7 +922,10 @@ sched = ["none", "longest_uptime"]
         .unwrap();
         assert_eq!(spec.fleet.len(), 3);
         assert_eq!(spec.cell_count(), 3 * 2 * 3 * 2 * 2 * 2 * 3 * 2);
-        assert_eq!(spec.grid.sched, vec![SchedApp::None, SchedApp::LongestUptime]);
+        assert_eq!(
+            spec.grid.sched,
+            vec![SchedApp::None, SchedApp::LongestUptime]
+        );
     }
 
     #[test]

@@ -373,7 +373,10 @@ pub fn parse_json(src: &str) -> Result<Value, ParseError> {
     }
     match v {
         Value::Table(_) => Ok(v),
-        other => err(1, format!("top level must be an object, got {}", other.type_name())),
+        other => err(
+            1,
+            format!("top level must be an object, got {}", other.type_name()),
+        ),
     }
 }
 
@@ -412,7 +415,10 @@ impl Json {
         match self.bump() {
             Some(c) if c == want => Ok(()),
             Some(c) => err(self.line(), format!("expected `{want}`, found `{c}`")),
-            None => err(self.line(), format!("expected `{want}`, found end of input")),
+            None => err(
+                self.line(),
+                format!("expected `{want}`, found end of input"),
+            ),
         }
     }
 
@@ -508,13 +514,12 @@ impl Json {
                     Some('u') => {
                         let mut code = 0u32;
                         for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| ParseError {
+                            let d = self.bump().and_then(|c| c.to_digit(16)).ok_or_else(|| {
+                                ParseError {
                                     line: self.line(),
                                     message: "invalid \\u escape".into(),
-                                })?;
+                                }
+                            })?;
                             code = code * 16 + d;
                         }
                         match char::from_u32(code) {

@@ -311,9 +311,9 @@ pub fn fetch(
     let mut raw = Vec::new();
     conn.read_to_end(&mut raw)?;
     let text = String::from_utf8_lossy(&raw);
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no head/body split"))?;
+    let (head, body) = text.split_once("\r\n\r\n").ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "no head/body split")
+    })?;
     let status: u16 = head
         .split_whitespace()
         .nth(1)
@@ -382,7 +382,10 @@ pub fn run_chaos(
     controls: &[ControlTarget],
     threads: usize,
 ) -> ChaosReport {
-    assert!(!controls.is_empty(), "chaos needs at least one control target");
+    assert!(
+        !controls.is_empty(),
+        "chaos needs at least one control target"
+    );
     let ops = plan_ops(plan, controls.len());
     let threads = threads.clamp(1, 16);
     let shares: Vec<Vec<(usize, ChaosOp)>> = (0..threads)
@@ -621,7 +624,10 @@ mod tests {
             let db = backoff_delay(attempt, Some(1), cap, &mut b);
             assert_eq!(da, db, "same stream, same delay");
             assert!(da <= cap);
-            assert!(da >= Duration::from_millis(25), "{da:?} undercuts the capped hint");
+            assert!(
+                da >= Duration::from_millis(25),
+                "{da:?} undercuts the capped hint"
+            );
         }
         // Without a hint the first attempts are small.
         let mut s = 1;

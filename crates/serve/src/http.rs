@@ -270,10 +270,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Request, HttpError> {
         None => {
             // Distinguish "request line already over-long" from merely
             // truncated input so slowloris-style lines fail fast.
-            let first_line_len = buf
-                .iter()
-                .position(|&b| b == b'\n')
-                .unwrap_or(buf.len());
+            let first_line_len = buf.iter().position(|&b| b == b'\n').unwrap_or(buf.len());
             if first_line_len > MAX_REQUEST_LINE {
                 return Err(HttpError::RequestLineTooLong);
             }
@@ -478,9 +475,8 @@ mod tests {
 
     #[test]
     fn body_respects_content_length() {
-        let req =
-            parse_request(b"POST /v1/reload HTTP/1.1\r\ncontent-length: 4\r\n\r\nabcdEXTRA")
-                .unwrap();
+        let req = parse_request(b"POST /v1/reload HTTP/1.1\r\ncontent-length: 4\r\n\r\nabcdEXTRA")
+            .unwrap();
         assert_eq!(req.body, b"abcd");
         assert_eq!(req.method, Method::Post);
     }
@@ -496,9 +492,18 @@ mod tests {
             (b"GET / HTTP/2\r\n\r\n", HttpError::UnsupportedVersion),
             (b"GET x HTTP/1.1\r\n\r\n", HttpError::BadTarget),
             (b"GET /%zz HTTP/1.1\r\n\r\n", HttpError::BadPercentEncoding),
-            (b"GET /%e2%28%a1 HTTP/1.1\r\n\r\n", HttpError::BadPercentEncoding),
-            (b"GET / HTTP/1.1\r\nnocolon\r\n\r\n", HttpError::MalformedHeader),
-            (b"GET / HTTP/1.1\r\n: empty\r\n\r\n", HttpError::MalformedHeader),
+            (
+                b"GET /%e2%28%a1 HTTP/1.1\r\n\r\n",
+                HttpError::BadPercentEncoding,
+            ),
+            (
+                b"GET / HTTP/1.1\r\nnocolon\r\n\r\n",
+                HttpError::MalformedHeader,
+            ),
+            (
+                b"GET / HTTP/1.1\r\n: empty\r\n\r\n",
+                HttpError::MalformedHeader,
+            ),
             (
                 b"GET / HTTP/1.1\r\ncontent-length: two\r\n\r\n",
                 HttpError::BadContentLength,
@@ -533,7 +538,10 @@ mod tests {
         );
         let mut big_body = b"POST / HTTP/1.1\r\ncontent-length: 9999999\r\n\r\n".to_vec();
         big_body.extend_from_slice(&[0u8; 16]);
-        assert_eq!(parse_request(&big_body).unwrap_err(), HttpError::BodyTooLarge);
+        assert_eq!(
+            parse_request(&big_body).unwrap_err(),
+            HttpError::BodyTooLarge
+        );
     }
 
     #[test]

@@ -168,6 +168,9 @@ mod tests {
             ("z", Json::opt_num(Some(2.5))),
         ]);
         assert_eq!(doc.render(), doc.render());
-        assert_eq!(doc.render(), "{\"x\":0.30000000000000004,\"y\":null,\"z\":2.5}");
+        assert_eq!(
+            doc.render(),
+            "{\"x\":0.30000000000000004,\"y\":null,\"z\":2.5}"
+        );
     }
 }

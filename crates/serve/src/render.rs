@@ -53,16 +53,12 @@ pub fn fit_report_json(r: &FitReport) -> Json {
         ),
         (
             "failed",
-            Json::arr(
-                r.failures
-                    .iter()
-                    .map(|(fam, err)| {
-                        Json::obj([
-                            ("family", Json::str(fam.name())),
-                            ("error", Json::str(err.to_string())),
-                        ])
-                    }),
-            ),
+            Json::arr(r.failures.iter().map(|(fam, err)| {
+                Json::obj([
+                    ("family", Json::str(fam.name())),
+                    ("error", Json::str(err.to_string())),
+                ])
+            })),
         ),
     ])
 }
@@ -107,10 +103,7 @@ pub fn tbf_json(a: &TbfAnalysis) -> Json {
 
 fn repair_row_json(row: &RepairRow) -> Json {
     Json::obj([
-        (
-            "cause",
-            Json::opt(row.cause.map(|c| Json::str(c.name()))),
-        ),
+        ("cause", Json::opt(row.cause.map(|c| Json::str(c.name())))),
         ("summary", summary_json(&row.summary)),
     ])
 }
@@ -161,10 +154,7 @@ pub fn repair_json(
 pub fn repair_cause_json(cause: hpcfail_records::RootCause, by_cause: &RepairByCause) -> Json {
     Json::obj([
         ("cause", Json::str(cause.name())),
-        (
-            "row",
-            Json::opt(by_cause.row(cause).map(repair_row_json)),
-        ),
+        ("row", Json::opt(by_cause.row(cause).map(repair_row_json))),
         ("all", repair_row_json(&by_cause.all)),
     ])
 }
@@ -218,10 +208,7 @@ fn availability_row_json(r: &SystemAvailability) -> Json {
 /// Render per-system availability plus the site aggregate.
 pub fn availability_json(rows: &[SystemAvailability], site: f64) -> Json {
     Json::obj([
-        (
-            "systems",
-            Json::arr(rows.iter().map(availability_row_json)),
-        ),
+        ("systems", Json::arr(rows.iter().map(availability_row_json))),
         ("site", Json::Num(site)),
     ])
 }
@@ -235,10 +222,7 @@ pub fn availability_system_json(r: &SystemAvailability) -> Json {
 pub fn pernode_json(a: &PerNodeAnalysis) -> Json {
     Json::obj([
         ("system", Json::UInt(a.system.get() as u64)),
-        (
-            "counts",
-            Json::arr(a.counts.iter().map(|&c| Json::UInt(c))),
-        ),
+        ("counts", Json::arr(a.counts.iter().map(|&c| Json::UInt(c)))),
         (
             "graphics_nodes",
             Json::arr(a.graphics_nodes.iter().map(|&n| Json::UInt(n as u64))),
@@ -253,10 +237,7 @@ pub fn pernode_json(a: &PerNodeAnalysis) -> Json {
             Json::obj([
                 ("poisson_nll", Json::opt_num(a.compute_fits.poisson_nll)),
                 ("normal_nll", Json::opt_num(a.compute_fits.normal_nll)),
-                (
-                    "lognormal_nll",
-                    Json::opt_num(a.compute_fits.lognormal_nll),
-                ),
+                ("lognormal_nll", Json::opt_num(a.compute_fits.lognormal_nll)),
                 (
                     "negative_binomial_nll",
                     Json::opt_num(a.compute_fits.negative_binomial_nll),
@@ -265,10 +246,7 @@ pub fn pernode_json(a: &PerNodeAnalysis) -> Json {
                     "dispersion_index",
                     Json::Num(a.compute_fits.dispersion_index),
                 ),
-                (
-                    "best",
-                    Json::opt(a.compute_fits.best().map(Json::str)),
-                ),
+                ("best", Json::opt(a.compute_fits.best().map(Json::str))),
                 (
                     "poisson_is_worst",
                     Json::Bool(a.compute_fits.poisson_is_worst()),

@@ -287,10 +287,7 @@ fn healthz(state: &AppState) -> Response {
     let m = &state.metrics;
     let doc = Json::obj([
         ("status", Json::str("ok")),
-        (
-            "tenants",
-            Json::UInt(state.registry.names().len() as u64),
-        ),
+        ("tenants", Json::UInt(state.registry.names().len() as u64)),
         (
             "requests",
             Json::UInt(state.requests.load(Ordering::Relaxed)),

@@ -441,7 +441,7 @@ fn read_request(
                     return Err(ReadOutcome::RequestDeadline);
                 };
                 match read_chunk(stream, &mut chunk, remaining.min(io_timeout))? {
-                    None => continue, // chunk timeout; deadline re-checked above
+                    None => continue,          // chunk timeout; deadline re-checked above
                     Some(0) => return Ok(buf), // truncated body: parser rejects it
                     Some(n) => buf.extend_from_slice(&chunk[..n]),
                 }
@@ -455,7 +455,7 @@ fn read_request(
             return Err(ReadOutcome::HeaderDeadline);
         };
         match read_chunk(stream, &mut chunk, remaining.min(io_timeout))? {
-            None => continue, // chunk timeout; header deadline re-checked above
+            None => continue,          // chunk timeout; header deadline re-checked above
             Some(0) => return Ok(buf), // EOF before end of head: parser rejects it
             Some(n) => buf.extend_from_slice(&chunk[..n]),
         }
@@ -567,7 +567,8 @@ mod tests {
         // loop (431) as soon as it crosses MAX_HEAD.
         let mut conn = TcpStream::connect(handle.addr()).unwrap();
         conn.write_all("GET /".as_bytes()).unwrap();
-        conn.write_all("y".repeat(MAX_HEAD + 8192).as_bytes()).unwrap();
+        conn.write_all("y".repeat(MAX_HEAD + 8192).as_bytes())
+            .unwrap();
         conn.shutdown(std::net::Shutdown::Write).unwrap();
         let mut out = String::new();
         conn.read_to_string(&mut out).unwrap();

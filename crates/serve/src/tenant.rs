@@ -144,7 +144,11 @@ impl TenantRegistry {
 
     /// Look up a tenant by name (cheap `Arc` clone).
     pub fn get(&self, name: &str) -> Option<Arc<Tenant>> {
-        self.tenants.read().expect("tenant registry").get(name).cloned()
+        self.tenants
+            .read()
+            .expect("tenant registry")
+            .get(name)
+            .cloned()
     }
 
     /// Snapshot of all tenants, in name order.
@@ -271,7 +275,13 @@ mod tests {
         std::fs::write(&path, "").unwrap();
         let err = reg.reload("t").unwrap_err();
         assert!(
-            matches!(err, TenantError::EmptyReload { live_records: 7, .. }),
+            matches!(
+                err,
+                TenantError::EmptyReload {
+                    live_records: 7,
+                    ..
+                }
+            ),
             "{err:?}"
         );
         let live = reg.get("t").unwrap();

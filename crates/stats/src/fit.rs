@@ -472,8 +472,8 @@ mod tests {
         }
         // An all-equal sample fails every family in a ranked comparison
         // but is recorded, not fatal.
-        let report = fit_candidates_prepared(&flat, &Family::ALL, Criterion::NegLogLikelihood)
-            .unwrap();
+        let report =
+            fit_candidates_prepared(&flat, &Family::ALL, Criterion::NegLogLikelihood).unwrap();
         assert!(report.candidates.is_empty());
         assert_eq!(report.failures.len(), Family::ALL.len());
         assert!(report

@@ -48,7 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     )?;
-    assert_eq!(render_results(&spec, &again), render_results(&spec, &result));
+    assert_eq!(
+        render_results(&spec, &again),
+        render_results(&spec, &result)
+    );
     println!(
         "re-run on a different worker count: byte-identical\n\n{}",
         render_summary(&result)

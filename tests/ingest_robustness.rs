@@ -288,7 +288,10 @@ fn binary_fault_kinds_map_to_their_error_families() {
         let err = TraceStore::from_bytes(&torn.corrupt_bytes(&clean))
             .expect_err("torn header must never load");
         assert!(
-            matches!(err, StoreError::Truncated { .. } | StoreError::BadMagic { .. }),
+            matches!(
+                err,
+                StoreError::Truncated { .. } | StoreError::BadMagic { .. }
+            ),
             "torn header under {}: {err}",
             torn
         );

@@ -138,11 +138,7 @@ fn bootstrap_cis_identical_across_worker_counts() {
             // Bit-level equality of every bound, not approximate equality.
             assert_eq!(ci.lo.to_bits(), reference.lo.to_bits(), "seed {seed}");
             assert_eq!(ci.hi.to_bits(), reference.hi.to_bits(), "seed {seed}");
-            assert_eq!(
-                ci.point.to_bits(),
-                reference.point.to_bits(),
-                "seed {seed}"
-            );
+            assert_eq!(ci.point.to_bits(), reference.point.to_bits(), "seed {seed}");
         }
     }
 }
@@ -248,12 +244,8 @@ fn golden_weibull_tbf_shape_in_paper_band() {
     // fits a Weibull with shape 0.7–0.8 (the paper reports 0.78, hence a
     // decreasing hazard). Pin the fit to that band.
     let (_, late) = tbf::paper_era_split();
-    let analysis = tbf::analyze(
-        site(),
-        tbf::View::SystemWide(SystemId::new(20)),
-        Some(late),
-    )
-    .unwrap();
+    let analysis =
+        tbf::analyze(site(), tbf::View::SystemWide(SystemId::new(20)), Some(late)).unwrap();
     let shape = analysis.weibull_shape.expect("Weibull fits");
     assert!(
         (0.7..=0.8).contains(&shape),

@@ -70,8 +70,7 @@ fn sixteen_threads_one_key_computes_exactly_once() {
 }
 
 fn synth_state() -> Arc<AppState> {
-    let trace =
-        hpcfail::synth::scenario::system_trace(SystemId::new(20), 42).expect("synth trace");
+    let trace = hpcfail::synth::scenario::system_trace(SystemId::new(20), 42).expect("synth trace");
     let state = AppState::new();
     state
         .registry
@@ -123,8 +122,7 @@ fn concurrent_requests_share_one_compute_and_healthz_reports_it() {
 #[test]
 fn reload_invalidates_only_the_reloaded_tenant() {
     let state = synth_state();
-    let other =
-        hpcfail::synth::scenario::system_trace(SystemId::new(19), 42).expect("synth trace");
+    let other = hpcfail::synth::scenario::system_trace(SystemId::new(19), 42).expect("synth trace");
     state
         .registry
         .insert("other", TenantSource::Static(Arc::new(other)))

@@ -68,17 +68,22 @@ fn boot() -> (Arc<AppState>, ServerHandle) {
 /// Byte-stable control targets (no `/healthz` here: its counters move
 /// by design, so it cannot be a byte-identity control).
 fn control_targets(addr: SocketAddr, timing: &ChaosTiming) -> Vec<ControlTarget> {
-    ["/v1/traces", "/v1/lanl/findings", "/v1/lanl/tbf", "/v1/lanl/rates"]
-        .into_iter()
-        .map(|target| {
-            let (status, _, body) = fetch(addr, timing, target).expect("fault-free fetch");
-            assert_eq!(status, 200, "fault-free {target} must be 200");
-            ControlTarget {
-                target: target.to_string(),
-                expected: body,
-            }
-        })
-        .collect()
+    [
+        "/v1/traces",
+        "/v1/lanl/findings",
+        "/v1/lanl/tbf",
+        "/v1/lanl/rates",
+    ]
+    .into_iter()
+    .map(|target| {
+        let (status, _, body) = fetch(addr, timing, target).expect("fault-free fetch");
+        assert_eq!(status, 200, "fault-free {target} must be 200");
+        ControlTarget {
+            target: target.to_string(),
+            expected: body,
+        }
+    })
+    .collect()
 }
 
 fn assert_quiescent(state: &AppState, handle: &ServerHandle, cell: &str) {

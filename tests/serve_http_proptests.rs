@@ -57,7 +57,11 @@ fn valid_request(seed: u64) -> Vec<u8> {
     ];
     let mut s = seed;
     let target = targets[splitmix64(&mut s) as usize % targets.len()];
-    let method = if splitmix64(&mut s) % 4 == 0 { "POST" } else { "GET" };
+    let method = if splitmix64(&mut s) % 4 == 0 {
+        "POST"
+    } else {
+        "GET"
+    };
     format!("{method} {target} HTTP/1.1\r\nhost: fuzz\r\naccept: application/json\r\n\r\n")
         .into_bytes()
 }

@@ -90,7 +90,11 @@ fn tbf_bodies_match_direct_library_calls() {
     let (_, addr) = booted();
     let index = fixture_trace().index();
     let cases: [(&str, tbf::View, Option<(Timestamp, Timestamp)>); 4] = [
-        ("/v1/lanl/tbf", tbf::View::SystemWide(SystemId::new(20)), None),
+        (
+            "/v1/lanl/tbf",
+            tbf::View::SystemWide(SystemId::new(20)),
+            None,
+        ),
         (
             "/v1/lanl/tbf?view=pooled",
             tbf::View::PooledNodes(SystemId::new(20)),
@@ -284,7 +288,10 @@ fn reload_against_a_damaged_file_keeps_the_old_generation_serving() {
         let (status, body) = http(addr, "POST", "/v1/reload?trace=flaky");
         assert_eq!(status, 503, "{kind}: {body}");
         assert!(body.starts_with("{\"error\":{"), "{kind}: {body}");
-        assert!(body.contains("\"kind\":\"reload_failed\""), "{kind}: {body}");
+        assert!(
+            body.contains("\"kind\":\"reload_failed\""),
+            "{kind}: {body}"
+        );
         assert_eq!(
             state.registry.get("flaky").unwrap().generation,
             1,
@@ -313,7 +320,8 @@ fn half_close_after_a_complete_request_still_gets_the_full_body() {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.write_all(b"GET /v1/lanl/findings HTTP/1.1\r\nhost: t\r\n\r\n")
         .expect("send");
-    conn.shutdown(std::net::Shutdown::Write).expect("half-close");
+    conn.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
     let mut raw = String::new();
     conn.read_to_string(&mut raw).expect("read");
     let (head, body) = raw.split_once("\r\n\r\n").expect("head/body split");
@@ -335,9 +343,9 @@ fn half_close_after_a_complete_request_still_gets_the_full_body() {
 fn connections_close_after_a_response_and_never_serve_a_second_request() {
     let (_, addr) = booted();
     for first in [
-        "GET /v1/lanl/tbf HTTP/1.1\r\nhost: t\r\n\r\n",       // 200
+        "GET /v1/lanl/tbf HTTP/1.1\r\nhost: t\r\n\r\n", // 200
         "GET /v1/lanl/tbf?bogus=1 HTTP/1.1\r\nhost: t\r\n\r\n", // 400
-        "WIBBLE / HTTP/1.1\r\nhost: t\r\n\r\n",               // parse error
+        "WIBBLE / HTTP/1.1\r\nhost: t\r\n\r\n",         // parse error
     ] {
         let mut conn = TcpStream::connect(addr).expect("connect");
         conn.write_all(first.as_bytes()).expect("send first");
@@ -385,7 +393,10 @@ fn packed_fixture_boot_serves_byte_identical_bodies() {
         let (hpct_status, hpct_body) = get(addr, target);
         assert_eq!(csv_status, 200, "{target}: {csv_body}");
         assert_eq!(hpct_status, 200, "{target}: {hpct_body}");
-        assert_eq!(csv_body, hpct_body, "{target}: packed boot changed the answer");
+        assert_eq!(
+            csv_body, hpct_body,
+            "{target}: packed boot changed the answer"
+        );
     }
     // /v1/traces agrees on the record count too.
     let (_, body) = get(addr, "/v1/traces");
@@ -448,7 +459,10 @@ fn reload_against_a_damaged_packed_store_keeps_the_old_generation_serving() {
         inflict();
         let (status, body) = http(addr, "POST", "/v1/reload?trace=packed");
         assert_eq!(status, 503, "{kind}: {body}");
-        assert!(body.contains("\"kind\":\"reload_failed\""), "{kind}: {body}");
+        assert!(
+            body.contains("\"kind\":\"reload_failed\""),
+            "{kind}: {body}"
+        );
         assert_eq!(
             state.registry.get("packed").unwrap().generation,
             1,
