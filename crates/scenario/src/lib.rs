@@ -9,9 +9,10 @@
 //! a deterministic cell grid fanned out on the workspace executor. Seed
 //! streams are named by axis values, not cell positions: every cell
 //! with the same generation key (fleet entry, rate scale, cause mix,
-//! burst mode) reads one trace, synthesized once per run, so
-//! comparisons along the other axes are paired — and results are a
-//! pure function of `(spec, seed)` regardless of worker count.
+//! burst mode) reads one trace, synthesized once per run (and fitted
+//! once per era), so comparisons along the other axes are paired — and
+//! results are a pure function of `(spec, seed)` regardless of worker
+//! count.
 //!
 //! The campaign runner is **crash-proof and resumable**: every cell
 //! runs behind its own `catch_unwind`, panics and typed cell errors

@@ -10,19 +10,22 @@
 //! derived report) is byte-identical across pool sizes, and a kill at
 //! any moment loses at most one wave of work.
 //!
-//! System cells that share a generation key share one indexed trace.
-//! The runner keeps one slot per key that still has cells to run; the
-//! first cell of the key to reach it synthesizes the trace, and the
-//! slot is dropped after the wave holding the key's last cell. The
-//! trace is a function of the key alone, so which worker builds it, and
-//! where a resume starts, cannot change any result.
+//! System cells that share a generation key share one indexed trace,
+//! and cells that also share an era share that era's window and TBF
+//! fit. The runner keeps one slot per key that still has cells to run;
+//! the first cell of the key to reach it synthesizes the trace, the
+//! first cell of each `(key, era)` fits that era, and the slot — trace
+//! and era fits together — is dropped after the wave holding the key's
+//! last cell. Both are functions of the key (and era) alone, so which
+//! worker fills them, and where a resume starts, cannot change any
+//! result.
 
 use std::collections::HashMap;
 use std::path::Path;
 
 use hpcfail_exec::ParallelExecutor;
 
-use crate::cell::{evaluate_shared, CellError, CellMetrics, GenerationKey, TraceSlot};
+use crate::cell::{evaluate_shared, CellError, CellMetrics, GenerationKey, KeySlot};
 use crate::grid::{expand, Cell};
 use crate::journal::{Journal, JournalError, JournalHeader};
 use crate::spec::{CampaignSpec, FleetEntry};
@@ -135,13 +138,14 @@ impl CampaignResult {
     }
 }
 
-/// The generation-key traces of the cells a run has left: one slot per
-/// key, dropped once its last cell has settled.
+/// The shared work of the cells a run has left: one slot per generation
+/// key, holding its trace and its era fits, dropped once the key's last
+/// cell has settled.
 struct TraceCache {
     /// Per cell index: its key's slot number, or `None` for cells that
     /// synthesize nothing (projections) or were settled before the run.
     key_of: Vec<Option<usize>>,
-    slots: Vec<Option<TraceSlot>>,
+    slots: Vec<Option<KeySlot>>,
     /// Cells still to settle, per slot.
     left: Vec<usize>,
 }
@@ -163,18 +167,18 @@ impl TraceCache {
         }
         TraceCache {
             key_of,
-            slots: (0..left.len()).map(|_| Some(TraceSlot::new())).collect(),
+            slots: (0..left.len()).map(|_| Some(KeySlot::default())).collect(),
             left,
         }
     }
 
-    /// The slot `cell` reads its trace from; `None` for a cell that
-    /// synthesizes nothing.
-    fn slot(&self, cell: &Cell) -> Option<&TraceSlot> {
+    /// The slot `cell` reads its trace and era fit from; `None` for a
+    /// cell that synthesizes nothing.
+    fn slot(&self, cell: &Cell) -> Option<&KeySlot> {
         self.key_of[cell.index as usize].and_then(|k| self.slots[k].as_ref())
     }
 
-    /// Count `wave` as settled and drop every trace no cell still needs.
+    /// Count `wave` as settled and drop every slot no cell still needs.
     fn settle(&mut self, wave: &[Cell]) {
         for cell in wave {
             if let Some(k) = self.key_of[cell.index as usize] {
@@ -184,16 +188,6 @@ impl TraceCache {
                 }
             }
         }
-    }
-
-    /// Traces currently held.
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|slot| slot.get().is_some())
-            .count()
     }
 }
 
@@ -262,7 +256,7 @@ fn run_cached(
             if spec.panic_cells.binary_search(&cell.index).is_ok() {
                 panic!("chaos: deliberate panic in cell {}", cell.index);
             }
-            let unshared = TraceSlot::new();
+            let unshared = KeySlot::default();
             evaluate_shared(spec, cell, cache.slot(cell).unwrap_or(&unshared))
         });
         cache.settle(wave);
@@ -305,7 +299,28 @@ fn run_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Era;
     use std::path::PathBuf;
+
+    impl TraceCache {
+        /// Traces currently held.
+        fn held(&self) -> usize {
+            self.slots
+                .iter()
+                .flatten()
+                .filter(|slot| slot.has_trace())
+                .count()
+        }
+
+        /// The eras fitted in each slot still held.
+        fn fitted_eras(&self) -> Vec<Vec<Era>> {
+            self.slots
+                .iter()
+                .flatten()
+                .map(KeySlot::fitted_eras)
+                .collect()
+        }
+    }
 
     const SMALL: &str = r#"
 [campaign]
@@ -411,7 +426,8 @@ checkpoint_every = 3
     fn traces_are_released_after_their_last_cell() {
         // Keys are the two rate scales; cells 0 and 2 share rate 1,
         // cells 1 and 3 rate 2. The first wave (cells 0-2) settles every
-        // rate-1 cell, so only the rate-2 trace may outlive it.
+        // rate-1 cell, so only the rate-2 slot may outlive it, and of
+        // that key only cell 1 (full era) has run.
         let spec = CampaignSpec::parse(SMALL).unwrap();
         for workers in [1, 8] {
             let (done, cache) = run_cached(
@@ -427,6 +443,10 @@ checkpoint_every = 3
                 cache.held(),
                 0,
                 "workers {workers}: traces outlived the campaign"
+            );
+            assert!(
+                cache.fitted_eras().is_empty(),
+                "workers {workers}: era fits outlived the campaign"
             );
 
             let path = tmp(&format!("release_{workers}"));
@@ -446,6 +466,11 @@ checkpoint_every = 3
                 cache.held(),
                 1,
                 "workers {workers}: only cell 3's trace is still needed"
+            );
+            assert_eq!(
+                cache.fitted_eras(),
+                vec![vec![Era::Full]],
+                "workers {workers}: only the era cell 1 read is fitted"
             );
 
             // A resume that starts mid-grid keeps slots only for the
@@ -467,6 +492,7 @@ checkpoint_every = 3
                 "workers {workers}: one key left to run"
             );
             assert_eq!(cache.held(), 0, "workers {workers}");
+            assert!(cache.fitted_eras().is_empty(), "workers {workers}");
             assert_eq!(resumed.outcomes, done.outcomes);
             std::fs::remove_file(&path).ok();
         }

@@ -9,6 +9,21 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Formatting drift fails before anything builds. Only the project's own
+# sources are checked: vendor/ holds offline stand-ins for external crates
+# (a workspace member, so a plain `cargo fmt` would rewrite them) and
+# perfbench/ is the benchmark's own package.
+echo "==> rustfmt --check over crates/, tests/ and examples/"
+fmt_files=()
+while IFS= read -r -d '' f; do fmt_files+=("$f"); done \
+    < <(find crates tests examples -name '*.rs' -print0 | sort -z)
+if ! rustfmt --edition 2021 --check "${fmt_files[@]}"; then
+    echo "FAIL: formatting drift; fix with:" >&2
+    echo "      rustfmt --edition 2021 \$(find crates tests examples -name '*.rs')" >&2
+    exit 1
+fi
+echo "OK: ${#fmt_files[@]} source files formatted"
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -448,10 +463,11 @@ rm -f "$tmpdir/resumed.txt" "$tmpdir/resumed.txt.journal"
 HPCFAIL_THREADS=8 cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
     scenario run "$spec" --out "$tmpdir/resumed.txt" > /dev/null 2>&1 &
 campaign_pid=$!
-# The whole campaign takes ~0.2 s on a 2-core host, too short for a fixed
-# sleep: poll until the first wave is journaled (the file has grown past its
-# 40-byte header), then kill. On that host the kill lands after 1-3 of the
-# 41 waves, so a campaign that outruns it is a failure, not noise.
+# The whole campaign takes ~0.1 s on a host with one core's worth of CPU,
+# too short for a fixed sleep: poll until the first wave is journaled (the
+# file has grown past its 40-byte header), then kill. On that host 20 of 20
+# repeats killed the run after 2-4 of the 41 waves, so a campaign that
+# outruns the kill is a failure, not noise.
 for _ in $(seq 2000); do
     if [ -f "$tmpdir/resumed.txt.journal" ] && [ "$(wc -c < "$tmpdir/resumed.txt.journal")" -gt 40 ]; then
         break
