@@ -1559,6 +1559,6 @@ mod tests {
             state.registry.names(),
             vec!["mytrace".to_string(), "synth".to_string()]
         );
-        assert!(state.registry.get("mytrace").unwrap().len() > 0);
+        assert!(!state.registry.get("mytrace").unwrap().is_empty());
     }
 }

@@ -193,7 +193,7 @@ fn apply_fault(fault: Fault, line: &str, stream: &SeedSequence, out: &mut Vec<St
         }
         Fault::EncodingJunk => {
             let junk = JUNK[(stream.stream(2) % JUNK.len() as u64) as usize];
-            if stream.stream(3) % 2 == 0 {
+            if stream.stream(3).is_multiple_of(2) {
                 out.push(format!("{junk}{line}"));
             } else {
                 out.push(format!("{line}{junk}"));

@@ -417,7 +417,7 @@ impl TraceStore {
         {
             return Err(malformed("nonzero padding after the section table"));
         }
-        for i in 0..SECTION_COUNT {
+        for (i, name) in SECTION_NAMES.into_iter().enumerate() {
             let base = HEADER_LEN + i * ENTRY_LEN;
             let id = read_u32(bytes, base);
             if id as usize != i {
@@ -431,7 +431,7 @@ impl TraceStore {
             if off != expected_off as u64 {
                 return Err(malformed(format!(
                     "section {} at offset {off}, expected {expected_off}",
-                    SECTION_NAMES[i]
+                    name
                 )));
             }
             let end = off
@@ -447,7 +447,7 @@ impl TraceStore {
             let computed = checksum(payload);
             if computed != sum {
                 return Err(StoreError::ChecksumMismatch {
-                    section: SECTION_NAMES[i],
+                    section: name,
                     stored: sum,
                     computed,
                 });
@@ -457,10 +457,7 @@ impl TraceStore {
                 .iter()
                 .any(|&b| b != 0)
             {
-                return Err(malformed(format!(
-                    "nonzero padding after section {}",
-                    SECTION_NAMES[i]
-                )));
+                return Err(malformed(format!("nonzero padding after section {}", name)));
             }
             expected_off = padded_end;
             sections.push(payload);
@@ -572,7 +569,7 @@ fn decode_u32s_map<T>(
 }
 
 fn decode_u32s(payload: &[u8], name: &str) -> Result<Vec<u32>, StoreError> {
-    if payload.len() % 4 != 0 {
+    if !payload.len().is_multiple_of(4) {
         return Err(malformed(format!(
             "section {name}: {} bytes is not a whole number of u32s",
             payload.len()

@@ -11,11 +11,14 @@
 //! The trace is built once per key. The era window, the system's node
 //! count and the window's system-wide TBF fit (Weibull shape and mean)
 //! depend on the key and the era only, so they are computed once per
-//! `(key, era)` — or the typed error that stratum fails with is, and
-//! every cell of the pair degrades with it. A cell keeps only what is
-//! its own: the zero-copy window, `round(d × repair_scale)` over its
-//! downtimes with the count, rate, availability and median they give,
-//! and its two application runs.
+//! `(key, era)` — or the typed error the pair fails with is, and every
+//! cell of the pair degrades with it. A **stratum** is a `(key, era,
+//! repair_scale)`: its window statistics (`round(d × repair_scale)` over
+//! the window's downtimes, with the count, rate, availability, median
+//! and mean repair they give) are computed once per stratum, and so is
+//! each application's result per axis choice, which reads only the
+//! stratum and the era fit and is seeded by the stratum and the choice.
+//! A cell only assembles its row from them.
 //!
 //! A **projection** cell (hypothetical scaled fleet) is evaluated
 //! analytically from the base system's calibration — the paper's
@@ -213,13 +216,50 @@ impl GenerationKey {
 }
 
 /// A generation key's shared work: its indexed trace and, per era, the
-/// era's window and TBF fit. Each part is filled by whichever cell of
-/// the key (or of the `(key, era)` pair) reaches it first, with its
-/// result or the error it failed with.
-#[derive(Default)]
+/// era's window and TBF fit and one [`Stratum`] per repair scale. Each
+/// part is filled by whichever cell of the key (of the `(key, era)`
+/// pair, of the stratum) reaches it first, with its result or the error
+/// it failed with.
 pub(crate) struct KeySlot {
     trace: OnceLock<Result<TraceIndex, CellError>>,
-    eras: [OnceLock<Result<EraFit, CellError>>; Era::ALL.len()],
+    eras: [EraSlot; Era::ALL.len()],
+}
+
+/// One era of a key: its fit, and its strata in `repair_scale` axis
+/// order.
+struct EraSlot {
+    fit: OnceLock<Result<EraFit, CellError>>,
+    strata: Box<[Stratum]>,
+}
+
+/// What every cell of one stratum — `(generation key, era, repair
+/// scale)` — reads: the window statistics, and each application's
+/// result per axis choice (its seed names the stratum and the choice,
+/// and it reads nothing else that varies).
+#[derive(Default)]
+struct Stratum {
+    window: OnceLock<WindowStats>,
+    checkpoint: [OnceLock<Result<f64, CellError>>; CheckpointApp::ALL.len()],
+    sched: [OnceLock<Result<f64, CellError>>; SchedApp::ALL.len()],
+}
+
+impl KeySlot {
+    /// An empty slot with a stratum for every era and repair scale of
+    /// `spec`.
+    pub(crate) fn new(spec: &CampaignSpec) -> KeySlot {
+        KeySlot {
+            trace: OnceLock::new(),
+            eras: std::array::from_fn(|_| EraSlot {
+                fit: OnceLock::new(),
+                strata: spec
+                    .grid
+                    .repair_scale
+                    .iter()
+                    .map(|_| Stratum::default())
+                    .collect(),
+            }),
+        }
+    }
 }
 
 /// What every cell of one `(generation key, era)` pair reads: the era
@@ -231,6 +271,17 @@ struct EraFit {
     nodes: f64,
     tbf_shape: f64,
     mtbf_secs: f64,
+}
+
+/// A stratum's window statistics: its era window's failures and their
+/// downtimes scaled by the repair scale.
+#[derive(Clone, Copy)]
+struct WindowStats {
+    failures: u64,
+    node_year_rate: f64,
+    availability: f64,
+    repair_median_min: f64,
+    mean_repair_secs: f64,
 }
 
 /// The seed of a cell's generation-key trace: the stream of the campaign
@@ -267,12 +318,13 @@ fn app_seed(trace_seed: u64, app: &str, cell: &Cell, choice: &str) -> u64 {
 /// A typed [`CellError`] for every failure mode; never panics (the
 /// runner's `catch_unwind` is a second, outer line of defense).
 pub fn evaluate(spec: &CampaignSpec, cell: &Cell) -> Result<CellMetrics, CellError> {
-    evaluate_shared(spec, cell, &KeySlot::default())
+    evaluate_shared(spec, cell, &KeySlot::new(spec))
 }
 
-/// [`evaluate`], with a system cell's trace and era fit taken from
-/// `slot` — filled by whichever cell of the key, and of the
-/// `(key, era)` pair, gets there first.
+/// [`evaluate`], with a system cell's trace, era fit, window statistics
+/// and application results taken from `slot` — filled by whichever cell
+/// of the key, of the `(key, era)` pair and of the stratum gets there
+/// first.
 pub(crate) fn evaluate_shared(
     spec: &CampaignSpec,
     cell: &Cell,
@@ -285,11 +337,29 @@ pub(crate) fn evaluate_shared(
                 .get_or_init(|| synthesize(spec, cell, *id))
                 .as_ref()
                 .map_err(Clone::clone)?;
-            let fit = slot.eras[cell.era as usize]
+            let era = &slot.eras[cell.era as usize];
+            let fit = era
+                .fit
                 .get_or_init(|| fit_era(cell.era, *id, index))
                 .as_ref()
                 .map_err(Clone::clone)?;
-            evaluate_system(spec, cell, index, fit)
+            // The stratum is found by the repair scale's bits: expanded
+            // cells always find theirs, any other cell evaluates alone.
+            let unshared;
+            let stratum = match spec
+                .grid
+                .repair_scale
+                .iter()
+                .position(|s| s.to_bits() == cell.repair_scale.to_bits())
+                .and_then(|i| era.strata.get(i))
+            {
+                Some(stratum) => stratum,
+                None => {
+                    unshared = Stratum::default();
+                    &unshared
+                }
+            };
+            evaluate_system(spec, cell, index, fit, stratum)
         }
         FleetEntry::Projection(_) => evaluate_projection(spec, cell),
     }
@@ -388,28 +458,72 @@ fn fit_era(era: Era, id: SystemId, index: &TraceIndex) -> Result<EraFit, CellErr
     })
 }
 
-/// The work that is a cell's own: its zero-copy era window, the
-/// window's downtimes scaled by the cell's repair scale, and its two
-/// application runs.
+/// A system cell's metrics from its stratum: the window statistics and
+/// the cell's two application runs, each computed by the first cell of
+/// the stratum (and of the choice) that needs it.
 fn evaluate_system(
     spec: &CampaignSpec,
     cell: &Cell,
     index: &TraceIndex,
     fit: &EraFit,
+    stratum: &Stratum,
 ) -> Result<CellMetrics, CellError> {
+    let window = *stratum
+        .window
+        .get_or_init(|| window_stats(cell.repair_scale, index, fit));
+    let checkpoint_waste = stratum.checkpoint[cell.checkpoint as usize]
+        .get_or_init(|| {
+            run_checkpoint_app(
+                spec,
+                cell.checkpoint,
+                fit.tbf_shape,
+                fit.mtbf_secs,
+                window.mean_repair_secs,
+                app_seed(
+                    trace_seed(spec, cell),
+                    "checkpoint",
+                    cell,
+                    cell.checkpoint.label(),
+                ),
+            )
+        })
+        .clone()?;
+    let sched_efficiency = stratum.sched[cell.sched as usize]
+        .get_or_init(|| {
+            run_sched_app(
+                spec,
+                cell.sched,
+                fit.tbf_shape,
+                window.node_year_rate,
+                window.mean_repair_secs,
+                app_seed(trace_seed(spec, cell), "sched", cell, cell.sched.label()),
+            )
+        })
+        .clone()?;
+
+    Ok(CellMetrics {
+        failures: window.failures,
+        node_year_rate: window.node_year_rate,
+        availability: window.availability,
+        tbf_shape: fit.tbf_shape,
+        repair_median_min: window.repair_median_min,
+        checkpoint_waste,
+        sched_efficiency,
+    })
+}
+
+/// The zero-copy era window's statistics with every downtime scaled by
+/// `repair_scale` — the work every cell of a stratum shares.
+fn window_stats(repair_scale: f64, index: &TraceIndex, fit: &EraFit) -> WindowStats {
     let EraFit {
-        from,
-        to,
-        nodes,
-        tbf_shape,
-        mtbf_secs,
+        from, to, nodes, ..
     } = *fit;
     let view = index.all().window(from, to);
 
     // Repair-time inflation: scale every downtime in the window.
     let mut downtimes = view.downtimes_secs();
     for d in &mut downtimes {
-        *d = (*d as f64 * cell.repair_scale).round() as u64;
+        *d = (*d as f64 * repair_scale).round() as u64;
     }
 
     // Headline statistics.
@@ -420,36 +534,13 @@ fn evaluate_system(
     let downtime_secs: u64 = downtimes.iter().sum();
     let availability = (1.0 - downtime_secs as f64 / (nodes * window_secs)).clamp(0.0, 1.0);
     let repair_minutes: Vec<f64> = downtimes.iter().map(|&d| d as f64 / 60.0).collect();
-    let repair_median_min = descriptive::median(&repair_minutes);
-    let mean_repair_secs = (downtime_secs as f64 / failures as f64).max(1.0);
-
-    let seed = trace_seed(spec, cell);
-    let checkpoint_waste = run_checkpoint_app(
-        spec,
-        cell.checkpoint,
-        tbf_shape,
-        mtbf_secs,
-        mean_repair_secs,
-        app_seed(seed, "checkpoint", cell, cell.checkpoint.label()),
-    )?;
-    let sched_efficiency = run_sched_app(
-        spec,
-        cell.sched,
-        tbf_shape,
-        node_year_rate,
-        mean_repair_secs,
-        app_seed(seed, "sched", cell, cell.sched.label()),
-    )?;
-
-    Ok(CellMetrics {
+    WindowStats {
         failures,
         node_year_rate,
         availability,
-        tbf_shape,
-        repair_median_min,
-        checkpoint_waste,
-        sched_efficiency,
-    })
+        repair_median_min: descriptive::median(&repair_minutes),
+        mean_repair_secs: (downtime_secs as f64 / failures as f64).max(1.0),
+    }
 }
 
 fn run_checkpoint_app(
@@ -655,7 +746,21 @@ mod tests {
             Era::ALL
                 .iter()
                 .copied()
-                .filter(|&era| self.eras[era as usize].get().is_some())
+                .filter(|&era| self.eras[era as usize].fit.get().is_some())
+                .collect()
+        }
+
+        /// The strata whose window statistics have been computed, as
+        /// `(era, repair_scale axis position)`, in era then axis order.
+        pub(crate) fn filled_strata(&self) -> Vec<(Era, usize)> {
+            Era::ALL
+                .iter()
+                .flat_map(|&era| {
+                    let strata = &self.eras[era as usize].strata;
+                    (0..strata.len())
+                        .filter(|&i| strata[i].window.get().is_some())
+                        .map(move |i| (era, i))
+                })
                 .collect()
         }
     }
@@ -800,17 +905,22 @@ mod tests {
     fn shared_era_fits_equal_fresh_fits_errors_included() {
         // sys12's late era is short: too few gaps to fit. sys14's
         // production is shorter than the early era: its late era is empty.
+        // Two repair scales and every application choice: each stratum
+        // serves three checkpoint and four sched cells.
         let s = CampaignSpec::parse(
             "[campaign]\nname = \"t\"\nseed = 3\n[fleet]\nsystems = [12, 14]\n\
              [grid]\nera = [\"full\", \"early\", \"late\"]\nrate_scale = [1.0, 2.0]\n\
-             repair_scale = [1.0, 3.0]\ncheckpoint = [\"none\", \"young\"]\n\
-             sched = [\"none\", \"random\"]\n[runner]\ncheckpoint_every = 5\n",
+             repair_scale = [1.0, 3.0]\ncheckpoint = [\"none\", \"young\", \"hazard\"]\n\
+             sched = [\"none\", \"random\", \"least-failure-rate\", \"longest-uptime\"]\n\
+             [runner]\ncheckpoint_every = 5\n",
         )
         .unwrap();
+        assert_eq!(s.grid.checkpoint, CheckpointApp::ALL);
+        assert_eq!(s.grid.sched, SchedApp::ALL);
         let cells = expand(&s);
         let fresh: Vec<_> = cells
             .iter()
-            .map(|cell| evaluate_shared(&s, cell, &KeySlot::default()))
+            .map(|cell| evaluate_shared(&s, cell, &KeySlot::new(&s)))
             .collect();
         let era_of = |fleet: usize, era: Era| {
             cells
@@ -825,19 +935,35 @@ mod tests {
         assert!(era_of(1, Era::Late).all(|r| matches!(r, Err(CellError::EmptyStratum(_)))));
 
         // Every cell of a key through one slot, filled first by the
-        // grid's first cell of each (key, era), then by its last.
+        // grid's first cell of each (key, era) and stratum, then by its
+        // last.
         for order in [
             cells.iter().collect::<Vec<_>>(),
             cells.iter().rev().collect(),
         ] {
             let mut slots: HashMap<GenerationKey, KeySlot> = HashMap::new();
             for cell in order {
-                let slot = slots.entry(GenerationKey::of(cell)).or_default();
+                let slot = slots
+                    .entry(GenerationKey::of(cell))
+                    .or_insert_with(|| KeySlot::new(&s));
                 let i = cell.index as usize;
                 assert_eq!(evaluate_shared(&s, cell, slot), fresh[i], "cell {i}");
             }
             assert_eq!(slots.len(), 4);
-            assert!(slots.values().all(|slot| slot.fitted_eras() == Era::ALL));
+            for slot in slots.values() {
+                assert_eq!(slot.fitted_eras(), Era::ALL);
+                // A stratum and every application memo in it is filled
+                // exactly when its era fits.
+                for era in &slot.eras {
+                    let fits = matches!(era.fit.get(), Some(Ok(_)));
+                    assert_eq!(era.strata.len(), 2);
+                    for stratum in era.strata.iter() {
+                        assert_eq!(stratum.window.get().is_some(), fits);
+                        let apps = stratum.checkpoint.iter().chain(&stratum.sched);
+                        assert!(apps.into_iter().all(|app| app.get().is_some() == fits));
+                    }
+                }
+            }
         }
 
         for workers in [1, 8] {

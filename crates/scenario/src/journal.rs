@@ -187,8 +187,8 @@ fn encode_payload(outcome: &CellOutcome) -> Vec<u8> {
 }
 
 fn decode_payload(cell: u64, payload: &[u8]) -> Option<CellOutcome> {
-    match payload.first()? {
-        &KIND_COMPLETED => {
+    match *payload.first()? {
+        KIND_COMPLETED => {
             if payload.len() != 1 + 8 + 6 * 8 {
                 return None;
             }
@@ -212,7 +212,7 @@ fn decode_payload(cell: u64, payload: &[u8]) -> Option<CellOutcome> {
                 },
             })
         }
-        &KIND_DEGRADED => {
+        KIND_DEGRADED => {
             if payload.len() < 6 {
                 return None;
             }
@@ -263,10 +263,12 @@ impl Journal {
     /// tail, and return the journal (positioned to append) plus the
     /// already-settled outcomes in cell order.
     ///
-    /// A missing file, or a file whose header doesn't decode (torn or
-    /// foreign), yields a fresh journal with zero outcomes. A file whose
-    /// header decodes but carries another journal version or names a
-    /// *different* campaign is a [`JournalError::Mismatch`] — never
+    /// A missing file, or a file whose header doesn't decode (torn,
+    /// damaged or foreign), yields a fresh journal with zero outcomes:
+    /// the file is rewritten with `header` and its frames are dropped,
+    /// since nothing binds them to this campaign (DESIGN §15). A file
+    /// whose header decodes but carries another journal version or names
+    /// a *different* campaign is a [`JournalError::Mismatch`] — never
     /// silently resumed, never silently clobbered.
     ///
     /// # Errors
@@ -620,6 +622,37 @@ mod tests {
         }
         // Refused, not clobbered: the file is left as it was.
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn damaged_header_resumes_nothing_and_rewrites_the_file() {
+        // A header that fails its checksum cannot say which campaign its
+        // frames belong to: resume starts over and the file is rewritten
+        // with this campaign's header, frames dropped.
+        let path = tmp("damaged_header");
+        let mut j = Journal::create(&path, header()).unwrap();
+        j.append(&(0..4).map(sample).collect::<Vec<_>>()).unwrap();
+        drop(j);
+        let intact = std::fs::read(&path).unwrap();
+        for pos in [0, 5, 9, 17, 25, 33] {
+            let mut damaged = intact.clone();
+            damaged[pos] ^= 0x01;
+            std::fs::write(&path, &damaged).unwrap();
+            let (mut j, loaded) = Journal::open_resume(&path, header()).unwrap();
+            assert!(loaded.is_empty(), "byte {pos}: resumed {}", loaded.len());
+            assert_eq!(j.next_cell(), 0);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                header().encode(),
+                "byte {pos}: the file is not the fresh header"
+            );
+            // The rewritten journal is an ordinary one.
+            j.append(&[sample(0)]).unwrap();
+            drop(j);
+            let (_, loaded) = Journal::open_resume(&path, header()).unwrap();
+            assert_eq!(loaded, vec![sample(0)], "byte {pos}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

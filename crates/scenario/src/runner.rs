@@ -10,22 +10,25 @@
 //! derived report) is byte-identical across pool sizes, and a kill at
 //! any moment loses at most one wave of work.
 //!
-//! System cells that share a generation key share one indexed trace,
-//! and cells that also share an era share that era's window and TBF
-//! fit. The runner keeps one slot per key that still has cells to run;
-//! the first cell of the key to reach it synthesizes the trace, the
-//! first cell of each `(key, era)` fits that era, and the slot — trace
-//! and era fits together — is dropped after the wave holding the key's
-//! last cell. Both are functions of the key (and era) alone, so which
-//! worker fills them, and where a resume starts, cannot change any
-//! result.
+//! System cells that share a generation key share one indexed trace;
+//! cells that also share an era share that era's window and TBF fit,
+//! and cells that also share a repair scale (a stratum) share its
+//! window statistics and, per application choice, that application's
+//! result. The runner keeps one slot per key that still has cells to
+//! run; the first cell of the key to reach it synthesizes the trace, the
+//! first cell of each `(key, era)` fits that era, the first cell of each
+//! stratum (and choice) computes its part, and the slot — trace, era
+//! fits and strata together — is dropped after the wave holding the
+//! key's last cell. Each part is a function of the values that name it
+//! alone, so which worker fills it, and where a resume starts, cannot
+//! change any result.
 
 use std::collections::HashMap;
 use std::path::Path;
 
 use hpcfail_exec::ParallelExecutor;
 
-use crate::cell::{evaluate_shared, CellError, CellMetrics, GenerationKey, KeySlot};
+use crate::cell::{evaluate, evaluate_shared, CellError, CellMetrics, GenerationKey, KeySlot};
 use crate::grid::{expand, Cell};
 use crate::journal::{Journal, JournalError, JournalHeader};
 use crate::spec::{CampaignSpec, FleetEntry};
@@ -139,8 +142,8 @@ impl CampaignResult {
 }
 
 /// The shared work of the cells a run has left: one slot per generation
-/// key, holding its trace and its era fits, dropped once the key's last
-/// cell has settled.
+/// key, holding its trace, its era fits and its strata, dropped once the
+/// key's last cell has settled.
 struct TraceCache {
     /// Per cell index: its key's slot number, or `None` for cells that
     /// synthesize nothing (projections) or were settled before the run.
@@ -167,13 +170,13 @@ impl TraceCache {
         }
         TraceCache {
             key_of,
-            slots: (0..left.len()).map(|_| Some(KeySlot::default())).collect(),
+            slots: (0..left.len()).map(|_| Some(KeySlot::new(spec))).collect(),
             left,
         }
     }
 
-    /// The slot `cell` reads its trace and era fit from; `None` for a
-    /// cell that synthesizes nothing.
+    /// The slot `cell` reads its shared work from; `None` for a cell
+    /// that synthesizes nothing.
     fn slot(&self, cell: &Cell) -> Option<&KeySlot> {
         self.key_of[cell.index as usize].and_then(|k| self.slots[k].as_ref())
     }
@@ -256,8 +259,10 @@ fn run_cached(
             if spec.panic_cells.binary_search(&cell.index).is_ok() {
                 panic!("chaos: deliberate panic in cell {}", cell.index);
             }
-            let unshared = KeySlot::default();
-            evaluate_shared(spec, cell, cache.slot(cell).unwrap_or(&unshared))
+            match cache.slot(cell) {
+                Some(slot) => evaluate_shared(spec, cell, slot),
+                None => evaluate(spec, cell),
+            }
         });
         cache.settle(wave);
         let wave_outcomes: Vec<CellOutcome> = settled
@@ -318,6 +323,15 @@ mod tests {
                 .iter()
                 .flatten()
                 .map(KeySlot::fitted_eras)
+                .collect()
+        }
+
+        /// The filled strata of each slot still held.
+        fn filled_strata(&self) -> Vec<Vec<(Era, usize)>> {
+            self.slots
+                .iter()
+                .flatten()
+                .map(KeySlot::filled_strata)
                 .collect()
         }
     }
@@ -424,11 +438,13 @@ checkpoint_every = 3
 
     #[test]
     fn traces_are_released_after_their_last_cell() {
-        // Keys are the two rate scales; cells 0 and 2 share rate 1,
-        // cells 1 and 3 rate 2. The first wave (cells 0-2) settles every
-        // rate-1 cell, so only the rate-2 slot may outlive it, and of
-        // that key only cell 1 (full era) has run.
-        let spec = CampaignSpec::parse(SMALL).unwrap();
+        // Cells run (era, rate, repair) in row-major order:
+        //   0 full,1,1  1 full,1,3  2 full,2,1  3 full,2,3
+        //   4 late,1,1  5 late,1,3  6 late,2,1  7 late,2,3
+        // Keys are the two rate scales: cells 0, 1, 4 and 5 share rate 1,
+        // the rest rate 2. Waves are cells 0-2, 3-5 and 6-7.
+        let src = SMALL.replace("[runner]", "repair_scale = [1.0, 3.0]\n[runner]");
+        let spec = CampaignSpec::parse(&src).unwrap();
         for workers in [1, 8] {
             let (done, cache) = run_cached(
                 &spec,
@@ -439,6 +455,7 @@ checkpoint_every = 3
             )
             .unwrap();
             assert!(!done.interrupted);
+            assert_eq!(done.total_cells, 8);
             assert_eq!(
                 cache.held(),
                 0,
@@ -448,44 +465,57 @@ checkpoint_every = 3
                 cache.fitted_eras().is_empty(),
                 "workers {workers}: era fits outlived the campaign"
             );
+            assert!(
+                cache.filled_strata().is_empty(),
+                "workers {workers}: strata outlived the campaign"
+            );
 
+            // Stopped after the first wave: both keys have cells left, and
+            // only the strata cells 0-2 read are filled.
             let path = tmp(&format!("release_{workers}"));
             std::fs::remove_file(&path).ok();
-            let (partial, cache) = run_cached(
-                &spec,
-                &RunOptions {
-                    workers: Some(workers),
-                    journal: Some(&path),
-                    max_cells: Some(3),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let run = |max_cells: Option<u64>, resume: bool| {
+                run_cached(
+                    &spec,
+                    &RunOptions {
+                        workers: Some(workers),
+                        journal: Some(&path),
+                        resume,
+                        max_cells,
+                    },
+                )
+                .unwrap()
+            };
+            let (partial, cache) = run(Some(3), false);
             assert!(partial.interrupted);
-            assert_eq!(
-                cache.held(),
-                1,
-                "workers {workers}: only cell 3's trace is still needed"
-            );
+            assert_eq!(cache.held(), 2, "workers {workers}");
             assert_eq!(
                 cache.fitted_eras(),
-                vec![vec![Era::Full]],
-                "workers {workers}: only the era cell 1 read is fitted"
+                vec![vec![Era::Full], vec![Era::Full]],
+                "workers {workers}: only the full era has run"
+            );
+            assert_eq!(
+                cache.filled_strata(),
+                vec![vec![(Era::Full, 0), (Era::Full, 1)], vec![(Era::Full, 0)]],
+                "workers {workers}: only settled cells' strata are filled"
             );
 
             // A resume that starts mid-grid keeps slots only for the
-            // cells it has left, and releases those too.
-            let (resumed, cache) = run_cached(
-                &spec,
-                &RunOptions {
-                    workers: Some(workers),
-                    journal: Some(&path),
-                    resume: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(resumed.resumed_cells, 3);
+            // cells it has left, fills only the strata it runs, and
+            // releases the rate-1 key after its last cell (5).
+            let (partial, cache) = run(Some(6), true);
+            assert!(partial.interrupted);
+            assert_eq!(partial.resumed_cells, 3);
+            assert_eq!(cache.slots.len(), 2, "workers {workers}");
+            assert_eq!(cache.held(), 1, "workers {workers}");
+            assert_eq!(
+                cache.filled_strata(),
+                vec![vec![(Era::Full, 1)]],
+                "workers {workers}: cell 3 is the rate-2 key's only cell run"
+            );
+
+            let (resumed, cache) = run(None, true);
+            assert_eq!(resumed.resumed_cells, 6);
             assert_eq!(
                 cache.slots.len(),
                 1,
@@ -493,6 +523,7 @@ checkpoint_every = 3
             );
             assert_eq!(cache.held(), 0, "workers {workers}");
             assert!(cache.fitted_eras().is_empty(), "workers {workers}");
+            assert!(cache.filled_strata().is_empty(), "workers {workers}");
             assert_eq!(resumed.outcomes, done.outcomes);
             std::fs::remove_file(&path).ok();
         }

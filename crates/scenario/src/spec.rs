@@ -942,7 +942,8 @@ sched = ["none", "longest_uptime"]
 
     #[test]
     fn schema_violations_are_typed() {
-        let cases: &[(&str, fn(&SpecError) -> bool)] = &[
+        type Case = (&'static str, fn(&SpecError) -> bool);
+        let cases: &[Case] = &[
             ("", |e| matches!(e, SpecError::Missing { field } if field == "campaign")),
             ("[campaign]\nseed = 1", |e| {
                 matches!(e, SpecError::Missing { field } if field == "campaign.name")

@@ -229,7 +229,10 @@ pub fn percent_decode(s: &str, plus_as_space: bool) -> Result<String, HttpError>
     String::from_utf8(out).map_err(|_| HttpError::BadPercentEncoding)
 }
 
-fn parse_target(target: &str) -> Result<(Vec<String>, Vec<(String, String)>), HttpError> {
+/// A request target's decoded path segments and query pairs.
+type Target = (Vec<String>, Vec<(String, String)>);
+
+fn parse_target(target: &str) -> Result<Target, HttpError> {
     if !target.starts_with('/') {
         return Err(HttpError::BadTarget);
     }

@@ -220,7 +220,7 @@ fn handle_tbf(tenant: &Tenant, stratum: &TbfStratum) -> Response {
 
 fn handle_repair(state: &AppState, tenant: &Tenant, cause: Option<RootCause>) -> Response {
     let index = tenant.index();
-    let resp = match repair::by_cause_indexed(index) {
+    match repair::by_cause_indexed(index) {
         Err(e) => analysis_error(&e),
         Ok(by_cause) => match cause {
             Some(c) => ok_json(&render::repair_cause_json(c, &by_cause)),
@@ -233,12 +233,11 @@ fn handle_repair(state: &AppState, tenant: &Tenant, cause: Option<RootCause>) ->
                 }
             },
         },
-    };
-    resp
+    }
 }
 
 fn handle_rates(state: &AppState, tenant: &Tenant, system: Option<u32>) -> Response {
-    let resp = match rates::analyze_indexed(tenant.index(), &state.catalog) {
+    match rates::analyze_indexed(tenant.index(), &state.catalog) {
         Err(e) => analysis_error(&e),
         Ok(a) => match system {
             None => ok_json(&render::rates_json(&a)),
@@ -247,13 +246,12 @@ fn handle_rates(state: &AppState, tenant: &Tenant, system: Option<u32>) -> Respo
                 None => Response::error(404, &format!("no rate row for system {id}")),
             },
         },
-    };
-    resp
+    }
 }
 
 fn handle_availability(state: &AppState, tenant: &Tenant, system: Option<u32>) -> Response {
     let index = tenant.index();
-    let resp = match availability::analyze_indexed(index, &state.catalog) {
+    match availability::analyze_indexed(index, &state.catalog) {
         Err(e) => analysis_error(&e),
         Ok(rows) => match system {
             Some(id) => match rows.iter().find(|r| r.system.get() == id) {
@@ -265,8 +263,7 @@ fn handle_availability(state: &AppState, tenant: &Tenant, system: Option<u32>) -
                 Ok(site) => ok_json(&render::availability_json(&rows, site)),
             },
         },
-    };
-    resp
+    }
 }
 
 fn handle_pernode(state: &AppState, tenant: &Tenant, system: u32) -> Response {

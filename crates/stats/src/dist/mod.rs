@@ -127,8 +127,8 @@ pub(crate) const BATCH_LANES: usize = 8;
 pub(crate) fn map_chunked_in_place(out: &mut [f64], f: impl Fn(f64) -> f64) {
     let mut oc = out.chunks_exact_mut(BATCH_LANES);
     for o in &mut oc {
-        for i in 0..BATCH_LANES {
-            o[i] = f(o[i]);
+        for x in o.iter_mut() {
+            *x = f(*x);
         }
     }
     for o in oc.into_remainder() {

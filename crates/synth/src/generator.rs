@@ -427,11 +427,24 @@ fn advance_by_operational_gap(
             continue;
         }
         // Fine phase: hourly resolution with the full diurnal modulation.
+        // The step is `min(remaining / m, HOUR_F)`, written as a branch:
+        // a full hour moves `t` by a constant, so the next hour's `exp`
+        // and division need not wait for this one's (DESIGN §7). The
+        // partial step stays a loop exit: a select would put the division
+        // back on `t`'s dependency chain.
         let m =
             (life * config.diurnal.intensity(Timestamp::from_secs(t as u64))).max(MIN_MODULATION);
-        let step = (remaining / m).min(HOUR_F);
-        t += step;
-        remaining -= step * m;
+        let q = remaining / m;
+        if q < HOUR_F {
+            t += q;
+            remaining -= q * m;
+            if remaining <= 1e-9 {
+                return t;
+            }
+            continue;
+        }
+        t += HOUR_F;
+        remaining -= HOUR_F * m;
         if remaining <= 1e-9 {
             return t;
         }
@@ -562,10 +575,13 @@ mod tests {
         assert!(zf_late < 0.1, "late zero-gap fraction {zf_late}");
     }
 
+    /// The signature of [`advance_by_operational_gap`].
+    type Walk = fn(f64, f64, f64, f64, f64, &SystemConfig) -> f64;
+
     /// A seeded sweep of `(t_wall, gap)` walks over every lifecycle shape
     /// and both diurnal profiles, each walk run unbounded and bounded at
     /// `horizon`. Calls `check(unbounded, bounded, horizon)` per walk.
-    fn sweep_integrator(mut check: impl FnMut(f64, f64, f64)) {
+    fn sweep_integrator(walk: Walk, mut check: impl FnMut(f64, f64, f64)) {
         use crate::diurnal::DiurnalProfile;
         use crate::lifecycle::LifecycleShape;
         use hpcfail_records::time::{MONTH, YEAR};
@@ -597,16 +613,8 @@ mod tests {
                     let gap = (60f64.ln()
                         + rng.random::<f64>() * (120.0 * MONTH as f64 / 60.0).ln())
                     .exp();
-                    let walk = |h: f64| {
-                        advance_by_operational_gap(
-                            t_wall,
-                            gap,
-                            production_start,
-                            h,
-                            lifecycle_mean,
-                            &config,
-                        )
-                    };
+                    let walk =
+                        |h: f64| walk(t_wall, gap, production_start, h, lifecycle_mean, &config);
                     check(walk(f64::INFINITY), walk(horizon), horizon);
                 }
             }
@@ -616,7 +624,7 @@ mod tests {
     #[test]
     fn bounded_walk_is_bit_identical_before_the_horizon() {
         let mut inside = 0;
-        sweep_integrator(|unbounded, bounded, horizon| {
+        sweep_integrator(advance_by_operational_gap, |unbounded, bounded, horizon| {
             if unbounded < horizon {
                 inside += 1;
                 assert_eq!(bounded.to_bits(), unbounded.to_bits());
@@ -628,7 +636,7 @@ mod tests {
     #[test]
     fn bounded_walk_stops_within_a_week_of_the_horizon() {
         let mut crossing = 0;
-        sweep_integrator(|unbounded, bounded, horizon| {
+        sweep_integrator(advance_by_operational_gap, |unbounded, bounded, horizon| {
             if unbounded >= horizon {
                 crossing += 1;
                 assert!(
@@ -639,6 +647,113 @@ mod tests {
             }
         });
         assert!(crossing > 100, "sweep too thin: {crossing} walks cross");
+    }
+
+    /// Reference for [`advance_by_operational_gap`]: the same walk with
+    /// its fine step in `min` form, `(remaining / m).min(HOUR_F)`.
+    fn min_form_walk(
+        t_wall: f64,
+        gap_operational: f64,
+        production_start: f64,
+        horizon: f64,
+        lifecycle_mean: f64,
+        config: &SystemConfig,
+    ) -> f64 {
+        let month_f = hpcfail_records::time::MONTH as f64;
+        let mut t = t_wall;
+        let mut remaining = gap_operational;
+        while t < horizon {
+            let age_months = (t - production_start).max(0.0) / month_f;
+            let life =
+                (config.lifecycle.intensity(age_months) / lifecycle_mean).max(MIN_MODULATION);
+            if remaining > 2.0 * life * WEEK_F {
+                t += WEEK_F;
+                remaining -= life * WEEK_F;
+                continue;
+            }
+            let m = (life * config.diurnal.intensity(Timestamp::from_secs(t as u64)))
+                .max(MIN_MODULATION);
+            let step = (remaining / m).min(HOUR_F);
+            t += step;
+            remaining -= step * m;
+            if remaining <= 1e-9 {
+                return t;
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn branch_walk_matches_the_min_form_bit_for_bit() {
+        let mut walks = Vec::new();
+        sweep_integrator(advance_by_operational_gap, |unbounded, bounded, _| {
+            walks.push((unbounded.to_bits(), bounded.to_bits()));
+        });
+        let mut reference = Vec::new();
+        sweep_integrator(min_form_walk, |unbounded, bounded, _| {
+            reference.push((unbounded.to_bits(), bounded.to_bits()));
+        });
+        assert_eq!(walks.len(), 6 * 200);
+        assert_eq!(walks, reference);
+    }
+
+    /// Walks of one fine step's worth of operational time from exact hour
+    /// boundaries: gaps of `HOUR_F × m` and its neighbours a few ulps away,
+    /// where `remaining / m` lands on `HOUR_F` exactly, or below it while
+    /// the product `HOUR_F × m` does not. A walk from a real production
+    /// start rounds a step one ulp short of an hour away in `t`; one from
+    /// epoch zero shows it, so those starts sweep many normalizers (and
+    /// with them many `m`).
+    #[test]
+    fn branch_walk_matches_the_min_form_at_full_hour_quotients() {
+        use hpcfail_records::time::{MONTH, YEAR};
+
+        let (catalog, cal) = generator_fixture();
+        let config = cal.system(SystemId::new(20)).unwrap();
+        let real_start = catalog
+            .system(SystemId::new(20))
+            .unwrap()
+            .production_start()
+            .as_secs() as f64;
+        let real_starts = (0..16).flat_map(|i| {
+            (0..6 * 8760).step_by(37).map(move |hour| {
+                let t_wall = (real_start / HOUR_F).ceil() * HOUR_F + f64::from(hour) * HOUR_F;
+                (real_start, 1.0 + f64::from(i) / 16.0, t_wall)
+            })
+        });
+        let zero_starts = (0..4096).map(|i| (0.0, 1.0 + f64::from(i) / 4096.0, 0.0));
+        let (mut exact, mut split, mut split_at_zero) = (0, 0, 0);
+        for (production_start, lifecycle_mean, t_wall) in real_starts.chain(zero_starts) {
+            let horizon = production_start + (6 * YEAR) as f64;
+            let age_months = (t_wall - production_start) / MONTH as f64;
+            let life =
+                (config.lifecycle.intensity(age_months) / lifecycle_mean).max(MIN_MODULATION);
+            let m = (life
+                * config
+                    .diurnal
+                    .intensity(Timestamp::from_secs(t_wall as u64)))
+            .max(MIN_MODULATION);
+            let mut gap = (HOUR_F * m).next_down().next_down().next_down();
+            for _ in 0..7 {
+                let splits = gap / m < HOUR_F && gap >= HOUR_F * m;
+                exact += usize::from(gap / m == HOUR_F);
+                split += usize::from(splits);
+                split_at_zero += usize::from(splits && t_wall == 0.0);
+                for h in [horizon, f64::INFINITY] {
+                    let walk =
+                        |f: Walk| f(t_wall, gap, production_start, h, lifecycle_mean, config);
+                    assert_eq!(
+                        walk(advance_by_operational_gap).to_bits(),
+                        walk(min_form_walk).to_bits(),
+                        "start {t_wall}, gap {gap}, horizon {h}"
+                    );
+                }
+                gap = gap.next_up();
+            }
+        }
+        assert!(exact > 1000, "only {exact} gaps give an exact full hour");
+        assert!(split > 100, "only {split} gaps split quotient and product");
+        assert!(split_at_zero > 0, "no split gap from epoch zero");
     }
 
     #[test]

@@ -24,6 +24,14 @@ if ! rustfmt --edition 2021 --check "${fmt_files[@]}"; then
 fi
 echo "OK: ${#fmt_files[@]} source files formatted"
 
+# Lint drift fails next, over the same sources: every crates/* package
+# with its tests and examples. vendor/ stand-ins are excluded for the
+# reason above, and perfbench/ is not a workspace member.
+echo "==> cargo clippy --all-targets over the crates/* packages, warnings denied"
+cargo clippy --offline --workspace --exclude rand --exclude proptest --all-targets \
+    -- -D warnings
+echo "OK: no clippy warnings"
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

@@ -79,13 +79,11 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn poisoned_cells_degrade_while_every_sibling_completes() {
     // Poison two cells in different waves; all 16 cells must settle.
-    let src = format!(
-        "[campaign]\nname = \"poisoned\"\nseed = 7\n[fleet]\nsystems = [12]\n\
+    let src = "[campaign]\nname = \"poisoned\"\nseed = 7\n[fleet]\nsystems = [12]\n\
          [grid]\nrate_scale = [1.0, 2.0]\ncheckpoint = [\"none\", \"young\"]\n\
          era = [\"full\", \"early\"]\nsched = [\"none\", \"random\"]\n\
-         [runner]\ncheckpoint_every = 4\n[chaos]\npanic_cells = [3, 11]\n"
-    );
-    let spec = CampaignSpec::parse(&src).unwrap();
+         [runner]\ncheckpoint_every = 4\n[chaos]\npanic_cells = [3, 11]\n";
+    let spec = CampaignSpec::parse(src).unwrap();
     for &workers in &WORKER_COUNTS {
         let result = run_campaign(
             &spec,

@@ -117,7 +117,7 @@ fn chaos_sweep_never_panics_and_never_bends_an_answer() {
     ];
     for (cell_index, (rate, (mix_name, mix))) in [0.0, 0.5, 1.0]
         .into_iter()
-        .flat_map(|r| mixes.clone().into_iter().map(move |m| (r, m)))
+        .flat_map(|r| mixes.into_iter().map(move |m| (r, m)))
         .enumerate()
     {
         let plan = ChaosPlan {

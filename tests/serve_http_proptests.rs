@@ -57,7 +57,7 @@ fn valid_request(seed: u64) -> Vec<u8> {
     ];
     let mut s = seed;
     let target = targets[splitmix64(&mut s) as usize % targets.len()];
-    let method = if splitmix64(&mut s) % 4 == 0 {
+    let method = if splitmix64(&mut s).is_multiple_of(4) {
         "POST"
     } else {
         "GET"

@@ -17,6 +17,9 @@ use hpcfail::records::quality::repair as repair_trace;
 use hpcfail::serve::{parse_request, render, respond, spawn, AppState, ServeConfig, TenantSource};
 
 /// Every analysis route, relative to `/v1/<trace>/`.
+/// A named way to damage a tenant's file on disk.
+type Damage<'a> = (&'a str, Box<dyn Fn() + 'a>);
+
 const ANALYSIS_ROUTES: [&str; 11] = [
     "tbf",
     "tbf?view=pooled",
@@ -89,7 +92,8 @@ fn get(addr: SocketAddr, target: &str) -> (u16, String) {
 fn tbf_bodies_match_direct_library_calls() {
     let (_, addr) = booted();
     let index = fixture_trace().index();
-    let cases: [(&str, tbf::View, Option<(Timestamp, Timestamp)>); 4] = [
+    type Case = (&'static str, tbf::View, Option<(Timestamp, Timestamp)>);
+    let cases: [Case; 4] = [
         (
             "/v1/lanl/tbf",
             tbf::View::SystemWide(SystemId::new(20)),
@@ -270,7 +274,7 @@ fn reload_against_a_damaged_file_keeps_the_old_generation_serving() {
     let (status, before) = get(addr, "/v1/flaky/findings");
     assert_eq!(status, 200, "{before}");
 
-    let damage: [(&str, Box<dyn Fn()>); 3] = [
+    let damage: [Damage<'_>; 3] = [
         (
             "corrupt",
             Box::new(|| std::fs::write(&path, b"\xff\xfe not a csv at all\n@@@").unwrap()),
@@ -432,7 +436,7 @@ fn reload_against_a_damaged_packed_store_keeps_the_old_generation_serving() {
     let (status, before) = get(addr, "/v1/packed/findings");
     assert_eq!(status, 200, "{before}");
 
-    let damage: [(&str, Box<dyn Fn()>); 3] = [
+    let damage: [Damage<'_>; 3] = [
         (
             "bit-flip",
             Box::new(|| {
