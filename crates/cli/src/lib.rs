@@ -132,7 +132,7 @@ USAGE:
       requests and exits cleanly; overload is shed with 503 +
       Retry-After, and slow or stalled requests are cut off with 408.
   hpcfail scenario plan SPEC
-      Validate a campaign spec (TOML or JSON) and print the expanded
+      Validate a campaign spec (TOML) and print the expanded
       cell grid without running anything.
   hpcfail scenario run SPEC [--out FILE] [--resume] [--workers N]
       Run the campaign: every cell of the grid is evaluated on the
@@ -219,12 +219,12 @@ pub enum Command {
     },
     /// `scenario plan SPEC`
     ScenarioPlan {
-        /// Campaign spec file (TOML or JSON).
+        /// Campaign spec file (TOML).
         spec: PathBuf,
     },
     /// `scenario run SPEC [--out FILE] [--resume] [--workers N]`
     ScenarioRun {
-        /// Campaign spec file (TOML or JSON).
+        /// Campaign spec file (TOML).
         spec: PathBuf,
         /// Where to write the results table (default: stdout).
         out: Option<PathBuf>,
@@ -1541,6 +1541,17 @@ mod tests {
         let err = execute(&Command::ScenarioPlan { spec }).unwrap_err();
         assert_eq!(err.code, 1);
         assert!(err.message.contains("invalid spec"), "{}", err.message);
+        // Specs are TOML only: a JSON document fails on its first line.
+        let spec = dir.join("spec.json");
+        std::fs::write(
+            &spec,
+            r#"{"campaign": {"name": "j", "seed": 3}, "fleet": {"systems": [14]}}"#,
+        )
+        .unwrap();
+        let err = execute(&Command::ScenarioPlan { spec }).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("invalid spec"), "{}", err.message);
+        assert!(err.message.contains("line 1"), "{}", err.message);
     }
 
     #[test]

@@ -985,6 +985,79 @@ mod tests {
         }
     }
 
+    /// Make `lock`'s fill panic under `catch_unwind` and check the lock
+    /// stays empty; then check that `cell` through `slot` fills it and
+    /// equals a fresh evaluation, bitwise.
+    fn panicked_fill_is_retried<T>(
+        s: &CampaignSpec,
+        slot: &KeySlot,
+        lock: &OnceLock<T>,
+        cell: &Cell,
+    ) {
+        let fill = || {
+            lock.get_or_init(|| panic!("injected fill panic"));
+        };
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(fill)).is_err());
+        assert!(lock.get().is_none(), "a panicked fill left its lock set");
+        let shared = evaluate_shared(s, cell, slot);
+        assert!(shared.is_ok(), "cell {}: {shared:?}", cell.index);
+        assert_eq!(shared, evaluate(s, cell), "cell {}", cell.index);
+        assert!(
+            lock.get().is_some(),
+            "cell {} left the lock empty",
+            cell.index
+        );
+    }
+
+    #[test]
+    fn a_panicked_fill_leaves_its_lock_empty_for_the_next_cell() {
+        let s = CampaignSpec::parse(
+            "[campaign]\nname = \"t\"\nseed = 5\n[fleet]\nsystems = [12]\n\
+             [grid]\nera = [\"full\", \"early\"]\nrepair_scale = [1.0, 3.0]\n\
+             checkpoint = [\"none\", \"young\"]\nsched = [\"none\", \"random\"]\n",
+        )
+        .unwrap();
+        let cells = expand(&s);
+        let cell = |era: Era, repair: usize, checkpoint: CheckpointApp, sched: SchedApp| {
+            cells
+                .iter()
+                .find(|c| {
+                    c.era == era
+                        && c.repair_scale.to_bits() == s.grid.repair_scale[repair].to_bits()
+                        && c.checkpoint == checkpoint
+                        && c.sched == sched
+                })
+                .unwrap()
+        };
+        // Each fill in turn, every other lock the cell reads already set
+        // by the cells before it.
+        let slot = KeySlot::new(&s);
+        let full = &slot.eras[Era::Full as usize];
+        let early = &slot.eras[Era::Early as usize];
+        use CheckpointApp as C;
+        use SchedApp as S;
+        panicked_fill_is_retried(&s, &slot, &slot.trace, cell(Era::Full, 0, C::None, S::None));
+        panicked_fill_is_retried(&s, &slot, &early.fit, cell(Era::Early, 0, C::None, S::None));
+        panicked_fill_is_retried(
+            &s,
+            &slot,
+            &full.strata[1].window,
+            cell(Era::Full, 1, C::None, S::None),
+        );
+        panicked_fill_is_retried(
+            &s,
+            &slot,
+            &full.strata[0].checkpoint[C::Young as usize],
+            cell(Era::Full, 0, C::Young, S::None),
+        );
+        panicked_fill_is_retried(
+            &s,
+            &slot,
+            &full.strata[0].sched[S::Random as usize],
+            cell(Era::Full, 0, C::None, S::Random),
+        );
+    }
+
     #[test]
     fn cell_error_codes_round_trip() {
         let all = [

@@ -1,7 +1,7 @@
 //! # hpcfail-scenario
 //!
 //! Declarative fault-injection campaigns over the Schroeder–Gibson
-//! failure model: a TOML/JSON scenario spec describes a fleet (real
+//! failure model: a TOML scenario spec describes a fleet (real
 //! LANL systems and projected exascale fleets), a grid of perturbations
 //! (rate scaling, cause-mix shifts, correlated-burst injection,
 //! repair-time inflation, era stratification) and application models
@@ -49,7 +49,7 @@ pub mod journal;
 pub mod report;
 pub mod runner;
 pub mod spec;
-pub mod value;
+mod value;
 
 pub use cell::{cell_seed, evaluate, CellError, CellMetrics};
 pub use grid::{expand, Cell};
@@ -60,4 +60,4 @@ pub use spec::{
     AppParams, BurstMode, CampaignSpec, CauseMixName, CheckpointApp, Era, FleetEntry, GridAxes,
     Projection, RunnerParams, SchedApp, SpecError,
 };
-pub use value::{parse_document, ParseError, Value};
+pub use value::ParseError;

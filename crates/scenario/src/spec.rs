@@ -1,17 +1,17 @@
 //! Typed campaign specifications.
 //!
-//! [`CampaignSpec::parse`] lowers a [`crate::value::Value`] tree into a
-//! fully validated campaign: every axis value is checked against its
-//! enum, every number against its legal range, every key against the
-//! schema — *before a single cell runs*. The raw spec text is digested
-//! ([`hpcfail_records::checksum`]) so resume journals can refuse to
-//! continue a campaign from a different spec.
+//! [`CampaignSpec::parse`] reads the TOML subset and lowers the parsed
+//! tree into a fully validated campaign: every axis value is checked
+//! against its enum, every number against its legal range, every key
+//! against the schema — *before a single cell runs*. The raw spec text
+//! is digested ([`hpcfail_records::checksum`]) so resume journals can
+//! refuse to continue a campaign from a different spec.
 
 use std::fmt;
 
 use hpcfail_records::SystemId;
 
-use crate::value::{parse_document, ParseError, Value};
+use crate::value::{parse_toml, ParseError, Value};
 
 /// Hard ceiling on the expanded cell count of one campaign.
 pub const MAX_CELLS: u64 = 1_000_000;
@@ -25,7 +25,7 @@ pub const MAX_PROJECTION_NODES: i64 = 100_000_000;
 pub enum SpecError {
     /// The spec file is not valid UTF-8.
     NotUtf8,
-    /// The document does not parse (TOML subset or JSON).
+    /// The document does not parse as the TOML subset.
     Parse(ParseError),
     /// A required field is absent.
     Missing {
@@ -99,15 +99,6 @@ macro_rules! axis_enum {
             /// The spec-file spelling.
             pub fn label(&self) -> &'static str {
                 match self { $($name::$variant => $label),+ }
-            }
-
-            /// Parse a spec-file spelling (underscores accepted for
-            /// hyphens).
-            pub fn from_label(s: &str) -> Option<$name> {
-                match s.replace('_', "-").as_str() {
-                    $($label => Some($name::$variant),)+
-                    _ => None,
-                }
             }
         }
 
@@ -326,15 +317,14 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Parse and validate a spec document (TOML subset, or JSON when the
-    /// first non-space byte is `{`).
+    /// Parse and validate a spec document written in the TOML subset.
     ///
     /// # Errors
     ///
     /// A typed [`SpecError`] for any syntax, schema, type, range, or
     /// consistency problem. Never panics, for any input.
     pub fn parse(src: &str) -> Result<CampaignSpec, SpecError> {
-        let doc = parse_document(src)?;
+        let doc = parse_toml(src)?;
         let digest = hpcfail_records::checksum(src.as_bytes());
         lower(&doc, digest)
     }
@@ -464,13 +454,15 @@ fn system_id(field: &str, raw: i64) -> Result<SystemId, SpecError> {
     Ok(SystemId::new(raw as u32))
 }
 
+/// An enum axis: each item must spell one of `all` by its `label`
+/// (underscores accepted for hyphens).
 fn axis_values<T: Copy + PartialEq>(
     entries: &[(String, Value)],
     path: &str,
     key: &str,
     default: T,
-    parse: impl Fn(&str) -> Option<T>,
-    labels: impl Fn() -> String,
+    all: &[T],
+    label: fn(&T) -> &'static str,
 ) -> Result<Vec<T>, SpecError> {
     let field = format!("{path}.{key}");
     let Some(v) = entries.iter().find(|(k, _)| k == key).map(|(_, v)| v) else {
@@ -483,10 +475,12 @@ fn axis_values<T: Copy + PartialEq>(
     let mut out = Vec::with_capacity(items.len());
     for item in items {
         let s = want_str(item, &field)?;
-        let Some(parsed) = parse(&s) else {
+        let spelling = s.replace('_', "-");
+        let Some(&parsed) = all.iter().find(|&v| label(v) == spelling) else {
+            let labels: Vec<&str> = all.iter().map(label).collect();
             return invalid(
                 &field,
-                format!("unknown value `{s}` (one of: {})", labels()),
+                format!("unknown value `{s}` (one of: {})", labels.join(", ")),
             );
         };
         if out.contains(&parsed) {
@@ -684,16 +678,8 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
             "sched",
         ],
     )?;
-    let join = |labels: &[&str]| labels.join(", ");
     let grid = GridAxes {
-        era: axis_values(
-            grid_entries,
-            "grid",
-            "era",
-            Era::Full,
-            Era::from_label,
-            || join(&Era::ALL.iter().map(|e| e.label()).collect::<Vec<_>>()),
-        )?,
+        era: axis_values(grid_entries, "grid", "era", Era::Full, Era::ALL, Era::label)?,
         rate_scale: scale_axis(grid_entries, "grid", "rate_scale", (0.01, 100.0))?,
         repair_scale: scale_axis(grid_entries, "grid", "repair_scale", (0.01, 100.0))?,
         cause_mix: axis_values(
@@ -701,46 +687,32 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
             "grid",
             "cause_mix",
             CauseMixName::Lanl,
-            CauseMixName::from_label,
-            || {
-                join(
-                    &CauseMixName::ALL
-                        .iter()
-                        .map(|e| e.label())
-                        .collect::<Vec<_>>(),
-                )
-            },
+            CauseMixName::ALL,
+            CauseMixName::label,
         )?,
         burst: axis_values(
             grid_entries,
             "grid",
             "burst",
             BurstMode::Calibrated,
-            BurstMode::from_label,
-            || join(&BurstMode::ALL.iter().map(|e| e.label()).collect::<Vec<_>>()),
+            BurstMode::ALL,
+            BurstMode::label,
         )?,
         checkpoint: axis_values(
             grid_entries,
             "grid",
             "checkpoint",
             CheckpointApp::None,
-            CheckpointApp::from_label,
-            || {
-                join(
-                    &CheckpointApp::ALL
-                        .iter()
-                        .map(|e| e.label())
-                        .collect::<Vec<_>>(),
-                )
-            },
+            CheckpointApp::ALL,
+            CheckpointApp::label,
         )?,
         sched: axis_values(
             grid_entries,
             "grid",
             "sched",
             SchedApp::None,
-            SchedApp::from_label,
-            || join(&SchedApp::ALL.iter().map(|e| e.label()).collect::<Vec<_>>()),
+            SchedApp::ALL,
+            SchedApp::label,
         )?,
     };
 
@@ -916,28 +888,20 @@ repair_scale = [1.0, 3.0]
 cause_mix = ["lanl", "hardware-heavy"]
 burst = ["calibrated", "storm"]
 checkpoint = ["none", "young", "hazard"]
-sched = ["none", "longest_uptime"]
+sched = ["none", "least_failure_rate", "longest_uptime"]
 "#,
         )
         .unwrap();
         assert_eq!(spec.fleet.len(), 3);
-        assert_eq!(spec.cell_count(), 3 * 2 * 3 * 2 * 2 * 2 * 3 * 2);
+        assert_eq!(spec.cell_count(), 3 * 2 * 3 * 2 * 2 * 2 * 3 * 3);
         assert_eq!(
             spec.grid.sched,
-            vec![SchedApp::None, SchedApp::LongestUptime]
+            vec![
+                SchedApp::None,
+                SchedApp::LeastFailureRate,
+                SchedApp::LongestUptime
+            ]
         );
-    }
-
-    #[test]
-    fn json_specs_parse_too() {
-        let spec = CampaignSpec::parse(
-            r#"{"campaign": {"name": "j", "seed": 3},
-                "fleet": {"systems": [14]},
-                "grid": {"era": ["full", "late"]}}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.name, "j");
-        assert_eq!(spec.grid.era, vec![Era::Full, Era::Late]);
     }
 
     #[test]
@@ -975,6 +939,13 @@ sched = ["none", "longest_uptime"]
                 |e| matches!(e, SpecError::Invalid { field, .. } if field == "grid.era"),
             ),
             (
+                "[campaign]\nname = \"x\"\n[fleet]\nsystems = [12]\n[grid]\nsched = [\"fifo\"]",
+                |e| {
+                    matches!(e, SpecError::Invalid { field, message } if field == "grid.sched"
+                        && message == "unknown value `fifo` (one of: none, random, least-failure-rate, longest-uptime)")
+                },
+            ),
+            (
                 "[campaign]\nname = \"x\"\n[fleet]\nsystems = [12]\n[grid]\nrate_scale = [0.0]",
                 |e| matches!(e, SpecError::Invalid { field, .. } if field == "grid.rate_scale"),
             ),
@@ -998,6 +969,11 @@ sched = ["none", "longest_uptime"]
                 matches!(e, SpecError::Type { field, .. } if field == "campaign.name")
             }),
             ("not toml at all }{", |e| matches!(e, SpecError::Parse(_))),
+            // JSON is not a spec language: refused on its first line.
+            (
+                r#"{"campaign": {"name": "j", "seed": 3}, "fleet": {"systems": [14]}}"#,
+                |e| matches!(e, SpecError::Parse(p) if p.line == 1),
+            ),
         ];
         for (src, check) in cases {
             let err = CampaignSpec::parse(src).unwrap_err();

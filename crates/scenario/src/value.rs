@@ -1,10 +1,8 @@
 //! A total, std-only parser for the scenario spec surface.
 //!
 //! Specs are written in a TOML subset (single-level tables, arrays of
-//! tables, scalar/array values, `#` comments) or, when the first
-//! non-whitespace byte is `{`, a JSON document. Both front-ends produce
-//! the same generic [`Value`] tree that [`crate::spec`] lowers into a
-//! typed campaign.
+//! tables, scalar/array values, `#` comments), parsed into a generic
+//! [`Value`] tree that [`crate::spec`] lowers into a typed campaign.
 //!
 //! **Totality is the contract**: any byte sequence — hostile, torn, or
 //! bit-flipped — produces either a `Value` or a typed
@@ -15,11 +13,11 @@ use std::fmt;
 
 /// Maximum nesting depth for arrays/objects before the parser refuses —
 /// a stack-overflow guard for adversarial inputs like `[[[[[…`.
-pub const MAX_DEPTH: usize = 64;
+const MAX_DEPTH: usize = 64;
 
 /// A parsed configuration value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// A UTF-8 string.
     Str(String),
     /// A 64-bit signed integer.
@@ -36,7 +34,7 @@ pub enum Value {
 
 impl Value {
     /// Human-facing name of the variant, for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Str(_) => "string",
             Value::Int(_) => "integer",
@@ -48,7 +46,7 @@ impl Value {
     }
 
     /// Look a key up in a table value.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Table(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -56,7 +54,7 @@ impl Value {
     }
 
     /// The table's entries, if this is a table.
-    pub fn entries(&self) -> Option<&[(String, Value)]> {
+    pub(crate) fn entries(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Table(entries) => Some(entries),
             _ => None,
@@ -67,7 +65,7 @@ impl Value {
 /// A syntax error with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line of the offending construct (best effort for JSON).
+    /// 1-based line of the offending construct.
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -88,24 +86,11 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-/// Parse a spec document, sniffing JSON (`{` first) vs TOML.
-pub fn parse_document(src: &str) -> Result<Value, ParseError> {
-    if src.trim_start().starts_with('{') {
-        parse_json(src)
-    } else {
-        parse_toml(src)
-    }
-}
-
-// ---------------------------------------------------------------------
-// TOML subset
-// ---------------------------------------------------------------------
-
 /// Parse the TOML subset: `[table]`, `[[array-of-tables]]`,
 /// `key = value` lines, `#` comments. Values: strings, integers,
 /// floats, booleans, single-line arrays. No dotted keys, inline
 /// tables, or dates.
-pub fn parse_toml(src: &str) -> Result<Value, ParseError> {
+pub(crate) fn parse_toml(src: &str) -> Result<Value, ParseError> {
     let mut root: Vec<(String, Value)> = Vec::new();
     // (section name, is-array-of-tables); None = top level.
     let mut cursor: Option<(String, bool)> = None;
@@ -355,205 +340,6 @@ fn parse_number(text: &str, line_no: usize) -> Result<Value, ParseError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------
-
-/// Parse a JSON document whose top level is an object.
-pub fn parse_json(src: &str) -> Result<Value, ParseError> {
-    let mut p = Json {
-        chars: src.chars().collect(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.chars.len() {
-        return err(p.line(), "trailing characters after JSON document");
-    }
-    match v {
-        Value::Table(_) => Ok(v),
-        other => err(
-            1,
-            format!("top level must be an object, got {}", other.type_name()),
-        ),
-    }
-}
-
-struct Json {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Json {
-    fn line(&self) -> usize {
-        1 + self.chars[..self.pos.min(self.chars.len())]
-            .iter()
-            .filter(|&&c| c == '\n')
-            .count()
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => err(self.line(), format!("expected `{want}`, found `{c}`")),
-            None => err(
-                self.line(),
-                format!("expected `{want}`, found end of input"),
-            ),
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
-        if depth > MAX_DEPTH {
-            return err(self.line(), "value nested too deeply");
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some('{') => self.object(depth),
-            Some('[') => self.array(depth),
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some('t') => self.keyword("true", Value::Bool(true)),
-            Some('f') => self.keyword("false", Value::Bool(false)),
-            Some('n') => err(self.line(), "`null` is not a valid spec value"),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some(c) => err(self.line(), format!("unexpected character `{c}`")),
-            None => err(self.line(), "unexpected end of input"),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        for want in word.chars() {
-            match self.bump() {
-                Some(c) if c == want => {}
-                _ => return err(self.line(), format!("invalid keyword (expected `{word}`)")),
-            }
-        }
-        Ok(value)
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect('{')?;
-        let mut entries: Vec<(String, Value)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.pos += 1;
-            return Ok(Value::Table(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if entries.iter().any(|(k, _)| k == &key) {
-                return err(self.line(), format!("key `{key}` set twice in one object"));
-            }
-            self.skip_ws();
-            self.expect(':')?;
-            let value = self.value(depth + 1)?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(Value::Table(entries)),
-                Some(c) => return err(self.line(), format!("expected `,` or `}}`, found `{c}`")),
-                None => return err(self.line(), "unterminated object"),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect('[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(Value::Array(items)),
-                Some(c) => return err(self.line(), format!("expected `,` or `]`, found `{c}`")),
-                None => return err(self.line(), "unterminated array"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().and_then(|c| c.to_digit(16)).ok_or_else(|| {
-                                ParseError {
-                                    line: self.line(),
-                                    message: "invalid \\u escape".into(),
-                                }
-                            })?;
-                            code = code * 16 + d;
-                        }
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            None => return err(self.line(), "\\u escape is not a scalar value"),
-                        }
-                    }
-                    Some(other) => {
-                        return err(self.line(), format!("unsupported escape `\\{other}`"))
-                    }
-                    None => return err(self.line(), "unterminated escape"),
-                },
-                Some(c) if (c as u32) < 0x20 => {
-                    return err(self.line(), "control character in string")
-                }
-                Some(c) => out.push(c),
-                None => return err(self.line(), "unterminated string"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some('-' | '+' | '.' | 'e' | 'E') | Some('0'..='9')
-        ) {
-            self.pos += 1;
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        parse_number(&text, self.line())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,51 +431,11 @@ name = "zeta"
     }
 
     #[test]
-    fn json_documents_parse() {
-        let v = parse_document(
-            r#"{
-  "campaign": { "name": "j", "seed": 7, "pi": 3.25, "on": false },
-  "list": [1, "two", [3]]
-}"#,
-        )
-        .unwrap();
-        let c = v.get("campaign").unwrap();
-        assert_eq!(c.get("name"), Some(&Value::Str("j".into())));
-        assert_eq!(c.get("pi"), Some(&Value::Float(3.25)));
-        assert_eq!(c.get("on"), Some(&Value::Bool(false)));
-        match v.get("list").unwrap() {
-            Value::Array(items) => assert_eq!(items.len(), 3),
-            _ => panic!("list"),
-        }
-    }
-
-    #[test]
-    fn json_rejects_hostile_inputs() {
-        for src in [
-            "{",
-            "{\"a\":}",
-            "{\"a\":1,}",
-            "{\"a\":null}",
-            "{\"a\":1}x",
-            "[1,2]",
-            "{\"a\" 1}",
-            "{\"a\":\"\\q\"}",
-            "{\"a\":\"\\ud800\"}",
-            "{\"a\":1e9999}",
-            &format!("{{\"a\":{}1{}}}", "[".repeat(200), "]".repeat(200)),
-        ] {
-            assert!(parse_document(src).is_err(), "accepted {src:?}");
-        }
-    }
-
-    #[test]
     fn unicode_and_escapes_round_trip() {
         let v = parse_toml("s = \"caf\u{e9} \\\"q\\\" \\n tab\\t\"").unwrap();
         assert_eq!(
             v.get("s"),
             Some(&Value::Str("caf\u{e9} \"q\" \n tab\t".into()))
         );
-        let j = parse_json("{\"s\": \"\\u00e9\\u0041\"}").unwrap();
-        assert_eq!(j.get("s"), Some(&Value::Str("\u{e9}A".into())));
     }
 }

@@ -414,9 +414,9 @@ const ANALYSES: [&str; 6] = [
 ];
 
 fn analyze(state: &AppState, trace: &str, analysis: &str, req: &Request) -> Response {
-    if !ANALYSES.contains(&analysis) {
+    let Some(&analysis) = ANALYSES.iter().find(|&&a| a == analysis) else {
         return Response::error(404, &format!("no such analysis {analysis:?}"));
-    }
+    };
     let Some(tenant) = state.registry.get(trace) else {
         return Response::error(404, &format!("no such trace {trace:?}"));
     };
@@ -470,14 +470,7 @@ fn analyze(state: &AppState, trace: &str, analysis: &str, req: &Request) -> Resp
     let key = CacheKey {
         tenant: tenant.name.clone(),
         generation: tenant.generation,
-        analysis: match analysis {
-            "tbf" => "tbf",
-            "repair" => "repair",
-            "rates" => "rates",
-            "availability" => "availability",
-            "pernode" => "pernode",
-            _ => "findings",
-        },
+        analysis,
         stratum,
     };
     let tenant: Arc<Tenant> = tenant;

@@ -210,27 +210,6 @@ impl FitReport {
     pub fn rank_of(&self, family: Family) -> Option<usize> {
         self.candidates.iter().position(|c| c.family == family)
     }
-
-    /// Akaike weights: the relative likelihood of each fitted candidate,
-    /// `w_i = exp(−Δ_i/2) / Σ exp(−Δ_j/2)` with `Δ_i = AIC_i − min AIC`.
-    /// Returned in [`FitReport::candidates`] order; sums to 1.
-    pub fn akaike_weights(&self) -> Vec<f64> {
-        if self.candidates.is_empty() {
-            return Vec::new();
-        }
-        let min_aic = self
-            .candidates
-            .iter()
-            .map(|c| c.aic)
-            .fold(f64::INFINITY, f64::min);
-        let rel: Vec<f64> = self
-            .candidates
-            .iter()
-            .map(|c| (-(c.aic - min_aic) / 2.0).exp())
-            .collect();
-        let total: f64 = rel.iter().sum();
-        rel.into_iter().map(|w| w / total).collect()
-    }
 }
 
 /// Fit all `families` to `data` by maximum likelihood and rank them.
@@ -514,12 +493,6 @@ mod tests {
                 c.aic
             );
         }
-        let weights = report.akaike_weights();
-        assert_eq!(weights.len(), report.candidates.len());
-        assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // Weights are ordered with the candidates (best first under NLL ≈
-        // best AIC here) and the winner dominates.
-        assert!(weights[0] > 0.5, "winner weight {}", weights[0]);
     }
 
     #[test]

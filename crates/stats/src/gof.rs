@@ -72,41 +72,6 @@ pub fn ks_statistic_sorted(sorted: &[f64], dist: &dyn Continuous) -> f64 {
     d
 }
 
-/// Approximate p-value for the KS statistic via the asymptotic
-/// Kolmogorov distribution `Q(λ) = 2 Σ (−1)^{k−1} e^{−2k²λ²}` with the
-/// standard small-sample correction.
-///
-/// A small p-value means the data are unlikely under the fitted model.
-/// (The paper does not report p-values — with tens of thousands of
-/// observations every standard family is formally rejected — but they are
-/// useful for the smaller per-node samples.)
-pub fn ks_p_value(d: f64, n: usize) -> f64 {
-    if n == 0 || !d.is_finite() || d <= 0.0 {
-        return 1.0;
-    }
-    if d >= 1.0 {
-        return 0.0;
-    }
-    let sqrt_n = (n as f64).sqrt();
-    let lambda = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d;
-    if lambda < 0.2 {
-        // The Kolmogorov CDF is < 5e-8 here; the alternating series
-        // converges too slowly to be useful, and p = 1 to 7 digits.
-        return 1.0;
-    }
-    let mut sum = 0.0;
-    let mut sign = 1.0;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64) * (k as f64) * lambda * lambda).exp();
-        sum += sign * term;
-        if term < 1e-12 {
-            break;
-        }
-        sign = -sign;
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
 /// Result of a chi-squared test (see [`chi_squared_uniform`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChiSquared {
@@ -264,25 +229,6 @@ mod tests {
         let wrong = Exponential::from_mean(truth.mean()).unwrap();
         let wrong_ks = ks_statistic_sorted(ecdf.sorted_values(), &wrong);
         assert!(wrong_ks > 5.0 * right, "right {right} wrong {wrong_ks}");
-    }
-
-    #[test]
-    fn p_value_behaviour() {
-        // Large D on a big sample → p ≈ 0; small D → p ≈ 1.
-        assert!(ks_p_value(0.3, 10_000) < 1e-10);
-        assert!(ks_p_value(0.001, 100) > 0.99);
-        assert_eq!(ks_p_value(0.0, 100), 1.0);
-        assert_eq!(ks_p_value(1.5, 100), 0.0);
-        assert_eq!(ks_p_value(0.5, 0), 1.0);
-    }
-
-    #[test]
-    fn p_value_calibration_point() {
-        // Classic critical value: D = 1.36/√n gives p ≈ 0.05.
-        let n = 400;
-        let d = 1.36 / (n as f64).sqrt();
-        let p = ks_p_value(d, n);
-        assert!((p - 0.05).abs() < 0.01, "p = {p}");
     }
 
     #[test]

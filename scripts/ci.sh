@@ -96,8 +96,6 @@ RESERVED = {
     "without_diurnal": "ROADMAP item 3",
     "uniform_gap_shape": "ROADMAP item 3",
     "homogeneous_nodes": "ROADMAP item 3",
-    "ks_p_value": "ROADMAP item 4",
-    "akaike_weights": "ROADMAP item 4",
 }
 lib = [open(f).read() for f in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True))]
 text = "".join(src.split("#[cfg(test)]")[0] for src in lib)
