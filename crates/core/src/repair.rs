@@ -275,15 +275,18 @@ mod tests {
         // Restricting to one hardware type removes the type-scale mixing,
         // so the exponential's KS distance improves versus the all-systems
         // fit — while lognormal still wins (sub-optimal exponential).
-        let trace = site();
+        let index = site().index();
         let catalog = Catalog::lanl();
-        let all = fit_all_repairs_indexed(&trace.index()).unwrap();
+        let all = fit_all_repairs_indexed(&index).unwrap();
         let all_exp_ks = all.candidate(Family::Exponential).unwrap().ks;
         let mut improved = 0;
         let mut compared = 0;
         for hw in [HardwareType::E, HardwareType::F, HardwareType::G] {
-            let ids: Vec<SystemId> = catalog.systems_of_type(hw).iter().map(|s| s.id()).collect();
-            let minutes = trace.index().all().filter_systems(&ids).downtimes_minutes();
+            let minutes: Vec<f64> = catalog
+                .systems_of_type(hw)
+                .iter()
+                .flat_map(|s| index.system(s.id()).downtimes_minutes())
+                .collect();
             let within =
                 fit_paper_set_prepared(&PreparedSample::from_vec(minutes).unwrap()).unwrap();
             let exp_ks = within.candidate(Family::Exponential).unwrap().ks;

@@ -105,20 +105,17 @@ pub fn analyze_indexed(
     view: View,
     window: Option<(Timestamp, Timestamp)>,
 ) -> Result<TbfAnalysis, AnalysisError> {
-    let windowed = match window {
-        Some((from, to)) => index.all().window(from, to),
-        None => index.all(),
+    let rows = match view {
+        View::Node(system, node) => index.node(system, node),
+        View::SystemWide(system) | View::PooledNodes(system) => index.system(system),
+    };
+    let rows = match window {
+        Some((from, to)) => rows.window(from, to),
+        None => rows,
     };
     let gaps: Vec<f64> = match view {
-        View::Node(system, node) => windowed
-            .filter_node(system, node)
-            .interarrival_secs()
-            .unwrap_or_default(),
-        View::SystemWide(system) => windowed
-            .filter_system(system)
-            .interarrival_secs()
-            .unwrap_or_default(),
-        View::PooledNodes(system) => windowed.filter_system(system).per_node_interarrival_secs(),
+        View::PooledNodes(_) => rows.per_node_interarrival_secs(),
+        View::Node(..) | View::SystemWide(_) => rows.interarrival_secs().unwrap_or_default(),
     };
     const MIN_GAPS: usize = 30;
     if gaps.len() < MIN_GAPS {

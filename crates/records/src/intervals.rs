@@ -85,7 +85,7 @@ mod tests {
         let system = index.system(SystemId::new(1));
         let (peak, _) = peak_concurrent_outages(&system).unwrap();
         assert!(peak >= 2);
-        assert_eq!(system.total_downtime_secs(), 10_000);
+        assert_eq!(system.downtimes_secs().iter().sum::<u64>(), 10_000);
     }
 
     /// A small deterministic burst-like trace (three simultaneous

@@ -67,6 +67,20 @@ pub const EARLY_ERA_MONTHS: u64 = 36;
 /// Nominal production life (months) used to window projection eras.
 const PROJECTION_LIFE_MONTHS: f64 = 72.0;
 
+// The application model every cell runs.
+/// Checkpoint write cost δ (seconds).
+const CHECKPOINT_COST_SECS: f64 = 300.0;
+/// Restart cost after a failure (seconds).
+const RESTART_COST_SECS: f64 = 600.0;
+/// Total useful work of the checkpointed job (days).
+const JOB_WORK_DAYS: f64 = 30.0;
+/// Cluster size of the scheduling simulation.
+const SCHED_NODES: u32 = 16;
+/// Number of queued jobs in the scheduling simulation.
+const SCHED_JOBS: u32 = 12;
+/// Work per scheduled job (hours).
+const SCHED_JOB_HOURS: f64 = 24.0;
+
 /// The measured statistics of one completed cell.
 ///
 /// Application metrics are `NaN` when the cell's spec turned the
@@ -474,7 +488,6 @@ fn evaluate_system(
     let checkpoint_waste = stratum.checkpoint[cell.checkpoint as usize]
         .get_or_init(|| {
             run_checkpoint_app(
-                spec,
                 cell.checkpoint,
                 fit.tbf_shape,
                 fit.mtbf_secs,
@@ -491,7 +504,6 @@ fn evaluate_system(
     let sched_efficiency = stratum.sched[cell.sched as usize]
         .get_or_init(|| {
             run_sched_app(
-                spec,
                 cell.sched,
                 fit.tbf_shape,
                 window.node_year_rate,
@@ -544,7 +556,6 @@ fn window_stats(repair_scale: f64, index: &TraceIndex, fit: &EraFit) -> WindowSt
 }
 
 fn run_checkpoint_app(
-    spec: &CampaignSpec,
     app: CheckpointApp,
     tbf_shape: f64,
     mtbf_secs: f64,
@@ -554,11 +565,11 @@ fn run_checkpoint_app(
     if app == CheckpointApp::None {
         return Ok(f64::NAN);
     }
-    let delta = spec.apps.checkpoint_cost_secs;
+    let delta = CHECKPOINT_COST_SECS;
     let job = JobConfig {
-        total_work_secs: spec.apps.job_work_days * DAY as f64,
+        total_work_secs: JOB_WORK_DAYS * DAY as f64,
         checkpoint_cost_secs: delta,
-        restart_cost_secs: spec.apps.restart_cost_secs,
+        restart_cost_secs: RESTART_COST_SECS,
     };
     let tbf_dist = Weibull::with_mean(tbf_shape, mtbf_secs)
         .map_err(|e| CellError::DegenerateFit(format!("TBF Weibull: {e}")))?;
@@ -589,7 +600,6 @@ fn run_checkpoint_app(
 }
 
 fn run_sched_app(
-    spec: &CampaignSpec,
     app: SchedApp,
     tbf_shape: f64,
     node_year_rate: f64,
@@ -601,16 +611,16 @@ fn run_sched_app(
     }
     let policy = policy::by_name(app.label())
         .ok_or_else(|| CellError::App(format!("unknown policy `{app}`")))?;
-    let nodes: Vec<NodeTruth> = (0..spec.apps.sched_nodes)
+    let nodes: Vec<NodeTruth> = (0..SCHED_NODES)
         .map(|_| NodeTruth {
             failures_per_year: node_year_rate.max(1e-6),
             weibull_shape: tbf_shape,
         })
         .collect();
-    let jobs: Vec<Job> = (0..spec.apps.sched_jobs)
+    let jobs: Vec<Job> = (0..SCHED_JOBS)
         .map(|_| Job {
             width: 2,
-            work_secs: spec.apps.sched_job_hours * HOUR as f64,
+            work_secs: SCHED_JOB_HOURS * HOUR as f64,
         })
         .collect();
     let config = SimConfig {
@@ -696,13 +706,13 @@ fn evaluate_projection(spec: &CampaignSpec, cell: &Cell) -> Result<CellMetrics, 
         // and the hazard-aware policy reduces to Young's optimum under
         // the exponential approximation used here.
         CheckpointApp::Young | CheckpointApp::Hazard => {
-            let delta = spec.apps.checkpoint_cost_secs;
+            let delta = CHECKPOINT_COST_SECS;
             let fleet_mtbf_secs = YEAR as f64 / fleet_failures_per_year.max(1e-12);
             let tau = young_interval(delta, fleet_mtbf_secs)
                 .map_err(|e| CellError::App(format!("Young interval: {e}")))?;
             let base_waste = expected_waste_fraction(tau, delta, fleet_mtbf_secs)
                 .map_err(|e| CellError::App(format!("waste estimate: {e}")))?;
-            let recovery = (spec.apps.restart_cost_secs + mean_repair_secs) / fleet_mtbf_secs;
+            let recovery = (RESTART_COST_SECS + mean_repair_secs) / fleet_mtbf_secs;
             (base_waste + recovery).clamp(0.0, 1.0)
         }
     };

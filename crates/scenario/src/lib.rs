@@ -57,7 +57,7 @@ pub use journal::{Journal, JournalError, JournalHeader};
 pub use report::{render_plan, render_results, render_summary};
 pub use runner::{run_campaign, CampaignError, CampaignResult, CellOutcome, RunOptions};
 pub use spec::{
-    AppParams, BurstMode, CampaignSpec, CauseMixName, CheckpointApp, Era, FleetEntry, GridAxes,
-    Projection, RunnerParams, SchedApp, SpecError,
+    BurstMode, CampaignSpec, CauseMixName, CheckpointApp, Era, FleetEntry, GridAxes, Projection,
+    RunnerParams, SchedApp, SpecError,
 };
 pub use value::ParseError;

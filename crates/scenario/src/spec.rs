@@ -247,36 +247,6 @@ impl GridAxes {
     }
 }
 
-/// Application-model parameters shared by every cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppParams {
-    /// Checkpoint write cost δ (seconds).
-    pub checkpoint_cost_secs: f64,
-    /// Restart cost after a failure (seconds).
-    pub restart_cost_secs: f64,
-    /// Total useful work of the checkpointed job (days).
-    pub job_work_days: f64,
-    /// Cluster size of the scheduling simulation.
-    pub sched_nodes: u32,
-    /// Number of queued jobs in the scheduling simulation.
-    pub sched_jobs: u32,
-    /// Work per scheduled job (hours).
-    pub sched_job_hours: f64,
-}
-
-impl Default for AppParams {
-    fn default() -> Self {
-        AppParams {
-            checkpoint_cost_secs: 300.0,
-            restart_cost_secs: 600.0,
-            job_work_days: 30.0,
-            sched_nodes: 16,
-            sched_jobs: 12,
-            sched_job_hours: 24.0,
-        }
-    }
-}
-
 /// Runner tuning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunnerParams {
@@ -304,8 +274,6 @@ pub struct CampaignSpec {
     pub fleet: Vec<FleetEntry>,
     /// The perturbation grid.
     pub grid: GridAxes,
-    /// Application-model parameters.
-    pub apps: AppParams,
     /// Runner tuning.
     pub runner: RunnerParams,
     /// Cell indices the runner must deliberately panic on (fault
@@ -522,24 +490,6 @@ fn scale_axis(
     Ok(out)
 }
 
-fn positive_param(
-    entries: &[(String, Value)],
-    path: &str,
-    key: &str,
-    default: f64,
-    max: f64,
-) -> Result<f64, SpecError> {
-    let field = format!("{path}.{key}");
-    let Some(v) = entries.iter().find(|(k, _)| k == key).map(|(_, v)| v) else {
-        return Ok(default);
-    };
-    let f = want_float(v, &field)?;
-    if !f.is_finite() || f <= 0.0 || f > max {
-        return invalid(&field, format!("{f} outside (0, {max}]"));
-    }
-    Ok(f)
-}
-
 fn int_param(
     entries: &[(String, Value)],
     path: &str,
@@ -563,15 +513,7 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
     check_known(
         root,
         "",
-        &[
-            "campaign",
-            "fleet",
-            "projection",
-            "grid",
-            "apps",
-            "runner",
-            "chaos",
-        ],
+        &["campaign", "fleet", "projection", "grid", "runner", "chaos"],
     )?;
 
     // [campaign]
@@ -716,69 +658,6 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
         )?,
     };
 
-    // [apps]
-    let app_entries = match doc.get("apps") {
-        Some(v) => want_table(v, "apps")?,
-        None => empty.as_slice(),
-    };
-    check_known(
-        app_entries,
-        "apps",
-        &[
-            "checkpoint_cost_secs",
-            "restart_cost_secs",
-            "job_work_days",
-            "sched_nodes",
-            "sched_jobs",
-            "sched_job_hours",
-        ],
-    )?;
-    let d = AppParams::default();
-    let apps = AppParams {
-        checkpoint_cost_secs: positive_param(
-            app_entries,
-            "apps",
-            "checkpoint_cost_secs",
-            d.checkpoint_cost_secs,
-            86_400.0,
-        )?,
-        restart_cost_secs: positive_param(
-            app_entries,
-            "apps",
-            "restart_cost_secs",
-            d.restart_cost_secs,
-            86_400.0,
-        )?,
-        job_work_days: positive_param(
-            app_entries,
-            "apps",
-            "job_work_days",
-            d.job_work_days,
-            3650.0,
-        )?,
-        sched_nodes: int_param(
-            app_entries,
-            "apps",
-            "sched_nodes",
-            d.sched_nodes as i64,
-            (1, 4096),
-        )? as u32,
-        sched_jobs: int_param(
-            app_entries,
-            "apps",
-            "sched_jobs",
-            d.sched_jobs as i64,
-            (1, 10_000),
-        )? as u32,
-        sched_job_hours: positive_param(
-            app_entries,
-            "apps",
-            "sched_job_hours",
-            d.sched_job_hours,
-            8_760.0,
-        )?,
-    };
-
     // [runner]
     let runner_entries = match doc.get("runner") {
         Some(v) => want_table(v, "runner")?,
@@ -834,7 +713,6 @@ fn lower(doc: &Value, digest: u64) -> Result<CampaignSpec, SpecError> {
         seed,
         fleet,
         grid,
-        apps,
         runner,
         panic_cells,
         digest,
@@ -862,7 +740,6 @@ systems = [12]
         assert_eq!(spec.cell_count(), 1);
         assert_eq!(spec.grid.era, vec![Era::Full]);
         assert_eq!(spec.grid.rate_scale, vec![1.0]);
-        assert_eq!(spec.apps, AppParams::default());
         assert_eq!(spec.runner.checkpoint_every, 32);
         assert!(spec.panic_cells.is_empty());
         assert_eq!(spec.digest, hpcfail_records::checksum(MINIMAL.as_bytes()));
@@ -930,6 +807,11 @@ sched = ["none", "least_failure_rate", "longest_uptime"]
             ("[campaign]\nname = \"x\"\n[mystery]\na = 1", |e| {
                 matches!(e, SpecError::Unknown { field } if field == "mystery")
             }),
+            // The application model is fixed: there is no [apps] table.
+            (
+                "[campaign]\nname = \"x\"\n[fleet]\nsystems = [12]\n[apps]\nsched_nodes = 8",
+                |e| matches!(e, SpecError::Unknown { field } if field == "apps"),
+            ),
             (
                 "[campaign]\nname = \"x\"\n[fleet]\nsystems = [12]\n[grid]\nera = []",
                 |e| matches!(e, SpecError::Invalid { field, .. } if field == "grid.era"),

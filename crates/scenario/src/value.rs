@@ -124,7 +124,8 @@ pub(crate) fn parse_toml(src: &str) -> Result<Value, ParseError> {
             root.push((name.clone(), Value::Table(Vec::new())));
             cursor = Some((name, false));
         } else {
-            let Some(eq) = find_top_level_eq(line) else {
+            // Keys are bare, so the first `=` ends the key.
+            let Some(eq) = line.find('=') else {
                 return err(line_no, "expected `key = value` or a [table] header");
             };
             let key = check_key(line[..eq].trim(), line_no)?;
@@ -198,11 +199,6 @@ fn check_key(key: &str, line_no: usize) -> Result<String, ParseError> {
         return err(line_no, format!("invalid key `{key}` (bare keys only)"));
     }
     Ok(key.to_string())
-}
-
-/// First `=` outside any string (keys are bare, so this is the first).
-fn find_top_level_eq(line: &str) -> Option<usize> {
-    line.find('=')
 }
 
 /// Parse one scalar or single-line array value.
@@ -309,8 +305,6 @@ fn split_array_items(inner: &str, line_no: usize) -> Result<Vec<&str>, ParseErro
     let tail = &inner[start..];
     if !tail.trim().is_empty() {
         items.push(tail);
-    } else if !items.is_empty() && !tail.is_empty() {
-        // trailing comma: fine
     }
     Ok(items)
 }
@@ -357,6 +351,8 @@ scale = 1.5
 flag = true
 systems = [12, 14]  # trailing comment
 labels = ["a", "b,c"]
+trail = [1, 2,]
+eq = "x=y"
 [[proj]]
 name = "exa"
 nodes = 100_000
@@ -382,6 +378,11 @@ name = "zeta"
                 Value::Str("b,c".into())
             ]))
         );
+        assert_eq!(
+            c.get("trail"),
+            Some(&Value::Array(vec![Value::Int(1), Value::Int(2)]))
+        );
+        assert_eq!(c.get("eq"), Some(&Value::Str("x=y".into())));
         match v.get("proj").unwrap() {
             Value::Array(items) => {
                 assert_eq!(items.len(), 2);

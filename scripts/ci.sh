@@ -32,6 +32,13 @@ cargo clippy --offline --workspace --exclude rand --exclude proptest --all-targe
     -- -D warnings
 echo "OK: no clippy warnings"
 
+# A doc link to an item that was renamed or deleted fails here, not in a
+# reader's browser. Same package set as clippy.
+echo "==> cargo doc over the crates/* packages, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace \
+    --exclude rand --exclude proptest
+echo "OK: docs build without a warning"
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

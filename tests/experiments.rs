@@ -85,8 +85,12 @@ fn fig1_detailed_causes_memory_everywhere() {
     let index = site().index();
     let catalog = catalog();
     for hw in HardwareType::FIGURE1_SET {
-        let ids: Vec<SystemId> = catalog.systems_of_type(hw).iter().map(|s| s.id()).collect();
-        let fractions = rootcause::detailed_fractions(&index.all().filter_systems(&ids));
+        let pool: FailureTrace = catalog
+            .systems_of_type(hw)
+            .iter()
+            .flat_map(|s| index.system(s.id()).iter())
+            .collect();
+        let fractions = rootcause::detailed_fractions(&pool.index().all());
         let memory = fractions
             .iter()
             .find(|(c, _)| *c == DetailedCause::Memory)
