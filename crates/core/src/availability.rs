@@ -1,9 +1,10 @@
 //! Availability analysis — a derived metric the paper's data supports
 //! directly: for each system, the fraction of node-time lost to repairs,
 //! combining the failure-rate view (Fig. 2) with the repair-time view
-//! (Fig. 7).
+//! (Fig. 7). Each system's row reads only that system's records, so a
+//! one-system query costs one system, not the site.
 
-use hpcfail_records::{Catalog, HardwareType, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, HardwareType, SystemId, SystemSpec, TraceIndex};
 
 use crate::error::AnalysisError;
 
@@ -24,10 +25,9 @@ pub struct SystemAvailability {
     pub nines: f64,
 }
 
-/// Compute per-system availability. Systems absent from the trace are
-/// reported with availability 1. Per-system downtime comes from the
-/// single-pass `downtime_by_system` kernel over the [`TraceIndex`]
-/// columns (u64 sums, so accumulation order is immaterial).
+/// Compute per-system availability: [`system_indexed`]'s row for every
+/// catalog system, in catalog order. Systems absent from the trace are
+/// reported with availability 1.
 ///
 /// # Errors
 ///
@@ -36,37 +36,45 @@ pub fn analyze_indexed(
     index: &TraceIndex,
     catalog: &Catalog,
 ) -> Result<Vec<SystemAvailability>, AnalysisError> {
-    if index.is_empty() {
-        return Err(AnalysisError::InsufficientData {
-            what: "availability",
-            needed: 1,
-            got: 0,
-        });
+    AnalysisError::require("availability", 1, index.len())?;
+    Ok(catalog.systems().iter().map(|s| row(index, s)).collect())
+}
+
+/// The availability row of one system, or `None` for an id outside the
+/// catalog — the same row [`analyze_indexed`] holds for it.
+///
+/// # Errors
+///
+/// [`AnalysisError::InsufficientData`] for an empty trace, whatever the id.
+pub fn system_indexed(
+    index: &TraceIndex,
+    catalog: &Catalog,
+    id: SystemId,
+) -> Result<Option<SystemAvailability>, AnalysisError> {
+    AnalysisError::require("availability", 1, index.len())?;
+    Ok(catalog.system(id).ok().map(|s| row(index, s)))
+}
+
+/// One system's availability. Its downtime is summed off its posting
+/// list in the [`TraceIndex`] (u64 seconds, so the order is immaterial).
+fn row(index: &TraceIndex, spec: &SystemSpec) -> SystemAvailability {
+    let down_secs: u64 = index.system(spec.id()).downtimes_secs().iter().sum();
+    let down_hours = down_secs as f64 / 3_600.0;
+    let capacity =
+        spec.nodes() as f64 * (spec.production_end() - spec.production_start()) as f64 / 3_600.0;
+    let availability = (1.0 - down_hours / capacity).clamp(0.0, 1.0);
+    SystemAvailability {
+        system: spec.id(),
+        hardware: spec.hardware(),
+        downtime_node_hours: down_hours,
+        capacity_node_hours: capacity,
+        availability,
+        nines: if availability < 1.0 {
+            -(1.0 - availability).log10()
+        } else {
+            f64::INFINITY
+        },
     }
-    let downtime_secs = index.all().downtime_by_system();
-    Ok(catalog
-        .systems()
-        .iter()
-        .map(|spec| {
-            let down_hours = downtime_secs.get(&spec.id()).copied().unwrap_or(0) as f64 / 3_600.0;
-            let capacity = spec.nodes() as f64
-                * (spec.production_end() - spec.production_start()) as f64
-                / 3_600.0;
-            let availability = (1.0 - down_hours / capacity).clamp(0.0, 1.0);
-            SystemAvailability {
-                system: spec.id(),
-                hardware: spec.hardware(),
-                downtime_node_hours: down_hours,
-                capacity_node_hours: capacity,
-                availability,
-                nines: if availability < 1.0 {
-                    -(1.0 - availability).log10()
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect())
 }
 
 /// Site-wide availability: total downtime over total capacity.

@@ -69,13 +69,7 @@ pub fn analyze_indexed(index: &TraceIndex) -> Result<DailyAnalysis, AnalysisErro
     };
     let first_day = Timestamp::from_secs(first.as_secs() / DAY * DAY);
     let days = ((last.as_secs() - first_day.as_secs()) / DAY + 1) as usize;
-    if days < 30 {
-        return Err(AnalysisError::InsufficientData {
-            what: "daily counts",
-            needed: 30,
-            got: days,
-        });
-    }
+    AnalysisError::require("daily counts", 30, days)?;
     let mut counts = vec![0u64; days];
     for r in all.iter() {
         let idx = ((r.start().as_secs() - first_day.as_secs()) / DAY) as usize;

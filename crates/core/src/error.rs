@@ -55,6 +55,17 @@ impl From<hpcfail_records::RecordError> for AnalysisError {
     }
 }
 
+impl AnalysisError {
+    /// `Ok` when `got` reaches `needed`, else
+    /// [`AnalysisError::InsufficientData`] naming `what`.
+    pub(crate) fn require(what: &'static str, needed: usize, got: usize) -> Result<(), Self> {
+        if got < needed {
+            return Err(AnalysisError::InsufficientData { what, needed, got });
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,6 @@
 //! | [`repair`] | Table 2 + Fig. 7 — repair-time statistics and fits |
 //! | [`related`] | Table 3 — related-work overview |
 //! | [`availability`] | derived: per-system availability (uptime fraction) |
-//! | [`hpcfail_exec`] (crate) | infrastructure: deterministic parallel fan-out over systems |
 //! | [`findings`] | the Section-8 conclusions, checked programmatically |
 //! | [`report`] | plain-text rendering for the experiment harness |
 //!

@@ -103,13 +103,7 @@ pub fn analyze_indexed(
     spec: &SystemSpec,
 ) -> Result<LifetimeCurve, AnalysisError> {
     let system_trace = index.system(spec.id());
-    if system_trace.len() < 10 {
-        return Err(AnalysisError::InsufficientData {
-            what: "lifetime curve",
-            needed: 10,
-            got: system_trace.len(),
-        });
-    }
+    AnalysisError::require("lifetime curve", 10, system_trace.len())?;
     let start = spec.production_start();
     let total_months = ((spec.production_end() - start) as f64
         / hpcfail_records::time::MONTH as f64)

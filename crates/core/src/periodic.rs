@@ -74,13 +74,7 @@ impl PeriodicPattern {
 /// records (too sparse for a meaningful weekly profile).
 pub fn analyze_indexed(index: &TraceIndex) -> Result<PeriodicPattern, AnalysisError> {
     const MIN_RECORDS: usize = 24 * 7;
-    if index.len() < MIN_RECORDS {
-        return Err(AnalysisError::InsufficientData {
-            what: "periodic pattern",
-            needed: MIN_RECORDS,
-            got: index.len(),
-        });
-    }
+    AnalysisError::require("periodic pattern", MIN_RECORDS, index.len())?;
     let mut hourly = [0u64; 24];
     let mut daily = [0u64; 7];
     for r in index.all().iter() {

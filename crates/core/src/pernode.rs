@@ -115,13 +115,7 @@ fn analyze_counts(
     system: SystemId,
 ) -> Result<PerNodeAnalysis, AnalysisError> {
     let total: u64 = counts.iter().sum();
-    if total < 3 {
-        return Err(AnalysisError::InsufficientData {
-            what: "per-node analysis",
-            needed: 3,
-            got: total as usize,
-        });
-    }
+    AnalysisError::require("per-node analysis", 3, total as usize)?;
 
     let graphics_nodes: Vec<u32> = (0..spec.nodes())
         .filter(|&n| spec.workload_of(NodeId::new(n)) == Workload::Graphics)

@@ -4,8 +4,7 @@
 //! cross-system variability, i.e. failure rates grow roughly linearly
 //! with system size.
 
-use hpcfail_exec::ParallelExecutor;
-use hpcfail_records::{Catalog, HardwareType, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, HardwareType, SystemId, SystemSpec, TraceIndex};
 use hpcfail_stats::descriptive;
 
 use crate::error::AnalysisError;
@@ -89,8 +88,8 @@ impl RateAnalysis {
     }
 }
 
-/// Compute per-system failure rates (Fig. 2). Per-system counts come
-/// straight from the [`TraceIndex`] posting-list span lengths.
+/// Compute per-system failure rates (Fig. 2): [`system_indexed`]'s row
+/// for every catalog system, in catalog order.
 ///
 /// # Errors
 ///
@@ -99,32 +98,42 @@ pub fn analyze_indexed(
     index: &TraceIndex,
     catalog: &Catalog,
 ) -> Result<RateAnalysis, AnalysisError> {
-    if index.is_empty() {
-        return Err(AnalysisError::InsufficientData {
-            what: "failure rates",
-            needed: 1,
-            got: 0,
-        });
+    AnalysisError::require("failure rates", 1, index.len())?;
+    Ok(RateAnalysis {
+        rates: catalog.systems().iter().map(|s| row(index, s)).collect(),
+    })
+}
+
+/// The Fig. 2 row of one system, or `None` for an id outside the
+/// catalog — the same row [`analyze_indexed`] holds for it.
+///
+/// # Errors
+///
+/// [`AnalysisError::InsufficientData`] for an empty trace, whatever the id.
+pub fn system_indexed(
+    index: &TraceIndex,
+    catalog: &Catalog,
+    id: SystemId,
+) -> Result<Option<SystemRate>, AnalysisError> {
+    AnalysisError::require("failure rates", 1, index.len())?;
+    Ok(catalog.system(id).ok().map(|s| row(index, s)))
+}
+
+/// One system's rates; its failure count is its posting-list length.
+fn row(index: &TraceIndex, spec: &SystemSpec) -> SystemRate {
+    let failures = index.system(spec.id()).len() as u64;
+    let years = spec.production_years();
+    let per_year = failures as f64 / years;
+    SystemRate {
+        system: spec.id(),
+        hardware: spec.hardware(),
+        failures,
+        years,
+        procs: spec.procs(),
+        nodes: spec.nodes(),
+        per_year,
+        per_proc_year: per_year / spec.procs() as f64,
     }
-    let counts = index.all().count_by_system();
-    // Fan out over systems; results come back in catalog order for any
-    // worker count.
-    let rates = ParallelExecutor::from_env().map_indexed(catalog.systems(), |_, spec| {
-        let failures = counts.get(&spec.id()).copied().unwrap_or(0);
-        let years = spec.production_years();
-        let per_year = failures as f64 / years;
-        SystemRate {
-            system: spec.id(),
-            hardware: spec.hardware(),
-            failures,
-            years,
-            procs: spec.procs(),
-            nodes: spec.nodes(),
-            per_year,
-            per_proc_year: per_year / spec.procs() as f64,
-        }
-    });
-    Ok(RateAnalysis { rates })
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 //! system, showing a strong hardware-type effect and insensitivity to
 //! system size.
 
-use hpcfail_exec::ParallelExecutor;
 use hpcfail_records::{Catalog, HardwareType, RootCause, SystemId, TraceIndex};
 use hpcfail_stats::descriptive::{self, Summary};
 use hpcfail_stats::fit::{fit_paper_set_prepared, FitReport};
@@ -26,8 +25,9 @@ pub struct RepairRow {
 /// The Table 2 reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairByCause {
-    /// Rows in the paper's column order (Unknown, Human, Env, Net, SW,
-    /// HW) — causes missing from the trace are omitted.
+    /// One row per cause asked for, in that order (the paper's column
+    /// order for [`by_cause_indexed`]) — causes missing from the trace
+    /// are omitted.
     pub rows: Vec<RepairRow>,
     /// The all-causes aggregate row.
     pub all: RepairRow,
@@ -40,33 +40,41 @@ impl RepairByCause {
     }
 }
 
-/// Compute Table 2: repair-time statistics by root cause (in minutes).
-/// Each cause's repair times come straight off its posting list in the
-/// [`TraceIndex`], no per-cause trace clones.
+/// Compute Table 2: repair-time statistics by root cause (in minutes),
+/// in the paper's column order (Unknown, Human, Env, Net, SW, HW).
+///
+/// # Errors
+///
+/// See [`causes_indexed`].
+pub fn by_cause_indexed(index: &TraceIndex) -> Result<RepairByCause, AnalysisError> {
+    causes_indexed(
+        index,
+        &[
+            RootCause::Unknown,
+            RootCause::Human,
+            RootCause::Environment,
+            RootCause::Network,
+            RootCause::Software,
+            RootCause::Hardware,
+        ],
+    )
+}
+
+/// Table 2 restricted to `causes`, in the order given, plus the
+/// all-causes row: one cause costs two summaries, not seven. Each cause's
+/// repair times come straight off its posting list in the [`TraceIndex`].
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] for an empty trace; propagates
 /// summary errors.
-pub fn by_cause_indexed(index: &TraceIndex) -> Result<RepairByCause, AnalysisError> {
-    if index.is_empty() {
-        return Err(AnalysisError::InsufficientData {
-            what: "repair times",
-            needed: 1,
-            got: 0,
-        });
-    }
-    // Paper's Table 2 column order.
-    let order = [
-        RootCause::Unknown,
-        RootCause::Human,
-        RootCause::Environment,
-        RootCause::Network,
-        RootCause::Software,
-        RootCause::Hardware,
-    ];
+pub fn causes_indexed(
+    index: &TraceIndex,
+    causes: &[RootCause],
+) -> Result<RepairByCause, AnalysisError> {
+    AnalysisError::require("repair times", 1, index.len())?;
     let mut rows = Vec::new();
-    for cause in order {
+    for &cause in causes {
         let minutes = index.cause(cause).downtimes_minutes();
         if minutes.is_empty() {
             continue;
@@ -108,21 +116,17 @@ pub struct SystemRepair {
     pub median_minutes: f64,
 }
 
-/// Compute per-system mean/median repair times (Fig. 7(b)(c)). Systems
-/// with no records in the trace are omitted. Workers take borrowed
-/// per-system views of the shared [`TraceIndex`] (it is `Sync`) instead
-/// of cloning a sub-trace each.
+/// Compute per-system mean/median repair times (Fig. 7(b)(c)), in
+/// catalog order. Systems with no records in the trace are omitted.
+/// Each row reads one system's posting list; 22 rows of one mean and one
+/// selection median each are cheaper serial than a thread pool's spawn.
 pub fn by_system_indexed(index: &TraceIndex, catalog: &Catalog) -> Vec<SystemRepair> {
-    // Each system's summary is independent of the others; fan out and
-    // keep catalog order (the fan-out returns results at their input
-    // index, so this is deterministic for any worker count).
-    ParallelExecutor::from_env()
-        .map_indexed(catalog.systems(), |_, spec| {
+    catalog
+        .systems()
+        .iter()
+        .filter_map(|spec| {
             let minutes = index.system(spec.id()).downtimes_minutes();
-            if minutes.is_empty() {
-                return None;
-            }
-            Some(SystemRepair {
+            (!minutes.is_empty()).then(|| SystemRepair {
                 system: spec.id(),
                 hardware: spec.hardware(),
                 count: minutes.len(),
@@ -130,8 +134,6 @@ pub fn by_system_indexed(index: &TraceIndex, catalog: &Catalog) -> Vec<SystemRep
                 median_minutes: descriptive::median(&minutes),
             })
         })
-        .into_iter()
-        .flatten()
         .collect()
 }
 

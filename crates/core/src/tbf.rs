@@ -118,22 +118,14 @@ pub fn analyze_indexed(
         View::Node(..) | View::SystemWide(_) => rows.interarrival_secs().unwrap_or_default(),
     };
     const MIN_GAPS: usize = 30;
-    if gaps.len() < MIN_GAPS {
-        return Err(AnalysisError::InsufficientData {
-            what: "time between failures",
-            needed: MIN_GAPS,
-            got: gaps.len(),
-        });
-    }
+    AnalysisError::require("time between failures", MIN_GAPS, gaps.len())?;
     let zero_fraction = gaps.iter().filter(|&&g| g == 0.0).count() as f64 / gaps.len() as f64;
     let positive: Vec<f64> = gaps.iter().copied().filter(|&g| g > 0.0).collect();
-    if positive.len() < MIN_GAPS / 2 {
-        return Err(AnalysisError::InsufficientData {
-            what: "positive time-between-failure gaps",
-            needed: MIN_GAPS / 2,
-            got: positive.len(),
-        });
-    }
+    AnalysisError::require(
+        "positive time-between-failure gaps",
+        MIN_GAPS / 2,
+        positive.len(),
+    )?;
     // Prepare the positive gaps once; the paper-set fits, the standalone
     // Weibull fit, and the descriptive summaries all share the one scan.
     let positive = PreparedSample::from_vec(positive)?;

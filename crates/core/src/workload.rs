@@ -59,13 +59,7 @@ pub fn analyze_indexed(
     index: &TraceIndex,
     catalog: &Catalog,
 ) -> Result<WorkloadAnalysis, AnalysisError> {
-    if index.is_empty() {
-        return Err(AnalysisError::InsufficientData {
-            what: "workload rates",
-            needed: 1,
-            got: 0,
-        });
-    }
+    AnalysisError::require("workload rates", 1, index.len())?;
     let systems_present: Vec<_> = index.systems().collect();
     let mut failures: BTreeMap<Workload, u64> = BTreeMap::new();
     for w in Workload::ALL {

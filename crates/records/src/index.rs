@@ -339,6 +339,15 @@ impl TraceIndex {
         self.system_spans.iter().map(|&(s, _, _)| s)
     }
 
+    /// Failure count per system present in the trace, read off the
+    /// posting-span lengths without touching any row.
+    pub fn count_by_system(&self) -> BTreeMap<SystemId, u64> {
+        self.system_spans
+            .iter()
+            .map(|&(s, lo, hi)| (s, (hi - lo) as u64))
+            .collect()
+    }
+
     /// Failure count per node of one system, indexed by node id, zeros
     /// included (ids past `node_count` are ignored) — read off the node
     /// runs.
@@ -483,34 +492,6 @@ impl<'a> TraceView<'a> {
     pub fn count_by_cause(&self) -> BTreeMap<RootCause, u64> {
         let mut map = BTreeMap::new();
         self.for_each_row(|r| *map.entry(self.index.cause[r]).or_insert(0) += 1);
-        map
-    }
-
-    /// Count records grouped by system. On the whole-trace view this is
-    /// read off the posting-span lengths without touching any row.
-    pub fn count_by_system(&self) -> BTreeMap<SystemId, u64> {
-        if let RowSet::Range { lo, hi } = self.rows {
-            if lo == 0 && hi as usize == self.index.len() {
-                return self
-                    .index
-                    .system_spans
-                    .iter()
-                    .map(|&(s, a, b)| (s, (b - a) as u64))
-                    .collect();
-            }
-        }
-        let mut map = BTreeMap::new();
-        self.for_each_row(|r| *map.entry(self.index.system[r]).or_insert(0) += 1);
-        map
-    }
-
-    /// Total downtime (seconds) grouped by system — the availability
-    /// kernel, one pass over the view.
-    pub fn downtime_by_system(&self) -> BTreeMap<SystemId, u64> {
-        let mut map = BTreeMap::new();
-        self.for_each_row(|r| {
-            *map.entry(self.index.system[r]).or_insert(0) += self.index.downtime[r]
-        });
         map
     }
 
@@ -717,7 +698,11 @@ mod tests {
         assert_eq!(view.downtimes_secs(), expected.downtimes_secs());
         assert_eq!(view.downtimes_minutes(), expected.downtimes_minutes());
         assert_eq!(view.count_by_cause(), expected.count_by_cause());
-        assert_eq!(view.count_by_system(), expected.count_by_system());
+        let mut by_system = BTreeMap::new();
+        for r in view.iter() {
+            *by_system.entry(r.system()).or_insert(0) += 1;
+        }
+        assert_eq!(by_system, index.count_by_system());
         for w in Workload::ALL {
             assert_eq!(view.count_workload(w), expected.count_workload(w));
         }
@@ -833,7 +818,14 @@ mod tests {
             totals.keys().copied().collect::<Vec<_>>(),
             index.systems().collect::<Vec<_>>()
         );
-        assert_eq!(view.downtime_by_system().len(), totals.len());
+        let counts = index.count_by_system();
+        assert_eq!(counts.len(), totals.len());
+        for (sys, t) in &totals {
+            assert_eq!(counts[sys], t.count.iter().sum::<u64>());
+            assert_eq!(counts[sys], index.system(*sys).len() as u64);
+            let down: u64 = index.system(*sys).downtimes_secs().iter().sum();
+            assert_eq!(down, t.downtime_secs.iter().sum::<u64>());
+        }
         // Hand-checked: node 0 fails at 1000, 2000, 3000; node 1 at 500, 2000.
         assert_eq!(
             index.failures_per_node(SystemId::new(20), 4),

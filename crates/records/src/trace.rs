@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(downtime(RootCause::Environment), 600);
         assert_eq!(downtime(RootCause::Hardware), 90);
         assert_eq!(total(all.downtimes_secs()), 60 + 120 + 30 + 600 + 90);
-        let by_sys = all.count_by_system();
+        let by_sys = idx.count_by_system();
         assert_eq!(by_sys[&SystemId::new(20)], 4);
     }
 

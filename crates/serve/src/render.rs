@@ -159,7 +159,8 @@ pub fn repair_cause_json(cause: hpcfail_records::RootCause, by_cause: &RepairByC
     ])
 }
 
-fn rate_json(r: &SystemRate) -> Json {
+/// Render the one-system rate stratum (also each row of [`rates_json`]).
+pub fn rate_system_json(r: &SystemRate) -> Json {
     Json::obj([
         ("system", Json::UInt(r.system.get() as u64)),
         ("hardware", Json::str(r.hardware.to_string())),
@@ -176,7 +177,7 @@ fn rate_json(r: &SystemRate) -> Json {
 pub fn rates_json(a: &RateAnalysis) -> Json {
     let (min, max) = a.per_year_range();
     Json::obj([
-        ("rates", Json::arr(a.rates.iter().map(rate_json))),
+        ("rates", Json::arr(a.rates.iter().map(rate_system_json))),
         (
             "per_year_range",
             Json::arr([Json::Num(min), Json::Num(max)]),
@@ -189,12 +190,9 @@ pub fn rates_json(a: &RateAnalysis) -> Json {
     ])
 }
 
-/// Render the one-system rate stratum.
-pub fn rate_system_json(r: &SystemRate) -> Json {
-    rate_json(r)
-}
-
-fn availability_row_json(r: &SystemAvailability) -> Json {
+/// Render the one-system availability stratum (also each row of
+/// [`availability_json`]).
+pub fn availability_system_json(r: &SystemAvailability) -> Json {
     Json::obj([
         ("system", Json::UInt(r.system.get() as u64)),
         ("hardware", Json::str(r.hardware.to_string())),
@@ -208,14 +206,12 @@ fn availability_row_json(r: &SystemAvailability) -> Json {
 /// Render per-system availability plus the site aggregate.
 pub fn availability_json(rows: &[SystemAvailability], site: f64) -> Json {
     Json::obj([
-        ("systems", Json::arr(rows.iter().map(availability_row_json))),
+        (
+            "systems",
+            Json::arr(rows.iter().map(availability_system_json)),
+        ),
         ("site", Json::Num(site)),
     ])
-}
-
-/// Render the one-system availability stratum.
-pub fn availability_system_json(r: &SystemAvailability) -> Json {
-    availability_row_json(r)
 }
 
 /// Render the Fig. 3 per-node analysis.

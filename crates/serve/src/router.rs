@@ -161,6 +161,11 @@ fn ok_json(doc: &Json) -> Response {
     Response::json(200, doc.render())
 }
 
+/// The rendered analysis, or its error's status and message.
+fn reply<T>(result: Result<T, AnalysisError>, render: impl FnOnce(T) -> Json) -> Response {
+    result.map_or_else(|e| analysis_error(&e), |v| ok_json(&render(v)))
+}
+
 /// The tbf stratum: view/system/node/era, with the paper's defaults.
 struct TbfStratum {
     view: View,
@@ -212,72 +217,80 @@ fn handle_tbf(tenant: &Tenant, stratum: &TbfStratum) -> Response {
         "late" => Some(tbf::paper_era_split().1),
         _ => None,
     };
-    match tbf::analyze_indexed(tenant.index(), stratum.view, window) {
-        Ok(a) => ok_json(&render::tbf_json(&a)),
-        Err(e) => analysis_error(&e),
-    }
+    let analysis = tbf::analyze_indexed(tenant.index(), stratum.view, window);
+    reply(analysis, |a| render::tbf_json(&a))
 }
 
 fn handle_repair(state: &AppState, tenant: &Tenant, cause: Option<RootCause>) -> Response {
     let index = tenant.index();
-    match repair::by_cause_indexed(index) {
+    if let Some(c) = cause {
+        let one = repair::causes_indexed(index, &[c]);
+        return reply(one, |one| render::repair_cause_json(c, &one));
+    }
+    let table = repair::by_cause_indexed(index)
+        .and_then(|by_cause| Ok((by_cause, repair::fit_all_repairs_indexed(index)?)));
+    reply(table, |(by_cause, fit)| {
+        let by_system = repair::by_system_indexed(index, &state.catalog);
+        let effect = repair::type_effect(&by_system);
+        render::repair_json(&by_cause, &fit, &by_system, &effect)
+    })
+}
+
+/// A one-system row: the typed error of an empty trace comes before the
+/// 404 of an id outside the catalog.
+fn system_row<T>(
+    row: Result<Option<T>, AnalysisError>,
+    what: &str,
+    id: u32,
+    render: impl FnOnce(&T) -> Json,
+) -> Response {
+    match row {
         Err(e) => analysis_error(&e),
-        Ok(by_cause) => match cause {
-            Some(c) => ok_json(&render::repair_cause_json(c, &by_cause)),
-            None => match repair::fit_all_repairs_indexed(index) {
-                Err(e) => analysis_error(&e),
-                Ok(fit) => {
-                    let by_system = repair::by_system_indexed(index, &state.catalog);
-                    let effect = repair::type_effect(&by_system);
-                    ok_json(&render::repair_json(&by_cause, &fit, &by_system, &effect))
-                }
-            },
-        },
+        Ok(Some(r)) => ok_json(&render(&r)),
+        Ok(None) => Response::error(404, &format!("no {what} row for system {id}")),
     }
 }
 
 fn handle_rates(state: &AppState, tenant: &Tenant, system: Option<u32>) -> Response {
-    match rates::analyze_indexed(tenant.index(), &state.catalog) {
-        Err(e) => analysis_error(&e),
-        Ok(a) => match system {
-            None => ok_json(&render::rates_json(&a)),
-            Some(id) => match a.system(SystemId::new(id)) {
-                Some(r) => ok_json(&render::rate_system_json(r)),
-                None => Response::error(404, &format!("no rate row for system {id}")),
-            },
-        },
+    let (index, catalog) = (tenant.index(), &state.catalog);
+    match system {
+        Some(id) => {
+            let row = rates::system_indexed(index, catalog, SystemId::new(id));
+            system_row(row, "rate", id, render::rate_system_json)
+        }
+        None => reply(rates::analyze_indexed(index, catalog), |a| {
+            render::rates_json(&a)
+        }),
     }
 }
 
 fn handle_availability(state: &AppState, tenant: &Tenant, system: Option<u32>) -> Response {
-    let index = tenant.index();
-    match availability::analyze_indexed(index, &state.catalog) {
-        Err(e) => analysis_error(&e),
-        Ok(rows) => match system {
-            Some(id) => match rows.iter().find(|r| r.system.get() == id) {
-                Some(r) => ok_json(&render::availability_system_json(r)),
-                None => Response::error(404, &format!("no availability row for system {id}")),
-            },
-            None => match availability::site_availability_indexed(index, &state.catalog) {
-                Err(e) => analysis_error(&e),
-                Ok(site) => ok_json(&render::availability_json(&rows, site)),
-            },
-        },
+    let (index, catalog) = (tenant.index(), &state.catalog);
+    match system {
+        Some(id) => {
+            let row = availability::system_indexed(index, catalog, SystemId::new(id));
+            system_row(row, "availability", id, render::availability_system_json)
+        }
+        None => {
+            let site = availability::analyze_indexed(index, catalog).and_then(|rows| {
+                Ok((
+                    rows,
+                    availability::site_availability_indexed(index, catalog)?,
+                ))
+            });
+            reply(site, |(rows, site)| render::availability_json(&rows, site))
+        }
     }
 }
 
 fn handle_pernode(state: &AppState, tenant: &Tenant, system: u32) -> Response {
-    match pernode::analyze_indexed(tenant.index(), &state.catalog, SystemId::new(system)) {
-        Ok(a) => ok_json(&render::pernode_json(&a)),
-        Err(e) => analysis_error(&e),
-    }
+    let analysis = pernode::analyze_indexed(tenant.index(), &state.catalog, SystemId::new(system));
+    reply(analysis, |a| render::pernode_json(&a))
 }
 
 fn handle_findings(state: &AppState, tenant: &Tenant) -> Response {
-    match findings::evaluate_indexed(tenant.index(), &state.catalog) {
-        Ok(f) => ok_json(&render::findings_json(&f)),
-        Err(e) => analysis_error(&e),
-    }
+    let findings = findings::evaluate_indexed(tenant.index(), &state.catalog);
+    reply(findings, |f| render::findings_json(&f))
 }
 
 fn healthz(state: &AppState) -> Response {

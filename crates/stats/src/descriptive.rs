@@ -127,31 +127,46 @@ pub fn median(data: &[f64]) -> f64 {
 /// Empirical quantile using linear interpolation between order statistics
 /// (type-7 in Hyndman–Fan terminology — the R default).
 ///
-/// `q` outside [0, 1] yields NaN; an empty slice yields NaN.
+/// `q` outside [0, 1] yields NaN; an empty slice yields NaN. The two
+/// order statistics are found by selection in O(n), not by a sort, and
+/// are bit-identical to the sorted sample's under [`f64::total_cmp`].
 pub fn quantile(data: &[f64], q: f64) -> f64 {
     if data.is_empty() || !(0.0..=1.0).contains(&q) {
         return f64::NAN;
     }
-    let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    quantile_sorted(&sorted, q)
+    if data.len() == 1 {
+        return data[0];
+    }
+    let (lo, frac) = type7_rank(data.len(), q);
+    let mut x = data.to_vec();
+    let (_, &mut at_lo, right) = x.select_nth_unstable_by(lo, f64::total_cmp);
+    // Everything right of `lo` orders at or above it, so the next order
+    // statistic is the least of that part (none when `lo` is the last).
+    let at_hi = right.iter().copied().min_by(f64::total_cmp);
+    at_lo * (1.0 - frac) + at_hi.unwrap_or(at_lo) * frac
 }
 
 /// Like [`quantile`] but assumes the input is already sorted ascending,
-/// avoiding the O(n log n) sort for repeated queries.
+/// so repeated queries cost O(1) each.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() || !(0.0..=1.0).contains(&q) {
         return f64::NAN;
     }
-    let n = sorted.len();
-    if n == 1 {
+    if sorted.len() == 1 {
         return sorted[0];
     }
+    let (lo, frac) = type7_rank(sorted.len(), q);
+    let hi = (lo + 1).min(sorted.len() - 1);
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+}
+
+/// Type-7 position of quantile `q` in a sample of `n ≥ 2`: the rank of
+/// the lower order statistic to interpolate from and the upper one's
+/// weight.
+fn type7_rank(n: usize, q: f64) -> (usize, f64) {
     let h = (n as f64 - 1.0) * q;
     let lo = h.floor() as usize;
-    let hi = (lo + 1).min(n - 1);
-    let frac = h - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    (lo, h - lo as f64)
 }
 
 #[cfg(test)]
@@ -208,6 +223,70 @@ mod tests {
         for &q in &[0.0, 0.1, 0.37, 0.5, 0.9, 1.0] {
             assert_eq!(quantile(&data, q), quantile_sorted(&sorted, q));
         }
+    }
+
+    #[test]
+    fn selection_quantile_is_bit_identical_to_the_sort() {
+        // Reference: a full sort, then the same type-7 interpolation.
+        fn by_sort(data: &[f64], q: f64) -> f64 {
+            let mut x = data.to_vec();
+            x.sort_unstable_by(f64::total_cmp);
+            let n = x.len();
+            if n == 1 {
+                return x[0];
+            }
+            let h = (n as f64 - 1.0) * q;
+            let lo = h.floor() as usize;
+            let hi = (lo + 1).min(n - 1);
+            let frac = h - lo as f64;
+            x[lo] * (1.0 - frac) + x[hi] * frac
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1.5,
+            1.5,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in 1..=257 {
+            for round in 0..4 {
+                let data: Vec<f64> = (0..n)
+                    .map(|_| {
+                        let r = draw();
+                        match (round, r % 4) {
+                            // Round 0 is all finite; later rounds mix in
+                            // the specials and heavy duplication.
+                            (0, _) => (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+                            (_, 0) => specials[(r >> 8) as usize % specials.len()],
+                            (_, 1) => ((r >> 8) % 5) as f64,
+                            _ => (r >> 11) as f64 / (1u64 << 40) as f64,
+                        }
+                    })
+                    .collect();
+                for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
+                    assert_eq!(
+                        quantile(&data, q).to_bits(),
+                        by_sort(&data, q).to_bits(),
+                        "n {n} round {round} q {q}"
+                    );
+                }
+            }
+        }
+        // An infinite upper neighbour with zero weight still makes NaN.
+        assert!(quantile(&[f64::INFINITY, 1.0], 0.0).is_nan());
+        assert_eq!(quantile(&[f64::INFINITY], 0.5), f64::INFINITY);
+        // −0 · 1 + 0 · 0 is +0: the sum, not the order statistic, decides.
+        assert_eq!(median(&[0.0, -0.0, -0.0]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

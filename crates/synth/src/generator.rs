@@ -761,7 +761,7 @@ mod tests {
         let (catalog, cal) = generator_fixture();
         let g = TraceGenerator::new(&catalog, &cal).unwrap();
         let site = g.site_trace(1).unwrap();
-        let by_system = site.index().all().count_by_system();
+        let by_system = site.index().count_by_system();
         assert_eq!(by_system.len(), 22, "every system contributes records");
         // Total magnitude: Σ annual × years is in the paper's ~23000 zone.
         assert!(

@@ -41,7 +41,7 @@ mod tests {
     fn single_system_scenario() {
         let t = system_trace(SystemId::new(12), DEFAULT_SEED).unwrap();
         assert!(!t.is_empty());
-        let by_system = t.index().all().count_by_system();
+        let by_system = t.index().count_by_system();
         assert!(by_system.contains_key(&SystemId::new(12)));
         assert_eq!(by_system.len(), 1);
     }

@@ -69,7 +69,7 @@ pub fn validate_site(
     let index = trace.index();
 
     // Per-system annual failure rates.
-    let counts = index.all().count_by_system();
+    let counts = index.count_by_system();
     for (id, config) in calibration.iter() {
         let spec = catalog
             .system(id)

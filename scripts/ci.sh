@@ -389,6 +389,10 @@ EOF
 }
 probe "$serve_url/healthz"
 probe "$serve_url/v1/synth/tbf?view=pooled"
+# One-stratum misses run the per-system and per-cause row kernels.
+probe "$serve_url/v1/synth/rates?system=20"
+probe "$serve_url/v1/synth/availability?system=20"
+probe "$serve_url/v1/synth/repair?cause=hardware"
 # Graceful shutdown over the signal path: POST /v1/shutdown drains
 # in-flight work and the process exits on its own — no kill needed.
 python3 - "$serve_url/v1/shutdown" <<'EOF'

@@ -24,7 +24,7 @@ fn site_trace_matches_paper_scale() {
         "trace has {} records",
         trace.len()
     );
-    assert_eq!(trace.index().all().count_by_system().len(), 22);
+    assert_eq!(trace.index().count_by_system().len(), 22);
     // Records are sorted and well-formed.
     let mut last = Timestamp::EPOCH;
     for r in trace.iter() {

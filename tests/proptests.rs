@@ -537,7 +537,10 @@ fn assert_view_matches_naive(view: &TraceView<'_>, records: &[FailureRecord]) {
     let minutes: Vec<f64> = records.iter().map(|r| r.downtime_minutes()).collect();
     assert_eq!(view.downtimes_minutes(), minutes);
     assert_eq!(view.count_by_cause(), naive_count(records, |r| r.cause()));
-    assert_eq!(view.count_by_system(), naive_count(records, |r| r.system()));
+    assert_eq!(
+        view.to_trace().index().count_by_system(),
+        naive_count(records, |r| r.system())
+    );
     for w in Workload::ALL {
         assert_eq!(
             view.count_workload(w),
@@ -665,15 +668,22 @@ proptest! {
         let trace = FailureTrace::from_records(records);
         let idx = trace.index();
 
+        let mut count_by_system: BTreeMap<SystemId, u64> = BTreeMap::new();
         let mut downtime_by_system: BTreeMap<SystemId, u64> = BTreeMap::new();
         let mut per_system: BTreeMap<SystemId, ([u64; 6], [u64; 6])> = BTreeMap::new();
         for r in trace.iter() {
+            *count_by_system.entry(r.system()).or_insert(0) += 1;
             *downtime_by_system.entry(r.system()).or_insert(0) += r.downtime_secs();
             let slot = per_system.entry(r.system()).or_insert(([0; 6], [0; 6]));
             slot.0[r.cause().index()] += 1;
             slot.1[r.cause().index()] += r.downtime_secs();
         }
-        prop_assert_eq!(idx.all().downtime_by_system(), downtime_by_system);
+        prop_assert_eq!(idx.count_by_system(), count_by_system);
+        let posting_downtime: BTreeMap<SystemId, u64> = idx
+            .systems()
+            .map(|s| (s, idx.system(s).downtimes_secs().iter().sum()))
+            .collect();
+        prop_assert_eq!(posting_downtime, downtime_by_system);
         let kernel = idx.all().counts_by_cause_per_system();
         prop_assert_eq!(kernel.len(), per_system.len());
         for (sys, totals) in &kernel {

@@ -540,3 +540,122 @@ fn damaged_csv_repaired_and_packed_serves_like_its_csv() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every single-stratum route answers exactly the row that the
+/// whole-site analysis renders for it: `rates?system=` and
+/// `availability?system=` for each catalog system and for the ids just
+/// outside the catalog, and `repair?cause=` for each root cause. Three
+/// tenants: the seed-42 site, a trace missing most systems and a whole
+/// cause, and an empty trace, whose typed 422 body comes before any 404.
+#[test]
+fn stratum_bodies_equal_their_row_of_the_whole_site_analysis() {
+    let site = hpcfail::synth::scenario::site_trace(42).expect("seed-42 site");
+    let kept = [2, 5, 12, 19, 20];
+    let sparse = FailureTrace::from_records(
+        site.iter()
+            .filter(|r| kept.contains(&r.system().get()) && r.cause() != RootCause::Environment)
+            .cloned()
+            .collect(),
+    );
+    let catalog = Catalog::lanl();
+    let state = AppState::new();
+    let get = |target: String| {
+        let request = parse_request(format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes())
+            .expect("request parses");
+        let resp = respond(&state, &request);
+        (resp.status, resp.body.to_string())
+    };
+    for (name, trace) in [("site", site), ("sparse", sparse)] {
+        let index = trace.index();
+        state
+            .registry
+            .insert(name, TenantSource::Static(Arc::new(trace)))
+            .expect("tenant");
+        let rate = rates::analyze_indexed(&index, &catalog).expect("rates");
+        let avail = availability::analyze_indexed(&index, &catalog).expect("availability");
+        for id in 0..=23 {
+            let (status, body) = get(format!("/v1/{name}/rates?system={id}"));
+            match rate.system(SystemId::new(id)) {
+                Some(row) => assert_eq!(
+                    (status, body),
+                    (200, render::rate_system_json(row).render()),
+                    "{name} rates {id}"
+                ),
+                None => assert_eq!(
+                    (status, body),
+                    (
+                        404,
+                        format!(
+                            r#"{{"error":{{"code":404,"message":"no rate row for system {id}"}}}}"#
+                        )
+                    ),
+                    "{name} rates {id}"
+                ),
+            }
+            let (status, body) = get(format!("/v1/{name}/availability?system={id}"));
+            match avail.iter().find(|r| r.system.get() == id) {
+                Some(row) => assert_eq!(
+                    (status, body),
+                    (200, render::availability_system_json(row).render()),
+                    "{name} availability {id}"
+                ),
+                None => assert_eq!(
+                    (status, body),
+                    (
+                        404,
+                        format!(
+                            r#"{{"error":{{"code":404,"message":"no availability row for system {id}"}}}}"#
+                        )
+                    ),
+                    "{name} availability {id}"
+                ),
+            }
+        }
+        // Ids 0 and 23 fall outside the catalog and take the 404 branch.
+        assert_eq!(rate.rates.len(), 22);
+        assert!(
+            rate.system(SystemId::new(0)).is_none() && rate.system(SystemId::new(23)).is_none()
+        );
+        let table = repair::by_cause_indexed(&index).expect("repair");
+        // The sparse tenant lacks a whole cause: its stratum has a null row.
+        assert_eq!(
+            table.row(RootCause::Environment).is_none(),
+            name == "sparse"
+        );
+        for cause in RootCause::ALL {
+            let (status, body) = get(format!("/v1/{name}/repair?cause={}", cause.name()));
+            assert_eq!(status, 200, "{name} repair {cause}: {body}");
+            assert_eq!(
+                body,
+                render::repair_cause_json(cause, &table).render(),
+                "{name} repair {cause}"
+            );
+        }
+    }
+    state
+        .registry
+        .insert("empty", TenantSource::Static(Arc::new(FailureTrace::new())))
+        .expect("tenant");
+    let insufficient = |what: &str| {
+        (
+            422,
+            format!(
+                r#"{{"error":{{"code":422,"message":"{what}: need at least 1 records, got 0"}}}}"#
+            ),
+        )
+    };
+    for id in [0, 1, 20, 22, 23] {
+        let target = format!("/v1/empty/rates?system={id}");
+        assert_eq!(get(target), insufficient("failure rates"), "rates {id}");
+        let target = format!("/v1/empty/availability?system={id}");
+        assert_eq!(
+            get(target),
+            insufficient("availability"),
+            "availability {id}"
+        );
+    }
+    for cause in RootCause::ALL {
+        let target = format!("/v1/empty/repair?cause={}", cause.name());
+        assert_eq!(get(target), insufficient("repair times"), "repair {cause}");
+    }
+}
