@@ -28,7 +28,7 @@ impl JobConfig {
     ///
     /// [`CheckpointError::InvalidParameter`] if any field is non-finite,
     /// work is non-positive, or costs are negative.
-    pub fn validate(&self) -> Result<(), CheckpointError> {
+    pub(crate) fn validate(&self) -> Result<(), CheckpointError> {
         if !self.total_work_secs.is_finite() || self.total_work_secs <= 0.0 {
             return Err(CheckpointError::InvalidParameter {
                 name: "total_work_secs",

@@ -45,11 +45,6 @@ impl Periodic {
         }
         Ok(Periodic { tau })
     }
-
-    /// The interval.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
 }
 
 impl Strategy for Periodic {
@@ -100,11 +95,6 @@ impl HazardAware {
             max_tau: 20.0 * young,
         })
     }
-
-    /// The underlying Weibull model.
-    pub fn weibull(&self) -> &Weibull {
-        &self.weibull
-    }
 }
 
 impl Strategy for HazardAware {
@@ -135,7 +125,7 @@ mod tests {
         let p = Periodic::new(3_600.0).unwrap();
         assert_eq!(p.interval(0.0), 3_600.0);
         assert_eq!(p.interval(1e9), 3_600.0);
-        assert_eq!(p.tau(), 3_600.0);
+        assert_eq!(p.tau, 3_600.0);
         assert_eq!(p.name(), "periodic");
         assert!(Periodic::new(0.0).is_err());
         assert!(Periodic::new(f64::NAN).is_err());

@@ -97,7 +97,10 @@ fn mean_waste(
 /// # Errors
 ///
 /// Propagates parameter/simulation errors.
-pub fn evaluate_shape(config: &StudyConfig, shape: f64) -> Result<StudyPoint, CheckpointError> {
+pub(crate) fn evaluate_shape(
+    config: &StudyConfig,
+    shape: f64,
+) -> Result<StudyPoint, CheckpointError> {
     // Mean held fixed across shapes.
     let tbf = Weibull::with_mean(shape, config.mean_tbf_secs)?;
     let repair = Exponential::from_mean(config.mean_repair_secs)?;

@@ -46,7 +46,7 @@ impl TwoLevelConfig {
     /// [`CheckpointError::InvalidParameter`] for non-positive work or
     /// intervals, negative costs, zero `locals_per_global`, or an
     /// out-of-range probability.
-    pub fn validate(&self) -> Result<(), CheckpointError> {
+    pub(crate) fn validate(&self) -> Result<(), CheckpointError> {
         let positive = [
             ("total_work_secs", self.total_work_secs),
             ("local_interval_secs", self.local_interval_secs),

@@ -26,7 +26,7 @@ use rand::SeedableRng;
 
 /// Run the four ablations on the seeded site trace. The text carries no
 /// trailing newline.
-pub fn render(site: &FailureTrace) -> Result<String, String> {
+pub(crate) fn render(site: &FailureTrace) -> Result<String, String> {
     let index = site.index();
     let (_, late) = tbf::paper_era_split();
     let gaps: Vec<f64> = index

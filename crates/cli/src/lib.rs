@@ -606,7 +606,7 @@ fn scenario_run(
 ///
 /// [`CliError`] on duplicate tenant names, unreadable files, or a
 /// failed synthesis.
-pub fn build_serve_state(
+pub(crate) fn build_serve_state(
     traces: &[PathBuf],
     synth: Option<u64>,
     system: Option<u32>,
@@ -1116,6 +1116,90 @@ mod tests {
                 );
             }
             assert!(text.contains("degraded:"), "{}: {text}", file.display());
+        }
+    }
+
+    /// Every section of a repro report opens with its banner and then
+    /// either renders or prints `degraded: experiment <name>: <cause>`.
+    fn assert_every_section_renders_or_degrades(text: &str, what: &str) {
+        let mut rest = text;
+        for (name, _) in repro::SECTIONS {
+            let banner = format!("================= {name} =================\n");
+            let at = rest
+                .find(&banner)
+                .unwrap_or_else(|| panic!("{what}: no {name} section"));
+            rest = &rest[at + banner.len()..];
+            let body = &rest[..rest.find("\n================= ").unwrap_or(rest.len())];
+            assert!(!body.trim().is_empty(), "{what}: {name} printed nothing");
+            if let Some(line) = body
+                .lines()
+                .find(|l| l.starts_with("degraded: experiment "))
+            {
+                let cause = line
+                    .strip_prefix(&format!("degraded: experiment {name}: "))
+                    .unwrap_or_else(|| panic!("{what}: {name} printed {line:?}"));
+                assert!(!cause.is_empty(), "{what}: {name} degraded without a cause");
+            }
+        }
+    }
+
+    #[test]
+    fn repro_survives_damaged_input() {
+        use hpcfail_records::{BinaryCorruptionPlan, BinaryFault, CorruptionPlan};
+        let dir = std::env::temp_dir().join("hpcfail_cli_repro_damaged");
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("sys20.csv");
+        execute(&Command::Generate {
+            seed: 42,
+            system: Some(20),
+            out: csv.clone(),
+        })
+        .unwrap();
+        let hpct = dir.join("sys20.hpct");
+        execute(&Command::Pack {
+            file: csv.clone(),
+            out: hpct.clone(),
+        })
+        .unwrap();
+        let clean_csv = std::fs::read_to_string(&csv).unwrap();
+        let clean_hpct = std::fs::read(&hpct).unwrap();
+
+        let mut damaged = Vec::new();
+        for (seed, rate) in [(1, 0.0), (2, 0.01), (3, 0.05), (4, 0.2), (5, 0.5), (6, 1.0)] {
+            let text = CorruptionPlan::new(seed, rate).corrupt_csv(&clean_csv);
+            // The lenient load keeps what parses; repro reports on it.
+            let ingest = read_trace(text.as_bytes(), IngestPolicy::Quarantine).unwrap();
+            let what = format!("csv seed {seed} rate {rate}");
+            assert_every_section_renders_or_degrades(&repro::render(&ingest.index, &[]), &what);
+            let path = dir.join(format!("damaged_{seed}.csv"));
+            std::fs::write(&path, text).unwrap();
+            damaged.push((path, what));
+        }
+        for fault in [
+            BinaryFault::MidTruncate,
+            BinaryFault::TornHeader,
+            BinaryFault::BitFlips,
+            BinaryFault::VersionSkew,
+        ] {
+            let plan = (0..)
+                .map(BinaryCorruptionPlan::new)
+                .find(|p| p.fault() == Some(fault))
+                .unwrap();
+            let path = dir.join(format!("damaged_{}.hpct", plan.seed));
+            std::fs::write(&path, plan.corrupt_bytes(&clean_hpct)).unwrap();
+            damaged.push((path, format!("hpct {fault:?} seed {}", plan.seed)));
+        }
+        for (path, what) in damaged {
+            match execute(&Command::Repro {
+                trace: Some(path),
+                sections: vec![],
+            }) {
+                Ok(text) => assert_every_section_renders_or_degrades(&text, &what),
+                Err(err) => {
+                    assert_eq!(err.code, 1, "{what}: {err}");
+                    assert!(err.message.starts_with("cannot parse"), "{what}: {err}");
+                }
+            }
         }
     }
 

@@ -41,7 +41,7 @@ pub const SECTIONS: &[(&str, Section)] = &[
 
 /// Render the named sections (all of them when `wanted` is empty) off
 /// one trace index. The text carries no trailing newline.
-pub fn render(index: &TraceIndex, wanted: &[String]) -> String {
+pub(crate) fn render(index: &TraceIndex, wanted: &[String]) -> String {
     let catalog = Catalog::lanl();
     let mut out = String::new();
     for (name, section) in SECTIONS {
@@ -489,8 +489,7 @@ fn availability_report(
         ]);
     }
     let _ = writeln!(out, "{}", t.render());
-    let site = availability::site_availability_indexed(idx, catalog)
-        .map_err(|e| format!("site availability: {e}"))?;
+    let site = availability::site_availability(&rows);
     let _ = writeln!(out, "site-wide availability: {:.4}%", site * 100.0);
     Ok(())
 }

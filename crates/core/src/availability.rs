@@ -77,19 +77,12 @@ fn row(index: &TraceIndex, spec: &SystemSpec) -> SystemAvailability {
     }
 }
 
-/// Site-wide availability: total downtime over total capacity.
-///
-/// # Errors
-///
-/// See [`analyze_indexed`].
-pub fn site_availability_indexed(
-    index: &TraceIndex,
-    catalog: &Catalog,
-) -> Result<f64, AnalysisError> {
-    let rows = analyze_indexed(index, catalog)?;
+/// Site-wide availability of the rows [`analyze_indexed`] returned:
+/// total downtime over total capacity, summed in row order.
+pub fn site_availability(rows: &[SystemAvailability]) -> f64 {
     let down: f64 = rows.iter().map(|r| r.downtime_node_hours).sum();
     let cap: f64 = rows.iter().map(|r| r.capacity_node_hours).sum();
-    Ok(1.0 - down / cap)
+    1.0 - down / cap
 }
 
 #[cfg(test)]
@@ -143,7 +136,7 @@ mod tests {
                 r.availability
             );
         }
-        let site = site_availability_indexed(&trace.index(), &catalog).unwrap();
+        let site = site_availability(&rows);
         // HPC-scale availability: between two and four nines at the site
         // level for LANL-like failure and repair rates.
         assert!((0.99..1.0).contains(&site), "site availability {site}");

@@ -51,16 +51,6 @@ impl Findings {
     pub fn all_hold(&self) -> bool {
         self.findings.iter().all(|f| f.holds)
     }
-
-    /// Whether any sub-analysis failed to run.
-    pub fn is_degraded(&self) -> bool {
-        !self.degraded.is_empty()
-    }
-
-    /// Look up one finding by id.
-    pub fn get(&self, id: &str) -> Option<&Finding> {
-        self.findings.iter().find(|f| f.id == id)
-    }
 }
 
 /// A finding whose sub-analysis failed: present, not holding, with the
@@ -295,6 +285,10 @@ mod tests {
     use super::*;
     use hpcfail_records::FailureTrace;
 
+    fn finding<'a>(findings: &'a Findings, id: &str) -> Option<&'a Finding> {
+        findings.findings.iter().find(|f| f.id == id)
+    }
+
     #[test]
     fn all_findings_hold_on_calibrated_trace() {
         let catalog = Catalog::lanl();
@@ -305,9 +299,9 @@ mod tests {
             assert!(f.holds, "{}: {}", f.id, f.evidence);
         }
         assert!(findings.all_hold());
-        assert!(!findings.is_degraded(), "{:?}", findings.degraded);
-        assert!(findings.get("weibull-tbf").is_some());
-        assert!(findings.get("nonexistent").is_none());
+        assert!(findings.degraded.is_empty(), "{:?}", findings.degraded);
+        assert!(finding(&findings, "weibull-tbf").is_some());
+        assert!(finding(&findings, "nonexistent").is_none());
     }
 
     #[test]
@@ -334,9 +328,9 @@ mod tests {
         ] {
             let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
             assert_eq!(findings.findings.len(), 7);
-            assert!(findings.is_degraded());
+            assert!(!findings.degraded.is_empty());
             assert!(!findings.all_hold());
-            let tbf = findings.get("weibull-tbf").unwrap();
+            let tbf = finding(&findings, "weibull-tbf").unwrap();
             assert!(tbf.evidence.contains("not evaluable"), "{}", tbf.evidence);
             for f in &findings.findings {
                 assert!(!f.evidence.contains("NaN"), "{}: {}", f.id, f.evidence);
@@ -388,9 +382,9 @@ mod tests {
         let findings = evaluate_indexed(&trace.index(), &catalog).unwrap();
         // The flat exponential world has no daily rhythm and (being
         // memoryless) no decreasing hazard...
-        assert!(!findings.get("workload-correlation").unwrap().holds);
+        assert!(!finding(&findings, "workload-correlation").unwrap().holds);
         // ...and constant-duration repairs are not lognormal-ish.
-        assert!(!findings.get("lognormal-repair").unwrap().holds);
+        assert!(!finding(&findings, "lognormal-repair").unwrap().holds);
         assert!(!findings.all_hold());
     }
 }

@@ -27,11 +27,6 @@ impl LifetimeCurve {
             .collect()
     }
 
-    /// Number of months covered.
-    pub fn months(&self) -> usize {
-        self.by_cause.len()
-    }
-
     /// Classify the curve shape (the Fig. 4(a) vs Fig. 4(b) distinction).
     ///
     /// The monthly series is smoothed with a centered 5-month moving
@@ -220,7 +215,7 @@ mod tests {
             .sum();
         assert_eq!(stacked, totals.iter().sum::<u64>());
         assert_eq!(stacked, trace.len() as u64);
-        assert_eq!(curve.months(), totals.len());
+        assert_eq!(curve.by_cause.len(), totals.len());
     }
 
     #[test]

@@ -22,11 +22,6 @@ pub struct PeriodicPattern {
 }
 
 impl PeriodicPattern {
-    /// Total failures counted.
-    pub fn total(&self) -> u64 {
-        self.hourly.iter().sum()
-    }
-
     /// Ratio of the busiest to the quietest hour (paper: ≈2).
     /// NaN when any hour has zero failures.
     pub fn hourly_peak_to_trough(&self) -> f64 {
@@ -125,7 +120,7 @@ mod tests {
     fn fig5_shape_on_synthetic_site() {
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
         let p = analyze_indexed(&trace.index()).unwrap();
-        assert_eq!(p.total(), trace.len() as u64);
+        assert_eq!(p.hourly.iter().sum::<u64>(), trace.len() as u64);
         let h = p.hourly_peak_to_trough();
         assert!(
             (1.5..=2.8).contains(&h),

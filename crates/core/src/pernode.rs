@@ -141,7 +141,7 @@ fn analyze_counts(
 }
 
 /// Fit the three Fig. 3(b) candidates to a sample of per-node counts.
-pub fn fit_counts(counts: &[u64]) -> CountFits {
+pub(crate) fn fit_counts(counts: &[u64]) -> CountFits {
     let as_f: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
     let poisson_nll = Poisson::fit_mle(counts).ok().map(|d| d.nll(counts));
     // One shared scan serves both continuous candidates.

@@ -73,19 +73,6 @@ impl RateAnalysis {
         let v: Vec<f64> = self.rates.iter().map(|r| r.per_proc_year).collect();
         descriptive::squared_cv(&v)
     }
-
-    /// Per-processor-rate C² within one hardware type (the paper: type E
-    /// systems have similar normalized rates although they span
-    /// 128–1024 nodes).
-    pub fn within_type_variability(&self, hw: HardwareType) -> f64 {
-        let v: Vec<f64> = self
-            .rates
-            .iter()
-            .filter(|r| r.hardware == hw)
-            .map(|r| r.per_proc_year)
-            .collect();
-        descriptive::squared_cv(&v)
-    }
 }
 
 /// Compute per-system failure rates (Fig. 2): [`system_indexed`]'s row
@@ -210,9 +197,18 @@ mod tests {
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
         let analysis = analyze_indexed(&trace.index(), &catalog).unwrap();
-        let e_var = analysis.within_type_variability(HardwareType::E);
+        let within_type = |hw| {
+            let v: Vec<f64> = analysis
+                .rates
+                .iter()
+                .filter(|r| r.hardware == hw)
+                .map(|r| r.per_proc_year)
+                .collect();
+            descriptive::squared_cv(&v)
+        };
+        let e_var = within_type(HardwareType::E);
         assert!(e_var < 0.6, "type E per-proc C² {e_var}");
-        let f_var = analysis.within_type_variability(HardwareType::F);
+        let f_var = within_type(HardwareType::F);
         assert!(f_var < 0.6, "type F per-proc C² {f_var}");
     }
 

@@ -285,8 +285,9 @@ mod tests {
         let mut compared = 0;
         for hw in [HardwareType::E, HardwareType::F, HardwareType::G] {
             let minutes: Vec<f64> = catalog
-                .systems_of_type(hw)
+                .systems()
                 .iter()
+                .filter(|s| s.hardware() == hw)
                 .flat_map(|s| index.system(s.id()).downtimes_minutes())
                 .collect();
             let within =

@@ -43,16 +43,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with right-padded columns, a header underline, and `\n`
     /// line endings.
     pub fn render(&self) -> String {
@@ -149,8 +139,7 @@ mod tests {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(&["1"]); // padded
         t.row(&["1", "2", "3"]); // truncated
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
         let s = t.render();
         assert!(!s.contains('3'));
     }

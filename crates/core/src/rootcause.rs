@@ -35,12 +35,12 @@ impl CauseBreakdown {
     }
 
     /// Total failure count.
-    pub fn total_failures(&self) -> u64 {
+    pub(crate) fn total_failures(&self) -> u64 {
         self.counts.iter().sum()
     }
 
     /// Total downtime in seconds.
-    pub fn total_downtime_secs(&self) -> u64 {
+    pub(crate) fn total_downtime_secs(&self) -> u64 {
         self.downtime_secs.iter().sum()
     }
 
@@ -50,7 +50,7 @@ impl CauseBreakdown {
     }
 
     /// Downtime (seconds) for a category.
-    pub fn downtime_secs(&self, cause: RootCause) -> u64 {
+    pub(crate) fn downtime_secs(&self, cause: RootCause) -> u64 {
         self.downtime_secs[cause.index()]
     }
 

@@ -32,7 +32,7 @@ pub struct WorkloadAnalysis {
 
 impl WorkloadAnalysis {
     /// The rate row for a class.
-    pub fn rate(&self, workload: Workload) -> Option<&WorkloadRate> {
+    pub(crate) fn rate(&self, workload: Workload) -> Option<&WorkloadRate> {
         self.rates.iter().find(|r| r.workload == workload)
     }
 

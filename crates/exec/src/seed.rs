@@ -55,11 +55,6 @@ impl SeedSequence {
         SeedSequence { root }
     }
 
-    /// The root seed.
-    pub fn root(&self) -> u64 {
-        self.root
-    }
-
     /// Seed of the `index`-th stream.
     pub fn stream(&self, index: u64) -> u64 {
         derive_stream_seed(self.root, index)

@@ -18,7 +18,7 @@ use crate::time::Timestamp;
 use crate::workload::Workload;
 
 /// The end of the published data: November 30, 2005.
-pub fn end_of_data() -> Timestamp {
+pub(crate) fn end_of_data() -> Timestamp {
     Timestamp::from_civil(2005, 11, 30, 0, 0, 0).expect("valid date")
 }
 
@@ -37,7 +37,7 @@ pub struct NodeCategory {
 
 impl NodeCategory {
     /// Total processors across the category.
-    pub fn total_procs(&self) -> u32 {
+    pub(crate) fn total_procs(&self) -> u32 {
         self.nodes * self.procs_per_node
     }
 }
@@ -390,11 +390,6 @@ impl Catalog {
     pub fn total_procs(&self) -> u32 {
         self.systems.iter().map(|s| s.procs()).sum()
     }
-
-    /// Systems of a given hardware type.
-    pub fn systems_of_type(&self, hw: HardwareType) -> Vec<&SystemSpec> {
-        self.systems.iter().filter(|s| s.hardware() == hw).collect()
-    }
 }
 
 impl Default for Catalog {
@@ -453,12 +448,13 @@ mod tests {
     #[test]
     fn hardware_type_grouping() {
         let cat = Catalog::lanl();
-        assert_eq!(cat.systems_of_type(HardwareType::E).len(), 8); // 5–12
-        assert_eq!(cat.systems_of_type(HardwareType::F).len(), 6); // 13–18
-        assert_eq!(cat.systems_of_type(HardwareType::G).len(), 3); // 19–21
-        assert_eq!(cat.systems_of_type(HardwareType::H).len(), 1); // 22
-        assert_eq!(cat.systems_of_type(HardwareType::D).len(), 1); // 4
-                                                                   // Systems 1–18 are SMP, 19–22 NUMA (per Table 1 caption).
+        let of_type = |hw| cat.systems().iter().filter(|s| s.hardware() == hw).count();
+        assert_eq!(of_type(HardwareType::E), 8); // 5–12
+        assert_eq!(of_type(HardwareType::F), 6); // 13–18
+        assert_eq!(of_type(HardwareType::G), 3); // 19–21
+        assert_eq!(of_type(HardwareType::H), 1); // 22
+        assert_eq!(of_type(HardwareType::D), 1); // 4
+                                                 // Systems 1–18 are SMP, 19–22 NUMA (per Table 1 caption).
         for s in cat.systems() {
             if s.id().get() >= 19 {
                 assert!(s.hardware().is_numa(), "system {}", s.id());

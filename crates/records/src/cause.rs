@@ -161,7 +161,7 @@ impl DetailedCause {
     }
 
     /// Short label for reports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             DetailedCause::Memory => "memory",
             DetailedCause::Cpu => "cpu",

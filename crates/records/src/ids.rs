@@ -142,7 +142,7 @@ impl HardwareType {
     ];
 
     /// Single-letter label as used in Table 1.
-    pub fn letter(&self) -> char {
+    pub(crate) fn letter(&self) -> char {
         match self {
             HardwareType::A => 'A',
             HardwareType::B => 'B',

@@ -97,10 +97,9 @@ pub struct CauseTotals {
 ///
 /// The index owns one column per record field plus the run, posting and
 /// link arrays; it borrows nothing, so it can be kept, moved and shared
-/// on its own. Build it once per trace (`trace.index()` or
-/// [`TraceIndex::build`]) or open it from a `.hpct` store
-/// ([`crate::store::TraceStore::from_bytes`]), then fan analyses off
-/// borrowed [`TraceView`]s. The index is `Sync`: views can be taken from
+/// on its own. Build it once per trace (`trace.index()`) or open it
+/// from a `.hpct` store ([`crate::store::TraceStore::from_bytes`]),
+/// then fan analyses off borrowed [`TraceView`]s. The index is `Sync`: views can be taken from
 /// worker threads concurrently. Its fields are crate-private, so only
 /// the builder and the checked store loader, which both establish every
 /// invariant below, can make one.
@@ -139,7 +138,7 @@ impl TraceIndex {
     ///
     /// If the trace holds more than `u32::MAX` records (row indices are
     /// `u32` to halve posting-list memory).
-    pub fn build(trace: &FailureTrace) -> Self {
+    pub(crate) fn build(trace: &FailureTrace) -> Self {
         let records = trace.records();
         let n = records.len();
         assert!(u32::try_from(n).is_ok(), "trace too large for u32 rows");
@@ -586,15 +585,6 @@ impl<'a> TraceView<'a> {
         gaps
     }
 
-    /// The fraction of system-wide inter-arrivals that are exactly zero;
-    /// NaN for views with < 2 records.
-    pub fn zero_gap_fraction(&self) -> f64 {
-        match self.interarrival_secs() {
-            Ok(gaps) => gaps.iter().filter(|&&g| g == 0.0).count() as f64 / gaps.len() as f64,
-            Err(_) => f64::NAN,
-        }
-    }
-
     /// Narrow the view to records starting within `[from, to)` — two
     /// `partition_point` probes on the (non-decreasing) start column
     /// along the row set; always zero-copy.
@@ -888,7 +878,6 @@ mod tests {
         assert!(view.is_empty());
         assert!(view.interarrival_secs().is_err());
         assert!(view.per_node_interarrival_secs().is_empty());
-        assert!(view.zero_gap_fraction().is_nan());
         assert!(view.first_start().is_none());
         assert_eq!(index.failures_per_node(SystemId::new(1), 3), vec![0, 0, 0]);
     }
@@ -897,9 +886,13 @@ mod tests {
     fn zero_gap_fraction_matches() {
         let trace = sample_trace();
         let index = trace.index();
+        let zero_fraction = |view: TraceView<'_>| {
+            let gaps = view.interarrival_secs().unwrap();
+            gaps.iter().filter(|&&g| g == 0.0).count() as f64 / gaps.len() as f64
+        };
         // One zero gap (the two failures at t=2000) among five.
-        assert_eq!(index.all().zero_gap_fraction(), 0.2);
+        assert_eq!(zero_fraction(index.all()), 0.2);
         // Same via the posting-list path: system 20 has the same tie.
-        assert_eq!(index.system(SystemId::new(20)).zero_gap_fraction(), 0.25);
+        assert_eq!(zero_fraction(index.system(SystemId::new(20))), 0.25);
     }
 }

@@ -91,7 +91,7 @@ pub(crate) fn content(line: &str) -> Option<&str> {
 /// Whether a line is the CSV header: either the legacy `system,` prefix
 /// or a field-wise, case-insensitive match of [`CSV_HEADER`] with
 /// arbitrary spacing around the field names.
-pub fn is_header(line: &str) -> bool {
+pub(crate) fn is_header(line: &str) -> bool {
     if line.starts_with("system,") {
         return true;
     }

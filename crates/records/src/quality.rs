@@ -93,7 +93,7 @@ pub enum QualityIssue {
 
 impl QualityIssue {
     /// The severity this issue class carries in quarantine.
-    pub fn severity(&self) -> Severity {
+    pub(crate) fn severity(&self) -> Severity {
         match self {
             QualityIssue::ZeroWidthInterval => Severity::Warning,
             _ => Severity::Error,
@@ -101,7 +101,7 @@ impl QualityIssue {
     }
 
     /// Short stable label for reports and per-class counting.
-    pub fn class(&self) -> &'static str {
+    pub(crate) fn class(&self) -> &'static str {
         match self {
             QualityIssue::WrongFieldCount { .. } => "wrong-field-count",
             QualityIssue::MalformedField { .. } => "malformed-field",
@@ -247,7 +247,7 @@ impl QualityReport {
     /// Total issue detections across all classes (a record can count in
     /// several classes). Catch-all causes are an indicator, not an
     /// issue, and are excluded.
-    pub fn issue_count(&self) -> usize {
+    pub(crate) fn issue_count(&self) -> usize {
         self.exact_duplicates
             + self.near_duplicates
             + self.overlapping_outages
@@ -258,7 +258,7 @@ impl QualityReport {
     }
 
     /// Fraction of records carrying a catch-all cause.
-    pub fn catchall_fraction(&self) -> f64 {
+    pub(crate) fn catchall_fraction(&self) -> f64 {
         if self.total_records == 0 {
             0.0
         } else {
@@ -269,12 +269,12 @@ impl QualityReport {
     /// Whether the catch-all fraction exceeds [`DRIFT_THRESHOLD`] —
     /// the operator's cause vocabulary has likely drifted away from the
     /// catalog's taxonomy.
-    pub fn has_vocabulary_drift(&self) -> bool {
+    pub(crate) fn has_vocabulary_drift(&self) -> bool {
         self.catchall_fraction() > DRIFT_THRESHOLD
     }
 
     /// `(class, count)` pairs in a stable report order.
-    pub fn counts(&self) -> [(&'static str, usize); 8] {
+    pub(crate) fn counts(&self) -> [(&'static str, usize); 8] {
         [
             ("exact-duplicate", self.exact_duplicates),
             ("near-duplicate", self.near_duplicates),
@@ -398,7 +398,7 @@ pub struct RepairOutcome {
 
 impl RepairOutcome {
     /// Total records removed or merged away.
-    pub fn records_removed(&self) -> usize {
+    pub(crate) fn records_removed(&self) -> usize {
         self.removed_exact_duplicates
             + self.removed_near_duplicates
             + self.merged_overlaps

@@ -104,11 +104,6 @@ impl FailureRecord {
     pub fn downtime_secs(&self) -> u64 {
         self.end - self.start
     }
-
-    /// Downtime in minutes (the unit of the paper's Table 2 and Fig. 7).
-    pub fn downtime_minutes(&self) -> f64 {
-        self.downtime_secs() as f64 / 60.0
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,8 @@ mod tests {
         assert_eq!(r.system().get(), 5);
         assert_eq!(r.node().get(), 3);
         assert_eq!(r.downtime_secs(), 60);
-        assert!((r.downtime_minutes() - 1.0).abs() < 1e-12);
+        let trace = crate::FailureTrace::from_records(vec![r]);
+        assert_eq!(trace.index().all().downtimes_minutes(), vec![1.0]);
         assert_eq!(r.cause(), RootCause::Hardware);
         assert_eq!(r.detail(), DetailedCause::Memory);
         assert_eq!(r.workload(), Workload::Compute);

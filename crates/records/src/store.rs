@@ -53,7 +53,7 @@
 //! bounds, contiguous layout, zero padding), integrity (footer +
 //! per-section checksums), and semantics (sort invariant, record ends
 //! that do not overflow, run/span/posting consistency — every invariant
-//! [`TraceIndex::build`] establishes is either re-checked in O(n) or
+//! the index builder establishes is either re-checked in O(n) or
 //! derived by construction) before the index is handed out.
 
 use std::fmt;

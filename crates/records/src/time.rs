@@ -96,11 +96,6 @@ impl Timestamp {
         )
     }
 
-    /// Calendar year of this instant.
-    pub fn year(&self) -> i64 {
-        self.civil_date().0
-    }
-
     /// Whole 30.44-day months elapsed since `start` — the paper's
     /// "months in production use" axis (Fig. 4). Returns `None` when
     /// `self < start`.
@@ -155,7 +150,7 @@ impl fmt::Display for Timestamp {
 
 /// Days from civil date to the proleptic Gregorian day number
 /// (Hinnant's algorithm; day 0 = 1970-01-01).
-pub fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
+pub(crate) fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
     let y = if m <= 2 { y - 1 } else { y };
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = (y - era * 400) as u64; // [0, 399]
@@ -167,7 +162,7 @@ pub fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
 
 /// Civil date from a proleptic Gregorian day number (inverse of
 /// [`days_from_civil`]).
-pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
+pub(crate) fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = (z - era * 146_097) as u64; // [0, 146096]
@@ -181,12 +176,12 @@ pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
 }
 
 /// Whether `year` is a Gregorian leap year.
-pub fn is_leap_year(year: i64) -> bool {
+pub(crate) fn is_leap_year(year: i64) -> bool {
     year % 4 == 0 && (year % 100 != 0 || year % 400 == 0)
 }
 
 /// Number of days in the given month.
-pub fn days_in_month(year: i64, month: u32) -> u32 {
+pub(crate) fn days_in_month(year: i64, month: u32) -> u32 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -306,8 +301,8 @@ mod tests {
     #[test]
     fn year_extraction() {
         let t = Timestamp::from_civil(1999, 12, 31, 23, 0, 0).unwrap();
-        assert_eq!(t.year(), 1999);
-        assert_eq!((t + 2 * HOUR).year(), 2000);
+        assert_eq!(t.civil_date().0, 1999);
+        assert_eq!((t + 2 * HOUR).civil_date().0, 2000);
     }
 
     #[test]

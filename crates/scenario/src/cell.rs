@@ -142,7 +142,7 @@ pub enum CellError {
 
 impl CellError {
     /// Stable one-byte discriminant (journal format).
-    pub fn kind_code(&self) -> u8 {
+    pub(crate) fn kind_code(&self) -> u8 {
         match self {
             CellError::Panic(_) => 0,
             CellError::Generation(_) => 1,
@@ -154,7 +154,7 @@ impl CellError {
     }
 
     /// Rebuild from a journal discriminant + detail.
-    pub fn from_parts(code: u8, detail: String) -> Option<CellError> {
+    pub(crate) fn from_parts(code: u8, detail: String) -> Option<CellError> {
         Some(match code {
             0 => CellError::Panic(detail),
             1 => CellError::Generation(detail),
@@ -179,7 +179,7 @@ impl CellError {
     }
 
     /// The human detail.
-    pub fn detail(&self) -> &str {
+    pub(crate) fn detail(&self) -> &str {
         match self {
             CellError::Panic(d)
             | CellError::Generation(d)

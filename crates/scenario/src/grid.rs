@@ -43,7 +43,7 @@ impl Cell {
 
     /// Compact human label, e.g.
     /// `sys12|early|rate=0.5|repair=3|hardware-heavy|storm|young|random`.
-    pub fn label(&self, spec: &CampaignSpec) -> String {
+    pub(crate) fn label(&self, spec: &CampaignSpec) -> String {
         format!(
             "{}|{}|rate={}|repair={}|{}|{}|{}|{}",
             self.fleet_entry(spec).label(),

@@ -367,11 +367,6 @@ impl Journal {
         ))
     }
 
-    /// Cell index the next appended frame must carry.
-    pub fn next_cell(&self) -> u64 {
-        self.next_cell
-    }
-
     /// Append one wave of outcomes (in cell order) and flush to disk.
     ///
     /// # Errors
@@ -461,7 +456,7 @@ mod tests {
         j.append(&outcomes[3..]).unwrap();
         drop(j);
         let (j, loaded) = Journal::open_resume(&path, header()).unwrap();
-        assert_eq!(j.next_cell(), 6);
+        assert_eq!(j.next_cell, 6);
         assert_eq!(loaded.len(), 6);
         for (a, b) in loaded.iter().zip(&outcomes) {
             match (a, b) {
@@ -513,7 +508,7 @@ mod tests {
             std::fs::write(&path, &full[..full.len() - cut]).unwrap();
             let (j, loaded) = Journal::open_resume(&path, header()).unwrap();
             assert!(loaded.len() <= 5);
-            assert_eq!(j.next_cell(), loaded.len() as u64);
+            assert_eq!(j.next_cell, loaded.len() as u64);
             for (i, o) in loaded.iter().enumerate() {
                 let cell = match o {
                     CellOutcome::Completed { cell, .. } | CellOutcome::Degraded { cell, .. } => {
@@ -641,7 +636,7 @@ mod tests {
             std::fs::write(&path, &damaged).unwrap();
             let (mut j, loaded) = Journal::open_resume(&path, header()).unwrap();
             assert!(loaded.is_empty(), "byte {pos}: resumed {}", loaded.len());
-            assert_eq!(j.next_cell(), 0);
+            assert_eq!(j.next_cell, 0);
             assert_eq!(
                 std::fs::read(&path).unwrap(),
                 header().encode(),
@@ -669,12 +664,12 @@ mod tests {
         let path = tmp("fresh");
         std::fs::remove_file(&path).ok();
         let (j, loaded) = Journal::open_resume(&path, header()).unwrap();
-        assert_eq!(j.next_cell(), 0);
+        assert_eq!(j.next_cell, 0);
         assert!(loaded.is_empty());
         drop(j);
         std::fs::write(&path, b"this is not a journal at all").unwrap();
         let (j, loaded) = Journal::open_resume(&path, header()).unwrap();
-        assert_eq!(j.next_cell(), 0);
+        assert_eq!(j.next_cell, 0);
         assert!(loaded.is_empty());
         drop(j);
         std::fs::remove_file(&path).ok();

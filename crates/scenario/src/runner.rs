@@ -62,7 +62,7 @@ impl CellOutcome {
     }
 
     /// Whether the cell degraded.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         matches!(self, CellOutcome::Degraded { .. })
     }
 }

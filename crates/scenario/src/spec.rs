@@ -97,7 +97,7 @@ macro_rules! axis_enum {
             pub const ALL: &'static [$name] = &[$($name::$variant),+];
 
             /// The spec-file spelling.
-            pub fn label(&self) -> &'static str {
+            pub(crate) fn label(&self) -> &'static str {
                 match self { $($name::$variant => $label),+ }
             }
         }
@@ -231,7 +231,7 @@ pub struct GridAxes {
 
 impl GridAxes {
     /// Number of cells per fleet entry.
-    pub fn cells_per_fleet(&self) -> u64 {
+    pub(crate) fn cells_per_fleet(&self) -> u64 {
         [
             self.era.len(),
             self.rate_scale.len(),

@@ -20,17 +20,6 @@ pub struct NodeProfile {
     pub failures_per_year: f64,
 }
 
-impl NodeProfile {
-    /// Estimated mean time between failures in seconds.
-    pub fn mtbf_secs(&self) -> f64 {
-        if self.failures_per_year <= 0.0 {
-            f64::INFINITY
-        } else {
-            hpcfail_records::time::YEAR as f64 / self.failures_per_year
-        }
-    }
-}
-
 /// Build per-node profiles from the observed failure trace of one
 /// system, off a prebuilt [`TraceIndex`]: counts come from the node-run
 /// offsets instead of a trace scan.
@@ -113,20 +102,6 @@ mod tests {
         // Node 1 never failed → pseudo-count 0.5 over 2 years.
         assert!((p[1].failures_per_year - 0.25).abs() < 1e-12);
         assert!((p[2].failures_per_year - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mtbf_inverse_of_rate() {
-        let p = NodeProfile {
-            node: 0,
-            failures_per_year: 2.0,
-        };
-        assert!((p.mtbf_secs() - hpcfail_records::time::YEAR as f64 / 2.0).abs() < 1e-6);
-        let never = NodeProfile {
-            node: 1,
-            failures_per_year: 0.0,
-        };
-        assert_eq!(never.mtbf_secs(), f64::INFINITY);
     }
 
     #[test]

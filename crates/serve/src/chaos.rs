@@ -250,7 +250,7 @@ impl ChaosReport {
     }
 
     /// Fold another report (a worker thread's share) into this one.
-    pub fn merge(&mut self, other: ChaosReport) {
+    pub(crate) fn merge(&mut self, other: ChaosReport) {
         self.controls += other.controls;
         self.ok_first_try += other.ok_first_try;
         self.retries += other.retries;
@@ -272,7 +272,7 @@ impl ChaosReport {
 /// production clients can pass seconds), and jitters uniformly in
 /// `[half, full]` off a SplitMix64 stream so replayed schedules are
 /// deterministic and synchronized clients don't stampede in phase.
-pub fn backoff_delay(
+pub(crate) fn backoff_delay(
     attempt: u32,
     retry_after_secs: Option<u64>,
     cap: Duration,
@@ -328,7 +328,7 @@ pub fn fetch(
     Ok((status, retry_after, body.to_string()))
 }
 
-/// What [`fetch_retrying`] saw for one request.
+/// What the chaos client saw for one request, retries included.
 #[derive(Debug)]
 pub struct Retried {
     /// The last attempt: the first answer that was not a `503` shed, or
@@ -345,7 +345,7 @@ pub struct Retried {
 /// honoring its `retry-after` hint, a transient socket error (accept
 /// backlog churn) backs off on the same budget, and any other answer
 /// returns at once. Backoff jitter draws from `rng`.
-pub fn fetch_retrying(
+pub(crate) fn fetch_retrying(
     addr: SocketAddr,
     timing: &ChaosTiming,
     target: &str,

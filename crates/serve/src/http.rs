@@ -62,15 +62,7 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-impl Request {
-    /// First value of a (lowercase) header name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
+impl Request {}
 
 /// A parse failure; [`HttpError::status`] gives the response code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,7 +138,7 @@ impl std::error::Error for HttpError {}
 /// Locate the end of the head: returns `(head_len, body_offset)`.
 /// Accepts both CRLF and bare-LF line endings (lenient ingestion, same
 /// spirit as the CSV readers).
-pub fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
+pub(crate) fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
     // First blank line wins, whichever flavor it is.
     let mut i = 0;
     while i < buf.len() {
@@ -390,7 +382,7 @@ impl Response {
     /// the `kind` is a stable machine-readable word (`"overloaded"`,
     /// `"deadline"`, `"reload_failed"`) clients can branch on without
     /// parsing prose.
-    pub fn error_kind(status: u16, kind: &str, message: &str) -> Response {
+    pub(crate) fn error_kind(status: u16, kind: &str, message: &str) -> Response {
         let body = crate::json::Json::obj([(
             "error",
             crate::json::Json::obj([
@@ -405,14 +397,14 @@ impl Response {
 
     /// The overload-shed response: `503` with a `retry-after` hint so
     /// well-behaved clients back off instead of hammering.
-    pub fn overloaded(retry_after_secs: u64, message: &str) -> Response {
+    pub(crate) fn overloaded(retry_after_secs: u64, message: &str) -> Response {
         let mut resp = Response::error_kind(503, "overloaded", message);
         resp.retry_after = Some(retry_after_secs);
         resp
     }
 
     /// Serialize status line + headers + body to wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let retry = self
             .retry_after
             .map(|secs| format!("retry-after: {secs}\r\n"))
@@ -430,7 +422,7 @@ impl Response {
 }
 
 /// Canonical reason phrase for the statuses the server emits.
-pub fn status_text(status: u16) -> &'static str {
+pub(crate) fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -465,7 +457,7 @@ mod tests {
                 ("era".to_string(), "late".to_string())
             ]
         );
-        assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.headers, vec![("host".to_string(), "x".to_string())]);
         assert!(req.body.is_empty());
     }
 
@@ -551,7 +543,7 @@ mod tests {
     fn bare_lf_is_tolerated() {
         let req = parse_request(b"GET /healthz HTTP/1.1\nhost: y\n\n").unwrap();
         assert_eq!(req.path, vec!["healthz"]);
-        assert_eq!(req.header("host"), Some("y"));
+        assert_eq!(req.headers, vec![("host".to_string(), "y".to_string())]);
     }
 
     #[test]

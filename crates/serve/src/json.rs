@@ -34,12 +34,12 @@ pub enum Json {
 
 impl Json {
     /// Build an object from `(key, value)` pairs.
-    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+    pub(crate) fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Build an array.
-    pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
+    pub(crate) fn arr(items: impl IntoIterator<Item = Json>) -> Json {
         Json::Arr(items.into_iter().collect())
     }
 
@@ -49,12 +49,12 @@ impl Json {
     }
 
     /// `Some(x)` renders as `x`, `None` as `null`.
-    pub fn opt(value: Option<Json>) -> Json {
+    pub(crate) fn opt(value: Option<Json>) -> Json {
         value.unwrap_or(Json::Null)
     }
 
     /// An optional float (`None` → `null`).
-    pub fn opt_num(value: Option<f64>) -> Json {
+    pub(crate) fn opt_num(value: Option<f64>) -> Json {
         value.map(Json::Num).unwrap_or(Json::Null)
     }
 

@@ -42,19 +42,19 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Fresh, all-zero metrics.
-    pub fn new() -> ServeMetrics {
+    pub(crate) fn new() -> ServeMetrics {
         ServeMetrics::default()
     }
 
     /// Mark the server start; idempotent (first call wins).
-    pub fn mark_started(&self) {
+    pub(crate) fn mark_started(&self) {
         let _ = self.started.set(Instant::now());
     }
 
     /// Whole seconds since [`ServeMetrics::mark_started`]; 0 before a
     /// server runs. Always an integer, so `/healthz` renders it
     /// deterministically.
-    pub fn uptime_ticks(&self) -> u64 {
+    pub(crate) fn uptime_ticks(&self) -> u64 {
         self.started.get().map_or(0, |t| t.elapsed().as_secs())
     }
 
@@ -78,24 +78,19 @@ pub struct DrainSignal {
 
 impl DrainSignal {
     /// A fresh, unset signal.
-    pub fn new() -> DrainSignal {
+    pub(crate) fn new() -> DrainSignal {
         DrainSignal::default()
     }
 
     /// Request a graceful drain; idempotent.
-    pub fn request(&self) {
+    pub(crate) fn request(&self) {
         let mut requested = self.requested.lock().expect("drain signal");
         *requested = true;
         self.cv.notify_all();
     }
 
-    /// Whether a drain has been requested.
-    pub fn requested(&self) -> bool {
-        *self.requested.lock().expect("drain signal")
-    }
-
     /// Block until a drain is requested.
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         let mut requested = self.requested.lock().expect("drain signal");
         while !*requested {
             requested = self.cv.wait(requested).expect("drain signal");
@@ -122,7 +117,7 @@ mod tests {
     #[test]
     fn drain_signal_wakes_waiters() {
         let signal = std::sync::Arc::new(DrainSignal::new());
-        assert!(!signal.requested());
+        assert!(!*signal.requested.lock().unwrap());
         let waiter = {
             let signal = signal.clone();
             std::thread::spawn(move || signal.wait())
@@ -130,6 +125,6 @@ mod tests {
         signal.request();
         signal.request(); // idempotent
         waiter.join().unwrap();
-        assert!(signal.requested());
+        assert!(*signal.requested.lock().unwrap());
     }
 }

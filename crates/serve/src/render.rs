@@ -18,7 +18,7 @@ use hpcfail_stats::fit::FitReport;
 use crate::json::Json;
 
 /// Render a descriptive summary.
-pub fn summary_json(s: &Summary) -> Json {
+pub(crate) fn summary_json(s: &Summary) -> Json {
     Json::obj([
         ("mean", Json::Num(s.mean)),
         ("median", Json::Num(s.median)),
@@ -32,7 +32,7 @@ pub fn summary_json(s: &Summary) -> Json {
 
 /// Render a fit report: ranked candidates with their GoF metrics plus
 /// the families that failed to fit.
-pub fn fit_report_json(r: &FitReport) -> Json {
+pub(crate) fn fit_report_json(r: &FitReport) -> Json {
     Json::obj([
         ("n", Json::UInt(r.n as u64)),
         (

@@ -271,15 +271,9 @@ fn handle_availability(state: &AppState, tenant: &Tenant, system: Option<u32>) -
             let row = availability::system_indexed(index, catalog, SystemId::new(id));
             system_row(row, "availability", id, render::availability_system_json)
         }
-        None => {
-            let site = availability::analyze_indexed(index, catalog).and_then(|rows| {
-                Ok((
-                    rows,
-                    availability::site_availability_indexed(index, catalog)?,
-                ))
-            });
-            reply(site, |(rows, site)| render::availability_json(&rows, site))
-        }
+        None => reply(availability::analyze_indexed(index, catalog), |rows| {
+            render::availability_json(&rows, availability::site_availability(&rows))
+        }),
     }
 }
 

@@ -116,7 +116,7 @@ pub struct TenantRegistry {
 
 impl TenantRegistry {
     /// An empty registry.
-    pub fn new() -> TenantRegistry {
+    pub(crate) fn new() -> TenantRegistry {
         TenantRegistry::default()
     }
 
@@ -152,7 +152,7 @@ impl TenantRegistry {
     }
 
     /// Snapshot of all tenants, in name order.
-    pub fn snapshot(&self) -> Vec<Arc<Tenant>> {
+    pub(crate) fn snapshot(&self) -> Vec<Arc<Tenant>> {
         self.tenants
             .read()
             .expect("tenant registry")

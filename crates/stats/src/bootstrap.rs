@@ -4,18 +4,7 @@
 //! hence decreasing hazard" conclusion stable under resampling?
 
 use crate::error::StatsError;
-use hpcfail_exec::{ParallelExecutor, SeedSequence};
-use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
-use std::cell::RefCell;
-
-thread_local! {
-    // Per-worker resample scratch reused across replicates, so the hot
-    // loop allocates only on a worker's first replicate (or when the
-    // sample size changes). Taken out of the cell while the statistic
-    // runs so a statistic that itself bootstraps cannot alias it.
-    static RESAMPLE_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
+use rand::{Rng, RngExt};
 
 /// A two-sided percentile bootstrap confidence interval for an arbitrary
 /// statistic.
@@ -29,18 +18,6 @@ pub struct ConfidenceInterval {
     pub hi: f64,
     /// Confidence level actually used, e.g. 0.95.
     pub level: f64,
-}
-
-impl ConfidenceInterval {
-    /// Whether the interval contains `x`.
-    pub fn contains(&self, x: f64) -> bool {
-        self.lo <= x && x <= self.hi
-    }
-
-    /// Width of the interval.
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
 }
 
 /// Percentile bootstrap: resample `data` with replacement `replicates`
@@ -111,87 +88,14 @@ where
     })
 }
 
-/// Deterministic, parallel percentile bootstrap.
-///
-/// Same statistic and quantile scheme as [`bootstrap_ci`], but each
-/// replicate draws from its own RNG stream derived from `seed` via the
-/// SplitMix64 stream splitter, and replicates are fanned out across the
-/// executor's workers. Because the replicate→stream mapping is fixed and
-/// results are collected in replicate order, the returned interval is
-/// **bit-identical for every worker count** (1 worker is the serial
-/// fallback) — the determinism contract `tests/parallel_determinism.rs`
-/// pins down.
-///
-/// # Errors
-///
-/// Same conditions as [`bootstrap_ci`].
-pub fn percentile_ci_parallel<F>(
-    data: &[f64],
-    statistic: F,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-    executor: &ParallelExecutor,
-) -> Result<ConfidenceInterval, StatsError>
-where
-    F: Fn(&[f64]) -> Option<f64> + Sync,
-{
-    if data.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    if !(0.0..1.0).contains(&level) || level <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "level",
-            value: level,
-        });
-    }
-    if replicates == 0 {
-        return Err(StatsError::InvalidParameter {
-            name: "replicates",
-            value: 0.0,
-        });
-    }
-    let point = statistic(data).ok_or(StatsError::DegenerateSample)?;
-    let n = data.len();
-    let streams = SeedSequence::new(seed);
-    let replicate_stats = executor.map_range(replicates, |r| {
-        let mut rng = StdRng::seed_from_u64(streams.stream(r as u64));
-        RESAMPLE_SCRATCH.with(|cell| {
-            let mut resample = cell.take();
-            if resample.len() != n {
-                resample.resize(n, 0.0);
-            }
-            for slot in resample.iter_mut() {
-                *slot = data[rng.random_range(0..n)];
-            }
-            let stat = statistic(&resample).filter(|s| s.is_finite());
-            cell.replace(resample);
-            stat
-        })
-    });
-    let mut stats: Vec<f64> = replicate_stats.into_iter().flatten().collect();
-    if stats.len() < replicates / 2 {
-        return Err(StatsError::NoConvergence {
-            what: "bootstrap (too many failed resamples)",
-            iterations: replicates,
-        });
-    }
-    stats.sort_unstable_by(f64::total_cmp);
-    let alpha = (1.0 - level) / 2.0;
-    Ok(ConfidenceInterval {
-        lo: crate::descriptive::quantile_sorted(&stats, alpha),
-        point,
-        hi: crate::descriptive::quantile_sorted(&stats, 1.0 - alpha),
-        level,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::descriptive::mean;
     use crate::dist::{sample_n, Continuous, Weibull};
     use crate::prepared::PreparedSample;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn input_validation() {
@@ -209,11 +113,11 @@ mod tests {
         let truth = Weibull::new(0.7, 100.0).unwrap();
         let data = sample_n(&truth, 2_000, &mut rng);
         let ci = bootstrap_ci(&data, |d| Some(mean(d)), 500, 0.95, &mut rng).unwrap();
-        assert!(ci.contains(ci.point));
+        assert!(ci.lo <= ci.point && ci.point <= ci.hi);
         assert!(ci.lo < ci.hi);
         // True mean should usually be inside a 95% CI from 2000 points.
         assert!(
-            ci.contains(truth.mean()),
+            ci.lo <= truth.mean() && truth.mean() <= ci.hi,
             "ci [{}, {}] vs {}",
             ci.lo,
             ci.hi,
@@ -256,57 +160,7 @@ mod tests {
         let large = sample_n(&truth, 10_000, &mut rng);
         let ci_small = bootstrap_ci(&small, |d| Some(mean(d)), 300, 0.95, &mut rng).unwrap();
         let ci_large = bootstrap_ci(&large, |d| Some(mean(d)), 300, 0.95, &mut rng).unwrap();
-        assert!(ci_large.width() < ci_small.width());
-    }
-
-    #[test]
-    fn parallel_ci_identical_for_any_worker_count() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let truth = Weibull::new(0.75, 600.0).unwrap();
-        let data = sample_n(&truth, 400, &mut rng);
-        let stat = |d: &[f64]| Some(mean(d));
-        let reference = percentile_ci_parallel(
-            &data,
-            stat,
-            500,
-            0.95,
-            42,
-            &ParallelExecutor::with_workers(1),
-        )
-        .unwrap();
-        for workers in [2, 3, 8] {
-            let ci = percentile_ci_parallel(
-                &data,
-                stat,
-                500,
-                0.95,
-                42,
-                &ParallelExecutor::with_workers(workers),
-            )
-            .unwrap();
-            assert_eq!(ci, reference, "workers {workers}");
-        }
-        // Different seeds give different intervals.
-        let other = percentile_ci_parallel(
-            &data,
-            stat,
-            500,
-            0.95,
-            43,
-            &ParallelExecutor::with_workers(4),
-        )
-        .unwrap();
-        assert_ne!(other, reference);
-        assert!(reference.contains(truth.mean()));
-    }
-
-    #[test]
-    fn parallel_ci_validates_inputs() {
-        let pool = ParallelExecutor::with_workers(2);
-        let stat = |d: &[f64]| Some(mean(d));
-        assert!(percentile_ci_parallel(&[], stat, 100, 0.95, 1, &pool).is_err());
-        assert!(percentile_ci_parallel(&[1.0], stat, 0, 0.95, 1, &pool).is_err());
-        assert!(percentile_ci_parallel(&[1.0], stat, 100, 1.5, 1, &pool).is_err());
+        assert!(ci_large.hi - ci_large.lo < ci_small.hi - ci_small.lo);
     }
 
     #[test]
@@ -314,18 +168,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let truth = Weibull::new(0.7, 3600.0).unwrap();
         let data = sample_n(&truth, 800, &mut rng);
-        let pool = ParallelExecutor::with_workers(2);
-        let slice_ci = percentile_ci_parallel(
+        let slice_ci = bootstrap_ci(
             &data,
             |d| Weibull::fit_mle(d).ok().map(|w| w.shape()),
             200,
             0.95,
-            99,
-            &pool,
+            &mut StdRng::seed_from_u64(99),
         )
         .unwrap();
         // A statistic that prepares each resample fits the same shapes.
-        let prepared_ci = percentile_ci_parallel(
+        let prepared_ci = bootstrap_ci(
             &data,
             |d| {
                 let sample = PreparedSample::new(d).ok()?;
@@ -333,8 +185,7 @@ mod tests {
             },
             200,
             0.95,
-            99,
-            &pool,
+            &mut StdRng::seed_from_u64(99),
         )
         .unwrap();
         assert_eq!(prepared_ci, slice_ci);

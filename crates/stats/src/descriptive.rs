@@ -83,7 +83,7 @@ pub fn mean(data: &[f64]) -> f64 {
 /// Unbiased sample variance (n−1 denominator), computed with Welford's
 /// online algorithm for numerical stability. Returns 0 for n = 1, NaN for
 /// an empty slice.
-pub fn variance(data: &[f64]) -> f64 {
+pub(crate) fn variance(data: &[f64]) -> f64 {
     match data.len() {
         0 => f64::NAN,
         1 => 0.0,
@@ -98,11 +98,6 @@ pub fn variance(data: &[f64]) -> f64 {
             m2 / (n as f64 - 1.0)
         }
     }
-}
-
-/// Sample standard deviation (square root of [`variance`]).
-pub fn std_dev(data: &[f64]) -> f64 {
-    variance(data).sqrt()
 }
 
 /// Squared coefficient of variation: `variance / mean²`.
@@ -130,7 +125,7 @@ pub fn median(data: &[f64]) -> f64 {
 /// `q` outside [0, 1] yields NaN; an empty slice yields NaN. The two
 /// order statistics are found by selection in O(n), not by a sort, and
 /// are bit-identical to the sorted sample's under [`f64::total_cmp`].
-pub fn quantile(data: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(data: &[f64], q: f64) -> f64 {
     if data.is_empty() || !(0.0..=1.0).contains(&q) {
         return f64::NAN;
     }
@@ -146,7 +141,7 @@ pub fn quantile(data: &[f64], q: f64) -> f64 {
     at_lo * (1.0 - frac) + at_hi.unwrap_or(at_lo) * frac
 }
 
-/// Like [`quantile`] but assumes the input is already sorted ascending,
+/// Like `quantile` but assumes the input is already sorted ascending,
 /// so repeated queries cost O(1) each.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() || !(0.0..=1.0).contains(&q) {

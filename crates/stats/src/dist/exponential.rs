@@ -11,7 +11,7 @@ use rand::Rng;
 ///
 /// ```
 /// use hpcfail_stats::dist::{Exponential, Continuous};
-/// let d = Exponential::new(2.0)?;
+/// let d = Exponential::from_mean(0.5)?;
 /// assert!((d.mean() - 0.5).abs() < 1e-12);
 /// assert!((d.c2() - 1.0).abs() < 1e-12); // hallmark of the exponential
 /// # Ok::<(), hpcfail_stats::StatsError>(())
@@ -27,7 +27,7 @@ impl Exponential {
     /// # Errors
     ///
     /// [`StatsError::InvalidParameter`] if `rate` is not finite and positive.
-    pub fn new(rate: f64) -> Result<Self, StatsError> {
+    pub(crate) fn new(rate: f64) -> Result<Self, StatsError> {
         if !rate.is_finite() || rate <= 0.0 {
             return Err(StatsError::InvalidParameter {
                 name: "rate",
@@ -52,17 +52,12 @@ impl Exponential {
         Self::new(1.0 / mean)
     }
 
-    /// The rate parameter `λ`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Maximum-likelihood fit: `λ̂ = 1 / mean(data)`.
     ///
     /// # Errors
     ///
     /// Propagates sample validation errors; requires strictly positive data.
-    pub fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
+    pub(crate) fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
         super::check_positive(data, "exponential")?;
         Self::from_mean(descriptive::mean(data))
     }
@@ -75,7 +70,9 @@ impl Exponential {
     /// # Errors
     ///
     /// Same conditions as [`Exponential::fit_mle`].
-    pub fn fit_prepared(sample: &crate::prepared::PreparedSample) -> Result<Self, StatsError> {
+    pub(crate) fn fit_prepared(
+        sample: &crate::prepared::PreparedSample,
+    ) -> Result<Self, StatsError> {
         sample.check_positive("exponential")?;
         Self::from_mean(sample.mean())
     }
@@ -159,12 +156,6 @@ impl Continuous for Exponential {
             })
             .sum::<f64>()
     }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let rate = self.rate;
-        super::map_chunked_in_place(out, |u| -u.ln() / rate);
-    }
 }
 
 #[cfg(test)]
@@ -227,9 +218,9 @@ mod tests {
         let data = super::super::sample_n(&d, 20_000, &mut rng);
         let fit = Exponential::fit_mle(&data).unwrap();
         assert!(
-            (fit.rate() - 0.02).abs() / 0.02 < 0.05,
+            (fit.rate - 0.02).abs() / 0.02 < 0.05,
             "fitted rate {} vs true 0.02",
-            fit.rate()
+            fit.rate
         );
     }
 

@@ -47,16 +47,6 @@ impl Gamma {
         Ok(Gamma { shape, scale })
     }
 
-    /// The shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// The scale parameter `θ`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Maximum-likelihood fit.
     ///
     /// Solves `ln k − ψ(k) = ln(mean) − mean(ln x)` by Newton iteration on
@@ -68,7 +58,7 @@ impl Gamma {
     /// Requires strictly positive finite data; returns
     /// [`StatsError::DegenerateSample`] when all observations are equal and
     /// [`StatsError::NoConvergence`] if Newton fails.
-    pub fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
+    pub(crate) fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
         super::check_positive(data, "gamma")?;
         let n = data.len() as f64;
         let mean = data.iter().sum::<f64>() / n;
@@ -84,7 +74,9 @@ impl Gamma {
     /// # Errors
     ///
     /// Same conditions as [`Gamma::fit_mle`].
-    pub fn fit_prepared(sample: &crate::prepared::PreparedSample) -> Result<Self, StatsError> {
+    pub(crate) fn fit_prepared(
+        sample: &crate::prepared::PreparedSample,
+    ) -> Result<Self, StatsError> {
         sample.check_positive("gamma")?;
         let mean = sample.mean();
         let mean_log = sample.mean_log().expect("positive sample caches Σln x");
@@ -262,10 +254,6 @@ impl Continuous for Gamma {
             })
             .sum::<f64>()
     }
-
-    // No `sample_batch` override: Marsaglia–Tsang rejection consumes a
-    // variable number of draws per sample, so only the scalar loop keeps
-    // the generator stream well-defined.
 }
 
 #[cfg(test)]
@@ -360,11 +348,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let data = sample_n(&truth, 20_000, &mut rng);
         let fit = Gamma::fit_mle(&data).unwrap();
-        assert!((fit.shape() - 0.8).abs() < 0.05, "shape {}", fit.shape());
+        assert!((fit.shape - 0.8).abs() < 0.05, "shape {}", fit.shape);
         assert!(
-            (fit.scale() - 7200.0).abs() / 7200.0 < 0.1,
+            (fit.scale - 7200.0).abs() / 7200.0 < 0.1,
             "scale {}",
-            fit.scale()
+            fit.scale
         );
     }
 
@@ -374,11 +362,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let data = sample_n(&truth, 20_000, &mut rng);
         let fit = Gamma::fit_mle(&data).unwrap();
-        assert!(
-            (fit.shape() - 25.0).abs() / 25.0 < 0.1,
-            "shape {}",
-            fit.shape()
-        );
+        assert!((fit.shape - 25.0).abs() / 25.0 < 0.1, "shape {}", fit.shape);
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl LogNormal {
         LogNormal::new(mu, sigma)
     }
 
-    /// The log-scale location parameter `μ`.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// The log-scale standard deviation `σ`.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Median of the distribution, `e^μ`.
     pub fn median(&self) -> f64 {
         self.mu.exp()
@@ -101,7 +91,7 @@ impl LogNormal {
     ///
     /// Requires strictly positive finite data; returns
     /// [`StatsError::DegenerateSample`] when all observations are equal.
-    pub fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
+    pub(crate) fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
         super::check_positive(data, "lognormal")?;
         let logs: Vec<f64> = data.iter().map(|x| x.ln()).collect();
         let sum_log = logs.iter().sum::<f64>();
@@ -113,11 +103,11 @@ impl LogNormal {
     /// the cached `ln x` vector for the centered variance. (The
     /// sufficient-statistic form `Σ(ln x)² − n·μ²` would be O(1) but
     /// reorders the floating-point sum; the centered pass keeps the
-    /// result bit-identical to [`LogNormal::fit_mle`].)
+    /// result bit-identical to `LogNormal::fit_mle`.)
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LogNormal::fit_mle`].
+    /// Same conditions as `LogNormal::fit_mle`.
     pub fn fit_prepared(sample: &crate::prepared::PreparedSample) -> Result<Self, StatsError> {
         sample.check_positive("lognormal")?;
         let logs = sample.logs().expect("positive sample caches logs");
@@ -217,16 +207,6 @@ impl Continuous for LogNormal {
             })
             .sum::<f64>()
     }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let mu = self.mu;
-        let sigma = self.sigma;
-        super::map_chunked_in_place(out, |u| {
-            let z = inverse_standard_normal_cdf(u);
-            (mu + sigma * z).exp()
-        });
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +278,7 @@ mod tests {
         // is ~10× the median (33).
         let d = LogNormal::from_median_mean(33.0, 369.0).unwrap();
         assert!(d.mean() / d.median() > 10.0);
-        assert!(d.sigma() > 2.0);
+        assert!(d.sigma > 2.0);
     }
 
     #[test]
@@ -307,8 +287,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let data = sample_n(&truth, 20_000, &mut rng);
         let fit = LogNormal::fit_mle(&data).unwrap();
-        assert!((fit.mu() - 4.2).abs() < 0.05, "mu {}", fit.mu());
-        assert!((fit.sigma() - 1.8).abs() < 0.05, "sigma {}", fit.sigma());
+        assert!((fit.mu - 4.2).abs() < 0.05, "mu {}", fit.mu);
+        assert!((fit.sigma - 1.8).abs() < 0.05, "sigma {}", fit.sigma);
     }
 
     #[test]

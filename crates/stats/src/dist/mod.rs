@@ -93,57 +93,6 @@ pub trait Continuous: std::fmt::Debug + Send + Sync {
     fn nll(&self, data: &[f64]) -> f64 {
         -data.iter().map(|&x| self.ln_pdf(x)).sum::<f64>()
     }
-
-    /// Fill `out` with independent draws.
-    ///
-    /// The default loops [`Continuous::sample`]. The single-draw
-    /// inverse-CDF families override it to draw the whole uniform block
-    /// first and then apply the (hoisted, branch-free) inverse CDF in a
-    /// second chunked pass. Each element consumes the generator exactly
-    /// as the scalar loop would and maps through the same operations, so
-    /// the filled values *and* the final generator state are identical
-    /// to `for o in out { *o = self.sample(rng) }` — batch sampling is a
-    /// drop-in for the scalar loop on any seeded stream.
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        let mut rng = rng;
-        for o in out.iter_mut() {
-            *o = self.sample(&mut rng);
-        }
-    }
-}
-
-/// Chunk width of the batch samplers. Eight lanes keeps the fixed-size
-/// inner loops a multiple of every f64 SIMD width the autovectorizer
-/// targets.
-pub(crate) const BATCH_LANES: usize = 8;
-
-/// Chunk driver for the batch samplers: rewrites `out[i] = f(out[i])`
-/// over fixed-width [`BATCH_LANES`] chunks (bounds-check-free bodies the
-/// compiler can unroll and vectorize), then a tail loop over the
-/// remainder, turning a block of uniform draws into inverse-CDF samples
-/// without a second buffer. `f` is a pure function of one element, so
-/// chunking cannot change any result bit.
-#[inline]
-pub(crate) fn map_chunked_in_place(out: &mut [f64], f: impl Fn(f64) -> f64) {
-    let mut oc = out.chunks_exact_mut(BATCH_LANES);
-    for o in &mut oc {
-        for x in o.iter_mut() {
-            *x = f(*x);
-        }
-    }
-    for o in oc.into_remainder() {
-        *o = f(*o);
-    }
-}
-
-/// Fill `out` with uniforms from the open interval (0, 1), one
-/// [`unit_open`] call per element in order — the block-draw half of the
-/// batch samplers, stream-compatible with the scalar draw loop.
-pub(crate) fn fill_unit_open(rng: &mut dyn Rng, out: &mut [f64]) {
-    let mut rng = rng;
-    for o in out.iter_mut() {
-        *o = unit_open(&mut rng);
-    }
 }
 
 /// A discrete distribution over non-negative integers (used for the

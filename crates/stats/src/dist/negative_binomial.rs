@@ -53,16 +53,6 @@ impl NegativeBinomial {
         Ok(NegativeBinomial { r, p })
     }
 
-    /// The size (dispersion) parameter `r`.
-    pub fn r(&self) -> f64 {
-        self.r
-    }
-
-    /// The success probability `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Maximum-likelihood fit: Newton iteration on `r` using the profile
     /// likelihood (for fixed `r`, `p̂ = r/(r + mean)`), initialized by the
     /// method of moments.
@@ -231,7 +221,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let data: Vec<u64> = (0..10_000).map(|_| truth.sample(&mut rng)).collect();
         let fit = NegativeBinomial::fit_mle(&data).unwrap();
-        assert!((fit.r() - 4.0).abs() / 4.0 < 0.15, "r {}", fit.r());
+        assert!((fit.r - 4.0).abs() / 4.0 < 0.15, "r {}", fit.r);
         assert!((fit.mean() - truth.mean()).abs() / truth.mean() < 0.05);
     }
 
@@ -267,6 +257,6 @@ mod tests {
             pois.nll(&counts)
         );
         // And the fitted r should be near the mixing gamma's shape 3.
-        assert!((nb.r() - 3.0).abs() < 1.0, "r {}", nb.r());
+        assert!((nb.r - 3.0).abs() < 1.0, "r {}", nb.r);
     }
 }

@@ -43,11 +43,6 @@ impl Normal {
         Ok(Normal { mean, std_dev })
     }
 
-    /// The standard deviation `σ`.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
     /// Maximum-likelihood fit: sample mean and (n-denominator) standard
     /// deviation.
     ///
@@ -55,7 +50,7 @@ impl Normal {
     ///
     /// [`StatsError::EmptySample`] / [`StatsError::NonFinite`] on invalid
     /// input; [`StatsError::DegenerateSample`] when variance is zero.
-    pub fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
+    pub(crate) fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
         if data.is_empty() {
             return Err(StatsError::EmptySample);
         }
@@ -70,11 +65,11 @@ impl Normal {
     /// Maximum-likelihood fit off a [`crate::prepared::PreparedSample`]:
     /// reads the cached `Σx` for the mean and takes one allocation-free
     /// centered pass over the cached values for the variance, keeping
-    /// the result bit-identical to [`Normal::fit_mle`].
+    /// the result bit-identical to `Normal::fit_mle`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Normal::fit_mle`].
+    /// Same conditions as `Normal::fit_mle`.
     pub fn fit_prepared(sample: &crate::prepared::PreparedSample) -> Result<Self, StatsError> {
         Self::from_mean_and_values(sample.values(), sample.mean())
     }
@@ -142,13 +137,6 @@ impl Continuous for Normal {
             })
             .sum::<f64>()
     }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let mean = self.mean;
-        let std_dev = self.std_dev;
-        super::map_chunked_in_place(out, |u| mean + std_dev * inverse_standard_normal_cdf(u));
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +185,7 @@ mod tests {
         let data = sample_n(&truth, 20_000, &mut rng);
         let fit = Normal::fit_mle(&data).unwrap();
         assert!((fit.mean() - 62.0).abs() < 0.5);
-        assert!((fit.std_dev() - 18.0).abs() < 0.5);
+        assert!((fit.std_dev - 18.0).abs() < 0.5);
     }
 
     #[test]

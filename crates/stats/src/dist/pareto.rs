@@ -48,17 +48,6 @@ impl Pareto {
         Ok(Pareto { x_min, alpha })
     }
 
-    /// The scale (minimum) parameter.
-    pub fn x_min(&self) -> f64 {
-        self.x_min
-    }
-
-    /// The tail index `α`. Mean exists only for `α > 1`, variance only for
-    /// `α > 2`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Maximum-likelihood fit: `x̂_m = min(data)`,
     /// `α̂ = n / Σ ln(xᵢ / x̂_m)`.
     ///
@@ -67,7 +56,7 @@ impl Pareto {
     /// Requires strictly positive finite data; returns
     /// [`StatsError::DegenerateSample`] when all observations are equal
     /// (the log-sum is then zero and `α̂` undefined).
-    pub fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
+    pub(crate) fn fit_mle(data: &[f64]) -> Result<Self, StatsError> {
         super::check_positive(data, "pareto")?;
         let x_min = data.iter().cloned().fold(f64::INFINITY, f64::min);
         Self::from_min_and_values(data, x_min)
@@ -81,7 +70,9 @@ impl Pareto {
     /// # Errors
     ///
     /// Same conditions as [`Pareto::fit_mle`].
-    pub fn fit_prepared(sample: &crate::prepared::PreparedSample) -> Result<Self, StatsError> {
+    pub(crate) fn fit_prepared(
+        sample: &crate::prepared::PreparedSample,
+    ) -> Result<Self, StatsError> {
         sample.check_positive("pareto")?;
         Self::from_min_and_values(sample.values(), sample.min())
     }
@@ -165,13 +156,6 @@ impl Continuous for Pareto {
         let u = unit_open(rng);
         self.x_min / u.powf(1.0 / self.alpha)
     }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let x_min = self.x_min;
-        let inv_alpha = 1.0 / self.alpha;
-        super::map_chunked_in_place(out, |u| x_min / u.powf(inv_alpha));
-    }
 }
 
 #[cfg(test)]
@@ -221,11 +205,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let data = sample_n(&truth, 20_000, &mut rng);
         let fit = Pareto::fit_mle(&data).unwrap();
-        assert!((fit.alpha() - 2.2).abs() < 0.1, "alpha {}", fit.alpha());
+        assert!((fit.alpha - 2.2).abs() < 0.1, "alpha {}", fit.alpha);
         assert!(
-            (fit.x_min() - 30.0).abs() / 30.0 < 0.01,
+            (fit.x_min - 30.0).abs() / 30.0 < 0.01,
             "x_min {}",
-            fit.x_min()
+            fit.x_min
         );
     }
 

@@ -40,11 +40,6 @@ impl Poisson {
         Ok(Poisson { lambda })
     }
 
-    /// The rate parameter `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// Maximum-likelihood fit: `λ̂ = mean(data)`.
     ///
     /// # Errors
@@ -188,7 +183,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let data: Vec<u64> = (0..10_000).map(|_| d.sample(&mut rng)).collect();
         let fit = Poisson::fit_mle(&data).unwrap();
-        assert!((fit.lambda() - 62.0).abs() < 1.0, "lambda {}", fit.lambda());
+        assert!((fit.lambda - 62.0).abs() < 1.0, "lambda {}", fit.lambda);
     }
 
     #[test]

@@ -339,13 +339,6 @@ impl Continuous for Weibull {
             })
             .sum::<f64>()
     }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let scale = self.scale;
-        let inv_shape = 1.0 / self.shape;
-        super::map_chunked_in_place(out, |u| scale * (-u.ln()).powf(inv_shape));
-    }
 }
 
 #[cfg(test)]

@@ -41,14 +41,6 @@ impl Ecdf {
         Ok(Ecdf { sorted })
     }
 
-    /// Internal constructor for callers that guarantee `sorted` is a
-    /// non-empty ascending sequence of finite values.
-    pub(crate) fn from_sorted_unchecked(sorted: Vec<f64>) -> Self {
-        debug_assert!(!sorted.is_empty());
-        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        Ecdf { sorted }
-    }
-
     /// `F̂(x)` = fraction of observations ≤ `x`.
     pub fn eval(&self, x: f64) -> f64 {
         // partition_point gives the count of elements ≤ x.
@@ -56,25 +48,9 @@ impl Ecdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// Empirical survival function `1 − F̂(x)`.
-    pub fn survival(&self, x: f64) -> f64 {
-        1.0 - self.eval(x)
-    }
-
     /// Empirical quantile via [`crate::descriptive::quantile_sorted`].
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         crate::descriptive::quantile_sorted(&self.sorted, q)
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the ECDF holds no observations (never true — construction
-    /// rejects empty samples — but provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// The sorted underlying sample.
@@ -90,22 +66,6 @@ impl Ecdf {
     /// Maximum observation.
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty by construction")
-    }
-
-    /// The step points of the ECDF as `(x, F̂(x))` pairs — exactly what the
-    /// paper plots. Duplicate x values are collapsed to their final step
-    /// height.
-    pub fn steps(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        let mut out: Vec<(f64, f64)> = Vec::with_capacity(self.sorted.len());
-        for (i, &x) in self.sorted.iter().enumerate() {
-            let p = (i as f64 + 1.0) / n;
-            match out.last_mut() {
-                Some(last) if last.0 == x => last.1 = p,
-                _ => out.push((x, p)),
-            }
-        }
-        out
     }
 }
 
@@ -137,16 +97,8 @@ mod tests {
         let e = Ecdf::new(&[2.0, 2.0, 2.0, 5.0]).unwrap();
         assert_eq!(e.eval(1.9), 0.0);
         assert_eq!(e.eval(2.0), 0.75);
-        let steps = e.steps();
-        assert_eq!(steps, vec![(2.0, 0.75), (5.0, 1.0)]);
-    }
-
-    #[test]
-    fn survival_complements_eval() {
-        let e = Ecdf::new(&[1.0, 5.0, 9.0]).unwrap();
-        for &x in &[0.0, 1.0, 4.0, 9.0, 10.0] {
-            assert!((e.eval(x) + e.survival(x) - 1.0).abs() < 1e-15);
-        }
+        assert_eq!(e.eval(4.9), 0.75);
+        assert_eq!(e.eval(5.0), 1.0);
     }
 
     #[test]
@@ -155,7 +107,6 @@ mod tests {
         assert_eq!(e.quantile(0.5), 5.0);
         assert_eq!(e.min(), 1.0);
         assert_eq!(e.max(), 9.0);
-        assert_eq!(e.len(), 3);
-        assert!(!e.is_empty());
+        assert_eq!(e.sorted_values(), &[1.0, 5.0, 9.0]);
     }
 }

@@ -58,7 +58,7 @@ impl Family {
     }
 
     /// Number of free parameters (for AIC).
-    pub fn param_count(self) -> usize {
+    pub(crate) fn param_count(self) -> usize {
         match self {
             Family::Exponential => 1,
             Family::Weibull

@@ -15,7 +15,6 @@ use crate::error::StatsError;
 pub struct EmpiricalHazard {
     edges: Vec<f64>,
     rates: Vec<f64>,
-    counts: Vec<usize>,
 }
 
 impl EmpiricalHazard {
@@ -85,26 +84,7 @@ impl EmpiricalHazard {
             .zip(&exposure)
             .map(|(&c, &e)| if e > 0.0 { c as f64 / e } else { f64::NAN })
             .collect();
-        Ok(EmpiricalHazard {
-            edges,
-            rates,
-            counts,
-        })
-    }
-
-    /// Bin edges (length = number of bins + 1).
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
-    /// Estimated hazard rate per bin.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Event counts per bin.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
+        Ok(EmpiricalHazard { edges, rates })
     }
 
     /// A robust summary of the hazard trend: the Spearman-style sign of
@@ -213,14 +193,13 @@ mod tests {
     }
 
     #[test]
-    fn counts_sum_to_sample_size() {
+    fn edges_bound_every_rate_bin() {
         let truth = Weibull::new(0.8, 100.0).unwrap();
         let mut rng = StdRng::seed_from_u64(14);
         let data = sample_n(&truth, 5_000, &mut rng);
         let h = EmpiricalHazard::from_durations(&data, 10).unwrap();
-        let total: usize = h.counts().iter().sum();
-        assert_eq!(total, 5_000);
-        assert_eq!(h.edges().len(), h.rates().len() + 1);
+        assert_eq!(h.rates.len(), 10);
+        assert_eq!(h.edges.len(), h.rates.len() + 1);
     }
 
     #[test]
@@ -231,9 +210,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(15);
         let data = sample_n(&truth, 100_000, &mut rng);
         let h = EmpiricalHazard::from_durations(&data, 5).unwrap();
-        for (i, &r) in h.rates().iter().enumerate() {
+        for (i, &r) in h.rates.iter().enumerate() {
             // Last bin is noisy (few exposures); allow wide tolerance there.
-            let tol = if i + 1 == h.rates().len() { 0.5 } else { 0.1 };
+            let tol = if i + 1 == h.rates.len() { 0.5 } else { 0.1 };
             assert!(
                 (r - lambda).abs() / lambda < tol,
                 "bin {i}: rate {r} vs {lambda}"

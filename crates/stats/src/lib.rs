@@ -4,7 +4,7 @@
 //! Schroeder & Gibson's DSN 2006 LANL failure study needs, implemented
 //! from scratch:
 //!
-//! * [`special`] — Lanczos `ln Γ`, digamma/trigamma, `erf`/`erfc`,
+//! * [`special`] — Lanczos `ln Γ`, digamma/trigamma, `erfc`,
 //!   regularized incomplete gamma;
 //! * [`dist`] — exponential, Weibull, gamma, lognormal, normal, Pareto
 //!   and Poisson distributions, each with density, CDF, quantile,

@@ -34,11 +34,6 @@ impl<A: Continuous, B: Continuous> Mixture<A, B> {
         }
         Ok(Mixture { a, b, weight_a })
     }
-
-    /// Mixing weight of the first component.
-    pub fn weight_a(&self) -> f64 {
-        self.weight_a
-    }
 }
 
 impl<A: Continuous, B: Continuous> Continuous for Mixture<A, B> {

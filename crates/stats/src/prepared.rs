@@ -8,11 +8,11 @@
 //! need `ln x`; the ECDF needs a sort; every validation re-walks the
 //! slice). [`PreparedSample`] does all of that exactly once:
 //!
-//! * **one pass** over the data accumulates `Σx`, `Σx²`, `Σln x`,
-//!   `Σ(ln x)²`, min/max, `max(ln x)` and the positivity flag, and fills
-//!   the shared `ln x` vector;
+//! * **one pass** over the data accumulates `Σx`, `Σln x`, min/max,
+//!   `max(ln x)` and the positivity flag, and fills the shared `ln x`
+//!   vector;
 //! * **one sort** (lazy, cached on first use) builds the shared sorted
-//!   view that the ECDF, quantiles and KS statistics read.
+//!   view that quantiles and KS statistics read.
 //!
 //! Everything downstream — the per-family `fit_prepared` constructors
 //! and [`crate::fit::fit_candidates_prepared`] — borrows these caches
@@ -35,9 +35,7 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy)]
 struct Moments {
     sum: f64,
-    sum_sq: f64,
     sum_log: f64,
-    sum_log_sq: f64,
     min: f64,
     max: f64,
     max_log: f64,
@@ -63,7 +61,7 @@ struct Moments {
 /// // Fan several consumers off the same prepared view: no re-scans.
 /// let report = fit_paper_set_prepared(&sample)?;
 /// let shape = Weibull::fit_prepared(&sample)?.shape();
-/// assert_eq!(report.n, sample.len());
+/// assert_eq!(report.n, 6);
 /// assert!(shape > 0.0);
 /// # Ok(())
 /// # }
@@ -104,14 +102,8 @@ impl PreparedSample {
     }
 
     /// Number of observations (always at least 1).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Always `false` — construction rejects empty samples. Provided for
-    /// API completeness alongside [`PreparedSample::len`].
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// The observations in their original order.
@@ -121,37 +113,22 @@ impl PreparedSample {
 
     /// The `ln x` transform of the observations in original order, or
     /// `None` if the sample is not strictly positive.
-    pub fn logs(&self) -> Option<&[f64]> {
+    pub(crate) fn logs(&self) -> Option<&[f64]> {
         self.moments.positive.then_some(self.logs.as_slice())
     }
 
-    /// Sum of the observations `Σx`.
-    pub fn sum(&self) -> f64 {
-        self.moments.sum
-    }
-
-    /// Sum of squares `Σx²`.
-    pub fn sum_sq(&self) -> f64 {
-        self.moments.sum_sq
-    }
-
     /// Sample mean `Σx / n`.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.moments.sum / self.values.len() as f64
     }
 
     /// `Σ ln x`, or `None` if the sample is not strictly positive.
-    pub fn sum_log(&self) -> Option<f64> {
+    pub(crate) fn sum_log(&self) -> Option<f64> {
         self.moments.positive.then_some(self.moments.sum_log)
     }
 
-    /// `Σ (ln x)²`, or `None` if the sample is not strictly positive.
-    pub fn sum_log_sq(&self) -> Option<f64> {
-        self.moments.positive.then_some(self.moments.sum_log_sq)
-    }
-
     /// Mean of `ln x`, or `None` if the sample is not strictly positive.
-    pub fn mean_log(&self) -> Option<f64> {
+    pub(crate) fn mean_log(&self) -> Option<f64> {
         self.moments
             .positive
             .then(|| self.moments.sum_log / self.values.len() as f64)
@@ -160,23 +137,18 @@ impl PreparedSample {
     /// Largest `ln x`, or `None` if the sample is not strictly positive.
     /// Accumulated as a running fold over the computed `ln` values so it
     /// is bitwise equal to `logs.iter().fold(NEG_INFINITY, f64::max)`.
-    pub fn max_log(&self) -> Option<f64> {
+    pub(crate) fn max_log(&self) -> Option<f64> {
         self.moments.positive.then_some(self.moments.max_log)
     }
 
     /// Smallest observation.
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.moments.min
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.moments.max
     }
 
     /// Whether all observations are equal (`min == max`) — the samples
     /// on which scale/shape fits are undefined.
-    pub fn is_degenerate(&self) -> bool {
+    pub(crate) fn is_degenerate(&self) -> bool {
         self.moments.min == self.moments.max
     }
 
@@ -187,7 +159,7 @@ impl PreparedSample {
     ///
     /// [`StatsError::OutOfSupport`] naming `distribution` if any
     /// observation is not strictly positive.
-    pub fn check_positive(&self, distribution: &'static str) -> Result<(), StatsError> {
+    pub(crate) fn check_positive(&self, distribution: &'static str) -> Result<(), StatsError> {
         if self.moments.positive {
             Ok(())
         } else {
@@ -197,24 +169,13 @@ impl PreparedSample {
 
     /// The shared sorted view of the sample (ascending). Built on first
     /// use — the "one sort" of the one-pass/one-sort invariant — and
-    /// cached for every later consumer (ECDF, quantiles, KS statistics).
+    /// cached for every later consumer (quantiles, KS statistics).
     pub fn sorted(&self) -> &[f64] {
         self.sorted.get_or_init(|| {
             let mut sorted = self.values.clone();
             sorted.sort_unstable_by(f64::total_cmp);
             sorted
         })
-    }
-
-    /// Empirical quantile (type-7) on the shared sorted view.
-    pub fn quantile(&self, q: f64) -> f64 {
-        crate::descriptive::quantile_sorted(self.sorted(), q)
-    }
-
-    /// A standalone [`crate::ecdf::Ecdf`] cloning the shared sorted view
-    /// (no re-sort).
-    pub fn to_ecdf(&self) -> crate::ecdf::Ecdf {
-        crate::ecdf::Ecdf::from_sorted_unchecked(self.sorted().to_vec())
     }
 }
 
@@ -229,9 +190,7 @@ fn scan(values: &[f64]) -> Result<(Moments, Vec<f64>), StatsError> {
     }
     let mut logs = Vec::with_capacity(values.len());
     let mut sum = 0.0;
-    let mut sum_sq = 0.0;
     let mut sum_log = 0.0;
-    let mut sum_log_sq = 0.0;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     let mut max_log = f64::NEG_INFINITY;
@@ -244,24 +203,19 @@ fn scan(values: &[f64]) -> Result<(Moments, Vec<f64>), StatsError> {
         min = min.min(x);
         max = max.max(x);
         sum += x;
-        sum_sq += x * x;
         let l = x.ln();
         logs.push(l);
         sum_log += l;
-        sum_log_sq += l * l;
         max_log = max_log.max(l);
     }
     if !positive {
         logs.clear();
         sum_log = f64::NAN;
-        sum_log_sq = f64::NAN;
         max_log = f64::NAN;
     }
     let moments = Moments {
         sum,
-        sum_sq,
         sum_log,
-        sum_log_sq,
         min,
         max,
         max_log,
@@ -294,9 +248,7 @@ mod tests {
     fn sums_match_slice_arithmetic_bitwise() {
         let data = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 0.5];
         let ps = PreparedSample::new(&data).unwrap();
-        assert_eq!(ps.sum().to_bits(), data.iter().sum::<f64>().to_bits());
-        let sum_sq: f64 = data.iter().map(|x| x * x).sum();
-        assert_eq!(ps.sum_sq().to_bits(), sum_sq.to_bits());
+        assert_eq!(ps.moments.sum.to_bits(), data.iter().sum::<f64>().to_bits());
         let logs: Vec<f64> = data.iter().map(|x| x.ln()).collect();
         assert_eq!(
             ps.sum_log().unwrap().to_bits(),
@@ -306,7 +258,7 @@ mod tests {
         assert_eq!(ps.max_log().unwrap().to_bits(), max_log.to_bits());
         assert_eq!(ps.logs().unwrap(), logs.as_slice());
         assert_eq!(ps.min(), 0.5);
-        assert_eq!(ps.max(), 9.0);
+        assert_eq!(ps.moments.max, 9.0);
         assert!(ps.check_positive("weibull").is_ok());
         assert!(!ps.is_degenerate());
     }
@@ -320,7 +272,7 @@ mod tests {
         assert!(ps.max_log().is_none());
         assert!(ps.check_positive("weibull").is_err());
         // The value-side caches still work.
-        assert_eq!(ps.sum(), 3.0);
+        assert_eq!(ps.moments.sum, 3.0);
         assert_eq!(ps.min(), 0.0);
     }
 
@@ -331,9 +283,8 @@ mod tests {
         let b = ps.sorted().as_ptr();
         assert_eq!(a, b, "sorted view must be cached, not rebuilt");
         assert_eq!(ps.sorted(), &[1.0, 2.0, 3.0]);
-        assert_eq!(ps.quantile(0.5), 2.0);
-        let ecdf = ps.to_ecdf();
-        assert!((ecdf.eval(1.0) - 1.0 / 3.0).abs() < 1e-15);
+        assert_eq!(crate::descriptive::quantile_sorted(ps.sorted(), 0.5), 2.0);
+        let ecdf = crate::ecdf::Ecdf::new(ps.values()).unwrap();
         assert_eq!(ecdf.sorted_values(), ps.sorted());
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Everything here is implemented from scratch (no external math crates):
 //! the Lanczos approximation for [`ln_gamma`], series/asymptotic expansions
-//! for [`digamma`] and [`trigamma`], Abramowitz–Stegun style rational
-//! approximations for [`erf`], and the standard series/continued-fraction
+//! for `digamma` and `trigamma`, Abramowitz–Stegun style rational
+//! approximations for `erfc`, and the standard series/continued-fraction
 //! pair for the regularized incomplete gamma function.
 //!
 //! Accuracy targets are those required by the fitting code: roughly 1e-10
@@ -84,35 +84,11 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// The gamma function `Γ(x)`.
-///
-/// Computed as `exp(ln_gamma(x))` with sign handling for negative
-/// non-integer arguments.
-pub fn gamma(x: f64) -> f64 {
-    if x > 0.0 {
-        ln_gamma(x).exp()
-    } else {
-        // Reflection for negative non-integers.
-        let s = (std::f64::consts::PI * x).sin();
-        if s == 0.0 {
-            f64::NAN
-        } else {
-            std::f64::consts::PI / (s * ln_gamma(1.0 - x).exp())
-        }
-    }
-}
-
 /// The digamma function `ψ(x) = d/dx ln Γ(x)` for `x > 0`.
 ///
 /// Uses the recurrence `ψ(x) = ψ(x+1) - 1/x` to push the argument above 6,
 /// then an asymptotic expansion in `1/x²`.
-///
-/// ```
-/// use hpcfail_stats::special::digamma;
-/// // ψ(1) = -γ (Euler–Mascheroni)
-/// assert!((digamma(1.0) + 0.5772156649015329).abs() < 1e-12);
-/// ```
-pub fn digamma(x: f64) -> f64 {
+pub(crate) fn digamma(x: f64) -> f64 {
     if x.is_nan() || x <= 0.0 {
         return f64::NAN;
     }
@@ -133,14 +109,7 @@ pub fn digamma(x: f64) -> f64 {
 }
 
 /// The trigamma function `ψ′(x) = d²/dx² ln Γ(x)` for `x > 0`.
-///
-/// ```
-/// use hpcfail_stats::special::trigamma;
-/// // ψ′(1) = π²/6
-/// let pi2_6 = std::f64::consts::PI.powi(2) / 6.0;
-/// assert!((trigamma(1.0) - pi2_6).abs() < 1e-10);
-/// ```
-pub fn trigamma(x: f64) -> f64 {
+pub(crate) fn trigamma(x: f64) -> f64 {
     if x.is_nan() || x <= 0.0 {
         return f64::NAN;
     }
@@ -161,22 +130,6 @@ pub fn trigamma(x: f64) -> f64 {
                     * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 * (1.0 / 30.0 - inv2 * 5.0 / 66.0))))
 }
 
-/// The error function `erf(x)`, accurate to about 1.2e-7 absolute
-/// (sufficient for CDF plotting) via the Numerical Recipes `erfc`
-/// Chebyshev fit, refined by one Newton step against the exact derivative
-/// to reach ~1e-12 near the center.
-///
-/// # Edge cases
-///
-/// Computed as `1 − erfc(x)`, so `erf(±0.0)` is a zero within one ulp of
-/// `+0.0` but does **not** preserve the sign of `-0.0`, and subnormal
-/// arguments round to `0.0` (absolute error ≤ 1e-15, the approximation's
-/// floor). `erf(+∞) = 1`, `erf(-∞) = -1`, `erf(NAN) = NAN` — never a NaN
-/// from a finite argument. Pinned by unit tests alongside [`erfc`]'s.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// The complementary error function `erfc(x) = 1 - erf(x)`.
 ///
 /// Chebyshev-fit approximation (Numerical Recipes 6.2.2), accurate to
@@ -190,7 +143,7 @@ pub fn erf(x: f64) -> f64 {
 /// Chebyshev prefactor `t = 2/(2+|x|)` underflows to `0` and the
 /// exponential underflows with it — `0 · 0`, not `0 · ∞`),
 /// `erfc(-∞) = 2` exactly, and `NAN` propagates. Pinned by unit tests.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 2.0 / (2.0 + z);
     let ty = 4.0 * t - 2.0;
@@ -248,7 +201,7 @@ pub fn erfc(x: f64) -> f64 {
 ///
 /// Never panics; returns NaN for `p` outside `(0, 1)` boundaries other than
 /// the conventional `0 → -∞` and `1 → +∞`.
-pub fn inverse_standard_normal_cdf(p: f64) -> f64 {
+pub(crate) fn inverse_standard_normal_cdf(p: f64) -> f64 {
     if p.is_nan() || !(0.0..=1.0).contains(&p) {
         return f64::NAN;
     }
@@ -310,18 +263,32 @@ pub fn inverse_standard_normal_cdf(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
+/// Chunk width of [`inverse_standard_normal_cdf_slice`]. Eight lanes
+/// keeps the fixed-size inner loops a multiple of every f64 SIMD width
+/// the autovectorizer targets.
+const BATCH_LANES: usize = 8;
+
 /// Chunked in-place batch `Φ⁻¹`: replaces each `ps[i]` with
 /// `inverse_standard_normal_cdf(ps[i])`, bit-identical to the scalar
-/// function (it applies the exact same kernel per lane; chunking only
-/// exposes independent lanes for instruction-level parallelism). This is
-/// the inverse-CDF leg of the synth generator's batch sampling path
-/// (DESIGN.md §13).
+/// function (it applies the exact same kernel per lane over fixed-width
+/// `BATCH_LANES` chunks, bounds-check-free bodies the compiler can
+/// unroll, then a tail loop; chunking only exposes independent lanes for
+/// instruction-level parallelism). The synth generator builds its node
+/// weights with it (DESIGN.md §13).
 pub fn inverse_standard_normal_cdf_slice(ps: &mut [f64]) {
-    crate::dist::map_chunked_in_place(ps, inverse_standard_normal_cdf);
+    let mut chunks = ps.chunks_exact_mut(BATCH_LANES);
+    for chunk in &mut chunks {
+        for p in chunk.iter_mut() {
+            *p = inverse_standard_normal_cdf(*p);
+        }
+    }
+    for p in chunks.into_remainder() {
+        *p = inverse_standard_normal_cdf(*p);
+    }
 }
 
 /// Standard normal CDF `Φ(x)`.
-pub fn standard_normal_cdf(x: f64) -> f64 {
+pub(crate) fn standard_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
@@ -334,7 +301,7 @@ pub fn standard_normal_cdf(x: f64) -> f64 {
 /// # Panics
 ///
 /// Never panics; returns NaN for `a ≤ 0` or `x < 0`.
-pub fn regularized_gamma_p(a: f64, x: f64) -> f64 {
+pub(crate) fn regularized_gamma_p(a: f64, x: f64) -> f64 {
     if a <= 0.0 || x < 0.0 || a.is_nan() || x.is_nan() {
         return f64::NAN;
     }
@@ -349,7 +316,7 @@ pub fn regularized_gamma_p(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`.
-pub fn regularized_gamma_q(a: f64, x: f64) -> f64 {
+pub(crate) fn regularized_gamma_q(a: f64, x: f64) -> f64 {
     if a <= 0.0 || x < 0.0 || a.is_nan() || x.is_nan() {
         return f64::NAN;
     }
@@ -413,7 +380,7 @@ fn gamma_q_continued_fraction(a: f64, x: f64) -> f64 {
 /// Natural log of `n!` using `ln_gamma(n + 1)`.
 ///
 /// Exact table lookup for `n ≤ 20` so small Poisson PMFs are exact.
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     const EXACT: [f64; 21] = [
         1.0,
         1.0,
@@ -447,6 +414,10 @@ pub fn ln_factorial(n: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn erf(x: f64) -> f64 {
+        1.0 - erfc(x)
+    }
 
     fn assert_close(actual: f64, expected: f64, tol: f64) {
         assert!(
@@ -494,8 +465,12 @@ mod tests {
 
     #[test]
     fn gamma_reflection_negative() {
-        // Γ(-0.5) = -2√π
-        assert_close(gamma(-0.5), -2.0 * std::f64::consts::PI.sqrt(), 1e-10);
+        // Γ(-0.5) = -2√π, so ln|Γ(-0.5)| = ln(2√π).
+        assert_close(
+            ln_gamma(-0.5),
+            (2.0 * std::f64::consts::PI.sqrt()).ln(),
+            1e-10,
+        );
     }
 
     #[test]

@@ -166,7 +166,9 @@ mod tests {
             .without_bursts()
             .build_system(sys)
             .unwrap();
-        assert!(trace.index().all().zero_gap_fraction() < 0.02);
+        let gaps = trace.index().all().interarrival_secs().unwrap();
+        let zeros = gaps.iter().filter(|&&g| g == 0.0).count();
+        assert!((zeros as f64) < 0.02 * gaps.len() as f64);
     }
 
     #[test]

@@ -69,29 +69,8 @@ impl CauseMix {
         RootCause::ALL[i.min(5)]
     }
 
-    /// Fill `out` with sampled categories: uniforms are drawn in the
-    /// exact order a scalar [`CauseMix::sample`] loop would draw them,
-    /// then located in the cumulative table a chunk at a time, so both
-    /// the filled sequence and the final RNG state are identical to the
-    /// scalar loop (DESIGN.md §13). The split phases let the lookups run
-    /// branch-predictably over a register-resident table.
-    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [RootCause]) {
-        const LANES: usize = 8;
-        let mut buf = [0.0f64; LANES];
-        for chunk in out.chunks_mut(LANES) {
-            let us = &mut buf[..chunk.len()];
-            for u in us.iter_mut() {
-                *u = rng.random();
-            }
-            for (slot, &u) in chunk.iter_mut().zip(us.iter()) {
-                let i = self.cum.partition_point(|&c| c <= u);
-                *slot = RootCause::ALL[i.min(5)];
-            }
-        }
-    }
-
     /// The Fig. 1(a)-calibrated mix for a hardware type.
-    pub fn for_type(hw: HardwareType) -> Self {
+    pub(crate) fn for_type(hw: HardwareType) -> Self {
         // (hardware, software, network, environment, human, unknown)
         let weights = match hw {
             // Small single-node systems (not shown in Fig 1; generic mix).
@@ -154,7 +133,7 @@ impl CumTable {
 /// category and hardware type.
 ///
 /// The per-category weight tables are turned into cumulative-sum tables
-/// once at construction ([`DetailModel::for_type`]); each draw then
+/// once at construction (`DetailModel::for_type`); each draw then
 /// costs a single uniform plus a binary search. Equality is defined by
 /// the hardware type alone, exactly as before the tables were cached
 /// (the tables are a pure function of it).
@@ -176,7 +155,7 @@ impl Eq for DetailModel {}
 
 impl DetailModel {
     /// Detail model for a hardware type.
-    pub fn for_type(hw: HardwareType) -> Self {
+    pub(crate) fn for_type(hw: HardwareType) -> Self {
         DetailModel {
             hw,
             hardware: CumTable::new(Self::hardware_mix(hw)),
@@ -280,7 +259,11 @@ impl DetailModel {
     /// Sample a detailed cause consistent with the high-level category:
     /// still a single uniform draw per call, located in the precomputed
     /// cumulative table for the category.
-    pub fn sample<R: Rng + ?Sized>(&self, category: RootCause, rng: &mut R) -> DetailedCause {
+    pub(crate) fn sample<R: Rng + ?Sized>(
+        &self,
+        category: RootCause,
+        rng: &mut R,
+    ) -> DetailedCause {
         let table = match category {
             RootCause::Hardware => &self.hardware,
             RootCause::Software => &self.software,

@@ -74,7 +74,7 @@ impl BurstConfig {
     /// The burst behaviour of the early NUMA clusters: a quarter of
     /// primary failures take 1–3 additional nodes down simultaneously,
     /// during the first three years.
-    pub fn early_numa_default() -> Self {
+    pub(crate) fn early_numa_default() -> Self {
         BurstConfig {
             probability: 0.38,
             min_extra: 1,
@@ -166,7 +166,7 @@ impl Calibration {
     }
 
     /// Mutable configuration for one system (for scenario tweaks).
-    pub fn system_mut(&mut self, id: SystemId) -> Option<&mut SystemConfig> {
+    pub(crate) fn system_mut(&mut self, id: SystemId) -> Option<&mut SystemConfig> {
         self.configs
             .iter_mut()
             .find(|(s, _)| *s == id)
@@ -174,7 +174,7 @@ impl Calibration {
     }
 
     /// Iterate all `(id, config)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SystemId, &SystemConfig)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SystemId, &SystemConfig)> {
         self.configs.iter().map(|(id, c)| (*id, c))
     }
 }

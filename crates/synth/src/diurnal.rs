@@ -18,7 +18,7 @@ pub struct DiurnalProfile {
 
 impl DiurnalProfile {
     /// A flat profile (no modulation).
-    pub fn flat() -> Self {
+    pub(crate) fn flat() -> Self {
         DiurnalProfile {
             hourly: [1.0; 24],
             daily: [1.0; 7],
@@ -28,7 +28,7 @@ impl DiurnalProfile {
     /// The LANL-like profile: a smooth sinusoidal day shape with a 2×
     /// peak-to-trough ratio (trough ~4 am, peak ~2 pm), weekdays ~1.85×
     /// the weekend level.
-    pub fn lanl_default() -> Self {
+    pub(crate) fn lanl_default() -> Self {
         let mut hourly = [0.0f64; 24];
         for (h, w) in hourly.iter_mut().enumerate() {
             // Cosine with minimum at 4:00 and maximum at 16:00, ratio 2:1.
@@ -54,32 +54,8 @@ impl DiurnalProfile {
     }
 
     /// The intensity multiplier at a given instant.
-    pub fn intensity(&self, at: Timestamp) -> f64 {
+    pub(crate) fn intensity(&self, at: Timestamp) -> f64 {
         self.hourly[at.hour_of_day() as usize] * self.daily[at.day_of_week() as usize]
-    }
-
-    /// Hourly weights (normalized, mean 1).
-    pub fn hourly(&self) -> &[f64; 24] {
-        &self.hourly
-    }
-
-    /// Daily weights, Sunday first (normalized, mean 1).
-    pub fn daily(&self) -> &[f64; 7] {
-        &self.daily
-    }
-
-    /// Hour-of-day peak-to-trough ratio (the paper reports ≈2).
-    pub fn hourly_peak_to_trough(&self) -> f64 {
-        let max = self.hourly.iter().cloned().fold(f64::MIN, f64::max);
-        let min = self.hourly.iter().cloned().fold(f64::MAX, f64::min);
-        max / min
-    }
-
-    /// Weekday-to-weekend intensity ratio (the paper reports ≈2).
-    pub fn weekday_to_weekend(&self) -> f64 {
-        let weekday: f64 = self.daily[1..6].iter().sum::<f64>() / 5.0;
-        let weekend = (self.daily[0] + self.daily[6]) / 2.0;
-        weekday / weekend
     }
 }
 
@@ -119,18 +95,23 @@ mod tests {
     fn lanl_profile_is_normalized() {
         let p = DiurnalProfile::lanl_default();
         assert!((weekly_mean(&p) - 1.0).abs() < 1e-9);
-        let hm = p.hourly().iter().sum::<f64>() / 24.0;
+        let hm = p.hourly.iter().sum::<f64>() / 24.0;
         assert!((hm - 1.0).abs() < 1e-12);
-        let dm = p.daily().iter().sum::<f64>() / 7.0;
+        let dm = p.daily.iter().sum::<f64>() / 7.0;
         assert!((dm - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn lanl_profile_matches_paper_ratios() {
         let p = DiurnalProfile::lanl_default();
-        let h_ratio = p.hourly_peak_to_trough();
+        // Hour-of-day peak to trough, and weekday to weekend intensity.
+        let max = p.hourly.iter().cloned().fold(f64::MIN, f64::max);
+        let min = p.hourly.iter().cloned().fold(f64::MAX, f64::min);
+        let h_ratio = max / min;
         assert!((1.7..=2.3).contains(&h_ratio), "hour ratio {h_ratio}");
-        let d_ratio = p.weekday_to_weekend();
+        let weekday = p.daily[1..6].iter().sum::<f64>() / 5.0;
+        let weekend = (p.daily[0] + p.daily[6]) / 2.0;
+        let d_ratio = weekday / weekend;
         assert!((1.6..=2.1).contains(&d_ratio), "weekday ratio {d_ratio}");
     }
 

@@ -560,14 +560,12 @@ mod tests {
         // Early window: first 3 years.
         let early_end = spec.production_start() + 3 * hpcfail_records::time::YEAR;
         let index = trace.index();
-        let zf_early = index
-            .all()
-            .window(spec.production_start(), early_end)
-            .zero_gap_fraction();
-        let zf_late = index
-            .all()
-            .window(early_end, spec.production_end())
-            .zero_gap_fraction();
+        let zero_fraction = |from, to| {
+            let gaps = index.all().window(from, to).interarrival_secs().unwrap();
+            gaps.iter().filter(|&&g| g == 0.0).count() as f64 / gaps.len() as f64
+        };
+        let zf_early = zero_fraction(spec.production_start(), early_end);
+        let zf_late = zero_fraction(early_end, spec.production_end());
         assert!(
             zf_early > 0.25,
             "early zero-gap fraction {zf_early} (paper: >30%)"

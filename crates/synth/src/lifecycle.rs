@@ -43,7 +43,7 @@ pub enum LifecycleShape {
 impl LifecycleShape {
     /// The canonical early-drop curve used for type E/F systems:
     /// 4× at deployment, decaying with a 6-month time constant.
-    pub fn early_drop_default() -> Self {
+    pub(crate) fn early_drop_default() -> Self {
         LifecycleShape::EarlyDrop {
             initial: 4.0,
             decay_months: 6.0,
@@ -55,7 +55,7 @@ impl LifecycleShape {
     /// constant. The wide intensity range over the first years is what
     /// drives the high early-era variability of time between failures
     /// (Fig. 6(a): C² ≈ 3.9).
-    pub fn ramp_default() -> Self {
+    pub(crate) fn ramp_default() -> Self {
         LifecycleShape::RampThenDrop {
             initial: 0.25,
             peak: 3.0,

@@ -36,7 +36,7 @@ pub const TABLE2_TARGETS: [(RootCause, f64, f64); 6] = [
 pub const TABLE2_ALL: (f64, f64) = (54.0, 355.0);
 
 /// Look up the Table 2 (median, mean) target for a category.
-pub fn table2_target(cause: RootCause) -> (f64, f64) {
+pub(crate) fn table2_target(cause: RootCause) -> (f64, f64) {
     TABLE2_TARGETS
         .iter()
         .find(|(c, _, _)| *c == cause)
@@ -69,7 +69,7 @@ pub struct RepairScale(f64);
 
 impl RepairScale {
     /// The multiplier for a hardware type.
-    pub fn for_type(hw: HardwareType) -> Self {
+    pub(crate) fn for_type(hw: HardwareType) -> Self {
         RepairScale(match hw {
             HardwareType::A | HardwareType::B | HardwareType::C => 0.9,
             HardwareType::D => 0.75,
@@ -81,23 +81,12 @@ impl RepairScale {
     }
 
     /// Raw multiplier value.
-    pub fn factor(&self) -> f64 {
+    pub(crate) fn factor(&self) -> f64 {
         self.0
     }
 }
 
 impl RepairModel {
-    /// Build the Table 2-calibrated model with no per-cause deflation
-    /// (sampling at hardware type F reproduces Table 2 directly).
-    ///
-    /// # Errors
-    ///
-    /// Propagates distribution-construction errors (cannot happen with the
-    /// built-in constants; reachable only through future custom targets).
-    pub fn table2() -> Result<Self, StatsError> {
-        Self::with_deflation(&[1.0; 6])
-    }
-
     /// Build the model with per-cause deflation factors: each cause's
     /// (median, mean) target is divided by its factor before sampling, so
     /// that after the per-type scaling the **event-weighted site-wide**
@@ -139,7 +128,7 @@ impl RepairModel {
     /// # Errors
     ///
     /// Propagates distribution-construction errors.
-    pub fn calibrated(
+    pub(crate) fn calibrated(
         catalog: &Catalog,
         calibration: &crate::config::Calibration,
     ) -> Result<Self, StatsError> {
@@ -169,7 +158,7 @@ impl RepairModel {
     /// Sample a repair time in **seconds** for a failure of the given
     /// cause on the given hardware type. Always ≥ 60 seconds (operator
     /// data has a natural floor of about a minute).
-    pub fn sample_secs<R: Rng + ?Sized>(
+    pub(crate) fn sample_secs<R: Rng + ?Sized>(
         &self,
         cause: RootCause,
         hw: HardwareType,
@@ -180,7 +169,7 @@ impl RepairModel {
     }
 
     /// Sample a repair time in minutes (Table 2's unit).
-    pub fn sample_minutes<R: Rng + ?Sized>(
+    pub(crate) fn sample_minutes<R: Rng + ?Sized>(
         &self,
         cause: RootCause,
         hw: HardwareType,
@@ -192,38 +181,6 @@ impl RepairModel {
             CauseSampler::HeavyTail(d) => d.sample(&mut rng),
         };
         raw * RepairScale::for_type(hw).factor()
-    }
-
-    /// Fill `out` with repair times in minutes for failures of one cause
-    /// on one hardware type. The pure-lognormal sampler (Environment)
-    /// goes through the distribution's batch inverse-CDF kernel
-    /// ([`Continuous::sample_batch`]); the heavy-tail mixture keeps a
-    /// scalar per-draw loop because its component selection consumes a
-    /// data-dependent number of uniforms. Either way uniforms are drawn
-    /// in the exact order a scalar [`RepairModel::sample_minutes`] loop
-    /// would draw them and the per-element arithmetic is unchanged, so
-    /// both the filled values and the final RNG state are identical to
-    /// the scalar loop (DESIGN.md §13).
-    pub fn sample_minutes_batch<R: Rng + ?Sized>(
-        &self,
-        cause: RootCause,
-        hw: HardwareType,
-        rng: &mut R,
-        out: &mut [f64],
-    ) {
-        let mut rng = rng;
-        match &self.samplers[cause.index()] {
-            CauseSampler::Pure(d) => d.sample_batch(&mut rng, out),
-            CauseSampler::HeavyTail(d) => {
-                for slot in out.iter_mut() {
-                    *slot = d.sample(&mut rng);
-                }
-            }
-        }
-        let factor = RepairScale::for_type(hw).factor();
-        for x in out.iter_mut() {
-            *x *= factor;
-        }
     }
 }
 
@@ -245,7 +202,7 @@ mod tests {
 
     #[test]
     fn analytic_means_match_table2() {
-        let model = RepairModel::table2().unwrap();
+        let model = RepairModel::with_deflation(&[1.0; 6]).unwrap();
         for (cause, _, mean) in TABLE2_TARGETS {
             let m = analytic_mean_minutes(&model, cause);
             assert!(
@@ -257,7 +214,7 @@ mod tests {
 
     #[test]
     fn sampled_medians_match_table2() {
-        let model = RepairModel::table2().unwrap();
+        let model = RepairModel::with_deflation(&[1.0; 6]).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for (cause, median, _) in TABLE2_TARGETS {
             let sample: Vec<f64> = (0..40_000)
@@ -276,7 +233,7 @@ mod tests {
     fn variability_ordering_matches_table2() {
         // Software and hardware C² must dwarf environment C² (293 and 151
         // vs 2 in the paper).
-        let model = RepairModel::table2().unwrap();
+        let model = RepairModel::with_deflation(&[1.0; 6]).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let c2_of = |cause: RootCause, rng: &mut StdRng| {
             let sample: Vec<f64> = (0..60_000)
@@ -297,7 +254,7 @@ mod tests {
     #[test]
     fn median_far_below_mean_for_software() {
         // Paper: software median (33) ~10× below mean (369).
-        let model = RepairModel::table2().unwrap();
+        let model = RepairModel::with_deflation(&[1.0; 6]).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let sample: Vec<f64> = (0..60_000)
             .map(|_| model.sample_minutes(RootCause::Software, HardwareType::F, &mut rng))
@@ -309,7 +266,7 @@ mod tests {
 
     #[test]
     fn hardware_type_scaling() {
-        let model = RepairModel::table2().unwrap();
+        let model = RepairModel::with_deflation(&[1.0; 6]).unwrap();
         let mut rng = StdRng::seed_from_u64(10);
         let mean_for = |hw: HardwareType, rng: &mut StdRng| {
             let sample: Vec<f64> = (0..30_000)
@@ -325,7 +282,7 @@ mod tests {
 
     #[test]
     fn sample_secs_floor() {
-        let model = RepairModel::table2().unwrap();
+        let model = RepairModel::with_deflation(&[1.0; 6]).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..5_000 {
             let s = model.sample_secs(RootCause::Human, HardwareType::E, &mut rng);

@@ -3,7 +3,7 @@
 //!
 //! This is the honesty layer of the substitution argument — if the
 //! generator drifts from the paper's reported statistics (through a
-//! refactor or a recalibration), [`validate_site`] says exactly which
+//! refactor or a recalibration), `validate_site` says exactly which
 //! target broke.
 
 use hpcfail_records::{Catalog, FailureTrace, RootCause};
@@ -26,7 +26,7 @@ pub struct TargetCheck {
 
 impl TargetCheck {
     /// Whether the measurement is within tolerance.
-    pub fn passes(&self) -> bool {
+    pub(crate) fn passes(&self) -> bool {
         if !self.measured.is_finite() {
             return false;
         }
@@ -60,7 +60,7 @@ impl ValidationReport {
 ///
 /// [`SynthError::UnknownSystem`] if the trace references systems missing
 /// from the calibration.
-pub fn validate_site(
+pub(crate) fn validate_site(
     trace: &FailureTrace,
     catalog: &Catalog,
     calibration: &Calibration,

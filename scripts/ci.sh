@@ -89,13 +89,17 @@ else
     echo "OK: dependency check skipped (python3 unavailable)"
 fi
 
-# A public function nothing calls is surface to read, test and keep
-# compiling. Every `pub fn` in crates/*/src must be named outside its own
-# definition: by library code ahead of the file's #[cfg(test)] module
-# (the last item of a file, as clippy's items_after_test_module wants),
-# or by tests/, examples/ or perfbench/. As above, a name in a comment
-# still passes. Names kept for a planned caller carry their ROADMAP item.
-echo "==> every pub fn is named outside #[cfg(test)] code"
+# A public function nothing outside its crate calls is surface to read,
+# test and keep compiling. Every `pub fn` in crates/X/src must be named
+# outside X's library sources: by another crate's library code ahead of
+# its file's #[cfg(test)] module (the last item of a file, as clippy's
+# items_after_test_module wants), by a bin target (src/main.rs), or by
+# tests/, examples/ or perfbench/. An item only its own crate uses is
+# pub(crate), where the dead_code lint denied above checks it by path,
+# so a name shared with another item of the same crate hides nothing.
+# As above, a name in a comment still passes. Names kept for a planned
+# caller carry their ROADMAP item.
+echo "==> every pub fn is named outside its own crate"
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import glob, re, sys
@@ -104,16 +108,29 @@ RESERVED = {
     "uniform_gap_shape": "ROADMAP item 3",
     "homogeneous_nodes": "ROADMAP item 3",
 }
-lib = [open(f).read() for f in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True))]
-text = "".join(src.split("#[cfg(test)]")[0] for src in lib)
-text += "".join(open(f).read() for d in ("tests", "examples", "perfbench")
-                for f in sorted(glob.glob(f"{d}/**/*.rs", recursive=True)))
-unreached = [name for name in sorted(set(re.findall(r"\bpub fn (\w+)", "".join(lib))))
-             if name not in RESERVED
-             and len(re.findall(rf"\b{name}\b", text)) <= len(re.findall(rf"\bfn {name}\b", text))]
+def code(path):
+    return open(path).read().split("#[cfg(test)]")[0]
+def is_bin(path):
+    return path.endswith("/src/main.rs") or "/src/bin/" in path
+sources = sorted(glob.glob("crates/*/src/**/*.rs", recursive=True))
+library = {}
+for f in sources:
+    if not is_bin(f):
+        library.setdefault(f.split("/")[1], []).append(f)
+shared = "".join(open(f).read() for d in ("tests", "examples", "perfbench")
+                 for f in sorted(glob.glob(f"{d}/**/*.rs", recursive=True)))
+shared += "".join(open(f).read() for f in sources if is_bin(f))
+unreached = []
+for crate, files in sorted(library.items()):
+    outside = shared + "".join(code(f) for c, fs in library.items() if c != crate for f in fs)
+    for name in sorted(set(re.findall(r"\bpub fn (\w+)", "".join(open(f).read() for f in files)))):
+        if name not in RESERVED and len(re.findall(rf"\b{name}\b", outside)) \
+                <= len(re.findall(rf"\bfn {name}\b", outside)):
+            unreached.append(f"{crate}: {name}")
 if unreached:
-    sys.exit("FAIL: pub fns nothing outside #[cfg(test)] names:\n  " + "\n  ".join(unreached))
-print(f"OK: every pub fn is named outside its definition ({len(RESERVED)} reserved)")
+    sys.exit("FAIL: pub fns nothing outside their own crate names (make them pub(crate)):\n  "
+             + "\n  ".join(unreached))
+print(f"OK: every pub fn is named outside its own crate ({len(RESERVED)} reserved)")
 EOF
 else
     echo "OK: reachability check skipped (python3 unavailable)"

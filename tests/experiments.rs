@@ -86,8 +86,9 @@ fn fig1_detailed_causes_memory_everywhere() {
     let catalog = catalog();
     for hw in HardwareType::FIGURE1_SET {
         let pool: FailureTrace = catalog
-            .systems_of_type(hw)
+            .systems()
             .iter()
+            .filter(|s| s.hardware() == hw)
             .flat_map(|s| index.system(s.id()).iter())
             .collect();
         let fractions = rootcause::detailed_fractions(&pool.index().all());
@@ -131,8 +132,17 @@ fn fig2b_normalization_removes_most_variability() {
     let analysis = rates::analyze_indexed(&site().index(), &catalog()).unwrap();
     assert!(analysis.normalized_variability() < 0.8 * analysis.raw_variability());
     // Within-type normalized rates are consistent (paper's type E claim).
-    assert!(analysis.within_type_variability(HardwareType::E) < 0.6);
-    assert!(analysis.within_type_variability(HardwareType::F) < 0.6);
+    let within_type = |hw| {
+        let v: Vec<f64> = analysis
+            .rates
+            .iter()
+            .filter(|r| r.hardware == hw)
+            .map(|r| r.per_proc_year)
+            .collect();
+        hpcfail::stats::descriptive::squared_cv(&v)
+    };
+    assert!(within_type(HardwareType::E) < 0.6);
+    assert!(within_type(HardwareType::F) < 0.6);
 }
 
 #[test]
@@ -310,7 +320,7 @@ fn derived_daily_burstiness() {
 fn derived_availability() {
     let rows = availability::analyze_indexed(&site().index(), &catalog()).unwrap();
     assert_eq!(rows.len(), 22);
-    let site_avail = availability::site_availability_indexed(&site().index(), &catalog()).unwrap();
+    let site_avail = availability::site_availability(&rows);
     assert!(
         (0.99..1.0).contains(&site_avail),
         "site availability {site_avail}"

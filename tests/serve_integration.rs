@@ -167,7 +167,7 @@ fn rates_availability_pernode_findings_match_direct_library_calls() {
     let (status, body) = get(addr, "/v1/lanl/availability");
     assert_eq!(status, 200, "{body}");
     let rows = availability::analyze_indexed(&index, &catalog).expect("availability");
-    let site = availability::site_availability_indexed(&index, &catalog).expect("site");
+    let site = availability::site_availability(&rows);
     assert_eq!(body, render::availability_json(&rows, site).render());
 
     let (status, body) = get(addr, "/v1/lanl/pernode");
