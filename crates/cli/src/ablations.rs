@@ -15,8 +15,8 @@
 use std::fmt::Write as _;
 
 use hpcfail_core::report::{fmt_num, TextTable};
-use hpcfail_core::tbf;
-use hpcfail_records::{FailureTrace, SystemId};
+use hpcfail_core::{paper, tbf};
+use hpcfail_records::FailureTrace;
 use hpcfail_stats::bootstrap::bootstrap_ci;
 use hpcfail_stats::dist::Weibull;
 use hpcfail_stats::fit::{fit_candidates, Criterion, Family};
@@ -30,7 +30,7 @@ pub(crate) fn render(site: &FailureTrace) -> Result<String, String> {
     let index = site.index();
     let (_, late) = tbf::paper_era_split();
     let gaps: Vec<f64> = index
-        .system(SystemId::new(20))
+        .system(paper::SYSTEM)
         .window(late.0, late.1)
         .interarrival_secs()
         .map_err(|e| format!("late-era gaps: {e}"))?
@@ -146,7 +146,7 @@ fn aftershock_ablation(out: &mut String) -> Result<(), String> {
         out,
         "=== ablation 4: generator without failure clustering ==="
     );
-    let sys = SystemId::new(20);
+    let sys = paper::SYSTEM;
     let no_shock = hpcfail_synth::builder::ScenarioBuilder::lanl()
         .without_aftershocks()
         .build_system(sys)

@@ -82,7 +82,10 @@ pub const USAGE: &str = "\
 hpcfail — toolkit for Schroeder & Gibson's DSN 2006 HPC failure study
 
 Every FILE may be native CSV, a LANL export or a packed .hpct store;
-the format is told from the file's contents.
+the format is told from the file's contents. summary, analyze, repro
+--trace, pack and import-lanl read FILE strictly: the first unparsable
+row stops them with exit code 1, naming its line. 'hpcfail quality FILE
+--repair --out FIXED' writes a trace they load.
 
 USAGE:
   hpcfail generate [--seed N] [--system ID] [--out FILE]
@@ -97,8 +100,8 @@ USAGE:
       or only the named ones (table1, fig1 .. fig7, findings, ...; an
       unknown name lists them all). The trace is FILE, or else the
       seeded site trace. A section whose analysis cannot run on the
-      trace prints a 'degraded:' line; 'findings' checks the paper's
-      Section-8 conclusions.
+      loaded trace (too few records, say) prints a 'degraded:' line;
+      'findings' checks the paper's Section-8 conclusions.
   hpcfail ablations
       Rerun the generator's ablation study on the seeded site trace:
       fit-selection criterion, bootstrap shape CI, Pareto rejection,
@@ -1083,9 +1086,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn repro_degrades_section_by_section_on_thin_traces() {
-        let dir = std::env::temp_dir().join("hpcfail_cli_repro_thin");
+    /// Two traces too thin for some sections, written under `name` in
+    /// the temp dir: a header-only CSV and the seed-42 system-12 CSV.
+    fn thin_traces(name: &str) -> [PathBuf; 2] {
+        let dir = std::env::temp_dir().join(name);
         std::fs::create_dir_all(&dir).unwrap();
         let header_only = dir.join("header_only.csv");
         std::fs::write(
@@ -1100,7 +1104,12 @@ mod tests {
             out: sys12.clone(),
         })
         .unwrap();
-        for file in [header_only, sys12] {
+        [header_only, sys12]
+    }
+
+    #[test]
+    fn repro_degrades_section_by_section_on_thin_traces() {
+        for file in thin_traces("hpcfail_cli_repro_thin") {
             let text = execute(&Command::Repro {
                 trace: Some(file.clone()),
                 sections: vec![],
@@ -1116,6 +1125,38 @@ mod tests {
                 );
             }
             assert!(text.contains("degraded:"), "{}: {text}", file.display());
+        }
+    }
+
+    /// Each section rendered alone is byte-identical to its slice of the
+    /// whole report, so which section fills a shared analysis first never
+    /// shows in the text.
+    #[test]
+    fn repro_sections_render_alone_as_in_the_whole_report() {
+        let site = seeded_site().unwrap().index();
+        let thin = thin_traces("hpcfail_cli_repro_alone")
+            .map(|file| read_input(&file, IngestPolicy::FailFast).unwrap().index);
+        for (index, what) in [
+            (&site, "site"),
+            (&thin[0], "header-only"),
+            (&thin[1], "sys12"),
+        ] {
+            let full = format!("{}\n", repro::render(index, &[]));
+            let starts: Vec<usize> = repro::SECTIONS
+                .iter()
+                .map(|(name, _)| {
+                    full.find(&format!("\n================= {name} =================\n"))
+                        .unwrap_or_else(|| panic!("{what}: no {name} section"))
+                })
+                .chain([full.len()])
+                .collect();
+            for (i, (name, _)) in repro::SECTIONS.iter().enumerate() {
+                assert_eq!(
+                    format!("{}\n", repro::render(index, &[name.to_string()])),
+                    full[starts[i]..starts[i + 1]],
+                    "{what}: {name}"
+                );
+            }
         }
     }
 

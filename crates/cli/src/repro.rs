@@ -8,16 +8,23 @@
 
 use std::fmt::Write as _;
 
+use hpcfail_core::paper::{self, Analyses};
 use hpcfail_core::report::{bar, fmt_num, fmt_pct, TextTable};
+use hpcfail_core::AnalysisError;
 use hpcfail_core::{
-    availability, daily, findings, lifetime, periodic, pernode, rates, related, repair, rootcause,
-    tbf, workload,
+    availability, daily, findings, lifetime, periodic, pernode, related, repair, rootcause,
+    workload,
 };
-use hpcfail_records::{Catalog, HardwareType, NodeId, RootCause, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, HardwareType, RootCause, SystemId, TraceIndex};
 
-/// A section renders its table or figure into `out`, or names why the
-/// analysis behind it cannot run on this trace.
-type Section = fn(&mut String, &Catalog, &TraceIndex) -> Result<(), String>;
+/// A section renders its table or figure into `out` off the trace's
+/// memo, or names why the analysis behind it cannot run on this trace.
+type Section = fn(&mut String, &Analyses) -> Result<(), String>;
+
+/// A memoized analysis, or its error named by `what`.
+fn ran<'m, T>(result: &'m Result<T, AnalysisError>, what: &str) -> Result<&'m T, String> {
+    result.as_ref().map_err(|e| format!("{what}: {e}"))
+}
 
 /// Every section, in report order.
 pub const SECTIONS: &[(&str, Section)] = &[
@@ -40,14 +47,16 @@ pub const SECTIONS: &[(&str, Section)] = &[
 ];
 
 /// Render the named sections (all of them when `wanted` is empty) off
-/// one trace index. The text carries no trailing newline.
+/// one trace index and one memo of its analyses, so an analysis two
+/// sections read runs once. The text carries no trailing newline.
 pub(crate) fn render(index: &TraceIndex, wanted: &[String]) -> String {
     let catalog = Catalog::lanl();
+    let memo = Analyses::new(index, &catalog);
     let mut out = String::new();
     for (name, section) in SECTIONS {
         if wanted.is_empty() || wanted.iter().any(|w| w == name) {
             let _ = writeln!(out, "\n================= {name} =================");
-            if let Err(cause) = section(&mut out, &catalog, index) {
+            if let Err(cause) = section(&mut out, &memo) {
                 let _ = writeln!(out, "degraded: experiment {name}: {cause}");
             }
         }
@@ -58,7 +67,8 @@ pub(crate) fn render(index: &TraceIndex, wanted: &[String]) -> String {
 
 /// Table 1: overview of the 22 systems, with node-category detail
 /// (procs/node, memory, NICs) as in the right half of the paper's table.
-fn table1(out: &mut String, catalog: &Catalog, _idx: &TraceIndex) -> Result<(), String> {
+fn table1(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let catalog = memo.catalog();
     let mut t = TextTable::new(&[
         "id",
         "hw",
@@ -118,8 +128,8 @@ fn table1(out: &mut String, catalog: &Catalog, _idx: &TraceIndex) -> Result<(), 
 }
 
 /// Fig 1(a)(b): root-cause breakdown of failures and downtime.
-fn fig1(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let analysis = rootcause::analyze_indexed(idx, catalog);
+fn fig1(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let analysis = memo.rootcause();
     for (label, by_downtime) in [("(a) % of failures", false), ("(b) % of downtime", true)] {
         let _ = writeln!(out, "--- Fig 1{label} ---");
         let mut t = TextTable::new(&["type", "hw", "sw", "net", "env", "human", "unk"]);
@@ -151,7 +161,7 @@ fn fig1(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
         let _ = writeln!(out, "{}", t.render());
     }
     let _ = writeln!(out, "detailed causes across all systems (top 6):");
-    for (cause, frac) in rootcause::detailed_fractions(&idx.all())
+    for (cause, frac) in rootcause::detailed_fractions(&memo.index().all())
         .into_iter()
         .take(6)
     {
@@ -161,9 +171,8 @@ fn fig1(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
 }
 
 /// Fig 2(a)(b): failure rates per system, raw and per processor.
-fn fig2(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let analysis =
-        rates::analyze_indexed(idx, catalog).map_err(|e| format!("rate analysis: {e}"))?;
+fn fig2(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let analysis = ran(memo.rates(), "rate analysis")?;
     let max_rate = analysis.per_year_range().1;
     let mut t = TextTable::new(&["sys", "hw", "fail/yr", "(a)", "fail/yr/proc", "(b)"]);
     for r in &analysis.rates {
@@ -189,10 +198,9 @@ fn fig2(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
 }
 
 /// Fig 3(a)(b): failures per node of system 20 and the count CDF fits.
-fn fig3(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let sys = SystemId::new(20);
-    let analysis =
-        pernode::analyze_indexed(idx, catalog, sys).map_err(|e| format!("per-node: {e}"))?;
+fn fig3(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let analysis = pernode::analyze_indexed(memo.index(), memo.catalog(), paper::SYSTEM)
+        .map_err(|e| format!("per-node: {e}"))?;
     let _ = writeln!(out, "--- Fig 3(a): failures per node, system 20 ---");
     let max = *analysis.counts.iter().max().unwrap_or(&1) as f64;
     for (n, &c) in analysis.counts.iter().enumerate() {
@@ -238,16 +246,17 @@ fn fig3(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
 }
 
 /// Fig 4(a)(b): failures per month over system lifetime.
-fn fig4(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
+fn fig4(out: &mut String, memo: &Analyses) -> Result<(), String> {
     for (label, sys) in [
         ("(a) system 5, type E", 5u32),
         ("(b) system 19, type G", 19),
     ] {
-        let spec = catalog
+        let spec = memo
+            .catalog()
             .system(SystemId::new(sys))
             .map_err(|e| e.to_string())?;
-        let curve =
-            lifetime::analyze_indexed(idx, spec).map_err(|e| format!("lifetime curve: {e}"))?;
+        let curve = lifetime::analyze_indexed(memo.index(), spec)
+            .map_err(|e| format!("lifetime curve: {e}"))?;
         let _ = writeln!(out, "--- Fig 4{label}: failures/month vs age ---");
         let totals = curve.monthly_totals();
         let max = *totals.iter().max().unwrap_or(&1) as f64;
@@ -267,8 +276,8 @@ fn fig4(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
 }
 
 /// Fig 5: failures by hour of day and day of week.
-fn fig5(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let p = periodic::analyze_indexed(idx).map_err(|e| format!("periodic pattern: {e}"))?;
+fn fig5(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let p = ran(memo.periodic(), "periodic pattern")?;
     let _ = writeln!(out, "--- failures by hour of day ---");
     let max = *p.hourly.iter().max().expect("24 hour buckets") as f64;
     for (h, &c) in p.hourly.iter().enumerate() {
@@ -295,30 +304,19 @@ fn fig5(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), St
 }
 
 /// Fig 6: time between failures, node and system views, early and late.
-fn fig6(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let sys = SystemId::new(20);
-    let (early, late) = tbf::paper_era_split();
-    let node = tbf::View::Node(sys, NodeId::new(22));
-    let cases = [
-        ("(a) node 22, 1996-1999", node, early),
-        ("(b) node 22, 2000-2005", node, late),
-        (
-            "(c) system-wide, 1996-1999",
-            tbf::View::SystemWide(sys),
-            early,
-        ),
-        (
-            "(d) system-wide, 2000-2005",
-            tbf::View::SystemWide(sys),
-            late,
-        ),
-    ];
-    if let Some((peak, at)) = hpcfail_records::intervals::peak_concurrent_outages(&idx.system(sys))
-    {
+fn fig6(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let system = memo.index().system(paper::SYSTEM);
+    if let Some((peak, at)) = hpcfail_records::intervals::peak_concurrent_outages(&system) {
         let _ = writeln!(out, "peak concurrent node outages: {peak} (at {at})");
     }
-    for (label, view, window) in cases {
-        match tbf::analyze_indexed(idx, view, Some(window)) {
+    let labels = [
+        "(a) node 22, 1996-1999",
+        "(b) node 22, 2000-2005",
+        "(c) system-wide, 1996-1999",
+        "(d) system-wide, 2000-2005",
+    ];
+    for (panel, label) in labels.into_iter().enumerate() {
+        match memo.fig6(panel) {
             Ok(a) => {
                 let _ = writeln!(out, "--- Fig 6{label} ---");
                 let _ = writeln!(
@@ -357,9 +355,9 @@ fn fig6(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), St
 }
 
 /// Table 2: repair-time statistics by root cause (minutes).
-fn table2(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
+fn table2(out: &mut String, memo: &Analyses) -> Result<(), String> {
     type Stat = fn(&hpcfail_stats::descriptive::Summary) -> f64;
-    let table = repair::by_cause_indexed(idx).map_err(|e| format!("repair by cause: {e}"))?;
+    let table = ran(memo.repair_by_cause(), "repair by cause")?;
     let mut t = TextTable::new(&["", "Unkn.", "Hum.", "Env.", "Netw.", "SW", "HW", "All"]);
     let order = [
         RootCause::Unknown,
@@ -402,9 +400,9 @@ fn table2(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), 
 }
 
 /// Fig 7: repair-time distribution and per-system means/medians.
-fn fig7(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
+fn fig7(out: &mut String, memo: &Analyses) -> Result<(), String> {
     let _ = writeln!(out, "--- Fig 7(a): repair-time fits (all records) ---");
-    let report = repair::fit_all_repairs_indexed(idx).map_err(|e| format!("repair fits: {e}"))?;
+    let report = ran(memo.repair_fit(), "repair fits")?;
     for c in &report.candidates {
         let _ = writeln!(
             out,
@@ -423,10 +421,10 @@ fn fig7(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
         out,
         "\n--- Fig 7(b)(c): mean and median repair time per system ---"
     );
-    let rows = repair::by_system_indexed(idx, catalog);
+    let rows = memo.repair_by_system();
     let max_mean = rows.iter().map(|r| r.mean_minutes).fold(0.0, f64::max);
     let mut t = TextTable::new(&["sys", "hw", "mean (min)", "(b)", "median (min)", "(c)"]);
-    for r in &rows {
+    for r in rows {
         t.row(&[
             &r.system.to_string(),
             &r.hardware.to_string(),
@@ -437,7 +435,7 @@ fn fig7(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
         ]);
     }
     let _ = writeln!(out, "{}", t.render());
-    let effect = repair::type_effect(&rows);
+    let effect = repair::type_effect(rows);
     let _ = writeln!(
         out,
         "max/min mean across systems {:.1}x; worst within one hw type {:.1}x \
@@ -448,7 +446,7 @@ fn fig7(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), Str
 }
 
 /// Table 3: related studies.
-fn table3(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex) -> Result<(), String> {
+fn table3(out: &mut String, _memo: &Analyses) -> Result<(), String> {
     let mut t = TextTable::new(&["study", "date", "length", "environment", "#failures"]);
     for s in related::table3() {
         t.row(&[
@@ -471,13 +469,9 @@ fn table3(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex) -> Result<(),
 }
 
 /// Derived: per-system availability.
-fn availability_report(
-    out: &mut String,
-    catalog: &Catalog,
-    idx: &TraceIndex,
-) -> Result<(), String> {
-    let rows =
-        availability::analyze_indexed(idx, catalog).map_err(|e| format!("availability: {e}"))?;
+fn availability_report(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let rows = availability::analyze_indexed(memo.index(), memo.catalog())
+        .map_err(|e| format!("availability: {e}"))?;
     let mut t = TextTable::new(&["sys", "hw", "downtime (node-h)", "availability", "nines"]);
     for r in rows.iter().filter(|r| r.downtime_node_hours > 0.0) {
         t.row(&[
@@ -495,8 +489,9 @@ fn availability_report(
 }
 
 /// Section 5.1: failure rates by workload class.
-fn workload_report(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let a = workload::analyze_indexed(idx, catalog).map_err(|e| format!("workload rates: {e}"))?;
+fn workload_report(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let a = workload::analyze_indexed(memo.index(), memo.catalog())
+        .map_err(|e| format!("workload rates: {e}"))?;
     let mut t = TextTable::new(&[
         "workload",
         "failures",
@@ -515,8 +510,8 @@ fn workload_report(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Res
     }
     let _ = writeln!(out, "{}", t.render());
     let graphics = workload::within_system_multipliers_indexed(
-        idx,
-        catalog,
+        memo.index(),
+        memo.catalog(),
         hpcfail_records::Workload::Graphics,
     );
     for (sys, mult) in graphics {
@@ -534,8 +529,8 @@ fn workload_report(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Res
 }
 
 /// Derived: burstiness of daily failure counts.
-fn daily_report(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let a = daily::analyze_indexed(idx).map_err(|e| format!("daily counts: {e}"))?;
+fn daily_report(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let a = daily::analyze_indexed(memo.index()).map_err(|e| format!("daily counts: {e}"))?;
     let _ = writeln!(
         out,
         "days {}; mean {:.2} failures/day; dispersion index {:.2} (Poisson = 1); \
@@ -558,8 +553,8 @@ fn daily_report(out: &mut String, _catalog: &Catalog, idx: &TraceIndex) -> Resul
 }
 
 /// The Section-8 conclusions, checked programmatically.
-fn findings_report(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
-    let result = findings::evaluate_indexed(idx, catalog).map_err(|e| format!("findings: {e}"))?;
+fn findings_report(out: &mut String, memo: &Analyses) -> Result<(), String> {
+    let result = findings::evaluate(memo).map_err(|e| format!("findings: {e}"))?;
     let mut t = TextTable::new(&["holds", "finding", "evidence"]);
     for f in &result.findings {
         t.row(&[if f.holds { "yes" } else { "NO" }, f.claim, &f.evidence]);
@@ -577,7 +572,7 @@ fn findings_report(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Res
 }
 
 /// Extension: the checkpoint-strategy study (see hpcfail-checkpoint).
-fn checkpoint_study(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex) -> Result<(), String> {
+fn checkpoint_study(out: &mut String, _memo: &Analyses) -> Result<(), String> {
     use hpcfail_checkpoint::study::{run_study, StudyConfig};
     use hpcfail_checkpoint::twolevel::{simulate_two_level, TwoLevelConfig};
     use hpcfail_stats::dist::{Exponential, Weibull};
@@ -646,14 +641,14 @@ fn checkpoint_study(out: &mut String, _catalog: &Catalog, _idx: &TraceIndex) -> 
 }
 
 /// Extension: the reliability-aware scheduling study (see hpcfail-sched).
-fn sched_study(out: &mut String, catalog: &Catalog, idx: &TraceIndex) -> Result<(), String> {
+fn sched_study(out: &mut String, memo: &Analyses) -> Result<(), String> {
     use hpcfail_sched::cluster::profiles_from_index;
     use hpcfail_sched::policy::{LeastFailureRate, LongestUptime, Policy, RandomPlacement};
     use hpcfail_sched::sim::{run_with_prior, Job, NodeTruth, SimConfig};
 
-    let sys = SystemId::new(20);
-    let spec = catalog.system(sys).map_err(|e| e.to_string())?;
-    let profiles = profiles_from_index(idx, sys, spec.nodes(), spec.production_years())
+    let sys = paper::SYSTEM;
+    let spec = memo.catalog().system(sys).map_err(|e| e.to_string())?;
+    let profiles = profiles_from_index(memo.index(), sys, spec.nodes(), spec.production_years())
         .map_err(|e| format!("node profiles: {e}"))?;
     let nodes: Vec<NodeTruth> = profiles
         .iter()

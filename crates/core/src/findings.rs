@@ -1,15 +1,13 @@
-//! The paper's Section-8 summary, checked programmatically.
-//!
-//! [`evaluate_indexed`] runs every analysis over a trace and reduces the
-//! results to the paper's bullet-point conclusions, each with the
-//! measured value attached — the one-call acceptance check for any
-//! trace (synthetic or a real ingested log).
+//! The paper's Section-8 conclusions, checked against any trace
+//! (synthetic or a real ingested log) from its [`Analyses`] memo, each
+//! with the measured value attached.
 
-use hpcfail_records::{Catalog, RootCause, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, RootCause, TraceIndex};
 use hpcfail_stats::fit::Family;
 
 use crate::error::AnalysisError;
-use crate::{periodic, rates, repair, rootcause, tbf};
+use crate::paper::Analyses;
+use crate::repair;
 
 /// One checked conclusion.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,10 +22,8 @@ pub struct Finding {
     pub evidence: String,
 }
 
-/// A sub-analysis that failed during evaluation.
-///
-/// Rather than aborting the whole summary, [`evaluate_indexed`] records
-/// the failure here and marks the affected findings as not evaluable.
+/// A sub-analysis that failed during evaluation: rather than abort,
+/// [`evaluate`] records it here and marks its findings not evaluable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Degraded {
     /// Which sub-analysis failed (e.g. "rates").
@@ -53,237 +49,145 @@ impl Findings {
     }
 }
 
-/// A finding whose sub-analysis failed: present, not holding, with the
-/// error as evidence.
-fn not_evaluable(id: &'static str, claim: &'static str, cause: &str) -> Finding {
-    Finding {
-        id,
-        claim,
-        holds: false,
-        evidence: format!("not evaluable: {cause}"),
-    }
+/// What a claim's check finds: whether the claim holds and the
+/// evidence, or why its experiment could not run.
+type Check = fn(&Analyses) -> Result<(bool, String), String>;
+
+/// An analysis result, or its error as a finding's cause.
+fn ran<T>(result: &Result<T, AnalysisError>) -> Result<&T, String> {
+    result.as_ref().map_err(ToString::to_string)
 }
 
-/// Evaluate the paper's summary conclusions against a trace.
-///
-/// Uses system 20 for the TBF-era conclusions (the paper's running
-/// example); a trace without enough system-20 data records those findings
-/// as not holding rather than erroring.
-///
-/// A failing sub-analysis (e.g. an empty trace starves the rate
-/// analysis) no longer aborts the evaluation: the affected findings are
-/// reported as not evaluable and the failure is recorded in
-/// [`Findings::degraded`]. All seven findings are always present.
-///
-/// One [`TraceIndex`] serves every sub-analysis instead of each building
-/// (or scanning) its own.
+/// The Section-8 conclusions in the paper's order: id, claim, the
+/// experiment whose failure leaves the claim not evaluable, and its check.
+const CLAIMS: [(&str, &str, &str, Check); 7] = [
+    (
+        "rate-range",
+        "failure rates vary widely across systems (paper: ~20 to >1000/year)",
+        "rates",
+        |a| {
+            let (min, max) = ran(a.rates())?.per_year_range();
+            let holds = max / min.max(1.0) > 10.0 && max > 500.0;
+            Ok((holds, format!("{min:.0} to {max:.0} failures/year")))
+        },
+    ),
+    (
+        "rate-linear-in-size",
+        "failure rate grows roughly linearly with processor count",
+        "rates",
+        |a| {
+            let rates = ran(a.rates())?;
+            let (raw, norm) = (rates.raw_variability(), rates.normalized_variability());
+            let evidence = format!("C² across systems {raw:.2} raw vs {norm:.2} per-processor");
+            Ok((norm < raw, evidence))
+        },
+    ),
+    (
+        "workload-correlation",
+        "failure rate correlates with workload intensity (daily/weekly rhythm)",
+        "periodic",
+        |a| {
+            let p = ran(a.periodic())?;
+            let (hour, week) = (p.hourly_peak_to_trough(), p.weekday_to_weekend());
+            let evidence = format!("hourly peak/trough {hour:.2}, weekday/weekend {week:.2}");
+            Ok((hour > 1.3 && week > 1.3, evidence))
+        },
+    ),
+    (
+        "weibull-tbf",
+        "time between failures is Weibull/gamma with decreasing hazard, not exponential",
+        "tbf",
+        |a| {
+            let t = ran(a.fig6(3))?; // Fig. 6(d): system 20 as a whole, late era
+            let best = t.fits.best().map(|c| c.family);
+            let weibull_like = matches!(best, Some(Family::Weibull | Family::Gamma));
+            let (shape, hazard) = (t.weibull_shape, t.hazard_trend);
+            let evidence = format!("best fit {best:?}, weibull shape {shape:?}, hazard {hazard}");
+            Ok((weibull_like && t.has_decreasing_hazard(), evidence))
+        },
+    ),
+    (
+        "repair-type-effect",
+        "mean repair time varies widely across systems and depends on hardware type, not size",
+        "repair-type-effect",
+        |a| {
+            let effect = repair::type_effect(a.repair_by_system());
+            let (across, within) = (effect.across_all_spread, effect.max_within_type_spread);
+            if across.is_nan() {
+                return Err("fewer than 2 systems with at least 30 repairs".into());
+            } else if within.is_nan() {
+                return Err("no hardware type with 2 systems of at least 30 repairs".into());
+            }
+            let evidence = format!("{across:.1}x across systems, ≤{within:.1}x within a type");
+            Ok((across > 2.0 && within < across, evidence))
+        },
+    ),
+    (
+        "lognormal-repair",
+        "repair times are better modeled by a lognormal than an exponential and are \
+         extremely variable",
+        "repair",
+        |a| {
+            let best = ran(a.repair_fit())?.best().map(|c| c.family);
+            let c2 = ran(a.repair_by_cause())?.all.summary.c2;
+            let evidence = format!("best fit {best:?}, aggregate C² {c2:.1}");
+            Ok((best == Some(Family::LogNormal) && c2 > 3.0, evidence))
+        },
+    ),
+    (
+        "hardware-software-lead",
+        "hardware and software are among the largest contributors to failures",
+        "rootcause",
+        |a| {
+            if a.index().is_empty() {
+                return Err("no failure records".into());
+            }
+            let all = &a.rootcause().all;
+            let hw = all.fraction_of_failures(RootCause::Hardware);
+            let sw = all.fraction_of_failures(RootCause::Software);
+            let evidence = format!("hardware {:.0}%, software {:.0}%", hw * 100.0, sw * 100.0);
+            Ok((hw > 0.25 && hw + sw > 0.4, evidence))
+        },
+    ),
+];
+
+/// Check the Section-8 conclusions against one trace's analyses. A
+/// failed analysis (an empty trace starves the rates, say) leaves its
+/// findings not evaluable, holding `false`, and is recorded once in
+/// [`Findings::degraded`]; all seven findings are always present.
 ///
 /// # Errors
 ///
-/// Reserved for future fatal conditions; sub-analysis failures degrade
-/// instead of erroring.
-pub fn evaluate_indexed(index: &TraceIndex, catalog: &Catalog) -> Result<Findings, AnalysisError> {
-    let mut findings = Vec::new();
-    let mut degraded = Vec::new();
-
-    // "Failure rates vary widely across systems, 20 to >1000 per year."
-    // "Failure rate roughly proportional to number of processors."
-    const RATE_RANGE_CLAIM: &str =
-        "failure rates vary widely across systems (paper: ~20 to >1000/year)";
-    const RATE_LINEAR_CLAIM: &str = "failure rate grows roughly linearly with processor count";
-    match rates::analyze_indexed(index, catalog) {
-        Ok(rate_analysis) => {
-            let (min, max) = rate_analysis.per_year_range();
-            findings.push(Finding {
-                id: "rate-range",
-                claim: RATE_RANGE_CLAIM,
-                holds: max / min.max(1.0) > 10.0 && max > 500.0,
-                evidence: format!("{min:.0} to {max:.0} failures/year"),
-            });
-            let raw = rate_analysis.raw_variability();
-            let norm = rate_analysis.normalized_variability();
-            findings.push(Finding {
-                id: "rate-linear-in-size",
-                claim: RATE_LINEAR_CLAIM,
-                holds: norm < raw,
-                evidence: format!("C² across systems {raw:.2} raw vs {norm:.2} per-processor"),
-            });
-        }
-        Err(e) => {
-            let cause = e.to_string();
-            findings.push(not_evaluable("rate-range", RATE_RANGE_CLAIM, &cause));
-            findings.push(not_evaluable(
-                "rate-linear-in-size",
-                RATE_LINEAR_CLAIM,
-                &cause,
-            ));
-            degraded.push(Degraded {
-                experiment: "rates",
-                cause,
-            });
-        }
-    }
-
-    // "Correlation between failure rate and workload type/intensity."
-    const WORKLOAD_CLAIM: &str =
-        "failure rate correlates with workload intensity (daily/weekly rhythm)";
-    match periodic::analyze_indexed(index) {
-        Ok(pattern) => {
-            let hour = pattern.hourly_peak_to_trough();
-            let week = pattern.weekday_to_weekend();
-            findings.push(Finding {
-                id: "workload-correlation",
-                claim: WORKLOAD_CLAIM,
-                holds: hour > 1.3 && week > 1.3,
-                evidence: format!("hourly peak/trough {hour:.2}, weekday/weekend {week:.2}"),
-            });
-        }
-        Err(e) => {
-            let cause = e.to_string();
-            findings.push(not_evaluable(
-                "workload-correlation",
-                WORKLOAD_CLAIM,
-                &cause,
-            ));
-            degraded.push(Degraded {
-                experiment: "periodic",
-                cause,
-            });
-        }
-    }
-
-    // "TBF not exponential; Weibull/gamma with decreasing hazard."
-    let sys20 = SystemId::new(20);
-    let (_, late) = tbf::paper_era_split();
-    let tbf_finding = match tbf::analyze_indexed(index, tbf::View::SystemWide(sys20), Some(late)) {
-        Ok(a) => {
-            let best = a.fits.best().map(|c| c.family);
-            let weibull_like = best == Some(Family::Weibull) || best == Some(Family::Gamma);
-            Finding {
-                id: "weibull-tbf",
-                claim: "time between failures is Weibull/gamma with decreasing hazard, \
-                        not exponential",
-                holds: weibull_like && a.has_decreasing_hazard(),
-                evidence: format!(
-                    "best fit {:?}, weibull shape {:?}, hazard {}",
-                    best, a.weibull_shape, a.hazard_trend
-                ),
+/// Reserved for future fatal conditions; failed analyses degrade instead.
+pub fn evaluate(analyses: &Analyses) -> Result<Findings, AnalysisError> {
+    let (mut findings, mut degraded) = (Vec::new(), Vec::<Degraded>::new());
+    for (id, claim, experiment, check) in CLAIMS {
+        let (holds, evidence) = check(analyses).unwrap_or_else(|cause| {
+            let evidence = format!("not evaluable: {cause}");
+            if !degraded.iter().any(|d| d.experiment == experiment) {
+                degraded.push(Degraded { experiment, cause });
             }
-        }
-        Err(e) => {
-            degraded.push(Degraded {
-                experiment: "tbf",
-                cause: e.to_string(),
-            });
-            Finding {
-                id: "weibull-tbf",
-                claim: "time between failures is Weibull/gamma with decreasing hazard, \
-                        not exponential",
-                holds: false,
-                evidence: format!("not evaluable: {e}"),
-            }
-        }
-    };
-    findings.push(tbf_finding);
-
-    // "Mean repair times vary widely across systems, driven by type."
-    const TYPE_EFFECT_CLAIM: &str = "mean repair time varies widely across systems and \
-                                     depends on hardware type, not size";
-    let per_system = repair::by_system_indexed(index, catalog);
-    let effect = repair::type_effect(&per_system);
-    let starved = if effect.across_all_spread.is_nan() {
-        Some("fewer than 2 systems with at least 30 repairs")
-    } else if effect.max_within_type_spread.is_nan() {
-        Some("no hardware type with 2 systems of at least 30 repairs")
-    } else {
-        None
-    };
-    match starved {
-        None => findings.push(Finding {
-            id: "repair-type-effect",
-            claim: TYPE_EFFECT_CLAIM,
-            holds: effect.across_all_spread > 2.0
-                && effect.max_within_type_spread < effect.across_all_spread,
-            evidence: format!(
-                "{:.1}x across systems, ≤{:.1}x within a type",
-                effect.across_all_spread, effect.max_within_type_spread
-            ),
-        }),
-        Some(cause) => {
-            findings.push(not_evaluable(
-                "repair-type-effect",
-                TYPE_EFFECT_CLAIM,
-                cause,
-            ));
-            degraded.push(Degraded {
-                experiment: "repair-type-effect",
-                cause: cause.to_string(),
-            });
-        }
-    }
-
-    // "Repair times lognormal, extremely variable."
-    const LOGNORMAL_CLAIM: &str = "repair times are better modeled by a lognormal than an \
-                                   exponential and are extremely variable";
-    let repair_result = repair::fit_all_repairs_indexed(index)
-        .and_then(|fit| Ok((fit, repair::by_cause_indexed(index)?)));
-    match repair_result {
-        Ok((fit, table)) => {
-            let lognormal_best = fit.best().map(|c| c.family) == Some(Family::LogNormal);
-            findings.push(Finding {
-                id: "lognormal-repair",
-                claim: LOGNORMAL_CLAIM,
-                holds: lognormal_best && table.all.summary.c2 > 3.0,
-                evidence: format!(
-                    "best fit {:?}, aggregate C² {:.1}",
-                    fit.best().map(|c| c.family),
-                    table.all.summary.c2
-                ),
-            });
-        }
-        Err(e) => {
-            let cause = e.to_string();
-            findings.push(not_evaluable("lognormal-repair", LOGNORMAL_CLAIM, &cause));
-            degraded.push(Degraded {
-                experiment: "repair",
-                cause,
-            });
-        }
-    }
-
-    // "Hardware and software are the largest contributors."
-    const CAUSE_LEAD_CLAIM: &str =
-        "hardware and software are among the largest contributors to failures";
-    if index.is_empty() {
-        let cause = "no failure records";
-        findings.push(not_evaluable(
-            "hardware-software-lead",
-            CAUSE_LEAD_CLAIM,
-            cause,
-        ));
-        degraded.push(Degraded {
-            experiment: "rootcause",
-            cause: cause.to_string(),
+            (false, evidence)
         });
-    } else {
-        let breakdown = rootcause::CauseBreakdown::from_view(&index.all());
-        let hw = breakdown.fraction_of_failures(RootCause::Hardware);
-        let sw = breakdown.fraction_of_failures(RootCause::Software);
         findings.push(Finding {
-            id: "hardware-software-lead",
-            claim: CAUSE_LEAD_CLAIM,
-            holds: hw > 0.25 && hw + sw > 0.4,
-            evidence: format!("hardware {:.0}%, software {:.0}%", hw * 100.0, sw * 100.0),
+            id,
+            claim,
+            holds,
+            evidence,
         });
     }
-
     Ok(Findings { findings, degraded })
+}
+
+/// [`evaluate`] over a fresh memo of `index`, with the same errors.
+pub fn evaluate_indexed(index: &TraceIndex, catalog: &Catalog) -> Result<Findings, AnalysisError> {
+    evaluate(&Analyses::new(index, catalog))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::FailureTrace;
+    use hpcfail_records::{FailureTrace, SystemId};
 
     fn finding<'a>(findings: &'a Findings, id: &str) -> Option<&'a Finding> {
         findings.findings.iter().find(|f| f.id == id)

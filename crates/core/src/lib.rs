@@ -17,6 +17,7 @@
 //! | [`related`] | Table 3 — related-work overview |
 //! | [`availability`] | derived: per-system availability (uptime fraction) |
 //! | [`findings`] | the Section-8 conclusions, checked programmatically |
+//! | [`paper`] | one memo of the analyses several artifacts share, per trace index |
 //! | [`report`] | plain-text rendering for the experiment harness |
 //!
 //! ```
@@ -42,6 +43,7 @@ pub mod daily;
 mod error;
 pub mod findings;
 pub mod lifetime;
+pub mod paper;
 pub mod periodic;
 pub mod pernode;
 pub mod rates;

@@ -18,7 +18,7 @@ pub struct SystemId(u32);
 
 impl SystemId {
     /// Wrap a raw system number.
-    pub fn new(id: u32) -> Self {
+    pub const fn new(id: u32) -> Self {
         SystemId(id)
     }
 
@@ -59,7 +59,7 @@ pub struct NodeId(u32);
 
 impl NodeId {
     /// Wrap a raw node index.
-    pub fn new(id: u32) -> Self {
+    pub const fn new(id: u32) -> Self {
         NodeId(id)
     }
 

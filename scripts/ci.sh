@@ -136,6 +136,28 @@ else
     echo "OK: reachability check skipped (python3 unavailable)"
 fi
 
+# The size measure simplicity changes quote, printed and never gated:
+# per crates/* package, the non-blank lines before each source file's
+# first #[cfg(test)] and the `pub fn` definitions among them.
+echo "==> product size (non-blank lines before #[cfg(test)], pub fns), not gated"
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF'
+import glob, re
+sizes = {}
+for f in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
+    code = open(f).read().split("#[cfg(test)]")[0]
+    size = sizes.setdefault(f.split("/")[1], [0, 0])
+    size[0] += sum(1 for line in code.splitlines() if line.strip())
+    size[1] += len(re.findall(r"\bpub (?:const )?fn \w+", code))
+print(f"{'crate':<10} {'lines':>6} {'pub fns':>7}")
+for crate, (lines, fns) in sorted(sizes.items()):
+    print(f"{crate:<10} {lines:>6} {fns:>7}")
+print(f"{'total':<10} {sum(s[0] for s in sizes.values()):>6} {sum(s[1] for s in sizes.values()):>7}")
+EOF
+else
+    echo "OK: size measure skipped (python3 unavailable)"
+fi
+
 echo "==> cargo test --workspace (release)"
 cargo test --workspace --release -q
 
