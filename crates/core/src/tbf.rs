@@ -12,10 +12,20 @@
 //! * early era, node view: lognormal best, higher variability (C² 3.9);
 //! * early era, system view: >30% of gaps are exactly zero (correlated
 //!   simultaneous failures) and no standard distribution fits.
+//!
+//! [`analyze_indexed`] is the one kernel behind `serve`'s `tbf` misses,
+//! repro's Fig. 6 panels, the findings and the scenario campaign's era
+//! fits, and it does each step once. The positive gaps are prepared once
+//! ([`PreparedSample`]): the four fits share its `ln x` pass, and the KS
+//! distances and hazard bins share its one sort. The Weibull shape is
+//! read off the fit report's Weibull candidate, not fitted a second time.
+
+use std::any::Any;
 
 use hpcfail_records::{FailureTrace, NodeId, SystemId, Timestamp, TraceIndex};
 use hpcfail_stats::descriptive;
-use hpcfail_stats::fit::{fit_paper_set_prepared, FitReport};
+use hpcfail_stats::dist::Weibull;
+use hpcfail_stats::fit::{fit_paper_set_prepared, Family, FitReport};
 use hpcfail_stats::hazard::{EmpiricalHazard, HazardTrend};
 use hpcfail_stats::prepared::PreparedSample;
 
@@ -126,14 +136,16 @@ pub fn analyze_indexed(
         MIN_GAPS / 2,
         positive.len(),
     )?;
-    // Prepare the positive gaps once; the paper-set fits, the standalone
-    // Weibull fit, and the descriptive summaries all share the one scan.
+    // Prepare the positive gaps once: the paper-set fits and the hazard
+    // bins share its one scan and one sort, and the Weibull shape is read
+    // off the report's own Weibull fit.
     let positive = PreparedSample::from_vec(positive)?;
     let fits = fit_paper_set_prepared(&positive)?;
-    let weibull_shape = hpcfail_stats::dist::Weibull::fit_prepared(&positive)
-        .ok()
-        .map(|w| w.shape());
-    let hazard_trend = EmpiricalHazard::from_durations(positive.values(), 8)
+    let weibull_shape = fits.candidate(Family::Weibull).and_then(|c| {
+        let dist: &dyn Any = c.dist.as_ref();
+        dist.downcast_ref::<Weibull>().map(Weibull::shape)
+    });
+    let hazard_trend = EmpiricalHazard::from_sample(&positive, 8)
         .map(|h| h.trend())
         .unwrap_or(HazardTrend::Flat);
     let gap_autocorrelation = hpcfail_stats::correlation::autocorrelation(&gaps, 1).ok();
@@ -144,7 +156,7 @@ pub fn analyze_indexed(
         c2: descriptive::squared_cv(positive.values()),
         mean_secs: descriptive::mean(positive.values()),
         fits,
-        weibull_shape: weibull_shape.filter(|s| s.is_finite()),
+        weibull_shape,
         hazard_trend,
         gap_autocorrelation,
     })
@@ -160,7 +172,6 @@ pub fn paper_era_split() -> ((Timestamp, Timestamp), (Timestamp, Timestamp)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_stats::fit::Family;
 
     fn system20() -> FailureTrace {
         hpcfail_synth::scenario::system_trace(SystemId::new(20), 42).unwrap()
@@ -322,6 +333,44 @@ mod tests {
         let a = analyze(&trace, View::SystemWide(SystemId::new(20)), Some(early)).unwrap();
         let r = a.gap_autocorrelation.expect("estimable");
         assert!(r > -0.02, "lag-1 gap autocorrelation {r}");
+    }
+
+    #[test]
+    fn weibull_shape_is_the_standalone_fit_on_the_site() {
+        // The shape is read off the report's Weibull candidate; it must be
+        // what a fit of the positive gaps on their own gives, to the bit.
+        let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
+        let index = trace.index();
+        let (early, late) = paper_era_split();
+        let system = SystemId::new(20);
+        for view in [
+            View::SystemWide(system),
+            View::PooledNodes(system),
+            View::Node(system, NodeId::new(22)),
+        ] {
+            for window in [None, Some(early), Some(late)] {
+                let a = analyze_indexed(&index, view, window).unwrap();
+                let rows = match view {
+                    View::Node(s, n) => index.node(s, n),
+                    View::SystemWide(s) | View::PooledNodes(s) => index.system(s),
+                };
+                let rows = match window {
+                    Some((from, to)) => rows.window(from, to),
+                    None => rows,
+                };
+                let gaps = match view {
+                    View::PooledNodes(_) => rows.per_node_interarrival_secs(),
+                    View::Node(..) | View::SystemWide(_) => rows.interarrival_secs().unwrap(),
+                };
+                let positive: Vec<f64> = gaps.into_iter().filter(|&g| g > 0.0).collect();
+                let fit = Weibull::fit_prepared(&PreparedSample::from_vec(positive).unwrap());
+                assert_eq!(
+                    a.weibull_shape.map(f64::to_bits),
+                    Some(fit.unwrap().shape().to_bits()),
+                    "{view:?} {window:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -30,8 +30,10 @@ use rand::{Rng, RngExt};
 /// A continuous univariate probability distribution.
 ///
 /// The trait is object-safe so fit reports can hold heterogeneous
-/// candidates as `Box<dyn Continuous>`.
-pub trait Continuous: std::fmt::Debug + Send + Sync {
+/// candidates as `Box<dyn Continuous>`; a `&dyn Continuous` upcasts to
+/// `&dyn Any`, so a caller can read a candidate's parameters off its
+/// concrete type (the fitted Weibull's shape, say) instead of refitting.
+pub trait Continuous: std::any::Any + std::fmt::Debug + Send + Sync {
     /// Short lowercase name used in reports ("weibull", "lognormal", …).
     fn name(&self) -> &'static str;
 

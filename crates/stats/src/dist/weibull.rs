@@ -153,8 +153,9 @@ impl Weibull {
         max_log: f64,
         n: f64,
     ) -> Result<Self, StatsError> {
-        // g(k) and g'(k) from stable weighted sums.
-        let g_and_dg = |k: f64| -> (f64, f64) {
+        // g(k) and g'(k) from stable weighted sums, with the sum s0 the
+        // scale needs at the root.
+        let g_and_dg = |k: f64| -> (f64, f64, f64) {
             let max_term = k * max_log;
             let mut s0 = 0.0; // Σ e^{k lᵢ - M}
             let mut s1 = 0.0; // Σ lᵢ e^{k lᵢ - M}
@@ -169,7 +170,7 @@ impl Weibull {
             let g = ratio - 1.0 / k - mean_log;
             // d/dk [s1/s0] = s2/s0 − (s1/s0)², plus 1/k².
             let dg = s2 / s0 - ratio * ratio + 1.0 / (k * k);
-            (g, dg)
+            (g, dg, s0)
         };
 
         // g is increasing in k; bracket a root. Each endpoint is
@@ -202,13 +203,16 @@ impl Weibull {
             g_lo = g_and_dg(lo).0;
         }
 
-        // Newton with bisection safeguard.
+        // Newton with bisection safeguard. A stop on |g| keeps that
+        // evaluation's s0, which is the sum at the returned k.
         let mut k = 0.5 * (lo + hi);
         let mut converged = false;
+        let mut s0_at_k = None;
         for _ in 0..200 {
-            let (g, dg) = g_and_dg(k);
+            let (g, dg, s0) = g_and_dg(k);
             if g.abs() < 1e-12 {
                 converged = true;
+                s0_at_k = Some(s0);
                 break;
             }
             if g > 0.0 {
@@ -236,7 +240,7 @@ impl Weibull {
 
         // λ̂ = (Σ xᵢᵏ / n)^{1/k}, computed in log space.
         let max_term = k * max_log;
-        let s0: f64 = logs.iter().map(|&l| (k * l - max_term).exp()).sum();
+        let s0 = s0_at_k.unwrap_or_else(|| logs.iter().map(|&l| (k * l - max_term).exp()).sum());
         let ln_scale = (max_term + (s0 / n).ln()) / k;
         Weibull::new(k, ln_scale.exp())
     }

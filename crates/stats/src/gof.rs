@@ -9,8 +9,7 @@ use crate::dist::Continuous;
 /// `D = sup_x |F̂(x) − F(x)|` between the empirical CDF of an ascending
 /// slice of sample values and a fitted continuous distribution. Callers
 /// pass a shared sorted view such as
-/// [`crate::prepared::PreparedSample::sorted`] or
-/// [`crate::ecdf::Ecdf::sorted_values`].
+/// [`crate::prepared::PreparedSample::sorted`].
 ///
 /// Evaluated exactly at the sample points (where the supremum of a step
 /// function vs a continuous CDF must occur), checking both the
@@ -144,7 +143,6 @@ pub fn chi_squared_uniform(samples: &[f64], bins: usize) -> Result<ChiSquared, c
 mod tests {
     use super::*;
     use crate::dist::{sample_n, Continuous, Exponential, Weibull};
-    use crate::ecdf::Ecdf;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -154,11 +152,11 @@ mod tests {
         // a tiny KS distance.
         let d = Exponential::new(1.0).unwrap();
         let n = 1000;
-        let sample: Vec<f64> = (0..n)
+        let mut sample: Vec<f64> = (0..n)
             .map(|i| d.quantile((i as f64 + 0.5) / n as f64))
             .collect();
-        let ecdf = Ecdf::new(&sample).unwrap();
-        let ks = ks_statistic_sorted(ecdf.sorted_values(), &d);
+        sample.sort_unstable_by(f64::total_cmp);
+        let ks = ks_statistic_sorted(&sample, &d);
         assert!(ks < 1.0 / n as f64 + 1e-9, "ks = {ks}");
     }
 
@@ -223,11 +221,11 @@ mod tests {
     fn ks_detects_wrong_model() {
         let truth = Weibull::new(0.5, 100.0).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let data = sample_n(&truth, 5_000, &mut rng);
-        let ecdf = Ecdf::new(&data).unwrap();
-        let right = ks_statistic_sorted(ecdf.sorted_values(), &truth);
+        let mut data = sample_n(&truth, 5_000, &mut rng);
+        data.sort_unstable_by(f64::total_cmp);
+        let right = ks_statistic_sorted(&data, &truth);
         let wrong = Exponential::from_mean(truth.mean()).unwrap();
-        let wrong_ks = ks_statistic_sorted(ecdf.sorted_values(), &wrong);
+        let wrong_ks = ks_statistic_sorted(&data, &wrong);
         assert!(wrong_ks > 5.0 * right, "right {right} wrong {wrong_ks}");
     }
 

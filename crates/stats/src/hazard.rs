@@ -4,9 +4,14 @@
 //! *decreasing* hazard rate (Weibull shape 0.7–0.8). This module estimates
 //! the hazard directly from data so that claim can be checked without
 //! assuming a parametric family.
+//!
+//! The estimate is built from a [`PreparedSample`]: its equal-probability
+//! bin edges are quantiles of the sample's shared sorted view, so a caller
+//! that also fits the sample (the TBF analysis does) sorts it once.
 
-use crate::ecdf::Ecdf;
+use crate::descriptive::quantile_sorted;
 use crate::error::StatsError;
+use crate::prepared::PreparedSample;
 
 /// An empirical hazard estimate over interval bins:
 /// `h(bin) = (# events in bin) / (Σ exposure time in bin)`,
@@ -20,38 +25,36 @@ pub struct EmpiricalHazard {
 impl EmpiricalHazard {
     /// Estimate the hazard from a sample of durations using `bins`
     /// equal-probability bins (so each bin has roughly the same number of
-    /// events and the estimate has uniform relative precision).
+    /// events and the estimate has uniform relative precision). The edges
+    /// are read off [`PreparedSample::sorted`]; the exposure sums run over
+    /// the observations in their original order.
     ///
     /// # Errors
     ///
+    /// [`StatsError::InvalidParameter`] for `bins < 2`;
+    /// [`StatsError::OutOfSupport`] unless every duration is positive;
     /// [`StatsError::SampleTooSmall`] if there are fewer observations than
-    /// `2 * bins`; [`StatsError::InvalidParameter`] for `bins < 2`;
-    /// plus the usual empty/non-finite errors. Requires positive durations.
-    pub fn from_durations(durations: &[f64], bins: usize) -> Result<Self, StatsError> {
+    /// `2 * bins`; [`StatsError::DegenerateSample`] when the quantiles
+    /// leave fewer than two distinct bins (e.g. all values equal).
+    pub fn from_sample(sample: &PreparedSample, bins: usize) -> Result<Self, StatsError> {
         if bins < 2 {
             return Err(StatsError::InvalidParameter {
                 name: "bins",
                 value: bins as f64,
             });
         }
-        if durations.is_empty() {
-            return Err(StatsError::EmptySample);
-        }
-        if durations.iter().any(|x| !x.is_finite() || *x <= 0.0) {
-            return Err(StatsError::OutOfSupport {
-                distribution: "empirical hazard",
-            });
-        }
+        sample.check_positive("empirical hazard")?;
+        let durations = sample.values();
         if durations.len() < 2 * bins {
             return Err(StatsError::SampleTooSmall {
                 needed: 2 * bins,
                 got: durations.len(),
             });
         }
-        let ecdf = Ecdf::new(durations)?;
         // Equal-probability bin edges from the empirical quantiles.
+        let sorted = sample.sorted();
         let mut edges: Vec<f64> = (0..=bins)
-            .map(|i| ecdf.quantile(i as f64 / bins as f64))
+            .map(|i| quantile_sorted(sorted, i as f64 / bins as f64))
             .collect();
         edges.dedup();
         if edges.len() < 3 {
@@ -152,14 +155,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn hazard(data: &[f64], bins: usize) -> Result<EmpiricalHazard, StatsError> {
+        EmpiricalHazard::from_sample(&PreparedSample::new(data)?, bins)
+    }
+
     #[test]
     fn input_validation() {
-        assert!(EmpiricalHazard::from_durations(&[], 5).is_err());
-        assert!(EmpiricalHazard::from_durations(&[1.0; 100], 1).is_err());
-        assert!(EmpiricalHazard::from_durations(&[1.0, 2.0, 3.0], 5).is_err());
-        assert!(EmpiricalHazard::from_durations(&[1.0, -1.0, 2.0, 3.0], 2).is_err());
         assert!(matches!(
-            EmpiricalHazard::from_durations(&[2.0; 100], 5),
+            hazard(&[1.0; 100], 1),
+            Err(StatsError::InvalidParameter { name: "bins", .. })
+        ));
+        assert!(matches!(
+            hazard(&[1.0, 2.0, 3.0], 5),
+            Err(StatsError::SampleTooSmall { needed: 10, got: 3 })
+        ));
+        assert!(matches!(
+            hazard(&[1.0, -1.0, 2.0, 3.0], 2),
+            Err(StatsError::OutOfSupport { .. })
+        ));
+        assert!(matches!(
+            hazard(&[2.0; 100], 5),
             Err(StatsError::DegenerateSample)
         ));
     }
@@ -170,7 +185,7 @@ mod tests {
         let truth = Weibull::new(0.7, 1000.0).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let data = sample_n(&truth, 20_000, &mut rng);
-        let h = EmpiricalHazard::from_durations(&data, 10).unwrap();
+        let h = hazard(&data, 10).unwrap();
         assert_eq!(h.trend(), HazardTrend::Decreasing);
     }
 
@@ -179,7 +194,7 @@ mod tests {
         let truth = Weibull::new(3.0, 1000.0).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         let data = sample_n(&truth, 20_000, &mut rng);
-        let h = EmpiricalHazard::from_durations(&data, 10).unwrap();
+        let h = hazard(&data, 10).unwrap();
         assert_eq!(h.trend(), HazardTrend::Increasing);
     }
 
@@ -188,7 +203,7 @@ mod tests {
         let truth = crate::dist::Exponential::new(0.001).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
         let data = sample_n(&truth, 50_000, &mut rng);
-        let h = EmpiricalHazard::from_durations(&data, 8).unwrap();
+        let h = hazard(&data, 8).unwrap();
         assert_eq!(h.trend(), HazardTrend::Flat);
     }
 
@@ -197,7 +212,7 @@ mod tests {
         let truth = Weibull::new(0.8, 100.0).unwrap();
         let mut rng = StdRng::seed_from_u64(14);
         let data = sample_n(&truth, 5_000, &mut rng);
-        let h = EmpiricalHazard::from_durations(&data, 10).unwrap();
+        let h = hazard(&data, 10).unwrap();
         assert_eq!(h.rates.len(), 10);
         assert_eq!(h.edges.len(), h.rates.len() + 1);
     }
@@ -209,7 +224,7 @@ mod tests {
         let truth = crate::dist::Exponential::new(lambda).unwrap();
         let mut rng = StdRng::seed_from_u64(15);
         let data = sample_n(&truth, 100_000, &mut rng);
-        let h = EmpiricalHazard::from_durations(&data, 5).unwrap();
+        let h = hazard(&data, 5).unwrap();
         for (i, &r) in h.rates.iter().enumerate() {
             // Last bin is noisy (few exposures); allow wide tolerance there.
             let tol = if i + 1 == h.rates.len() { 0.5 } else { 0.1 };

@@ -14,8 +14,8 @@
 //! * [`prepared`] — one-pass sufficient-statistics kernels
 //!   ([`prepared::PreparedSample`]) that the fitting stack, GoF and
 //!   bootstrap share, so repeated fits never re-scan or re-sort;
-//! * [`ecdf`], [`descriptive`] — empirical CDFs and the mean / median /
-//!   C² summaries the paper reports;
+//! * [`descriptive`] — the mean / median / C² summaries the paper
+//!   reports;
 //! * [`hazard`] — empirical hazard estimation and trend detection;
 //! * [`bootstrap`] — percentile bootstrap confidence intervals;
 //! * [`mixture`] — heavy-tailed mixtures used by the synthetic generator.
@@ -45,7 +45,6 @@ pub mod bootstrap;
 pub mod correlation;
 pub mod descriptive;
 pub mod dist;
-pub mod ecdf;
 mod error;
 pub mod fit;
 pub mod gof;

@@ -5,18 +5,20 @@
 //! studies repeat that per system, per cause, and per bootstrap
 //! replicate. Fitting each family from a raw slice re-scans and
 //! re-transforms the data every time (Weibull, gamma and lognormal each
-//! need `ln x`; the ECDF needs a sort; every validation re-walks the
-//! slice). [`PreparedSample`] does all of that exactly once:
+//! need `ln x`; KS distances, quantiles and hazard bins need a sort;
+//! every validation re-walks the slice). [`PreparedSample`] does all of
+//! that exactly once:
 //!
 //! * **one pass** over the data accumulates `Σx`, `Σln x`, min/max,
 //!   `max(ln x)` and the positivity flag, and fills the shared `ln x`
 //!   vector;
 //! * **one sort** (lazy, cached on first use) builds the shared sorted
-//!   view that quantiles and KS statistics read.
+//!   view that quantiles, KS statistics and the hazard bins read.
 //!
-//! Everything downstream — the per-family `fit_prepared` constructors
-//! and [`crate::fit::fit_candidates_prepared`] — borrows these caches
-//! instead of recomputing them.
+//! Everything downstream — the per-family `fit_prepared` constructors,
+//! [`crate::fit::fit_candidates_prepared`] and
+//! [`crate::hazard::EmpiricalHazard::from_sample`] — borrows these
+//! caches instead of recomputing them.
 //!
 //! **Bit-identity invariant.** All cached sums are accumulated in the
 //! original data order with the same operation sequence the slice-based
@@ -169,14 +171,34 @@ impl PreparedSample {
 
     /// The shared sorted view of the sample (ascending). Built on first
     /// use — the "one sort" of the one-pass/one-sort invariant — and
-    /// cached for every later consumer (quantiles, KS statistics).
+    /// cached for every later consumer (quantiles, KS statistics, hazard
+    /// bins).
+    ///
+    /// The sort runs on `f64::total_cmp`'s integer keys: a key orders
+    /// like its value under `total_cmp` and maps back to the same bits,
+    /// so the view is bitwise what `sort_unstable_by(f64::total_cmp)`
+    /// gives, at the price of an integer sort.
     pub fn sorted(&self) -> &[f64] {
         self.sorted.get_or_init(|| {
-            let mut sorted = self.values.clone();
-            sorted.sort_unstable_by(f64::total_cmp);
-            sorted
+            let mut keys: Vec<i64> = self
+                .values
+                .iter()
+                .map(|x| total_cmp_flip(x.to_bits() as i64))
+                .collect();
+            keys.sort_unstable();
+            keys.into_iter()
+                .map(|k| f64::from_bits(total_cmp_flip(k) as u64))
+                .collect()
         })
     }
+}
+
+/// Maps an `f64`'s bits, read as `i64`, to the integer `f64::total_cmp`
+/// compares: a negative value's magnitude bits are flipped so that more
+/// negative sorts lower. The flip depends only on the sign bit, which it
+/// leaves alone, so the map is its own inverse.
+fn total_cmp_flip(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The single validation/accumulation pass. Sums are accumulated in
@@ -284,8 +306,12 @@ mod tests {
         assert_eq!(a, b, "sorted view must be cached, not rebuilt");
         assert_eq!(ps.sorted(), &[1.0, 2.0, 3.0]);
         assert_eq!(crate::descriptive::quantile_sorted(ps.sorted(), 0.5), 2.0);
-        let ecdf = crate::ecdf::Ecdf::new(ps.values()).unwrap();
-        assert_eq!(ecdf.sorted_values(), ps.sorted());
+        let data = [0.0, -2.5, f64::MAX, -0.0, f64::from_bits(1), -f64::MAX, 0.0];
+        let mut reference = data.to_vec();
+        reference.sort_unstable_by(f64::total_cmp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ps = PreparedSample::new(&data).unwrap();
+        assert_eq!(bits(ps.sorted()), bits(&reference));
     }
 
     #[test]

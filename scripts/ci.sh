@@ -428,6 +428,9 @@ EOF
 }
 probe "$serve_url/healthz"
 probe "$serve_url/v1/synth/tbf?view=pooled"
+# An era window and the node view run the TBF kernel in the shipped binary.
+probe "$serve_url/v1/synth/tbf?view=systemwide&era=early"
+probe "$serve_url/v1/synth/tbf?view=node&node=22&era=late"
 # One-stratum misses run the per-system and per-cause row kernels.
 probe "$serve_url/v1/synth/rates?system=20"
 probe "$serve_url/v1/synth/availability?system=20"

@@ -95,6 +95,37 @@ proptest! {
         prop_assert!(fit.scale() > scale / 3.0 && fit.scale() < scale * 3.0);
         prop_assert!(fit.shape() > 0.5 && fit.shape() < 1.3);
     }
+
+    /// The fitted Weibull scale is, to the bit, the closed form
+    /// `λ̂ = exp((k·M + ln(Σ e^{k·lᵢ − k·M} / n)) / k)` at the fitted
+    /// shape `k`, with `lᵢ = ln xᵢ` and `M = max lᵢ`, whichever stopping
+    /// rule ended the solver's Newton loop.
+    #[test]
+    fn weibull_scale_is_the_closed_form_at_the_fitted_shape(
+        shape in 0.3f64..3.0,
+        n in 2usize..5_001,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::SeedableRng;
+        let truth = Weibull::new(shape, 3_600.0).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = hpcfail::stats::dist::sample_n(&truth, n, &mut rng);
+        let fit = Weibull::fit_prepared(&PreparedSample::new(&data).unwrap()).unwrap();
+        let k = fit.shape();
+        let logs: Vec<f64> = data.iter().map(|x| x.ln()).collect();
+        let max_log = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let max_term = k * max_log;
+        let s: f64 = logs.iter().map(|&l| (k * l - max_term).exp()).sum();
+        let scale = ((max_term + (s / n as f64).ln()) / k).exp();
+        prop_assert!(
+            fit.scale().to_bits() == scale.to_bits(),
+            "n {} shape {}: fitted scale {} vs closed form {}",
+            n,
+            k,
+            fit.scale(),
+            scale
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -109,15 +140,6 @@ proptest! {
         prop_assert!(s.min <= s.mean && s.mean <= s.max);
         prop_assert!(s.std_dev >= 0.0);
         prop_assert_eq!(s.count, data.len());
-    }
-
-    #[test]
-    fn ecdf_is_a_cdf(data in prop::collection::vec(-1e6f64..1e6, 1..200), x in -2e6f64..2e6) {
-        let e = hpcfail::stats::ecdf::Ecdf::new(&data).unwrap();
-        let v = e.eval(x);
-        prop_assert!((0.0..=1.0).contains(&v));
-        prop_assert_eq!(e.eval(e.max()), 1.0);
-        prop_assert!(e.eval(e.min() - 1.0) == 0.0);
     }
 }
 
@@ -320,14 +342,169 @@ proptest! {
         prop_assert_eq!(ci.hi.to_bits(), quantile_sorted(&stats, 1.0 - alpha).to_bits());
     }
 
-    /// The shared sorted view agrees with a freshly built ECDF.
+    /// The shared sorted view — the support of the sample's empirical
+    /// CDF — is bitwise the `total_cmp` sort of the data, on inputs that
+    /// stress the integer-key sort: negatives, both zeros, subnormals,
+    /// ±`f64::MAX` and repeats.
     #[test]
     fn prepared_sorted_view_matches_ecdf(
-        data in prop::collection::vec(-1e6f64..1e6, 1..200),
+        data in prop::collection::vec(edge_float(), 1..301),
     ) {
         let ps = PreparedSample::new(&data).unwrap();
-        let ecdf = hpcfail::stats::ecdf::Ecdf::new(&data).unwrap();
-        prop_assert_eq!(ps.sorted(), ecdf.sorted_values());
+        let mut reference = data.clone();
+        reference.sort_unstable_by(f64::total_cmp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(ps.sorted()), bits(&reference));
+    }
+
+    /// `EmpiricalHazard::from_sample` reads its bin edges off the
+    /// sample's shared sorted view; it must give the edges, rates, trend
+    /// and typed errors of the construction that sorted its own copy.
+    /// `{:?}` prints each float in its shortest round-trip form, so equal
+    /// strings mean equal bits.
+    #[test]
+    fn hazard_from_prepared_sample_matches_a_private_sort(
+        data in prop::collection::vec(hazard_duration(), 1..300),
+        bins in 1usize..12,
+        variant in 0u8..12,
+    ) {
+        // One case in six carries a value out of support, one in twelve
+        // is all one value.
+        let mut data = data;
+        let mid = data.len() / 2;
+        match variant {
+            0 => data[mid] = 0.0,
+            1 => data[mid] = -data[mid],
+            2 => data = vec![data[0]; data.len()],
+            _ => {}
+        }
+        let ps = PreparedSample::new(&data).unwrap();
+        let fast = hpcfail::stats::hazard::EmpiricalHazard::from_sample(&ps, bins);
+        match (fast, hazard_by_private_sort(&data, bins)) {
+            (Ok(h), Ok((edges, rates))) => {
+                prop_assert_eq!(
+                    format!("{h:?}"),
+                    format!("EmpiricalHazard {{ edges: {edges:?}, rates: {rates:?} }}")
+                );
+                prop_assert_eq!(h.trend(), trend_of(&edges, &rates));
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "prepared {:?} vs reference {:?}", a, b),
+        }
+    }
+}
+
+/// Floats that stress a sort: both zeros, subnormals, ±`f64::MAX`,
+/// repeats from a five-value pool and plain values of either sign.
+fn edge_float() -> impl Strategy<Value = f64> {
+    (0u8..8, -1e6f64..1e6, 1u64..1_000).prop_map(|(kind, x, bits)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(bits),
+        3 => -f64::from_bits(bits),
+        4 => f64::MAX,
+        5 => -f64::MAX,
+        6 => (bits % 5) as f64 - 2.0,
+        _ => x,
+    })
+}
+
+/// Positive durations for the hazard estimator: mostly spread over six
+/// decades, a quarter repeats from a five-value pool (so bin edges tie)
+/// and a few subnormal.
+fn hazard_duration() -> impl Strategy<Value = f64> {
+    (0u8..40, 0.001f64..1e6, 1u64..6).prop_map(|(kind, x, k)| match kind {
+        0 => f64::from_bits(k),
+        1..=10 => k as f64,
+        _ => x,
+    })
+}
+
+type HazardBins = (Vec<f64>, Vec<f64>);
+
+/// The hazard estimator as it was before it took a `PreparedSample`:
+/// the same checks, edges from quantiles of its own sorted copy, and
+/// exposure summed over the data in input order.
+fn hazard_by_private_sort(durations: &[f64], bins: usize) -> Result<HazardBins, StatsError> {
+    if bins < 2 {
+        return Err(StatsError::InvalidParameter {
+            name: "bins",
+            value: bins as f64,
+        });
+    }
+    if durations.iter().any(|x| !x.is_finite() || *x <= 0.0) {
+        return Err(StatsError::OutOfSupport {
+            distribution: "empirical hazard",
+        });
+    }
+    if durations.len() < 2 * bins {
+        return Err(StatsError::SampleTooSmall {
+            needed: 2 * bins,
+            got: durations.len(),
+        });
+    }
+    let mut sorted = durations.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let mut edges: Vec<f64> = (0..=bins)
+        .map(|i| hpcfail::stats::descriptive::quantile_sorted(&sorted, i as f64 / bins as f64))
+        .collect();
+    edges.dedup();
+    if edges.len() < 3 {
+        return Err(StatsError::DegenerateSample);
+    }
+    let nb = edges.len() - 1;
+    let mut counts = vec![0usize; nb];
+    let mut exposure = vec![0.0f64; nb];
+    for &d in durations {
+        for b in 0..nb {
+            let (lo, hi) = (edges[b], edges[b + 1]);
+            if b > 0 && d <= lo {
+                break;
+            }
+            exposure[b] += (d.min(hi) - lo).max(0.0);
+            if d <= hi {
+                counts[b] += 1;
+                break;
+            }
+        }
+    }
+    let rates = counts
+        .iter()
+        .zip(&exposure)
+        .map(|(&c, &e)| if e > 0.0 { c as f64 / e } else { f64::NAN })
+        .collect();
+    Ok((edges, rates))
+}
+
+/// The hazard trend of bins `edges` with `rates`: the sign of Kendall's
+/// tau between bin order and rate, ±0.3 wide around flat.
+fn trend_of(edges: &[f64], rates: &[f64]) -> hpcfail::stats::hazard::HazardTrend {
+    use hpcfail::stats::hazard::HazardTrend;
+    assert_eq!(edges.len(), rates.len() + 1);
+    let (mut concordant, mut discordant) = (0i64, 0i64);
+    for i in 0..rates.len() {
+        for j in (i + 1)..rates.len() {
+            if !rates[i].is_finite() || !rates[j].is_finite() {
+                continue;
+            }
+            match rates[j].partial_cmp(&rates[i]) {
+                Some(std::cmp::Ordering::Greater) => concordant += 1,
+                Some(std::cmp::Ordering::Less) => discordant += 1,
+                _ => {}
+            }
+        }
+    }
+    let total = concordant + discordant;
+    if total == 0 {
+        return HazardTrend::Flat;
+    }
+    let tau = (concordant - discordant) as f64 / total as f64;
+    if tau > 0.3 {
+        HazardTrend::Increasing
+    } else if tau < -0.3 {
+        HazardTrend::Decreasing
+    } else {
+        HazardTrend::Flat
     }
 }
 

@@ -245,3 +245,50 @@ fn cold_miss_tbf_body_matches_the_pre_kernel_golden() {
     assert!(health.body.contains("\"misses\":1"), "{}", health.body);
     assert!(health.body.contains("\"hits\":1"), "{}", health.body);
 }
+
+/// `store::checksum` of every `tbf` response the router gives on the
+/// seed-42 site: each line is `path status body`, for 22 systems ×
+/// {systemwide, pooled} × {all, early, late}, then node 22 of system 20
+/// in each era. Recorded before the TBF kernel was tightened to one
+/// Weibull fit and one sort per stratum; any drift in any stratum's
+/// bytes or status shows up here.
+const GOLDEN_TBF_ALL_STRATA_DIGEST: u64 = 0xDDD6_7BD2_554B_B98C;
+
+#[test]
+fn every_tbf_stratum_on_the_site_matches_the_recorded_digest() {
+    use std::fmt::Write as _;
+    let trace = hpcfail::synth::scenario::site_trace(42).expect("site trace");
+    let systems: Vec<u32> = trace.index().systems().map(|s| s.get()).collect();
+    assert_eq!(systems.len(), 22);
+    let state = AppState::new();
+    state
+        .registry
+        .insert("site", TenantSource::Static(Arc::new(trace)))
+        .expect("tenant");
+    let mut paths = Vec::new();
+    for system in systems {
+        for view in ["systemwide", "pooled"] {
+            for era in ["all", "early", "late"] {
+                paths.push(format!(
+                    "/v1/site/tbf?view={view}&system={system}&era={era}"
+                ));
+            }
+        }
+    }
+    for era in ["all", "early", "late"] {
+        paths.push(format!(
+            "/v1/site/tbf?view=node&system=20&node=22&era={era}"
+        ));
+    }
+    let mut transcript = String::new();
+    for path in &paths {
+        let resp = do_get(&state, path);
+        writeln!(transcript, "{path} {} {}", resp.status, resp.body).unwrap();
+    }
+    assert_eq!(state.cache.misses(), paths.len() as u64);
+    assert_eq!(
+        hpcfail::records::store::checksum(transcript.as_bytes()),
+        GOLDEN_TBF_ALL_STRATA_DIGEST,
+        "a tbf body drifted"
+    );
+}
