@@ -3,7 +3,7 @@
 //! The `hpcfail` command-line tool: generate calibrated synthetic traces,
 //! summarize and analyze failure logs, convert formats, and self-validate
 //! the generator. Every command reads its input through the one loader,
-//! [`hpcfail_records::io::read_trace`], so every FILE may be native CSV,
+//! [`hpcfail_records::io::open_trace`], so every FILE may be native CSV,
 //! a LANL export or a packed `.hpct` store.
 //!
 //! ```text
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 
 use hpcfail_core::report::{fmt_num, fmt_pct, TextTable};
 use hpcfail_core::{rates, repair, rootcause, tbf};
-use hpcfail_records::io::{read_trace, write_csv};
+use hpcfail_records::io::{open_trace, write_csv};
 use hpcfail_records::quality::{audit, repair as repair_trace};
 use hpcfail_records::{
     Catalog, FailureTrace, IngestPolicy, LenientIngest, QualityIssue, RootCause, SystemId,
@@ -678,9 +678,9 @@ fn serve(
 /// Read a trace file through the one loader, which tells a packed
 /// `.hpct` store, a LANL export and native CSV apart by their contents.
 fn read_input(path: &Path, policy: IngestPolicy) -> Result<LenientIngest, CliError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| run_err(format!("cannot open {}: {e}", path.display())))?;
-    read_trace(&bytes, policy).map_err(|e| run_err(format!("cannot parse {}: {e}", path.display())))
+    open_trace(path, policy)
+        .map_err(|e| run_err(format!("cannot open {}: {e}", path.display())))?
+        .map_err(|e| run_err(format!("cannot parse {}: {e}", path.display())))
 }
 
 /// Load a trace strictly and run `f` on its index; a packed store opens
@@ -924,6 +924,7 @@ fn validate(seed: u64) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcfail_records::io::read_trace;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()

@@ -151,7 +151,7 @@ pub(crate) fn fit_counts(counts: &[u64]) -> CountFits {
         .and_then(|p| Normal::fit_prepared(p).ok().map(|d| d.nll(p.values())));
     let lognormal_nll = prepared
         .as_ref()
-        .and_then(|p| LogNormal::fit_prepared(p).ok().map(|d| d.nll(p.values())));
+        .and_then(|p| LogNormal::fit_prepared(p).ok().map(|d| d.nll_prepared(p)));
     let negative_binomial_nll = NegativeBinomial::fit_mle(counts)
         .ok()
         .map(|d| d.nll(counts));

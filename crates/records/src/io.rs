@@ -4,6 +4,8 @@
 //! a file is a packed `.hpct` store, a LANL export or this crate's
 //! native CSV, and reads text under an [`IngestPolicy`]. Both CSV
 //! dialects share one line loop and differ only in their row parser.
+//! [`open_trace`] is the same loader given a path: it streams a packed
+//! store through one fixed-size chunk instead of reading the file whole.
 //!
 //! The native format mirrors the fields of the published LANL data that
 //! this toolkit consumes — one record per line:
@@ -28,16 +30,19 @@
 //! Optional: `workload`/`node purpose`, default `compute`. Timestamps
 //! are `MM/DD/YYYY HH:MM` or `YYYY-MM-DD HH:MM[:SS]`.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Write};
+use std::path::Path;
 use std::str::Utf8Error;
 
 use crate::cause::DetailedCause;
 use crate::error::RecordError;
 use crate::ids::{NodeId, SystemId};
+use crate::index::TraceIndex;
 use crate::io_lanl::Header;
 use crate::quality::{IngestPolicy, LenientIngest, QualityIssue, QuarantinedRow, RepairedRow};
 use crate::record::FailureRecord;
-use crate::store::{is_packed, TraceStore};
+use crate::store::{self, is_packed, TraceStore};
 use crate::time::Timestamp;
 use crate::trace::FailureTrace;
 use crate::workload::Workload;
@@ -167,7 +172,7 @@ pub fn format_line(record: &FailureRecord) -> String {
 }
 
 /// Read a trace file's bytes. This is the only place that decides the
-/// input format.
+/// input format; [`open_trace`] routes a file by the same magic.
 ///
 /// A packed `.hpct` store is recognised by its magic first and opens
 /// through the checked [`TraceStore::from_bytes`] straight into the
@@ -195,14 +200,9 @@ pub fn format_line(record: &FailureRecord) -> String {
 /// with the row's line number.
 pub fn read_trace(bytes: &[u8], policy: IngestPolicy) -> Result<LenientIngest, RecordError> {
     if is_packed(bytes) {
-        let index = TraceStore::from_bytes(bytes).map_err(RecordError::Store)?;
-        return Ok(LenientIngest {
-            total_rows: index.len(),
-            zero_width: index.downtime.iter().filter(|&&d| d == 0).count(),
-            quarantine: Vec::new(),
-            repaired: Vec::new(),
-            index,
-        });
+        return TraceStore::from_bytes(bytes)
+            .map(packed_ingest)
+            .map_err(RecordError::Store);
     }
     let mut lines = lines(bytes);
     let mut past_header = lines.clone();
@@ -259,6 +259,50 @@ pub fn read_trace(bytes: &[u8], policy: IngestPolicy) -> Result<LenientIngest, R
         repaired,
         total_rows,
     })
+}
+
+/// Open the trace file at `path` through the one loader: the result
+/// [`read_trace`] gives for the file's bytes.
+///
+/// A packed `.hpct` store never lands in memory whole: it streams
+/// through one fixed-size chunk, each section hashed and decoded into
+/// its column of the index as it arrives. CSV text is read whole, as
+/// its parser needs.
+///
+/// # Errors
+///
+/// The outer error when the file cannot be opened or read; the inner
+/// one as [`read_trace`] gives it. A store file that shrinks while it
+/// is read fails as [`RecordError::Store`], not as an I/O error.
+pub fn open_trace(
+    path: impl AsRef<Path>,
+    policy: IngestPolicy,
+) -> std::io::Result<Result<LenientIngest, RecordError>> {
+    let mut file = File::open(path)?;
+    let mut magic = [0u8; 4];
+    let got = store::read_full(&mut file, &mut magic)?;
+    if is_packed(&magic[..got]) {
+        return Ok(store::read_file(file)?
+            .map(packed_ingest)
+            .map_err(RecordError::Store));
+    }
+    let size = file.metadata().map_or(0, |m| m.len() as usize);
+    let mut bytes = Vec::with_capacity(size);
+    bytes.extend_from_slice(&magic[..got]);
+    file.read_to_end(&mut bytes)?;
+    Ok(read_trace(&bytes, policy))
+}
+
+/// A packed store's index as an ingest: every record accepted, none
+/// rebuilt.
+fn packed_ingest(index: TraceIndex) -> LenientIngest {
+    LenientIngest {
+        total_rows: index.len(),
+        zero_width: index.downtime.iter().filter(|&&d| d == 0).count(),
+        quarantine: Vec::new(),
+        repaired: Vec::new(),
+        index,
+    }
 }
 
 fn quarantined(line: usize, raw: &str, issue: QualityIssue) -> QuarantinedRow {

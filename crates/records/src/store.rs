@@ -57,6 +57,8 @@
 //! derived by construction) before the index is handed out.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 
 use hpcfail_exec::{splitmix64, GOLDEN_GAMMA};
@@ -79,6 +81,10 @@ const HEADER_LEN: usize = 24;
 const ENTRY_LEN: usize = 28;
 const FOOTER_LEN: usize = 8;
 const SECTION_COUNT: usize = 13;
+/// Header and section table, then the zero padding before the first
+/// section.
+const TABLE_END: usize = HEADER_LEN + SECTION_COUNT * ENTRY_LEN;
+const HEAD_LEN: usize = align8(TABLE_END);
 
 /// Section ids in table order. Names double as checksum-error labels.
 const SECTION_NAMES: [&str; SECTION_COUNT] = [
@@ -175,6 +181,15 @@ fn malformed(reason: impl Into<String>) -> StoreError {
     }
 }
 
+/// Odd multiplier: `(lane ^ word) * FOLD_M <<< 23` is bijective in
+/// `lane` for fixed `word` and vice versa.
+const FOLD_M: u64 = 0xA24B_AED4_963E_E407;
+
+#[inline(always)]
+fn fold(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(FOLD_M).rotate_left(23)
+}
+
 /// Eight-lane multiply–rotate fold over `bytes`: length-seeded,
 /// word-wise, order-sensitive. The tail word is zero-padded.
 ///
@@ -191,61 +206,98 @@ fn malformed(reason: impl Into<String>) -> StoreError {
 /// of the lane state, so a changed word can never cancel), and
 /// 2^-64-probabilistic for multi-word damage; truncations additionally
 /// hit the length seeding.
+///
+/// One call over all the bytes; [`Checksum`] is the same fold fed in
+/// pieces.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    /// Odd multiplier: `(lane ^ word) * FOLD_M <<< 23` is bijective in
-    /// `lane` for fixed `word` and vice versa.
-    const FOLD_M: u64 = 0xA24B_AED4_963E_E407;
-    #[inline(always)]
-    fn fold(lane: u64, word: u64) -> u64 {
-        (lane ^ word).wrapping_mul(FOLD_M).rotate_left(23)
-    }
-    let len = bytes.len() as u64;
-    let mut lanes = [0u64; 8];
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        *lane = len ^ GOLDEN_GAMMA.wrapping_mul(i as u64 + 1);
-    }
-    let mut blocks = bytes.chunks_exact(64);
-    let [mut l0, mut l1, mut l2, mut l3, mut l4, mut l5, mut l6, mut l7] = lanes;
-    for block in &mut blocks {
-        let b: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
-        l0 = fold(l0, u64::from_le_bytes(b[0..8].try_into().expect("8")));
-        l1 = fold(l1, u64::from_le_bytes(b[8..16].try_into().expect("8")));
-        l2 = fold(l2, u64::from_le_bytes(b[16..24].try_into().expect("8")));
-        l3 = fold(l3, u64::from_le_bytes(b[24..32].try_into().expect("8")));
-        l4 = fold(l4, u64::from_le_bytes(b[32..40].try_into().expect("8")));
-        l5 = fold(l5, u64::from_le_bytes(b[40..48].try_into().expect("8")));
-        l6 = fold(l6, u64::from_le_bytes(b[48..56].try_into().expect("8")));
-        l7 = fold(l7, u64::from_le_bytes(b[56..64].try_into().expect("8")));
-    }
-    lanes = [l0, l1, l2, l3, l4, l5, l6, l7];
-    let rem = blocks.remainder();
-    if !rem.is_empty() {
-        let mut words = rem.chunks_exact(8);
-        let mut i = 0;
-        for c in &mut words {
-            let word = u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
-            lanes[i] = fold(lanes[i], word);
-            i += 1;
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut w = [0u8; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            lanes[i] = fold(lanes[i], u64::from_le_bytes(w));
+    let mut state = Checksum::new(bytes.len() as u64);
+    state.update(bytes);
+    state.finish()
+}
+
+/// The state of a [`checksum`] fed piece by piece, as the loader feeds
+/// each section while its bytes stream in. The result equals
+/// [`checksum`] over the concatenation of the pieces.
+///
+/// The total length seeds the lanes, so it is fixed up front. Every
+/// piece but the last must be a whole number of 64-byte blocks; the
+/// last may end anywhere.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    len: u64,
+    fed: u64,
+    lanes: [u64; 8],
+}
+
+impl Checksum {
+    /// A checksum over `len` bytes still to be fed.
+    pub fn new(len: u64) -> Checksum {
+        Checksum {
+            len,
+            fed: 0,
+            lanes: std::array::from_fn(|i| len ^ GOLDEN_GAMMA.wrapping_mul(i as u64 + 1)),
         }
     }
-    // Final combine through the full SplitMix64 mix for avalanche.
-    let mut h = len ^ GOLDEN_GAMMA;
-    for lane in lanes {
-        let mut s = h ^ lane;
-        h = splitmix64(&mut s);
+
+    /// Fold in the next `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// If an earlier piece was not a whole number of 64-byte blocks.
+    pub fn update(&mut self, bytes: &[u8]) {
+        assert!(
+            self.fed.is_multiple_of(64),
+            "only the last piece may end inside a 64-byte block"
+        );
+        self.fed += bytes.len() as u64;
+        let mut blocks = bytes.chunks_exact(64);
+        let [mut l0, mut l1, mut l2, mut l3, mut l4, mut l5, mut l6, mut l7] = self.lanes;
+        for block in &mut blocks {
+            let b: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+            l0 = fold(l0, u64::from_le_bytes(b[0..8].try_into().expect("8")));
+            l1 = fold(l1, u64::from_le_bytes(b[8..16].try_into().expect("8")));
+            l2 = fold(l2, u64::from_le_bytes(b[16..24].try_into().expect("8")));
+            l3 = fold(l3, u64::from_le_bytes(b[24..32].try_into().expect("8")));
+            l4 = fold(l4, u64::from_le_bytes(b[32..40].try_into().expect("8")));
+            l5 = fold(l5, u64::from_le_bytes(b[40..48].try_into().expect("8")));
+            l6 = fold(l6, u64::from_le_bytes(b[48..56].try_into().expect("8")));
+            l7 = fold(l7, u64::from_le_bytes(b[56..64].try_into().expect("8")));
+        }
+        self.lanes = [l0, l1, l2, l3, l4, l5, l6, l7];
+        let rem = blocks.remainder();
+        if !rem.is_empty() {
+            let mut words = rem.chunks_exact(8);
+            let mut i = 0;
+            for c in &mut words {
+                let word = u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
+                self.lanes[i] = fold(self.lanes[i], word);
+                i += 1;
+            }
+            let tail = words.remainder();
+            if !tail.is_empty() {
+                let mut w = [0u8; 8];
+                w[..tail.len()].copy_from_slice(tail);
+                self.lanes[i] = fold(self.lanes[i], u64::from_le_bytes(w));
+            }
+        }
     }
-    h
+
+    /// The digest of every byte fed.
+    pub fn finish(self) -> u64 {
+        debug_assert_eq!(self.fed, self.len, "fed a different length than declared");
+        // Final combine through the full SplitMix64 mix for avalanche.
+        let mut h = self.len ^ GOLDEN_GAMMA;
+        for lane in self.lanes {
+            let mut s = h ^ lane;
+            h = splitmix64(&mut s);
+        }
+        h
+    }
 }
 
 /// Whether `bytes` begin with the `.hpct` magic — the sniff
-/// [`crate::io::read_trace`] uses to route input to the store loader
-/// instead of a CSV parser.
+/// [`crate::io::read_trace`] and [`crate::io::open_trace`] use to route
+/// input to the store loader instead of a CSV parser.
 pub(crate) fn is_packed(bytes: &[u8]) -> bool {
     bytes.len() >= HPCT_MAGIC.len() && bytes[..HPCT_MAGIC.len()] == HPCT_MAGIC
 }
@@ -303,8 +355,7 @@ impl TraceStore {
         payloads.push(encode_posting_lists(index.cause_rows.as_slice()));
         payloads.push(encode_posting_lists(index.workload_rows.as_slice()));
 
-        let table_end = HEADER_LEN + SECTION_COUNT * ENTRY_LEN;
-        let payload_start = align8(table_end);
+        let payload_start = HEAD_LEN;
         let mut offset = payload_start;
         let mut entries = Vec::with_capacity(SECTION_COUNT);
         for payload in &payloads {
@@ -333,13 +384,14 @@ impl TraceStore {
         out.resize(align8(out.len()), 0);
         // The footer seals the header and section table (which embed
         // every payload checksum), so each data byte is hashed once.
-        let footer = checksum(&out[..table_end]);
+        let footer = checksum(&out[..TABLE_END]);
         out.extend_from_slice(&footer.to_le_bytes());
         debug_assert_eq!(out.len(), total);
         out
     }
 
-    /// Validate and decode an in-memory `.hpct` image.
+    /// Validate and decode an in-memory `.hpct` image: the one decoder
+    /// a file open also runs, reading the slice chunk by chunk in place.
     ///
     /// # Errors
     ///
@@ -349,133 +401,51 @@ impl TraceStore {
     /// and [`StoreError::Malformed`] when the decoded sections do not
     /// describe a consistent index.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceIndex, StoreError> {
-        let min = HEADER_LEN + FOOTER_LEN;
-        if bytes.len() < min {
-            return Err(StoreError::Truncated {
-                expected: min as u64,
-                got: bytes.len() as u64,
-            });
-        }
-        if !is_packed(bytes) {
-            let mut found = [0u8; 4];
-            found.copy_from_slice(&bytes[..4]);
-            return Err(StoreError::BadMagic { found });
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
-        if flags != 0 {
-            return Err(malformed(format!("unknown header flags {flags:#06x}")));
-        }
-        let n64 = read_u64(bytes, 8);
-        let n: usize = usize::try_from(n64)
-            .ok()
-            .filter(|&n| u32::try_from(n).is_ok())
-            .ok_or_else(|| malformed(format!("record count {n64} exceeds u32 rows")))?;
-        let section_count = read_u32(bytes, 16) as usize;
-        if section_count != SECTION_COUNT {
-            return Err(malformed(format!(
-                "expected {SECTION_COUNT} sections, header declares {section_count}"
-            )));
-        }
-        let table_end = HEADER_LEN + SECTION_COUNT * ENTRY_LEN;
-        if bytes.len() < table_end + FOOTER_LEN {
-            return Err(StoreError::Truncated {
-                expected: (table_end + FOOTER_LEN) as u64,
-                got: bytes.len() as u64,
-            });
-        }
-
-        // Metadata integrity before trusting any offsets further: the
-        // footer seals the header and section table, and the table in
-        // turn embeds every payload checksum — each data byte is hashed
-        // exactly once on open.
-        let body_end = bytes.len() - FOOTER_LEN;
-        let stored_footer = read_u64(bytes, body_end);
-        let computed_footer = checksum(&bytes[..table_end]);
-        if stored_footer != computed_footer {
-            return Err(StoreError::ChecksumMismatch {
-                section: "footer",
-                stored: stored_footer,
-                computed: computed_footer,
-            });
-        }
-
-        // Section table: ids in order, payloads contiguous in id order
-        // (offsets are fully determined, so no byte of the body is
-        // outside a section or its checked zero padding) and verified.
-        let mut sections: Vec<&[u8]> = Vec::with_capacity(SECTION_COUNT);
-        let mut expected_off = align8(table_end);
-        if bytes[table_end..expected_off.min(body_end)]
-            .iter()
-            .any(|&b| b != 0)
-        {
-            return Err(malformed("nonzero padding after the section table"));
-        }
-        for (i, name) in SECTION_NAMES.into_iter().enumerate() {
-            let base = HEADER_LEN + i * ENTRY_LEN;
-            let id = read_u32(bytes, base);
-            if id as usize != i {
-                return Err(malformed(format!(
-                    "section table entry {i} has id {id} (expected {i})"
-                )));
-            }
-            let off = read_u64(bytes, base + 4);
-            let len = read_u64(bytes, base + 12);
-            let sum = read_u64(bytes, base + 20);
-            if off != expected_off as u64 {
-                return Err(malformed(format!(
-                    "section {} at offset {off}, expected {expected_off}",
-                    name
-                )));
-            }
-            let end = off
-                .checked_add(len)
-                .ok_or_else(|| malformed(format!("section {i} offset overflow")))?;
-            if end > body_end as u64 {
-                return Err(StoreError::Truncated {
-                    expected: end + FOOTER_LEN as u64,
-                    got: bytes.len() as u64,
-                });
-            }
-            let payload = &bytes[off as usize..end as usize];
-            let computed = checksum(payload);
-            if computed != sum {
-                return Err(StoreError::ChecksumMismatch {
-                    section: name,
-                    stored: sum,
-                    computed,
-                });
-            }
-            let padded_end = align8(end as usize);
-            if bytes[end as usize..padded_end.min(body_end)]
-                .iter()
-                .any(|&b| b != 0)
-            {
-                return Err(malformed(format!("nonzero padding after section {}", name)));
-            }
-            expected_off = padded_end;
-            sections.push(payload);
-        }
-        if expected_off != body_end {
-            return Err(StoreError::Truncated {
-                expected: (expected_off + FOOTER_LEN) as u64,
-                got: bytes.len() as u64,
-            });
-        }
-
-        decode_sections(&sections, n)
+        let mut src = bytes;
+        decode(&mut src)
     }
+}
+
+/// Open the packed store in `file` through one [`CHUNK`]-byte buffer:
+/// the bytes [`TraceStore::from_bytes`] would decode, read and decoded
+/// piece by piece, with no image of the whole file.
+///
+/// The outer error is a failed read; the inner one is the typed
+/// [`StoreError`] that [`TraceStore::from_bytes`] returns for the same
+/// bytes. A file that shrinks while it is read is
+/// [`StoreError::Truncated`].
+pub(crate) fn read_file(file: File) -> io::Result<Result<TraceIndex, StoreError>> {
+    let size = file.metadata()?.len();
+    let mut src = FileSource {
+        file,
+        size,
+        pos: None,
+        buf: vec![0; CHUNK],
+    };
+    match decode(&mut src) {
+        Ok(index) => Ok(Ok(index)),
+        Err(ReadError::Store(e)) => Ok(Err(e)),
+        Err(ReadError::Io(e)) => Err(e),
+    }
+}
+
+/// Read until `buf` is full or `r` ends; returns the bytes read.
+pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(k) => got += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
 }
 
 // --- encoding helpers -------------------------------------------------
 
-fn align8(v: usize) -> usize {
+const fn align8(v: usize) -> usize {
     (v + 7) & !7
 }
 
@@ -518,7 +488,241 @@ fn detail_code(d: DetailedCause) -> u8 {
         .expect("every detail is in ALL") as u8
 }
 
-// --- decoding helpers -------------------------------------------------
+// --- decoding ---------------------------------------------------------
+
+/// The most bytes the decoder asks its source for at once: one section
+/// piece, hashed and decoded while it is in cache. A multiple of 64, so
+/// every piece but a section's last is whole checksum blocks.
+const CHUNK: usize = 64 * 1024;
+
+/// Where the decoder's bytes come from. Every read lies inside
+/// `[0, size)` and is at most [`CHUNK`] bytes long.
+trait Source {
+    /// What a failed read is: a [`StoreError`], or more.
+    type Error: From<StoreError>;
+    /// The total length in bytes.
+    fn size(&self) -> u64;
+    /// The `want` bytes at offset `at`.
+    fn read_at(&mut self, at: u64, want: usize) -> Result<&[u8], Self::Error>;
+}
+
+/// An in-memory image: reads borrow it in place.
+impl Source for &[u8] {
+    type Error = StoreError;
+
+    fn size(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn read_at(&mut self, at: u64, want: usize) -> Result<&[u8], StoreError> {
+        let at = at as usize;
+        Ok(&self[at..at + want])
+    }
+}
+
+/// A file read through one reused chunk buffer.
+struct FileSource {
+    file: File,
+    /// The length when opened.
+    size: u64,
+    /// The file cursor, when known.
+    pos: Option<u64>,
+    buf: Vec<u8>,
+}
+
+enum ReadError {
+    Io(io::Error),
+    Store(StoreError),
+}
+
+impl From<StoreError> for ReadError {
+    fn from(e: StoreError) -> ReadError {
+        ReadError::Store(e)
+    }
+}
+
+impl Source for FileSource {
+    type Error = ReadError;
+
+    fn size(&self) -> u64 {
+        self.size
+    }
+
+    fn read_at(&mut self, at: u64, want: usize) -> Result<&[u8], ReadError> {
+        if self.pos != Some(at) {
+            self.file.seek(SeekFrom::Start(at)).map_err(ReadError::Io)?;
+        }
+        let got = read_full(&mut self.file, &mut self.buf[..want]).map_err(ReadError::Io)?;
+        self.pos = Some(at + got as u64);
+        if got < want {
+            // The file shrank after its length was taken.
+            let now = self.file.metadata().map_err(ReadError::Io)?.len();
+            return Err(StoreError::Truncated {
+                expected: self.size,
+                got: now,
+            }
+            .into());
+        }
+        Ok(&self.buf[..want])
+    }
+}
+
+/// The one `.hpct` decoder. It validates in the order the module docs
+/// give and decodes each section into its column as the section's
+/// pieces arrive, so no byte is read twice and no image of the whole
+/// input is held.
+///
+/// A section is decoded before its checksum is known, so a length
+/// error found while decoding is held in [`Columns`] and ranks below
+/// every integrity error of the sections after it: the error returned
+/// is the one the checks, in order, meet first.
+fn decode<S: Source>(src: &mut S) -> Result<TraceIndex, S::Error> {
+    let size = src.size();
+    let min = (HEADER_LEN + FOOTER_LEN) as u64;
+    if size < min {
+        return Err(StoreError::Truncated {
+            expected: min,
+            got: size,
+        }
+        .into());
+    }
+    // The header, section table and padding after it, copied out of
+    // the chunk that the sections reuse.
+    let mut head = [0u8; HEAD_LEN];
+    let head_len = size.min(HEAD_LEN as u64) as usize;
+    head[..head_len].copy_from_slice(src.read_at(0, head_len)?);
+    if head[..4] != HPCT_MAGIC {
+        let mut found = [0u8; 4];
+        found.copy_from_slice(&head[..4]);
+        return Err(StoreError::BadMagic { found }.into());
+    }
+    let version = u16::from_le_bytes([head[4], head[5]]);
+    if version != FORMAT_VERSION {
+        return Err(StoreError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        }
+        .into());
+    }
+    let flags = u16::from_le_bytes([head[6], head[7]]);
+    if flags != 0 {
+        return Err(malformed(format!("unknown header flags {flags:#06x}")).into());
+    }
+    let n64 = read_u64(&head, 8);
+    let n: usize = usize::try_from(n64)
+        .ok()
+        .filter(|&n| u32::try_from(n).is_ok())
+        .ok_or_else(|| malformed(format!("record count {n64} exceeds u32 rows")))?;
+    let section_count = read_u32(&head, 16) as usize;
+    if section_count != SECTION_COUNT {
+        return Err(malformed(format!(
+            "expected {SECTION_COUNT} sections, header declares {section_count}"
+        ))
+        .into());
+    }
+    if size < (TABLE_END + FOOTER_LEN) as u64 {
+        return Err(StoreError::Truncated {
+            expected: (TABLE_END + FOOTER_LEN) as u64,
+            got: size,
+        }
+        .into());
+    }
+
+    // Metadata integrity before trusting any offsets further: the
+    // footer seals the header and section table, and the table in
+    // turn embeds every payload checksum — each data byte is hashed
+    // exactly once on open.
+    let body_end = size - FOOTER_LEN as u64;
+    let stored_footer = read_u64(src.read_at(body_end, FOOTER_LEN)?, 0);
+    let computed_footer = checksum(&head[..TABLE_END]);
+    if stored_footer != computed_footer {
+        return Err(StoreError::ChecksumMismatch {
+            section: "footer",
+            stored: stored_footer,
+            computed: computed_footer,
+        }
+        .into());
+    }
+
+    // Section table: ids in order, payloads contiguous in id order
+    // (offsets are fully determined, so no byte of the body is
+    // outside a section or its checked zero padding) and verified.
+    let mut expected_off = HEAD_LEN as u64;
+    if head[TABLE_END..expected_off.min(body_end) as usize]
+        .iter()
+        .any(|&b| b != 0)
+    {
+        return Err(malformed("nonzero padding after the section table").into());
+    }
+    let mut columns = Columns::new(n);
+    for (i, name) in SECTION_NAMES.into_iter().enumerate() {
+        let base = HEADER_LEN + i * ENTRY_LEN;
+        let id = read_u32(&head, base);
+        if id as usize != i {
+            return Err(malformed(format!(
+                "section table entry {i} has id {id} (expected {i})"
+            ))
+            .into());
+        }
+        let off = read_u64(&head, base + 4);
+        let len = read_u64(&head, base + 12);
+        let sum = read_u64(&head, base + 20);
+        if off != expected_off {
+            return Err(malformed(format!(
+                "section {name} at offset {off}, expected {expected_off}"
+            ))
+            .into());
+        }
+        let end = off
+            .checked_add(len)
+            .ok_or_else(|| malformed(format!("section {i} offset overflow")))?;
+        if end > body_end {
+            return Err(StoreError::Truncated {
+                expected: end.saturating_add(FOOTER_LEN as u64),
+                got: size,
+            }
+            .into());
+        }
+        // Stream the payload and its padding: each piece is hashed and
+        // decoded while it is in cache.
+        let padded_end = (end + 7) & !7;
+        let stop = padded_end.min(body_end);
+        columns.begin(i, name, len);
+        let mut state = Checksum::new(len);
+        let mut dirty_padding = false;
+        let mut at = off;
+        while at < stop {
+            let want = (stop - at).min(CHUNK as u64) as usize;
+            let piece = src.read_at(at, want)?;
+            let (payload, padding) = piece.split_at((end.max(at) - at).min(want as u64) as usize);
+            state.update(payload);
+            columns.feed(i, payload);
+            dirty_padding |= padding.iter().any(|&b| b != 0);
+            at += want as u64;
+        }
+        let computed = state.finish();
+        if computed != sum {
+            return Err(StoreError::ChecksumMismatch {
+                section: name,
+                stored: sum,
+                computed,
+            }
+            .into());
+        }
+        if dirty_padding {
+            return Err(malformed(format!("nonzero padding after section {name}")).into());
+        }
+        expected_off = padded_end;
+    }
+    if expected_off != body_end {
+        return Err(StoreError::Truncated {
+            expected: expected_off + FOOTER_LEN as u64,
+            got: size,
+        }
+        .into());
+    }
+    Ok(columns.finish()?)
+}
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds pre-checked"))
@@ -528,97 +732,242 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds pre-checked"))
 }
 
-/// Decode a fixed-count u64 column straight into its typed form.
-fn decode_u64s_map<T>(
-    payload: &[u8],
-    count: usize,
-    name: &str,
-    f: impl Fn(u64) -> T,
-) -> Result<Vec<T>, StoreError> {
-    if payload.len() != count * 8 {
-        return Err(malformed(format!(
-            "section {name}: {} bytes, expected {}",
-            payload.len(),
-            count * 8
-        )));
-    }
-    Ok(payload
-        .chunks_exact(8)
-        .map(|c| f(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))))
-        .collect())
+/// A little-endian word of a `chunks_exact(4)` piece.
+fn le32(word: &[u8]) -> u32 {
+    u32::from_le_bytes(word.try_into().expect("chunks_exact(4)"))
 }
 
-/// Decode a fixed-count u32 column straight into its typed form.
-fn decode_u32s_map<T>(
-    payload: &[u8],
-    count: usize,
-    name: &str,
-    f: impl Fn(u32) -> T,
-) -> Result<Vec<T>, StoreError> {
-    if payload.len() != count * 4 {
-        return Err(malformed(format!(
-            "section {name}: {} bytes, expected {}",
-            payload.len(),
-            count * 4
-        )));
-    }
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| f(u32::from_le_bytes(c.try_into().expect("chunks_exact(4)"))))
-        .collect())
+/// A little-endian word of a `chunks_exact(8)` piece.
+fn le64(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"))
 }
 
-fn decode_u32s(payload: &[u8], name: &str) -> Result<Vec<u32>, StoreError> {
-    if !payload.len().is_multiple_of(4) {
-        return Err(malformed(format!(
-            "section {name}: {} bytes is not a whole number of u32s",
-            payload.len()
-        )));
-    }
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect())
-}
-
-/// Decode the fixed-arity posting-list family written by
-/// [`encode_posting_lists`], checking that the lengths sum to `n`.
-fn decode_posting_lists<const K: usize>(
-    payload: &[u8],
+/// The index's columns, filled section by section as the pieces
+/// stream in. Each section's length is checked before its first
+/// piece, so a piece of a section that passed always holds whole
+/// words. The first length error is held, not returned, and decoding
+/// stops there: it is reported only once every section has verified.
+#[derive(Default)]
+struct Columns {
     n: usize,
+    start: Vec<Timestamp>,
+    downtime: Vec<u64>,
+    system: Vec<SystemId>,
+    node: Vec<NodeId>,
+    workload: Vec<Workload>,
+    detail: Vec<DetailedCause>,
+    cause: Vec<RootCause>,
+    prev_in_node: Vec<u32>,
+    node_rows: Vec<u32>,
+    node_runs: Vec<u32>,
+    system_rows: Vec<u32>,
+    system_spans: Vec<u32>,
+    cause_rows: [Vec<u32>; 6],
+    workload_rows: [Vec<u32>; 3],
+    /// The current section's name and byte length.
+    name: &'static str,
+    len: u64,
+    /// The current posting-list section's list lengths, once its
+    /// prefix has been read.
+    list_lens: Option<[usize; 6]>,
+    /// The first out-of-range workload and detail codes, as
+    /// `(row, code)`.
+    bad_workload: Option<(usize, u8)>,
+    bad_detail: Option<(usize, u8)>,
+    error: Option<StoreError>,
+    /// Whether the current section is past decoding.
+    skip: bool,
+}
+
+impl Columns {
+    fn new(n: usize) -> Columns {
+        Columns {
+            n,
+            ..Columns::default()
+        }
+    }
+
+    /// Check section `i`'s byte length and size its column.
+    fn begin(&mut self, i: usize, name: &'static str, len: u64) {
+        (self.name, self.len, self.list_lens) = (name, len, None);
+        self.skip = self.error.is_some();
+        if !self.skip {
+            if let Err(e) = self.size_column(i) {
+                self.error = Some(e);
+                self.skip = true;
+            }
+        }
+    }
+
+    fn size_column(&mut self, i: usize) -> Result<(), StoreError> {
+        let (n, name, len) = (self.n, self.name, self.len);
+        let fixed = |width: usize| {
+            if len == (n * width) as u64 {
+                Ok(())
+            } else {
+                Err(malformed(format!(
+                    "section {name}: {len} bytes, expected {}",
+                    n * width
+                )))
+            }
+        };
+        let words = |per: u64, what: &str| {
+            if !len.is_multiple_of(4) {
+                Err(malformed(format!(
+                    "section {name}: {len} bytes is not a whole number of u32s"
+                )))
+            } else if !(len / 4).is_multiple_of(per) {
+                Err(malformed(format!(
+                    "section {name}: not a whole number of {what}"
+                )))
+            } else {
+                Ok(len as usize / 4)
+            }
+        };
+        let prefix = |lists: usize| {
+            if len < (lists * 8) as u64 {
+                Err(malformed(format!("section {name}: missing length prefix")))
+            } else {
+                Ok(())
+            }
+        };
+        match i {
+            0 => fixed(8).map(|()| self.start.reserve_exact(n)),
+            1 => fixed(8).map(|()| self.downtime.reserve_exact(n)),
+            2 => fixed(4).map(|()| self.system.reserve_exact(n)),
+            3 => fixed(4).map(|()| self.node.reserve_exact(n)),
+            4 => fixed(1).map(|()| self.workload.reserve_exact(n)),
+            5 => fixed(1).map(|()| {
+                self.detail.reserve_exact(n);
+                self.cause.reserve_exact(n);
+            }),
+            6 => fixed(4).map(|()| self.prev_in_node.reserve_exact(n)),
+            7 => fixed(4).map(|()| self.node_rows.reserve_exact(n)),
+            8 => words(4, "runs").map(|w| self.node_runs.reserve_exact(w)),
+            9 => fixed(4).map(|()| self.system_rows.reserve_exact(n)),
+            10 => words(3, "spans").map(|w| self.system_spans.reserve_exact(w)),
+            11 => prefix(6),
+            _ => prefix(3),
+        }
+    }
+
+    /// Decode the next piece of section `i`.
+    fn feed(&mut self, i: usize, piece: &[u8]) {
+        if self.skip {
+            return;
+        }
+        let u32s = |out: &mut Vec<u32>| out.extend(piece.chunks_exact(4).map(le32));
+        match i {
+            0 => self
+                .start
+                .extend(piece.chunks_exact(8).map(|w| Timestamp::from_secs(le64(w)))),
+            1 => self.downtime.extend(piece.chunks_exact(8).map(le64)),
+            2 => self
+                .system
+                .extend(piece.chunks_exact(4).map(|w| SystemId::new(le32(w)))),
+            3 => self
+                .node
+                .extend(piece.chunks_exact(4).map(|w| NodeId::new(le32(w)))),
+            4 => {
+                if let Some(k) = piece
+                    .iter()
+                    .position(|&b| b as usize >= Workload::ALL.len())
+                {
+                    self.bad_workload = Some((self.workload.len() + k, piece[k]));
+                    self.skip = true;
+                    return;
+                }
+                self.workload
+                    .extend(piece.iter().map(|&b| Workload::ALL[b as usize]));
+            }
+            5 => {
+                if let Some(k) = piece
+                    .iter()
+                    .position(|&b| b as usize >= DetailedCause::ALL.len())
+                {
+                    self.bad_detail = Some((self.detail.len() + k, piece[k]));
+                    self.skip = true;
+                    return;
+                }
+                let from = self.detail.len();
+                self.detail
+                    .extend(piece.iter().map(|&b| DetailedCause::ALL[b as usize]));
+                self.cause
+                    .extend(self.detail[from..].iter().map(|d| d.category()));
+            }
+            6 => u32s(&mut self.prev_in_node),
+            7 => u32s(&mut self.node_rows),
+            8 => u32s(&mut self.node_runs),
+            9 => u32s(&mut self.system_rows),
+            10 => u32s(&mut self.system_spans),
+            _ => {
+                let lists: &mut [Vec<u32>] = if i == 11 {
+                    &mut self.cause_rows
+                } else {
+                    &mut self.workload_rows
+                };
+                let (n, len, name) = (self.n, self.len, self.name);
+                let dealt = deal_postings(lists, &mut self.list_lens, piece, n, len, name);
+                if let Err(e) = dealt {
+                    self.error = Some(e);
+                    self.skip = true;
+                }
+            }
+        }
+    }
+}
+
+/// Deal a piece of a posting-list section out to its `lists`: a `u64`
+/// length per list, then the lists' `u32` rows concatenated. The first
+/// piece holds the whole length prefix, which `lens` keeps once it is
+/// read and checked against `n` and the section's byte length `len`.
+fn deal_postings(
+    lists: &mut [Vec<u32>],
+    lens: &mut Option<[usize; 6]>,
+    piece: &[u8],
+    n: usize,
+    len: u64,
     name: &str,
-) -> Result<[Vec<u32>; K], StoreError> {
-    if payload.len() < K * 8 {
-        return Err(malformed(format!("section {name}: missing length prefix")));
+) -> Result<(), StoreError> {
+    let k = lists.len();
+    let mut rows = piece;
+    let lens = match *lens {
+        Some(known) => known,
+        None => {
+            let mut read = [0usize; 6];
+            let mut total: usize = 0;
+            for (i, slot) in read.iter_mut().take(k).enumerate() {
+                let l = read_u64(piece, i * 8);
+                *slot = usize::try_from(l).ok().filter(|&l| l <= n).ok_or_else(|| {
+                    malformed(format!("section {name}: list {i} length {l} out of range"))
+                })?;
+                total += *slot;
+            }
+            if total != n {
+                return Err(malformed(format!(
+                    "section {name}: list lengths sum to {total}, expected {n}"
+                )));
+            }
+            if len != (k * 8 + total * 4) as u64 {
+                return Err(malformed(format!(
+                    "section {name}: {len} bytes, expected {}",
+                    k * 8 + total * 4
+                )));
+            }
+            for (list, &l) in lists.iter_mut().zip(&read) {
+                list.reserve_exact(l);
+            }
+            rows = &piece[k * 8..];
+            *lens = Some(read);
+            read
+        }
+    };
+    for (list, &l) in lists.iter_mut().zip(&lens) {
+        let take = (l - list.len()).min(rows.len() / 4);
+        list.extend(rows[..take * 4].chunks_exact(4).map(le32));
+        rows = &rows[take * 4..];
     }
-    let mut lens = [0usize; K];
-    let mut total: usize = 0;
-    for (i, len) in lens.iter_mut().enumerate() {
-        let l = read_u64(payload, i * 8);
-        *len = usize::try_from(l).ok().filter(|&l| l <= n).ok_or_else(|| {
-            malformed(format!("section {name}: list {i} length {l} out of range"))
-        })?;
-        total += *len;
-    }
-    if total != n {
-        return Err(malformed(format!(
-            "section {name}: list lengths sum to {total}, expected {n}"
-        )));
-    }
-    if payload.len() != K * 8 + total * 4 {
-        return Err(malformed(format!(
-            "section {name}: {} bytes, expected {}",
-            payload.len(),
-            K * 8 + total * 4
-        )));
-    }
-    let mut out: [Vec<u32>; K] = std::array::from_fn(|_| Vec::new());
-    let mut at = K * 8;
-    for (i, len) in lens.iter().enumerate() {
-        out[i] = decode_u32s(&payload[at..at + len * 4], name)?;
-        at += len * 4;
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Check that a posting list ascends strictly, stays in bounds, and
@@ -654,250 +1003,223 @@ fn check_posting(
     Ok(())
 }
 
-/// Decode all verified section payloads into a consistent
-/// [`TraceIndex`], re-checking every invariant the in-memory builder
-/// establishes.
-fn decode_sections(sections: &[&[u8]], n: usize) -> Result<TraceIndex, StoreError> {
-    let n32 = n as u32;
-    let start: Vec<Timestamp> = decode_u64s_map(sections[0], n, "start", Timestamp::from_secs)?;
-    let downtime: Vec<u64> = decode_u64s_map(sections[1], n, "downtime", |v| v)?;
-    let system: Vec<SystemId> = decode_u32s_map(sections[2], n, "system", SystemId::new)?;
-    let node: Vec<NodeId> = decode_u32s_map(sections[3], n, "node", NodeId::new)?;
-    let workload_raw = sections[4];
-    if workload_raw.len() != n {
-        return Err(malformed(format!(
-            "section workload: {} bytes, expected {n}",
-            workload_raw.len()
-        )));
-    }
-    let detail_raw = sections[5];
-    if detail_raw.len() != n {
-        return Err(malformed(format!(
-            "section detail: {} bytes, expected {n}",
-            detail_raw.len()
-        )));
-    }
-    let prev_in_node = decode_u32s_map(sections[6], n, "prev_in_node", |v| v)?;
-    let node_rows = decode_u32s_map(sections[7], n, "node_rows", |v| v)?;
-    let node_runs_raw = decode_u32s(sections[8], "node_runs")?;
-    if node_runs_raw.len() % 4 != 0 {
-        return Err(malformed("section node_runs: not a whole number of runs"));
-    }
-    let system_rows = decode_u32s_map(sections[9], n, "system_rows", |v| v)?;
-    let system_spans_raw = decode_u32s(sections[10], "system_spans")?;
-    if system_spans_raw.len() % 3 != 0 {
-        return Err(malformed(
-            "section system_spans: not a whole number of spans",
-        ));
-    }
-    let cause_rows: [Vec<u32>; 6] = decode_posting_lists(sections[11], n, "cause_rows")?;
-    let workload_rows: [Vec<u32>; 3] = decode_posting_lists(sections[12], n, "workload_rows")?;
-
-    // Columns: validate the enum codes with tight passes over the
-    // one-byte columns, then check the sort invariant and the record
-    // intervals in one pass.
-    if let Some(i) = workload_raw
-        .iter()
-        .position(|&b| (b as usize) >= Workload::ALL.len())
-    {
-        return Err(malformed(format!(
-            "row {i}: workload code {}",
-            workload_raw[i]
-        )));
-    }
-    if let Some(i) = detail_raw
-        .iter()
-        .position(|&b| (b as usize) >= DetailedCause::ALL.len())
-    {
-        return Err(malformed(format!("row {i}: detail code {}", detail_raw[i])));
-    }
-    let workload: Vec<Workload> = workload_raw
-        .iter()
-        .map(|&w| Workload::ALL[w as usize])
-        .collect();
-    let detail: Vec<DetailedCause> = detail_raw
-        .iter()
-        .map(|&d| DetailedCause::ALL[d as usize])
-        .collect();
-    let cause: Vec<RootCause> = detail.iter().map(|d| d.category()).collect();
-    // Length equalities are already guaranteed by the decoders; restated
-    // here so the loop below compiles without per-row bounds checks.
-    assert!(start.len() == n && downtime.len() == n && system.len() == n && node.len() == n);
-    // The (start, system, node) sort key packs losslessly into one
-    // u128, turning the per-row invariant check into a single compare;
-    // seeding with the minimum key accepts any first row.
-    let pack_key = |s: u64, sys: SystemId, nd: NodeId| -> u128 {
-        ((s as u128) << 64) | ((sys.get() as u128) << 32) | nd.get() as u128
-    };
-    let mut prev_key = 0u128;
-    for i in 0..n {
-        let s_secs = start[i].as_secs();
-        let key = pack_key(s_secs, system[i], node[i]);
-        if prev_key > key {
-            return Err(malformed(format!(
-                "rows {}..{i} violate the (start, system, node) sort invariant",
-                i - 1
-            )));
+impl Columns {
+    /// Hand out the index once every section has verified: the held
+    /// length error first, then the enum codes, then every invariant
+    /// the in-memory builder establishes.
+    fn finish(self) -> Result<TraceIndex, StoreError> {
+        let Columns {
+            n,
+            start,
+            downtime,
+            system,
+            node,
+            workload,
+            detail,
+            cause,
+            prev_in_node,
+            node_rows,
+            node_runs: node_runs_raw,
+            system_rows,
+            system_spans: system_spans_raw,
+            cause_rows,
+            workload_rows,
+            bad_workload,
+            bad_detail,
+            error,
+            ..
+        } = self;
+        if let Some(e) = error {
+            return Err(e);
         }
-        prev_key = key;
-        // A record ends at `start + downtime`; a sum past `u64::MAX`
-        // would wrap to an end before the start.
-        if s_secs.checked_add(downtime[i]).is_none() {
-            return Err(malformed(format!(
-                "row {i}: {}",
-                RecordError::EndBeforeStart
-            )));
+        if let Some((i, code)) = bad_workload {
+            return Err(malformed(format!("row {i}: workload code {code}")));
         }
-    }
-
-    // Node runs: a contiguous, key-ascending partition of `node_rows`
-    // whose every run matches the columns, with `prev_in_node` exactly
-    // the within-run predecessor links. Validated in two cache-friendly
-    // passes: scatter each row's run id (catching duplicates via the
-    // sentinel — the run bounds partition [0, n), so n scatter targets
-    // with no repeats is a permutation), then verify columns and links
-    // in one sequential sweep where every array but the tiny per-run
-    // cursors streams in order.
-    const NO_RUN: u32 = u32::MAX;
-    let mut node_runs = Vec::with_capacity(node_runs_raw.len() / 4);
-    let mut run_of_row = vec![NO_RUN; n];
-    let mut expect_lo: u32 = 0;
-    let mut prev_key: Option<(u32, u32)> = None;
-    for (run_idx, chunk) in node_runs_raw.chunks_exact(4).enumerate() {
-        let (sys, nd, lo, hi) = (chunk[0], chunk[1], chunk[2], chunk[3]);
-        if lo != expect_lo || hi <= lo || hi > n32 {
-            return Err(malformed(format!(
-                "node run {run_idx}: bad bounds [{lo}, {hi}) (expected lo {expect_lo}, n {n})"
-            )));
+        if let Some((i, code)) = bad_detail {
+            return Err(malformed(format!("row {i}: detail code {code}")));
         }
-        if let Some(pk) = prev_key {
-            if pk >= (sys, nd) {
+        let n32 = n as u32;
+        // Then check the sort invariant and the record intervals in one
+        // pass.
+        // Length equalities are already guaranteed by the decoders; restated
+        // here so the loop below compiles without per-row bounds checks.
+        assert!(start.len() == n && downtime.len() == n && system.len() == n && node.len() == n);
+        // The (start, system, node) sort key packs losslessly into one
+        // u128, turning the per-row invariant check into a single compare;
+        // seeding with the minimum key accepts any first row.
+        let pack_key = |s: u64, sys: SystemId, nd: NodeId| -> u128 {
+            ((s as u128) << 64) | ((sys.get() as u128) << 32) | nd.get() as u128
+        };
+        let mut prev_key = 0u128;
+        for i in 0..n {
+            let s_secs = start[i].as_secs();
+            let key = pack_key(s_secs, system[i], node[i]);
+            if prev_key > key {
                 return Err(malformed(format!(
-                    "node run {run_idx}: keys not strictly ascending"
+                    "rows {}..{i} violate the (start, system, node) sort invariant",
+                    i - 1
+                )));
+            }
+            prev_key = key;
+            // A record ends at `start + downtime`; a sum past `u64::MAX`
+            // would wrap to an end before the start.
+            if s_secs.checked_add(downtime[i]).is_none() {
+                return Err(malformed(format!(
+                    "row {i}: {}",
+                    RecordError::EndBeforeStart
                 )));
             }
         }
-        let rows = &node_rows[lo as usize..hi as usize];
-        let mut prev_row = NO_PREV;
-        for &r in rows {
-            if r >= n32 {
+
+        // Node runs: a contiguous, key-ascending partition of `node_rows`
+        // whose every run matches the columns, with `prev_in_node` exactly
+        // the within-run predecessor links. Validated in two cache-friendly
+        // passes: scatter each row's run id (catching duplicates via the
+        // sentinel — the run bounds partition [0, n), so n scatter targets
+        // with no repeats is a permutation), then verify columns and links
+        // in one sequential sweep where every array but the tiny per-run
+        // cursors streams in order.
+        const NO_RUN: u32 = u32::MAX;
+        let mut node_runs = Vec::with_capacity(node_runs_raw.len() / 4);
+        let mut run_of_row = vec![NO_RUN; n];
+        let mut expect_lo: u32 = 0;
+        let mut prev_key: Option<(u32, u32)> = None;
+        for (run_idx, chunk) in node_runs_raw.chunks_exact(4).enumerate() {
+            let (sys, nd, lo, hi) = (chunk[0], chunk[1], chunk[2], chunk[3]);
+            if lo != expect_lo || hi <= lo || hi > n32 {
                 return Err(malformed(format!(
-                    "node run {run_idx}: row {r} out of bounds"
+                    "node run {run_idx}: bad bounds [{lo}, {hi}) (expected lo {expect_lo}, n {n})"
                 )));
             }
-            if prev_row != NO_PREV && r <= prev_row {
-                return Err(malformed(format!(
-                    "node run {run_idx}: rows not strictly ascending at {r}"
-                )));
+            if let Some(pk) = prev_key {
+                if pk >= (sys, nd) {
+                    return Err(malformed(format!(
+                        "node run {run_idx}: keys not strictly ascending"
+                    )));
+                }
             }
-            let ri = r as usize;
-            if run_of_row[ri] != NO_RUN {
-                return Err(malformed(format!(
-                    "node run {run_idx}: row {r} appears twice in node_rows"
-                )));
+            let rows = &node_rows[lo as usize..hi as usize];
+            let mut prev_row = NO_PREV;
+            for &r in rows {
+                if r >= n32 {
+                    return Err(malformed(format!(
+                        "node run {run_idx}: row {r} out of bounds"
+                    )));
+                }
+                if prev_row != NO_PREV && r <= prev_row {
+                    return Err(malformed(format!(
+                        "node run {run_idx}: rows not strictly ascending at {r}"
+                    )));
+                }
+                let ri = r as usize;
+                if run_of_row[ri] != NO_RUN {
+                    return Err(malformed(format!(
+                        "node run {run_idx}: row {r} appears twice in node_rows"
+                    )));
+                }
+                run_of_row[ri] = run_idx as u32;
+                prev_row = r;
             }
-            run_of_row[ri] = run_idx as u32;
-            prev_row = r;
+            node_runs.push(NodeRun {
+                system: SystemId::new(sys),
+                node: NodeId::new(nd),
+                lo,
+                hi,
+            });
+            expect_lo = hi;
+            prev_key = Some((sys, nd));
         }
-        node_runs.push(NodeRun {
-            system: SystemId::new(sys),
-            node: NodeId::new(nd),
-            lo,
-            hi,
-        });
-        expect_lo = hi;
-        prev_key = Some((sys, nd));
-    }
-    if expect_lo != n32 {
-        return Err(malformed(format!(
-            "node runs cover {expect_lo} of {n} node_rows entries"
-        )));
-    }
-    let mut last_in_run = vec![NO_PREV; node_runs.len()];
-    for i in 0..n {
-        let k = run_of_row[i] as usize;
-        // Unreachable in principle (the runs partition [0, n) with no
-        // duplicate rows), kept as a typed guard rather than a panic.
-        let run = node_runs
-            .get(k)
-            .ok_or_else(|| malformed(format!("row {i}: not covered by any node run")))?;
-        if system[i] != run.system || node[i] != run.node {
+        if expect_lo != n32 {
             return Err(malformed(format!(
-                "node run {k}: row {i} belongs to a different (system, node)"
+                "node runs cover {expect_lo} of {n} node_rows entries"
             )));
         }
-        if prev_in_node[i] != last_in_run[k] {
-            return Err(malformed(format!(
-                "row {i}: prev_in_node {} disagrees with its run (expected {})",
-                prev_in_node[i], last_in_run[k]
-            )));
-        }
-        last_in_run[k] = i as u32;
-    }
-
-    // System spans: same discipline over `system_rows`.
-    let mut system_spans = Vec::with_capacity(system_spans_raw.len() / 3);
-    let mut expect_lo: u32 = 0;
-    let mut prev_sys: Option<u32> = None;
-    for (span_idx, chunk) in system_spans_raw.chunks_exact(3).enumerate() {
-        let (sys, lo, hi) = (chunk[0], chunk[1], chunk[2]);
-        if lo != expect_lo || hi <= lo || hi > n32 {
-            return Err(malformed(format!(
-                "system span {span_idx}: bad bounds [{lo}, {hi})"
-            )));
-        }
-        if let Some(p) = prev_sys {
-            if p >= sys {
+        let mut last_in_run = vec![NO_PREV; node_runs.len()];
+        for i in 0..n {
+            let k = run_of_row[i] as usize;
+            // Unreachable in principle (the runs partition [0, n) with no
+            // duplicate rows), kept as a typed guard rather than a panic.
+            let run = node_runs
+                .get(k)
+                .ok_or_else(|| malformed(format!("row {i}: not covered by any node run")))?;
+            if system[i] != run.system || node[i] != run.node {
                 return Err(malformed(format!(
-                    "system span {span_idx}: ids not strictly ascending"
+                    "node run {k}: row {i} belongs to a different (system, node)"
                 )));
             }
+            if prev_in_node[i] != last_in_run[k] {
+                return Err(malformed(format!(
+                    "row {i}: prev_in_node {} disagrees with its run (expected {})",
+                    prev_in_node[i], last_in_run[k]
+                )));
+            }
+            last_in_run[k] = i as u32;
         }
-        check_posting(
-            &system_rows[lo as usize..hi as usize],
-            n32,
-            "system_rows",
-            span_idx,
-            |r| system[r as usize] == SystemId::new(sys),
-        )?;
-        system_spans.push((SystemId::new(sys), lo, hi));
-        expect_lo = hi;
-        prev_sys = Some(sys);
-    }
-    if expect_lo != n32 {
-        return Err(malformed(format!(
-            "system spans cover {expect_lo} of {n} system_rows entries"
-        )));
-    }
 
-    // Cause and workload posting lists must describe the columns.
-    for (c, rows) in cause_rows.iter().enumerate() {
-        check_posting(rows, n32, "cause_rows", c, |r| {
-            cause[r as usize].index() == c
-        })?;
-    }
-    for (w, rows) in workload_rows.iter().enumerate() {
-        check_posting(rows, n32, "workload_rows", w, |r| {
-            workload_slot(workload[r as usize]) == w
-        })?;
-    }
+        // System spans: same discipline over `system_rows`.
+        let mut system_spans = Vec::with_capacity(system_spans_raw.len() / 3);
+        let mut expect_lo: u32 = 0;
+        let mut prev_sys: Option<u32> = None;
+        for (span_idx, chunk) in system_spans_raw.chunks_exact(3).enumerate() {
+            let (sys, lo, hi) = (chunk[0], chunk[1], chunk[2]);
+            if lo != expect_lo || hi <= lo || hi > n32 {
+                return Err(malformed(format!(
+                    "system span {span_idx}: bad bounds [{lo}, {hi})"
+                )));
+            }
+            if let Some(p) = prev_sys {
+                if p >= sys {
+                    return Err(malformed(format!(
+                        "system span {span_idx}: ids not strictly ascending"
+                    )));
+                }
+            }
+            check_posting(
+                &system_rows[lo as usize..hi as usize],
+                n32,
+                "system_rows",
+                span_idx,
+                |r| system[r as usize] == SystemId::new(sys),
+            )?;
+            system_spans.push((SystemId::new(sys), lo, hi));
+            expect_lo = hi;
+            prev_sys = Some(sys);
+        }
+        if expect_lo != n32 {
+            return Err(malformed(format!(
+                "system spans cover {expect_lo} of {n} system_rows entries"
+            )));
+        }
 
-    Ok(TraceIndex {
-        start,
-        downtime,
-        system,
-        node,
-        cause,
-        detail,
-        workload,
-        prev_in_node,
-        node_rows,
-        node_runs,
-        system_rows,
-        system_spans,
-        cause_rows,
-        workload_rows,
-    })
+        // Cause and workload posting lists must describe the columns.
+        for (c, rows) in cause_rows.iter().enumerate() {
+            check_posting(rows, n32, "cause_rows", c, |r| {
+                cause[r as usize].index() == c
+            })?;
+        }
+        for (w, rows) in workload_rows.iter().enumerate() {
+            check_posting(rows, n32, "workload_rows", w, |r| {
+                workload_slot(workload[r as usize]) == w
+            })?;
+        }
+
+        Ok(TraceIndex {
+            start,
+            downtime,
+            system,
+            node,
+            cause,
+            detail,
+            workload,
+            prev_in_node,
+            node_rows,
+            node_runs,
+            system_rows,
+            system_spans,
+            cause_rows,
+            workload_rows,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1013,6 +1335,26 @@ mod tests {
         }
     }
 
+    /// Pins the exact error, not only its family, for every strict
+    /// prefix and every single-bit flip of one store: one digest over
+    /// the `Debug` rendering of each result, in order. Any change to
+    /// which check fires first, or to a message or computed checksum,
+    /// moves it.
+    #[test]
+    fn prefix_and_bit_flip_errors_are_pinned() {
+        let bytes = TraceStore::to_bytes(&sample_trace(30).index());
+        let mut rendered = String::new();
+        for cut in 0..bytes.len() {
+            rendered += &format!("{:?}\n", TraceStore::from_bytes(&bytes[..cut]));
+        }
+        for i in 0..bytes.len() {
+            let mut dirty = bytes.clone();
+            dirty[i] ^= 1 << (i % 8);
+            rendered += &format!("{:?}\n", TraceStore::from_bytes(&dirty));
+        }
+        assert_eq!(checksum(rendered.as_bytes()), 0x091e_70a1_988a_e610);
+    }
+
     #[test]
     fn checksum_is_order_and_length_sensitive() {
         assert_ne!(checksum(b"ab"), checksum(b"ba"));
@@ -1031,10 +1373,14 @@ mod tests {
         )
     }
 
+    fn u32_words(bytes: &[u8]) -> Vec<u32> {
+        bytes.chunks_exact(4).map(le32).collect()
+    }
+
     /// A section's payload as u32 words.
     fn section_u32s(bytes: &[u8], name: &str) -> Vec<u32> {
         let (off, len) = section_span(bytes, name);
-        decode_u32s(&bytes[off..off + len], name).unwrap()
+        u32_words(&bytes[off..off + len])
     }
 
     /// Rewrite section `name` of a clean image in place with `edit`, then
@@ -1049,8 +1395,7 @@ mod tests {
         let i = SECTION_NAMES.iter().position(|&s| s == name).unwrap();
         let base = HEADER_LEN + i * ENTRY_LEN;
         out[base + 20..base + 28].copy_from_slice(&sum.to_le_bytes());
-        let table_end = HEADER_LEN + SECTION_COUNT * ENTRY_LEN;
-        let footer = checksum(&out[..table_end]);
+        let footer = checksum(&out[..TABLE_END]);
         let at = out.len() - FOOTER_LEN;
         out[at..].copy_from_slice(&footer.to_le_bytes());
         out
@@ -1158,7 +1503,7 @@ mod tests {
         // six u64 length words.
         let (off, len) = section_span(&clean, "cause_rows");
         let first_len = read_u64(&clean, off) as usize;
-        let words = decode_u32s(&clean[off + 48..off + len], "cause_rows").unwrap();
+        let words = u32_words(&clean[off + 48..off + len]);
         let (k, r) = foreign_row(&words[..first_len], n, |r| {
             records[r as usize].cause().index() == 0
         });
@@ -1181,5 +1526,101 @@ mod tests {
         let loaded = TraceStore::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.all().to_trace(), trace);
         assert!(is_packed(&bytes));
+    }
+
+    /// A fresh per-process file path under the temp dir.
+    fn scratch_file(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("hpcfail_store_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    /// Opening a file by path gives exactly what the in-memory decoder
+    /// gives for its bytes — the index or the same typed error — on a
+    /// store several chunks long: clean, under each binary fault kind,
+    /// and cut one byte either side of every section boundary and of
+    /// the first chunk boundary inside each section.
+    #[test]
+    fn opening_by_path_equals_from_bytes() {
+        use crate::corrupt::{BinaryCorruptionPlan, BinaryFault};
+        use crate::io::{open_trace, read_trace};
+        use crate::quality::IngestPolicy;
+        use hpcfail_exec::FaultMix;
+
+        let index = sample_trace(12_000).index();
+        let clean = TraceStore::to_bytes(&index);
+        assert!(clean.len() > 4 * CHUNK, "{} bytes", clean.len());
+        let mut cases: Vec<(String, Vec<u8>)> = vec![("clean".into(), clean.clone())];
+        for kind in [
+            BinaryFault::MidTruncate,
+            BinaryFault::TornHeader,
+            BinaryFault::BitFlips,
+            BinaryFault::VersionSkew,
+        ] {
+            for seed in 0..4 {
+                let plan = BinaryCorruptionPlan {
+                    seed,
+                    mix: FaultMix::only(kind),
+                };
+                cases.push((plan.to_string(), plan.corrupt_bytes(&clean)));
+            }
+        }
+        let mut bounds = vec![TABLE_END, HEAD_LEN, clean.len() - FOOTER_LEN];
+        for name in SECTION_NAMES {
+            let (off, len) = section_span(&clean, name);
+            bounds.extend([off, off + len, off + CHUNK]);
+        }
+        for b in bounds {
+            for cut in [b - 1, b, b + 1] {
+                if cut < clean.len() {
+                    cases.push((format!("cut at {cut}"), clean[..cut].to_vec()));
+                }
+            }
+        }
+        let path = scratch_file("by_path.hpct");
+        for (what, bytes) in &cases {
+            std::fs::write(&path, bytes).unwrap();
+            let by_path = read_file(File::open(&path).unwrap()).unwrap();
+            assert_eq!(by_path, TraceStore::from_bytes(bytes), "{what}");
+            let opened = open_trace(&path, IngestPolicy::FailFast).unwrap();
+            assert_eq!(opened, read_trace(bytes, IngestPolicy::FailFast), "{what}");
+        }
+        assert_eq!(TraceStore::from_bytes(&clean).unwrap(), index);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A file that shrinks after its length was taken fails as a typed
+    /// truncation at the first short read, not as an I/O error.
+    #[test]
+    fn file_that_shrinks_while_read_is_truncated() {
+        let bytes = TraceStore::to_bytes(&sample_trace(200).index());
+        let path = scratch_file("shrinks.hpct");
+        std::fs::write(&path, &bytes).unwrap();
+        let file = File::open(&path).unwrap();
+        let size = bytes.len() as u64;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(1000)
+            .unwrap();
+        let mut src = FileSource {
+            file,
+            size,
+            pos: None,
+            buf: vec![0; CHUNK],
+        };
+        match decode(&mut src) {
+            Err(ReadError::Store(e)) => assert_eq!(
+                e,
+                StoreError::Truncated {
+                    expected: size,
+                    got: 1000
+                }
+            ),
+            Err(ReadError::Io(e)) => panic!("I/O error instead of a typed truncation: {e}"),
+            Ok(_) => panic!("a shrunk file loaded"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

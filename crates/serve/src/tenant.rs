@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
-use hpcfail_records::io::read_trace;
+use hpcfail_records::io::open_trace;
 use hpcfail_records::{FailureTrace, IngestPolicy, TraceIndex};
 
 /// Where a tenant's records come from — consulted again on reload.
@@ -95,7 +95,7 @@ impl std::fmt::Display for TenantError {
 impl std::error::Error for TenantError {}
 
 /// Read a tenant's source through the one trace loader and index it.
-/// A packed `.hpct` store opens straight into its stored index.
+/// A packed `.hpct` store streams straight into its stored index.
 fn load_source(source: &TenantSource) -> Result<TraceIndex, TenantError> {
     let path = match source {
         TenantSource::File(path) => path,
@@ -103,8 +103,9 @@ fn load_source(source: &TenantSource) -> Result<TraceIndex, TenantError> {
     };
     let load_err =
         |e: &dyn std::fmt::Display| TenantError::Load(format!("{}: {e}", path.display()));
-    let bytes = std::fs::read(path).map_err(|e| load_err(&e))?;
-    let ingest = read_trace(&bytes, IngestPolicy::FailFast).map_err(|e| load_err(&e))?;
+    let ingest = open_trace(path, IngestPolicy::FailFast)
+        .map_err(|e| load_err(&e))?
+        .map_err(|e| load_err(&e))?;
     Ok(ingest.index)
 }
 
@@ -319,6 +320,31 @@ mod tests {
         let live = reg.get("t").unwrap();
         assert_eq!(live.generation, 2);
         assert_eq!(live.len(), 20);
+    }
+
+    /// A packed file cut below its 24-byte header fails the reload as
+    /// a typed load error naming the truncation; the old generation
+    /// keeps serving.
+    #[test]
+    fn packed_file_shrunk_below_its_header_keeps_the_old_generation() {
+        let dir = std::env::temp_dir().join("hpcfail_serve_tenant_shrunk_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.hpct");
+        TraceStore::write(&tiny_trace(9).index(), &path).unwrap();
+        let reg = TenantRegistry::new();
+        reg.insert("t", TenantSource::File(path.clone())).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..20]).unwrap();
+        match reg.reload("t") {
+            Err(TenantError::Load(msg)) => assert!(
+                msg.contains("truncated .hpct file: need 32 bytes, have 20"),
+                "{msg}"
+            ),
+            other => panic!("expected a typed load error, got {other:?}"),
+        }
+        let live = reg.get("t").unwrap();
+        assert_eq!(live.generation, 1);
+        assert_eq!(live.index().all().to_trace(), tiny_trace(9));
     }
 
     #[test]

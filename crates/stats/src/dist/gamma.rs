@@ -4,6 +4,7 @@
 
 use super::{unit_open, Continuous};
 use crate::error::StatsError;
+use crate::prepared::PreparedSample;
 use crate::special::{digamma, ln_gamma, regularized_gamma_p, trigamma};
 use rand::{Rng, RngExt};
 
@@ -236,18 +237,31 @@ impl Continuous for Gamma {
     }
 
     fn nll(&self, data: &[f64]) -> f64 {
-        // Hoisted loop-invariant constants — notably `ln Γ(k)`, a Lanczos
-        // evaluation the default implementation repeats per observation.
-        // Each term keeps the default operation order, so the sum is
-        // bit-identical to `-Σ ln_pdf(x)`.
+        self.nll_of(data.iter().map(|&x| (x, x.ln())))
+    }
+
+    fn nll_prepared(&self, sample: &PreparedSample) -> f64 {
+        match sample.logs() {
+            Some(logs) => self.nll_of(sample.values().iter().copied().zip(logs.iter().copied())),
+            None => self.nll(sample.values()),
+        }
+    }
+}
+
+impl Gamma {
+    /// `-Σ ln_pdf(x)` over `(x, ln x)` pairs. Hoisted loop-invariant
+    /// constants — notably `ln Γ(k)`, a Lanczos evaluation the default
+    /// implementation repeats per observation. Each term keeps the
+    /// default operation order, so the sum is bit-identical to
+    /// `-Σ ln_pdf(x)`.
+    fn nll_of(&self, terms: impl Iterator<Item = (f64, f64)>) -> f64 {
         let ln_gamma_shape = ln_gamma(self.shape);
         let shape_ln_scale = self.shape * self.scale.ln();
         let shape_m1 = self.shape - 1.0;
-        -data
-            .iter()
-            .map(|&x| {
+        -terms
+            .map(|(x, ln_x)| {
                 if x > 0.0 {
-                    shape_m1 * x.ln() - x / self.scale - ln_gamma_shape - shape_ln_scale
+                    shape_m1 * ln_x - x / self.scale - ln_gamma_shape - shape_ln_scale
                 } else {
                     self.ln_pdf(x)
                 }

@@ -4,6 +4,7 @@
 
 use super::{unit_open, Continuous};
 use crate::error::StatsError;
+use crate::prepared::PreparedSample;
 use crate::special::{inverse_standard_normal_cdf, standard_normal_cdf};
 use rand::Rng;
 
@@ -191,19 +192,32 @@ impl Continuous for LogNormal {
     }
 
     fn nll(&self, data: &[f64]) -> f64 {
-        // ln σ and the normalising constant are loop-invariant; hoisting
-        // them keeps the per-term operation order of `ln_pdf` intact, so
-        // the sum is bit-identical to the default implementation.
+        self.nll_of(data.iter().map(|&x| (x, x.ln())))
+    }
+
+    fn nll_prepared(&self, sample: &PreparedSample) -> f64 {
+        match sample.logs() {
+            Some(logs) => self.nll_of(sample.values().iter().copied().zip(logs.iter().copied())),
+            None => self.nll(sample.values()),
+        }
+    }
+}
+
+impl LogNormal {
+    /// `-Σ ln_pdf(x)` over `(x, ln x)` pairs. ln σ and the normalising
+    /// constant are loop-invariant; hoisting them keeps the per-term
+    /// operation order of `ln_pdf` intact, so the sum is bit-identical
+    /// to the default implementation.
+    fn nll_of(&self, terms: impl Iterator<Item = (f64, f64)>) -> f64 {
         let ln_sigma = self.sigma.ln();
         let half_ln_two_pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        -data
-            .iter()
-            .map(|&x| {
+        -terms
+            .map(|(x, ln_x)| {
                 if x <= 0.0 {
                     return f64::NEG_INFINITY;
                 }
-                let z = (x.ln() - self.mu) / self.sigma;
-                -x.ln() - ln_sigma - half_ln_two_pi - 0.5 * z * z
+                let z = (ln_x - self.mu) / self.sigma;
+                -ln_x - ln_sigma - half_ln_two_pi - 0.5 * z * z
             })
             .sum::<f64>()
     }

@@ -25,6 +25,7 @@ pub use pareto::Pareto;
 pub use poisson::Poisson;
 pub use weibull::Weibull;
 
+use crate::prepared::PreparedSample;
 use rand::{Rng, RngExt};
 
 /// A continuous univariate probability distribution.
@@ -94,6 +95,14 @@ pub trait Continuous: std::any::Any + std::fmt::Debug + Send + Sync {
     /// the paper's goodness-of-fit criterion (lower is better).
     fn nll(&self, data: &[f64]) -> f64 {
         -data.iter().map(|&x| self.ln_pdf(x)).sum::<f64>()
+    }
+
+    /// [`Continuous::nll`] of a prepared sample's values, bit for bit. A
+    /// family whose density reads `x` only through `ln x` (gamma,
+    /// lognormal) reads the sample's cached logs instead of taking
+    /// them again.
+    fn nll_prepared(&self, sample: &PreparedSample) -> f64 {
+        self.nll(sample.values())
     }
 }
 

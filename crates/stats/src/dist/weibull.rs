@@ -153,25 +153,7 @@ impl Weibull {
         max_log: f64,
         n: f64,
     ) -> Result<Self, StatsError> {
-        // g(k) and g'(k) from stable weighted sums, with the sum s0 the
-        // scale needs at the root.
-        let g_and_dg = |k: f64| -> (f64, f64, f64) {
-            let max_term = k * max_log;
-            let mut s0 = 0.0; // Σ e^{k lᵢ - M}
-            let mut s1 = 0.0; // Σ lᵢ e^{k lᵢ - M}
-            let mut s2 = 0.0; // Σ lᵢ² e^{k lᵢ - M}
-            for &l in logs {
-                let w = (k * l - max_term).exp();
-                s0 += w;
-                s1 += l * w;
-                s2 += l * l * w;
-            }
-            let ratio = s1 / s0;
-            let g = ratio - 1.0 / k - mean_log;
-            // d/dk [s1/s0] = s2/s0 − (s1/s0)², plus 1/k².
-            let dg = s2 / s0 - ratio * ratio + 1.0 / (k * k);
-            (g, dg, s0)
-        };
+        let g_and_dg = |k: f64| g_and_dg(logs, mean_log, max_log, k);
 
         // g is increasing in k; bracket a root. Each endpoint is
         // evaluated exactly once and the value carried forward.
@@ -190,7 +172,16 @@ impl Weibull {
             }
             g_hi = g_and_dg(hi).0;
         }
-        let mut g_lo = g_and_dg(lo).0;
+        // g(k) ≤ max ln x − 1/k − mean ln x, since the weighted mean
+        // s1/s0 never exceeds max ln x. At k = 10⁻³ that bound is
+        // negative whenever the spread is under 1000, and only the sign
+        // of g(lo) is used, so the evaluation is skipped; a margin of 1
+        // absorbs the rounding of s1/s0.
+        let mut g_lo = if lo_is_below_root(mean_log, max_log) {
+            -1.0
+        } else {
+            g_and_dg(lo).0
+        };
         while g_lo > 0.0 {
             lo /= 2.0;
             expand += 1;
@@ -244,6 +235,33 @@ impl Weibull {
         let ln_scale = (max_term + (s0 / n).ln()) / k;
         Weibull::new(k, ln_scale.exp())
     }
+}
+
+/// `g(k)` and `g'(k)` of `Weibull::solve_from_logs` from stable
+/// weighted sums, with the sum `s0` the scale needs at the root.
+#[inline]
+fn g_and_dg(logs: &[f64], mean_log: f64, max_log: f64, k: f64) -> (f64, f64, f64) {
+    let max_term = k * max_log;
+    let mut s0 = 0.0; // Σ e^{k lᵢ - M}
+    let mut s1 = 0.0; // Σ lᵢ e^{k lᵢ - M}
+    let mut s2 = 0.0; // Σ lᵢ² e^{k lᵢ - M}
+    for &l in logs {
+        let w = (k * l - max_term).exp();
+        s0 += w;
+        s1 += l * w;
+        s2 += l * l * w;
+    }
+    let ratio = s1 / s0;
+    let g = ratio - 1.0 / k - mean_log;
+    // d/dk [s1/s0] = s2/s0 − (s1/s0)², plus 1/k².
+    let dg = s2 / s0 - ratio * ratio + 1.0 / (k * k);
+    (g, dg, s0)
+}
+
+/// Whether `g(10⁻³)` is known negative without evaluating it: the log
+/// spread `max ln x − mean ln x` is below 999.
+fn lo_is_below_root(mean_log: f64, max_log: f64) -> bool {
+    max_log - mean_log < 999.0
 }
 
 impl Continuous for Weibull {
@@ -351,6 +369,44 @@ mod tests {
     use crate::dist::sample_n;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The bracket's skipped `g(10⁻³)` is negative whenever the guard
+    /// skips it, over log-uniform and lopsided samples spanning 1e-6
+    /// to 1e9; a spread past 999 is evaluated.
+    #[test]
+    fn skipped_lower_bracket_is_always_negative() {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut skipped = 0;
+        for case in 0..400 {
+            let n = 2 + case % 50;
+            let (lo, hi) = (1e-6f64.ln(), 1e9f64.ln());
+            let mut data: Vec<f64> = (0..n)
+                .map(|_| (lo + (hi - lo) * rng.random::<f64>()).exp())
+                .collect();
+            // Lopsided cases: one extreme value against a tight cluster.
+            match case % 4 {
+                1 => data[0] = 1e9,
+                2 => data[0] = 1e-6,
+                3 => {
+                    data.iter_mut().for_each(|x| *x = 1e-6);
+                    data[0] = 1e9;
+                }
+                _ => {}
+            }
+            let logs: Vec<f64> = data.iter().map(|x| x.ln()).collect();
+            let mean_log = logs.iter().sum::<f64>() / n as f64;
+            let max_log = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            if lo_is_below_root(mean_log, max_log) {
+                skipped += 1;
+                let g = g_and_dg(&logs, mean_log, max_log, 1e-3).0;
+                assert!(g < 0.0, "case {case}: g(1e-3) = {g}");
+            }
+        }
+        assert_eq!(skipped, 400);
+        // A log spread past 999 is evaluated, not assumed.
+        assert!(!lo_is_below_root(-350.0, 700.0));
+    }
 
     #[test]
     fn invalid_parameters_rejected() {

@@ -239,8 +239,9 @@ pub fn fit_candidates(
 /// (bootstrap, multi-criterion ranking) should prepare once and call this
 /// directly.
 ///
-/// NLL is each family's hoisted scalar [`Continuous::nll`] over the
-/// sample's original-order values; KS is the branch-and-bound
+/// NLL is each family's hoisted scalar [`Continuous::nll_prepared`],
+/// which reads the sample's cached logs where the density needs only
+/// `ln x`; KS is the branch-and-bound
 /// [`ks_statistic_sorted`] — DESIGN.md §13.
 ///
 /// # Errors
@@ -264,7 +265,7 @@ pub fn fit_candidates_prepared(
     for &family in families {
         match family.fit_prepared(sample) {
             Ok(dist) => {
-                let nll = dist.nll(sample.values());
+                let nll = dist.nll_prepared(sample);
                 let k = family.param_count() as f64;
                 let aic = 2.0 * k + 2.0 * nll;
                 let bic = k * (sample.len() as f64).ln() + 2.0 * nll;

@@ -63,25 +63,23 @@ impl EmpiricalHazard {
         let nb = edges.len() - 1;
         let mut counts = vec![0usize; nb];
         let mut exposure = vec![0.0f64; nb];
+        // One branch-free pass per observation: it is at risk in every
+        // bin up to its own, and bins past it (`d <= lo`) get `+0.0`,
+        // which leaves each running sum's bits as they were. Its failure
+        // counts in the first bin whose upper edge reaches it — the
+        // number of upper edges below it — so the first bin is closed
+        // on the left and the sample minimum, on `edges[0]`, counts
+        // there; the largest observation(s), on the last edge, count in
+        // the last bin.
         for &d in durations {
-            for b in 0..nb {
-                let lo = edges[b];
-                let hi = edges[b + 1];
-                // First bin is closed on the left so the sample minimum
-                // (which sits exactly on edges[0]) is counted.
-                if b > 0 && d <= lo {
-                    break;
-                }
-                // Time spent at risk inside this bin.
-                exposure[b] += (d.min(hi) - lo).max(0.0);
-                if d <= hi {
-                    counts[b] += 1;
-                    break;
-                }
+            let mut bin = 0;
+            for (e, w) in exposure.iter_mut().zip(edges.windows(2)) {
+                let (lo, hi) = (w[0], w[1]);
+                *e += (d.min(hi) - lo).max(0.0);
+                bin += usize::from(hi < d);
             }
+            counts[bin] += 1;
         }
-        // The largest observation(s) fall exactly on the last edge; the loop
-        // above credits them to the last bin via `d <= hi`.
         let rates = counts
             .iter()
             .zip(&exposure)

@@ -400,21 +400,56 @@ echo "==> serve chaos suite (seeded socket-fault sweep: sheds bounded, answers b
 cargo test --release -q -p hpcfail --test serve_chaos
 
 echo "==> serve smoke (boot on an ephemeral port, probe, shut down)"
-cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
-    serve --synth 42 --system 20 --port 0 > "$tmpdir/serve.out" 2>&1 &
-serve_pid=$!
-serve_url=""
-for _ in $(seq 1 50); do
-    serve_url="$(sed -n 's|.*listening on \(http://[0-9.:]*\).*|\1|p' "$tmpdir/serve.out")"
-    [ -n "$serve_url" ] && break
-    sleep 0.2
-done
-if [ -z "$serve_url" ]; then
-    echo "FAIL: serve never announced its bound port" >&2
-    cat "$tmpdir/serve.out" >&2
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+# serve_boot OUT ARGS...: start `hpcfail serve ARGS --port 0` with its
+# output in OUT; sets serve_pid and serve_url once the port is announced.
+serve_boot() {
+    local out="$1"
+    shift
+    cargo run --release -q -p hpcfail-cli --bin hpcfail -- \
+        serve "$@" --port 0 > "$out" 2>&1 &
+    serve_pid=$!
+    serve_url=""
+    for _ in $(seq 1 50); do
+        serve_url="$(sed -n 's|.*listening on \(http://[0-9.:]*\).*|\1|p' "$out")"
+        [ -n "$serve_url" ] && break
+        sleep 0.2
+    done
+    if [ -z "$serve_url" ]; then
+        echo "FAIL: serve never announced its bound port" >&2
+        cat "$out" >&2
+        kill "$serve_pid" 2>/dev/null || true
+        exit 1
+    fi
+}
+# serve_shutdown OUT: graceful shutdown over the signal path. POST
+# /v1/shutdown drains in-flight work and the process exits on its own —
+# no kill needed.
+serve_shutdown() {
+    local out="$1"
+    python3 - "$serve_url/v1/shutdown" <<'EOF'
+import sys, urllib.request
+req = urllib.request.Request(sys.argv[1], data=b"", method="POST")
+with urllib.request.urlopen(req, timeout=10) as resp:
+    assert resp.status == 200, resp.status
+    assert b"draining" in resp.read(), "shutdown must acknowledge the drain"
+EOF
+    for _ in $(seq 1 50); do
+        kill -0 "$serve_pid" 2>/dev/null || break
+        sleep 0.2
+    done
+    if kill -0 "$serve_pid" 2>/dev/null; then
+        echo "FAIL: serve did not exit after POST /v1/shutdown" >&2
+        kill "$serve_pid" 2>/dev/null || true
+        exit 1
+    fi
+    wait "$serve_pid" 2>/dev/null || true
+    grep -q "drained and stopped" "$out" || {
+        echo "FAIL: serve exited without announcing a clean drain" >&2
+        cat "$out" >&2
+        exit 1
+    }
+}
+serve_boot "$tmpdir/serve.out" --synth 42 --system 20
 probe() {
     # Tiny HTTP client: curl is not guaranteed in the image.
     python3 - "$1" <<'EOF'
@@ -435,31 +470,56 @@ probe "$serve_url/v1/synth/tbf?view=node&node=22&era=late"
 probe "$serve_url/v1/synth/rates?system=20"
 probe "$serve_url/v1/synth/availability?system=20"
 probe "$serve_url/v1/synth/repair?cause=hardware"
-# Graceful shutdown over the signal path: POST /v1/shutdown drains
-# in-flight work and the process exits on its own — no kill needed.
-python3 - "$serve_url/v1/shutdown" <<'EOF'
-import sys, urllib.request
-req = urllib.request.Request(sys.argv[1], data=b"", method="POST")
-with urllib.request.urlopen(req, timeout=10) as resp:
-    assert resp.status == 200, resp.status
-    assert b"draining" in resp.read(), "shutdown must acknowledge the drain"
-EOF
-for _ in $(seq 1 50); do
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.2
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    echo "FAIL: serve did not exit after POST /v1/shutdown" >&2
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
-wait "$serve_pid" 2>/dev/null || true
-grep -q "drained and stopped" "$tmpdir/serve.out" || {
-    echo "FAIL: serve exited without announcing a clean drain" >&2
-    cat "$tmpdir/serve.out" >&2
-    exit 1
-}
+serve_shutdown "$tmpdir/serve.out"
 echo "OK: serve boots, answers /healthz and a stratified analysis, and drains cleanly on POST /v1/shutdown"
+
+echo "==> serve smoke on the packed seed-42 site (streamed .hpct open, reload, damaged reload)"
+# Two tenants on the packed site: `site` reloads from its intact file and
+# must answer byte-identically; `damaged` is truncated on disk, so its
+# reload must fail typed while its live generation keeps answering.
+cp "$tmpdir/site.hpct" "$tmpdir/damaged.hpct"
+serve_boot "$tmpdir/serve_hpct.out" --trace "$tmpdir/site.hpct" --trace "$tmpdir/damaged.hpct"
+python3 - "$serve_url" "$tmpdir/damaged.hpct" <<'EOF'
+import os, sys, urllib.error, urllib.request
+base, damaged = sys.argv[1], sys.argv[2]
+
+def call(path, method="GET"):
+    data = b"" if method == "POST" else None
+    req = urllib.request.Request(base + path, data=data, method=method)
+    try:
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as e:
+        return e.code, e.read()
+
+strata = ["/v1/site/tbf?view=pooled", "/v1/site/repair?cause=hardware"]
+before = {}
+for path in strata:
+    status, body = call(path)
+    assert status == 200 and body.startswith(b"{"), (path, status, body[:120])
+    before[path] = body
+status, body = call("/v1/reload?trace=site", "POST")
+assert status == 200, ("reload site", status, body[:200])
+for path in strata:
+    status, body = call(path)
+    assert status == 200, (path, status)
+    assert body == before[path], f"{path} changed across a reload of unchanged bytes"
+
+stratum = "/v1/damaged/repair?cause=hardware"
+status, live = call(stratum)
+assert status == 200, (stratum, status)
+with open(damaged, "r+b") as f:
+    f.truncate(os.path.getsize(damaged) // 3)
+status, body = call("/v1/reload?trace=damaged", "POST")
+assert status == 503, ("damaged reload", status, body[:200])
+assert b'"kind":"reload_failed"' in body, body[:200]
+assert b"cannot load trace" in body, body[:200]
+status, body = call(stratum)
+assert status == 200 and body == live, "the live generation stopped answering"
+print("site reload byte-identical; damaged reload 503 reload_failed, old generation serving")
+EOF
+serve_shutdown "$tmpdir/serve_hpct.out"
+echo "OK: a packed tenant reloads byte-identically and a truncated one fails typed while serving"
 
 echo "==> scenario robustness suite (panic isolation, parser totality, journal corruption, determinism)"
 cargo test --release -q -p hpcfail --test scenario_robustness

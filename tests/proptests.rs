@@ -306,6 +306,28 @@ proptest! {
         }
     }
 
+    /// Gamma and lognormal score a prepared sample off its cached
+    /// `ln x`; that NLL equals `nll` over the values bit for bit, on
+    /// positive samples and on ones holding a value out of support.
+    #[test]
+    fn prepared_nll_matches_nll_over_values(
+        data in prop::collection::vec(1e-6f64..1e9, 2..120),
+        shape in 0.1f64..10.0,
+        scale in 0.01f64..1e5,
+        out_of_support in prop::bool::ANY,
+    ) {
+        let mut data = data;
+        if out_of_support {
+            data[0] = 0.0;
+        }
+        let ps = PreparedSample::new(&data).unwrap();
+        let gamma = Gamma::new(shape, scale).unwrap();
+        let lognormal = LogNormal::new(scale.ln(), shape).unwrap();
+        for d in [&gamma as &dyn Continuous, &lognormal] {
+            prop_assert_eq!(d.nll_prepared(&ps).to_bits(), d.nll(&data).to_bits());
+        }
+    }
+
     /// The bootstrap's reused resample buffer must reproduce a loop that
     /// allocates a fresh resample per replicate, bit for bit.
     #[test]
@@ -1020,6 +1042,26 @@ proptest! {
         let loaded = TraceStore::from_bytes(&bytes).expect("clean pack must load");
         prop_assert_eq!(&loaded.all().to_trace(), &trace);
         prop_assert_eq!(&loaded, &built);
+    }
+
+    /// The incremental checksum a store open feeds section by section
+    /// equals the one-shot `checksum`, whatever 64-byte-aligned pieces
+    /// the bytes arrive in; only the last piece may end mid-block.
+    #[test]
+    fn incremental_checksum_matches_one_shot(
+        bytes in prop::collection::vec(0u8..=255, 0..1500),
+        pieces in prop::collection::vec(0usize..8, 0..10),
+    ) {
+        use hpcfail::records::store::{checksum, Checksum};
+        let mut state = Checksum::new(bytes.len() as u64);
+        let mut at = 0;
+        for blocks in pieces {
+            let take = (blocks * 64).min((bytes.len() - at) / 64 * 64);
+            state.update(&bytes[at..at + take]);
+            at += take;
+        }
+        state.update(&bytes[at..]);
+        prop_assert_eq!(state.finish(), checksum(&bytes));
     }
 
     /// The full pipeline the CLI wires together — CSV text → strict read
